@@ -7,9 +7,11 @@
 // legacy baseline (no rebalance ever runs); kWaterFill shares contended
 // capacity fairly; kPriorityDowngrade additionally sheds LOPRI first so
 // HIPRI chains ride out the crowd. Benchmarks: the water-filling planner at
-// growing aggregate counts, one full rebalance pass on a loaded control
-// plane, and the whole overload soak per policy — the "overload events per
-// second" the control plane can absorb.
+// growing aggregate counts, one rebalance call on a loaded control plane
+// where nothing changed (the incremental rebalance finds nothing dirty), a
+// teardown + provision pair on the same plane (each re-plans only the
+// components the chain touches), and the whole overload soak per policy —
+// the "overload events per second" the control plane can absorb.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -189,6 +191,25 @@ void BM_RebalancePass(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RebalancePass)->Unit(benchmark::kMicrosecond);
+
+void BM_RebalanceAfterChurn(benchmark::State& state) {
+  auto dc = make_qos_dc(7, AllocationPolicy::kPriorityDowngrade);
+  // BM_RebalancePass's loaded plane; its service-2 chain is the one that
+  // departs and re-arrives (a cluster backs one slice, so churn reuses it).
+  (void)dc.provision_chain(make_spec(dc, 1, 16.0, PriorityClass::kLopri),
+                           core::PlacementAlgorithm::kGreedyOptical);
+  const auto churn = make_spec(dc, 2, 8.0, PriorityClass::kHipri);
+  auto id = dc.provision_chain(churn, core::PlacementAlgorithm::kGreedyOptical);
+  for (auto _ : state) {
+    if (!id || !dc.teardown_chain(*id).is_ok()) {
+      state.SkipWithError("the churning chain did not provision");
+      break;
+    }
+    id = dc.provision_chain(churn, core::PlacementAlgorithm::kGreedyOptical);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RebalanceAfterChurn)->Unit(benchmark::kMicrosecond);
 
 void BM_OverloadSoak(benchmark::State& state) {
   const auto policy = static_cast<AllocationPolicy>(state.range(0));

@@ -5,9 +5,10 @@ usage: bench_gate.py <fresh.json> [<baseline.json>]
 
 Compares the fresh run's after_cpu_time_us per (bench, name) row against
 the baseline's. Without an explicit baseline the newest committed
-BENCH_PR*.json in the current directory (the repo root in CI) is used;
-with no committed trajectory at all the gate passes vacuously so the
-first PR that introduces benchmarks can land.
+BENCH_PR<N>.json in the current directory (the repo root in CI) is used,
+newest meaning the largest N as a number (BENCH_PR10 is newer than
+BENCH_PR9); with no committed trajectory at all the gate passes
+vacuously so the first PR that introduces benchmarks can land.
 
 A row is a regression when fresh > baseline * (1 + tolerance). The
 tolerance defaults to 0.25 and can be widened for a noisy host via
@@ -22,7 +23,22 @@ Exit codes: 0 clean, 1 regression, 2 usage or malformed input.
 import glob
 import json
 import os
+import re
 import sys
+
+_TRAJECTORY_NAME = re.compile(r"BENCH_PR(\d+)\.json")
+
+
+def newest_committed_baseline(directory="."):
+    """Path of the BENCH_PR<N>.json in `directory` with the largest N, or
+    None. Sorting the names as strings would rank BENCH_PR9 above
+    BENCH_PR10; scripts/check.sh resolves its baseline through here too."""
+    numbered = []
+    for path in glob.glob(os.path.join(directory, "BENCH_PR*.json")):
+        match = _TRAJECTORY_NAME.fullmatch(os.path.basename(path))
+        if match:
+            numbered.append((int(match.group(1)), path))
+    return os.path.normpath(max(numbered)[1]) if numbered else None
 
 
 def fail_usage(message):
@@ -53,12 +69,11 @@ def main(argv):
     if len(argv) == 3:
         baseline_path = argv[2]
     else:
-        committed = sorted(glob.glob("BENCH_PR*.json"), reverse=True)
-        if not committed:
+        baseline_path = newest_committed_baseline()
+        if baseline_path is None:
             print("bench_gate: no committed BENCH_PR*.json baseline; "
                   "gate passes vacuously")
             return 0
-        baseline_path = committed[0]
 
     try:
         tolerance = float(os.environ.get("ALVC_BENCH_TOLERANCE", "0.25"))

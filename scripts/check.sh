@@ -45,7 +45,8 @@
 #   scripts/check.sh --bench-json <out> # run the tracked benchmarks
 #                                       #   (bench_route_cache,
 #                                       #   bench_fig4_al_construction,
-#                                       #   bench_sharded_control_plane) and
+#                                       #   bench_sharded_control_plane,
+#                                       #   bench_overload_downgrade) and
 #                                       #   write alvc-bench-trajectory-v1
 #                                       #   JSON; see emit_bench_json for
 #                                       #   baseline resolution
@@ -266,8 +267,9 @@ leg_scale_soak() {
 }
 
 # emit_bench_json <out.json> — runs the tracked benchmarks
-# (bench_route_cache, bench_fig4_al_construction, and the mid-scale
-# bench_sharded_control_plane serial/sharded cycles) and writes an
+# (bench_route_cache, bench_fig4_al_construction, the mid-scale
+# bench_sharded_control_plane serial/sharded cycles, and the
+# bench_overload_downgrade rebalance rows) and writes an
 # alvc-bench-trajectory-v1 JSON: per benchmark name, the current cpu time
 # in microseconds next to a "before" baseline and the resulting speedup.
 # With ALVC_BENCH_SCALE=full, the million-VM sharded benchmark also runs
@@ -275,17 +277,19 @@ leg_scale_soak() {
 # topology build alone) and its rows are merged in; CI runs without the
 # env, so those rows show up as [gone] in the gate, which is non-fatal.
 # Baseline resolution, in order:
-#   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded}.json — raw
+#   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded,overload}.json — raw
 #      google-benchmark JSON captured on the pre-change tree;
-#   2. the newest committed BENCH_PR*.json at the repo root (its `before`
-#      values carry forward, so CI tracks drift against the trajectory);
+#   2. the newest committed BENCH_PR<N>.json at the repo root, by PR
+#      number (bench_gate.newest_committed_baseline; its `before` values
+#      carry forward, so CI tracks drift against the trajectory);
 #   3. null (no baseline available; speedup omitted).
 emit_bench_json() {
   local out="$1"
   echo "== bench json: tracked benchmarks -> $out =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" --target \
-    bench_route_cache bench_fig4_al_construction bench_sharded_control_plane
+    bench_route_cache bench_fig4_al_construction bench_sharded_control_plane \
+    bench_overload_downgrade
   local tmpdir
   tmpdir="$(mktemp -d)"
   ./build/bench/bench_route_cache \
@@ -300,6 +304,11 @@ emit_bench_json() {
   ALVC_BENCH_SCALE= ./build/bench/bench_sharded_control_plane \
     --benchmark_min_time=0.05 \
     --benchmark_out="$tmpdir/sharded.json" \
+    --benchmark_out_format=json
+  ./build/bench/bench_overload_downgrade \
+    --benchmark_min_time=0.05 \
+    --benchmark_filter='^BM_Rebalance' \
+    --benchmark_out="$tmpdir/overload.json" \
     --benchmark_out_format=json
   if [[ "${ALVC_BENCH_SCALE:-}" == "full" ]]; then
     echo "== bench json: million-VM sharded rows (Release build-scale) =="
@@ -328,7 +337,8 @@ def load_cpu_us(path):
 
 after = {"bench_route_cache": load_cpu_us(f"{tmpdir}/route_cache.json"),
          "bench_fig4_al_construction": load_cpu_us(f"{tmpdir}/fig4.json"),
-         "bench_sharded_control_plane": load_cpu_us(f"{tmpdir}/sharded.json")}
+         "bench_sharded_control_plane": load_cpu_us(f"{tmpdir}/sharded.json"),
+         "bench_overload_downgrade": load_cpu_us(f"{tmpdir}/overload.json")}
 full_path = os.path.join(tmpdir, "sharded_full.json")
 if os.path.exists(full_path):
     after["bench_sharded_control_plane"].update(load_cpu_us(full_path))
@@ -337,15 +347,17 @@ before = {}
 if baseline_dir:
     for bench, raw in (("bench_route_cache", "route_cache.json"),
                        ("bench_fig4_al_construction", "fig4.json"),
-                       ("bench_sharded_control_plane", "sharded.json")):
+                       ("bench_sharded_control_plane", "sharded.json"),
+                       ("bench_overload_downgrade", "overload.json")):
         path = os.path.join(baseline_dir, raw)
         if os.path.exists(path):
             before[bench] = load_cpu_us(path)
 else:
-    import glob
-    committed_paths = sorted(glob.glob("BENCH_PR*.json"), reverse=True)
-    if committed_paths:
-        with open(committed_paths[0]) as f:
+    sys.path.insert(0, "scripts")
+    from bench_gate import newest_committed_baseline
+    committed_path = newest_committed_baseline()
+    if committed_path:
+        with open(committed_path) as f:
             committed = json.load(f)
         for row in committed.get("benchmarks", []):
             if row.get("before_cpu_time_us") is not None:

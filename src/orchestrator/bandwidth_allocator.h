@@ -103,7 +103,7 @@ struct AllocationPlan {
   /// ladder rung of the chain's demand (possibly 0 = shed, or the demand
   /// itself = full service).
   std::vector<double> target_gbps;
-  std::size_t fill_iterations = 0;   // progressive-filling rounds, all tiers
+  std::size_t fill_iterations = 0;   // progressive-filling rounds, all tiers and components
   std::size_t lopri_demotions = 0;   // LOPRI rungs shed for blocked HIPRIs
 };
 
@@ -133,6 +133,12 @@ class BandwidthAllocator {
   /// the plan is the full allocation, shrink and grow fall out of the
   /// diff). Pure and deterministic; kStrictLadder returns every chain's
   /// demand unchanged (the legacy fit path owns strict behavior).
+  ///
+  /// The plan decomposes exactly over the connected components of the
+  /// chain <-> resource graph: fill, quantization, climb and shedding run
+  /// once per component, so plan(all chains) equals, bit for bit, the
+  /// per-component plans stitched together, whatever the input order.
+  /// `fill_iterations` is then the sum of every component's rounds.
   [[nodiscard]] AllocationPlan plan(std::span<const AllocChain> chains,
                                     std::span<const AllocResource> resources) const;
 

@@ -24,8 +24,11 @@ NetworkOrchestrator::NetworkOrchestrator(alvc::cluster::ClusterManager& clusters
       controller_(clusters.topology()),
       admission_(clusters.topology(), catalog),
       bandwidth_(clusters.topology()),
+      alloc_index_(clusters.topology(), bandwidth_),
       router_(clusters.topology()),
-      route_cache_(clusters.topology()) {}
+      route_cache_(clusters.topology()) {
+  alloc_index_.reset(allocator_.tor_budget_factor());
+}
 
 Expected<ChainRoute> NetworkOrchestrator::route_linear(const VirtualCluster& vc,
                                                        std::span<const HostRef> hosts,
@@ -232,10 +235,9 @@ Expected<NfcId> NetworkOrchestrator::provision_chain(const alvc::nfv::NfcSpec& s
                          .slice = *slice,
                          .instances = std::move(instances),
                          .placement = std::move(*placed),
-                         .route = std::move(*route),
-                         .flow_rules = rules,
-                         .reserved_gbps = granted_gbps};
+                         .flow_rules = rules};
   auto [chain_it, inserted] = chains_.emplace(id, std::move(chain));
+  set_allocation(chain_it->second, std::move(*route), granted_gbps);
   if (agent_ != nullptr) agent_->register_chain(id, vc->id);
   log_.append(sdn::ControlEventType::kSliceAllocated, slice->value());
   log_.append(sdn::ControlEventType::kChainProvisioned, id.value(), spec.name);
@@ -386,12 +388,11 @@ Expected<NfcId> NetworkOrchestrator::provision_forwarding_graph(
                          .slice = *slice,
                          .instances = std::move(instances),
                          .placement = std::move(*placed),
-                         .route = std::move(*route),
                          .flow_rules = controller_.chain_rule_count(id),
                          .graph = gspec.graph,
-                         .forwarding_order = order,
-                         .reserved_gbps = granted_gbps};
+                         .forwarding_order = order};
   auto [chain_it, inserted] = chains_.emplace(id, std::move(chain));
+  set_allocation(chain_it->second, std::move(*route), granted_gbps);
   if (agent_ != nullptr) agent_->register_chain(id, vc->id);
   log_.append(sdn::ControlEventType::kSliceAllocated, slice->value());
   log_.append(sdn::ControlEventType::kChainProvisioned, id.value(), spec.name);
@@ -420,6 +421,7 @@ Status NetworkOrchestrator::teardown_chain(NfcId id) {
     }
   }
   bandwidth_.release_walk(it->second.route.vertices, it->second.reserved_gbps);
+  set_allocation(it->second, ChainRoute{}, 0);  // its component re-plans without it
   ALVC_IGNORE_STATUS(slices_.release(id), "teardown: chain is going away regardless");
   // Cluster ids can be reused by a later build; a reused id must never see
   // this tenant's paths, so teardown drops them eagerly instead of waiting
@@ -513,7 +515,7 @@ Status NetworkOrchestrator::migrate_function(NfcId id, std::size_t function_inde
   for (const auto& leg : route->legs) {
     if (auto status = controller_.install_path(id, leg); !status.is_ok()) return status;
   }
-  chain.route = std::move(*route);
+  set_allocation(chain, std::move(*route), gbps);
   chain.flow_rules = controller_.chain_rule_count(id);
   log_.append(sdn::ControlEventType::kVnfRelocated, id.value(),
               "operator migration of function " + std::to_string(function_index));
@@ -611,8 +613,7 @@ void NetworkOrchestrator::park_chain(ProvisionedChain& chain) {
   if (!chain.route.vertices.empty() && chain.reserved_gbps > 0) {
     bandwidth_.release_walk(chain.route.vertices, chain.reserved_gbps);
   }
-  chain.reserved_gbps = 0;
-  chain.route = ChainRoute{};
+  set_allocation(chain, ChainRoute{}, 0);
   chain.flow_rules = 0;
   for (std::size_t i = 0; i < chain.instances.size(); ++i) {
     if (!chain.instances[i].valid()) continue;
@@ -687,8 +688,7 @@ double NetworkOrchestrator::fit_chain(ProvisionedChain& chain) {
   for (double fraction : kFractions) {
     const double gbps = chain.record.spec.bandwidth_gbps * fraction;
     if (bandwidth_.reserve_walk(route->vertices, gbps).is_ok()) {
-      chain.route = std::move(*route);
-      chain.reserved_gbps = gbps;
+      set_allocation(chain, std::move(*route), gbps);
       chain.flow_rules = controller_.chain_rule_count(id);
       // Keep the slice record's bandwidth (and its epoch) in step with the
       // rung actually achieved.
@@ -888,104 +888,61 @@ void NetworkOrchestrator::enqueue_retry(NfcId id) {
   ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_.size()));
 }
 
-std::optional<std::vector<std::uint64_t>> NetworkOrchestrator::chain_link_keys(NfcId id) const {
-  const auto it = chains_.find(id);
-  if (it == chains_.end()) return std::nullopt;
-  const ProvisionedChain& chain = it->second;
-  if (chain.route.vertices.empty()) return std::nullopt;
-  std::vector<std::uint64_t> links;
-  for (std::size_t i = 0; i + 1 < chain.route.vertices.size(); ++i) {
-    const auto [lo, hi] = std::minmax(chain.route.vertices[i], chain.route.vertices[i + 1]);
-    if (lo == hi) continue;
-    links.push_back((static_cast<std::uint64_t>(lo) << 32) |
-                    static_cast<std::uint64_t>(hi & 0xffffffffULL));
+void NetworkOrchestrator::set_allocation_policy(AllocationPolicy policy) {
+  allocator_.set_policy(policy);
+  rebuild_allocation_index();
+}
+
+void NetworkOrchestrator::set_tor_budget_factor(double factor) {
+  allocator_.set_tor_budget_factor(factor);
+  rebuild_allocation_index();
+}
+
+void NetworkOrchestrator::rebuild_allocation_index() {
+  alloc_index_.reset(allocator_.tor_budget_factor());
+  if (allocator_.policy() == AllocationPolicy::kStrictLadder) return;
+  for (const NfcId id : sorted_chain_ids()) alloc_index_.mark_dirty(id);
+}
+
+void NetworkOrchestrator::set_allocation(ProvisionedChain& chain, ChainRoute route,
+                                         double reserved_gbps) {
+  chain.route = std::move(route);
+  chain.reserved_gbps = reserved_gbps;
+  // Strict mode never rebalances, so it keeps no index to invalidate.
+  if (allocator_.policy() != AllocationPolicy::kStrictLadder) {
+    alloc_index_.mark_dirty(chain.record.id);
   }
-  std::sort(links.begin(), links.end());
-  links.erase(std::unique(links.begin(), links.end()), links.end());
-  return links;
 }
 
 std::size_t NetworkOrchestrator::rebalance_bandwidth() {
   if (allocator_.policy() == AllocationPolicy::kStrictLadder) return 0;
+  if (!alloc_index_.has_dirty()) return 0;  // nothing moved since the last pass
   ALVC_SPAN(span, "orchestrator.rebalance_bandwidth");
   constexpr double kEps = 1e-9;
-  const auto& topo = clusters_->topology();
-  const double factor = allocator_.tor_budget_factor();
 
-  // Phase 1 (read-only): each routed chain's distinct route links, sorted —
-  // shard-parallel when sharded, one serial walk otherwise, ascending id
-  // either way. Parked chains have no route and stay with the retry queue.
-  std::vector<ScanItem> routed;
-  if (agent_ != nullptr) {
-    routed = agent_->scan([this](NfcId id, ScanItem& item) {
-      auto links = chain_link_keys(id);
-      if (!links) return false;
-      item.links = std::move(*links);
-      return true;
-    });
-  } else {
-    for (NfcId id : sorted_chain_ids()) {
-      auto links = chain_link_keys(id);
-      if (!links) continue;
-      ScanItem item;
-      item.id = id;
-      item.links = std::move(*links);
-      routed.push_back(std::move(item));
+  // Re-index every dirty chain on its current route (parked and torn-down
+  // chains drop out), remembering each resource it used before or uses
+  // now: the components to re-plan are exactly those around the dirty
+  // chains and those they just left.
+  const std::vector<NfcId> dirty = alloc_index_.take_dirty();
+  std::vector<std::uint32_t> touched;
+  for (const NfcId id : dirty) {
+    const auto it = chains_.find(id);
+    if (it == chains_.end()) {
+      alloc_index_.erase(id, touched);
+      continue;
     }
+    const ProvisionedChain& chain = it->second;
+    alloc_index_.update(id, chain.record.spec.priority, chain.record.spec.bandwidth_gbps,
+                        chain.route.vertices, touched);
   }
+  const AllocationIndex::Scope scope = alloc_index_.collect(dirty, touched);
+  ALVC_OBSERVE("orchestrator.alloc.replanned_chains", 0, 256, 16,
+               static_cast<double>(scope.ids.size()));
+  if (scope.ids.empty()) return 0;
+  const std::vector<NfcId>& ids = scope.ids;
 
-  // Phase 2 (serial): index resources in encounter order and let the
-  // allocator plan. Each distinct route link is a resource (coeff 1.0,
-  // matching the ledger's once-per-distinct-link accounting), plus — when
-  // the ToR budget is enabled — one aggregate uplink budget per ToR the
-  // route crosses, with coeff = the number of incident route links (a
-  // through-ToR hop pays ingress and egress).
-  std::vector<NfcId> ids;
-  std::vector<AllocChain> alloc;
-  std::vector<AllocResource> resources;
-  std::unordered_map<std::uint64_t, std::uint32_t> link_index;
-  std::unordered_map<std::size_t, std::uint32_t> tor_budget_index;  // ToR vertex -> resource
-  for (const ScanItem& snapshot : routed) {
-    const NfcId id = snapshot.id;
-    const ProvisionedChain& chain = chains_.at(id);
-    AllocChain ac;
-    ac.id = id;
-    ac.cls = chain.record.spec.priority;
-    ac.demand_gbps = chain.record.spec.bandwidth_gbps;
-    std::vector<std::pair<std::uint32_t, double>> tor_uses;
-    for (std::uint64_t k : snapshot.links) {
-      const auto u = static_cast<std::size_t>(k >> 32);
-      const auto v = static_cast<std::size_t>(k & 0xffffffffULL);
-      const auto [lit, fresh] =
-          link_index.try_emplace(k, static_cast<std::uint32_t>(resources.size()));
-      if (fresh) resources.push_back(AllocResource{bandwidth_.capacity_gbps(u, v)});
-      ac.uses.emplace_back(lit->second, 1.0);
-      if (factor <= 0) continue;
-      for (const std::size_t end : {u, v}) {
-        if (topo.is_ops_vertex(end)) continue;
-        const auto [tit, tor_fresh] =
-            tor_budget_index.try_emplace(end, static_cast<std::uint32_t>(resources.size()));
-        if (tor_fresh) {
-          resources.push_back(
-              AllocResource{factor * topo.tor(topo.vertex_to_tor(end)).port_bandwidth_gbps});
-        }
-        const auto prior = std::find_if(tor_uses.begin(), tor_uses.end(),
-                                        [&](const auto& use) { return use.first == tit->second; });
-        if (prior == tor_uses.end()) {
-          tor_uses.emplace_back(tit->second, 1.0);
-        } else {
-          prior->second += 1.0;
-        }
-      }
-    }
-    std::sort(tor_uses.begin(), tor_uses.end());
-    ac.uses.insert(ac.uses.end(), tor_uses.begin(), tor_uses.end());
-    ids.push_back(id);
-    alloc.push_back(std::move(ac));
-  }
-  if (alloc.empty()) return 0;
-
-  const AllocationPlan plan = allocator_.plan(alloc, resources);
+  const AllocationPlan plan = allocator_.plan(scope.chains, scope.resources);
   ALVC_OBSERVE("orchestrator.alloc.waterfill.iterations", 0, 64, 16,
                static_cast<double>(plan.fill_iterations));
   if (plan.lopri_demotions > 0) {
@@ -995,7 +952,7 @@ std::size_t NetworkOrchestrator::rebalance_bandwidth() {
   std::size_t changed = 0;
   // Shrink pass first: every release lands before any grow reserves, so
   // the grow pass cannot be starved by capacity the plan already moved.
-  for (std::size_t i = 0; i < alloc.size(); ++i) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
     ProvisionedChain& chain = chains_.at(ids[i]);
     const double target = plan.target_gbps[i];
     if (target + kEps >= chain.reserved_gbps) continue;
@@ -1007,7 +964,7 @@ std::size_t NetworkOrchestrator::rebalance_bandwidth() {
       ALVC_COUNT("orchestrator.alloc.downgrades.lopri");
     }
     if (target <= kEps) {
-      park_chain(chain);  // rules out, reservation released, route cleared
+      park_chain(chain);  // rules out, reservation released, route cleared; dirty again
       mark_degraded(chain, 0.0, "bandwidth shed by the allocator under overload");
       continue;
     }
@@ -1019,13 +976,16 @@ std::size_t NetworkOrchestrator::rebalance_bandwidth() {
                   "bandwidth shed by the allocator under overload");
   }
   // Grow pass, ids ascending (the plan's own climb order).
-  for (std::size_t i = 0; i < alloc.size(); ++i) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
     ProvisionedChain& chain = chains_.at(ids[i]);
     const double target = plan.target_gbps[i];
     if (chain.route.vertices.empty()) continue;  // shed to zero above
     if (target <= chain.reserved_gbps + kEps) continue;
     if (!bandwidth_.reserve_walk(chain.route.vertices, target - chain.reserved_gbps).is_ok()) {
-      continue;  // defensive: the plan respects raw capacities, but never force it
+      // Defensive: the plan respects raw capacities, but never force it.
+      // The chain stays dirty so the next pass re-plans its component.
+      alloc_index_.mark_dirty(ids[i]);
+      continue;
     }
     chain.reserved_gbps = target;
     ALVC_IGNORE_STATUS(slices_.set_bandwidth(ids[i], target),

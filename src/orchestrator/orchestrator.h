@@ -26,6 +26,7 @@
 #include "nfv/catalog.h"
 #include "nfv/nfc.h"
 #include "orchestrator/admission.h"
+#include "orchestrator/allocation_index.h"
 #include "orchestrator/control_agent.h"
 #include "orchestrator/bandwidth.h"
 #include "orchestrator/bandwidth_allocator.h"
@@ -122,9 +123,9 @@ class NetworkOrchestrator {
 
   /// Splits the control plane into `shard_count` cluster-agent shards
   /// (DESIGN.md §13): chains partition by backing cluster, and each shard
-  /// owns its slice of the route cache, retry queue, and rebalance
-  /// snapshot state. Read-only passes (sweep classification, rebalance
-  /// snapshots, retry bookkeeping) fan out across shards on `executor`
+  /// owns its slice of the route cache and retry queue. Read-only passes
+  /// (sweep classification, retry bookkeeping) fan out across shards on
+  /// `executor`
   /// (serial when null); all mutations stay on the calling thread, applied
   /// in ascending chain-id order, so every observable result is
   /// byte-identical to the serial control plane at any shard count.
@@ -151,20 +152,28 @@ class NetworkOrchestrator {
   /// refits walk the 1/2/4/8 ladder, rebalance_bandwidth() is a no-op.
   /// kWaterFill / kPriorityDowngrade add admit-with-downgrade and the
   /// cross-chain rebalance on every provision/teardown/fault/recovery.
-  void set_allocation_policy(AllocationPolicy policy) noexcept { allocator_.set_policy(policy); }
+  /// Rebuilds the allocation index: the next rebalance re-plans every
+  /// routed chain.
+  void set_allocation_policy(AllocationPolicy policy);
   [[nodiscard]] AllocationPolicy allocation_policy() const noexcept {
     return allocator_.policy();
   }
   /// Shared-ToR aggregate budget knob (see BandwidthAllocator); 0 disables.
-  void set_tor_budget_factor(double factor) noexcept { allocator_.set_tor_budget_factor(factor); }
+  /// Rebuilds the allocation index like set_allocation_policy.
+  void set_tor_budget_factor(double factor);
   [[nodiscard]] const BandwidthAllocator& allocator() const noexcept { return allocator_; }
 
-  /// Re-runs the allocator over every routed chain and applies its plan:
-  /// shrinks (sheds) over-budget chains, grows chains with headroom back up
-  /// the ladder, marking degraded/restored as bandwidth moves. No-op under
-  /// kStrictLadder. Called automatically after provision, teardown, and
-  /// every failure/recovery handler; public so tests and operators can
-  /// force a pass. Returns the number of chains whose reservation changed.
+  /// Re-plans the chains whose bandwidth could have moved since the last
+  /// pass and applies the plan: shrinks (sheds) over-budget chains, grows
+  /// chains with headroom back up the ladder, marking degraded/restored as
+  /// bandwidth moves. The scope is every connected component of the chain
+  /// <-> resource graph (see AllocationIndex) that holds, or held, a chain
+  /// whose route or reservation changed; the plan decomposes exactly over
+  /// components, so the result is byte-identical to re-planning the whole
+  /// fabric. No-op under kStrictLadder. Called automatically after
+  /// provision, teardown, and every failure/recovery handler; public so
+  /// tests and operators can force a pass. Returns the number of chains
+  /// whose reservation changed.
   std::size_t rebalance_bandwidth();
 
   /// Batch admission pre-screen: evaluates every spec's admission decision
@@ -292,6 +301,15 @@ class NetworkOrchestrator {
   /// partial route. Invalid (terminated) slots are expected, not a hazard.
   [[nodiscard]] bool degraded_chain_disturbed(const ProvisionedChain& chain,
                                               const alvc::cluster::VirtualCluster* vc) const;
+  /// The one writer of a chain's route and reservation outside the
+  /// rebalance's own apply passes (which only move reservations to the
+  /// plan's targets): stores both and marks the chain dirty for the next
+  /// rebalance. Every path that reroutes, reserves, parks or deletes a
+  /// chain goes through here.
+  void set_allocation(ProvisionedChain& chain, ChainRoute route, double reserved_gbps);
+  /// Resets the allocation index and, under a QoS policy, marks every
+  /// routed chain dirty.
+  void rebuild_allocation_index();
   /// Removes the chain from the data plane: rules out, bandwidth released,
   /// route cleared, instances on unusable hosts terminated (slots invalid).
   void park_chain(ProvisionedChain& chain);
@@ -316,9 +334,6 @@ class NetworkOrchestrator {
   };
   [[nodiscard]] SweepVerdict classify_chain(NfcId id) const;
   void apply_sweep_verdict(NfcId id, SweepVerdict verdict, std::size_t& repaired);
-  /// Link keys of the chain's current route (rebalance snapshot), nullopt
-  /// when the chain is gone or unrouted. Sorted, deduplicated.
-  [[nodiscard]] std::optional<std::vector<std::uint64_t>> chain_link_keys(NfcId id) const;
 
   /// Refit-or-degrade pass; returns full-bandwidth repairs. With a null
   /// `scope` every chain is considered. A non-null scope (the fault's blast
@@ -349,6 +364,8 @@ class NetworkOrchestrator {
   AdmissionController admission_;
   BandwidthLedger bandwidth_;
   BandwidthAllocator allocator_;
+  /// Chain <-> resource graph and dirty set of the incremental rebalance.
+  AllocationIndex alloc_index_;
   ChainRouter router_;
   RouteCache route_cache_;
   std::unordered_map<NfcId, ProvisionedChain> chains_;

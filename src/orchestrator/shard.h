@@ -53,13 +53,10 @@ struct ShardCounters {
 };
 
 /// One classified chain out of a ControlAgent scan. `verdict` carries the
-/// classifier's tag (e.g. the orchestrator's sweep verdict) and `links` the
-/// per-chain link-key snapshot for bandwidth rebalances; unused fields stay
-/// at their defaults.
+/// classifier's tag (e.g. the orchestrator's sweep verdict).
 struct ScanItem {
   NfcId id;
   int verdict = 0;
-  std::vector<std::uint64_t> links;
 };
 
 class ControlShard {

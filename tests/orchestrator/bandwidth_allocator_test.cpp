@@ -371,5 +371,154 @@ TEST(AllocationPlanTest, SheddingDemotesLopriOnABlockingResource) {
   EXPECT_GE(plan.lopri_demotions, 1u);
 }
 
+// ---- exact decomposition over connected components ----
+
+/// Seeded instance made of `components` independent sub-instances with
+/// disjoint resources, interleaved: chain ids and resource indices of the
+/// components are shuffled together, plus resources nobody uses, chains
+/// with no resources, and (optionally) an isolated single-chain component.
+struct MultiComponentInstance {
+  RandomInstance whole;
+  std::vector<RandomInstance> parts;  // each renumbered from 0
+  std::vector<std::vector<std::size_t>> part_to_whole;  // chain positions in `whole`
+};
+
+template <typename T>
+void shuffle(std::vector<T>& items, Rng& rng) {
+  for (std::size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1], items[rng.uniform_index(i)]);
+  }
+}
+
+MultiComponentInstance multi_component_instance(Rng& rng, std::size_t components) {
+  MultiComponentInstance inst;
+  std::vector<RandomInstance> parts;
+  for (std::size_t c = 0; c < components; ++c) parts.push_back(random_instance(rng, true));
+  // A chain that touches no resource, and an isolated single-chain part.
+  RandomInstance free_chain;
+  free_chain.chains.push_back(make_chain(0, rng.uniform(0.5, 10.0), PriorityClass::kLopri, {}));
+  parts.push_back(std::move(free_chain));
+  RandomInstance isolated;
+  isolated.resources.push_back(AllocResource{rng.uniform(0.5, 4.0)});
+  isolated.chains.push_back(make_chain(0, rng.uniform(0.5, 10.0), PriorityClass::kHipri,
+                                       {{0, 1.0}}));
+  parts.push_back(std::move(isolated));
+
+  // Global resource numbering: every part's resources plus unused ones,
+  // shuffled together.
+  std::size_t resource_total = 3;  // resources with no users
+  for (const auto& part : parts) resource_total += part.resources.size();
+  std::vector<std::uint32_t> slots(resource_total);
+  for (std::uint32_t r = 0; r < resource_total; ++r) slots[r] = r;
+  shuffle(slots, rng);
+  inst.whole.resources.assign(resource_total, AllocResource{rng.uniform(1.0, 24.0)});
+  std::size_t next_slot = 0;
+  std::vector<std::vector<std::uint32_t>> resource_map(parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (const AllocResource& res : parts[p].resources) {
+      resource_map[p].push_back(slots[next_slot]);
+      inst.whole.resources[slots[next_slot++]] = res;
+    }
+  }
+  // Global chain ids: distinct, shuffled across parts; input order shuffled.
+  std::vector<std::pair<std::size_t, std::size_t>> members;  // (part, chain)
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (std::size_t i = 0; i < parts[p].chains.size(); ++i) members.emplace_back(p, i);
+  }
+  std::vector<std::uint32_t> ids(members.size());
+  for (std::uint32_t i = 0; i < ids.size(); ++i) ids[i] = 10 * i + 3;
+  shuffle(ids, rng);
+  shuffle(members, rng);
+  inst.part_to_whole.resize(parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    inst.part_to_whole[p].resize(parts[p].chains.size());
+  }
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    const auto [p, i] = members[k];
+    AllocChain chain = parts[p].chains[i];
+    chain.id = NfcId{ids[k]};
+    parts[p].chains[i].id = chain.id;  // the part plans under the same ids
+    for (auto& [r, coeff] : chain.uses) r = resource_map[p][r];
+    inst.whole.chains.push_back(std::move(chain));
+    inst.part_to_whole[p][i] = k;
+  }
+  inst.parts = std::move(parts);
+  return inst;
+}
+
+void expect_plan_decomposes(AllocationPolicy policy, std::uint64_t seed) {
+  BandwidthAllocator allocator;
+  allocator.set_policy(policy);
+  Rng rng(seed);
+  for (int trial = 0; trial < 200; ++trial) {
+    ALVC_TRACE_SEED(trial);
+    const auto inst = multi_component_instance(rng, 1 + rng.uniform_index(4));
+    const AllocationPlan whole = allocator.plan(inst.whole.chains, inst.whole.resources);
+    std::size_t iterations = 0;
+    for (std::size_t p = 0; p < inst.parts.size(); ++p) {
+      const AllocationPlan part = allocator.plan(inst.parts[p].chains, inst.parts[p].resources);
+      iterations += part.fill_iterations;
+      for (std::size_t i = 0; i < part.target_gbps.size(); ++i) {
+        // Bit for bit, not within a tolerance.
+        EXPECT_EQ(whole.target_gbps[inst.part_to_whole[p][i]], part.target_gbps[i])
+            << "part " << p << " chain " << i;
+      }
+    }
+    EXPECT_EQ(whole.fill_iterations, iterations) << "rounds are summed over components";
+    expect_feasible_rung_plan(inst.whole, whole);
+    expect_work_conserving(inst.whole, whole);
+
+    // Permuting the input order changes nothing.
+    std::vector<std::size_t> order(inst.whole.chains.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    shuffle(order, rng);
+    std::vector<AllocChain> permuted;
+    for (std::size_t i : order) permuted.push_back(inst.whole.chains[i]);
+    const AllocationPlan again = allocator.plan(permuted, inst.whole.resources);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      EXPECT_EQ(again.target_gbps[k], whole.target_gbps[order[k]]);
+    }
+    EXPECT_EQ(again.fill_iterations, whole.fill_iterations);
+  }
+}
+
+TEST(AllocationPlanDecompositionTest, WaterFillPlanEqualsStitchedComponentPlans) {
+  expect_plan_decomposes(AllocationPolicy::kWaterFill, 0x5eed0010);
+}
+
+TEST(AllocationPlanDecompositionTest, PriorityDowngradePlanEqualsStitchedComponentPlans) {
+  expect_plan_decomposes(AllocationPolicy::kPriorityDowngrade, 0x5eed0011);
+}
+
+TEST(AllocationPlanDecompositionTest, EdgeCasesPlanAsTheirOwnComponents) {
+  for (const AllocationPolicy policy :
+       {AllocationPolicy::kWaterFill, AllocationPolicy::kPriorityDowngrade}) {
+    BandwidthAllocator allocator;
+    allocator.set_policy(policy);
+    // Resource 1 has no users; chain 5 has an empty uses list; chain 7 is
+    // alone on resource 2; chains 3 and 4 contend on resource 0.
+    const std::vector<AllocChain> chains{
+        make_chain(4, 8.0, PriorityClass::kHipri, {{0, 1.0}}),
+        make_chain(7, 8.0, PriorityClass::kLopri, {{2, 1.0}}),
+        make_chain(5, 6.0, PriorityClass::kLopri, {}),
+        make_chain(3, 8.0, PriorityClass::kHipri, {{0, 1.0}}),
+    };
+    const std::vector<AllocResource> resources{{8.0}, {0.5}, {3.0}};
+    const auto plan = allocator.plan(chains, resources);
+    EXPECT_DOUBLE_EQ(plan.target_gbps[0], 4.0);
+    EXPECT_DOUBLE_EQ(plan.target_gbps[3], 4.0);
+    EXPECT_DOUBLE_EQ(plan.target_gbps[1], 2.0) << "isolated chain: largest rung under 3 Gbps";
+    EXPECT_DOUBLE_EQ(plan.target_gbps[2], 6.0) << "no resources: granted in full";
+
+    // Each one alone gives the same answer.
+    const std::vector<AllocChain> just_isolated{chains[1]};
+    EXPECT_EQ(allocator.plan(just_isolated, resources).target_gbps[0], plan.target_gbps[1]);
+    const std::vector<AllocChain> just_free{chains[2]};
+    EXPECT_EQ(allocator.plan(just_free, {}).target_gbps[0], plan.target_gbps[2]);
+    // No chains at all: an empty plan, whatever the resources.
+    EXPECT_TRUE(allocator.plan({}, resources).target_gbps.empty());
+  }
+}
+
 }  // namespace
 }  // namespace alvc::orchestrator

@@ -125,6 +125,33 @@ TEST_F(CliFixture, BenchGatePassesVacuouslyWithoutACommittedBaseline) {
   EXPECT_NE(result.output.find("vacuously"), std::string::npos);
 }
 
+// Regression: the implicit baseline was the first of the BENCH_PR*.json
+// names sorted as strings, descending, which ranks BENCH_PR9 above
+// BENCH_PR10 and silently gated against an older trajectory.
+TEST_F(CliFixture, BenchGateBaselineIsTheHighestPrNumberNotTheLastString) {
+  write_trajectory("BENCH_PR9.json", 100.0);
+  write_trajectory("BENCH_PR10.json", 200.0);
+  // 1.5x of BENCH_PR9's row (a regression there) but 0.75x of BENCH_PR10's.
+  const auto fresh = write_trajectory("fresh.json", 150.0);
+  const auto result = run_command("cd " + dir.string() + " && python3 " + ALVC_BENCH_GATE_PY +
+                                      " " + fresh.string(),
+                                  dir / "out.txt");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("vs BENCH_PR10.json"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("BENCH_PR9.json"), std::string::npos) << result.output;
+
+  // check.sh's emit_bench_json resolves its baseline through the same
+  // helper; ask it directly.
+  const fs::path gate_dir = fs::path(ALVC_BENCH_GATE_PY).parent_path();
+  const auto helper = run_command(
+      "cd " + dir.string() + " && python3 -c \"import sys; sys.path.insert(0, '" +
+          gate_dir.string() +
+          "'); from bench_gate import newest_committed_baseline as n; print(n())\"",
+      dir / "helper.txt");
+  EXPECT_EQ(helper.exit_code, 0) << helper.output;
+  EXPECT_EQ(helper.output, "BENCH_PR10.json\n");
+}
+
 TEST_F(CliFixture, BenchGateRejectsMalformedInput) {
   const fs::path bad = dir / "bad.json";
   std::ofstream(bad) << "{\"schema\": \"wrong\"}\n";
