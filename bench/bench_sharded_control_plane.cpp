@@ -1,15 +1,14 @@
 // Sharded control-plane throughput: fault sweep + recovery cost vs shard
 // count (DESIGN.md §13).
 //
-// Experiment: per-event sweep work at mid scale — the serial control plane
-// classifies every chain on every fault, the sharded one walks only the
-// event's blast radius through the per-cluster membership indexes; the
-// table shows the visited-chain gap that buys the speedup.
+// Experiment: per-event sweep work at mid scale — the control plane walks
+// only the event's blast radius through the per-cluster membership
+// indexes, at any shard count; the table shows visited chains per event
+// against the total.
 //
 // Benchmarks: an OPS failure+recovery cycle (AL repair, scoped sweep,
-// retry drain, rebalance) and a ToR cycle, parameterized by shard count.
-// Arg 0 is the unsharded serial baseline; arguments 1/2/4/8 run the
-// cluster-agent path. Mid scale (400 clusters / 400 chains) always runs;
+// retry drain, rebalance) and a ToR cycle, parameterized by shard count
+// (1 = the inline control plane). Mid scale (400 clusters / 400 chains) always runs;
 // the million-VM shape (12,500 racks, 100k clusters, 100k chains) is
 // registered only under ALVC_BENCH_SCALE=full because its one-off build
 // dominates a default bench run.
@@ -105,7 +104,7 @@ void ops_cycle_bench(benchmark::State& state, core::DataCenter& dc) {
 }
 
 void BM_MidScaleOpsCycle(benchmark::State& state) { ops_cycle_bench(state, mid_dc()); }
-BENCHMARK(BM_MidScaleOpsCycle)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_MidScaleOpsCycle)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_MidScaleTorCycle(benchmark::State& state) {
@@ -118,7 +117,7 @@ void BM_MidScaleTorCycle(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }
-BENCHMARK(BM_MidScaleTorCycle)->Arg(0)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MidScaleTorCycle)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 void BM_MillionVmOpsCycle(benchmark::State& state) {
   ops_cycle_bench(state, million_vm_dc());
@@ -130,15 +129,9 @@ void print_experiment() {
   core::DataCenter& dc = mid_dc();
   constexpr int kCycles = 20;
   const util::OpsId victim = owned_ops(dc);
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    // set_sharding starts a fresh agent, so its counters start at zero.
     dc.orchestrator().set_sharding(shards);
-    std::uint64_t before = 0;
-    const auto* agent = dc.orchestrator().agent();
-    if (agent != nullptr) {
-      for (std::size_t s = 0; s < agent->shard_count(); ++s) {
-        before += agent->shard(s).counters().chains_visited;
-      }
-    }
     for (int i = 0; i < kCycles; ++i) {
       if (!dc.orchestrator().handle_ops_failure(victim).has_value() ||
           !dc.orchestrator().handle_ops_recovery(victim).has_value()) {
@@ -146,28 +139,18 @@ void print_experiment() {
       }
     }
     std::uint64_t visited = 0;
-    agent = dc.orchestrator().agent();
-    if (agent != nullptr) {
-      for (std::size_t s = 0; s < agent->shard_count(); ++s) {
-        visited += agent->shard(s).counters().chains_visited;
-      }
-      visited -= before;
-    } else {
-      // The serial reference classifies every chain on each of the three
-      // sweeps a failure+recovery cycle runs (failure sweep, recovery
-      // settle sweep, retry drain is queue-driven).
-      visited = static_cast<std::uint64_t>(dc.orchestrator().chain_count()) * 2 * kCycles;
+    const auto* agent = dc.orchestrator().agent();
+    for (std::size_t s = 0; s < agent->shard_count(); ++s) {
+      visited += agent->shard(s).counters().chains_visited;
     }
-    table.add_row_values(shards == 0 ? "serial" : std::to_string(shards),
-                         dc.orchestrator().chain_count(), kCycles * 2, visited,
-                         visited / (kCycles * 2));
+    table.add_row_values(std::to_string(shards), dc.orchestrator().chain_count(), kCycles * 2,
+                         visited, visited / (kCycles * 2));
   }
   table.print();
-  std::cout << "\nExpected shape: the serial row visits every chain on every event; the\n"
-               "sharded rows visit only the failing OPS's blast radius (one cluster, one\n"
-               "chain) plus whatever the recovery restore pass touches, independent of\n"
-               "total chain count.\n\n";
-  dc.orchestrator().set_sharding(0);
+  std::cout << "\nExpected shape: every row visits only the failing OPS's blast radius (one\n"
+               "cluster, one chain) plus whatever the recovery restore pass touches,\n"
+               "independent of total chain count and of the shard count.\n\n";
+  dc.orchestrator().set_sharding(1);
 }
 
 }  // namespace
@@ -177,7 +160,7 @@ int main(int argc, char** argv) {
   if (const char* env = std::getenv("ALVC_BENCH_SCALE");
       env != nullptr && std::string(env) == "full") {
     benchmark::RegisterBenchmark("BM_MillionVmOpsCycle", BM_MillionVmOpsCycle)
-        ->Arg(0)
+        ->Arg(1)
         ->Arg(8)
         ->Unit(benchmark::kMillisecond)
         ->Iterations(3);

@@ -250,12 +250,12 @@ leg_bench_smoke() {
 }
 
 leg_scale_soak() {
-  echo "== scale soak: sharded-vs-serial differential + million-VM smoke (Release) =="
+  echo "== scale soak: shard-count differential + million-VM smoke (Release) =="
   cmake -B build-scale -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build-scale -j "$jobs" --target \
     orchestrator_sharded_differential_test faults_scale_soak_test
 
-  echo "== sharded differential, shard counts {1,2,4,8} (reduced seed set) =="
+  echo "== shard-count differential, {2,4,8} vs 1 shard (reduced seed set) =="
   # CI runs fewer seeds than the local default (20) to bound wall clock;
   # override with ALVC_SHARD_DIFF_SEEDS.
   ALVC_SHARD_DIFF_SEEDS="${ALVC_SHARD_DIFF_SEEDS:-6}" ctest --test-dir build-scale \
@@ -268,7 +268,7 @@ leg_scale_soak() {
 
 # emit_bench_json <out.json> — runs the tracked benchmarks
 # (bench_route_cache, bench_fig4_al_construction, the mid-scale
-# bench_sharded_control_plane serial/sharded cycles, and the
+# bench_sharded_control_plane 1/2/4/8-shard cycles, and the
 # bench_overload_downgrade rebalance rows) and writes an
 # alvc-bench-trajectory-v1 JSON: per benchmark name, the current cpu time
 # in microseconds next to a "before" baseline and the resulting speedup.

@@ -51,10 +51,10 @@ struct ChaosParams {
   bool audit_every_event = true;
   std::size_t max_recorded_violations = 8;
   /// Control-plane shards to run the orchestrator with (set_sharding is
-  /// called once at the start of run()); 0 leaves the serial path. The
-  /// runner itself stays a single-threaded driver either way — concurrency
-  /// lives inside the orchestrator's calls.
-  std::size_t shards = 0;
+  /// called once at the start of run(), so route caches start cold); must
+  /// be >= 1. The runner itself stays a single-threaded driver either way —
+  /// concurrency lives inside the orchestrator's calls.
+  std::size_t shards = 1;
   /// Executor for the sharded control plane's fan-outs; null runs every
   /// shard pass serially. Must outlive the run.
   alvc::util::Executor* shard_executor = nullptr;

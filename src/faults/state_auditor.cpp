@@ -39,16 +39,31 @@ bool vertex_usable(const DataCenterTopology& topo, std::size_t v) {
   return topo.tor_usable(topo.vertex_to_tor(v));
 }
 
+/// True when `host` is inside the slice of `vc`: an OPS host must be in the
+/// AL, a server must hang off one of the AL's ToRs (its primary ToR).
+bool host_in_slice(const DataCenterTopology& topo, const alvc::nfv::HostRef& host,
+                   const alvc::cluster::VirtualCluster* vc) {
+  if (vc == nullptr) return false;
+  if (const auto* ops = std::get_if<OpsId>(&host)) return vc->layer.contains_ops(*ops);
+  return vc->layer.contains_tor(topo.server(std::get<ServerId>(host)).tor);
+}
+
 void audit_chain(const DataCenterTopology& topo, const ProvisionedChain& chain,
-                 std::vector<std::string>& out) {
-  // Placement: live instances must sit on usable hardware. Degraded chains
-  // may carry invalid (terminated) instance slots; those are exempt.
+                 const alvc::cluster::VirtualCluster* vc, std::vector<std::string>& out) {
+  // Placement: live instances must sit on usable hardware inside the
+  // chain's slice — the slice is what a fault's blast radius covers, so a
+  // live instance outside it would escape every scoped sweep. Degraded
+  // chains may carry invalid (terminated) instance slots; those are exempt.
   for (std::size_t i = 0; i < chain.placement.hosts.size(); ++i) {
     const bool live = i >= chain.instances.size() || chain.instances[i].valid();
     if (!live) continue;
     if (!host_usable(topo, chain.placement.hosts[i])) {
       out.push_back(chain_tag(chain) + ": function " + std::to_string(i) +
                     " is placed on failed hardware");
+    }
+    if (!host_in_slice(topo, chain.placement.hosts[i], vc)) {
+      out.push_back(chain_tag(chain) + ": function " + std::to_string(i) +
+                    " is live outside its slice");
     }
   }
 
@@ -110,7 +125,7 @@ std::vector<std::string> StateAuditor::audit(
   std::unordered_set<std::uint32_t> live_chains;
   for (const ProvisionedChain* chain : orch.chains()) {
     live_chains.insert(chain->record.id.value());
-    audit_chain(topo, *chain, out);
+    audit_chain(topo, *chain, clusters.find(chain->cluster), out);
   }
 
   // Flow tables: every rule belongs to a live chain and forwards over a

@@ -26,7 +26,9 @@ class StateAuditor {
   ///   * cluster invariants — one-AL-per-OPS, coverage, no failed hardware
   ///     inside any AL (ClusterManager::check_invariants);
   ///   * slice isolation — no AL shared between chains (check_isolation);
-  ///   * placement — every live VNF instance sits on usable hardware;
+  ///   * placement — every live VNF instance sits on usable hardware
+  ///     inside its chain's slice (an OPS host in the AL, a server under
+  ///     one of the AL's ToRs);
   ///   * chain state — healthy chains hold exactly their demanded
   ///     bandwidth with all instances live; degraded chains carry a reason;
   ///   * routes — every route vertex is usable, every hop is a live edge

@@ -1,8 +1,8 @@
 #include "orchestrator/control_agent.h"
 
 #include <algorithm>
-#include <cassert>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 
 #include "util/lock_rank.h"
@@ -12,76 +12,25 @@ namespace alvc::orchestrator {
 ControlAgent::ControlAgent(const alvc::topology::DataCenterTopology& topo,
                            std::size_t shard_count, alvc::util::Executor* executor)
     : executor_(executor) {
-  assert(shard_count >= 1 && "ControlAgent needs at least one shard");
+  if (shard_count == 0) throw std::invalid_argument("ControlAgent needs at least one shard");
   shards_.reserve(shard_count);
   for (std::size_t index = 0; index < shard_count; ++index) {
     shards_.emplace_back(topo, index);
   }
 }
 
-void ControlAgent::register_chain(NfcId id, ClusterId primary,
-                                  std::span<const ClusterId> secondary) {
-  shards_[shard_of(primary)].add_chain(id, primary);
-  for (ClusterId cluster : secondary) shards_[shard_of(cluster)].add_chain(id, cluster);
+void ControlAgent::register_chain(NfcId id, ClusterId cluster) {
+  shards_[shard_of(cluster)].add_chain(id, cluster);
 }
 
-void ControlAgent::unregister_chain(NfcId id, ClusterId primary,
-                                    std::span<const ClusterId> secondary) {
-  shards_[shard_of(primary)].remove_chain(id, primary);
-  for (ClusterId cluster : secondary) shards_[shard_of(cluster)].remove_chain(id, cluster);
-}
-
-namespace {
-
-/// Classifies `ids` and appends the findings to the shard-local partial
-/// result. Shared by the full and scoped scans so both count visits and
-/// findings the same way.
-void classify_ids(std::span<const NfcId> ids, const ControlAgent::Classifier& classify,
-                  std::vector<ScanItem>& local, ShardCounters& counters) {
-  for (NfcId id : ids) {
-    ++counters.chains_visited;
-    ScanItem item;
-    item.id = id;
-    if (classify(id, item)) local.push_back(std::move(item));
-  }
-}
-
-/// Merge tail shared by scan and scan_scoped: ascending id, duplicates (a
-/// chain registered with several shards, classified once per shard by a
-/// pure classifier) collapsed to the first copy.
-void sort_and_dedupe(std::vector<ScanItem>& merged) {
-  std::sort(merged.begin(), merged.end(),
-            [](const ScanItem& a, const ScanItem& b) { return a.id < b.id; });
-  merged.erase(std::unique(merged.begin(), merged.end(),
-                           [](const ScanItem& a, const ScanItem& b) { return a.id == b.id; }),
-               merged.end());
-}
-
-}  // namespace
-
-std::vector<ScanItem> ControlAgent::scan(const Classifier& classify) {
-  std::vector<ScanItem> merged;
-  alvc::util::fan_out_shards(executor_, shards_.size(), [&](std::size_t index) {
-    ControlShard& shard = shards_[index];
-    std::vector<ScanItem> local;
-    classify_ids(shard.chain_ids_, classify, local, shard.counters_);
-    shard.counters_.findings += local.size();
-    ++shard.counters_.scans;
-    if (local.empty()) return;
-    ALVC_LOCK_RANK(alvc::util::lock_rank::kOrchestratorAgentMerge,
-                   "orchestrator.agent_merge");
-    const std::lock_guard<std::mutex> lock(merge_mu_);
-    merged.insert(merged.end(), std::make_move_iterator(local.begin()),
-                  std::make_move_iterator(local.end()));
-  });
-  sort_and_dedupe(merged);
-  return merged;
+void ControlAgent::unregister_chain(NfcId id, ClusterId cluster) {
+  shards_[shard_of(cluster)].remove_chain(id, cluster);
 }
 
 std::vector<ScanItem> ControlAgent::scan_scoped(std::span<const ClusterId> scope,
                                                 const Classifier& classify) {
   // Bucket the scoped clusters by owning shard. Bucket order does not
-  // matter: each worker sorts its candidate ids before classifying.
+  // matter: the merged result is sorted by id at the end.
   std::vector<std::vector<ClusterId>> buckets(shards_.size());
   for (ClusterId cluster : scope) {
     std::vector<ClusterId>& bucket = buckets[shard_of(cluster)];
@@ -93,17 +42,16 @@ std::vector<ScanItem> ControlAgent::scan_scoped(std::span<const ClusterId> scope
   alvc::util::fan_out_shards(executor_, shards_.size(), [&](std::size_t index) {
     ControlShard& shard = shards_[index];
     ++shard.counters_.scans;
-    if (buckets[index].empty()) return;  // no scoped cluster lives here
-    std::vector<NfcId> ids;
+    std::vector<ScanItem> local;
     for (ClusterId cluster : buckets[index]) {
-      if (const std::vector<NfcId>* members = shard.cluster_chains(cluster)) {
-        ids.insert(ids.end(), members->begin(), members->end());
+      const std::vector<NfcId>* members = shard.cluster_chains(cluster);
+      if (members == nullptr) continue;
+      for (NfcId id : *members) {
+        ++shard.counters_.chains_visited;
+        ScanItem item{.id = id};
+        if (classify(id, item)) local.push_back(item);
       }
     }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    std::vector<ScanItem> local;
-    classify_ids(ids, classify, local, shard.counters_);
     shard.counters_.findings += local.size();
     if (local.empty()) return;
     ALVC_LOCK_RANK(alvc::util::lock_rank::kOrchestratorAgentMerge,
@@ -112,7 +60,10 @@ std::vector<ScanItem> ControlAgent::scan_scoped(std::span<const ClusterId> scope
     merged.insert(merged.end(), std::make_move_iterator(local.begin()),
                   std::make_move_iterator(local.end()));
   });
-  sort_and_dedupe(merged);
+  // A chain is registered through exactly one cluster, so shards never
+  // report the same id twice.
+  std::sort(merged.begin(), merged.end(),
+            [](const ScanItem& a, const ScanItem& b) { return a.id < b.id; });
   return merged;
 }
 
@@ -139,7 +90,7 @@ std::size_t ControlAgent::retry_count() const noexcept {
 
 std::size_t ControlAgent::membership_count() const noexcept {
   std::size_t total = 0;
-  for (const ControlShard& shard : shards_) total += shard.chain_ids_.size();
+  for (const ControlShard& shard : shards_) total += shard.chain_count();
   return total;
 }
 

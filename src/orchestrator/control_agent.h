@@ -7,12 +7,12 @@
 // partial result sets, one merge lock folds them together, and every mutation
 // happens afterwards on the single orchestrator thread.
 //
-// Determinism contract: scan() classifies chains with a caller-supplied pure
-// function (no telemetry, no mutation — it runs concurrently on worker
-// threads) and returns the merged findings sorted by ascending NfcId with
-// duplicates removed, so the result is independent of shard count, executor
+// Determinism contract: scan_scoped() classifies chains with a
+// caller-supplied pure function (no telemetry, no mutation — it runs
+// concurrently on worker threads) and returns the merged findings sorted by
+// ascending NfcId, so the result is independent of shard count, executor
 // width, and scheduling. The orchestrator then applies verdicts serially in
-// that order, which is byte-identical to the legacy single-loop pass.
+// that order. One shard with no executor is the plain inline control plane.
 //
 // Threading contract: all methods except the scan workers run on the single
 // orchestrator thread. merge_mu_ (lock rank 15, a leaf: nothing else is
@@ -37,8 +37,9 @@ using alvc::util::ClusterId;
 
 class ControlAgent {
  public:
-  /// `shard_count` must be >= 1. `executor` may be null: every pass then
-  /// runs serially in ascending shard order (same results, no threads).
+  /// `shard_count` must be >= 1 (std::invalid_argument otherwise).
+  /// `executor` may be null: every pass then runs inline in ascending shard
+  /// order (same results, no threads).
   ControlAgent(const alvc::topology::DataCenterTopology& topo, std::size_t shard_count,
                alvc::util::Executor* executor);
 
@@ -58,45 +59,31 @@ class ControlAgent {
     return shards_[shard_of(cluster)];
   }
 
-  /// Registers a chain with the shard owning `primary` plus the shard of
-  /// every cluster in `secondary` (forwarding graphs spanning clusters). A
-  /// chain landing on one shard through several clusters is still a single
-  /// membership; one spanning shards is scanned by each and deduplicated at
-  /// merge time.
-  void register_chain(NfcId id, ClusterId primary,
-                      std::span<const ClusterId> secondary = {});
-  void unregister_chain(NfcId id, ClusterId primary,
-                        std::span<const ClusterId> secondary = {});
+  /// Registers a chain with the shard owning its backing cluster.
+  void register_chain(NfcId id, ClusterId cluster);
+  void unregister_chain(NfcId id, ClusterId cluster);
 
-  /// Classifier for scan(): fill `item` (its `id` is pre-set) and return
-  /// whether to include it in the merged result. Runs concurrently on
-  /// worker threads — it must only read orchestrator state and must not
+  /// Classifier for scan_scoped(): fill `item` (its `id` is pre-set) and
+  /// return whether to include it in the merged result. Runs concurrently
+  /// on worker threads — it must only read orchestrator state and must not
   /// touch telemetry.
   using Classifier = std::function<bool(NfcId id, ScanItem& item)>;
 
-  /// Phase 1 of the two-phase pass: classify every registered chain,
-  /// shard-parallel, and merge the partial results. Returns the findings
-  /// sorted by ascending id, deduplicated (cross-shard chains are
-  /// classified once per shard; the classifier is pure, so the copies are
-  /// identical and the first is kept).
-  [[nodiscard]] std::vector<ScanItem> scan(const Classifier& classify)
-      ALVC_EXCLUDES(merge_mu_);
-
-  /// scan() restricted to chains registered through the clusters in
-  /// `scope` (a fault's blast radius). Each shard walks only its scoped
-  /// clusters' membership indexes, so the pass costs O(affected chains)
-  /// instead of O(all chains). The caller must guarantee that every chain
-  /// NOT in scope would classify to "no work" — then the result is
-  /// byte-identical to a full scan, because scan consumers ignore no-work
-  /// chains. Duplicate clusters in `scope` are fine.
+  /// Phase 1 of the two-phase pass: classify the chains registered through
+  /// the clusters in `scope` (a fault's blast radius), shard-parallel, and
+  /// merge the partial results sorted by ascending id. Each shard walks only
+  /// its scoped clusters' membership indexes, so the pass costs
+  /// O(affected chains) instead of O(all chains). The caller must guarantee
+  /// that every chain NOT in scope would classify to "no work". Duplicate
+  /// clusters in `scope` are fine.
   [[nodiscard]] std::vector<ScanItem> scan_scoped(std::span<const ClusterId> scope,
                                                   const Classifier& classify)
       ALVC_EXCLUDES(merge_mu_);
 
   /// Queues a retry on the shard owning `cluster`, unless that shard
   /// already holds an entry for the chain. A chain's cluster never changes,
-  /// so per-shard dedupe equals the serial queue's global dedupe. Returns
-  /// whether the entry was accepted.
+  /// so per-shard dedupe is global dedupe. Returns whether the entry was
+  /// accepted.
   bool enqueue_retry(RetryEntry entry, ClusterId cluster);
 
   /// Drains every shard's retry segment and returns the union sorted by
@@ -106,8 +93,7 @@ class ControlAgent {
   /// Retry entries queued across all shards.
   [[nodiscard]] std::size_t retry_count() const noexcept;
 
-  /// Registered memberships across all shards (a cross-shard chain counts
-  /// once per shard it is registered with).
+  /// Chains registered across all shards.
   [[nodiscard]] std::size_t membership_count() const noexcept;
 
  private:

@@ -26,7 +26,7 @@ NetworkOrchestrator::NetworkOrchestrator(alvc::cluster::ClusterManager& clusters
       bandwidth_(clusters.topology()),
       alloc_index_(clusters.topology(), bandwidth_),
       router_(clusters.topology()),
-      route_cache_(clusters.topology()) {
+      agent_(std::make_unique<ControlAgent>(clusters.topology(), 1, nullptr)) {
   alloc_index_.reset(allocator_.tor_budget_factor());
 }
 
@@ -39,18 +39,8 @@ Expected<ChainRoute> NetworkOrchestrator::route_linear(const VirtualCluster& vc,
   // route lives under the kFull tier; degraded refits reuse the same path
   // at a lower reservation rather than re-routing per rung. The priority
   // class still partitions the key: HIPRI and LOPRI legs never alias.
-  if (route_cache_enabled_) {
-    return active_route_cache(vc.id).route(router_, vc, ingress, egress, hosts,
-                                           BandwidthTier::kFull, cls);
-  }
-  return router_.route(vc, ingress, egress, hosts);
-}
-
-RouteCache& NetworkOrchestrator::active_route_cache(ClusterId cluster) {
-  // Route-cache keys are per-cluster (LegKey.cluster), so per-shard caches
-  // partition the key space: the union over shards behaves exactly like the
-  // one global cache.
-  return agent_ != nullptr ? agent_->shard_for_cluster(cluster).cache() : route_cache_;
+  return route_cache_for(vc.id).route(router_, vc, ingress, egress, hosts, BandwidthTier::kFull,
+                                      cls);
 }
 
 const VirtualCluster* NetworkOrchestrator::cluster_for_service(ServiceId service) const {
@@ -60,8 +50,9 @@ const VirtualCluster* NetworkOrchestrator::cluster_for_service(ServiceId service
 std::vector<Status> NetworkOrchestrator::preadmit_chains(
     std::span<const alvc::nfv::NfcSpec> specs, alvc::util::Executor* executor) {
   ALVC_SPAN(span, "orchestrator.preadmit_chains");
-  // A sharded control plane lends its executor to the screen by default.
-  if (executor == nullptr && agent_ != nullptr) executor = agent_->executor();
+  // The control plane lends its shard executor (if any) to the screen by
+  // default.
+  if (executor == nullptr) executor = agent_->executor();
   struct Screened {
     const VirtualCluster* vc = nullptr;
     AdmissionDecision decision;
@@ -100,124 +91,78 @@ std::vector<Status> NetworkOrchestrator::preadmit_chains(
   return results;
 }
 
-Expected<NfcId> NetworkOrchestrator::provision_chain(const alvc::nfv::NfcSpec& spec,
-                                                     const PlacementStrategy& placement) {
-  ALVC_SPAN(span, "orchestrator.provision_chain");
+template <typename RouteStep>
+Expected<NfcId> NetworkOrchestrator::provision(const alvc::nfv::NfcSpec& spec,
+                                               const PlacementStrategy& placement,
+                                               RouteStep&& route_step) {
+  const auto fail = [this](Error error) -> Expected<NfcId> {
+    ++stats_.provision_failures;
+    ALVC_COUNT("orchestrator.provision.failures");
+    return error;
+  };
   const VirtualCluster* vc = cluster_for_service(spec.service);
   if (vc == nullptr) {
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return Error{ErrorCode::kNotFound,
-                 "no cluster serves service " + std::to_string(spec.service.value())};
+    return fail(Error{ErrorCode::kNotFound,
+                      "no cluster serves service " + std::to_string(spec.service.value())});
   }
   if (vc->layer.tors.empty()) {
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return Error{ErrorCode::kInfeasible, "cluster has an empty abstraction layer"};
+    return fail(Error{ErrorCode::kInfeasible, "cluster has an empty abstraction layer"});
   }
   const AdmissionDecision admitted =
       admission_.admit_with_policy(spec, *vc, cloud_.pool(), allocator_.policy());
-  if (!admitted.status.is_ok()) {
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return admitted.status.error();
-  }
+  if (!admitted.status.is_ok()) return fail(admitted.status.error());
   // Under a QoS policy admission may grant a lower ladder rung than the
   // spec demands (admit-with-downgrade); everything downstream provisions
   // at the granted rate.
   const double granted_gbps = admitted.granted_gbps;
   const NfcId id{next_id_++};
   auto slice = slices_.allocate(vc->id, id, granted_gbps, spec.priority);
-  if (!slice) {
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return slice.error();
-  }
+  if (!slice) return fail(slice.error());
 
-  PlacementContext context{.topo = &clusters_->topology(),
-                           .cluster = vc,
-                           .catalog = catalog_,
-                           .pool = &cloud_.pool()};
-  auto placed = placement.place(spec, context);
-  if (!placed) {
-    ALVC_IGNORE_STATUS(slices_.release(id), "unwinding a failed provision; slice just allocated");
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return placed.error();
-  }
-  // place() reserved capacity directly in the pool; release those raw
-  // reservations and re-reserve through the cloud manager so lifecycle and
-  // capacity stay coupled.
-  for (std::size_t i = 0; i < placed->hosts.size(); ++i) {
-    cloud_.pool().release(placed->hosts[i],
-                          catalog_->descriptor(spec.functions[i]).demand);
-  }
+  // From here on every failure unwinds the same way: rules out (a no-op
+  // before any were installed), deployed instances terminated, slice
+  // released.
   std::vector<alvc::nfv::VnfInstanceId> instances;
-  bool deploy_failed = false;
-  for (std::size_t i = 0; i < placed->hosts.size(); ++i) {
-    auto inst = cloud_.deploy(spec.functions[i], placed->hosts[i]);
-    if (!inst) {
-      deploy_failed = true;
-      break;
-    }
-    instances.push_back(*inst);
-  }
-  if (deploy_failed) {
-    for (auto inst : instances) {
-      ALVC_IGNORE_STATUS(cloud_.terminate(inst),
-                         "unwinding a failed provision; the instance is dead either way");
-    }
-    ALVC_IGNORE_STATUS(slices_.release(id), "unwinding a failed provision; slice just allocated");
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return Error{ErrorCode::kInternal, "deployment failed after successful placement"};
-  }
-
-  // Route ingress ToR -> hosts -> egress ToR inside the slice. Default
-  // anchors: the cluster's first and last ToRs.
-  const alvc::util::TorId ingress = vc->layer.tors.front();
-  const alvc::util::TorId egress = vc->layer.tors.back();
-  auto route = load_balanced_routing_
-                   ? router_.route_balanced(*vc, ingress, egress, placed->hosts, bandwidth_,
-                                            routing_k_)
-                   : route_linear(*vc, placed->hosts, spec.priority);
-  if (!route) {
-    for (auto inst : instances) {
-      ALVC_IGNORE_STATUS(cloud_.terminate(inst),
-                         "unwinding a failed provision; the instance is dead either way");
-    }
-    ALVC_IGNORE_STATUS(slices_.release(id), "unwinding a failed provision; slice just allocated");
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return route.error();
-  }
-  std::size_t rules = 0;
-  for (const auto& leg : route->legs) {
-    if (auto status = controller_.install_path(id, leg); !status.is_ok()) {
-      controller_.remove_chain(id);
-      for (auto inst : instances) {
-        ALVC_IGNORE_STATUS(cloud_.terminate(inst),
-                           "unwinding a failed provision; the instance is dead either way");
-      }
-      ALVC_IGNORE_STATUS(slices_.release(id),
-                         "unwinding a failed provision; slice just allocated");
-      ++stats_.provision_failures;
-      ALVC_COUNT("orchestrator.provision.failures");
-      return status.error();
-    }
-  }
-  if (auto status = bandwidth_.reserve_walk(route->vertices, granted_gbps); !status.is_ok()) {
+  const auto unwind = [&](Error error) {
     controller_.remove_chain(id);
     for (auto inst : instances) {
       ALVC_IGNORE_STATUS(cloud_.terminate(inst),
                          "unwinding a failed provision; the instance is dead either way");
     }
     ALVC_IGNORE_STATUS(slices_.release(id), "unwinding a failed provision; slice just allocated");
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return status.error();
+    return fail(std::move(error));
+  };
+
+  PlacementContext context{.topo = &clusters_->topology(),
+                           .cluster = vc,
+                           .catalog = catalog_,
+                           .pool = &cloud_.pool()};
+  auto placed = placement.place(spec, context);
+  if (!placed) return unwind(placed.error());
+  // place() reserved capacity directly in the pool; release those raw
+  // reservations and re-reserve through the cloud manager so lifecycle and
+  // capacity stay coupled.
+  for (std::size_t i = 0; i < placed->hosts.size(); ++i) {
+    cloud_.pool().release(placed->hosts[i], catalog_->descriptor(spec.functions[i]).demand);
   }
-  rules = controller_.chain_rule_count(id);
+  for (std::size_t i = 0; i < placed->hosts.size(); ++i) {
+    auto inst = cloud_.deploy(spec.functions[i], placed->hosts[i]);
+    if (!inst) {
+      return unwind(Error{ErrorCode::kInternal, "deployment failed after successful placement"});
+    }
+    instances.push_back(*inst);
+  }
+
+  auto route = route_step(*vc, *placed);
+  if (!route) return unwind(route.error());
+  for (const auto& leg : route->legs) {
+    if (auto status = controller_.install_path(id, leg); !status.is_ok()) {
+      return unwind(status.error());
+    }
+  }
+  if (auto status = bandwidth_.reserve_walk(route->vertices, granted_gbps); !status.is_ok()) {
+    return unwind(status.error());
+  }
 
   ALVC_OBSERVE("orchestrator.route.path_length", 0, 64, 32,
                static_cast<double>(route->vertices.size()));
@@ -235,10 +180,10 @@ Expected<NfcId> NetworkOrchestrator::provision_chain(const alvc::nfv::NfcSpec& s
                          .slice = *slice,
                          .instances = std::move(instances),
                          .placement = std::move(*placed),
-                         .flow_rules = rules};
+                         .flow_rules = controller_.chain_rule_count(id)};
   auto [chain_it, inserted] = chains_.emplace(id, std::move(chain));
   set_allocation(chain_it->second, std::move(*route), granted_gbps);
-  if (agent_ != nullptr) agent_->register_chain(id, vc->id);
+  agent_->register_chain(id, vc->id);
   log_.append(sdn::ControlEventType::kSliceAllocated, slice->value());
   log_.append(sdn::ControlEventType::kChainProvisioned, id.value(), spec.name);
   ++stats_.chains_provisioned;
@@ -252,6 +197,22 @@ Expected<NfcId> NetworkOrchestrator::provision_chain(const alvc::nfv::NfcSpec& s
   return id;
 }
 
+Expected<NfcId> NetworkOrchestrator::provision_chain(const alvc::nfv::NfcSpec& spec,
+                                                     const PlacementStrategy& placement) {
+  ALVC_SPAN(span, "orchestrator.provision_chain");
+  // Route ingress ToR -> hosts -> egress ToR inside the slice. Default
+  // anchors: the cluster's first and last ToRs.
+  return provision(spec, placement,
+                   [&](const VirtualCluster& vc, PlacementResult& placed) {
+                     if (!load_balanced_routing_) {
+                       return route_linear(vc, placed.hosts, spec.priority);
+                     }
+                     return router_.route_balanced(vc, vc.layer.tors.front(),
+                                                   vc.layer.tors.back(), placed.hosts,
+                                                   bandwidth_, routing_k_);
+                   });
+}
+
 Expected<NfcId> NetworkOrchestrator::provision_forwarding_graph(
     const alvc::nfv::GraphNfcSpec& gspec, const PlacementStrategy& placement) {
   ALVC_SPAN(span, "orchestrator.provision_forwarding_graph");
@@ -261,149 +222,25 @@ Expected<NfcId> NetworkOrchestrator::provision_forwarding_graph(
     return status.error();
   }
   const alvc::nfv::NfcSpec spec = gspec.to_linear_spec();
-  const VirtualCluster* vc = cluster_for_service(spec.service);
-  if (vc == nullptr) {
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return Error{ErrorCode::kNotFound,
-                 "no cluster serves service " + std::to_string(spec.service.value())};
+  auto order = gspec.graph.topological_order();
+  auto id = provision(
+      spec, placement,
+      [&](const VirtualCluster& vc, PlacementResult& placed) {
+        // Map topological placement order back to node indices for routing.
+        std::vector<HostRef> node_hosts(order.size(), HostRef{alvc::util::ServerId{0}});
+        for (std::size_t i = 0; i < order.size(); ++i) node_hosts[order[i]] = placed.hosts[i];
+        auto route = route_cache_for(vc.id).route_graph(
+            router_, vc, vc.layer.tors.front(), vc.layer.tors.back(), gspec.graph, node_hosts,
+            BandwidthTier::kFull, spec.priority);
+        // The DAG's conversion count is authoritative for this chain.
+        if (route) placed.conversions = route->conversions;
+        return route;
+      });
+  if (id) {
+    ProvisionedChain& chain = chains_.at(*id);
+    chain.graph = gspec.graph;
+    chain.forwarding_order = std::move(order);
   }
-  if (vc->layer.tors.empty()) {
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return Error{ErrorCode::kInfeasible, "cluster has an empty abstraction layer"};
-  }
-  const AdmissionDecision admitted =
-      admission_.admit_with_policy(spec, *vc, cloud_.pool(), allocator_.policy());
-  if (!admitted.status.is_ok()) {
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return admitted.status.error();
-  }
-  const double granted_gbps = admitted.granted_gbps;
-  const NfcId id{next_id_++};
-  auto slice = slices_.allocate(vc->id, id, granted_gbps, spec.priority);
-  if (!slice) {
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return slice.error();
-  }
-
-  PlacementContext context{.topo = &clusters_->topology(),
-                           .cluster = vc,
-                           .catalog = catalog_,
-                           .pool = &cloud_.pool()};
-  auto placed = placement.place(spec, context);
-  if (!placed) {
-    ALVC_IGNORE_STATUS(slices_.release(id), "unwinding a failed provision; slice just allocated");
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return placed.error();
-  }
-  for (std::size_t i = 0; i < placed->hosts.size(); ++i) {
-    cloud_.pool().release(placed->hosts[i], catalog_->descriptor(spec.functions[i]).demand);
-  }
-  std::vector<alvc::nfv::VnfInstanceId> instances;
-  bool deploy_failed = false;
-  for (std::size_t i = 0; i < placed->hosts.size(); ++i) {
-    auto inst = cloud_.deploy(spec.functions[i], placed->hosts[i]);
-    if (!inst) {
-      deploy_failed = true;
-      break;
-    }
-    instances.push_back(*inst);
-  }
-  if (deploy_failed) {
-    for (auto inst : instances) {
-      ALVC_IGNORE_STATUS(cloud_.terminate(inst),
-                         "unwinding a failed provision; the instance is dead either way");
-    }
-    ALVC_IGNORE_STATUS(slices_.release(id), "unwinding a failed provision; slice just allocated");
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return Error{ErrorCode::kInternal, "deployment failed after successful placement"};
-  }
-
-  // Map topological placement order back to node indices for routing.
-  const auto order = gspec.graph.topological_order();
-  std::vector<HostRef> node_hosts(order.size(), HostRef{alvc::util::ServerId{0}});
-  for (std::size_t i = 0; i < order.size(); ++i) node_hosts[order[i]] = placed->hosts[i];
-
-  const alvc::util::TorId ingress = vc->layer.tors.front();
-  const alvc::util::TorId egress = vc->layer.tors.back();
-  auto route = route_cache_enabled_
-                   ? active_route_cache(vc->id).route_graph(router_, *vc, ingress, egress,
-                                                            gspec.graph, node_hosts,
-                                                            BandwidthTier::kFull, spec.priority)
-                   : router_.route_graph(*vc, ingress, egress, gspec.graph, node_hosts);
-  if (!route) {
-    for (auto inst : instances) {
-      ALVC_IGNORE_STATUS(cloud_.terminate(inst),
-                         "unwinding a failed provision; the instance is dead either way");
-    }
-    ALVC_IGNORE_STATUS(slices_.release(id), "unwinding a failed provision; slice just allocated");
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return route.error();
-  }
-  for (const auto& leg : route->legs) {
-    if (auto status = controller_.install_path(id, leg); !status.is_ok()) {
-      controller_.remove_chain(id);
-      for (auto inst : instances) {
-        ALVC_IGNORE_STATUS(cloud_.terminate(inst),
-                           "unwinding a failed provision; the instance is dead either way");
-      }
-      ALVC_IGNORE_STATUS(slices_.release(id),
-                         "unwinding a failed provision; slice just allocated");
-      ++stats_.provision_failures;
-      ALVC_COUNT("orchestrator.provision.failures");
-      return status.error();
-    }
-  }
-  if (auto status = bandwidth_.reserve_walk(route->vertices, granted_gbps); !status.is_ok()) {
-    controller_.remove_chain(id);
-    for (auto inst : instances) {
-      ALVC_IGNORE_STATUS(cloud_.terminate(inst),
-                         "unwinding a failed provision; the instance is dead either way");
-    }
-    ALVC_IGNORE_STATUS(slices_.release(id), "unwinding a failed provision; slice just allocated");
-    ++stats_.provision_failures;
-    ALVC_COUNT("orchestrator.provision.failures");
-    return status.error();
-  }
-  // The DAG's conversion count is authoritative for this chain.
-  placed->conversions = route->conversions;
-
-  ALVC_OBSERVE("orchestrator.route.path_length", 0, 64, 32,
-               static_cast<double>(route->vertices.size()));
-  ALVC_OBSERVE("orchestrator.route.conversions", 0, 16, 16,
-               static_cast<double>(placed->conversions.mid_chain));
-  ALVC_COUNT_N("orchestrator.oeo.conversions_saved",
-               spec.functions.size() > placed->conversions.mid_chain
-                   ? spec.functions.size() - placed->conversions.mid_chain
-                   : 0);
-
-  ProvisionedChain chain{.record = alvc::nfv::NfcRecord{.id = id, .spec = spec},
-                         .cluster = vc->id,
-                         .slice = *slice,
-                         .instances = std::move(instances),
-                         .placement = std::move(*placed),
-                         .flow_rules = controller_.chain_rule_count(id),
-                         .graph = gspec.graph,
-                         .forwarding_order = order};
-  auto [chain_it, inserted] = chains_.emplace(id, std::move(chain));
-  set_allocation(chain_it->second, std::move(*route), granted_gbps);
-  if (agent_ != nullptr) agent_->register_chain(id, vc->id);
-  log_.append(sdn::ControlEventType::kSliceAllocated, slice->value());
-  log_.append(sdn::ControlEventType::kChainProvisioned, id.value(), spec.name);
-  ++stats_.chains_provisioned;
-  ALVC_COUNT("orchestrator.chains.provisioned");
-  if (granted_gbps + 1e-9 < spec.bandwidth_gbps) {
-    ++stats_.chains_admitted_downgraded;
-    mark_degraded(chain_it->second, granted_gbps / spec.bandwidth_gbps,
-                  "admitted at reduced bandwidth under overload");
-  }
-  rebalance_bandwidth();  // no-op under kStrictLadder
   return id;
 }
 
@@ -426,8 +263,8 @@ Status NetworkOrchestrator::teardown_chain(NfcId id) {
   // Cluster ids can be reused by a later build; a reused id must never see
   // this tenant's paths, so teardown drops them eagerly instead of waiting
   // for the epoch to catch the mismatch.
-  active_route_cache(it->second.cluster).invalidate_slice(it->second.cluster);
-  if (agent_ != nullptr) agent_->unregister_chain(id, it->second.cluster);
+  route_cache_for(it->second.cluster).invalidate_slice(it->second.cluster);
+  agent_->unregister_chain(id, it->second.cluster);
   chains_.erase(it);
   log_.append(sdn::ControlEventType::kSliceReleased, id.value());
   log_.append(sdn::ControlEventType::kChainTornDown, id.value());
@@ -628,7 +465,22 @@ double NetworkOrchestrator::fit_chain(ProvisionedChain& chain) {
   ALVC_SPAN(span, "orchestrator.fit_chain");
   const NfcId id = chain.record.id;
   const VirtualCluster* vc = clusters_->find(chain.cluster);
-  if (vc == nullptr || vc->layer.tors.empty()) return 0;
+  // Giving up must not leave a live instance outside the slice: no later
+  // event's blast radius would reach it, so a scoped sweep could never
+  // clean it up (e.g. it outlives its OPS). Terminate every such instance
+  // (all of them when the AL is gone or empty); the retry queue re-places
+  // the invalid slots on recovery.
+  const auto give_up = [&] {
+    for (std::size_t i = 0; i < chain.instances.size(); ++i) {
+      if (!chain.instances[i].valid()) continue;
+      if (vc != nullptr && host_in_slice(chain.placement.hosts[i], *vc)) continue;
+      ALVC_IGNORE_STATUS(cloud_.terminate(chain.instances[i]),
+                         "parking outside the slice: the instance is unreachable either way");
+      chain.instances[i] = alvc::util::VnfInstanceId::invalid();
+    }
+    return 0.0;
+  };
+  if (vc == nullptr || vc->layer.tors.empty()) return give_up();
   const auto& topo = clusters_->topology();
 
   PlacementContext context{
@@ -658,14 +510,14 @@ double NetworkOrchestrator::fit_chain(ProvisionedChain& chain) {
         }
       }
     }
-    if (!target) return 0;
+    if (!target) return give_up();
     if (chain.instances[i].valid()) {
       ALVC_IGNORE_STATUS(cloud_.terminate(chain.instances[i]),
                          "relocation: the stranded instance is replaced either way");
       chain.instances[i] = alvc::util::VnfInstanceId::invalid();
     }
     auto fresh = cloud_.deploy(chain.record.spec.functions[i], *target);
-    if (!fresh) return 0;
+    if (!fresh) return give_up();
     chain.instances[i] = *fresh;
     chain.placement.hosts[i] = *target;
     log_.append(sdn::ControlEventType::kVnfRelocated, id.value(),
@@ -767,31 +619,22 @@ void NetworkOrchestrator::apply_sweep_verdict(NfcId id, SweepVerdict verdict,
   }
 }
 
-std::size_t NetworkOrchestrator::sweep_chains(const std::vector<alvc::util::ClusterId>* scope) {
+std::size_t NetworkOrchestrator::sweep_chains(std::span<const ClusterId> scope) {
   ALVC_SPAN(span, "orchestrator.sweep_chains");
+  // Two-phase pass: classify the blast radius's chains shard-parallel (pure
+  // reads — see SweepVerdict's comment), then apply verdicts serially in
+  // ascending id order. Applying chain A never changes what classify would
+  // decide for chain B, so this equals a classify-as-you-go loop; chains
+  // outside the scope would classify kNone, which apply ignores anyway.
+  const auto findings = agent_->scan_scoped(scope, [this](NfcId id, ScanItem& item) {
+    const SweepVerdict verdict = classify_chain(id);
+    if (verdict == SweepVerdict::kNone) return false;
+    item.verdict = static_cast<int>(verdict);
+    return true;
+  });
   std::size_t repaired = 0;
-  if (agent_ != nullptr) {
-    // Two-phase pass: classify every chain shard-parallel (pure reads — see
-    // SweepVerdict's comment), then apply verdicts serially in ascending id
-    // order. Applying chain A never changes what classify would decide for
-    // chain B, so this equals the serial classify-as-you-go loop below.
-    // With a scope, only the blast radius is classified (see the header);
-    // chains elsewhere would classify kNone, which apply ignores anyway.
-    const ControlAgent::Classifier classify = [this](NfcId id, ScanItem& item) {
-      const SweepVerdict verdict = classify_chain(id);
-      if (verdict == SweepVerdict::kNone) return false;
-      item.verdict = static_cast<int>(verdict);
-      return true;
-    };
-    const auto findings =
-        scope != nullptr ? agent_->scan_scoped(*scope, classify) : agent_->scan(classify);
-    for (const ScanItem& finding : findings) {
-      apply_sweep_verdict(finding.id, static_cast<SweepVerdict>(finding.verdict), repaired);
-    }
-    return repaired;
-  }
-  for (NfcId id : sorted_chain_ids()) {
-    apply_sweep_verdict(id, classify_chain(id), repaired);
+  for (const ScanItem& finding : findings) {
+    apply_sweep_verdict(finding.id, static_cast<SweepVerdict>(finding.verdict), repaired);
   }
   return repaired;
 }
@@ -808,18 +651,10 @@ std::vector<alvc::util::ClusterId> NetworkOrchestrator::server_blast_radius(
 std::size_t NetworkOrchestrator::drain_retry_queue() {
   ALVC_SPAN(span, "orchestrator.drain_retry_queue");
   ++recovery_epoch_;
-  // Sharded mode drains every shard's segment into one id-sorted batch
-  // (ids are unique across shards, so the merged order matches the serial
-  // queue's sort); entries the pass keeps go back to their owning shards.
-  std::vector<RetryEntry> entries;
-  if (agent_ != nullptr) {
-    entries = agent_->drain_retries();
-  } else {
-    std::sort(retry_queue_.begin(), retry_queue_.end(),
-              [](const RetryEntry& a, const RetryEntry& b) { return a.id < b.id; });
-    entries = std::move(retry_queue_);
-    retry_queue_.clear();
-  }
+  // Every shard's segment drains into one id-sorted batch (ids are unique
+  // across shards, so the order is shard-count invariant); entries the pass
+  // keeps go back to their owning shards.
+  const std::vector<RetryEntry> entries = agent_->drain_retries();
   constexpr std::size_t kMaxAttempts = 16;
   std::size_t restored = 0;
   std::vector<RetryEntry> keep;
@@ -861,31 +696,19 @@ std::size_t NetworkOrchestrator::drain_retry_queue() {
         recovery_epoch_ + (1ULL << std::min<std::size_t>(entry.attempts, 6));
     keep.push_back(entry);
   }
-  if (agent_ != nullptr) {
-    for (const RetryEntry& entry : keep) {
-      // Kept entries passed the liveness check above, so the chain exists.
-      agent_->enqueue_retry(entry, chains_.at(entry.id).cluster);
-    }
-  } else {
-    retry_queue_ = std::move(keep);
+  for (const RetryEntry& entry : keep) {
+    // Kept entries passed the liveness check above, so the chain exists.
+    agent_->enqueue_retry(entry, chains_.at(entry.id).cluster);
   }
   ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_size()));
   return restored;
 }
 
 void NetworkOrchestrator::enqueue_retry(NfcId id) {
-  if (agent_ != nullptr) {
-    // Per-shard dedupe equals the serial queue's global dedupe: a chain's
-    // cluster (hence shard) never changes while it lives.
-    if (!agent_->enqueue_retry(RetryEntry{.id = id}, chains_.at(id).cluster)) return;
-    ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_size()));
-    return;
-  }
-  for (const RetryEntry& entry : retry_queue_) {
-    if (entry.id == id) return;
-  }
-  retry_queue_.push_back(RetryEntry{.id = id});
-  ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_.size()));
+  // Per-shard dedupe is global dedupe: a chain's cluster (hence shard)
+  // never changes while it lives.
+  if (!agent_->enqueue_retry(RetryEntry{.id = id}, chains_.at(id).cluster)) return;
+  ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_size()));
 }
 
 void NetworkOrchestrator::set_allocation_policy(AllocationPolicy policy) {
@@ -1026,34 +849,22 @@ std::vector<NfcId> NetworkOrchestrator::sorted_chain_ids() const {
 }
 
 void NetworkOrchestrator::set_sharding(std::size_t shard_count, alvc::util::Executor* executor) {
-  if (agent_ != nullptr) {
-    // Fold the shards back first so a re-shard migrates pending retries.
-    retry_queue_ = agent_->drain_retries();
-    agent_.reset();
-    route_cache_.clear();
-  }
-  if (shard_count == 0) return;
+  if (shard_count == 0) throw std::invalid_argument("set_sharding: shard_count must be >= 1");
+  // Fold the old shards' retries out first so the new shards inherit them.
+  const std::vector<RetryEntry> retries = agent_->drain_retries();
   agent_ = std::make_unique<ControlAgent>(clusters_->topology(), shard_count, executor);
-  route_cache_.clear();  // per-shard caches own routing now; start them cold
   for (NfcId id : sorted_chain_ids()) {
     agent_->register_chain(id, chains_.at(id).cluster);
   }
-  std::sort(retry_queue_.begin(), retry_queue_.end(),
-            [](const RetryEntry& a, const RetryEntry& b) { return a.id < b.id; });
-  for (const RetryEntry& entry : retry_queue_) {
+  for (const RetryEntry& entry : retries) {
     const auto it = chains_.find(entry.id);
     if (it == chains_.end()) continue;  // dead chain: the next drain would drop it anyway
     agent_->enqueue_retry(entry, it->second.cluster);
   }
-  retry_queue_.clear();
 }
 
 std::vector<const RouteCache*> NetworkOrchestrator::route_caches() const {
   std::vector<const RouteCache*> out;
-  if (agent_ == nullptr) {
-    out.push_back(&route_cache_);
-    return out;
-  }
   out.reserve(agent_->shard_count());
   for (std::size_t s = 0; s < agent_->shard_count(); ++s) {
     out.push_back(&agent_->shard(s).cache());
@@ -1076,7 +887,7 @@ RouteCacheStats NetworkOrchestrator::aggregate_route_cache_stats() const {
 }
 
 std::size_t NetworkOrchestrator::retry_queue_size() const noexcept {
-  return agent_ != nullptr ? agent_->retry_count() : retry_queue_.size();
+  return agent_->retry_count();
 }
 
 std::size_t NetworkOrchestrator::degraded_chain_count() const noexcept {
@@ -1100,7 +911,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_ops_failure(alvc::util::OpsId 
   std::vector<alvc::util::ClusterId> touched;
   const auto repair = clusters_->handle_ops_failure(ops, &touched);
   if (repair.has_value()) log_.append(sdn::ControlEventType::kAlRepaired, ops.value());
-  const std::size_t repaired = sweep_chains(agent_ != nullptr ? &touched : nullptr);
+  const std::size_t repaired = sweep_chains(touched);
   rebalance_bandwidth();
   return repaired;
 }
@@ -1118,7 +929,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_tor_failure(alvc::util::TorId 
   if (repair.has_value()) {
     log_.append(sdn::ControlEventType::kAlRepaired, tor.value(), "after ToR failure");
   }
-  const std::size_t repaired = sweep_chains(agent_ != nullptr ? &touched : nullptr);
+  const std::size_t repaired = sweep_chains(touched);
   rebalance_bandwidth();
   return repaired;
 }
@@ -1136,7 +947,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_server_failure(alvc::util::Ser
   // Server events change no AL; the blast radius is the clusters whose
   // slice contains the box (see server_blast_radius).
   const std::vector<alvc::util::ClusterId> touched = server_blast_radius(server);
-  const std::size_t repaired = sweep_chains(agent_ != nullptr ? &touched : nullptr);
+  const std::size_t repaired = sweep_chains(touched);
   rebalance_bandwidth();
   return repaired;
 }
@@ -1159,7 +970,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_link_failure(alvc::util::TorId
   ALVC_IGNORE_STATUS(clusters_->handle_link_failure(tor, ops, &touched),
                      "an infeasible AL repair leaves the cluster degraded; sweep_chains "
                      "degrades the affected chains rather than aborting the handler");
-  const std::size_t repaired = sweep_chains(agent_ != nullptr ? &touched : nullptr);
+  const std::size_t repaired = sweep_chains(touched);
   rebalance_bandwidth();
   return repaired;
 }
@@ -1180,7 +991,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_ops_recovery(alvc::util::OpsId
   // Outside the rebuilt (degraded) clusters a recovery only flips hardware
   // dead -> alive, which moves sweep verdicts toward kNone, so the rebuilt
   // clusters are the whole blast radius.
-  ALVC_IGNORE_STATUS(sweep_chains(agent_ != nullptr ? &touched : nullptr),
+  ALVC_IGNORE_STATUS(sweep_chains(touched),
                      "repairs of healthy chains are logged per chain; this call returns "
                      "only the count and the caller reports restorations instead");
   const std::size_t restored = drain_retry_queue();
@@ -1199,7 +1010,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_tor_recovery(alvc::util::TorId
   std::vector<alvc::util::ClusterId> touched;
   ALVC_IGNORE_STATUS(clusters_->handle_tor_recovery(tor, repair_builder_, &touched),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
-  ALVC_IGNORE_STATUS(sweep_chains(agent_ != nullptr ? &touched : nullptr),
+  ALVC_IGNORE_STATUS(sweep_chains(touched),
                      "settle healthy chains first; restorations are returned");
   const std::size_t restored = drain_retry_queue();
   rebalance_bandwidth();
@@ -1217,7 +1028,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_server_recovery(alvc::util::Se
   ALVC_IGNORE_STATUS(clusters_->handle_server_recovery(server),
                      "ids were validated above; a server recovery cannot fail an AL");
   const std::vector<alvc::util::ClusterId> touched = server_blast_radius(server);
-  ALVC_IGNORE_STATUS(sweep_chains(agent_ != nullptr ? &touched : nullptr),
+  ALVC_IGNORE_STATUS(sweep_chains(touched),
                      "settle healthy chains first; restorations are returned");
   const std::size_t restored = drain_retry_queue();
   rebalance_bandwidth();
@@ -1237,7 +1048,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_link_recovery(alvc::util::TorI
   std::vector<alvc::util::ClusterId> touched;
   ALVC_IGNORE_STATUS(clusters_->handle_link_recovery(tor, ops, repair_builder_, &touched),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
-  ALVC_IGNORE_STATUS(sweep_chains(agent_ != nullptr ? &touched : nullptr),
+  ALVC_IGNORE_STATUS(sweep_chains(touched),
                      "settle healthy chains first; restorations are returned");
   const std::size_t restored = drain_retry_queue();
   rebalance_bandwidth();

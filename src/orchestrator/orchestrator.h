@@ -73,7 +73,9 @@ struct OrchestratorStats {
   std::size_t chains_torn_down = 0;
   std::size_t provision_failures = 0;
   std::size_t chains_repaired = 0;   // refitted at full bandwidth after a failure
-  std::size_t chains_lost = 0;       // torn down because repair was impossible
+  /// Always 0: no handler tears a chain down — an unrepairable chain stays
+  /// live in degraded mode. Kept because reports and benchmarks read it.
+  std::size_t chains_lost = 0;
   std::size_t vnfs_relocated = 0;    // instances moved off failed hardware
   std::size_t chains_degraded = 0;   // entered degraded mode (cumulative)
   std::size_t chains_restored = 0;   // left degraded mode at full bandwidth
@@ -85,11 +87,12 @@ struct OrchestratorStats {
 };
 
 /// Threading contract: externally synchronized, single-writer. The retry
-/// queue (retry_queue_) and recovery epoch are plain members mutated only
+/// segments (in the agent's shards) and recovery epoch are mutated only
 /// inside handle_*_failure / handle_*_recovery / drain_retry_queue on the
-/// calling thread; nothing here is touched by Executor workers. Callers
-/// that drive the orchestrator from several threads (the chaos suites)
-/// must wrap every call in one lock, as ChaosRunner does.
+/// calling thread; Executor workers only run the agent's read-only sweep
+/// classification. Callers that drive the orchestrator from several
+/// threads (the chaos suites) must wrap every call in one lock, as
+/// ChaosRunner does.
 class NetworkOrchestrator {
  public:
   /// The orchestrator borrows the cluster manager (clusters are built by
@@ -111,37 +114,23 @@ class NetworkOrchestrator {
     routing_k_ = k;
   }
 
-  /// Toggles the epoch-versioned route cache on the shortest-path hot path
-  /// (provision, refit, migration). On by default; the differential suite
-  /// flips it off to prove cached and uncached routing are bit-identical.
-  /// Load-balanced routes never use the cache (they depend on the live
-  /// bandwidth ledger, not just the slice subgraph).
-  void set_route_cache_enabled(bool enabled) noexcept { route_cache_enabled_ = enabled; }
-  [[nodiscard]] bool route_cache_enabled() const noexcept { return route_cache_enabled_; }
-  [[nodiscard]] const RouteCache& route_cache() const noexcept { return route_cache_; }
-  [[nodiscard]] RouteCache& route_cache() noexcept { return route_cache_; }
-
   /// Splits the control plane into `shard_count` cluster-agent shards
   /// (DESIGN.md §13): chains partition by backing cluster, and each shard
   /// owns its slice of the route cache and retry queue. Read-only passes
-  /// (sweep classification, retry bookkeeping) fan out across shards on
-  /// `executor`
-  /// (serial when null); all mutations stay on the calling thread, applied
-  /// in ascending chain-id order, so every observable result is
-  /// byte-identical to the serial control plane at any shard count.
-  /// `shard_count == 0` returns to the serial path (pending retries move
-  /// back to the global queue). Live chains and queued retries migrate on
-  /// every transition; route caches restart cold. The executor must
+  /// (sweep classification) fan out across shards on `executor` (inline
+  /// when null); all mutations stay on the calling thread, applied in
+  /// ascending chain-id order, so every observable result is byte-identical
+  /// at any shard count. A new orchestrator runs one shard inline. Live
+  /// chains and queued retries migrate on every call; route caches restart
+  /// cold (so `set_sharding(shard_count())` is a cold cache restart). Throws
+  /// std::invalid_argument when `shard_count` is 0. The executor must
   /// outlive the orchestrator (or the next set_sharding call).
   void set_sharding(std::size_t shard_count, alvc::util::Executor* executor = nullptr);
-  [[nodiscard]] bool sharded() const noexcept { return agent_ != nullptr; }
-  /// Shards configured (0 = serial control plane).
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return agent_ == nullptr ? 0 : agent_->shard_count();
-  }
+  [[nodiscard]] std::size_t shard_count() const noexcept { return agent_->shard_count(); }
+  /// The cluster-agent layer; never null.
   [[nodiscard]] const ControlAgent* agent() const noexcept { return agent_.get(); }
-  /// Every live route cache: the global one when serial, one per shard when
-  /// sharded. For audits (StateAuditor checks coherence of each).
+  /// Every live route cache, one per shard. For audits (StateAuditor
+  /// checks coherence of each).
   [[nodiscard]] std::vector<const RouteCache*> route_caches() const;
   /// Cache counters summed over route_caches() — shard-count invariant,
   /// which the differential suite asserts.
@@ -274,16 +263,28 @@ class NetworkOrchestrator {
  private:
   const alvc::cluster::VirtualCluster* cluster_for_service(alvc::util::ServiceId service) const;
 
+  /// The one provisioning pipeline behind provision_chain and
+  /// provision_forwarding_graph: admission -> slice -> placement -> deploy
+  /// -> route -> rule install -> reserve -> commit, with a single unwind.
+  /// `route_step(vc, placed)` is the only part that differs: it returns the
+  /// chain's route and may adjust `placed` (a forwarding graph takes its
+  /// conversion count from the DAG route).
+  template <typename RouteStep>
+  [[nodiscard]] alvc::util::Expected<NfcId> provision(const alvc::nfv::NfcSpec& spec,
+                                                      const PlacementStrategy& placement,
+                                                      RouteStep&& route_step);
+
   /// Linear-chain route ingress -> hosts -> egress with the cluster's
-  /// default anchors, served from the route cache when enabled (identical
+  /// default anchors, served from the owning shard's route cache (identical
   /// to the plain router by construction — see route_cache.h).
   [[nodiscard]] alvc::util::Expected<ChainRoute> route_linear(
       const alvc::cluster::VirtualCluster& vc, std::span<const alvc::nfv::HostRef> hosts,
       alvc::nfv::PriorityClass cls);
 
-  /// Cache serving `cluster`'s routes: the shard's when sharded, the
-  /// global one otherwise.
-  [[nodiscard]] RouteCache& active_route_cache(alvc::util::ClusterId cluster);
+  /// Cache serving `cluster`'s routes: the owning shard's.
+  [[nodiscard]] RouteCache& route_cache_for(alvc::util::ClusterId cluster) {
+    return agent_->shard_for_cluster(cluster).cache();
+  }
 
   [[nodiscard]] bool host_usable(const alvc::nfv::HostRef& host) const;
   [[nodiscard]] bool host_in_slice(const alvc::nfv::HostRef& host,
@@ -316,7 +317,9 @@ class NetworkOrchestrator {
   /// Re-fits a parked chain: re-places invalid/bad instances inside the
   /// slice, re-routes, re-programs, and reserves bandwidth at the largest
   /// feasible fraction of the spec's demand. Returns the fraction achieved
-  /// (1.0 = full service, 0 = nothing could be established).
+  /// (1.0 = full service, 0 = nothing could be established). Giving up
+  /// terminates every live instance still outside the slice (all of them
+  /// when the AL is absent or empty); the retry queue re-places them.
   double fit_chain(ProvisionedChain& chain);
   /// Marks a parked chain degraded (fraction < 1 after a fit attempt).
   void mark_degraded(ProvisionedChain& chain, double fraction, const std::string& reason);
@@ -335,15 +338,14 @@ class NetworkOrchestrator {
   [[nodiscard]] SweepVerdict classify_chain(NfcId id) const;
   void apply_sweep_verdict(NfcId id, SweepVerdict verdict, std::size_t& repaired);
 
-  /// Refit-or-degrade pass; returns full-bandwidth repairs. With a null
-  /// `scope` every chain is considered. A non-null scope (the fault's blast
-  /// radius: every cluster whose AL the event examined) lets the sharded
-  /// path walk only those clusters' membership indexes — sound because a
-  /// chain outside the blast radius classifies kNone (each sweep settles
-  /// all disturbances, so only the current event can create new work), and
-  /// kNone verdicts are no-ops. The serial path always walks every chain;
-  /// it is the reference the sharded differential compares against.
-  std::size_t sweep_chains(const std::vector<alvc::util::ClusterId>* scope = nullptr);
+  /// Refit-or-degrade pass over the chains of the clusters in `scope` (the
+  /// fault's blast radius: every cluster whose AL the event examined);
+  /// returns full-bandwidth repairs. Sound because a chain outside the
+  /// blast radius classifies kNone: each sweep settles all disturbances
+  /// (fit_chain leaves no live instance outside the slice, even when it
+  /// gives up), so only the current event can create new work, and kNone
+  /// verdicts are no-ops. StateAuditor checks the slice invariant.
+  std::size_t sweep_chains(std::span<const alvc::util::ClusterId> scope);
   /// Clusters whose AL contains `server`'s primary ToR — the blast radius
   /// of a server event (server events never change an AL). Containment,
   /// not VM ownership: placement may use any server under the slice's
@@ -367,21 +369,17 @@ class NetworkOrchestrator {
   /// Chain <-> resource graph and dirty set of the incremental rebalance.
   AllocationIndex alloc_index_;
   ChainRouter router_;
-  RouteCache route_cache_;
   std::unordered_map<NfcId, ProvisionedChain> chains_;
   sdn::ControlPlaneLog log_;
   OrchestratorStats stats_;
   /// Builder used for AL repairs after ToR failures and on recoveries.
   alvc::cluster::VertexCoverAlBuilder repair_builder_;
-  /// Sharded cluster-agent layer; null = serial control plane. When set,
-  /// per-chain state (route cache entries, retry segments) lives in the
-  /// agent's shards and retry_queue_ stays empty.
+  /// Sharded cluster-agent layer (never null): per-chain state (route
+  /// cache entries, retry segments) lives in its shards.
   std::unique_ptr<ControlAgent> agent_;
-  std::vector<RetryEntry> retry_queue_;
   std::uint64_t recovery_epoch_ = 0;  // counts recovery events (backoff clock)
   NfcId::value_type next_id_ = 0;
   bool load_balanced_routing_ = false;
-  bool route_cache_enabled_ = true;
   std::size_t routing_k_ = 4;
 };
 

@@ -25,7 +25,8 @@
 // element failed flags, slice-internal link cuts), and the deterministic
 // switch-graph rebuild preserves the relative adjacency order of surviving
 // neighbors, so equal fingerprints imply equal BFS tie-breaking. A 20-seed
-// differential test asserts cached == uncached on full fault workloads.
+// differential test asserts that a warm cache routes exactly like one
+// restarted cold before every event (plain BFS) on full fault workloads.
 //
 // Each leg key retains a small ring of fingerprint variants (MRU-first),
 // so the common fail -> recover -> fail oscillation of a churn workload

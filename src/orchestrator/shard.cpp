@@ -9,9 +9,6 @@ void ControlShard::add_chain(NfcId id, ClusterId cluster) {
   const auto mit = std::lower_bound(members.begin(), members.end(), id);
   if (mit != members.end() && *mit == id) return;  // already registered here
   members.insert(mit, id);
-  if (++refs_[id.value()] > 1) return;  // known via another cluster
-  const auto it = std::lower_bound(chain_ids_.begin(), chain_ids_.end(), id);
-  chain_ids_.insert(it, id);
 }
 
 void ControlShard::remove_chain(NfcId id, ClusterId cluster) {
@@ -22,11 +19,12 @@ void ControlShard::remove_chain(NfcId id, ClusterId cluster) {
   if (mit == members.end() || *mit != id) return;
   members.erase(mit);
   if (members.empty()) by_cluster_.erase(cit);
-  const auto rit = refs_.find(id.value());
-  if (rit == refs_.end() || --rit->second > 0) return;  // still registered elsewhere
-  refs_.erase(rit);
-  const auto it = std::lower_bound(chain_ids_.begin(), chain_ids_.end(), id);
-  if (it != chain_ids_.end() && *it == id) chain_ids_.erase(it);
+}
+
+std::size_t ControlShard::chain_count() const noexcept {
+  std::size_t total = 0;
+  for (const auto& [cluster, members] : by_cluster_) total += members.size();
+  return total;
 }
 
 bool ControlShard::enqueue_retry(RetryEntry entry) {

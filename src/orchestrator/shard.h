@@ -5,9 +5,8 @@
 // partitions cleanly by the cluster backing the slice. A ControlShard owns
 // the slice of that bookkeeping for the clusters hashed to it:
 //
-//   * the shard's chain membership (ascending NfcId order, the order every
-//     merged scan result is produced in), indexed per backing cluster so a
-//     fault handler can scope a scan to the clusters its event touched,
+//   * the shard's chain membership, indexed per backing cluster so a fault
+//     handler can scope a scan to the clusters its event touched,
 //   * its segment of the degraded-chain retry queue,
 //   * its own epoch-versioned RouteCache (route-cache keys are per-cluster,
 //     so N per-shard caches behave exactly like the disjoint union of one
@@ -65,11 +64,10 @@ class ControlShard {
       : index_(index), cache_(topo) {}
 
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
-  /// Chains owned by this shard, ascending id.
-  [[nodiscard]] const std::vector<NfcId>& chain_ids() const noexcept { return chain_ids_; }
-  [[nodiscard]] std::size_t chain_count() const noexcept { return chain_ids_.size(); }
+  /// Chains owned by this shard.
+  [[nodiscard]] std::size_t chain_count() const noexcept;
   /// Chains registered through `cluster` (ascending id), or null when the
-  /// shard has none — the index scoped scans walk instead of chain_ids_.
+  /// shard has none — the index scoped scans walk.
   [[nodiscard]] const std::vector<NfcId>* cluster_chains(ClusterId cluster) const {
     const auto it = by_cluster_.find(cluster.value());
     return it == by_cluster_.end() ? nullptr : &it->second;
@@ -82,9 +80,7 @@ class ControlShard {
  private:
   friend class ControlAgent;
 
-  /// Registers the chain under `cluster`. Idempotent per (chain, cluster);
-  /// a chain spanning several of the shard's clusters is still one entry in
-  /// chain_ids_ (one membership) but appears in each cluster's index.
+  /// Registers the chain under `cluster`. Idempotent.
   void add_chain(NfcId id, ClusterId cluster);
   void remove_chain(NfcId id, ClusterId cluster);
   /// Appends unless an entry for the same chain is already queued.
@@ -92,12 +88,8 @@ class ControlShard {
   bool enqueue_retry(RetryEntry entry);
 
   std::size_t index_;
-  std::vector<NfcId> chain_ids_;  // ascending
-  // Per-cluster membership plus how many clusters each chain is registered
-  // through, so removing one registration of a multi-cluster chain keeps
-  // its chain_ids_ entry until the last one goes.
+  // Per-cluster membership; each chain is registered through one cluster.
   std::unordered_map<ClusterId::value_type, std::vector<NfcId>> by_cluster_;
-  std::unordered_map<NfcId::value_type, std::uint32_t> refs_;
   std::vector<RetryEntry> retries_;
   RouteCache cache_;
   ShardCounters counters_;

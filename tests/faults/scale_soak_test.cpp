@@ -13,11 +13,13 @@
 //
 // Both builds use server_local_services (block service assignment) so each
 // cluster's AL stays rack-local — the layout that makes 10^4+ clusters
-// tractable — with ALVC_SHARDS overriding the default shard count.
+// tractable — with ALVC_SHARDS overriding the default shard count (a value
+// that is not a positive integer fails the test).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/alvc.h"
@@ -31,12 +33,15 @@ namespace {
 
 using alvc::nfv::VnfType;
 
-std::size_t shard_count_from_env(std::size_t fallback) {
-  if (const char* env = std::getenv("ALVC_SHARDS"); env != nullptr) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > 0) return parsed;
-  }
-  return fallback;
+/// Shard count for the soak: ALVC_SHARDS when set, else 8; nullopt when
+/// ALVC_SHARDS is not a positive integer.
+std::optional<std::size_t> shard_count_from_env() {
+  return alvc::test::positive_env("ALVC_SHARDS", 8);
+}
+
+std::string bad_shards_message() {
+  return std::string("ALVC_SHARDS must be a positive integer, got '") +
+         std::getenv("ALVC_SHARDS") + "'";
 }
 
 struct ScaleShape {
@@ -99,6 +104,8 @@ std::unique_ptr<core::DataCenter> make_scale_dc(const ScaleShape& shape,
 }
 
 TEST(ScaleSoakTest, MidScaleShardedSoakStaysClean) {
+  const std::optional<std::size_t> shards = shard_count_from_env();
+  ASSERT_TRUE(shards.has_value()) << bad_shards_message();
   std::size_t provisioned = 0;
   auto dc = make_scale_dc(ScaleShape{}, &provisioned);
   EXPECT_EQ(provisioned, 400u) << "every rack-local chain should admit";
@@ -114,7 +121,7 @@ TEST(ScaleSoakTest, MidScaleShardedSoakStaysClean) {
   params.schedule.seed = 7;
   params.flow_rate_per_s = 5;
   params.traffic_seed = 11;
-  params.shards = shard_count_from_env(8);
+  params.shards = *shards;
   params.shard_executor = &exec;
   // One guaranteed whole-rack outage so recovery work is never left to
   // stochastic luck.
@@ -152,6 +159,8 @@ TEST(ScaleSoakTest, MillionVmSmoke) {
                                                         std::string(env) != "1") {
     GTEST_SKIP() << "set ALVC_SCALE_SOAK=1 to run the million-VM smoke";
   }
+  const std::optional<std::size_t> shards = shard_count_from_env();
+  ASSERT_TRUE(shards.has_value()) << bad_shards_message();
 
   ScaleShape shape;
   shape.racks = 12500;
@@ -175,7 +184,7 @@ TEST(ScaleSoakTest, MillionVmSmoke) {
   params.schedule.link = {.mtbf_s = 240000, .mttr_s = 6};
   params.schedule.horizon_s = 30;
   params.schedule.seed = 3;
-  params.shards = shard_count_from_env(8);
+  params.shards = *shards;
   params.shard_executor = &exec;
   // Per-event audits over 100k chains would dominate the run; the closing
   // audit still checks every invariant once.

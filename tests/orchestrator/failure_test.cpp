@@ -1,8 +1,10 @@
 // Failure injection at the orchestration layer: OPS failures that strand
 // VNF instances and break chain routes; the orchestrator must relocate,
-// re-route, and re-program — or tear the chain down cleanly.
+// re-route, and re-program — or park the chain in degraded mode, never
+// tearing it down.
 #include <gtest/gtest.h>
 
+#include "faults/state_auditor.h"
 #include "orchestrator/orchestrator.h"
 #include "support/fixtures.h"
 #include "util/error.h"
@@ -111,27 +113,36 @@ TEST(OrchestratorFailureTest, BadOpsIdRejected) {
   ASSERT_FALSE(result.has_value());
 }
 
-TEST(OrchestratorFailureTest, CascadingFailuresEndInCleanTeardown) {
+TEST(OrchestratorFailureTest, CascadingFailuresDegradeInsteadOfTearingDown) {
   FailureFixture f;
   const auto id = f.provision({VnfType::kFirewall, VnfType::kNat});
-  // Fail every OPS one by one; at some point the chain becomes
-  // unrepairable and must be torn down, never left half-dead.
+  // Fail every OPS one by one. The chain must stay live throughout: once no
+  // full-bandwidth refit exists it parks in degraded mode (reduced or zero
+  // bandwidth, a recorded reason, queued for retry) with nothing left on
+  // dead hardware or outside its slice.
   for (std::size_t i = 0; i < f.topo.ops_count(); ++i) {
     const OpsId o{static_cast<OpsId::value_type>(i)};
-    if (!f.topo.ops_usable(o)) continue;
-    ALVC_IGNORE_STATUS(f.orch.handle_ops_failure(o),
-                       "sweeping failures until the chain dies; teardown-vs-repair is checked after");
-    if (f.orch.chain(id) == nullptr) break;
+    SCOPED_TRACE(::testing::Message() << "after failing OPS " << i);
+    ASSERT_TRUE(f.orch.handle_ops_failure(o).has_value());
+    const auto* chain = f.orch.chain(id);
+    ASSERT_NE(chain, nullptr) << "a failure must never tear a chain down";
+    EXPECT_TRUE(faults::StateAuditor::audit(f.orch).empty());
+    if (chain->degraded) {
+      EXPECT_FALSE(chain->degraded_reason.empty());
+      EXPECT_LT(chain->reserved_gbps, chain->record.spec.bandwidth_gbps);
+    }
   }
-  if (f.orch.chain(id) == nullptr) {
-    EXPECT_EQ(f.orch.slices().slice_count(), 0u);
-    EXPECT_EQ(f.orch.controller().tables().total_rules(), 0u);
-    EXPECT_EQ(f.orch.cloud().lifecycle().active_count(), 0u);
-    EXPECT_GE(f.orch.stats().chains_lost, 1u);
-  } else {
-    // Survived everything: still fully consistent.
-    EXPECT_TRUE(f.orch.check_isolation().empty());
-  }
+  // With every OPS down no ToR-to-ToR path exists: the chain is parked at
+  // zero bandwidth, rule-free, and waiting for a retry.
+  const auto* parked = f.orch.chain(id);
+  ASSERT_NE(parked, nullptr);
+  EXPECT_TRUE(parked->degraded);
+  EXPECT_EQ(parked->reserved_gbps, 0.0);
+  EXPECT_EQ(f.orch.controller().tables().total_rules(), 0u);
+  EXPECT_EQ(f.orch.retry_queue_size(), 1u);
+  EXPECT_EQ(f.orch.stats().chains_torn_down, 0u);
+  EXPECT_EQ(f.orch.stats().chains_lost, 0u);
+  EXPECT_EQ(f.orch.slices().slice_count(), 1u);
 }
 
 }  // namespace

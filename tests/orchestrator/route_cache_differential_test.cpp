@@ -1,10 +1,14 @@
 // Differential proof of the route cache's bit-identity contract: two
-// identical data centers run the same seeded fault workload — one with the
-// epoch-versioned cache, one with plain BFS routing — and after EVERY
-// event the full chain state (routes, legs, placements, reservations,
-// degraded flags, recovery stats) must match exactly, across 20 seeds.
+// identical data centers run the same seeded fault workload — one with a
+// warm epoch-versioned cache, one whose caches restart cold before every
+// event — and after EVERY event the full chain state (routes, legs,
+// placements, reservations, degraded flags, recovery stats) must match
+// exactly, across 20 seeds. Within one event no topology epoch moves after
+// the cluster step, so the cold twin never revalidates or evicts: every
+// lookup is a plain BFS miss (or a hit on a leg that same event computed).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -24,7 +28,7 @@ using nfv::VnfType;
 
 constexpr std::uint64_t kSeeds = 20;
 
-core::DataCenter make_provisioned_dc(std::uint64_t seed, bool cache_enabled) {
+core::DataCenter make_provisioned_dc(std::uint64_t seed) {
   core::DataCenterConfig config;
   config.topology.rack_count = 6;
   config.topology.servers_per_rack = 2;
@@ -36,7 +40,6 @@ core::DataCenter make_provisioned_dc(std::uint64_t seed, bool cache_enabled) {
   config.topology.seed = seed * 7 + 1;
   config.seed = seed;
   core::DataCenter dc(config);
-  dc.orchestrator().set_route_cache_enabled(cache_enabled);
   auto clusters = dc.build_clusters();
   if (!clusters.has_value()) throw std::runtime_error(clusters.error().to_string());
   for (std::uint32_t s = 0; s < 3; ++s) {
@@ -50,6 +53,23 @@ core::DataCenter make_provisioned_dc(std::uint64_t seed, bool cache_enabled) {
                        "warm-up: capacity conflicts just mean fewer live chains");
   }
   return dc;
+}
+
+/// Restarts `orch`'s route caches cold, first folding their counters into
+/// `total` (a restart discards them).
+void cold_restart(NetworkOrchestrator& orch, RouteCacheStats& total) {
+  const RouteCacheStats s = orch.aggregate_route_cache_stats();
+  total.hits += s.hits;
+  total.revalidations += s.revalidations;
+  total.misses += s.misses;
+  total.stale_evictions += s.stale_evictions;
+  orch.set_sharding(orch.shard_count());
+}
+
+std::size_t cached_entries(const NetworkOrchestrator& orch) {
+  std::size_t entries = 0;
+  for (const RouteCache* cache : orch.route_caches()) entries += cache->entry_count();
+  return entries;
 }
 
 /// Full observable chain state; everything routing can influence.
@@ -82,10 +102,12 @@ TEST(RouteCacheDifferentialTest, CachedAndUncachedRoutingAreBitIdenticalOver20Se
   std::uint64_t total_hits = 0;
   std::uint64_t total_revalidations = 0;
 
+  RouteCacheStats cold_total;
+
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     ALVC_TRACE_SEED(seed);
-    auto with_cache = make_provisioned_dc(seed, true);
-    auto without_cache = make_provisioned_dc(seed, false);
+    auto with_cache = make_provisioned_dc(seed);
+    auto without_cache = make_provisioned_dc(seed);
     ASSERT_FALSE(with_cache.orchestrator().chains().empty());
     expect_identical_state(with_cache.orchestrator(), without_cache.orchestrator());
 
@@ -101,6 +123,7 @@ TEST(RouteCacheDifferentialTest, CachedAndUncachedRoutingAreBitIdenticalOver20Se
 
     for (const auto& event : schedule) {
       ++total_events;
+      cold_restart(without_cache.orchestrator(), cold_total);
       const auto ra = apply_fault(with_cache.orchestrator(), event);
       const auto rb = apply_fault(without_cache.orchestrator(), event);
       ASSERT_EQ(ra.has_value(), rb.has_value());
@@ -118,12 +141,17 @@ TEST(RouteCacheDifferentialTest, CachedAndUncachedRoutingAreBitIdenticalOver20Se
     // Both ends stay self-consistent, cache coherence included.
     EXPECT_TRUE(faults::StateAuditor::audit(with_cache.orchestrator()).empty());
     EXPECT_TRUE(faults::StateAuditor::audit(without_cache.orchestrator()).empty());
-    const auto& stats = with_cache.orchestrator().route_cache().stats();
+    const RouteCacheStats stats = with_cache.orchestrator().aggregate_route_cache_stats();
     total_hits += stats.hits;
     total_revalidations += stats.revalidations;
-    EXPECT_EQ(without_cache.orchestrator().route_cache().stats().lookups(), 0u);
+    cold_restart(without_cache.orchestrator(), cold_total);
   }
 
+  // The cold twin routed as plain BFS would: nothing it looked up was ever
+  // carried across an epoch change.
+  EXPECT_EQ(cold_total.revalidations, 0u);
+  EXPECT_EQ(cold_total.stale_evictions, 0u);
+  EXPECT_GT(cold_total.misses, 0u) << "the cold twin never routed anything";
   // The equivalence must not be vacuous: the cached side has to have
   // actually served memoized paths under churn.
   EXPECT_GT(total_events, 200u);
@@ -134,8 +162,9 @@ TEST(RouteCacheDifferentialTest, CachedAndUncachedRoutingAreBitIdenticalOver20Se
 TEST(RouteCacheDifferentialTest, TeardownAndReprovisionStayIdentical) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     ALVC_TRACE_SEED(seed);
-    auto with_cache = make_provisioned_dc(seed, true);
-    auto without_cache = make_provisioned_dc(seed, false);
+    auto with_cache = make_provisioned_dc(seed);
+    auto without_cache = make_provisioned_dc(seed);
+    RouteCacheStats cold_total;
 
     // Tear down every chain (exercising invalidate_slice on the cached
     // side), then re-provision the same specs; results must match.
@@ -145,10 +174,11 @@ TEST(RouteCacheDifferentialTest, TeardownAndReprovisionStayIdentical) {
       return out;
     }();
     for (util::NfcId id : ids) {
+      cold_restart(without_cache.orchestrator(), cold_total);
       ASSERT_TRUE(with_cache.orchestrator().teardown_chain(id).is_ok());
       ASSERT_TRUE(without_cache.orchestrator().teardown_chain(id).is_ok());
     }
-    EXPECT_EQ(with_cache.orchestrator().route_cache().entry_count(), 0u);
+    EXPECT_EQ(cached_entries(with_cache.orchestrator()), 0u);
 
     for (std::uint32_t s = 0; s < 3; ++s) {
       nfv::NfcSpec spec;
@@ -157,6 +187,7 @@ TEST(RouteCacheDifferentialTest, TeardownAndReprovisionStayIdentical) {
       spec.bandwidth_gbps = 1.0;
       spec.functions = {*with_cache.catalog().find_by_type(VnfType::kDeepPacketInspection),
                         *with_cache.catalog().find_by_type(VnfType::kLoadBalancer)};
+      cold_restart(without_cache.orchestrator(), cold_total);
       const auto ra =
           with_cache.provision_chain(spec, core::PlacementAlgorithm::kGreedyOptical);
       const auto rb =
@@ -164,6 +195,9 @@ TEST(RouteCacheDifferentialTest, TeardownAndReprovisionStayIdentical) {
       ASSERT_EQ(ra.has_value(), rb.has_value());
     }
     expect_identical_state(with_cache.orchestrator(), without_cache.orchestrator());
+    cold_restart(without_cache.orchestrator(), cold_total);
+    EXPECT_EQ(cold_total.revalidations, 0u);
+    EXPECT_EQ(cold_total.stale_evictions, 0u);
   }
 }
 

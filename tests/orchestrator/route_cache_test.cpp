@@ -316,6 +316,9 @@ TEST(RouteCacheTest, CoherenceHoldsThroughChurn) {
 struct OrchFixture : ClusterFixture {
   NetworkOrchestrator orch{manager, catalog};
 
+  /// The orchestrator's one shard owns the only route cache.
+  [[nodiscard]] const RouteCache& route_cache() const { return orch.agent()->shard(0).cache(); }
+
   alvc::util::NfcId provision(double gbps = 1.0) {
     NfcSpec spec;
     spec.name = "chain";
@@ -333,14 +336,14 @@ struct OrchFixture : ClusterFixture {
 TEST(OrchestratorRouteCacheTest, ProvisionPopulatesAndTeardownInvalidates) {
   OrchFixture f;
   const auto id = f.provision();
-  EXPECT_GT(f.orch.route_cache().stats().lookups(), 0u);
-  EXPECT_GT(f.orch.route_cache().entry_count(), 0u);
+  EXPECT_GT(f.route_cache().stats().lookups(), 0u);
+  EXPECT_GT(f.route_cache().entry_count(), 0u);
   EXPECT_TRUE(faults::StateAuditor::audit(f.orch).empty());
 
   ASSERT_TRUE(f.orch.teardown_chain(id).is_ok());
-  EXPECT_EQ(f.orch.route_cache().entry_count(), 0u)
+  EXPECT_EQ(f.route_cache().entry_count(), 0u)
       << "a reused cluster id must never see another tenant's paths";
-  EXPECT_GT(f.orch.route_cache().stats().invalidations, 0u);
+  EXPECT_GT(f.route_cache().stats().invalidations, 0u);
 }
 
 TEST(OrchestratorRouteCacheTest, RecoverySweepsStayCoherentAndCorrect) {
@@ -371,7 +374,7 @@ TEST(OrchestratorRouteCacheTest, RecoverySweepsStayCoherentAndCorrect) {
 
   ASSERT_TRUE(f.orch.handle_ops_recovery(victim).has_value());
   EXPECT_TRUE(faults::StateAuditor::audit(f.orch).empty());
-  EXPECT_GT(f.orch.route_cache().stats().misses, 0u);
+  EXPECT_GT(f.route_cache().stats().misses, 0u);
 }
 
 TEST(OrchestratorRouteCacheTest, DegradedLadderTracksSliceBandwidthAndEpoch) {
@@ -415,15 +418,6 @@ TEST(OrchestratorRouteCacheTest, DegradedLadderTracksSliceBandwidthAndEpoch) {
   EXPECT_DOUBLE_EQ(slice_after->bandwidth_gbps, restored->reserved_gbps);
   EXPECT_GE(slice_after->epoch, epoch_before);
   EXPECT_TRUE(faults::StateAuditor::audit(f.orch).empty());
-}
-
-TEST(OrchestratorRouteCacheTest, DisablingTheCacheBypassesItEntirely) {
-  OrchFixture f;
-  f.orch.set_route_cache_enabled(false);
-  const auto id = f.provision();
-  EXPECT_EQ(f.orch.route_cache().stats().lookups(), 0u);
-  EXPECT_EQ(f.orch.route_cache().entry_count(), 0u);
-  ASSERT_TRUE(f.orch.teardown_chain(id).is_ok());
 }
 
 }  // namespace

@@ -1,24 +1,28 @@
-// Sharded-vs-serial differential: the sharded cluster-agent control plane
-// must be byte-identical to the serial path at every shard count, after
-// every single fault event. Twin data centers replay the same 20-seed
-// fault schedules the chaos soak uses — one serial control, one sharded
-// variant per shard count in {1, 2, 4, 8} (threaded executor on the wider
-// ones) — and the full per-chain state must match event for event. Odd
-// seeds run under kWaterFill so the sharded rebalance snapshot path is
-// exercised too (under the default strict ladder it is a no-op).
+// Shard-count differential: the cluster-agent control plane must be
+// byte-identical at every shard count, after every single fault event.
+// Twin data centers replay the same 20-seed fault schedules the chaos soak
+// uses — a one-shard control (the inline control plane), one variant per
+// shard count in {2, 4, 8} (threaded executor on the wider ones) — and the
+// full per-chain state must match event for event, with every plane
+// passing StateAuditor after every event. Odd seeds run under kWaterFill so
+// the rebalance is exercised too (under the default strict ladder it is a
+// no-op).
 //
 // ALVC_SHARD_DIFF_SEEDS=<n> caps the seed count (the CI scale-soak leg
-// runs a reduced sweep; locally the full 20 is the default).
+// runs a reduced sweep; locally the full 20 is the default). A value that
+// is not a positive integer fails the test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/alvc.h"
 #include "faults/fault_injector.h"
+#include "faults/state_auditor.h"
 #include "support/fixtures.h"
 #include "util/error.h"
 #include "util/executor.h"
@@ -32,15 +36,7 @@ using alvc::faults::FaultScheduleParams;
 using alvc::nfv::VnfType;
 using alvc::util::NfcId;
 
-constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
-
-std::uint64_t seed_count() {
-  if (const char* env = std::getenv("ALVC_SHARD_DIFF_SEEDS"); env != nullptr) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > 0) return parsed;
-  }
-  return 20;
-}
+constexpr std::size_t kShardCounts[] = {2, 4, 8};
 
 // Heap-allocated: DataCenter's components hold pointers into each other,
 // so instances must never be moved (the variants live in a vector).
@@ -59,8 +55,7 @@ std::unique_ptr<core::DataCenter> make_dc(std::uint64_t seed, bool water_fill) {
   auto clusters = dc->build_clusters();
   if (!clusters.has_value()) throw std::runtime_error(clusters.error().to_string());
   // Water-fill on both twins of odd seeds: with the default strict ladder
-  // rebalance_bandwidth() is a no-op and the sharded snapshot path would
-  // never run.
+  // rebalance_bandwidth() is a no-op and the rebalance would never run.
   if (water_fill) dc->orchestrator().set_allocation_policy(AllocationPolicy::kWaterFill);
   for (std::uint32_t s = 0; s < 3; ++s) {
     nfv::NfcSpec spec;
@@ -68,7 +63,7 @@ std::unique_ptr<core::DataCenter> make_dc(std::uint64_t seed, bool water_fill) {
     spec.name = "chain-" + std::to_string(s);
     // Water-fill seeds run near port capacity so the allocator actually
     // has contention to arbitrate; otherwise every rebalance is a no-op
-    // and the sharded snapshot path would pass vacuously.
+    // and the differential would pass vacuously.
     spec.bandwidth_gbps = water_fill ? 6.0 : 1.0;
     spec.functions = {*dc->catalog().find_by_type(VnfType::kFirewall),
                       *dc->catalog().find_by_type(VnfType::kNat)};
@@ -135,8 +130,19 @@ void expect_identical(const NetworkOrchestrator& control, const NetworkOrchestra
   EXPECT_EQ(control.control_log().events().size(), variant.control_log().events().size());
 }
 
+void expect_audit_clean(const NetworkOrchestrator& orch) {
+  for (const std::string& violation : alvc::faults::StateAuditor::audit(orch)) {
+    ADD_FAILURE() << violation;
+  }
+}
+
 TEST(ShardedDifferentialTest, FaultReplayIsByteIdenticalAtEveryShardCount) {
-  const std::uint64_t seeds = seed_count();
+  const std::optional<std::size_t> seed_override = alvc::test::positive_env(
+      "ALVC_SHARD_DIFF_SEEDS", 20);
+  ASSERT_TRUE(seed_override.has_value())
+      << "ALVC_SHARD_DIFF_SEEDS must be a positive integer, got '"
+      << std::getenv("ALVC_SHARD_DIFF_SEEDS") << "'";
+  const std::uint64_t seeds = *seed_override;
   alvc::util::Executor exec(4);
   std::size_t total_degraded = 0;
   std::size_t water_fill_rebalances = 0;
@@ -146,6 +152,8 @@ TEST(ShardedDifferentialTest, FaultReplayIsByteIdenticalAtEveryShardCount) {
     const bool water_fill = (seed % 2) == 1;
     auto control = make_dc(seed, water_fill);
     ASSERT_FALSE(control->orchestrator().chains().empty());
+    // Restart the control's cache cold too, so cache counters compare.
+    control->orchestrator().set_sharding(1);
 
     std::vector<std::unique_ptr<core::DataCenter>> variants;
     variants.reserve(std::size(kShardCounts));
@@ -162,12 +170,16 @@ TEST(ShardedDifferentialTest, FaultReplayIsByteIdenticalAtEveryShardCount) {
     ASSERT_FALSE(events.empty());
     for (const FaultEvent& event : events) {
       const auto ra = alvc::faults::apply_fault(control->orchestrator(), event);
+      expect_audit_clean(control->orchestrator());
       for (std::size_t v = 0; v < variants.size(); ++v) {
         SCOPED_TRACE(::testing::Message() << "shards = " << kShardCounts[v]);
         const auto rb = alvc::faults::apply_fault(variants[v]->orchestrator(), event);
         ASSERT_EQ(ra.has_value(), rb.has_value());
-        if (ra.has_value()) EXPECT_EQ(*ra, *rb);
+        if (ra.has_value()) {
+          EXPECT_EQ(*ra, *rb);
+        }
         expect_identical(control->orchestrator(), variants[v]->orchestrator());
+        expect_audit_clean(variants[v]->orchestrator());
         if (::testing::Test::HasFailure()) {
           FAIL() << "state diverged at t=" << event.time_s << " " << to_string(event.kind)
                  << (event.failure ? " failure" : " recovery") << " id=" << event.id;
@@ -175,11 +187,11 @@ TEST(ShardedDifferentialTest, FaultReplayIsByteIdenticalAtEveryShardCount) {
       }
     }
 
-    // Cache traffic is shard-count invariant: every sharded variant started
-    // cold at set_sharding and saw the same lookups, so the aggregated
-    // counters must agree across {1, 2, 4, 8}.
-    const RouteCacheStats base = variants.front()->orchestrator().aggregate_route_cache_stats();
-    for (std::size_t v = 1; v < variants.size(); ++v) {
+    // Cache traffic is shard-count invariant: every plane started cold at
+    // set_sharding and saw the same lookups, so the aggregated counters
+    // must agree across {1, 2, 4, 8}.
+    const RouteCacheStats base = control->orchestrator().aggregate_route_cache_stats();
+    for (std::size_t v = 0; v < variants.size(); ++v) {
       SCOPED_TRACE(::testing::Message() << "shards = " << kShardCounts[v]);
       const RouteCacheStats stats = variants[v]->orchestrator().aggregate_route_cache_stats();
       EXPECT_EQ(stats.hits, base.hits);
@@ -189,8 +201,7 @@ TEST(ShardedDifferentialTest, FaultReplayIsByteIdenticalAtEveryShardCount) {
       EXPECT_EQ(stats.bypasses, base.bypasses);
       EXPECT_EQ(stats.invalidations, base.invalidations);
     }
-    EXPECT_GT(variants.back()->orchestrator().aggregate_route_cache_stats().lookups(), 0u)
-        << "the sharded route caches never served a lookup — vacuous run";
+    EXPECT_GT(base.lookups(), 0u) << "the route caches never served a lookup — vacuous run";
 
     total_degraded += control->orchestrator().stats().chains_degraded;
     if (water_fill) water_fill_rebalances += control->orchestrator().stats().alloc_rebalances;
@@ -199,7 +210,30 @@ TEST(ShardedDifferentialTest, FaultReplayIsByteIdenticalAtEveryShardCount) {
   // The differential must exercise the machinery it certifies.
   EXPECT_GT(total_degraded, 0u) << "no chain ever entered degraded mode";
   EXPECT_GT(water_fill_rebalances, 0u)
-      << "the water-fill seeds never rebalanced — the sharded snapshot path went untested";
+      << "the water-fill seeds never rebalanced — the rebalance went untested";
+}
+
+// Regression: on seed 237 a ToR failure empties chain 2's AL; the refit
+// gave up without terminating the chain's live VNFs, so they sat outside
+// every later blast radius and one stayed on an OPS that failed at
+// t = 34.59 s ("function 0 is placed on failed hardware"). Giving up now
+// terminates them, and the audit stays clean after every event.
+TEST(ShardedDifferentialTest, Seed237EmptyAlLeavesNoLiveVnfBehind) {
+  constexpr std::uint64_t kSeed = 237;
+  auto dc = make_dc(kSeed, /*water_fill=*/true);
+  dc->orchestrator().set_sharding(1);
+  ASSERT_FALSE(dc->orchestrator().chains().empty());
+  const auto events = make_schedule(*dc, kSeed);
+  ASSERT_FALSE(events.empty());
+  for (const FaultEvent& event : events) {
+    ALVC_IGNORE_STATUS(alvc::faults::apply_fault(dc->orchestrator(), event),
+                       "a rejected event changes nothing; the audit below is the check");
+    const auto violations = alvc::faults::StateAuditor::audit(dc->orchestrator());
+    ASSERT_TRUE(violations.empty())
+        << "t=" << event.time_s << " " << to_string(event.kind)
+        << (event.failure ? " failure" : " recovery") << " id=" << event.id << ": "
+        << violations.front();
+  }
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cstdlib>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster_manager.h"
@@ -17,6 +21,20 @@
 #define ALVC_TRACE_SEED(seed) SCOPED_TRACE(::testing::Message() << "rng seed = " << (seed))
 
 namespace alvc::test {
+
+/// A positive integer override read from environment variable `name`:
+/// `fallback` when unset, nullopt when set to anything but a positive
+/// decimal integer — so a test can fail with a message instead of silently
+/// running its default.
+inline std::optional<std::size_t> positive_env(const char* name, std::size_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::string_view text(env);
+  std::size_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() || value == 0) return std::nullopt;
+  return value;
+}
 
 using alvc::topology::Resources;
 using alvc::util::OpsId;
