@@ -9,8 +9,9 @@
 // (terminate + deploy), while tearing the chain down and re-admitting it
 // costs 2k + 2 AL updates for a k-function chain, so the per-action ratio
 // must come out >= 3x for the firewall+nat chains used here. Benchmarks:
-// a single controller tick on a loaded control plane, and the full elastic
-// soak per mode (events per second the control plane absorbs).
+// a single controller tick on a plane of a few hundred chains at two
+// history lengths, and the full elastic soak per mode (events per second
+// the control plane absorbs).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -160,23 +161,75 @@ void print_experiment() {
             << "x ratio (>= 3x required). Both rows must read OK.\n\n";
 }
 
+/// Mid-size plane for the tick benchmark: the e2e elastic_mixed fabric at
+/// half its size — one service (slot) per pair of servers, each
+/// slot's AL local to its rack, 3/4 of the OPSs optoelectronic.
+core::DataCenter make_tick_dc() {
+  constexpr std::size_t kRacks = 128;
+  core::DataCenterConfig config;
+  topology::TopologyParams& topo = config.topology;
+  topo.rack_count = kRacks;
+  topo.servers_per_rack = 4;
+  topo.vms_per_server = 2;
+  topo.ops_count = 2 * kRacks;
+  topo.tor_ops_degree = 4;
+  topo.uplink_locality = 1.0;
+  topo.core = topology::CoreKind::kNone;
+  topo.optoelectronic_fraction = 0.75;
+  topo.service_count = 2 * kRacks;
+  topo.server_local_services = true;
+  topo.seed = 20160627;
+  config.seed = topo.seed;
+  core::DataCenter dc(config);
+  if (auto built = dc.build_clusters(); !built) {
+    throw std::runtime_error(built.error().to_string());
+  }
+  dc.orchestrator().set_allocation_policy(AllocationPolicy::kPriorityDowngrade);
+  return dc;
+}
+
+/// One controller tick on a plane of a few hundred live chains with a
+/// history behind it. The argument is the history length in seconds: the
+/// demand horizon (flash onsets are drawn over all of it) and the prior
+/// control log (4 provision/teardown pairs per second, 16 log entries).
+/// A tick whose cost grows with either shows up as a gap between the rows.
 void BM_ElasticTick(benchmark::State& state) {
-  auto dc = make_elastic_dc(7);
-  (void)dc.provision_chain(make_spec(dc, 1, 4.0, PriorityClass::kLopri),
-                           core::PlacementAlgorithm::kGreedyOptical);
-  (void)dc.provision_chain(make_spec(dc, 2, 2.0, PriorityClass::kHipri),
-                           core::PlacementAlgorithm::kGreedyOptical);
+  const auto history_s = static_cast<std::size_t>(state.range(0));
+  auto dc = make_tick_dc();
+  const std::size_t slots = dc.topology().service_count();
   const orchestrator::GreedyOpticalPlacement placement;
-  elastic::ElasticController controller(dc.orchestrator(), placement,
-                                        make_elastic_params(7, ExecutionMode::kIncremental));
+  // History first, on the one slot kept free, so it stays cheap to build.
+  const auto churn_spec =
+      make_spec(dc, static_cast<std::uint32_t>(slots - 1), 2.0, PriorityClass::kLopri);
+  for (std::size_t i = 0; i < 4 * history_s; ++i) {
+    const auto id = dc.orchestrator().provision_chain(churn_spec, placement);
+    if (!id || !dc.orchestrator().teardown_chain(*id).is_ok()) {
+      state.SkipWithError("history churn failed");
+      return;
+    }
+  }
+  for (std::size_t slot = 0; slot + 1 < slots; ++slot) {
+    (void)dc.provision_chain(
+        make_spec(dc, static_cast<std::uint32_t>(slot), slot % 2 == 0 ? 2.0 : 4.0,
+                  slot % 3 == 0 ? PriorityClass::kHipri : PriorityClass::kLopri),
+        core::PlacementAlgorithm::kGreedyOptical);
+  }
+  auto params = make_elastic_params(7, ExecutionMode::kIncremental);
+  params.demand.horizon_s = static_cast<double>(history_s);
+  elastic::ElasticController controller(dc.orchestrator(), placement, params);
   double now_s = 0;
   for (auto _ : state) {
     controller.tick(now_s);
     now_s += 0.5;
   }
+  benchmark::DoNotOptimize(controller.stats());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["chains"] = static_cast<double>(dc.orchestrator().chain_count());
+  state.counters["log_events"] = static_cast<double>(dc.orchestrator().control_log().size());
 }
-BENCHMARK(BM_ElasticTick)->Unit(benchmark::kMicrosecond);
+// A fixed tick count: every run times the same 20 simulated seconds (the
+// early ticks act the most), so rows compare across runs and trees.
+BENCHMARK(BM_ElasticTick)->Arg(60)->Arg(1500)->Iterations(40)->Unit(benchmark::kMicrosecond);
 
 void BM_ElasticSoak(benchmark::State& state) {
   const auto mode = static_cast<ExecutionMode>(state.range(0));

@@ -268,8 +268,9 @@ leg_scale_soak() {
 
 # emit_bench_json <out.json> — runs the tracked benchmarks
 # (bench_route_cache, bench_fig4_al_construction, the mid-scale
-# bench_sharded_control_plane 1/2/4/8-shard cycles, and the
-# bench_overload_downgrade rebalance rows) and writes an
+# bench_sharded_control_plane 1/2/4/8-shard cycles, the
+# bench_overload_downgrade rebalance rows and the bench_elastic_scaling
+# tick rows at two history lengths) and writes an
 # alvc-bench-trajectory-v1 JSON: per benchmark name, the current cpu time
 # in microseconds next to a "before" baseline and the resulting speedup.
 # With ALVC_BENCH_SCALE=full, the million-VM sharded benchmark also runs
@@ -277,7 +278,7 @@ leg_scale_soak() {
 # topology build alone) and its rows are merged in; CI runs without the
 # env, so those rows show up as [gone] in the gate, which is non-fatal.
 # Baseline resolution, in order:
-#   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded,overload}.json — raw
+#   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded,overload,elastic}.json — raw
 #      google-benchmark JSON captured on the pre-change tree;
 #   2. the newest committed BENCH_PR<N>.json at the repo root, by PR
 #      number (bench_gate.newest_committed_baseline; its `before` values
@@ -289,7 +290,7 @@ emit_bench_json() {
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" --target \
     bench_route_cache bench_fig4_al_construction bench_sharded_control_plane \
-    bench_overload_downgrade
+    bench_overload_downgrade bench_elastic_scaling
   local tmpdir
   tmpdir="$(mktemp -d)"
   ./build/bench/bench_route_cache \
@@ -309,6 +310,11 @@ emit_bench_json() {
     --benchmark_min_time=0.05 \
     --benchmark_filter='^BM_Rebalance' \
     --benchmark_out="$tmpdir/overload.json" \
+    --benchmark_out_format=json
+  ./build/bench/bench_elastic_scaling \
+    --benchmark_min_time=0.05 \
+    --benchmark_filter='^BM_ElasticTick' \
+    --benchmark_out="$tmpdir/elastic.json" \
     --benchmark_out_format=json
   if [[ "${ALVC_BENCH_SCALE:-}" == "full" ]]; then
     echo "== bench json: million-VM sharded rows (Release build-scale) =="
@@ -338,7 +344,8 @@ def load_cpu_us(path):
 after = {"bench_route_cache": load_cpu_us(f"{tmpdir}/route_cache.json"),
          "bench_fig4_al_construction": load_cpu_us(f"{tmpdir}/fig4.json"),
          "bench_sharded_control_plane": load_cpu_us(f"{tmpdir}/sharded.json"),
-         "bench_overload_downgrade": load_cpu_us(f"{tmpdir}/overload.json")}
+         "bench_overload_downgrade": load_cpu_us(f"{tmpdir}/overload.json"),
+         "bench_elastic_scaling": load_cpu_us(f"{tmpdir}/elastic.json")}
 full_path = os.path.join(tmpdir, "sharded_full.json")
 if os.path.exists(full_path):
     after["bench_sharded_control_plane"].update(load_cpu_us(full_path))
@@ -348,7 +355,8 @@ if baseline_dir:
     for bench, raw in (("bench_route_cache", "route_cache.json"),
                        ("bench_fig4_al_construction", "fig4.json"),
                        ("bench_sharded_control_plane", "sharded.json"),
-                       ("bench_overload_downgrade", "overload.json")):
+                       ("bench_overload_downgrade", "overload.json"),
+                       ("bench_elastic_scaling", "elastic.json")):
         path = os.path.join(baseline_dir, raw)
         if os.path.exists(path):
             before[bench] = load_cpu_us(path)

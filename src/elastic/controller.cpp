@@ -1,6 +1,5 @@
 #include "elastic/controller.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "telemetry/telemetry.h"
@@ -50,15 +49,11 @@ void ElasticController::tick(double now_s) {
   scaling_.tick(now_s);
   migration_.tick(now_s);
 
-  // 4. Observe: SLO accounting and per-class gauges, in sorted id order.
-  std::vector<NfcId> ids;
-  for (const auto* chain : orch_->chains()) ids.push_back(chain->record.id);
-  std::sort(ids.begin(), ids.end());
+  // 4. Observe: SLO accounting and per-class gauges, in ascending id order
+  // (chains() is sorted).
   double demand_hipri = 0, demand_lopri = 0, granted_hipri = 0, granted_lopri = 0;
-  for (NfcId id : ids) {
-    const auto* chain = orch_->chain(id);
-    if (chain == nullptr) continue;
-    const double demand = demand_.demand_gbps(id, now_s);
+  for (const auto* chain : orch_->chains()) {
+    const double demand = demand_.demand_gbps(chain->record.id, now_s);
     const double served = chain->reserved_gbps * ScalingController::chain_scale(*orch_, *chain);
     ++stats_.chain_observations;
     if (demand > served + kEps) ++stats_.slo_violations;

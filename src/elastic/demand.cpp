@@ -1,6 +1,7 @@
 #include "elastic/demand.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/waveform.h"
 #include "util/rng.h"
@@ -35,6 +36,11 @@ void DemandModel::track(NfcId id, double base_gbps) {
 
 void DemandModel::forget(NfcId id) { series_.erase(id); }
 
+double DemandModel::flash_window_s() const noexcept {
+  const double hold = std::max(params_.flash_hold_s, 0.0);
+  return params_.flash_ramp_s > 0 ? 2.0 * params_.flash_ramp_s + hold : hold;
+}
+
 double DemandModel::demand_gbps(NfcId id, double now_s) const {
   const auto it = series_.find(id);
   if (it == series_.end()) return 0;
@@ -42,9 +48,19 @@ double DemandModel::demand_gbps(NfcId id, double now_s) const {
   double factor = 1.0;
   factor += params_.diurnal_amplitude *
             alvc::sim::diurnal_wave(now_s + s.phase_s, params_.diurnal_period_s);
-  for (double at : s.flash_times_s) {
+  // Only onsets in [now - window, now] can pulse at now_s; every onset
+  // outside contributes exactly +0.0, so visiting the ascending window in
+  // order sums the same terms in the same order as a full scan. The slack
+  // covers rounding in flash_pulse's arithmetic (an extra onset just adds
+  // another +0.0).
+  const auto& onsets = s.flash_times_s;
+  const double window = flash_window_s();
+  const double from = now_s - window - 1e-9 * (window + std::abs(now_s));
+  const auto first = std::lower_bound(onsets.begin(), onsets.end(), from);
+  const auto last = std::upper_bound(first, onsets.end(), now_s);
+  for (auto it = first; it != last; ++it) {
     factor += params_.flash_magnitude *
-              alvc::sim::flash_pulse(now_s, at, params_.flash_ramp_s, params_.flash_hold_s);
+              alvc::sim::flash_pulse(now_s, *it, params_.flash_ramp_s, params_.flash_hold_s);
   }
   if (params_.churn_amplitude > 0 && params_.churn_bucket_s > 0 && now_s >= 0) {
     const auto bucket = static_cast<std::uint64_t>(now_s / params_.churn_bucket_s);

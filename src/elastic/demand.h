@@ -51,7 +51,7 @@ struct DemandParams {
 struct ChainSeries {
   double base_gbps = 0;
   double phase_s = 0;                  // diurnal phase offset
-  std::vector<double> flash_times_s;   // Poisson flash-crowd onsets
+  std::vector<double> flash_times_s;   // Poisson flash-crowd onsets, ascending
 };
 
 class DemandModel {
@@ -70,7 +70,9 @@ class DemandModel {
   [[nodiscard]] std::size_t tracked_count() const noexcept { return series_.size(); }
 
   /// Instantaneous demand of a tracked chain at `now_s`, in Gbps;
-  /// 0 for untracked chains. Never negative.
+  /// 0 for untracked chains. Never negative. Visits only the flash onsets
+  /// whose pulse can be non-zero at `now_s` (a binary search over the
+  /// ascending onsets), so the cost does not grow with the horizon.
   [[nodiscard]] double demand_gbps(NfcId id, double now_s) const;
 
   [[nodiscard]] const DemandParams& params() const noexcept { return params_; }
@@ -80,6 +82,9 @@ class DemandModel {
 
  private:
   [[nodiscard]] std::uint64_t chain_seed(NfcId id) const noexcept;
+  /// How long after its onset a flash pulse can be non-zero:
+  /// 2 * ramp + hold, or hold when the edges are vertical (ramp <= 0).
+  [[nodiscard]] double flash_window_s() const noexcept;
 
   DemandParams params_;
   std::map<NfcId, ChainSeries> series_;

@@ -1,6 +1,5 @@
 #include "elastic/ledger.h"
 
-#include "orchestrator/oeo.h"
 #include "orchestrator/orchestrator.h"
 #include "telemetry/telemetry.h"
 
@@ -22,10 +21,7 @@ CostSnapshot UpdateCostLedger::snapshot(const alvc::orchestrator::NetworkOrchest
                       orch.control_log().count(sdn::ControlEventType::kSliceReleased);
   snap.rules_installed = orch.controller().stats().rules_installed;
   snap.rules_removed = orch.controller().stats().rules_removed;
-  for (const auto* chain : orch.chains()) {
-    snap.mid_chain_conversions +=
-        alvc::orchestrator::count_conversions(chain->placement.hosts).mid_chain;
-  }
+  snap.mid_chain_conversions = orch.mid_chain_conversions();
   return snap;
 }
 

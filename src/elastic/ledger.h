@@ -11,7 +11,8 @@
 //   * AL updates      = instance deploys + terminates + slice churn — the
 //                       per-AL state writes a migration/scale forces;
 //   * flow-rule churn = SDN rules installed + removed;
-//   * O/E/O changes   = |delta| of mid-chain conversions over all chains.
+//   * O/E/O changes   = |delta| of mid-chain conversions over all chains
+//                       (the orchestrator's fabric-wide running total).
 // A modelled reconfiguration latency (weighted sum) feeds the bench's
 // latency histogram; only the weights' ratios matter.
 #pragma once
@@ -78,8 +79,9 @@ class UpdateCostLedger {
  public:
   explicit UpdateCostLedger(const CostModel& model = {}) : model_(model) {}
 
-  /// Reads the orchestrator's cumulative counters (cheap: O(chains) for
-  /// the conversion sum).
+  /// Reads the orchestrator's cumulative counters. O(1): the log keeps a
+  /// count per event type and the orchestrator a running conversion total,
+  /// so an action's cost does not grow with the chain count or run length.
   [[nodiscard]] static CostSnapshot snapshot(const alvc::orchestrator::NetworkOrchestrator& orch);
 
   /// Charges the delta since `before` to `kind`, records it, and returns

@@ -87,9 +87,8 @@ std::optional<HostRef> MigrationPlanner::pick_target(const ProvisionedChain& cha
 }
 
 std::size_t MigrationPlanner::tick(double now_s) {
-  std::vector<NfcId> ids;
+  std::vector<NfcId> ids;  // ascending: chains() is sorted
   for (const auto* chain : orch_->chains()) ids.push_back(chain->record.id);
-  std::sort(ids.begin(), ids.end());
 
   std::size_t moves = 0;
   for (NfcId id : ids) {

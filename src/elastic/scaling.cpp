@@ -40,11 +40,10 @@ bool ScalingController::hipri_impaired() const {
 
 std::size_t ScalingController::tick(double now_s) {
   // Snapshot ids first: scale_function never erases chains, but iterating
-  // a sorted id list keeps the pass order deterministic regardless of the
-  // orchestrator's hash-map layout.
+  // a sorted id list (chains() is sorted) keeps the pass order
+  // deterministic regardless of the orchestrator's hash-map layout.
   std::vector<NfcId> ids;
   for (const auto* chain : orch_->chains()) ids.push_back(chain->record.id);
-  std::sort(ids.begin(), ids.end());
 
   const bool impaired = policy_.protect_hipri && hipri_impaired();
   std::size_t applied = 0;

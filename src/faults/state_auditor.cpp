@@ -67,6 +67,28 @@ void audit_chain(const DataCenterTopology& topo, const ProvisionedChain& chain,
     }
   }
 
+  // Placement counts: the cached domain and conversion counts must be
+  // what finalize_placement derives from the hosts. A forwarding graph's
+  // conversion count comes from its DAG route, so only its domain counts
+  // are checked.
+  alvc::orchestrator::PlacementResult derived{.hosts = chain.placement.hosts};
+  alvc::orchestrator::finalize_placement(derived);
+  const bool conversions_match =
+      chain.graph.has_value() ||
+      (derived.conversions.mid_chain == chain.placement.conversions.mid_chain &&
+       derived.conversions.endpoint == chain.placement.conversions.endpoint);
+  if (!conversions_match || derived.optical_count != chain.placement.optical_count ||
+      derived.electronic_count != chain.placement.electronic_count) {
+    out.push_back(chain_tag(chain) + ": cached placement counts are stale (" +
+                  std::to_string(chain.placement.optical_count) + " optical, " +
+                  std::to_string(chain.placement.electronic_count) + " electronic, " +
+                  std::to_string(chain.placement.conversions.mid_chain) +
+                  " mid-chain conversions; the hosts give " +
+                  std::to_string(derived.optical_count) + ", " +
+                  std::to_string(derived.electronic_count) + ", " +
+                  std::to_string(derived.conversions.mid_chain) + ")");
+  }
+
   // Chain state: healthy means full bandwidth and a full set of live
   // instances; degraded means a recorded reason.
   const double demanded = chain.record.spec.bandwidth_gbps;
@@ -123,9 +145,19 @@ std::vector<std::string> StateAuditor::audit(
   for (const std::string& v : orch.check_isolation()) out.push_back("isolation: " + v);
 
   std::unordered_set<std::uint32_t> live_chains;
+  std::size_t mid_chain_conversions = 0;
   for (const ProvisionedChain* chain : orch.chains()) {
     live_chains.insert(chain->record.id.value());
     audit_chain(topo, *chain, clusters.find(chain->cluster), out);
+    mid_chain_conversions +=
+        alvc::orchestrator::count_conversions(chain->placement.hosts).mid_chain;
+  }
+  // The orchestrator's running conversion total (what the elastic ledger
+  // reads) must equal the recount over live chains.
+  if (orch.mid_chain_conversions() != mid_chain_conversions) {
+    out.push_back("orchestrator: running mid-chain conversion total " +
+                  std::to_string(orch.mid_chain_conversions()) + " != recount " +
+                  std::to_string(mid_chain_conversions));
   }
 
   // Flow tables: every rule belongs to a live chain and forwards over a

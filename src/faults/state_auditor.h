@@ -29,6 +29,10 @@ class StateAuditor {
   ///   * placement — every live VNF instance sits on usable hardware
   ///     inside its chain's slice (an OPS host in the AL, a server under
   ///     one of the AL's ToRs);
+  ///   * placement counts — each chain's cached optical/electronic and
+  ///     conversion counts equal finalize_placement(hosts) (a forwarding
+  ///     graph's DAG conversion count excepted), and the orchestrator's
+  ///     running mid-chain conversion total equals the recount;
   ///   * chain state — healthy chains hold exactly their demanded
   ///     bandwidth with all instances live; degraded chains carry a reason;
   ///   * routes — every route vertex is usable, every hop is a live edge

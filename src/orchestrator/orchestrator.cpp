@@ -91,6 +91,14 @@ std::vector<Status> NetworkOrchestrator::preadmit_chains(
   return results;
 }
 
+template <typename Edit>
+void NetworkOrchestrator::edit_hosts(ProvisionedChain& chain, Edit&& edit) {
+  mid_chain_conversions_ -= count_conversions(chain.placement.hosts).mid_chain;
+  edit(chain.placement.hosts);
+  finalize_placement(chain.placement);
+  mid_chain_conversions_ += chain.placement.conversions.mid_chain;
+}
+
 template <typename RouteStep>
 Expected<NfcId> NetworkOrchestrator::provision(const alvc::nfv::NfcSpec& spec,
                                                const PlacementStrategy& placement,
@@ -179,9 +187,13 @@ Expected<NfcId> NetworkOrchestrator::provision(const alvc::nfv::NfcSpec& spec,
                          .cluster = vc->id,
                          .slice = *slice,
                          .instances = std::move(instances),
-                         .placement = std::move(*placed),
                          .flow_rules = controller_.chain_rule_count(id)};
   auto [chain_it, inserted] = chains_.emplace(id, std::move(chain));
+  edit_hosts(chain_it->second,
+             [&](std::vector<HostRef>& hosts) { hosts = std::move(placed->hosts); });
+  // The route step's conversion count stands: a forwarding graph's comes
+  // from its DAG route, not from the linear host order.
+  chain_it->second.placement.conversions = placed->conversions;
   set_allocation(chain_it->second, std::move(*route), granted_gbps);
   agent_->register_chain(id, vc->id);
   log_.append(sdn::ControlEventType::kSliceAllocated, slice->value());
@@ -265,6 +277,8 @@ Status NetworkOrchestrator::teardown_chain(NfcId id) {
   // for the epoch to catch the mismatch.
   route_cache_for(it->second.cluster).invalidate_slice(it->second.cluster);
   agent_->unregister_chain(id, it->second.cluster);
+  // Drops the chain's conversions from the running total.
+  edit_hosts(it->second, [](std::vector<HostRef>& hosts) { hosts.clear(); });
   chains_.erase(it);
   log_.append(sdn::ControlEventType::kSliceReleased, id.value());
   log_.append(sdn::ControlEventType::kChainTornDown, id.value());
@@ -346,8 +360,7 @@ Status NetworkOrchestrator::migrate_function(NfcId id, std::size_t function_inde
   auto fresh = cloud_.deploy(chain.record.spec.functions[function_index], target);
   if (!fresh) return fresh.error();  // capacity raced away; old instance already gone
   chain.instances[function_index] = *fresh;
-  chain.placement.hosts[function_index] = target;
-  finalize_placement(chain.placement);
+  edit_hosts(chain, [&](std::vector<HostRef>& current) { current[function_index] = target; });
   controller_.remove_chain(id);
   for (const auto& leg : route->legs) {
     if (auto status = controller_.install_path(id, leg); !status.is_ok()) return status;
@@ -519,11 +532,13 @@ double NetworkOrchestrator::fit_chain(ProvisionedChain& chain) {
     auto fresh = cloud_.deploy(chain.record.spec.functions[i], *target);
     if (!fresh) return give_up();
     chain.instances[i] = *fresh;
-    chain.placement.hosts[i] = *target;
+    edit_hosts(chain, [&](std::vector<HostRef>& hosts) { hosts[i] = *target; });
     log_.append(sdn::ControlEventType::kVnfRelocated, id.value(),
                 "failure relocation of function " + std::to_string(i));
     ++stats_.vnfs_relocated;
   }
+  // The refit routes the chain linearly, so the linear conversion count
+  // replaces a forwarding graph's DAG count even when nothing moved.
   finalize_placement(chain.placement);
 
   auto route = route_linear(*vc, chain.placement.hosts, chain.record.spec.priority);

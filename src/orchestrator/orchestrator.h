@@ -239,8 +239,15 @@ class NetworkOrchestrator {
   [[nodiscard]] std::size_t retry_queue_size() const noexcept;
 
   [[nodiscard]] const ProvisionedChain* chain(NfcId id) const;
+  /// Every live chain, sorted by ascending id.
   [[nodiscard]] std::vector<const ProvisionedChain*> chains() const;
   [[nodiscard]] std::size_t chain_count() const noexcept { return chains_.size(); }
+  /// Mid-chain O/E/O conversions summed over every live chain, i.e. the sum
+  /// of count_conversions(placement.hosts).mid_chain. A running total, so
+  /// reading it is O(1).
+  [[nodiscard]] std::size_t mid_chain_conversions() const noexcept {
+    return mid_chain_conversions_;
+  }
 
   [[nodiscard]] const OrchestratorStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const SliceManager& slices() const noexcept { return slices_; }
@@ -308,6 +315,14 @@ class NetworkOrchestrator {
   /// rebalance. Every path that reroutes, reserves, parks or deletes a
   /// chain goes through here.
   void set_allocation(ProvisionedChain& chain, ChainRoute route, double reserved_gbps);
+  /// The one writer of a chain's placement hosts: applies `edit` to them
+  /// in place, then refreshes the derived counts (finalize_placement) and
+  /// keeps mid_chain_conversions_ in step. Provision fills a new chain's
+  /// hosts here, teardown clears them here before erasing the chain, and
+  /// every relocation (migrate_function, fit_chain) writes through here,
+  /// so no path can leave the cached counts stale.
+  template <typename Edit>
+  void edit_hosts(ProvisionedChain& chain, Edit&& edit);
   /// Resets the allocation index and, under a QoS policy, marks every
   /// routed chain dirty.
   void rebuild_allocation_index();
@@ -370,6 +385,9 @@ class NetworkOrchestrator {
   AllocationIndex alloc_index_;
   ChainRouter router_;
   std::unordered_map<NfcId, ProvisionedChain> chains_;
+  /// Running sum of count_conversions(hosts).mid_chain over chains_; kept
+  /// by edit_hosts.
+  std::size_t mid_chain_conversions_ = 0;
   sdn::ControlPlaneLog log_;
   OrchestratorStats stats_;
   /// Builder used for AL repairs after ToR failures and on recoveries.

@@ -5,6 +5,7 @@ namespace alvc::sdn {
 void ControlPlaneLog::append(ControlEventType type, std::uint32_t subject, std::string detail) {
   events_.push_back(
       ControlEvent{next_sequence_++, type, subject, std::move(detail)});
+  ++counts_[static_cast<std::size_t>(type)];
 }
 
 std::vector<ControlEvent> ControlPlaneLog::by_type(ControlEventType type) const {
@@ -16,11 +17,7 @@ std::vector<ControlEvent> ControlPlaneLog::by_type(ControlEventType type) const 
 }
 
 std::size_t ControlPlaneLog::count(ControlEventType type) const noexcept {
-  std::size_t n = 0;
-  for (const auto& e : events_) {
-    if (e.type == type) ++n;
-  }
-  return n;
+  return counts_[static_cast<std::size_t>(type)];
 }
 
 bool ControlPlaneLog::is_ordered() const noexcept {

@@ -6,6 +6,7 @@
 // what the FIG6 bench inspects for ordering integrity.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -34,8 +35,11 @@ enum class ControlEventType : std::uint8_t {
   kServerRecovered,
   kLinkRecovered,
   kChainDegraded,
-  kChainRestored,
+  kChainRestored,  // keep last: kControlEventTypeCount counts up to it
 };
+/// Number of event types; ControlPlaneLog keeps one running count each.
+inline constexpr std::size_t kControlEventTypeCount =
+    static_cast<std::size_t>(ControlEventType::kChainRestored) + 1;
 
 [[nodiscard]] constexpr std::string_view to_string(ControlEventType type) noexcept {
   switch (type) {
@@ -80,15 +84,20 @@ class ControlPlaneLog {
 
   /// Events of one type, in order.
   [[nodiscard]] std::vector<ControlEvent> by_type(ControlEventType type) const;
-  /// Count of events of one type.
+  /// Count of events of one type; O(1) (a running count per type, kept by
+  /// append and reset by clear).
   [[nodiscard]] std::size_t count(ControlEventType type) const noexcept;
   /// True when sequence numbers strictly increase (they always should).
   [[nodiscard]] bool is_ordered() const noexcept;
 
-  void clear() noexcept { events_.clear(); }
+  void clear() noexcept {
+    events_.clear();
+    counts_.fill(0);
+  }
 
  private:
   std::vector<ControlEvent> events_;
+  std::array<std::size_t, kControlEventTypeCount> counts_{};
   std::uint64_t next_sequence_ = 0;
 };
 

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "elastic/demand.h"
@@ -111,6 +114,93 @@ TEST(DemandModelTest, ChurnNoiseIsBoundedAndZeroMeanish) {
     ++n;
   }
   EXPECT_NEAR(sum / static_cast<double>(n), 10.0, 0.5);
+}
+
+// ---- windowed flash lookup == full scan ----------------------------------
+
+/// Reference for demand_gbps: the same terms in the same order, but summing
+/// the pulse of every flash onset of the series, as the model did before
+/// it looked up only the onsets near `now_s`. The churn substream seed is
+/// the model's (seed, chain id) scramble. Sets `pulsing` when some flash
+/// term is non-zero.
+double full_scan_demand_gbps(const DemandParams& p, NfcId id, const ChainSeries& s, double now_s,
+                             bool& pulsing) {
+  double factor = 1.0;
+  factor += p.diurnal_amplitude * alvc::sim::diurnal_wave(now_s + s.phase_s, p.diurnal_period_s);
+  pulsing = false;
+  for (double at : s.flash_times_s) {
+    const double pulse = alvc::sim::flash_pulse(now_s, at, p.flash_ramp_s, p.flash_hold_s);
+    pulsing = pulsing || pulse != 0.0;
+    factor += p.flash_magnitude * pulse;
+  }
+  if (p.churn_amplitude > 0 && p.churn_bucket_s > 0 && now_s >= 0) {
+    std::uint64_t seed = p.seed;
+    seed ^= 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(id.value()) + 1);
+    seed ^= seed >> 31;
+    const auto bucket = static_cast<std::uint64_t>(now_s / p.churn_bucket_s);
+    factor += p.churn_amplitude * (2.0 * alvc::sim::hash_noise(seed, bucket) - 1.0);
+  }
+  return std::max(0.0, s.base_gbps * factor);
+}
+
+TEST(DemandModelTest, WindowedFlashLookupEqualsTheFullScanBitForBit) {
+  struct Shape {
+    double ramp_s, hold_s, rate_per_s;
+  };
+  // Default pulses, overlapping pulses, vertical edges, no hold, both.
+  constexpr Shape kShapes[] = {{0.5, 3.0, 0.05}, {0.5, 3.0, 1.5}, {0.0, 3.0, 0.4},
+                               {0.5, 0.0, 0.4},  {0.0, 0.0, 0.4}, {0.25, 0.1, 4.0}};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::size_t compared = 0, edges = 0, pulsing = 0, past_horizon = 0;
+  for (const std::uint64_t seed : {1u, 2u, 5u, 42u}) {
+    for (const double horizon_s : {10.0, 60.0, 1500.0}) {
+      for (const Shape& shape : kShapes) {
+        // The reference costs O(onsets) per time and each onset adds 12
+        // edge times, so keep the onset count per chain in the hundreds.
+        if (shape.rate_per_s * horizon_s > 800) continue;
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " horizon " << horizon_s
+                                          << " ramp " << shape.ramp_s << " hold "
+                                          << shape.hold_s << " rate " << shape.rate_per_s);
+        DemandParams params;
+        params.seed = seed;
+        params.horizon_s = horizon_s;
+        params.flash_ramp_s = shape.ramp_s;
+        params.flash_hold_s = shape.hold_s;
+        params.flash_rate_per_s = shape.rate_per_s;
+        DemandModel model{params};
+        for (std::uint32_t id = 0; id < 4; ++id) model.track(NfcId{id}, 1.0 + id);
+        for (const auto& [id, series] : model.series()) {
+          std::vector<double> times;
+          for (const double at : series.flash_times_s) {
+            const double ramp = shape.ramp_s, hold = shape.hold_s;
+            for (const double edge : {at, at + ramp, at + ramp + hold, at + 2 * ramp + hold}) {
+              times.insert(times.end(),
+                           {std::nextafter(edge, -kInf), edge, std::nextafter(edge, kInf)});
+            }
+          }
+          edges += times.size();
+          for (double t = -1.0; t < horizon_s + 10; t += horizon_s / 97) times.push_back(t);
+          times.insert(times.end(), {horizon_s, horizon_s + 5, 2 * horizon_s});
+          for (const double t : times) {
+            bool pulse = false;
+            const double want = full_scan_demand_gbps(params, id, series, t, pulse);
+            const double got = model.demand_gbps(id, t);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+                << "chain " << id.value() << " t=" << t << ": " << got << " vs " << want;
+            ++compared;
+            pulsing += pulse ? 1 : 0;
+            past_horizon += t > horizon_s ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  // Non-vacuous: pulse edges, live pulses and times past the horizon were
+  // all compared.
+  EXPECT_GT(edges, 10000u);
+  EXPECT_GT(pulsing, 10000u);
+  EXPECT_GT(past_horizon, 100u);
+  EXPECT_GT(compared, edges);
 }
 
 // ---- shared-waveform contract with OverloadInjector ----------------------

@@ -16,6 +16,7 @@ using alvc::nfv::NfcSpec;
 using alvc::nfv::VnfType;
 using alvc::test::ClusterFixture;
 using alvc::util::OpsId;
+using alvc::util::ServerId;
 using alvc::util::ServiceId;
 
 struct FailureFixture : ClusterFixture {
@@ -143,6 +144,53 @@ TEST(OrchestratorFailureTest, CascadingFailuresDegradeInsteadOfTearingDown) {
   EXPECT_EQ(f.orch.stats().chains_torn_down, 0u);
   EXPECT_EQ(f.orch.stats().chains_lost, 0u);
   EXPECT_EQ(f.orch.slices().slice_count(), 1u);
+}
+
+TEST(OrchestratorFailureTest, FailedRelocationLeavesNoStalePlacementCounts) {
+  FailureFixture f;
+  // Firewall (light, optically hostable) + DPI (8 cores: servers only).
+  const auto id = f.provision({VnfType::kFirewall, VnfType::kDeepPacketInspection});
+  const HostRef dpi_host = f.orch.chain(id)->placement.hosts[1];
+  const auto* server = std::get_if<ServerId>(&dpi_host);
+  ASSERT_NE(server, nullptr) << "a DPI cannot fit an optoelectronic router";
+  // Put both functions on the DPI's server, then fill every other server so
+  // the DPI has nowhere else to go. The routers stay free for the firewall.
+  ASSERT_TRUE(f.orch.migrate_function(id, 0, dpi_host).is_ok());
+  std::vector<std::pair<HostRef, alvc::topology::Resources>> fillers;
+  for (std::size_t s = 0; s < f.topo.server_count(); ++s) {
+    const ServerId other{static_cast<ServerId::value_type>(s)};
+    if (other == *server) continue;
+    const HostRef host{other};
+    const auto& cap = f.topo.server(other).capacity;
+    const auto used = f.orch.cloud().pool().reserved_on(host);
+    const alvc::topology::Resources rest{.cpu_cores = cap.cpu_cores - used.cpu_cores,
+                                         .memory_gb = cap.memory_gb - used.memory_gb,
+                                         .storage_gb = cap.storage_gb - used.storage_gb};
+    ASSERT_TRUE(f.orch.cloud().pool().reserve(host, rest).is_ok());
+    fillers.emplace_back(host, rest);
+  }
+
+  // Failing the server strands both: the refit relocates function 0 to a
+  // router, then finds no host for function 1 and gives up. The cached
+  // counts must describe the hosts the chain now holds.
+  ASSERT_TRUE(f.orch.handle_server_failure(*server).has_value());
+  const auto* chain = f.orch.chain(id);
+  ASSERT_NE(chain, nullptr);
+  EXPECT_TRUE(chain->degraded);
+  ASSERT_TRUE(std::holds_alternative<OpsId>(chain->placement.hosts[0]))
+      << "function 0 should have been relocated to a router";
+  EXPECT_FALSE(chain->instances[1].valid()) << "function 1 should have found no host";
+  PlacementResult derived{.hosts = chain->placement.hosts};
+  finalize_placement(derived);
+  EXPECT_EQ(chain->placement.optical_count, derived.optical_count);
+  EXPECT_EQ(chain->placement.electronic_count, derived.electronic_count);
+  EXPECT_EQ(chain->placement.conversions.mid_chain, derived.conversions.mid_chain);
+  EXPECT_EQ(f.orch.mid_chain_conversions(), derived.conversions.mid_chain);
+  // The fillers belong to no instance; drop them so the pool balances.
+  for (const auto& [host, rest] : fillers) f.orch.cloud().pool().release(host, rest);
+  for (const std::string& violation : faults::StateAuditor::audit(f.orch)) {
+    ADD_FAILURE() << violation;
+  }
 }
 
 }  // namespace

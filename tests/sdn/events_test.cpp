@@ -23,8 +23,31 @@ TEST(ControlPlaneLogTest, AppendAndQuery) {
   EXPECT_EQ(provisioned[0].detail, "alpha");
   EXPECT_EQ(provisioned[1].subject, 2u);
   EXPECT_TRUE(log.is_ordered());
+
+  // count() is a running per-type counter; it must agree with a scan of
+  // the log for every type, after a mixed sequence and across clear().
+  const auto expect_counts_match_scan = [&log] {
+    for (std::size_t t = 0; t < kControlEventTypeCount; ++t) {
+      const auto type = static_cast<ControlEventType>(t);
+      EXPECT_EQ(log.count(type), log.by_type(type).size()) << to_string(type);
+    }
+  };
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    log.append(static_cast<ControlEventType>((i * 7) % kControlEventTypeCount), i);
+  }
+  expect_counts_match_scan();
+  EXPECT_GT(log.count(ControlEventType::kChainRestored), 0u);
   log.clear();
   EXPECT_TRUE(log.empty());
+  expect_counts_match_scan();
+  log.append(ControlEventType::kSliceAllocated, 7);
+  log.append(ControlEventType::kSliceReleased, 7);
+  log.append(ControlEventType::kSliceAllocated, 8);
+  expect_counts_match_scan();
+  EXPECT_EQ(log.count(ControlEventType::kSliceAllocated), 2u);
+  EXPECT_EQ(log.count(ControlEventType::kSliceReleased), 1u);
+  EXPECT_EQ(log.count(ControlEventType::kChainProvisioned), 0u);
+  EXPECT_TRUE(log.is_ordered());
 }
 
 TEST(ControlPlaneLogTest, EventTypeNames) {
