@@ -11,6 +11,7 @@
 // topology construction throughput at increasing scale.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <iostream>
 
 #include "core/alvc.h"
@@ -146,6 +147,24 @@ void BM_SwitchGraphRebuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SwitchGraphRebuild)->Arg(16)->Arg(128)->Unit(benchmark::kMicrosecond);
+
+void BM_SwitchGraphLinkFlip(benchmark::State& state) {
+  // One ToR-OPS cable cut and repaired, then the graph read the next
+  // routing call makes: what a flapping link costs the topology layer.
+  auto params = base_params(topology::CoreKind::kTorus2D);
+  params.rack_count = static_cast<std::size_t>(state.range(0));
+  params.ops_count = std::max<std::size_t>(16, params.rack_count / 2);
+  auto topo = topology::build_topology(params);
+  const util::TorId tor{0};
+  const util::OpsId ops = topo.tor(tor).uplinks.front();
+  benchmark::DoNotOptimize(topo.switch_graph());
+  for (auto _ : state) {
+    ALVC_IGNORE_STATUS(topo.set_link_failed(tor, ops, true), "the link exists by construction");
+    ALVC_IGNORE_STATUS(topo.set_link_failed(tor, ops, false), "the link exists by construction");
+    benchmark::DoNotOptimize(topo.switch_graph());
+  }
+}
+BENCHMARK(BM_SwitchGraphLinkFlip)->Arg(16)->Arg(128)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 void BM_ValidateTopology(benchmark::State& state) {
   auto params = base_params(topology::CoreKind::kRing);

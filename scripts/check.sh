@@ -141,7 +141,8 @@ leg_asan() {
     faults_chaos_soak_test orchestrator_route_cache_test \
     orchestrator_route_cache_differential_test orchestrator_csr_chaos_differential_test \
     faults_overload_soak_test orchestrator_strict_ladder_differential_test \
-    elastic_scaling_test elastic_migration_test elastic_elastic_soak_test
+    elastic_scaling_test elastic_migration_test elastic_elastic_soak_test \
+    topology_switch_graph_incremental_differential_test
 
   echo "== ctest -L failures (under ASan) =="
   ctest --test-dir build-asan --output-on-failure -j "$jobs" -L failures
@@ -269,8 +270,9 @@ leg_scale_soak() {
 # emit_bench_json <out.json> — runs the tracked benchmarks
 # (bench_route_cache, bench_fig4_al_construction, the mid-scale
 # bench_sharded_control_plane 1/2/4/8-shard cycles, the
-# bench_overload_downgrade rebalance rows and the bench_elastic_scaling
-# tick rows at two history lengths) and writes an
+# bench_overload_downgrade rebalance rows, the bench_elastic_scaling
+# tick rows at two history lengths and the bench_fig2_topology switch-graph
+# link-flip rows) and writes an
 # alvc-bench-trajectory-v1 JSON: per benchmark name, the current cpu time
 # in microseconds next to a "before" baseline and the resulting speedup.
 # With ALVC_BENCH_SCALE=full, the million-VM sharded benchmark also runs
@@ -278,7 +280,7 @@ leg_scale_soak() {
 # topology build alone) and its rows are merged in; CI runs without the
 # env, so those rows show up as [gone] in the gate, which is non-fatal.
 # Baseline resolution, in order:
-#   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded,overload,elastic}.json — raw
+#   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded,overload,elastic,fig2}.json — raw
 #      google-benchmark JSON captured on the pre-change tree;
 #   2. the newest committed BENCH_PR<N>.json at the repo root, by PR
 #      number (bench_gate.newest_committed_baseline; its `before` values
@@ -290,7 +292,7 @@ emit_bench_json() {
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" --target \
     bench_route_cache bench_fig4_al_construction bench_sharded_control_plane \
-    bench_overload_downgrade bench_elastic_scaling
+    bench_overload_downgrade bench_elastic_scaling bench_fig2_topology
   local tmpdir
   tmpdir="$(mktemp -d)"
   ./build/bench/bench_route_cache \
@@ -315,6 +317,11 @@ emit_bench_json() {
     --benchmark_min_time=0.05 \
     --benchmark_filter='^BM_ElasticTick' \
     --benchmark_out="$tmpdir/elastic.json" \
+    --benchmark_out_format=json
+  ./build/bench/bench_fig2_topology \
+    --benchmark_min_time=0.05 \
+    --benchmark_filter='^BM_SwitchGraphLinkFlip' \
+    --benchmark_out="$tmpdir/fig2.json" \
     --benchmark_out_format=json
   if [[ "${ALVC_BENCH_SCALE:-}" == "full" ]]; then
     echo "== bench json: million-VM sharded rows (Release build-scale) =="
@@ -345,7 +352,8 @@ after = {"bench_route_cache": load_cpu_us(f"{tmpdir}/route_cache.json"),
          "bench_fig4_al_construction": load_cpu_us(f"{tmpdir}/fig4.json"),
          "bench_sharded_control_plane": load_cpu_us(f"{tmpdir}/sharded.json"),
          "bench_overload_downgrade": load_cpu_us(f"{tmpdir}/overload.json"),
-         "bench_elastic_scaling": load_cpu_us(f"{tmpdir}/elastic.json")}
+         "bench_elastic_scaling": load_cpu_us(f"{tmpdir}/elastic.json"),
+         "bench_fig2_topology": load_cpu_us(f"{tmpdir}/fig2.json")}
 full_path = os.path.join(tmpdir, "sharded_full.json")
 if os.path.exists(full_path):
     after["bench_sharded_control_plane"].update(load_cpu_us(full_path))
@@ -356,7 +364,8 @@ if baseline_dir:
                        ("bench_fig4_al_construction", "fig4.json"),
                        ("bench_sharded_control_plane", "sharded.json"),
                        ("bench_overload_downgrade", "overload.json"),
-                       ("bench_elastic_scaling", "elastic.json")):
+                       ("bench_elastic_scaling", "elastic.json"),
+                       ("bench_fig2_topology", "fig2.json")):
         path = os.path.join(baseline_dir, raw)
         if os.path.exists(path):
             before[bench] = load_cpu_us(path)

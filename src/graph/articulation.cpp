@@ -101,8 +101,10 @@ std::vector<std::size_t> articulation_points_in_subgraph(const Graph& g,
     }
   }
   Graph sub(reverse.size());
-  for (const Edge& e : g.edges()) {
-    if (index.contains(e.from) && index.contains(e.to)) {
+  const auto edges = g.edges();
+  for (std::size_t id = 0; id < edges.size(); ++id) {
+    const Edge& e = edges[id];
+    if (index.contains(e.from) && index.contains(e.to) && g.edge_live(id)) {
       sub.add_edge(index.get(e.from), index.get(e.to));
     }
   }

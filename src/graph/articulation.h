@@ -18,8 +18,8 @@ namespace alvc::graph {
 /// are tolerated.
 [[nodiscard]] std::vector<std::size_t> articulation_points(const Graph& g);
 
-/// Articulation points of the subgraph induced by `members` (indices into
-/// g's vertex set), reported as vertex ids of g, ascending.
+/// Articulation points of the subgraph `members` (indices into g's vertex
+/// set) induce over g's live edges, reported as vertex ids of g, ascending.
 [[nodiscard]] std::vector<std::size_t> articulation_points_in_subgraph(
     const Graph& g, std::span<const std::size_t> members);
 

@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -33,30 +34,42 @@ TraversalScratch& thread_scratch() {
 }
 
 Graph::Graph(const Graph& other)
-    : kind_(other.kind_), vertex_count_(other.vertex_count_), edges_(other.edges_) {}
+    : kind_(other.kind_),
+      vertex_count_(other.vertex_count_),
+      edges_(other.edges_),
+      edge_live_(other.edge_live_),
+      live_edge_count_(other.live_edge_count_) {}
 
 Graph& Graph::operator=(const Graph& other) {
   if (this == &other) return *this;
   kind_ = other.kind_;
   vertex_count_ = other.vertex_count_;
   edges_ = other.edges_;
+  edge_live_ = other.edge_live_;
+  live_edge_count_ = other.live_edge_count_;
   ++epoch_;  // cold cache: the old CSR arrays describe the old edge list
   return *this;
 }
 
 Graph::Graph(Graph&& other) noexcept
-    : kind_(other.kind_), vertex_count_(other.vertex_count_), edges_(std::move(other.edges_)) {
+    : kind_(other.kind_),
+      vertex_count_(other.vertex_count_),
+      edges_(std::move(other.edges_)),
+      edge_live_(std::move(other.edge_live_)),
+      live_edge_count_(other.live_edge_count_) {
   // Move transfers a warm cache (no readers may race a move by contract).
   ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
   const std::lock_guard<std::mutex> lock(other.csr_mutex_);
   csr_offsets_ = std::move(other.csr_offsets_);
   csr_adjacency_ = std::move(other.csr_adjacency_);
+  csr_live_end_ = std::move(other.csr_live_end_);
   if (other.csr_built_epoch_.load(std::memory_order_relaxed) == other.epoch_) {
     epoch_ = other.epoch_;
     csr_built_epoch_.store(epoch_, std::memory_order_release);
   }
   other.csr_built_epoch_.store(0, std::memory_order_relaxed);
   other.vertex_count_ = 0;
+  other.live_edge_count_ = 0;
   ++other.epoch_;
 }
 
@@ -65,12 +78,15 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   kind_ = other.kind_;
   vertex_count_ = other.vertex_count_;
   edges_ = std::move(other.edges_);
+  edge_live_ = std::move(other.edge_live_);
+  live_edge_count_ = other.live_edge_count_;
   {
     // One rank scope for the pair: scoped_lock acquires both atomically.
     ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
     std::scoped_lock lock(csr_mutex_, other.csr_mutex_);
     csr_offsets_ = std::move(other.csr_offsets_);
     csr_adjacency_ = std::move(other.csr_adjacency_);
+    csr_live_end_ = std::move(other.csr_live_end_);
   }
   if (other.csr_built_epoch_.load(std::memory_order_relaxed) == other.epoch_) {
     epoch_ = other.epoch_;
@@ -81,6 +97,7 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   }
   other.csr_built_epoch_.store(0, std::memory_order_relaxed);
   other.vertex_count_ = 0;
+  other.live_edge_count_ = 0;
   ++other.epoch_;
   return *this;
 }
@@ -95,8 +112,52 @@ std::size_t Graph::add_edge(std::size_t from, std::size_t to, double weight) {
   check_vertex(to);
   const std::size_t e = edges_.size();
   edges_.push_back(Edge{from, to, weight});
+  edge_live_.push_back(1);
+  ++live_edge_count_;
   ++epoch_;
   return e;
+}
+
+void Graph::set_edge_live(std::size_t e, bool live) {
+  if (e >= edges_.size()) throw std::out_of_range("Graph edge out of range");
+  if ((edge_live_[e] != 0) == live) return;
+  edge_live_[e] = live ? 1 : 0;
+  if (live) {
+    ++live_edge_count_;
+  } else {
+    --live_edge_count_;
+  }
+  const bool warm = csr_built_epoch_.load(std::memory_order_relaxed) == epoch_;
+  ++epoch_;
+  if (!warm) return;  // the next build lays the new liveness out
+  ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
+  const std::lock_guard<std::mutex> lock(csr_mutex_);
+  const Edge& edge = edges_[e];
+  flip_half_edge(edge.from, e, live);
+  if (kind_ == Kind::kUndirected && edge.from != edge.to) flip_half_edge(edge.to, e, live);
+  csr_built_epoch_.store(epoch_, std::memory_order_release);
+}
+
+void Graph::flip_half_edge(std::size_t v, std::size_t e, bool live) {
+  const auto begin = csr_adjacency_.begin() + static_cast<std::ptrdiff_t>(csr_offsets_[v]);
+  const auto live_end = csr_adjacency_.begin() + static_cast<std::ptrdiff_t>(csr_live_end_[v]);
+  const auto end = csr_adjacency_.begin() + static_cast<std::ptrdiff_t>(csr_offsets_[v + 1]);
+  const auto is_e = [e](const Neighbor& n) { return n.edge == e; };
+  if (!live) {
+    // Rotate it to the back of the live prefix; the live half-edges after
+    // it shift down one slot and keep their order.
+    const auto it = std::find_if(begin, live_end, is_e);
+    std::rotate(it, it + 1, live_end);
+    --csr_live_end_[v];
+    return;
+  }
+  // Swap it to the front of the dead tail (whose order is free), then
+  // rotate it into its edge-id slot in the live prefix.
+  std::iter_swap(std::find_if(live_end, end, is_e), live_end);
+  const auto slot = std::lower_bound(begin, live_end, e,
+                                     [](const Neighbor& n, std::size_t id) { return n.edge < id; });
+  std::rotate(slot, live_end, live_end + 1);
+  ++csr_live_end_[v];
 }
 
 void Graph::build_csr() const {
@@ -105,7 +166,8 @@ void Graph::build_csr() const {
   if (csr_built_epoch_.load(std::memory_order_relaxed) == epoch_) return;
   // Counting sort over the edge list. Walking edges in insertion order
   // fills each vertex's slice in that same order, reproducing the old
-  // per-vertex push_back sequence exactly.
+  // per-vertex push_back sequence exactly. Live edges go first, so each
+  // slice starts with its live prefix; dead ones follow in a second pass.
   csr_offsets_.assign(vertex_count_ + 1, 0);
   for (const Edge& e : edges_) {
     ++csr_offsets_[e.from + 1];
@@ -114,13 +176,19 @@ void Graph::build_csr() const {
   for (std::size_t v = 0; v < vertex_count_; ++v) csr_offsets_[v + 1] += csr_offsets_[v];
   csr_adjacency_.resize(csr_offsets_[vertex_count_]);
   std::vector<std::size_t> cursor(csr_offsets_.begin(), csr_offsets_.end() - 1);
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    const Edge& edge = edges_[e];
-    csr_adjacency_[cursor[edge.from]++] = Neighbor{edge.to, e, edge.weight};
-    if (kind_ == Kind::kUndirected && edge.from != edge.to) {
-      csr_adjacency_[cursor[edge.to]++] = Neighbor{edge.from, e, edge.weight};
+  const auto place = [&](std::uint8_t live) {
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+      if (edge_live_[e] != live) continue;
+      const Edge& edge = edges_[e];
+      csr_adjacency_[cursor[edge.from]++] = Neighbor{edge.to, e, edge.weight};
+      if (kind_ == Kind::kUndirected && edge.from != edge.to) {
+        csr_adjacency_[cursor[edge.to]++] = Neighbor{edge.from, e, edge.weight};
+      }
     }
-  }
+  };
+  place(1);
+  csr_live_end_ = cursor;
+  if (live_edge_count_ != edges_.size()) place(0);
   csr_built_epoch_.store(epoch_, std::memory_order_release);
 }
 
@@ -136,12 +204,13 @@ std::span<const Neighbor> Graph::neighbors(std::size_t v) const ALVC_NO_THREAD_S
   check_vertex(v);
   ensure_csr();
   return std::span<const Neighbor>(csr_adjacency_.data() + csr_offsets_[v],
-                                   csr_offsets_[v + 1] - csr_offsets_[v]);
+                                   csr_live_end_[v] - csr_offsets_[v]);
 }
 
 CsrView Graph::csr() const ALVC_NO_THREAD_SAFETY_ANALYSIS {
   ensure_csr();
-  return CsrView{.offsets = csr_offsets_, .adjacency = csr_adjacency_};
+  return CsrView{
+      .offsets = csr_offsets_, .live_end = csr_live_end_, .adjacency = csr_adjacency_};
 }
 
 bool Graph::has_edge(std::size_t a, std::size_t b) const {

@@ -11,7 +11,15 @@
 // The CSR fill walks edges in insertion order, so each vertex's neighbor
 // order is EXACTLY the order the old adjacency-list build produced; every
 // traversal tie-break (and therefore every routed path) is preserved
-// bit-for-bit. The lazy build is double-checked under a mutex, so
+// bit-for-bit.
+//
+// Edges can be killed and revived in place (`set_edge_live`) without
+// changing their ids. Each vertex keeps its live half-edges as a prefix of
+// its CSR slice, in edge-id order, with the dead ones parked behind it; a
+// flip on a built CSR is an O(degree) shift inside the endpoints' slices.
+// `neighbors(v)` returns the live prefix, which is exactly the slice a
+// from-scratch build over only the live edges would produce (edge ids
+// aside). The lazy build is double-checked under a mutex, so
 // concurrent const readers (parallel AL construction) are safe as long as
 // no thread mutates the graph meanwhile — the same protocol as the
 // topology's switch-graph cache.
@@ -54,15 +62,19 @@ struct Neighbor {
 };
 
 /// Borrowed view of a graph's CSR arrays: offsets[v]..offsets[v+1] bound
-/// vertex v's slice of the dense half-edge array. Traversal loops grab one
-/// view up front and index it directly, skipping the per-call validity
-/// check `Graph::neighbors` pays. Invalidated by any graph mutation.
+/// vertex v's slice of the dense half-edge array, and offsets[v]..live_end[v]
+/// its live prefix (dead half-edges sit in the rest of the slice). Traversal
+/// loops grab one view up front and index it directly, skipping the
+/// per-call validity check `Graph::neighbors` pays. Invalidated by any
+/// graph mutation, liveness flips included.
 struct CsrView {
-  std::span<const std::size_t> offsets;  // vertex_count + 1 entries
-  std::span<const Neighbor> adjacency;   // dense half-edges, CSR order
+  std::span<const std::size_t> offsets;   // vertex_count + 1 entries
+  std::span<const std::size_t> live_end;  // vertex_count entries
+  std::span<const Neighbor> adjacency;    // dense half-edges, CSR order
 
+  /// Live half-edges of v, in edge-id order.
   [[nodiscard]] std::span<const Neighbor> neighbors(std::size_t v) const noexcept {
-    return adjacency.subspan(offsets[v], offsets[v + 1] - offsets[v]);
+    return adjacency.subspan(offsets[v], live_end[v] - offsets[v]);
   }
 };
 
@@ -74,8 +86,8 @@ class Graph {
       : kind_(kind), vertex_count_(vertex_count) {}
 
   // The CSR cache (and the mutex guarding its lazy build) is per-object
-  // state: copies transfer the edge list and start with a cold cache; moves
-  // carry a warm cache with them.
+  // state: copies transfer the edge list and its liveness and start with a
+  // cold cache; moves carry a warm cache with them.
   Graph(const Graph& other);
   Graph& operator=(const Graph& other);
   Graph(Graph&& other) noexcept;
@@ -84,7 +96,8 @@ class Graph {
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] std::size_t vertex_count() const noexcept { return vertex_count_; }
-  [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
+  /// Live edges; equals edges().size() unless some were killed.
+  [[nodiscard]] std::size_t edge_count() const noexcept { return live_edge_count_; }
 
   /// Adds a vertex; returns its index.
   std::size_t add_vertex();
@@ -93,10 +106,21 @@ class Graph {
   /// endpoints' adjacency. Throws on out-of-range endpoints.
   std::size_t add_edge(std::size_t from, std::size_t to, double weight = 1.0);
 
+  /// Live half-edges of v, in edge-id order.
   [[nodiscard]] std::span<const Neighbor> neighbors(std::size_t v) const;
+  /// Every edge ever added, dead ones included, indexed by edge id. Walkers
+  /// over a graph that may hold dead edges skip those with !edge_live(e).
   [[nodiscard]] std::span<const Edge> edges() const noexcept { return edges_; }
   [[nodiscard]] const Edge& edge(std::size_t e) const { return edges_.at(e); }
+  [[nodiscard]] bool edge_live(std::size_t e) const { return edge_live_.at(e) != 0; }
+  /// Live degree.
   [[nodiscard]] std::size_t degree(std::size_t v) const { return neighbors(v).size(); }
+
+  /// Kills (`live == false`) or revives edge e in place; its id stays
+  /// valid. A no-op when e already has that state. On a built CSR this is
+  /// an O(degree) patch of the endpoints' slices, so the cache stays warm;
+  /// otherwise the next build lays liveness out. Throws on a bad id.
+  void set_edge_live(std::size_t e, bool live);
 
   /// True if some edge directly connects a and b (O(min degree)).
   [[nodiscard]] bool has_edge(std::size_t a, std::size_t b) const;
@@ -112,16 +136,20 @@ class Graph {
   void ensure_csr() const;
 
   /// Monotone counter bumped by every mutation; the CSR cache is valid
-  /// exactly when it was built at the current epoch.
+  /// exactly when it was built (or patched by a flip) at the current epoch.
   [[nodiscard]] std::uint64_t mutation_epoch() const noexcept { return epoch_; }
 
  private:
   void check_vertex(std::size_t v) const;
   void build_csr() const ALVC_EXCLUDES(csr_mutex_);
+  /// Moves edge e's half-edge in v's slice across the live boundary.
+  void flip_half_edge(std::size_t v, std::size_t e, bool live) ALVC_REQUIRES(csr_mutex_);
 
   Kind kind_;
   std::size_t vertex_count_ = 0;
   std::vector<Edge> edges_;
+  std::vector<std::uint8_t> edge_live_;  // per edge id: 1 = live
+  std::size_t live_edge_count_ = 0;
 
   // Mutation epoch: plain on the writer side (mutation is externally
   // synchronized), compared against the atomically published build epoch.
@@ -130,6 +158,7 @@ class Graph {
   mutable std::mutex csr_mutex_;
   mutable std::vector<std::size_t> csr_offsets_ ALVC_GUARDED_BY(csr_mutex_);
   mutable std::vector<Neighbor> csr_adjacency_ ALVC_GUARDED_BY(csr_mutex_);
+  mutable std::vector<std::size_t> csr_live_end_ ALVC_GUARDED_BY(csr_mutex_);
   /// Epoch the CSR arrays were built at; 0 = never. The release store in
   /// build_csr pairs with acquire loads in the accessors.
   mutable std::atomic<std::uint64_t> csr_built_epoch_{0};

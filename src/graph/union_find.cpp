@@ -31,9 +31,20 @@ bool UnionFind::unite(std::size_t a, std::size_t b) {
 
 bool UnionFind::connected(std::size_t a, std::size_t b) { return find(a) == find(b); }
 
+namespace {
+
+void unite_live_edges(const Graph& g, UnionFind& uf) {
+  const auto edges = g.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (g.edge_live(e)) uf.unite(edges[e].from, edges[e].to);
+  }
+}
+
+}  // namespace
+
 std::vector<std::size_t> connected_components(const Graph& g) {
   UnionFind uf(g.vertex_count());
-  for (const Edge& e : g.edges()) uf.unite(e.from, e.to);
+  unite_live_edges(g, uf);
   std::vector<std::size_t> label(g.vertex_count(), static_cast<std::size_t>(-1));
   std::size_t next = 0;
   for (std::size_t v = 0; v < g.vertex_count(); ++v) {
@@ -47,7 +58,7 @@ std::vector<std::size_t> connected_components(const Graph& g) {
 bool is_connected(const Graph& g) {
   if (g.vertex_count() == 0) return true;
   UnionFind uf(g.vertex_count());
-  for (const Edge& e : g.edges()) uf.unite(e.from, e.to);
+  unite_live_edges(g, uf);
   return uf.component_count() == 1;
 }
 

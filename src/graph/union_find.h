@@ -32,10 +32,12 @@ class UnionFind {
   std::size_t components_;
 };
 
-/// Component label per vertex (labels are 0..k-1 in first-seen order).
+/// Component label per vertex over the live edges (labels are 0..k-1 in
+/// first-seen order).
 [[nodiscard]] std::vector<std::size_t> connected_components(const Graph& g);
 
-/// True if the whole graph is one component (empty graph counts connected).
+/// True if the live edges join the whole graph into one component (empty
+/// graph counts connected).
 [[nodiscard]] bool is_connected(const Graph& g);
 
 }  // namespace alvc::graph

@@ -14,7 +14,7 @@ using alvc::util::DynamicBitset;
 std::vector<std::size_t> greedy_vertex_cover(const Graph& g) {
   const std::size_t n = g.vertex_count();
   std::vector<std::size_t> uncovered_degree(n, 0);
-  DynamicBitset edge_covered(g.edge_count());
+  DynamicBitset edge_covered(g.edges().size());  // indexed by edge id
   for (std::size_t v = 0; v < n; ++v) uncovered_degree[v] = g.degree(v);
 
   std::vector<std::size_t> cover;

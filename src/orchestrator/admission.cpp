@@ -177,8 +177,10 @@ double AdmissionController::slice_capacity_gbps(const alvc::cluster::VirtualClus
 
   alvc::graph::FlowNetwork net(index.size());
   const auto& g = topo_->switch_graph();
-  for (const auto& edge : g.edges()) {
-    if (!members.contains(edge.from) || !members.contains(edge.to)) continue;
+  const auto edges = g.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const auto& edge = edges[e];
+    if (!members.contains(edge.from) || !members.contains(edge.to) || !g.edge_live(e)) continue;
     const double capacity = std::min(port_of(edge.from), port_of(edge.to));
     net.add_edge(index.at(edge.from), index.at(edge.to), capacity);
     net.add_edge(index.at(edge.to), index.at(edge.from), capacity);

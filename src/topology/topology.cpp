@@ -4,6 +4,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <utility>
+#include "telemetry/telemetry.h"
 #include "util/lock_rank.h"
 
 namespace alvc::topology {
@@ -148,7 +149,8 @@ alvc::util::Status DataCenterTopology::set_ops_failed(OpsId ops, bool failed) {
                              "set_ops_failed: bad OPS id " + std::to_string(ops.value())};
   }
   opss_[ops.index()].failed = failed;
-  invalidate_cache();
+  refresh_switch_links(ops_vertex(ops));
+  bump_mutation_epoch();
   return alvc::util::Status::ok();
 }
 
@@ -158,7 +160,8 @@ alvc::util::Status DataCenterTopology::set_tor_failed(TorId tor, bool failed) {
                              "set_tor_failed: bad ToR id " + std::to_string(tor.value())};
   }
   tors_[tor.index()].failed = failed;
-  invalidate_cache();
+  refresh_switch_links(tor_vertex(tor));
+  bump_mutation_epoch();
   return alvc::util::Status::ok();
 }
 
@@ -190,7 +193,8 @@ alvc::util::Status DataCenterTopology::set_link_failed(TorId tor, OpsId ops, boo
   } else {
     failed_links_.erase(link_key(tor, ops));
   }
-  invalidate_cache();
+  refresh_switch_links(tor_vertex(tor));
+  bump_mutation_epoch();
   return alvc::util::Status::ok();
 }
 
@@ -206,24 +210,22 @@ std::vector<OpsId> DataCenterTopology::usable_uplinks(TorId tor) const {
   return out;
 }
 
-void DataCenterTopology::warm_switch_graph() const {
+bool DataCenterTopology::warm_switch_graph() const {
   ALVC_LOCK_RANK(alvc::util::lock_rank::kTopologySwitchGraphCache, "topology.switch_graph_cache");
   const std::lock_guard<std::mutex> lock(switch_graph_mutex_);
-  if (switch_graph_valid_.load(std::memory_order_relaxed)) return;
+  if (switch_graph_valid_.load(std::memory_order_relaxed)) return false;
   alvc::graph::Graph g(tors_.size() + opss_.size());
+  const auto add_link = [&](std::size_t a, std::size_t b) {
+    const std::size_t e = g.add_edge(a, b);
+    // Dead before the CSR exists: the build below lays it out, no patch.
+    if (!switch_link_live(g.edge(e))) g.set_edge_live(e, false);
+  };
   for (const auto& t : tors_) {
-    if (t.failed) continue;
-    for (OpsId ops : t.uplinks) {
-      if (opss_[ops.index()].failed || link_failed(t.id, ops)) continue;
-      g.add_edge(tor_vertex(t.id), ops_vertex(ops));
-    }
+    for (OpsId ops : t.uplinks) add_link(tor_vertex(t.id), ops_vertex(ops));
   }
   for (const auto& o : opss_) {
-    if (o.failed) continue;
     for (OpsId peer : o.peer_links) {
-      if (o.id < peer && !opss_[peer.index()].failed) {  // each undirected core link once
-        g.add_edge(ops_vertex(o.id), ops_vertex(peer));
-      }
+      if (o.id < peer) add_link(ops_vertex(o.id), ops_vertex(peer));  // each core link once
     }
   }
   // Warm the CSR adjacency before publication so concurrent readers never
@@ -231,6 +233,31 @@ void DataCenterTopology::warm_switch_graph() const {
   g.ensure_csr();
   switch_graph_ = std::move(g);
   switch_graph_valid_.store(true, std::memory_order_release);
+  return true;
+}
+
+void DataCenterTopology::refresh_switch_links(std::size_t v) {
+  ALVC_LOCK_RANK(alvc::util::lock_rank::kTopologySwitchGraphCache, "topology.switch_graph_cache");
+  const std::lock_guard<std::mutex> lock(switch_graph_mutex_);
+  if (!switch_graph_valid_.load(std::memory_order_relaxed)) return;
+  // v's whole CSR slice, live prefix and dead tail, lists every link it
+  // has. Copy the ids out first: each flip reorders the slice.
+  const alvc::graph::CsrView csr = switch_graph_.csr();
+  const auto slice = csr.adjacency.subspan(csr.offsets[v], csr.offsets[v + 1] - csr.offsets[v]);
+  std::vector<std::size_t> links;
+  links.reserve(slice.size());
+  for (const auto& nb : slice) links.push_back(nb.edge);
+  for (std::size_t e : links) {
+    switch_graph_.set_edge_live(e, switch_link_live(switch_graph_.edge(e)));
+  }
+}
+
+bool DataCenterTopology::switch_link_live(const alvc::graph::Edge& link) const {
+  // ToR-OPS links run from their ToR vertex; core links join two OPSs.
+  if (!is_ops_vertex(link.from)) {
+    return link_usable(vertex_to_tor(link.from), vertex_to_ops(link.to));
+  }
+  return ops_usable(vertex_to_ops(link.from)) && ops_usable(vertex_to_ops(link.to));
 }
 
 // Unchecked read of the guarded cache: the acquire load of the valid flag
@@ -243,7 +270,9 @@ const alvc::graph::Graph& DataCenterTopology::switch_graph() const
   // Double-checked lazy build: concurrent const readers (parallel AL
   // construction) may race to warm the cache; they serialise inside
   // warm_switch_graph.
-  if (!switch_graph_valid_.load(std::memory_order_acquire)) warm_switch_graph();
+  if (!switch_graph_valid_.load(std::memory_order_acquire) && warm_switch_graph()) {
+    ALVC_COUNT("topology.switch_graph.full_builds");  // outside the cache lock
+  }
   return switch_graph_;
 }
 

@@ -68,7 +68,9 @@ class DataCenterTopology {
   // throwing: failure handling must be total, a bad id from a fault script
   // must never take the control plane down. Failed elements (and links)
   // disappear from the switch graph and the bipartite AL-construction views
-  // until repaired.
+  // until repaired. The switch-graph setters patch a built graph in place,
+  // touching only the flipped element's own links (O(degree)); they never
+  // force a full rebuild.
 
   /// Marks an OPS failed (or repaired).
   alvc::util::Status set_ops_failed(OpsId ops, bool failed);
@@ -130,9 +132,14 @@ class DataCenterTopology {
 
   /// Switch-level graph over ToRs and OPSs. Vertex layout:
   /// [0, tor_count) are ToRs, [tor_count, tor_count + ops_count) are OPSs.
-  /// Rebuilt lazily after structural changes. The lazy build is
-  /// synchronised, so concurrent const readers (parallel AL builds) are
-  /// safe as long as no thread mutates the topology meanwhile.
+  /// Its edges are every physical ToR-OPS and OPS-OPS link (each core link
+  /// once), with stable ids; links with a failed endpoint or a cut cable
+  /// are dead edges, so neighbors() and edge_count() see only live links
+  /// while edges() lists all of them. Built in full lazily after structural
+  /// changes (element adds, connects, copy/assign); failure flips patch
+  /// link liveness in place. The lazy build is synchronised, so concurrent
+  /// const readers (parallel AL builds) are safe as long as no thread
+  /// mutates the topology meanwhile.
   [[nodiscard]] const alvc::graph::Graph& switch_graph() const;
   [[nodiscard]] std::size_t tor_vertex(TorId id) const { return id.index(); }
   [[nodiscard]] std::size_t ops_vertex(OpsId id) const { return tors_.size() + id.index(); }
@@ -174,14 +181,24 @@ class DataCenterTopology {
   }
 
  private:
-  /// Builds the switch graph under the cache mutex and publishes it via the
-  /// valid flag (release). Idempotent; racing callers serialise here.
-  void warm_switch_graph() const ALVC_EXCLUDES(switch_graph_mutex_);
+  /// Builds the switch graph over every physical link under the cache
+  /// mutex and publishes it via the valid flag (release). Idempotent;
+  /// racing callers serialise here, and only the one that built returns
+  /// true.
+  bool warm_switch_graph() const ALVC_EXCLUDES(switch_graph_mutex_);
+
+  /// Re-derives the liveness of switch vertex `v`'s links from the element
+  /// and link flags, patching a built graph in place. A cold cache needs
+  /// nothing: the next full build reads the flags.
+  void refresh_switch_links(std::size_t v) ALVC_EXCLUDES(switch_graph_mutex_);
+
+  /// True when a switch-graph link can carry traffic right now.
+  [[nodiscard]] bool switch_link_live(const alvc::graph::Edge& link) const;
 
   /// Drops the lazy switch-graph cache AND advances the mutation epoch:
-  /// everything that invalidates the graph also invalidates epoch-keyed
-  /// derived caches. Mutators that do not touch the switch graph (server
-  /// state, VM moves) bump the epoch directly instead.
+  /// structural changes invalidate the graph and every epoch-keyed derived
+  /// cache. Mutators that do not change the graph's shape (failure flags,
+  /// server state, VM moves) bump the epoch directly instead.
   void invalidate_cache() noexcept {
     switch_graph_valid_.store(false, std::memory_order_release);
     bump_mutation_epoch();

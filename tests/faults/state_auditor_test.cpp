@@ -66,13 +66,18 @@ TEST(StateAuditorTest, RecoveryWorkflowLeavesAuditableState) {
   const auto* chain = f.orch.chain(id);
   const auto* host_ops = std::get_if<OpsId>(&chain->placement.hosts[0]);
   ASSERT_NE(host_ops, nullptr);
+  // A copy: the failure relocates the VNF, which rewrites the placement
+  // `host_ops` points into.
+  const OpsId failed = *host_ops;
 
   // The same failure through the proper workflow must keep every invariant:
   // the AL is repaired, the VNF relocated, the route re-programmed.
-  ASSERT_TRUE(f.orch.handle_ops_failure(*host_ops).has_value());
+  ASSERT_TRUE(f.orch.handle_ops_failure(failed).has_value());
+  EXPECT_FALSE(f.topo.ops_usable(failed));
   EXPECT_TRUE(StateAuditor::audit(f.orch).empty());
 
-  ASSERT_TRUE(f.orch.handle_ops_recovery(*host_ops).has_value());
+  ASSERT_TRUE(f.orch.handle_ops_recovery(failed).has_value());
+  EXPECT_TRUE(f.topo.ops_usable(failed));
   EXPECT_TRUE(StateAuditor::audit(f.orch).empty());
 }
 

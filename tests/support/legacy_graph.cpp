@@ -22,6 +22,7 @@ std::vector<std::vector<Neighbor>> build_adjacency(const Graph& g) {
   std::vector<std::vector<Neighbor>> adj(g.vertex_count());
   const auto edges = g.edges();
   for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (!g.edge_live(e)) continue;
     const Edge& edge = edges[e];
     adj[edge.from].push_back(Neighbor{edge.to, e, edge.weight});
     if (g.kind() == Graph::Kind::kUndirected && edge.from != edge.to) {

@@ -23,7 +23,8 @@ namespace alvc::test::legacy {
 
 /// The old adjacency-list build: one push_back per half-edge, walking the
 /// edge list in insertion order. CSR slices must reproduce these vectors
-/// exactly (same neighbor order, same edge ids, same weights).
+/// exactly (same neighbor order, same edge ids, same weights). Dead edges
+/// (Graph::set_edge_live) are skipped, as the old graph never held them.
 [[nodiscard]] std::vector<std::vector<alvc::graph::Neighbor>> build_adjacency(
     const alvc::graph::Graph& g);
 
