@@ -9,6 +9,7 @@ namespace alvc::elastic {
 using alvc::nfv::PriorityClass;
 using alvc::orchestrator::NetworkOrchestrator;
 using alvc::orchestrator::PlacementStrategy;
+using alvc::orchestrator::ProvisionedChain;
 using alvc::util::NfcId;
 
 namespace {
@@ -33,35 +34,52 @@ ElasticController::ElasticController(NetworkOrchestrator& orch, const PlacementS
 }
 
 void ElasticController::tick(double now_s) {
-  // 1. Sync the tracked set with the live chain population.
-  for (const auto* chain : orch_->chains()) {
-    if (!demand_.tracked(chain->record.id)) {
-      demand_.track(chain->record.id, chain->record.spec.bandwidth_gbps);
+  // One id-ascending snapshot and one demand evaluation per chain serve
+  // every phase; demand is a pure function of (chain, now_s).
+  std::vector<const ProvisionedChain*> chains;
+  std::vector<double> demand;
+  {
+    // 1. Sync the tracked set with the live chain population.
+    ALVC_SPAN(span, "elastic.tick.sync");
+    chains = orch_->chains();
+    demand = demand_.sync(chains, now_s);
+  }
+  {
+    // 2. Scale. Never adds or removes a chain.
+    ALVC_SPAN(span, "elastic.tick.scale");
+    scaling_.tick(now_s, chains, demand);
+  }
+  {
+    // 3. Migrate. A reprovision swaps a chain for a new one, so observe
+    // needs a fresh snapshot then. The tracked set is left to the next
+    // sync: the reprovision hook already moved the series over, and a
+    // chain lost on re-admission is forgotten there as before.
+    ALVC_SPAN(span, "elastic.tick.migrate");
+    const MigrationStats before = migration_.stats();
+    migration_.tick(now_s, chains);
+    const MigrationStats& after = migration_.stats();
+    if (after.reprovisions != before.reprovisions || after.lost != before.lost) {
+      chains = orch_->chains();
+      demand.clear();
+      for (const auto* chain : chains) {
+        demand.push_back(demand_.demand_gbps(chain->record.id, now_s));
+      }
     }
   }
-  std::vector<NfcId> stale;
-  for (const auto& [id, series] : demand_.series()) {
-    if (orch_->chain(id) == nullptr) stale.push_back(id);
-  }
-  for (NfcId id : stale) demand_.forget(id);
 
-  // 2. + 3. Actuate.
-  scaling_.tick(now_s);
-  migration_.tick(now_s);
-
-  // 4. Observe: SLO accounting and per-class gauges, in ascending id order
-  // (chains() is sorted).
+  // 4. Observe: SLO accounting and per-class gauges, in ascending id order.
+  ALVC_SPAN(span, "elastic.tick.observe");
   double demand_hipri = 0, demand_lopri = 0, granted_hipri = 0, granted_lopri = 0;
-  for (const auto* chain : orch_->chains()) {
-    const double demand = demand_.demand_gbps(chain->record.id, now_s);
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    const ProvisionedChain* chain = chains[i];
     const double served = chain->reserved_gbps * ScalingController::chain_scale(*orch_, *chain);
     ++stats_.chain_observations;
-    if (demand > served + kEps) ++stats_.slo_violations;
+    if (demand[i] > served + kEps) ++stats_.slo_violations;
     if (chain->record.spec.priority == PriorityClass::kHipri) {
-      demand_hipri += demand;
+      demand_hipri += demand[i];
       granted_hipri += chain->reserved_gbps;
     } else {
-      demand_lopri += demand;
+      demand_lopri += demand[i];
       granted_lopri += chain->reserved_gbps;
     }
   }

@@ -9,6 +9,10 @@
 //   4. observe— SLO accounting (demand served vs. offered) and per-class
 //               granted-vs-demand gauges.
 //
+// The phases share one id-ascending chain snapshot and evaluate each
+// chain's demand once, during sync; only a reprovision-mode migration,
+// which swaps a chain for a new one, makes observe take a fresh snapshot.
+//
 // The controller is externally synchronized exactly like the orchestrator
 // it drives: no mutex here, one caller at a time (ChaosRunner wraps every
 // event in its lock; see DESIGN.md §12). Ticks are driven by simulated

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "orchestrator/orchestrator.h"
 #include "sim/waveform.h"
 #include "util/rng.h"
 
 namespace alvc::elastic {
 
+using alvc::orchestrator::ProvisionedChain;
 using alvc::util::Rng;
 
 std::uint64_t DemandModel::chain_seed(NfcId id) const noexcept {
@@ -19,8 +21,7 @@ std::uint64_t DemandModel::chain_seed(NfcId id) const noexcept {
   return x;
 }
 
-void DemandModel::track(NfcId id, double base_gbps) {
-  if (series_.contains(id)) return;
+ChainSeries DemandModel::make_series(NfcId id, double base_gbps) const {
   ChainSeries series;
   series.base_gbps = base_gbps;
   Rng rng(chain_seed(id));
@@ -31,10 +32,33 @@ void DemandModel::track(NfcId id, double base_gbps) {
     alvc::sim::poisson_arrivals(rng, params_.flash_rate_per_s, params_.horizon_s,
                                 [&](double t) { series.flash_times_s.push_back(t); });
   }
-  series_.emplace(id, std::move(series));
+  return series;
+}
+
+void DemandModel::track(NfcId id, double base_gbps) {
+  if (series_.contains(id)) return;
+  series_.emplace(id, make_series(id, base_gbps));
 }
 
 void DemandModel::forget(NfcId id) { series_.erase(id); }
+
+std::vector<double> DemandModel::sync(std::span<const ProvisionedChain* const> chains,
+                                      double now_s) {
+  std::vector<double> demand;
+  demand.reserve(chains.size());
+  auto it = series_.begin();
+  for (const ProvisionedChain* chain : chains) {
+    const NfcId id = chain->record.id;
+    while (it != series_.end() && it->first < id) it = series_.erase(it);
+    if (it == series_.end() || id < it->first) {
+      it = series_.emplace_hint(it, id, make_series(id, chain->record.spec.bandwidth_gbps));
+    }
+    demand.push_back(evaluate(id, it->second, now_s));
+    ++it;
+  }
+  series_.erase(it, series_.end());
+  return demand;
+}
 
 double DemandModel::flash_window_s() const noexcept {
   const double hold = std::max(params_.flash_hold_s, 0.0);
@@ -43,8 +67,10 @@ double DemandModel::flash_window_s() const noexcept {
 
 double DemandModel::demand_gbps(NfcId id, double now_s) const {
   const auto it = series_.find(id);
-  if (it == series_.end()) return 0;
-  const ChainSeries& s = it->second;
+  return it == series_.end() ? 0 : evaluate(id, it->second, now_s);
+}
+
+double DemandModel::evaluate(NfcId id, const ChainSeries& s, double now_s) const {
   double factor = 1.0;
   factor += params_.diurnal_amplitude *
             alvc::sim::diurnal_wave(now_s + s.phase_s, params_.diurnal_period_s);

@@ -15,10 +15,15 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "nfv/nfc.h"
 #include "util/ids.h"
+
+namespace alvc::orchestrator {
+struct ProvisionedChain;
+}
 
 namespace alvc::elastic {
 
@@ -66,6 +71,15 @@ class DemandModel {
   /// Stops tracking (chain torn down or lost).
   void forget(NfcId id);
 
+  /// Makes the tracked set exactly `chains` (ascending ids, as
+  /// NetworkOrchestrator::chains() returns them) in one lockstep merge
+  /// against series(): chains not yet tracked start at their nominal
+  /// bandwidth, tracked ids missing from `chains` are forgotten. Returns
+  /// each chain's demand at `now_s`, index-aligned with `chains`: the
+  /// values demand_gbps(id, now_s) gives, without a lookup per chain.
+  std::vector<double> sync(std::span<const alvc::orchestrator::ProvisionedChain* const> chains,
+                           double now_s);
+
   [[nodiscard]] bool tracked(NfcId id) const { return series_.contains(id); }
   [[nodiscard]] std::size_t tracked_count() const noexcept { return series_.size(); }
 
@@ -82,6 +96,8 @@ class DemandModel {
 
  private:
   [[nodiscard]] std::uint64_t chain_seed(NfcId id) const noexcept;
+  [[nodiscard]] ChainSeries make_series(NfcId id, double base_gbps) const;
+  [[nodiscard]] double evaluate(NfcId id, const ChainSeries& s, double now_s) const;
   /// How long after its onset a flash pulse can be non-zero:
   /// 2 * ramp + hold, or hold when the edges are vertical (ramp <= 0).
   [[nodiscard]] double flash_window_s() const noexcept;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <tuple>
-#include <vector>
 
 #include "telemetry/telemetry.h"
 
@@ -86,22 +85,29 @@ std::optional<HostRef> MigrationPlanner::pick_target(const ProvisionedChain& cha
   return best;
 }
 
-std::size_t MigrationPlanner::tick(double now_s) {
-  std::vector<NfcId> ids;  // ascending: chains() is sorted
-  for (const auto* chain : orch_->chains()) ids.push_back(chain->record.id);
+std::size_t MigrationPlanner::tick(double now_s) { return tick(now_s, orch_->chains()); }
 
+std::size_t MigrationPlanner::tick(double now_s, std::span<const ProvisionedChain* const> chains) {
+  const auto hot = [&](const ProvisionedChain& chain, std::size_t fi) {
+    return fi < chain.instances.size() && chain.instances[fi].valid() &&
+           utilization(*orch_, chain.placement.hosts[fi]) >= policy_.hot_utilization;
+  };
   std::size_t moves = 0;
-  for (NfcId id : ids) {
+  for (const ProvisionedChain* chain : chains) {  // ascending ids
     if (moves >= policy_.max_moves_per_tick) break;
-    const ProvisionedChain* chain = orch_->chain(id);
-    if (chain == nullptr || chain->degraded) continue;
+    if (chain->degraded) continue;
+    const NfcId id = chain->record.id;
+    // Most chains run on no hot host: rule that out before the cooldown
+    // lookup. Both tests only skip, so their order changes nothing.
+    std::size_t first_hot = 0;
+    while (first_hot < chain->placement.hosts.size() && !hot(*chain, first_hot)) ++first_hot;
+    if (first_hot == chain->placement.hosts.size()) continue;
     if (const auto it = last_move_s_.find(id);
         it != last_move_s_.end() && now_s - it->second < policy_.cooldown_s) {
       continue;
     }
-    for (std::size_t fi = 0; fi < chain->placement.hosts.size(); ++fi) {
-      if (fi >= chain->instances.size() || !chain->instances[fi].valid()) continue;
-      if (utilization(*orch_, chain->placement.hosts[fi]) < policy_.hot_utilization) continue;
+    for (std::size_t fi = first_hot; fi < chain->placement.hosts.size(); ++fi) {
+      if (!hot(*chain, fi)) continue;
       const auto target = pick_target(*chain, fi);
       if (!target) {
         ++stats_.no_target;

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <span>
 
 #include "elastic/ledger.h"
 #include "orchestrator/orchestrator.h"
@@ -75,6 +76,13 @@ class MigrationPlanner {
   /// id order, move at most one hot instance per chain, stop after
   /// `max_moves_per_tick`. Returns moves executed.
   std::size_t tick(double now_s);
+
+  /// The same pass over `chains`, a NetworkOrchestrator::chains() snapshot
+  /// the caller already holds. In kReprovision mode a move tears its chain
+  /// down (that entry dangles afterwards) and provisions a new one the
+  /// snapshot does not hold; the pass never revisits either.
+  std::size_t tick(double now_s,
+                   std::span<const alvc::orchestrator::ProvisionedChain* const> chains);
 
   /// Utilization of `host` in the orchestrator's hosting pool: the max
   /// over resource dimensions of used / nominal. 0 for hosts with no

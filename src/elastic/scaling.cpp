@@ -29,8 +29,8 @@ double ScalingController::chain_scale(const NetworkOrchestrator& orch,
   return any ? scale : 1.0;
 }
 
-bool ScalingController::hipri_impaired() const {
-  for (const auto* chain : orch_->chains()) {
+bool ScalingController::hipri_impaired(std::span<const ProvisionedChain* const> chains) {
+  for (const auto* chain : chains) {
     if (chain->record.spec.priority != alvc::nfv::PriorityClass::kHipri) continue;
     if (chain->degraded) return true;
     if (chain->reserved_gbps + kEps < chain->record.spec.bandwidth_gbps) return true;
@@ -39,32 +39,37 @@ bool ScalingController::hipri_impaired() const {
 }
 
 std::size_t ScalingController::tick(double now_s) {
-  // Snapshot ids first: scale_function never erases chains, but iterating
-  // a sorted id list (chains() is sorted) keeps the pass order
-  // deterministic regardless of the orchestrator's hash-map layout.
-  std::vector<NfcId> ids;
-  for (const auto* chain : orch_->chains()) ids.push_back(chain->record.id);
+  const auto chains = orch_->chains();
+  std::vector<double> demand;
+  demand.reserve(chains.size());
+  for (const auto* chain : chains) demand.push_back(demand_->demand_gbps(chain->record.id, now_s));
+  return tick(now_s, chains, demand);
+}
 
-  const bool impaired = policy_.protect_hipri && hipri_impaired();
+std::size_t ScalingController::tick(double now_s, std::span<const ProvisionedChain* const> chains,
+                                    std::span<const double> demand) {
+  // scale_function never erases a chain, so every snapshot pointer stays
+  // valid for the whole pass; the snapshot is id-ascending, which keeps the
+  // pass order deterministic.
+  const bool impaired = policy_.protect_hipri && hipri_impaired(chains);
   std::size_t applied = 0;
-  for (NfcId id : ids) {
-    const ProvisionedChain* chain = orch_->chain(id);
-    if (chain == nullptr) continue;
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    const ProvisionedChain* chain = chains[i];
+    const NfcId id = chain->record.id;
     if (chain->degraded) {
       ++stats_.skipped_degraded;
       continue;
     }
     const double granted = chain->reserved_gbps;
     if (granted <= kEps) continue;
-    const double demand = demand_->demand_gbps(id, now_s);
     const double scale = chain_scale(*orch_, *chain);
     const double served = granted * scale;
 
-    double target = std::ceil(demand / granted - kEps);
+    double target = std::ceil(demand[i] / granted - kEps);
     target = std::clamp(target, 1.0, policy_.max_scale);
 
-    const bool want_out = demand > policy_.scale_out_ratio * served && target > scale;
-    const bool want_in = demand < policy_.scale_in_ratio * served && target < scale;
+    const bool want_out = demand[i] > policy_.scale_out_ratio * served && target > scale;
+    const bool want_in = demand[i] < policy_.scale_in_ratio * served && target < scale;
     if (!want_out && !want_in) continue;
 
     if (want_out && impaired &&

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <map>
+#include <span>
 
 #include "elastic/demand.h"
 #include "elastic/ledger.h"
@@ -57,6 +58,14 @@ class ScalingController {
   /// in ascending id order (deterministic). Returns actions applied.
   std::size_t tick(double now_s);
 
+  /// The same pass over a snapshot the caller already holds: `chains` is
+  /// NetworkOrchestrator::chains() and `demand[i]` chain i's demand at
+  /// `now_s` (DemandModel::sync). ElasticController shares both with the
+  /// other phases of its tick.
+  std::size_t tick(double now_s,
+                   std::span<const alvc::orchestrator::ProvisionedChain* const> chains,
+                   std::span<const double> demand);
+
   /// Current common scale factor of a chain's live instances (min over
   /// valid slots; 1 when none are live). Public for tests and the SLO
   /// check in ElasticController.
@@ -69,7 +78,8 @@ class ScalingController {
  private:
   /// True while any HIPRI chain is degraded or below its requested
   /// bandwidth — the condition under which LOPRI growth is deferred.
-  [[nodiscard]] bool hipri_impaired() const;
+  [[nodiscard]] static bool hipri_impaired(
+      std::span<const alvc::orchestrator::ProvisionedChain* const> chains);
 
   alvc::orchestrator::NetworkOrchestrator* orch_;
   const DemandModel* demand_;

@@ -144,9 +144,28 @@ std::vector<std::string> StateAuditor::audit(
   for (const std::string& v : clusters.check_invariants()) out.push_back("cluster: " + v);
   for (const std::string& v : orch.check_isolation()) out.push_back("isolation: " + v);
 
+  // The id index behind chains(): strictly ascending, one entry per live
+  // chain, each the pointer chain(id) hands out.
+  const auto chains = orch.chains();
+  if (chains.size() != orch.chain_count()) {
+    out.push_back("orchestrator: chain index holds " + std::to_string(chains.size()) +
+                  " chains, " + std::to_string(orch.chain_count()) + " live");
+  }
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    const auto id = chains[i]->record.id;
+    if (i > 0 && !(chains[i - 1]->record.id < id)) {
+      out.push_back("orchestrator: chain index not strictly ascending at chain " +
+                    std::to_string(id.value()));
+    }
+    if (orch.chain(id) != chains[i]) {
+      out.push_back("orchestrator: chain index entry for chain " + std::to_string(id.value()) +
+                    " is not the live chain");
+    }
+  }
+
   std::unordered_set<std::uint32_t> live_chains;
   std::size_t mid_chain_conversions = 0;
-  for (const ProvisionedChain* chain : orch.chains()) {
+  for (const ProvisionedChain* chain : chains) {
     live_chains.insert(chain->record.id.value());
     audit_chain(topo, *chain, clusters.find(chain->cluster), out);
     mid_chain_conversions +=
@@ -286,7 +305,7 @@ std::vector<std::string> StateAuditor::audit(
                                             static_cast<std::size_t>(key.second & 0xffffffffULL));
     };
     std::map<ResKey, ResView> view;
-    for (const ProvisionedChain* chain : orch.chains()) {
+    for (const ProvisionedChain* chain : chains) {
       if (chain->route.vertices.empty()) continue;
       const bool hipri = chain->record.spec.priority == alvc::nfv::PriorityClass::kHipri;
       for (const auto& [key, coeff] : uses_of(*chain)) {
@@ -296,7 +315,7 @@ std::vector<std::string> StateAuditor::audit(
         if (hipri) res.used_hipri += coeff * chain->reserved_gbps;
       }
     }
-    for (const ProvisionedChain* chain : orch.chains()) {
+    for (const ProvisionedChain* chain : chains) {
       if (chain->route.vertices.empty()) continue;
       const double demand = chain->record.spec.bandwidth_gbps;
       const double held = chain->reserved_gbps;
@@ -355,7 +374,7 @@ std::vector<std::string> StateAuditor::audit(
     using alvc::util::VnfInstanceId;
     const auto& lifecycle = orch.cloud().lifecycle();
     std::map<std::uint32_t, std::size_t> references;
-    for (const ProvisionedChain* chain : orch.chains()) {
+    for (const ProvisionedChain* chain : chains) {
       if (chain->instances.size() != chain->placement.hosts.size()) {
         out.push_back(chain_tag(*chain) + ": " + std::to_string(chain->instances.size()) +
                       " instance slots for " + std::to_string(chain->placement.hosts.size()) +

@@ -26,6 +26,9 @@ class StateAuditor {
   ///   * cluster invariants — one-AL-per-OPS, coverage, no failed hardware
   ///     inside any AL (ClusterManager::check_invariants);
   ///   * slice isolation — no AL shared between chains (check_isolation);
+  ///   * chain index — chains() is strictly id-ascending, holds
+  ///     chain_count() entries, and each entry is the pointer chain(id)
+  ///     returns;
   ///   * placement — every live VNF instance sits on usable hardware
   ///     inside its chain's slice (an OPS host in the AL, a server under
   ///     one of the AL's ToRs);

@@ -1,6 +1,7 @@
 #include "nfv/hosting.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace alvc::nfv {
 
@@ -9,7 +10,28 @@ using alvc::util::ErrorCode;
 using alvc::util::OpsId;
 using alvc::util::ServerId;
 
-HostingPool::HostingPool(const alvc::topology::DataCenterTopology& topo) : topo_(&topo) {}
+namespace {
+
+/// The table entry for host `index` of `count`, growing the table to the
+/// topology's current host count when the host was added after the pool.
+/// Throws std::out_of_range for a host the topology does not have, as the
+/// topology accessors do.
+Resources& slot(std::vector<Resources>& table, std::size_t index, std::size_t count) {
+  if (index >= table.size()) {
+    if (index >= count) throw std::out_of_range("HostingPool: no such host");
+    table.resize(count);
+  }
+  return table[index];
+}
+
+Resources slot_or_zero(const std::vector<Resources>& table, std::size_t index) {
+  return index < table.size() ? table[index] : Resources{};
+}
+
+}  // namespace
+
+HostingPool::HostingPool(const alvc::topology::DataCenterTopology& topo)
+    : topo_(&topo), server_used_(topo.server_count()), ops_used_(topo.ops_count()) {}
 
 Resources HostingPool::nominal_capacity(const HostRef& host) const {
   if (const auto* server = std::get_if<ServerId>(&host)) {
@@ -20,17 +42,17 @@ Resources HostingPool::nominal_capacity(const HostRef& host) const {
 }
 
 Resources& HostingPool::used(const HostRef& host) {
-  if (const auto* server = std::get_if<ServerId>(&host)) return server_used_[*server];
-  return ops_used_[std::get<OpsId>(host)];
+  if (const auto* server = std::get_if<ServerId>(&host)) {
+    return slot(server_used_, server->index(), topo_->server_count());
+  }
+  return slot(ops_used_, std::get<OpsId>(host).index(), topo_->ops_count());
 }
 
 Resources HostingPool::used_or_zero(const HostRef& host) const {
   if (const auto* server = std::get_if<ServerId>(&host)) {
-    const auto it = server_used_.find(*server);
-    return it == server_used_.end() ? Resources{} : it->second;
+    return slot_or_zero(server_used_, server->index());
   }
-  const auto it = ops_used_.find(std::get<OpsId>(host));
-  return it == ops_used_.end() ? Resources{} : it->second;
+  return slot_or_zero(ops_used_, std::get<OpsId>(host).index());
 }
 
 Resources HostingPool::free_capacity(const HostRef& host) const {
@@ -82,11 +104,13 @@ std::vector<ServerId> HostingPool::electronic_hosts_with_capacity(const Resource
 }
 
 bool HostingPool::is_consistent() const {
-  for (const auto& [id, used] : server_used_) {
-    if (!(nominal_capacity(HostRef{id}) - used).non_negative()) return false;
+  for (std::size_t i = 0; i < server_used_.size(); ++i) {
+    const HostRef host{ServerId{static_cast<ServerId::value_type>(i)}};
+    if (!(nominal_capacity(host) - server_used_[i]).non_negative()) return false;
   }
-  for (const auto& [id, used] : ops_used_) {
-    if (!(nominal_capacity(HostRef{id}) - used).non_negative()) return false;
+  for (std::size_t i = 0; i < ops_used_.size(); ++i) {
+    const HostRef host{OpsId{static_cast<OpsId::value_type>(i)}};
+    if (!(nominal_capacity(host) - ops_used_[i]).non_negative()) return false;
   }
   return true;
 }

@@ -7,7 +7,6 @@
 // pool snapshot.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "nfv/lifecycle.h"
@@ -35,6 +34,7 @@ class HostingPool {
 
   /// Returns previously reserved capacity. Over-release is clamped to the
   /// host's nominal capacity (defensive; flagged by is_consistent()).
+  /// Throws std::out_of_range for a host the topology does not have.
   void release(const HostRef& host, const Resources& demand);
 
   /// Optical hosts (optoelectronic routers) with any free capacity,
@@ -65,8 +65,11 @@ class HostingPool {
   [[nodiscard]] Resources used_or_zero(const HostRef& host) const;
 
   const alvc::topology::DataCenterTopology* topo_;
-  std::unordered_map<alvc::util::ServerId, Resources> server_used_;
-  std::unordered_map<alvc::util::OpsId, Resources> ops_used_;
+  /// Reserved capacity per host, indexed by ServerId/OpsId::index() and
+  /// sized to the topology at construction. A host the topology gains
+  /// later reads zero until its first write grows the table.
+  std::vector<Resources> server_used_;
+  std::vector<Resources> ops_used_;
 };
 
 }  // namespace alvc::nfv

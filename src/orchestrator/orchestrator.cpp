@@ -189,6 +189,7 @@ Expected<NfcId> NetworkOrchestrator::provision(const alvc::nfv::NfcSpec& spec,
                          .instances = std::move(instances),
                          .flow_rules = controller_.chain_rule_count(id)};
   auto [chain_it, inserted] = chains_.emplace(id, std::move(chain));
+  by_id_.push_back(&chain_it->second);  // id is the largest yet minted
   edit_hosts(chain_it->second,
              [&](std::vector<HostRef>& hosts) { hosts = std::move(placed->hosts); });
   // The route step's conversion count stands: a forwarding graph's comes
@@ -279,6 +280,9 @@ Status NetworkOrchestrator::teardown_chain(NfcId id) {
   agent_->unregister_chain(id, it->second.cluster);
   // Drops the chain's conversions from the running total.
   edit_hosts(it->second, [](std::vector<HostRef>& hosts) { hosts.clear(); });
+  by_id_.erase(std::lower_bound(
+      by_id_.begin(), by_id_.end(), id,
+      [](const ProvisionedChain* chain, NfcId key) { return chain->record.id < key; }));
   chains_.erase(it);
   log_.append(sdn::ControlEventType::kSliceReleased, id.value());
   log_.append(sdn::ControlEventType::kChainTornDown, id.value());
@@ -857,9 +861,8 @@ std::size_t NetworkOrchestrator::rebalance_bandwidth() {
 
 std::vector<NfcId> NetworkOrchestrator::sorted_chain_ids() const {
   std::vector<NfcId> ids;
-  ids.reserve(chains_.size());
-  for (const auto& [id, chain] : chains_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  ids.reserve(by_id_.size());
+  for (const ProvisionedChain* chain : by_id_) ids.push_back(chain->record.id);
   return ids;
 }
 
@@ -1073,16 +1076,6 @@ Expected<std::size_t> NetworkOrchestrator::handle_link_recovery(alvc::util::TorI
 const ProvisionedChain* NetworkOrchestrator::chain(NfcId id) const {
   const auto it = chains_.find(id);
   return it == chains_.end() ? nullptr : &it->second;
-}
-
-std::vector<const ProvisionedChain*> NetworkOrchestrator::chains() const {
-  std::vector<const ProvisionedChain*> out;
-  out.reserve(chains_.size());
-  for (const auto& [id, chain] : chains_) out.push_back(&chain);
-  std::sort(out.begin(), out.end(), [](const ProvisionedChain* a, const ProvisionedChain* b) {
-    return a->record.id < b->record.id;
-  });
-  return out;
 }
 
 std::vector<std::string> NetworkOrchestrator::check_isolation() const {

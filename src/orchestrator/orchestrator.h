@@ -239,8 +239,11 @@ class NetworkOrchestrator {
   [[nodiscard]] std::size_t retry_queue_size() const noexcept;
 
   [[nodiscard]] const ProvisionedChain* chain(NfcId id) const;
-  /// Every live chain, sorted by ascending id.
-  [[nodiscard]] std::vector<const ProvisionedChain*> chains() const;
+  /// Every live chain, sorted by ascending id. A copy of the id index, so
+  /// callers may provision or tear down while walking it (a torn-down
+  /// chain's pointer dangles; every other pointer stays valid). O(n), no
+  /// sort.
+  [[nodiscard]] std::vector<const ProvisionedChain*> chains() const { return by_id_; }
   [[nodiscard]] std::size_t chain_count() const noexcept { return chains_.size(); }
   /// Mid-chain O/E/O conversions summed over every live chain, i.e. the sum
   /// of count_conversions(placement.hosts).mid_chain. A running total, so
@@ -385,6 +388,10 @@ class NetworkOrchestrator {
   AllocationIndex alloc_index_;
   ChainRouter router_;
   std::unordered_map<NfcId, ProvisionedChain> chains_;
+  /// chains_'s elements in ascending id order. Ids come from next_id_++,
+  /// so provisioning appends; teardown erases by binary search. Element
+  /// pointers of an unordered_map survive rehashing.
+  std::vector<const ProvisionedChain*> by_id_;
   /// Running sum of count_conversions(hosts).mid_chain over chains_; kept
   /// by edit_hosts.
   std::size_t mid_chain_conversions_ = 0;

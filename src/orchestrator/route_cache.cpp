@@ -204,7 +204,7 @@ Expected<ChainRoute> RouteCache::route_graph(const ChainRouter& router,
     return router.route_graph(cluster, ingress, egress, graph, node_hosts);
   }
   alvc::graph::VertexSet allowed;
-  return router.route_graph_via(cluster, ingress, egress, graph, node_hosts,
+  return router.route_graph_via(ingress, egress, graph, node_hosts,
                                 [&](std::size_t from, std::size_t to, std::size_t leg_index) {
                                   return cached_leg(cluster, tier, cls, allowed, from, to,
                                                     leg_index);

@@ -170,14 +170,13 @@ Expected<ChainRoute> ChainRouter::route_graph(const alvc::cluster::VirtualCluste
   extras.push_back(topo_->tor_vertex(egress));
   alvc::graph::VertexSet allowed;
   slice_vertices(*topo_, cluster, extras, allowed);
-  return route_graph_via(cluster, ingress, egress, graph, node_hosts,
+  return route_graph_via(ingress, egress, graph, node_hosts,
                          [&](std::size_t from, std::size_t to, std::size_t leg_index) {
                            return route_leg(*topo_, allowed, from, to, leg_index);
                          });
 }
 
-Expected<ChainRoute> ChainRouter::route_graph_via(const alvc::cluster::VirtualCluster& cluster,
-                                                  TorId ingress, TorId egress,
+Expected<ChainRoute> ChainRouter::route_graph_via(TorId ingress, TorId egress,
                                                   const alvc::nfv::ForwardingGraph& graph,
                                                   std::span<const HostRef> node_hosts,
                                                   const RouteLegSource& legs) const {

@@ -107,9 +107,8 @@ class ChainRouter {
 
   /// route_graph() with the per-leg computation delegated to `legs`.
   [[nodiscard]] Expected<ChainRoute> route_graph_via(
-      const alvc::cluster::VirtualCluster& cluster, TorId ingress, TorId egress,
-      const alvc::nfv::ForwardingGraph& graph, std::span<const alvc::nfv::HostRef> node_hosts,
-      const RouteLegSource& legs) const;
+      TorId ingress, TorId egress, const alvc::nfv::ForwardingGraph& graph,
+      std::span<const alvc::nfv::HostRef> node_hosts, const RouteLegSource& legs) const;
 
   /// Switch-graph vertex where a host attaches (server -> its rack ToR,
   /// optoelectronic router -> its OPS vertex).

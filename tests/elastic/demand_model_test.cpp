@@ -14,6 +14,7 @@
 #include "elastic/demand.h"
 #include "faults/fault_injector.h"
 #include "nfv/catalog.h"
+#include "orchestrator/orchestrator.h"
 #include "sim/waveform.h"
 #include "util/rng.h"
 
@@ -210,6 +211,53 @@ std::vector<alvc::nfv::NfcSpec> three_specs() {
   alvc::nfv::NfcSpec spec;
   spec.functions = {*catalog.find_by_type(alvc::nfv::VnfType::kFirewall)};
   return {spec, spec, spec};
+}
+
+TEST(DemandModelTest, SyncMergesTheTrackedSetWithTheChainSnapshot) {
+  using alvc::orchestrator::ProvisionedChain;
+  const auto make_chain = [](std::uint32_t id, double gbps) {
+    ProvisionedChain chain;
+    chain.record.id = NfcId{id};
+    chain.record.spec.bandwidth_gbps = gbps;
+    return chain;
+  };
+  DemandParams params;
+  params.seed = 9;
+  DemandModel synced{params};
+  DemandModel reference{params};
+  // Tracked before the sync: 1 and 4 survive, 0, 3 and 9 (past the last
+  // chain) are stale.
+  for (std::uint32_t id : {0u, 1u, 3u, 4u, 9u}) {
+    synced.track(NfcId{id}, 1.0);
+  }
+  reference.track(NfcId{1}, 1.0);
+  reference.track(NfcId{4}, 1.0);
+  const std::vector<ProvisionedChain> chains{make_chain(1, 5.0), make_chain(2, 2.0),
+                                             make_chain(4, 7.0), make_chain(6, 3.0)};
+  std::vector<const ProvisionedChain*> snapshot;
+  for (const auto& chain : chains) snapshot.push_back(&chain);
+  // New chains start at their nominal bandwidth; tracked ones keep theirs.
+  reference.track(NfcId{2}, 2.0);
+  reference.track(NfcId{6}, 3.0);
+
+  for (double now_s : {0.0, 7.25, 31.5}) {
+    const std::vector<double> demand = synced.sync(snapshot, now_s);
+    ASSERT_EQ(demand.size(), chains.size());
+    ASSERT_EQ(synced.tracked_count(), chains.size());
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+      const NfcId id = chains[i].record.id;
+      EXPECT_TRUE(synced.tracked(id));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(demand[i]),
+                std::bit_cast<std::uint64_t>(reference.demand_gbps(id, now_s)))
+          << "chain " << id.value() << " at " << now_s;
+      EXPECT_EQ(demand[i], synced.demand_gbps(id, now_s));
+    }
+  }
+  for (std::uint32_t id : {0u, 3u, 9u}) EXPECT_FALSE(synced.tracked(NfcId{id}));
+
+  // An empty snapshot forgets everything.
+  EXPECT_TRUE(synced.sync({}, 1.0).empty());
+  EXPECT_EQ(synced.tracked_count(), 0u);
 }
 
 TEST(SharedWaveformTest, FlashCrowdArrivalsAreBurstArrivalTimes) {

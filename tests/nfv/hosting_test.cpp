@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "topology/builder.h"
 
 namespace alvc::nfv {
@@ -65,6 +67,79 @@ TEST(HostingPoolTest, OverReleaseClamped) {
   pool.release(HostRef{ServerId{0}}, demand);  // nothing reserved
   EXPECT_DOUBLE_EQ(pool.free_capacity(HostRef{ServerId{0}}).cpu_cores, 16);
   EXPECT_TRUE(pool.is_consistent());
+}
+
+void expect_zero(const Resources& r) {
+  EXPECT_DOUBLE_EQ(r.cpu_cores, 0);
+  EXPECT_DOUBLE_EQ(r.memory_gb, 0);
+  EXPECT_DOUBLE_EQ(r.storage_gb, 0);
+}
+
+TEST(HostingPoolTest, UntouchedHostsHaveNothingReserved) {
+  const auto topo = hosting_dc();
+  HostingPool pool(topo);
+  expect_zero(pool.reserved_on(HostRef{ServerId{0}}));
+  expect_zero(pool.reserved_on(HostRef{OpsId{0}}));
+  expect_zero(pool.reserved_on(HostRef{OpsId{1}}));  // plain OPS
+  // Booking one host leaves every other host at zero.
+  ASSERT_TRUE(pool.reserve(HostRef{OpsId{0}}, Resources{.cpu_cores = 1}).is_ok());
+  EXPECT_DOUBLE_EQ(pool.reserved_on(HostRef{OpsId{0}}).cpu_cores, 1);
+  expect_zero(pool.reserved_on(HostRef{OpsId{1}}));
+  expect_zero(pool.reserved_on(HostRef{ServerId{0}}));
+}
+
+TEST(HostingPoolTest, OverReleaseClampsEachDimensionAtZero) {
+  const auto topo = hosting_dc();
+  HostingPool pool(topo);
+  const HostRef server{ServerId{0}};
+  ASSERT_TRUE(pool.reserve(server, Resources{.cpu_cores = 2, .memory_gb = 8, .storage_gb = 10})
+                  .is_ok());
+  // More cpu and storage back than was booked, less memory.
+  pool.release(server, Resources{.cpu_cores = 3, .memory_gb = 4, .storage_gb = 50});
+  const Resources left = pool.reserved_on(server);
+  EXPECT_DOUBLE_EQ(left.cpu_cores, 0);
+  EXPECT_DOUBLE_EQ(left.memory_gb, 4);
+  EXPECT_DOUBLE_EQ(left.storage_gb, 0);
+  EXPECT_DOUBLE_EQ(pool.free_capacity(server).cpu_cores, 16);
+  EXPECT_DOUBLE_EQ(pool.free_capacity(server).storage_gb, 512);
+  EXPECT_TRUE(pool.is_consistent());
+}
+
+TEST(HostingPoolTest, OverCommitIsInconsistent) {
+  const auto topo = hosting_dc();
+  HostingPool pool(topo);
+  ASSERT_TRUE(pool.reserve(HostRef{OpsId{0}}, Resources{.cpu_cores = 4}).is_ok());
+  EXPECT_TRUE(pool.is_consistent());
+  // reserve() refuses to over-commit; a negative release is the one way
+  // past nominal capacity, and is_consistent() must see it on any host.
+  pool.release(HostRef{OpsId{0}}, Resources{.cpu_cores = -1});
+  EXPECT_DOUBLE_EQ(pool.reserved_on(HostRef{OpsId{0}}).cpu_cores, 5);
+  EXPECT_FALSE(pool.is_consistent());
+  pool.release(HostRef{OpsId{0}}, Resources{.cpu_cores = 1});
+  EXPECT_TRUE(pool.is_consistent());
+  // A plain OPS has no capacity at all: any booking over-commits it.
+  pool.release(HostRef{OpsId{1}}, Resources{.memory_gb = -0.5});
+  EXPECT_FALSE(pool.is_consistent());
+}
+
+TEST(HostingPoolTest, HostsAddedAfterThePoolAreTracked) {
+  auto topo = hosting_dc();
+  HostingPool pool(topo);
+  ASSERT_TRUE(pool.reserve(HostRef{ServerId{0}}, Resources{.cpu_cores = 1}).is_ok());
+  const auto server = topo.add_server(alvc::util::TorId{0}, Resources{.cpu_cores = 8});
+  const auto ops = topo.add_ops(true, Resources{.cpu_cores = 2, .memory_gb = 2});
+  expect_zero(pool.reserved_on(HostRef{server}));
+  expect_zero(pool.reserved_on(HostRef{ops}));
+  ASSERT_TRUE(pool.reserve(HostRef{server}, Resources{.cpu_cores = 8}).is_ok());
+  ASSERT_TRUE(pool.reserve(HostRef{ops}, Resources{.cpu_cores = 2}).is_ok());
+  EXPECT_DOUBLE_EQ(pool.reserved_on(HostRef{server}).cpu_cores, 8);
+  EXPECT_DOUBLE_EQ(pool.reserved_on(HostRef{ops}).cpu_cores, 2);
+  EXPECT_DOUBLE_EQ(pool.reserved_on(HostRef{ServerId{0}}).cpu_cores, 1);
+  EXPECT_TRUE(pool.is_consistent());
+  // Hosts the topology does not have are refused, as topology lookups are.
+  EXPECT_THROW(pool.release(HostRef{ServerId{99}}, Resources{.cpu_cores = 1}),
+               std::out_of_range);
+  EXPECT_THROW(pool.release(HostRef{OpsId{99}}, Resources{.cpu_cores = 1}), std::out_of_range);
 }
 
 TEST(HostingPoolTest, OpticalHostEnumeration) {

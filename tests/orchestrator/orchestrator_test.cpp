@@ -178,5 +178,91 @@ TEST(OrchestratorTest, MultiTenantChainsAreIsolated) {
       << "two chains rode the same OPS";
 }
 
+TEST(OrchestratorTest, ChainIndexStaysIdOrderedUnderChurn) {
+  // Three one-chain service clusters; provisions interleave with teardowns
+  // of the first, a middle and the last id, and chains() must list the
+  // live set in ascending id order, each entry the pointer chain(id) gives.
+  alvc::topology::TopologyParams params;
+  params.seed = 5;
+  params.rack_count = 9;
+  params.ops_count = 36;
+  params.tor_ops_degree = 8;
+  params.service_count = 3;
+  params.optoelectronic_fraction = 0.5;
+  params.core = alvc::topology::CoreKind::kRing;
+  auto topo = alvc::topology::build_topology(params);
+  alvc::cluster::ClusterManager manager(topo);
+  const alvc::cluster::VertexCoverAlBuilder builder;
+  ASSERT_TRUE(manager.create_clusters_by_service(builder).has_value());
+  const auto catalog = alvc::nfv::VnfCatalog::make_default();
+  NetworkOrchestrator orch(manager, catalog);
+  const GreedyOpticalPlacement placement;
+
+  std::vector<NfcId> live;  // the expected index, ascending
+  const auto expect_index = [&](const char* step) {
+    SCOPED_TRACE(step);
+    const auto chains = orch.chains();
+    ASSERT_EQ(chains.size(), live.size());
+    EXPECT_EQ(orch.chain_count(), live.size());
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+      EXPECT_EQ(chains[i]->record.id, live[i]);
+      EXPECT_EQ(orch.chain(live[i]), chains[i]);
+    }
+  };
+  const auto provision = [&](std::uint32_t service) {
+    NfcSpec spec;
+    spec.tenant = TenantId{service};
+    spec.name = "tenant-" + std::to_string(service);
+    spec.bandwidth_gbps = 1.0;
+    spec.service = ServiceId{service};
+    spec.functions = {*catalog.find_by_type(VnfType::kFirewall)};
+    return orch.provision_chain(spec, placement);
+  };
+  const auto add = [&](std::uint32_t service) {
+    const auto id = provision(service);
+    ASSERT_TRUE(id.has_value()) << id.error().to_string();
+    ASSERT_TRUE(live.empty() || live.back() < *id);
+    live.push_back(*id);
+  };
+  const auto remove = [&](NfcId id) {
+    ASSERT_TRUE(orch.teardown_chain(id).is_ok());
+    live.erase(std::find(live.begin(), live.end(), id));
+  };
+
+  expect_index("empty");
+  for (std::uint32_t s = 0; s < 3; ++s) add(s);
+  expect_index("three provisioned");
+  // A refused provision (the service's cluster is taken) leaves it alone.
+  EXPECT_FALSE(provision(1).has_value());
+  expect_index("refused provision");
+
+  const auto service_of = [&](NfcId id) { return orch.chain(id)->record.spec.service.value(); };
+  const NfcId first = live.front();
+  const std::uint32_t first_service = service_of(first);
+  remove(first);
+  expect_index("first torn down");
+  add(first_service);
+  expect_index("re-provisioned after first");
+
+  const NfcId middle = live[1];
+  const std::uint32_t middle_service = service_of(middle);
+  remove(middle);
+  expect_index("middle torn down");
+  add(middle_service);
+  expect_index("re-provisioned after middle");
+
+  const NfcId last = live.back();
+  const std::uint32_t last_service = service_of(last);
+  remove(last);
+  expect_index("last torn down");
+  add(last_service);
+  expect_index("re-provisioned after last");
+
+  while (!live.empty()) remove(live[live.size() / 2]);
+  expect_index("all torn down");
+  ASSERT_FALSE(orch.teardown_chain(first).is_ok());
+  expect_index("teardown of a dead id");
+}
+
 }  // namespace
 }  // namespace alvc::orchestrator
