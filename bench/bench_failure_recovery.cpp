@@ -9,6 +9,9 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/alvc.h"
 #include "faults/chaos.h"
@@ -113,6 +116,83 @@ void BM_LinkFailureRecoveryCycle(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }
 BENCHMARK(BM_LinkFailureRecoveryCycle)->Unit(benchmark::kMicrosecond);
+
+/// The fault_storm fabric (e2e_bench): 1024 racks x 4 servers, 512
+/// two-rack clusters (block services), ToR-OPS degree 3 over local uplink
+/// windows, one single-function chain per cluster. Heap-allocated —
+/// DataCenter must never be moved.
+std::unique_ptr<core::DataCenter> make_fault_storm_dc() {
+  core::DataCenterConfig config;
+  config.topology.rack_count = 1024;
+  config.topology.servers_per_rack = 4;
+  config.topology.vms_per_server = 2;
+  config.topology.ops_count = 1024;
+  config.topology.tor_ops_degree = 3;
+  config.topology.uplink_locality = 1.0;
+  config.topology.core = topology::CoreKind::kNone;
+  config.topology.optoelectronic_fraction = 0.5;
+  config.topology.service_count = 512;
+  config.topology.server_local_services = true;
+  config.topology.seed = 20160627;
+  auto dc = std::make_unique<core::DataCenter>(config);
+  if (auto built = dc->build_clusters(); !built) {
+    throw std::runtime_error(built.error().to_string());
+  }
+  for (std::uint32_t s = 0; s < 512; ++s) {
+    nfv::NfcSpec spec;
+    spec.service = util::ServiceId{s};
+    spec.name = "chain-" + std::to_string(s);
+    spec.bandwidth_gbps = 1.0;
+    spec.functions = {*dc->catalog().find_by_type(VnfType::kFirewall)};
+    if (!dc->provision_chain(spec, core::PlacementAlgorithm::kGreedyOptical).has_value()) {
+      throw std::runtime_error("provisioning chain " + std::to_string(s) + " failed");
+    }
+  }
+  return dc;
+}
+
+/// The fault_storm fabric with 4 clusters held degraded behind dead ToRs,
+/// plus the healthy-cluster link the cycle flips. Built once per process:
+/// re-running the set-up would kill each victim's second rack.
+struct FaultStormLinkFixture {
+  std::unique_ptr<core::DataCenter> dc = make_fault_storm_dc();
+  util::TorId tor = util::TorId::invalid();
+  util::OpsId ops = util::OpsId::invalid();
+
+  FaultStormLinkFixture() {
+    const auto clusters = dc->clusters().clusters();
+    for (std::size_t i = 0; i < 4; ++i) {
+      const util::TorId dead = clusters[i * 64]->layer.tors.front();
+      if (!dc->orchestrator().handle_tor_failure(dead).has_value()) {
+        throw std::runtime_error("ToR failure failed");
+      }
+    }
+    if (dc->clusters().degraded_cluster_ids().size() != 4) {
+      throw std::runtime_error("expected exactly 4 degraded clusters");
+    }
+    const cluster::VirtualCluster& healthy = *clusters[300];
+    tor = healthy.layer.tors.front();
+    for (util::OpsId o : dc->topology().tor(tor).uplinks) {
+      if (healthy.layer.contains_ops(o)) ops = o;
+    }
+    if (!ops.valid()) throw std::runtime_error("healthy cluster has no AL uplink on its ToR");
+  }
+};
+
+/// One link failure + recovery on a healthy cluster of the fault_storm
+/// fabric while 4 other clusters sit degraded: the failure walks the link's
+/// ToR's clusters, and the recovery retries every degraded cluster's
+/// rebuild — the cluster-layer work fault_storm's recovery events pay.
+void BM_FaultStormLinkCycle(benchmark::State& state) {
+  static FaultStormLinkFixture f;
+  auto& orch = f.dc->orchestrator();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(orch.handle_link_failure(f.tor, f.ops));
+    benchmark::DoNotOptimize(orch.handle_link_recovery(f.tor, f.ops));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
+}
+BENCHMARK(BM_FaultStormLinkCycle)->Unit(benchmark::kMicrosecond);
 
 void BM_StateAudit(benchmark::State& state) {
   auto dc = make_loaded_dc(7);

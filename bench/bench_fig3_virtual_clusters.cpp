@@ -82,7 +82,7 @@ void BM_OwnershipAcquireRelease(benchmark::State& state) {
   for (std::uint32_t i = 0; i < 64; ++i) batch.push_back(util::OpsId{i});
   for (auto _ : state) {
     benchmark::DoNotOptimize(ownership.acquire(batch, util::ClusterId{1}));
-    ownership.release_all(util::ClusterId{1});
+    ownership.release(batch, util::ClusterId{1});
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }

@@ -41,12 +41,15 @@
 #                                       #   tier1, tsan, asan, ubsan,
 #                                       #   telemetry, overload-soak,
 #                                       #   elastic-soak, bench-smoke,
-#                                       #   scale-soak
+#                                       #   scale-soak, e2e-digests
 #   scripts/check.sh --bench-json <out> # run the tracked benchmarks
 #                                       #   (bench_route_cache,
 #                                       #   bench_fig4_al_construction,
 #                                       #   bench_sharded_control_plane,
-#                                       #   bench_overload_downgrade) and
+#                                       #   bench_overload_downgrade,
+#                                       #   bench_elastic_scaling,
+#                                       #   bench_fig2_topology,
+#                                       #   bench_failure_recovery) and
 #                                       #   write alvc-bench-trajectory-v1
 #                                       #   JSON; see emit_bench_json for
 #                                       #   baseline resolution
@@ -137,7 +140,7 @@ leg_asan() {
   cmake -B build-asan -S . -DALVC_SANITIZE=address -DALVC_LOCK_ORDER_CHECK=ON >/dev/null
   cmake --build build-asan -j "$jobs" --target \
     topology_failure_api_test cluster_failure_test cluster_degraded_cluster_test \
-    orchestrator_failure_test faults_fault_injector_test faults_state_auditor_test \
+    cluster_tor_index_test orchestrator_failure_test faults_fault_injector_test faults_state_auditor_test \
     faults_chaos_soak_test orchestrator_route_cache_test \
     orchestrator_route_cache_differential_test orchestrator_csr_chaos_differential_test \
     faults_overload_soak_test orchestrator_strict_ladder_differential_test \
@@ -250,6 +253,14 @@ leg_bench_smoke() {
   echo "== bench smoke artifacts in build/bench-smoke/ =="
 }
 
+leg_e2e_digests() {
+  echo "== e2e digests: every round's schedule/end-state digest vs tests/golden =="
+  # Builds e2e_bench's replay binary (Release, .bench_build/) and replays all
+  # three workloads on a fixed seed set; any digest drift is a behaviour
+  # change and fails the leg. Regenerate with --write only on purpose.
+  python3 scripts/e2e_digests.py --check
+}
+
 leg_scale_soak() {
   echo "== scale soak: shard-count differential + million-VM smoke (Release) =="
   cmake -B build-scale -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -271,8 +282,9 @@ leg_scale_soak() {
 # (bench_route_cache, bench_fig4_al_construction, the mid-scale
 # bench_sharded_control_plane 1/2/4/8-shard cycles, the
 # bench_overload_downgrade rebalance rows, the bench_elastic_scaling
-# tick rows at two history lengths and the bench_fig2_topology switch-graph
-# link-flip rows) and writes an
+# tick rows at two history lengths, the bench_fig2_topology switch-graph
+# link-flip rows and the bench_failure_recovery fault_storm link cycle)
+# and writes an
 # alvc-bench-trajectory-v1 JSON: per benchmark name, the current cpu time
 # in microseconds next to a "before" baseline and the resulting speedup.
 # With ALVC_BENCH_SCALE=full, the million-VM sharded benchmark also runs
@@ -280,7 +292,8 @@ leg_scale_soak() {
 # topology build alone) and its rows are merged in; CI runs without the
 # env, so those rows show up as [gone] in the gate, which is non-fatal.
 # Baseline resolution, in order:
-#   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded,overload,elastic,fig2}.json — raw
+#   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded,overload,elastic,fig2,
+#      failure_recovery}.json — raw
 #      google-benchmark JSON captured on the pre-change tree;
 #   2. the newest committed BENCH_PR<N>.json at the repo root, by PR
 #      number (bench_gate.newest_committed_baseline; its `before` values
@@ -292,7 +305,8 @@ emit_bench_json() {
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" --target \
     bench_route_cache bench_fig4_al_construction bench_sharded_control_plane \
-    bench_overload_downgrade bench_elastic_scaling bench_fig2_topology
+    bench_overload_downgrade bench_elastic_scaling bench_fig2_topology \
+    bench_failure_recovery
   local tmpdir
   tmpdir="$(mktemp -d)"
   ./build/bench/bench_route_cache \
@@ -322,6 +336,11 @@ emit_bench_json() {
     --benchmark_min_time=0.05 \
     --benchmark_filter='^BM_SwitchGraphLinkFlip' \
     --benchmark_out="$tmpdir/fig2.json" \
+    --benchmark_out_format=json
+  ./build/bench/bench_failure_recovery \
+    --benchmark_min_time=0.05 \
+    --benchmark_filter='^BM_FaultStormLinkCycle' \
+    --benchmark_out="$tmpdir/failure_recovery.json" \
     --benchmark_out_format=json
   if [[ "${ALVC_BENCH_SCALE:-}" == "full" ]]; then
     echo "== bench json: million-VM sharded rows (Release build-scale) =="
@@ -353,7 +372,8 @@ after = {"bench_route_cache": load_cpu_us(f"{tmpdir}/route_cache.json"),
          "bench_sharded_control_plane": load_cpu_us(f"{tmpdir}/sharded.json"),
          "bench_overload_downgrade": load_cpu_us(f"{tmpdir}/overload.json"),
          "bench_elastic_scaling": load_cpu_us(f"{tmpdir}/elastic.json"),
-         "bench_fig2_topology": load_cpu_us(f"{tmpdir}/fig2.json")}
+         "bench_fig2_topology": load_cpu_us(f"{tmpdir}/fig2.json"),
+         "bench_failure_recovery": load_cpu_us(f"{tmpdir}/failure_recovery.json")}
 full_path = os.path.join(tmpdir, "sharded_full.json")
 if os.path.exists(full_path):
     after["bench_sharded_control_plane"].update(load_cpu_us(full_path))
@@ -365,7 +385,8 @@ if baseline_dir:
                        ("bench_sharded_control_plane", "sharded.json"),
                        ("bench_overload_downgrade", "overload.json"),
                        ("bench_elastic_scaling", "elastic.json"),
-                       ("bench_fig2_topology", "fig2.json")):
+                       ("bench_fig2_topology", "fig2.json"),
+                       ("bench_failure_recovery", "failure_recovery.json")):
         path = os.path.join(baseline_dir, raw)
         if os.path.exists(path):
             before[bench] = load_cpu_us(path)
@@ -436,7 +457,8 @@ if [[ -n "$ci_leg" ]]; then
     elastic-soak) leg_elastic_soak ;;
     bench-smoke) leg_bench_smoke ;;
     scale-soak) leg_scale_soak ;;
-    *) echo "unknown CI leg: $ci_leg (expected static, analyze, tier1, tsan, asan, ubsan, telemetry, overload-soak, elastic-soak, bench-smoke, scale-soak)" >&2
+    e2e-digests) leg_e2e_digests ;;
+    *) echo "unknown CI leg: $ci_leg (expected static, analyze, tier1, tsan, asan, ubsan, telemetry, overload-soak, elastic-soak, bench-smoke, scale-soak, e2e-digests)" >&2
        exit 2 ;;
   esac
   echo "== CI leg '$ci_leg' passed =="

@@ -44,12 +44,6 @@ void OpsOwnership::release(std::span<const OpsId> opss, ClusterId cluster) {
   }
 }
 
-void OpsOwnership::release_all(ClusterId cluster) {
-  for (auto& o : owner_) {
-    if (o == cluster) o = ClusterId::invalid();
-  }
-}
-
 std::vector<OpsId> OpsOwnership::free_ops() const {
   if (read_log_ != nullptr) read_log_->set_all();
   std::vector<OpsId> out;

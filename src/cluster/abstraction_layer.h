@@ -73,9 +73,6 @@ class OpsOwnership {
   /// Releases any of `opss` owned by `cluster` (others are ignored).
   void release(std::span<const OpsId> opss, ClusterId cluster);
 
-  /// Releases everything owned by `cluster`.
-  void release_all(ClusterId cluster);
-
   /// Ids of currently unowned OPSs.
   [[nodiscard]] std::vector<OpsId> free_ops() const;
 

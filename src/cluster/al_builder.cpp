@@ -40,9 +40,9 @@ std::vector<TorId> select_tors(const DataCenterTopology& topo, std::span<const V
   // a 100k-cluster batch build quadratic.
   std::vector<TorId::value_type> candidates;
   for (const VmId vm : group) {
-    for (TorId t : topo.tors_of_vm(vm)) {
+    topo.for_each_tor_of_vm(vm, [&](TorId t) {
       if (topo.tor_usable(t)) candidates.push_back(t.value());
-    }
+    });
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
@@ -52,9 +52,9 @@ std::vector<TorId> select_tors(const DataCenterTopology& topo, std::span<const V
   };
   BipartiteGraph g(group.size(), candidates.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
-    for (TorId t : topo.tors_of_vm(group[i])) {
+    topo.for_each_tor_of_vm(group[i], [&](TorId t) {
       if (topo.tor_usable(t)) g.add_edge(i, dense_index(t));
-    }
+    });
   }
   std::vector<std::size_t> chosen;
   if (exact) {
@@ -453,10 +453,8 @@ std::vector<OpsId> critical_ops(const DataCenterTopology& topo, const Abstractio
 bool al_covers_group(const DataCenterTopology& topo, std::span<const VmId> group,
                      const AbstractionLayer& layer) {
   for (VmId vm : group) {
-    const auto homes = topo.tors_of_vm(vm);
-    const bool covered = std::any_of(homes.begin(), homes.end(), [&](TorId t) {
-      return layer.contains_tor(t) && topo.tor_usable(t);
-    });
+    const bool covered = topo.any_tor_of_vm(
+        vm, [&](TorId t) { return layer.contains_tor(t) && topo.tor_usable(t); });
     if (!covered) return false;
   }
   for (TorId t : layer.tors) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "cluster/service.h"
@@ -15,10 +16,55 @@ using alvc::util::Error;
 using alvc::util::ErrorCode;
 using alvc::util::TorId;
 
+namespace {
+
+/// Control-plane cost of replacing AL `from` with `to`: one rule per OPS
+/// and per ToR in their symmetric difference.
+UpdateCost layer_swap_cost(const AbstractionLayer& from, const AbstractionLayer& to) {
+  UpdateCost cost;
+  for (alvc::util::OpsId o : from.opss) {
+    if (!to.contains_ops(o)) cost.ops_changes += 1;
+  }
+  for (alvc::util::OpsId o : to.opss) {
+    if (!from.contains_ops(o)) cost.ops_changes += 1;
+  }
+  for (TorId t : from.tors) {
+    if (!to.contains_tor(t)) cost.tor_changes += 1;
+  }
+  for (TorId t : to.tors) {
+    if (!from.contains_tor(t)) cost.tor_changes += 1;
+  }
+  cost.flow_rules = cost.ops_changes + cost.tor_changes;
+  return cost;
+}
+
+}  // namespace
+
 ClusterManager::ClusterManager(DataCenterTopology& topo)
     : topo_(&topo),
       ownership_(topo.ops_count()),
-      vm_owner_(topo.vm_count(), ClusterId::invalid()) {}
+      vm_owner_(topo.vm_count(), ClusterId::invalid()),
+      tor_clusters_(topo.tor_count()) {}
+
+void ClusterManager::set_layer(VirtualCluster& vc, AbstractionLayer layer) {
+  if (layer.tors != vc.layer.tors) {
+    for (TorId t : vc.layer.tors) std::erase(tor_clusters_[t.index()], vc.id);
+    for (TorId t : layer.tors) {
+      if (t.index() >= tor_clusters_.size()) {
+        // The topology gained ToRs since construction; track them.
+        tor_clusters_.resize(topo_->tor_count());
+      }
+      auto& ids = tor_clusters_[t.index()];
+      ids.insert(std::upper_bound(ids.begin(), ids.end(), vc.id), vc.id);
+    }
+  }
+  vc.layer = std::move(layer);
+}
+
+std::span<const ClusterId> ClusterManager::tor_cluster_ids(TorId tor) const noexcept {
+  if (tor.index() >= tor_clusters_.size()) return {};
+  return tor_clusters_[tor.index()];
+}
 
 void ClusterManager::set_vm_owner(VmId vm, ClusterId owner) {
   const std::size_t slot = vm.index();
@@ -69,9 +115,8 @@ Expected<ClusterId> ClusterManager::commit_built(ServiceId service, std::span<co
   VirtualCluster vc{.id = id,
                     .service = service,
                     .vms = {group.begin(), group.end()},
-                    .layer = std::move(built.layer),
                     .connected = built.connected};
-  clusters_.emplace(id, std::move(vc));
+  set_layer(clusters_.emplace(id, std::move(vc)).first->second, std::move(built.layer));
   for (VmId vm : group) set_vm_owner(vm, id);
   auto& peers = by_service_[service.value()];
   peers.insert(std::upper_bound(peers.begin(), peers.end(), id), id);
@@ -197,7 +242,8 @@ Status ClusterManager::destroy_cluster(ClusterId id) {
   if (it == clusters_.end()) {
     return Error{ErrorCode::kNotFound, "no cluster " + std::to_string(id.value())};
   }
-  ownership_.release_all(id);
+  ownership_.release(it->second.layer.opss, id);
+  set_layer(it->second, {});
   for (VmId vm : it->second.vms) set_vm_owner(vm, ClusterId::invalid());
   const auto peers = by_service_.find(it->second.service.value());
   if (peers != by_service_.end()) {
@@ -220,10 +266,8 @@ Expected<UpdateCost> ClusterManager::add_vm(ClusterId id, VmId vm) {
     return Error{ErrorCode::kConflict, "VM belongs to another cluster"};
   }
   UpdateCost cost;
-  const auto homes = topo_->tors_of_vm(vm);
-  const bool covered = std::any_of(homes.begin(), homes.end(), [&](TorId t) {
-    return vc->layer.contains_tor(t);
-  });
+  const bool covered =
+      topo_->any_tor_of_vm(vm, [&](TorId t) { return vc->layer.contains_tor(t); });
   if (!covered) {
     auto extend = cover_tor(*vc, topo_->tor_of_vm(vm));
     if (!extend) return extend.error();
@@ -250,8 +294,7 @@ Expected<UpdateCost> ClusterManager::remove_vm(ClusterId id, VmId vm) {
   // Shrink only when no remaining member reaches the ToR by ANY homing, so
   // multi-homed coverage never breaks.
   const bool tor_still_used = std::any_of(vc->vms.begin(), vc->vms.end(), [&](VmId other) {
-    const auto homes = topo_->tors_of_vm(other);
-    return std::find(homes.begin(), homes.end(), tor) != homes.end();
+    return topo_->any_tor_of_vm(other, [&](TorId t) { return t == tor; });
   });
   if (!tor_still_used && vc->layer.contains_tor(tor)) {
     cost += uncover_tor(*vc, tor);
@@ -284,8 +327,7 @@ Expected<UpdateCost> ClusterManager::migrate_vm(ClusterId id, VmId vm, ServerId 
   topo_->move_vm(vm, new_server);
   cost.flow_rules += 2;  // remove rule at old ToR, install at new ToR
   const bool old_tor_still_used = std::any_of(vc->vms.begin(), vc->vms.end(), [&](VmId other) {
-    const auto homes = topo_->tors_of_vm(other);
-    return std::find(homes.begin(), homes.end(), old_tor) != homes.end();
+    return topo_->any_tor_of_vm(other, [&](TorId t) { return t == old_tor; });
   });
   if (!old_tor_still_used && vc->layer.contains_tor(old_tor)) {
     cost += uncover_tor(*vc, old_tor);
@@ -299,43 +341,42 @@ Expected<UpdateCost> ClusterManager::apply_reoptimized(VirtualCluster& vc, AlBui
   if (rebuilt.layer.opss.size() >= vc.layer.opss.size()) {
     return UpdateCost{};  // no improvement: keep the incumbent AL
   }
-  UpdateCost cost;
   // Rules: remove what leaves, add what arrives (symmetric difference).
-  for (alvc::util::OpsId o : vc.layer.opss) {
-    if (!rebuilt.layer.contains_ops(o)) {
-      cost.ops_changes += 1;
-      cost.flow_rules += 1;
+  const UpdateCost cost = layer_swap_cost(vc.layer, rebuilt.layer);
+  if (auto status = swap_layer(vc, std::move(rebuilt)); !status.is_ok()) return status.error();
+  return cost;
+}
+
+Expected<AlBuildResult> ClusterManager::build_as_if_free(const VirtualCluster& vc,
+                                                         std::span<const VmId> group,
+                                                         const AlBuilder& builder) {
+  // Re-acquires on every exit, a throwing build included, so the live
+  // registry never shows the cluster's OPSs free while its AL lists them.
+  struct Reacquire {
+    OpsOwnership& ownership;
+    const VirtualCluster& vc;
+    ~Reacquire() {
+      ALVC_IGNORE_STATUS(ownership.acquire(vc.layer.opss, vc.id),
+                         "re-acquiring the OPSs just released; the build only read the registry");
     }
-  }
-  for (alvc::util::OpsId o : rebuilt.layer.opss) {
-    if (!vc.layer.contains_ops(o)) {
-      cost.ops_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  for (TorId t : vc.layer.tors) {
-    if (!rebuilt.layer.contains_tor(t)) {
-      cost.tor_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  for (TorId t : rebuilt.layer.tors) {
-    if (!vc.layer.contains_tor(t)) {
-      cost.tor_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  ownership_.release_all(vc.id);
-  if (auto status = ownership_.acquire(rebuilt.layer.opss, vc.id); !status.is_ok()) {
-    // Should not happen (scratch proved feasibility); restore the old AL.
+  };
+  ownership_.release(vc.layer.opss, vc.id);
+  const Reacquire reacquire{ownership_, vc};
+  return builder.build(*topo_, group, ownership_);
+}
+
+Status ClusterManager::swap_layer(VirtualCluster& vc, AlBuildResult built) {
+  ownership_.release(vc.layer.opss, vc.id);
+  if (auto status = ownership_.acquire(built.layer.opss, vc.id); !status.is_ok()) {
+    // Should not happen (the build proved feasibility); restore the old AL.
     ALVC_IGNORE_STATUS(ownership_.acquire(vc.layer.opss, vc.id),
                        "restoring the AL we just released; those OPSs are still free");
-    return status.error();
+    return status;
   }
-  vc.layer = std::move(rebuilt.layer);
-  vc.connected = rebuilt.connected;
+  set_layer(vc, std::move(built.layer));
+  vc.connected = built.connected;
   topo_->bump_mutation_epoch();
-  return cost;
+  return Status::ok();
 }
 
 Expected<UpdateCost> ClusterManager::reoptimize_cluster(ClusterId id, const AlBuilder& builder) {
@@ -343,11 +384,9 @@ Expected<UpdateCost> ClusterManager::reoptimize_cluster(ClusterId id, const AlBu
   if (vc == nullptr) return Error{ErrorCode::kNotFound, "no cluster " + std::to_string(id.value())};
   if (vc->vms.empty()) return UpdateCost{};
 
-  // Build against an ownership view where this cluster's OPSs are free, so
-  // the rebuild may keep any of them.
-  OpsOwnership scratch = ownership_;
-  scratch.release_all(id);
-  auto rebuilt = builder.build(*topo_, vc->vms, scratch);
+  // Build as if this cluster's OPSs were free, so the rebuild may keep any
+  // of them.
+  auto rebuilt = build_as_if_free(*vc, vc->vms, builder);
   if (!rebuilt) return rebuilt.error();
   return apply_reoptimized(*vc, std::move(*rebuilt));
 }
@@ -393,7 +432,7 @@ Expected<std::vector<UpdateCost>> ClusterManager::reoptimize_clusters(
     spec[i].attempted = true;
     tasks->submit([&, i, vc] {
       OpsOwnership local_view = snapshot;
-      local_view.release_all(vc->id);
+      local_view.release(vc->layer.opss, vc->id);
       spec[i].reads = alvc::util::DynamicBitset(local_view.ops_count());
       local_view.set_read_log(&spec[i].reads);
       spec[i].result.emplace(builder.build(*topo_, vc->vms, local_view));
@@ -428,9 +467,7 @@ Expected<std::vector<UpdateCost>> ClusterManager::reoptimize_clusters(
         return apply_reoptimized(*vc, std::move(**spec[i].result));
       }
       ++local.serial_rebuilds;
-      OpsOwnership scratch = ownership_;
-      scratch.release_all(vc->id);
-      auto rebuilt = builder.build(*topo_, vc->vms, scratch);
+      auto rebuilt = build_as_if_free(*vc, vc->vms, builder);
       if (!rebuilt) return rebuilt.error();
       return apply_reoptimized(*vc, std::move(*rebuilt));
     }();
@@ -464,7 +501,9 @@ Expected<UpdateCost> ClusterManager::handle_ops_failure(alvc::util::OpsId ops,
   if (touched != nullptr) touched->push_back(owner);
 
   // The hardware is gone regardless of how the repair goes: evict it.
-  std::erase(vc->layer.opss, ops);
+  AbstractionLayer evicted = vc->layer;
+  std::erase(evicted.opss, ops);
+  set_layer(*vc, std::move(evicted));
   topo_->bump_mutation_epoch();
   ownership_.release(std::span<const alvc::util::OpsId>(&ops, 1), owner);
   cost.ops_changes += 1;
@@ -484,18 +523,15 @@ Expected<UpdateCost> ClusterManager::repair_coverage(VirtualCluster& vc) {
   // merely degraded, never holding OPSs it does not own.
   AbstractionLayer candidate = vc.layer;
   for (TorId tor : candidate.tors) {
-    const auto usable = topo_->usable_uplinks(tor);
-    const bool covered = std::any_of(usable.begin(), usable.end(), [&](alvc::util::OpsId o) {
-      return candidate.contains_ops(o);
-    });
+    const bool covered = topo_->any_usable_uplink(
+        tor, [&](alvc::util::OpsId o) { return candidate.contains_ops(o); });
     if (covered) continue;
     alvc::util::OpsId pick = alvc::util::OpsId::invalid();
-    for (alvc::util::OpsId o : usable) {
-      if (ownership_.is_free(o) && !candidate.contains_ops(o)) {
-        pick = o;
-        break;
-      }
-    }
+    topo_->any_usable_uplink(tor, [&](alvc::util::OpsId o) {
+      if (!ownership_.is_free(o) || candidate.contains_ops(o)) return false;
+      pick = o;
+      return true;
+    });
     if (!pick.valid()) {
       vc.connected = cluster_subgraph_connected(*topo_, vc.layer);
       set_degraded(vc, true);
@@ -516,7 +552,7 @@ Expected<UpdateCost> ClusterManager::repair_coverage(VirtualCluster& vc) {
     set_degraded(vc, true);
     return status.error();
   }
-  vc.layer = std::move(candidate);
+  set_layer(vc, std::move(candidate));
   vc.connected = connected;
   topo_->bump_mutation_epoch();
   // Uplink repair fixes ToR-to-OPS coverage only; the cluster may still be
@@ -533,11 +569,9 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
   std::vector<VmId> reachable;
   reachable.reserve(vc.vms.size());
   for (VmId vm : vc.vms) {
-    const auto homes = topo_->tors_of_vm(vm);
-    const bool ok = std::any_of(homes.begin(), homes.end(), [&](TorId t) {
-      return topo_->tor_usable(t) && !topo_->usable_uplinks(t).empty();
-    });
-    if (ok) reachable.push_back(vm);
+    if (topo_->any_tor_of_vm(vm, [&](TorId t) { return topo_->has_usable_uplink(t); })) {
+      reachable.push_back(vm);
+    }
   }
 
   UpdateCost cost;
@@ -547,18 +581,15 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
     cost.ops_changes += vc.layer.opss.size();
     cost.tor_changes += vc.layer.tors.size();
     cost.flow_rules += vc.layer.opss.size() + vc.layer.tors.size();
-    ownership_.release_all(vc.id);
-    vc.layer.opss.clear();
-    vc.layer.tors.clear();
+    ownership_.release(vc.layer.opss, vc.id);
+    set_layer(vc, {});
     vc.connected = true;  // vacuously
     set_degraded(vc, !vc.vms.empty());
     topo_->bump_mutation_epoch();
     return cost;
   }
 
-  OpsOwnership scratch = ownership_;
-  scratch.release_all(vc.id);
-  auto rebuilt = builder.build(*topo_, reachable, scratch);
+  auto rebuilt = build_as_if_free(vc, reachable, builder);
   if (!rebuilt) {
     // Keep the incumbent AL (it may still serve part of the group) and mark
     // the cluster degraded so a later recovery retries the rebuild.
@@ -570,42 +601,12 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
   // Symmetric-difference cost, then an unconditional swap: unlike
   // reoptimize, the incumbent AL references dead hardware, so "smaller" is
   // not the criterion — live coverage is.
-  for (alvc::util::OpsId o : vc.layer.opss) {
-    if (!rebuilt->layer.contains_ops(o)) {
-      cost.ops_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  for (alvc::util::OpsId o : rebuilt->layer.opss) {
-    if (!vc.layer.contains_ops(o)) {
-      cost.ops_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  for (TorId t : vc.layer.tors) {
-    if (!rebuilt->layer.contains_tor(t)) {
-      cost.tor_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  for (TorId t : rebuilt->layer.tors) {
-    if (!vc.layer.contains_tor(t)) {
-      cost.tor_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  ownership_.release_all(vc.id);
-  if (auto status = ownership_.acquire(rebuilt->layer.opss, vc.id); !status.is_ok()) {
-    // Should not happen (scratch proved feasibility); restore the old AL.
-    ALVC_IGNORE_STATUS(ownership_.acquire(vc.layer.opss, vc.id),
-                       "restoring the AL we just released; those OPSs are still free");
+  cost += layer_swap_cost(vc.layer, rebuilt->layer);
+  if (!swap_layer(vc, std::move(*rebuilt)).is_ok()) {
     set_degraded(vc, true);
     return UpdateCost{};
   }
-  vc.layer = std::move(rebuilt->layer);
-  vc.connected = rebuilt->connected;
   set_degraded(vc, reachable.size() != vc.vms.size());
-  topo_->bump_mutation_epoch();
   return cost;
 }
 
@@ -619,11 +620,14 @@ Expected<UpdateCost> ClusterManager::handle_tor_failure(TorId tor, const AlBuild
   ALVC_COUNT("cluster.failures.tor");
   ALVC_IGNORE_STATUS(topo_->set_tor_failed(tor, true), "the tor id was validated above");
   UpdateCost cost;
-  for (ClusterId id : sorted_cluster_ids()) {
+  // A copy of the ToR's index list: dropping the ToR below edits it.
+  for (ClusterId id : clusters_containing_tor(tor)) {
     VirtualCluster* vc = find_mutable(id);
-    if (vc == nullptr || !vc->layer.contains_tor(tor)) continue;
+    if (vc == nullptr) continue;
     if (touched != nullptr) touched->push_back(id);
-    std::erase(vc->layer.tors, tor);
+    AbstractionLayer dropped = vc->layer;
+    std::erase(dropped.tors, tor);
+    set_layer(*vc, std::move(dropped));
     topo_->bump_mutation_epoch();
     cost.tor_changes += 1;
     cost.flow_rules += 1;
@@ -659,9 +663,11 @@ Expected<UpdateCost> ClusterManager::handle_link_failure(TorId tor, alvc::util::
   ALVC_SPAN(span, "cluster.handle_link_failure");
   ALVC_COUNT("cluster.failures.link");
   UpdateCost cost;
-  for (ClusterId id : sorted_cluster_ids()) {
+  // A copy of the ToR's index list, so the walk does not depend on
+  // repair_coverage leaving every AL's ToR set alone.
+  for (ClusterId id : clusters_containing_tor(tor)) {
     VirtualCluster* vc = find_mutable(id);
-    if (vc == nullptr || !vc->layer.contains_tor(tor)) continue;
+    if (vc == nullptr) continue;
     if (touched != nullptr) touched->push_back(id);
     // An infeasible repair leaves this cluster degraded; keep sweeping —
     // one stranded cluster must not block the others.
@@ -727,12 +733,8 @@ Expected<UpdateCost> ClusterManager::restore_degraded_clusters(const AlBuilder& 
 }
 
 std::vector<ClusterId> ClusterManager::clusters_containing_tor(TorId tor) const {
-  std::vector<ClusterId> ids;
-  for (const auto& [id, vc] : clusters_) {
-    if (vc.layer.contains_tor(tor)) ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
+  const auto ids = tor_cluster_ids(tor);
+  return {ids.begin(), ids.end()};
 }
 
 std::vector<ClusterId> ClusterManager::sorted_cluster_ids() const {
@@ -793,21 +795,15 @@ Expected<UpdateCost> ClusterManager::cover_tor(VirtualCluster& vc, TorId tor) {
   cost.flow_rules += 1;  // programme the new ToR
 
   // Does any AL OPS already serve this ToR (over a live link)?
-  const auto usable = topo_->usable_uplinks(tor);
-  bool covered = false;
-  for (alvc::util::OpsId o : usable) {
-    if (candidate.contains_ops(o)) {
-      covered = true;
-      break;
-    }
-  }
+  const bool covered = topo_->any_usable_uplink(
+      tor, [&](alvc::util::OpsId o) { return candidate.contains_ops(o); });
   if (!covered) {
     // Recruit a free uplink OPS; prefer one adjacent to the current AL so
     // connectivity survives without further augmentation.
     const auto& g = topo_->switch_graph();
     alvc::util::OpsId pick = alvc::util::OpsId::invalid();
-    for (alvc::util::OpsId o : usable) {
-      if (!ownership_.is_free(o)) continue;
+    topo_->any_usable_uplink(tor, [&](alvc::util::OpsId o) {
+      if (!ownership_.is_free(o)) return false;
       if (!pick.valid()) pick = o;
       for (const auto& nb : g.neighbors(topo_->ops_vertex(o))) {
         const bool touches_al =
@@ -820,7 +816,8 @@ Expected<UpdateCost> ClusterManager::cover_tor(VirtualCluster& vc, TorId tor) {
           break;
         }
       }
-    }
+      return false;  // keep scanning: the last free uplink adjacent to the AL wins
+    });
     if (!pick.valid()) {
       return Error{ErrorCode::kInfeasible,
                    "no free OPS uplink for ToR " + std::to_string(tor.value())};
@@ -840,7 +837,7 @@ Expected<UpdateCost> ClusterManager::cover_tor(VirtualCluster& vc, TorId tor) {
   if (auto status = ownership_.acquire(candidate.opss, vc.id); !status.is_ok()) {
     return status.error();
   }
-  vc.layer = std::move(candidate);
+  set_layer(vc, std::move(candidate));
   vc.connected = connected;
   topo_->bump_mutation_epoch();
   return cost;
@@ -848,7 +845,9 @@ Expected<UpdateCost> ClusterManager::cover_tor(VirtualCluster& vc, TorId tor) {
 
 UpdateCost ClusterManager::uncover_tor(VirtualCluster& vc, TorId tor) {
   UpdateCost cost;
-  std::erase(vc.layer.tors, tor);
+  AbstractionLayer shrunk = vc.layer;
+  std::erase(shrunk.tors, tor);
+  set_layer(vc, std::move(shrunk));
   cost.tor_changes += 1;
   cost.flow_rules += 1;
 
@@ -857,7 +856,7 @@ UpdateCost ClusterManager::uncover_tor(VirtualCluster& vc, TorId tor) {
     cost.ops_changes += vc.layer.opss.size();
     cost.flow_rules += vc.layer.opss.size();
     ownership_.release(vc.layer.opss, vc.id);
-    vc.layer.opss.clear();
+    set_layer(vc, {});
     vc.connected = true;
     topo_->bump_mutation_epoch();
     return cost;
@@ -875,7 +874,7 @@ UpdateCost ClusterManager::uncover_tor(VirtualCluster& vc, TorId tor) {
     trimmed.opss.erase(trimmed.opss.begin() + static_cast<std::ptrdiff_t>(i));
     if (cluster_subgraph_connected(*topo_, trimmed)) {
       ownership_.release(std::span<const alvc::util::OpsId>(&ops, 1), vc.id);
-      vc.layer = std::move(trimmed);
+      set_layer(vc, std::move(trimmed));
       cost.ops_changes += 1;
       cost.flow_rules += 1;
     }
@@ -954,6 +953,36 @@ std::vector<std::string> ClusterManager::check_invariants() const {
   for (const ClusterId id : degraded_ids_) {
     if (clusters_.find(id) == clusters_.end()) {
       violations.push_back("degraded index lists unknown cluster " + std::to_string(id.value()));
+    }
+  }
+  // The ToR index is the blast radius of every ToR, link and server event;
+  // recount it. Each cluster must be listed under exactly its AL's ToRs,
+  // each list strictly ascending and free of unknown ids.
+  for (std::size_t i = 0; i < tor_clusters_.size(); ++i) {
+    const TorId tor{static_cast<TorId::value_type>(i)};
+    const auto& ids = tor_clusters_[i];
+    if (std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>{}) != ids.end()) {
+      violations.push_back("ToR index list of ToR " + std::to_string(i) +
+                           " is not strictly ascending");
+    }
+    for (const ClusterId id : ids) {
+      const auto it = clusters_.find(id);
+      if (it == clusters_.end()) {
+        violations.push_back("ToR index lists unknown cluster " + std::to_string(id.value()) +
+                             " under ToR " + std::to_string(i));
+      } else if (!it->second.layer.contains_tor(tor)) {
+        violations.push_back("ToR index lists cluster " + std::to_string(id.value()) +
+                             " under ToR " + std::to_string(i) + " outside its AL");
+      }
+    }
+  }
+  for (const ClusterId id : sorted_cluster_ids()) {
+    for (TorId t : clusters_.at(id).layer.tors) {
+      const auto ids = tor_cluster_ids(t);
+      if (!std::binary_search(ids.begin(), ids.end(), id)) {
+        violations.push_back("cluster " + std::to_string(id.value()) + " AL ToR " +
+                             std::to_string(t.value()) + " missing from the ToR index");
+      }
     }
   }
   return violations;

@@ -208,9 +208,10 @@ class ClusterManager {
 
   /// One rebuild attempt (with `builder`) for every degraded cluster, in
   /// ascending cluster id. Run after any capacity-restoring event. Walks
-  /// the degraded-cluster index, so the pass costs O(degraded), not
-  /// O(clusters) — the difference between a recovery event and a full
-  /// control-plane scan at 10^5 clusters.
+  /// the degraded-cluster index and rebuilds each AL in place, so the pass
+  /// costs O(sum over degraded clusters of their group + AL), not
+  /// O(clusters) or O(degraded x OPS pool) — the difference between a
+  /// recovery event and a full control-plane scan at 10^5 clusters.
   [[nodiscard]] Expected<UpdateCost> restore_degraded_clusters(
       const AlBuilder& builder, std::vector<ClusterId>* touched = nullptr);
 
@@ -229,10 +230,10 @@ class ClusterManager {
   /// Clusters currently marked degraded, ascending. O(degraded) via the
   /// index restore_degraded_clusters walks.
   [[nodiscard]] std::vector<ClusterId> degraded_cluster_ids() const;
-  /// Clusters whose AL contains `tor`, ascending. O(cluster count) scan;
-  /// the orchestrator uses it as the blast radius of server events (settled
-  /// placements and routes never leave their cluster's slice, and slice
-  /// membership of a server keys on its primary ToR).
+  /// Clusters whose AL contains `tor`, ascending. O(result) via the ToR
+  /// index; the orchestrator uses it as the blast radius of server events
+  /// (settled placements and routes never leave their cluster's slice, and
+  /// slice membership of a server keys on its primary ToR).
   [[nodiscard]] std::vector<ClusterId> clusters_containing_tor(TorId tor) const;
   [[nodiscard]] std::vector<const VirtualCluster*> clusters() const;
   [[nodiscard]] const OpsOwnership& ownership() const noexcept { return ownership_; }
@@ -263,6 +264,19 @@ class ClusterManager {
   /// Swap-if-smaller tail of reoptimize_cluster, shared with the batch
   /// commit: computes the symmetric-difference cost and installs `rebuilt`.
   [[nodiscard]] Expected<UpdateCost> apply_reoptimized(VirtualCluster& vc, AlBuildResult rebuilt);
+  /// Builds an AL for `group` as if `vc` owned nothing, so the result may
+  /// keep any of its OPSs. The OPSs a cluster owns are exactly
+  /// vc.layer.opss (check_invariants proves it), so this releases that list
+  /// in the live registry, builds against it and re-acquires the list on
+  /// every exit, a throwing build included: O(|AL|), against O(OPS pool)
+  /// for a registry copy per fault event.
+  [[nodiscard]] Expected<AlBuildResult> build_as_if_free(const VirtualCluster& vc,
+                                                         std::span<const VmId> group,
+                                                         const AlBuilder& builder);
+  /// Moves `vc` from its current AL to `built` (ownership and layer).
+  /// kConflict, which the callers' feasibility proofs rule out, leaves the
+  /// cluster as it was.
+  [[nodiscard]] Status swap_layer(VirtualCluster& vc, AlBuildResult built);
   /// Extends `vc`'s AL to cover `tor`; returns the incremental cost.
   [[nodiscard]] Expected<UpdateCost> cover_tor(VirtualCluster& vc, alvc::util::TorId tor);
   /// Shrinks `vc` after `tor` lost its last VM; returns the cost.
@@ -276,6 +290,13 @@ class ClusterManager {
   /// member) leaves/marks the cluster degraded instead.
   UpdateCost rebuild_cluster(VirtualCluster& vc, const AlBuilder& builder);
   [[nodiscard]] std::vector<ClusterId> sorted_cluster_ids() const;
+  /// The one writer of VirtualCluster::layer: installs `layer` and keeps
+  /// the ToR -> cluster index in step with its ToR set (check_invariants
+  /// cross-checks). O(|old ToRs| + |new ToRs|) index edits, none when the
+  /// ToR set is unchanged.
+  void set_layer(VirtualCluster& vc, AbstractionLayer layer);
+  /// The ToR index's list for `tor` (empty for a ToR no AL ever held).
+  [[nodiscard]] std::span<const ClusterId> tor_cluster_ids(TorId tor) const noexcept;
   /// Records `owner` (possibly invalid = none) for `vm` in the owner index,
   /// growing it when the topology gained VMs since construction.
   void set_vm_owner(VmId vm, ClusterId owner);
@@ -297,6 +318,10 @@ class ClusterManager {
   /// restore passes and scoped sweeps iterate them without an O(clusters)
   /// scan. Maintained solely by set_degraded and destroy_cluster.
   std::set<ClusterId> degraded_ids_;
+  /// tor.index() -> ids of the clusters whose AL contains that ToR,
+  /// ascending: the blast radius of a ToR, link or server event without an
+  /// O(clusters) scan. Maintained solely by set_layer.
+  std::vector<std::vector<ClusterId>> tor_clusters_;
   ClusterId::value_type next_id_ = 0;
 };
 

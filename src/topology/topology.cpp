@@ -123,15 +123,6 @@ std::size_t DataCenterTopology::service_count() const {
   return count;
 }
 
-std::vector<TorId> DataCenterTopology::tors_of_vm(VmId id) const {
-  const Server& s = server(vm(id).server);
-  std::vector<TorId> tors;
-  tors.reserve(1 + s.secondary_tors.size());
-  tors.push_back(s.tor);
-  tors.insert(tors.end(), s.secondary_tors.begin(), s.secondary_tors.end());
-  return tors;
-}
-
 void DataCenterTopology::move_vm(VmId vm, ServerId new_server) {
   auto& v = vms_.at(vm.index());
   auto& dst = servers_.at(new_server.index());
@@ -196,18 +187,6 @@ alvc::util::Status DataCenterTopology::set_link_failed(TorId tor, OpsId ops, boo
   refresh_switch_links(tor_vertex(tor));
   bump_mutation_epoch();
   return alvc::util::Status::ok();
-}
-
-std::vector<OpsId> DataCenterTopology::usable_uplinks(TorId tor) const {
-  const TorSwitch& t = this->tor(tor);
-  std::vector<OpsId> out;
-  if (t.failed) return out;
-  out.reserve(t.uplinks.size());
-  for (OpsId ops : t.uplinks) {
-    if (opss_[ops.index()].failed || link_failed(tor, ops)) continue;
-    out.push_back(ops);
-  }
-  return out;
 }
 
 bool DataCenterTopology::warm_switch_graph() const {
@@ -291,10 +270,9 @@ TorId DataCenterTopology::vertex_to_tor(std::size_t v) const {
 alvc::graph::BipartiteGraph DataCenterTopology::vm_tor_graph(std::span<const VmId> group) const {
   alvc::graph::BipartiteGraph g(group.size(), tors_.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
-    for (TorId t : tors_of_vm(group[i])) {
-      if (tors_[t.index()].failed) continue;  // a dead ToR covers nobody
-      g.add_edge(i, t.index());
-    }
+    for_each_tor_of_vm(group[i], [&](TorId t) {
+      if (!tors_[t.index()].failed) g.add_edge(i, t.index());  // a dead ToR covers nobody
+    });
   }
   return g;
 }

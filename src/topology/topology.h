@@ -95,9 +95,24 @@ class DataCenterTopology {
   [[nodiscard]] bool link_usable(TorId tor, OpsId ops) const {
     return tor_usable(tor) && ops_usable(ops) && !link_failed(tor, ops);
   }
-  /// The OPSs `tor` can actually reach right now: uplinks whose far end is
-  /// up and whose link is intact. Empty for a failed ToR.
-  [[nodiscard]] std::vector<OpsId> usable_uplinks(TorId tor) const;
+  /// Visits the OPSs `tor` can actually reach right now (uplinks whose far
+  /// end is up and whose link is intact), in uplink order, until `pred`
+  /// returns true; returns whether it did. Visits nothing for a failed ToR.
+  /// Allocation-free: the fault handlers probe this on every repair.
+  template <typename Pred>
+  bool any_usable_uplink(TorId tor, Pred&& pred) const {
+    const TorSwitch& t = this->tor(tor);
+    if (t.failed) return false;
+    for (OpsId ops : t.uplinks) {
+      if (opss_[ops.index()].failed || link_failed(tor, ops)) continue;
+      if (pred(ops)) return true;
+    }
+    return false;
+  }
+  /// True when `tor` is up and at least one of its uplinks can carry traffic.
+  [[nodiscard]] bool has_usable_uplink(TorId tor) const {
+    return any_usable_uplink(tor, [](OpsId) { return true; });
+  }
 
   // ---- element access ----
 
@@ -125,8 +140,26 @@ class DataCenterTopology {
   /// doing id arithmetic themselves (alvc_lint `index-arithmetic`).
   [[nodiscard]] std::size_t service_count() const;
 
-  /// All ToRs a VM can reach (primary first, then secondary homings).
-  [[nodiscard]] std::vector<TorId> tors_of_vm(VmId id) const;
+  /// Visits the ToRs a VM can reach (primary first, then secondary
+  /// homings) until `pred` returns true; returns whether it did.
+  /// Allocation-free, unlike collecting the homings into a vector.
+  template <typename Pred>
+  bool any_tor_of_vm(VmId id, Pred&& pred) const {
+    const Server& s = server(vm(id).server);
+    if (pred(s.tor)) return true;
+    for (TorId t : s.secondary_tors) {
+      if (pred(t)) return true;
+    }
+    return false;
+  }
+  /// Calls `visit` on every ToR a VM can reach, in any_tor_of_vm's order.
+  template <typename Visit>
+  void for_each_tor_of_vm(VmId id, Visit&& visit) const {
+    any_tor_of_vm(id, [&](TorId t) {
+      visit(t);
+      return false;
+    });
+  }
 
   // ---- derived graph views ----
 

@@ -58,21 +58,32 @@ TEST(TopologyFailureApiTest, FlagsFlipUsabilityAndAreIdempotent) {
 TEST(TopologyFailureApiTest, UsableUplinksFilterFailedElementsAndLinks) {
   SliceFixture f;
   using Uplinks = std::vector<OpsId>;
-  EXPECT_EQ(f.topo.usable_uplinks(TorId{0}), (Uplinks{OpsId{0}, OpsId{1}}));
+  const auto usable_uplinks = [&](TorId tor) {
+    Uplinks out;
+    f.topo.any_usable_uplink(tor, [&](OpsId o) {
+      out.push_back(o);
+      return false;
+    });
+    EXPECT_EQ(f.topo.has_usable_uplink(tor), !out.empty());
+    return out;
+  };
+  EXPECT_EQ(usable_uplinks(TorId{0}), (Uplinks{OpsId{0}, OpsId{1}}));
+  // The visit stops at the first uplink the predicate accepts.
+  EXPECT_TRUE(f.topo.any_usable_uplink(TorId{0}, [](OpsId o) { return o == OpsId{0}; }));
 
   ASSERT_TRUE(f.topo.set_ops_failed(OpsId{1}, true).is_ok());
-  EXPECT_EQ(f.topo.usable_uplinks(TorId{0}), (Uplinks{OpsId{0}}));
+  EXPECT_EQ(usable_uplinks(TorId{0}), (Uplinks{OpsId{0}}));
 
   ASSERT_TRUE(f.topo.set_link_failed(TorId{0}, OpsId{0}, true).is_ok());
   EXPECT_TRUE(f.topo.link_failed(TorId{0}, OpsId{0}));
   EXPECT_FALSE(f.topo.link_usable(TorId{0}, OpsId{0}));
-  EXPECT_TRUE(f.topo.usable_uplinks(TorId{0}).empty());
+  EXPECT_TRUE(usable_uplinks(TorId{0}).empty());
 
   // A failed ToR has no usable uplinks regardless of link state.
   ASSERT_TRUE(f.topo.set_link_failed(TorId{0}, OpsId{0}, false).is_ok());
   ASSERT_TRUE(f.topo.set_ops_failed(OpsId{1}, false).is_ok());
   ASSERT_TRUE(f.topo.set_tor_failed(TorId{0}, true).is_ok());
-  EXPECT_TRUE(f.topo.usable_uplinks(TorId{0}).empty());
+  EXPECT_TRUE(usable_uplinks(TorId{0}).empty());
 }
 
 TEST(TopologyFailureApiTest, SwitchGraphExcludesFailedElements) {

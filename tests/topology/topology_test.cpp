@@ -64,6 +64,24 @@ TEST(TopologyTest, TorOfVmFollowsServer) {
   }
 }
 
+TEST(TopologyTest, TorsOfVmVisitPrimaryThenSecondaryHomings) {
+  auto topo = small_dc();
+  const VmId vm{0};
+  topo.add_server_homing(topo.vm(vm).server, TorId{1});
+  std::vector<TorId> seen;
+  topo.for_each_tor_of_vm(vm, [&](TorId t) { seen.push_back(t); });
+  EXPECT_EQ(seen, (std::vector<TorId>{TorId{0}, TorId{1}}));
+
+  // any_tor_of_vm stops at the first accepted homing.
+  std::size_t calls = 0;
+  EXPECT_TRUE(topo.any_tor_of_vm(vm, [&](TorId t) {
+    ++calls;
+    return t == TorId{0};
+  }));
+  EXPECT_EQ(calls, 1u);
+  EXPECT_FALSE(topo.any_tor_of_vm(VmId{7}, [](TorId t) { return t == TorId{0}; }));
+}
+
 TEST(TopologyTest, OptoelectronicFlagAndCompute) {
   const auto topo = small_dc();
   EXPECT_FALSE(topo.ops(OpsId{0}).optoelectronic);
