@@ -144,7 +144,7 @@ leg_asan() {
     faults_chaos_soak_test orchestrator_route_cache_test \
     orchestrator_route_cache_differential_test orchestrator_csr_chaos_differential_test \
     faults_overload_soak_test orchestrator_strict_ladder_differential_test \
-    elastic_scaling_test elastic_migration_test elastic_elastic_soak_test \
+    elastic_scaling_test elastic_migration_test elastic_elastic_soak_test elastic_controller_test \
     topology_switch_graph_incremental_differential_test
 
   echo "== ctest -L failures (under ASan) =="

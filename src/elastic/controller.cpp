@@ -34,10 +34,12 @@ ElasticController::ElasticController(NetworkOrchestrator& orch, const PlacementS
 }
 
 void ElasticController::tick(double now_s) {
-  // One id-ascending snapshot and one demand evaluation per chain serve
-  // every phase; demand is a pure function of (chain, now_s).
+  // One id-ascending snapshot, one demand evaluation and one scale read
+  // per chain serve every phase; demand is a pure function of
+  // (chain, now_s), and only an actuation changes a chain's scale.
   std::vector<const ProvisionedChain*> chains;
   std::vector<double> demand;
+  std::vector<double> scale;
   {
     // 1. Sync the tracked set with the live chain population.
     ALVC_SPAN(span, "elastic.tick.sync");
@@ -45,24 +47,34 @@ void ElasticController::tick(double now_s) {
     demand = demand_.sync(chains, now_s);
   }
   {
-    // 2. Scale. Never adds or removes a chain.
+    // 2. Scale. Never adds or removes a chain; leaves every chain's scale
+    // factor in `scale`.
     ALVC_SPAN(span, "elastic.tick.scale");
-    scaling_.tick(now_s, chains, demand);
+    scale.resize(chains.size());
+    scaling_.tick(now_s, chains, demand, scale);
   }
   {
-    // 3. Migrate. A reprovision swaps a chain for a new one, so observe
-    // needs a fresh snapshot then. The tracked set is left to the next
-    // sync: the reprovision hook already moved the series over, and a
-    // chain lost on re-admission is forgotten there as before.
+    // 3. Migrate. An incremental move redeploys at scale 1, so the chains
+    // it tried are read again. A reprovision swaps a chain for a new one,
+    // so observe needs a fresh snapshot then. The tracked set is left to
+    // the next sync: the reprovision hook already moved the series over,
+    // and a chain lost on re-admission is forgotten there as before.
     ALVC_SPAN(span, "elastic.tick.migrate");
     const MigrationStats before = migration_.stats();
-    migration_.tick(now_s, chains);
+    std::vector<std::size_t> attempted;
+    migration_.tick(now_s, chains, attempted);
     const MigrationStats& after = migration_.stats();
     if (after.reprovisions != before.reprovisions || after.lost != before.lost) {
       chains = orch_->chains();
       demand.clear();
+      scale.clear();
       for (const auto* chain : chains) {
         demand.push_back(demand_.demand_gbps(chain->record.id, now_s));
+        scale.push_back(ScalingController::chain_scale(*orch_, *chain));
+      }
+    } else {
+      for (const std::size_t i : attempted) {
+        scale[i] = ScalingController::chain_scale(*orch_, *chains[i]);
       }
     }
   }
@@ -72,7 +84,7 @@ void ElasticController::tick(double now_s) {
   double demand_hipri = 0, demand_lopri = 0, granted_hipri = 0, granted_lopri = 0;
   for (std::size_t i = 0; i < chains.size(); ++i) {
     const ProvisionedChain* chain = chains[i];
-    const double served = chain->reserved_gbps * ScalingController::chain_scale(*orch_, *chain);
+    const double served = chain->reserved_gbps * scale[i];
     ++stats_.chain_observations;
     if (demand[i] > served + kEps) ++stats_.slo_violations;
     if (chain->record.spec.priority == PriorityClass::kHipri) {

@@ -9,9 +9,11 @@
 //   4. observe— SLO accounting (demand served vs. offered) and per-class
 //               granted-vs-demand gauges.
 //
-// The phases share one id-ascending chain snapshot and evaluate each
-// chain's demand once, during sync; only a reprovision-mode migration,
-// which swaps a chain for a new one, makes observe take a fresh snapshot.
+// The phases share one id-ascending chain snapshot. Each chain's demand
+// is evaluated once, during sync, and its scale factor read once, during
+// scale; scale and migrate re-read it only for the chains they acted on.
+// Only a reprovision-mode migration, which swaps a chain for a new one,
+// makes observe take a fresh snapshot.
 //
 // The controller is externally synchronized exactly like the orchestrator
 // it drives: no mutex here, one caller at a time (ChaosRunner wraps every

@@ -35,58 +35,99 @@ ChainSeries DemandModel::make_series(NfcId id, double base_gbps) const {
   return series;
 }
 
-void DemandModel::track(NfcId id, double base_gbps) {
-  if (series_.contains(id)) return;
-  series_.emplace(id, make_series(id, base_gbps));
+namespace {
+
+bool id_before(const std::pair<NfcId, ChainSeries>& entry, NfcId id) { return entry.first < id; }
+
+}  // namespace
+
+SeriesTable::const_iterator DemandModel::find(NfcId id) const {
+  const auto it = std::lower_bound(series_.begin(), series_.end(), id, id_before);
+  return it != series_.end() && it->first == id ? it : series_.end();
 }
 
-void DemandModel::forget(NfcId id) { series_.erase(id); }
+void DemandModel::track(NfcId id, double base_gbps) {
+  const auto it = std::lower_bound(series_.begin(), series_.end(), id, id_before);
+  if (it != series_.end() && it->first == id) return;
+  series_.emplace(it, id, make_series(id, base_gbps));
+}
+
+void DemandModel::forget(NfcId id) {
+  const auto it = find(id);
+  if (it != series_.end()) series_.erase(it);
+}
 
 std::vector<double> DemandModel::sync(std::span<const ProvisionedChain* const> chains,
                                       double now_s) {
   std::vector<double> demand;
   demand.reserve(chains.size());
+  merged_.reserve(chains.size());
   auto it = series_.begin();
   for (const ProvisionedChain* chain : chains) {
     const NfcId id = chain->record.id;
-    while (it != series_.end() && it->first < id) it = series_.erase(it);
-    if (it == series_.end() || id < it->first) {
-      it = series_.emplace_hint(it, id, make_series(id, chain->record.spec.bandwidth_gbps));
+    while (it != series_.end() && it->first < id) ++it;  // torn down: dropped
+    if (it != series_.end() && it->first == id) {
+      merged_.push_back(std::move(*it++));
+    } else {
+      merged_.emplace_back(id, make_series(id, chain->record.spec.bandwidth_gbps));
     }
-    demand.push_back(evaluate(id, it->second, now_s));
-    ++it;
+    ChainSeries& series = merged_.back().second;
+    advance_cursor(series, now_s);
+    demand.push_back(evaluate(id, series, now_s, series.flash_cursor));
   }
-  series_.erase(it, series_.end());
+  series_.swap(merged_);
+  merged_.clear();
   return demand;
 }
 
-double DemandModel::flash_window_s() const noexcept {
+double DemandModel::window_from(double now_s) const noexcept {
+  // A pulse can be non-zero for 2 * ramp + hold after its onset, or hold
+  // when the edges are vertical (ramp <= 0), so only onsets in
+  // [now - window, now] can pulse at now_s. The slack covers rounding in
+  // flash_pulse's arithmetic (an extra onset just adds another +0.0).
   const double hold = std::max(params_.flash_hold_s, 0.0);
-  return params_.flash_ramp_s > 0 ? 2.0 * params_.flash_ramp_s + hold : hold;
+  const double window = params_.flash_ramp_s > 0 ? 2.0 * params_.flash_ramp_s + hold : hold;
+  return now_s - window - 1e-9 * (window + std::abs(now_s));
+}
+
+std::size_t DemandModel::window_begin(const ChainSeries& s, double now_s) const {
+  const auto& onsets = s.flash_times_s;
+  return static_cast<std::size_t>(
+      std::lower_bound(onsets.begin(), onsets.end(), window_from(now_s)) - onsets.begin());
+}
+
+void DemandModel::advance_cursor(ChainSeries& s, double now_s) const {
+  // The cursor is lower_bound(onsets, from) for the last synced time, so
+  // every onset before it lies below that time's `from`. If the one just
+  // before it still lies below this `from`, so do all earlier ones and a
+  // forward walk lands on the new lower bound; otherwise time went back.
+  const auto& onsets = s.flash_times_s;
+  const double from = window_from(now_s);
+  std::size_t& at = s.flash_cursor;
+  if (at > 0 && !(onsets[at - 1] < from)) {
+    at = window_begin(s, now_s);
+    return;
+  }
+  while (at < onsets.size() && onsets[at] < from) ++at;
 }
 
 double DemandModel::demand_gbps(NfcId id, double now_s) const {
-  const auto it = series_.find(id);
-  return it == series_.end() ? 0 : evaluate(id, it->second, now_s);
+  const auto it = find(id);
+  return it == series_.end() ? 0 : evaluate(id, it->second, now_s, window_begin(it->second, now_s));
 }
 
-double DemandModel::evaluate(NfcId id, const ChainSeries& s, double now_s) const {
+double DemandModel::evaluate(NfcId id, const ChainSeries& s, double now_s,
+                             std::size_t first) const {
   double factor = 1.0;
   factor += params_.diurnal_amplitude *
             alvc::sim::diurnal_wave(now_s + s.phase_s, params_.diurnal_period_s);
-  // Only onsets in [now - window, now] can pulse at now_s; every onset
-  // outside contributes exactly +0.0, so visiting the ascending window in
-  // order sums the same terms in the same order as a full scan. The slack
-  // covers rounding in flash_pulse's arithmetic (an extra onset just adds
-  // another +0.0).
+  // Every onset before `first` or after now_s contributes exactly +0.0, so
+  // visiting the ascending window in order sums the same terms in the same
+  // order as a full scan.
   const auto& onsets = s.flash_times_s;
-  const double window = flash_window_s();
-  const double from = now_s - window - 1e-9 * (window + std::abs(now_s));
-  const auto first = std::lower_bound(onsets.begin(), onsets.end(), from);
-  const auto last = std::upper_bound(first, onsets.end(), now_s);
-  for (auto it = first; it != last; ++it) {
+  for (std::size_t i = first; i < onsets.size() && !(now_s < onsets[i]); ++i) {
     factor += params_.flash_magnitude *
-              alvc::sim::flash_pulse(now_s, *it, params_.flash_ramp_s, params_.flash_hold_s);
+              alvc::sim::flash_pulse(now_s, onsets[i], params_.flash_ramp_s, params_.flash_hold_s);
   }
   if (params_.churn_amplitude > 0 && params_.churn_bucket_s > 0 && now_s >= 0) {
     const auto bucket = static_cast<std::uint64_t>(now_s / params_.churn_bucket_s);

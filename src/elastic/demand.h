@@ -4,8 +4,9 @@
 // diurnal waves, flash crowds, and adversarial churn (the usagegen shapes
 // ROADMAP names). DemandModel turns a (seed, chain, time) triple into the
 // Gbps the chain's tenants are pushing *right now*, as a pure function —
-// no wall clock, no hidden state — so the scaling loop, the soak suite,
-// and the bench all observe the identical series for a given seed.
+// no wall clock, and no state that changes a value (the per-series flash
+// cursor only saves a search) — so the scaling loop, the soak suite, and
+// the bench all observe the identical series for a given seed.
 //
 // The waveform math is shared with faults::OverloadInjector via
 // sim/waveform.h: the injector schedules discrete provision/teardown
@@ -13,9 +14,10 @@
 // twins, and the two stay in agreement by construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "nfv/nfc.h"
@@ -52,12 +54,20 @@ struct DemandParams {
   std::uint64_t seed = 1;
 };
 
-/// Precomputed per-chain series state (pure data; evaluation is const).
+/// Precomputed per-chain series state. The shape fields are fixed at
+/// track() time; only the flash cursor moves, and it never changes a value.
 struct ChainSeries {
   double base_gbps = 0;
   double phase_s = 0;                  // diurnal phase offset
   std::vector<double> flash_times_s;   // Poisson flash-crowd onsets, ascending
+  /// Index of the first onset whose pulse can be non-zero at the last
+  /// synced time. sync() moves it forward with time and re-searches when
+  /// time goes back, so a tick visits only the onsets in the pulse window.
+  std::size_t flash_cursor = 0;
 };
+
+/// Tracked series in ascending chain-id order, one entry per chain.
+using SeriesTable = std::vector<std::pair<NfcId, ChainSeries>>;
 
 class DemandModel {
  public:
@@ -73,37 +83,50 @@ class DemandModel {
 
   /// Makes the tracked set exactly `chains` (ascending ids, as
   /// NetworkOrchestrator::chains() returns them) in one lockstep merge
-  /// against series(): chains not yet tracked start at their nominal
-  /// bandwidth, tracked ids missing from `chains` are forgotten. Returns
-  /// each chain's demand at `now_s`, index-aligned with `chains`: the
-  /// values demand_gbps(id, now_s) gives, without a lookup per chain.
+  /// against series() into a reused buffer: chains not yet tracked start
+  /// at their nominal bandwidth, tracked ids missing from `chains` are
+  /// forgotten. Returns each chain's demand at `now_s`, index-aligned with
+  /// `chains`: the values demand_gbps(id, now_s) gives, without a lookup
+  /// per chain, and with each series' flash cursor moved to `now_s`.
   std::vector<double> sync(std::span<const alvc::orchestrator::ProvisionedChain* const> chains,
                            double now_s);
 
-  [[nodiscard]] bool tracked(NfcId id) const { return series_.contains(id); }
+  [[nodiscard]] bool tracked(NfcId id) const { return find(id) != series_.end(); }
   [[nodiscard]] std::size_t tracked_count() const noexcept { return series_.size(); }
 
   /// Instantaneous demand of a tracked chain at `now_s`, in Gbps;
   /// 0 for untracked chains. Never negative. Visits only the flash onsets
   /// whose pulse can be non-zero at `now_s` (a binary search over the
-  /// ascending onsets), so the cost does not grow with the horizon.
+  /// ascending onsets), so the cost does not grow with the horizon. Leaves
+  /// the cursor alone: the value is the one sync() gives at `now_s`.
   [[nodiscard]] double demand_gbps(NfcId id, double now_s) const;
 
   [[nodiscard]] const DemandParams& params() const noexcept { return params_; }
-  /// Tracked series in ascending chain-id order (std::map keeps iteration
-  /// deterministic for audits and gauges).
-  [[nodiscard]] const std::map<NfcId, ChainSeries>& series() const noexcept { return series_; }
+  /// Tracked series as a flat table in ascending chain-id order: iteration
+  /// is deterministic for audits and gauges, and every lookup by id is a
+  /// binary search.
+  [[nodiscard]] const SeriesTable& series() const noexcept { return series_; }
 
  private:
+  [[nodiscard]] SeriesTable::const_iterator find(NfcId id) const;
   [[nodiscard]] std::uint64_t chain_seed(NfcId id) const noexcept;
   [[nodiscard]] ChainSeries make_series(NfcId id, double base_gbps) const;
-  [[nodiscard]] double evaluate(NfcId id, const ChainSeries& s, double now_s) const;
-  /// How long after its onset a flash pulse can be non-zero:
-  /// 2 * ramp + hold, or hold when the edges are vertical (ramp <= 0).
-  [[nodiscard]] double flash_window_s() const noexcept;
+  /// Demand of `s` at `now_s`, summing the flash onsets from index `first`
+  /// (window_begin(s, now_s)) up to `now_s`. The one evaluation body:
+  /// sync() passes the cursor, demand_gbps() a fresh binary search.
+  [[nodiscard]] double evaluate(NfcId id, const ChainSeries& s, double now_s,
+                                std::size_t first) const;
+  /// Index of the first onset whose pulse can be non-zero at `now_s`.
+  [[nodiscard]] std::size_t window_begin(const ChainSeries& s, double now_s) const;
+  /// Moves `s.flash_cursor` to window_begin(s, now_s): forward by linear
+  /// steps, or by a binary search when `now_s` went back past it.
+  void advance_cursor(ChainSeries& s, double now_s) const;
+  /// Earliest onset time whose pulse can be non-zero at `now_s`.
+  [[nodiscard]] double window_from(double now_s) const noexcept;
 
   DemandParams params_;
-  std::map<NfcId, ChainSeries> series_;
+  SeriesTable series_;
+  SeriesTable merged_;  // sync()'s merge target, swapped with series_
 };
 
 }  // namespace alvc::elastic

@@ -85,15 +85,20 @@ std::optional<HostRef> MigrationPlanner::pick_target(const ProvisionedChain& cha
   return best;
 }
 
-std::size_t MigrationPlanner::tick(double now_s) { return tick(now_s, orch_->chains()); }
+std::size_t MigrationPlanner::tick(double now_s) {
+  std::vector<std::size_t> attempted;
+  return tick(now_s, orch_->chains(), attempted);
+}
 
-std::size_t MigrationPlanner::tick(double now_s, std::span<const ProvisionedChain* const> chains) {
+std::size_t MigrationPlanner::tick(double now_s, std::span<const ProvisionedChain* const> chains,
+                                   std::vector<std::size_t>& attempted) {
   const auto hot = [&](const ProvisionedChain& chain, std::size_t fi) {
     return fi < chain.instances.size() && chain.instances[fi].valid() &&
            utilization(*orch_, chain.placement.hosts[fi]) >= policy_.hot_utilization;
   };
   std::size_t moves = 0;
-  for (const ProvisionedChain* chain : chains) {  // ascending ids
+  for (std::size_t ci = 0; ci < chains.size(); ++ci) {  // ascending ids
+    const ProvisionedChain* chain = chains[ci];
     if (moves >= policy_.max_moves_per_tick) break;
     if (chain->degraded) continue;
     const NfcId id = chain->record.id;
@@ -115,6 +120,7 @@ std::size_t MigrationPlanner::tick(double now_s, std::span<const ProvisionedChai
         continue;
       }
       const CostSnapshot before = UpdateCostLedger::snapshot(*orch_);
+      attempted.push_back(ci);
       if (mode_ == ExecutionMode::kIncremental) {
         if (orch_->migrate_function(id, fi, *target).is_ok()) {
           ledger_->charge(ActionKind::kMigration, *orch_, before);

@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <vector>
 
 #include "elastic/ledger.h"
 #include "orchestrator/orchestrator.h"
@@ -74,15 +75,21 @@ class MigrationPlanner {
 
   /// One relief pass at simulated time `now_s`: scan chains in ascending
   /// id order, move at most one hot instance per chain, stop after
-  /// `max_moves_per_tick`. Returns moves executed.
+  /// `max_moves_per_tick`. Returns moves executed. A standalone entry
+  /// point for tests: it takes its own snapshot and forwards to the pass
+  /// below.
   std::size_t tick(double now_s);
 
   /// The same pass over `chains`, a NetworkOrchestrator::chains() snapshot
-  /// the caller already holds. In kReprovision mode a move tears its chain
-  /// down (that entry dangles afterwards) and provisions a new one the
-  /// snapshot does not hold; the pass never revisits either.
+  /// the caller already holds. Appends to `attempted` the index in
+  /// `chains` of every chain the pass tried to move, applied or not: those
+  /// are the only chains whose instances it may have changed (an
+  /// incremental move redeploys at scale 1). In kReprovision mode a move
+  /// tears its chain down (that entry dangles afterwards) and provisions a
+  /// new one the snapshot does not hold; the pass never revisits either.
   std::size_t tick(double now_s,
-                   std::span<const alvc::orchestrator::ProvisionedChain* const> chains);
+                   std::span<const alvc::orchestrator::ProvisionedChain* const> chains,
+                   std::vector<std::size_t>& attempted);
 
   /// Utilization of `host` in the orchestrator's hosting pool: the max
   /// over resource dimensions of used / nominal. 0 for hosts with no

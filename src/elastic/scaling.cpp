@@ -43,11 +43,12 @@ std::size_t ScalingController::tick(double now_s) {
   std::vector<double> demand;
   demand.reserve(chains.size());
   for (const auto* chain : chains) demand.push_back(demand_->demand_gbps(chain->record.id, now_s));
-  return tick(now_s, chains, demand);
+  std::vector<double> scale(chains.size());
+  return tick(now_s, chains, demand, scale);
 }
 
 std::size_t ScalingController::tick(double now_s, std::span<const ProvisionedChain* const> chains,
-                                    std::span<const double> demand) {
+                                    std::span<const double> demand, std::span<double> scales) {
   // scale_function never erases a chain, so every snapshot pointer stays
   // valid for the whole pass; the snapshot is id-ascending, which keeps the
   // pass order deterministic.
@@ -56,13 +57,14 @@ std::size_t ScalingController::tick(double now_s, std::span<const ProvisionedCha
   for (std::size_t i = 0; i < chains.size(); ++i) {
     const ProvisionedChain* chain = chains[i];
     const NfcId id = chain->record.id;
+    const double scale = chain_scale(*orch_, *chain);
+    scales[i] = scale;
     if (chain->degraded) {
       ++stats_.skipped_degraded;
       continue;
     }
     const double granted = chain->reserved_gbps;
     if (granted <= kEps) continue;
-    const double scale = chain_scale(*orch_, *chain);
     const double served = granted * scale;
 
     double target = std::ceil(demand[i] / granted - kEps);
@@ -94,6 +96,9 @@ std::size_t ScalingController::tick(double now_s, std::span<const ProvisionedCha
         ++stats_.rejected;  // e.g. host cannot take the increase
       }
     }
+    // Re-read after any attempt, applied or not: the span holds what
+    // chain_scale reads, whatever the orchestrator did.
+    scales[i] = chain_scale(*orch_, *chain);
     if (moved == 0) continue;
     ledger_->charge(want_out ? ActionKind::kScaleOut : ActionKind::kScaleIn, *orch_, before);
     last_action_s_[id] = now_s;

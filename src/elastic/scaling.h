@@ -55,20 +55,24 @@ class ScalingController {
       : orch_(&orch), demand_(&demand), ledger_(&ledger), policy_(policy) {}
 
   /// One control-loop pass at simulated time `now_s` over all live chains
-  /// in ascending id order (deterministic). Returns actions applied.
+  /// in ascending id order (deterministic). Returns actions applied. A
+  /// standalone entry point for tests: it takes its own snapshot and
+  /// forwards to the pass below.
   std::size_t tick(double now_s);
 
   /// The same pass over a snapshot the caller already holds: `chains` is
   /// NetworkOrchestrator::chains() and `demand[i]` chain i's demand at
-  /// `now_s` (DemandModel::sync). ElasticController shares both with the
-  /// other phases of its tick.
+  /// `now_s` (DemandModel::sync). Leaves chain i's scale factor after the
+  /// pass in `scales[i]` (same size as `chains`): chain_scale is read once
+  /// per chain, and again only for a chain the pass acted on.
+  /// ElasticController shares all three with the other phases of its tick.
   std::size_t tick(double now_s,
                    std::span<const alvc::orchestrator::ProvisionedChain* const> chains,
-                   std::span<const double> demand);
+                   std::span<const double> demand, std::span<double> scales);
 
   /// Current common scale factor of a chain's live instances (min over
-  /// valid slots; 1 when none are live). Public for tests and the SLO
-  /// check in ElasticController.
+  /// valid slots; 1 when none are live). Public for tests and
+  /// ElasticController, which re-reads it for chains a migration moved.
   [[nodiscard]] static double chain_scale(const alvc::orchestrator::NetworkOrchestrator& orch,
                                           const alvc::orchestrator::ProvisionedChain& chain);
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -202,6 +203,134 @@ TEST(DemandModelTest, WindowedFlashLookupEqualsTheFullScanBitForBit) {
   EXPECT_GT(pulsing, 10000u);
   EXPECT_GT(past_horizon, 100u);
   EXPECT_GT(compared, edges);
+}
+
+// ---- sync's flash cursor == full scan --------------------------------------
+
+/// Times a tick loop could hand sync(), in order: a monotone sweep, repeated
+/// times, pulse edges of `edge_onsets` (+-1 ulp) forwards and then
+/// backwards, random jumps both ways, a jump back to the start, and times
+/// past the horizon with a step back among them.
+std::vector<double> cursor_times(const DemandParams& p, const std::vector<double>& edge_onsets,
+                                 std::uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double horizon_s = p.horizon_s;
+  std::vector<double> times;
+  for (double t = -1.0; t < horizon_s + 5; t += horizon_s / 211) times.push_back(t);
+  for (double t = 0; t < horizon_s; t += horizon_s / 37) times.insert(times.end(), {t, t, t});
+  std::vector<double> edges;
+  for (std::size_t i = 0; i < edge_onsets.size() && i < 40; ++i) {
+    const double at = edge_onsets[i], ramp = p.flash_ramp_s, hold = p.flash_hold_s;
+    for (const double edge : {at, at + ramp, at + ramp + hold, at + 2 * ramp + hold}) {
+      edges.insert(edges.end(), {std::nextafter(edge, -kInf), edge, std::nextafter(edge, kInf)});
+    }
+  }
+  times.insert(times.end(), edges.begin(), edges.end());
+  times.insert(times.end(), edges.rbegin(), edges.rend());
+  Rng rng(seed);
+  for (int i = 0; i < 300; ++i) times.push_back(rng.uniform(-1.0, horizon_s + 5));
+  for (double t = 0; t < horizon_s; t += horizon_s / 53) times.push_back(t);
+  times.insert(times.end(), {horizon_s, horizon_s + 1, 2 * horizon_s, 2 * horizon_s - 3,
+                             horizon_s - 1});
+  return times;
+}
+
+TEST(DemandModelTest, SyncCursorEqualsTheFullScanBitForBit) {
+  using alvc::orchestrator::ProvisionedChain;
+  struct Shape {
+    double ramp_s, hold_s, rate_per_s;
+  };
+  // Default pulses, overlapping pulses, vertical edges, short dense pulses.
+  constexpr Shape kShapes[] = {{0.5, 3.0, 0.05}, {0.5, 3.0, 1.5}, {0.0, 3.0, 0.4},
+                               {0.25, 0.1, 4.0}};
+  std::size_t compared = 0, pulsing = 0, fallbacks = 0, past_horizon = 0, churned = 0;
+  for (const std::uint64_t seed : {1u, 42u}) {
+    for (const double horizon_s : {10.0, 60.0}) {
+      for (const Shape& shape : kShapes) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " horizon " << horizon_s
+                                          << " ramp " << shape.ramp_s << " hold "
+                                          << shape.hold_s << " rate " << shape.rate_per_s);
+        DemandParams params;
+        params.seed = seed;
+        params.horizon_s = horizon_s;
+        params.flash_ramp_s = shape.ramp_s;
+        params.flash_hold_s = shape.hold_s;
+        params.flash_rate_per_s = shape.rate_per_s;
+        DemandModel model{params};
+
+        // The live population, ascending ids as NetworkOrchestrator::chains()
+        // gives it. Chain 0 stays throughout; its onsets supply the edges.
+        std::vector<ProvisionedChain> live(6);
+        for (std::uint32_t i = 0; i < live.size(); ++i) {
+          live[i].record.id = NfcId{i};
+          live[i].record.spec.bandwidth_gbps = 1.0 + i;
+        }
+        std::uint32_t next_id = static_cast<std::uint32_t>(live.size());
+        model.track(NfcId{0}, 1.0);
+        const std::vector<double> edge_onsets = model.series().front().second.flash_times_s;
+
+        std::vector<std::size_t> last_cursor(live.size() + 1000, 0);
+        const std::vector<double> times = cursor_times(params, edge_onsets, seed);
+        for (std::size_t step = 0; step < times.size(); ++step) {
+          const double t = times[step];
+          // Between syncs, as the reprovision hook and tear-downs do: swap a
+          // chain for a new id, forget a chain that stays live, track one
+          // that is not.
+          if (step % 17 == 16) {
+            const auto moved =
+                live.begin() + static_cast<std::ptrdiff_t>(1 + (step / 17) % (live.size() - 1));
+            const NfcId old_id = moved->record.id;
+            moved->record.id = NfcId{next_id++};  // the newest id: rotate it to the end
+            std::rotate(moved, moved + 1, live.end());
+            model.forget(old_id);
+            model.track(live.back().record.id, live.back().record.spec.bandwidth_gbps);
+            ++churned;
+          }
+          if (step % 23 == 22) {
+            model.forget(live[2].record.id);  // re-tracked by the sync, cursor at 0
+            last_cursor[live[2].record.id.value()] = 0;
+          }
+          if (step % 29 == 28) model.track(NfcId{next_id + 500}, 3.0);
+
+          std::vector<const ProvisionedChain*> snapshot;
+          for (const auto& chain : live) snapshot.push_back(&chain);
+          ASSERT_TRUE(std::is_sorted(snapshot.begin(), snapshot.end(),
+                                     [](const auto* a, const auto* b) {
+                                       return a->record.id < b->record.id;
+                                     }));
+          const std::vector<double> demand = model.sync(snapshot, t);
+          ASSERT_EQ(demand.size(), live.size());
+          ASSERT_EQ(model.series().size(), live.size());
+          for (std::size_t i = 0; i < live.size(); ++i) {
+            const NfcId id = live[i].record.id;
+            const auto& [tracked_id, series] = model.series()[i];
+            ASSERT_EQ(tracked_id, id);
+            bool pulse = false;
+            const double want = full_scan_demand_gbps(params, id, series, t, pulse);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(demand[i]), std::bit_cast<std::uint64_t>(want))
+                << "step " << step << " chain " << id.value() << " t=" << t << ": "
+                << demand[i] << " vs " << want;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(model.demand_gbps(id, t)),
+                      std::bit_cast<std::uint64_t>(want));
+            ++compared;
+            pulsing += pulse ? 1 : 0;
+            past_horizon += t > horizon_s ? 1 : 0;
+            if (id.value() < last_cursor.size()) {
+              fallbacks += series.flash_cursor < last_cursor[id.value()] ? 1 : 0;
+              last_cursor[id.value()] = series.flash_cursor;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Non-vacuous: live pulses, cursors moving back, times past the horizon
+  // and tracked-set churn between syncs were all exercised.
+  EXPECT_GT(pulsing, 20000u);
+  EXPECT_GT(fallbacks, 5000u);
+  EXPECT_GT(past_horizon, 5000u);
+  EXPECT_GT(churned, 500u);
+  EXPECT_GT(compared, 100000u);
 }
 
 // ---- shared-waveform contract with OverloadInjector ----------------------
