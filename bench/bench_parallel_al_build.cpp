@@ -1,4 +1,4 @@
-// Serial vs parallel AL construction (batch build & re-optimisation).
+// Serial vs parallel AL construction (batch build).
 //
 // The paper's per-group AL construction (§III-C) is independent work, so
 // ClusterManager::build_all_clusters fans it out to a util::Executor.
@@ -153,41 +153,6 @@ void BM_ParallelBuildAllClusters(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(exec.thread_count());
 }
 
-void BM_SerialReoptimize(benchmark::State& state) {
-  const auto groups = static_cast<std::size_t>(state.range(0));
-  DataCenterTopology topo = make_partitioned(groups);
-  ClusterManager manager(topo);
-  const VertexCoverAlBuilder seed_builder;
-  auto ids = manager.create_clusters_by_service(seed_builder);
-  if (!ids) {
-    state.SkipWithError(ids.error().to_string().c_str());
-    return;
-  }
-  const ResilientAlBuilder builder;
-  for (auto _ : state) {
-    auto costs = manager.reoptimize_clusters(*ids, builder, /*executor=*/nullptr);
-    benchmark::DoNotOptimize(costs);
-  }
-}
-
-void BM_ParallelReoptimize(benchmark::State& state) {
-  const auto groups = static_cast<std::size_t>(state.range(0));
-  DataCenterTopology topo = make_partitioned(groups);
-  ClusterManager manager(topo);
-  const VertexCoverAlBuilder seed_builder;
-  auto ids = manager.create_clusters_by_service(seed_builder);
-  if (!ids) {
-    state.SkipWithError(ids.error().to_string().c_str());
-    return;
-  }
-  const ResilientAlBuilder builder;
-  Executor exec(0);
-  for (auto _ : state) {
-    auto costs = manager.reoptimize_clusters(*ids, builder, &exec);
-    benchmark::DoNotOptimize(costs);
-  }
-}
-
 // {groups, contended}: partitioned fans out cleanly (speedup headline);
 // contended shows the serial-rebuild floor.
 BENCHMARK(BM_SerialBuildAllClusters)
@@ -201,8 +166,6 @@ BENCHMARK(BM_ParallelBuildAllClusters)
     ->Args({8, 1})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SerialReoptimize)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ParallelReoptimize)->Arg(8)->Arg(16)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

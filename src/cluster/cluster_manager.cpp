@@ -337,16 +337,6 @@ Expected<UpdateCost> ClusterManager::migrate_vm(ClusterId id, VmId vm, ServerId 
   return cost;
 }
 
-Expected<UpdateCost> ClusterManager::apply_reoptimized(VirtualCluster& vc, AlBuildResult rebuilt) {
-  if (rebuilt.layer.opss.size() >= vc.layer.opss.size()) {
-    return UpdateCost{};  // no improvement: keep the incumbent AL
-  }
-  // Rules: remove what leaves, add what arrives (symmetric difference).
-  const UpdateCost cost = layer_swap_cost(vc.layer, rebuilt.layer);
-  if (auto status = swap_layer(vc, std::move(rebuilt)); !status.is_ok()) return status.error();
-  return cost;
-}
-
 Expected<AlBuildResult> ClusterManager::build_as_if_free(const VirtualCluster& vc,
                                                          std::span<const VmId> group,
                                                          const AlBuilder& builder) {
@@ -388,100 +378,13 @@ Expected<UpdateCost> ClusterManager::reoptimize_cluster(ClusterId id, const AlBu
   // of them.
   auto rebuilt = build_as_if_free(*vc, vc->vms, builder);
   if (!rebuilt) return rebuilt.error();
-  return apply_reoptimized(*vc, std::move(*rebuilt));
-}
-
-Expected<std::vector<UpdateCost>> ClusterManager::reoptimize_clusters(
-    std::span<const ClusterId> ids, const AlBuilder& builder, alvc::util::Executor* executor,
-    BatchBuildStats* stats) {
-  ALVC_SPAN(span, "cluster.reoptimize_clusters");
-  BatchBuildStats local;
-  local.groups = ids.size();
-  ALVC_COUNT_N("cluster.reoptimize.groups", local.groups);
-
-  if (executor == nullptr) {
-    local.serial_rebuilds = ids.size();
-    ALVC_COUNT_N("cluster.reoptimize.serial_rebuilds", local.serial_rebuilds);
-    std::vector<UpdateCost> costs;
-    costs.reserve(ids.size());
-    for (ClusterId id : ids) {
-      auto cost = reoptimize_cluster(id, builder);
-      if (!cost) {
-        if (stats != nullptr) *stats += local;
-        return cost.error();
-      }
-      costs.push_back(*cost);
-    }
-    if (stats != nullptr) *stats += local;
-    return costs;
+  if (rebuilt->layer.opss.size() >= vc->layer.opss.size()) {
+    return UpdateCost{};  // no improvement: keep the incumbent AL
   }
-
-  // Speculative phase: each cluster rebuilds against the snapshot with its
-  // own OPSs released (so it may keep them), recording its reads.
-  struct Speculation {
-    std::optional<Expected<AlBuildResult>> result;
-    alvc::util::DynamicBitset reads;
-    bool attempted = false;
-  };
-  const OpsOwnership snapshot = ownership_;
-  std::vector<Speculation> spec(ids.size());
-  auto tasks = executor->new_task_group();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const VirtualCluster* vc = find(ids[i]);
-    if (vc == nullptr || vc->vms.empty()) continue;  // commit loop handles both
-    spec[i].attempted = true;
-    tasks->submit([&, i, vc] {
-      OpsOwnership local_view = snapshot;
-      local_view.release(vc->layer.opss, vc->id);
-      spec[i].reads = alvc::util::DynamicBitset(local_view.ops_count());
-      local_view.set_read_log(&spec[i].reads);
-      spec[i].result.emplace(builder.build(*topo_, vc->vms, local_view));
-    });
-  }
-  tasks->wait_all();
-
-  // Commit phase in input order. A commit both releases this cluster's old
-  // OPSs and acquires the new ones; either kind of change invalidates any
-  // later speculation that read those cells.
-  alvc::util::DynamicBitset dirty(ownership_.ops_count());
-  std::vector<UpdateCost> costs;
-  costs.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto fail = [&](const Error& error) -> Expected<std::vector<UpdateCost>> {
-      if (stats != nullptr) *stats += local;
-      return error;
-    };
-    VirtualCluster* vc = find_mutable(ids[i]);
-    if (vc == nullptr) {
-      return fail(Error{ErrorCode::kNotFound, "no cluster " + std::to_string(ids[i].value())});
-    }
-    if (vc->vms.empty()) {
-      costs.push_back(UpdateCost{});
-      continue;
-    }
-    const std::vector<alvc::util::OpsId> old_opss = vc->layer.opss;
-    Expected<UpdateCost> cost = [&]() -> Expected<UpdateCost> {
-      if (spec[i].attempted && !spec[i].reads.empty() && !spec[i].reads.intersects(dirty)) {
-        ++local.parallel_commits;
-        if (!*spec[i].result) return spec[i].result->error();
-        return apply_reoptimized(*vc, std::move(**spec[i].result));
-      }
-      ++local.serial_rebuilds;
-      auto rebuilt = build_as_if_free(*vc, vc->vms, builder);
-      if (!rebuilt) return rebuilt.error();
-      return apply_reoptimized(*vc, std::move(*rebuilt));
-    }();
-    if (!cost) return fail(cost.error());
-    if (cost->total() > 0) {  // the AL was swapped: both sides changed cells
-      for (alvc::util::OpsId o : old_opss) dirty.set(o.index());
-      for (alvc::util::OpsId o : vc->layer.opss) dirty.set(o.index());
-    }
-    costs.push_back(*cost);
-  }
-  ALVC_COUNT_N("cluster.reoptimize.parallel_commits", local.parallel_commits);
-  ALVC_COUNT_N("cluster.reoptimize.serial_rebuilds", local.serial_rebuilds);
-  if (stats != nullptr) *stats += local;
-  return costs;
+  // Rules: remove what leaves, add what arrives (symmetric difference).
+  const UpdateCost cost = layer_swap_cost(vc->layer, rebuilt->layer);
+  if (auto status = swap_layer(*vc, std::move(*rebuilt)); !status.is_ok()) return status.error();
+  return cost;
 }
 
 Expected<UpdateCost> ClusterManager::handle_ops_failure(alvc::util::OpsId ops,
@@ -754,22 +657,6 @@ const VirtualCluster* ClusterManager::find_by_service(ServiceId service) const {
   const auto it = by_service_.find(service.value());
   if (it == by_service_.end() || it->second.empty()) return nullptr;
   return find(it->second.front());
-}
-
-std::vector<ClusterId> ClusterManager::shard_cluster_ids(std::size_t shard,
-                                                         std::size_t shard_count) const {
-  std::vector<ClusterId> ids;
-  if (shard_count == 0) return ids;
-  for (ClusterId id : sorted_cluster_ids()) {
-    if (static_cast<std::size_t>(id.value()) % shard_count == shard) ids.push_back(id);
-  }
-  return ids;
-}
-
-Expected<std::vector<UpdateCost>> ClusterManager::reoptimize_shard(
-    std::size_t shard, std::size_t shard_count, const AlBuilder& builder,
-    alvc::util::Executor* executor, BatchBuildStats* stats) {
-  return reoptimize_clusters(shard_cluster_ids(shard, shard_count), builder, executor, stats);
 }
 
 VirtualCluster* ClusterManager::find_mutable(ClusterId id) {

@@ -46,8 +46,8 @@ struct UpdateCost {
   }
 };
 
-/// How a batch build/reoptimize resolved each unit of work (diagnostics;
-/// the output itself is identical either way).
+/// How a batch build resolved each unit of work (diagnostics; the output
+/// itself is identical either way).
 struct BatchBuildStats {
   std::size_t groups = 0;             // units of work in the batch
   std::size_t parallel_commits = 0;   // speculative results committed as-is
@@ -127,28 +127,6 @@ class ClusterManager {
   /// of the swap (rules for removed + added OPSs/ToRs), or a zero cost when
   /// the current AL is already as good.
   [[nodiscard]] Expected<UpdateCost> reoptimize_cluster(ClusterId id, const AlBuilder& builder);
-
-  /// Batch reoptimization: rebuilds every cluster in `ids` (in the given
-  /// order) with `builder`, fanning the rebuilds out to `executor` and
-  /// committing with the same optimistic scheme as build_all_clusters.
-  /// Results (swapped ALs, costs, errors) are bit-identical to calling
-  /// reoptimize_cluster serially in order; stops at the first error.
-  [[nodiscard]] Expected<std::vector<UpdateCost>> reoptimize_clusters(
-      std::span<const ClusterId> ids, const AlBuilder& builder,
-      alvc::util::Executor* executor = nullptr, BatchBuildStats* stats = nullptr);
-
-  /// Cluster ids owned by control-plane shard `shard` of `shard_count`
-  /// (id % shard_count == shard, matching ControlAgent's partition),
-  /// ascending. Empty when no live id hashes to the shard.
-  [[nodiscard]] std::vector<ClusterId> shard_cluster_ids(std::size_t shard,
-                                                         std::size_t shard_count) const;
-
-  /// reoptimize_clusters over one control-plane shard's clusters: the
-  /// shard-aware entry the sharded orchestrator uses so each shard
-  /// reoptimizes only the clusters it owns.
-  [[nodiscard]] Expected<std::vector<UpdateCost>> reoptimize_shard(
-      std::size_t shard, std::size_t shard_count, const AlBuilder& builder,
-      alvc::util::Executor* executor = nullptr, BatchBuildStats* stats = nullptr);
 
   // ---- failure handling ----
   //
@@ -261,9 +239,6 @@ class ClusterManager {
   /// creates the cluster. Shared tail of the serial and speculative paths.
   [[nodiscard]] Expected<ClusterId> commit_built(ServiceId service, std::span<const VmId> group,
                                                  AlBuildResult built);
-  /// Swap-if-smaller tail of reoptimize_cluster, shared with the batch
-  /// commit: computes the symmetric-difference cost and installs `rebuilt`.
-  [[nodiscard]] Expected<UpdateCost> apply_reoptimized(VirtualCluster& vc, AlBuildResult rebuilt);
   /// Builds an AL for `group` as if `vc` owned nothing, so the result may
   /// keep any of its OPSs. The OPSs a cluster owns are exactly
   /// vc.layer.opss (check_invariants proves it), so this releases that list

@@ -27,10 +27,8 @@ ChaosReport ChaosRunner::run() {
   ChaosReport report;
 
   // Shard the control plane up front so every event in the run — baseline
-  // collection included — sees the same topology of shards. The runner
-  // stays a single-threaded driver; concurrency lives inside the
-  // orchestrator's own fan-outs.
-  orch_->set_sharding(params_.shards, params_.shard_executor);
+  // collection included — sees the same topology of shards.
+  orch_->set_sharding(params_.shards);
   report.shard_count = orch_->shard_count();
 
   std::vector<std::uint32_t> baseline;

@@ -17,13 +17,8 @@ using alvc::util::ErrorCode;
 
 AdmissionDecision AdmissionController::check(const alvc::nfv::NfcSpec& spec,
                                              const alvc::cluster::VirtualCluster& cluster,
-                                             const alvc::nfv::HostingPool& pool) const {
-  return check_with_policy(spec, cluster, pool, AllocationPolicy::kStrictLadder);
-}
-
-AdmissionDecision AdmissionController::check_with_policy(
-    const alvc::nfv::NfcSpec& spec, const alvc::cluster::VirtualCluster& cluster,
-    const alvc::nfv::HostingPool& pool, AllocationPolicy policy) const {
+                                             const alvc::nfv::HostingPool& pool,
+                                             AllocationPolicy policy) const {
   const bool qos = policy != AllocationPolicy::kStrictLadder;
   if (spec.functions.empty()) {
     return {Error{ErrorCode::kRejected, "chain has no functions"},
@@ -139,16 +134,11 @@ void AdmissionController::record(const AdmissionDecision& decision) noexcept {
   }
 }
 
-Status AdmissionController::admit(const alvc::nfv::NfcSpec& spec,
-                                  const alvc::cluster::VirtualCluster& cluster,
-                                  const alvc::nfv::HostingPool& pool) {
-  return admit_with_policy(spec, cluster, pool, AllocationPolicy::kStrictLadder).status;
-}
-
-AdmissionDecision AdmissionController::admit_with_policy(
-    const alvc::nfv::NfcSpec& spec, const alvc::cluster::VirtualCluster& cluster,
-    const alvc::nfv::HostingPool& pool, AllocationPolicy policy) {
-  AdmissionDecision decision = check_with_policy(spec, cluster, pool, policy);
+AdmissionDecision AdmissionController::admit(const alvc::nfv::NfcSpec& spec,
+                                             const alvc::cluster::VirtualCluster& cluster,
+                                             const alvc::nfv::HostingPool& pool,
+                                             AllocationPolicy policy) {
+  AdmissionDecision decision = check(spec, cluster, pool, policy);
   record(decision);
   return decision;
 }

@@ -38,10 +38,9 @@ enum class AdmissionOutcome {
   kRejectedResources,
 };
 
-/// A check() decision: the status handed to the caller plus the counter it
-/// belongs to (so recording can be deferred, e.g. by the batch path), and
-/// the bandwidth actually granted (== the spec's demand unless the decision
-/// is kAdmittedDowngraded, 0 on rejection).
+/// A check() decision: the status handed to the caller, the counter it
+/// belongs to, and the bandwidth actually granted (== the spec's demand
+/// unless the decision is kAdmittedDowngraded, 0 on rejection).
 struct AdmissionDecision {
   Status status;
   AdmissionOutcome outcome = AdmissionOutcome::kAdmitted;
@@ -54,44 +53,31 @@ class AdmissionController {
                       const alvc::nfv::VnfCatalog& catalog)
       : topo_(&topo), catalog_(&catalog) {}
 
-  /// Pure feasibility decision — no counter updates, safe to call from
-  /// several threads at once (reads topology/pool only). Identical to
-  /// check_with_policy under kStrictLadder.
+  /// Pure feasibility decision — no counter updates (reads topology/pool
+  /// only). kRejected with a reason when the chain cannot possibly be
+  /// served by the cluster's slice. Under kStrictLadder a full demand that
+  /// fails the bandwidth or min-cut check is rejected; under kWaterFill /
+  /// kPriorityDowngrade it is admitted at the largest ladder rung the slice
+  /// can carry (kAdmittedDowngraded) — admission under pressure downgrades
+  /// rather than refuses. Malformed and resource rejections are the same
+  /// under every policy.
   [[nodiscard]] AdmissionDecision check(const alvc::nfv::NfcSpec& spec,
                                         const alvc::cluster::VirtualCluster& cluster,
-                                        const alvc::nfv::HostingPool& pool) const;
+                                        const alvc::nfv::HostingPool& pool,
+                                        AllocationPolicy policy) const;
 
-  /// Policy-aware variant: under kWaterFill / kPriorityDowngrade a chain
-  /// whose full demand fails the bandwidth or min-cut check is admitted at
-  /// the largest ladder rung the slice can carry (kAdmittedDowngraded)
-  /// instead of hard-rejected — admission under pressure downgrades rather
-  /// than refuses. Malformed and resource rejections are unaffected.
-  [[nodiscard]] AdmissionDecision check_with_policy(const alvc::nfv::NfcSpec& spec,
-                                                    const alvc::cluster::VirtualCluster& cluster,
-                                                    const alvc::nfv::HostingPool& pool,
-                                                    AllocationPolicy policy) const;
-
-  /// Applies a decision to the stats counters.
-  void record(const AdmissionDecision& decision) noexcept;
-
-  /// kRejected with a reason when the chain cannot possibly be served by
-  /// the cluster's slice; ok otherwise. Equivalent to check() + record().
-  [[nodiscard]] Status admit(const alvc::nfv::NfcSpec& spec,
-                             const alvc::cluster::VirtualCluster& cluster,
-                             const alvc::nfv::HostingPool& pool);
-
-  /// check_with_policy() + record(); the decision carries the granted
-  /// bandwidth the caller must provision at.
-  [[nodiscard]] AdmissionDecision admit_with_policy(const alvc::nfv::NfcSpec& spec,
-                                                    const alvc::cluster::VirtualCluster& cluster,
-                                                    const alvc::nfv::HostingPool& pool,
-                                                    AllocationPolicy policy);
+  /// check() + recording the decision in the stats counters; the decision
+  /// carries the granted bandwidth the caller must provision at.
+  [[nodiscard]] AdmissionDecision admit(const alvc::nfv::NfcSpec& spec,
+                                        const alvc::cluster::VirtualCluster& cluster,
+                                        const alvc::nfv::HostingPool& pool,
+                                        AllocationPolicy policy);
 
   [[nodiscard]] const AdmissionStats& stats() const noexcept { return stats_; }
 
   /// Maximum bandwidth the slice can carry between two of its ToRs,
   /// computed as a max flow over the slice's switch subgraph with per-link
-  /// capacity = min(port bandwidth of the endpoints). Used by admit() to
+  /// capacity = min(port bandwidth of the endpoints). Used by check() to
   /// reject chains whose demand exceeds any slice-internal cut, not just
   /// the single weakest port.
   [[nodiscard]] double slice_capacity_gbps(const alvc::cluster::VirtualCluster& cluster,
@@ -99,6 +85,9 @@ class AdmissionController {
                                            alvc::util::TorId egress) const;
 
  private:
+  /// Applies a decision to the stats counters.
+  void record(const AdmissionDecision& decision) noexcept;
+
   const alvc::topology::DataCenterTopology* topo_;
   const alvc::nfv::VnfCatalog* catalog_;
   AdmissionStats stats_;

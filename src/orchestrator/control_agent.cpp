@@ -1,17 +1,12 @@
 #include "orchestrator/control_agent.h"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
-#include <utility>
-
-#include "util/lock_rank.h"
 
 namespace alvc::orchestrator {
 
 ControlAgent::ControlAgent(const alvc::topology::DataCenterTopology& topo,
-                           std::size_t shard_count, alvc::util::Executor* executor)
-    : executor_(executor) {
+                           std::size_t shard_count) {
   if (shard_count == 0) throw std::invalid_argument("ControlAgent needs at least one shard");
   shards_.reserve(shard_count);
   for (std::size_t index = 0; index < shard_count; ++index) {
@@ -39,27 +34,21 @@ std::vector<ScanItem> ControlAgent::scan_scoped(std::span<const ClusterId> scope
     }
   }
   std::vector<ScanItem> merged;
-  alvc::util::fan_out_shards(executor_, shards_.size(), [&](std::size_t index) {
+  for (std::size_t index = 0; index < shards_.size(); ++index) {
     ControlShard& shard = shards_[index];
     ++shard.counters_.scans;
-    std::vector<ScanItem> local;
+    const std::size_t before = merged.size();
     for (ClusterId cluster : buckets[index]) {
       const std::vector<NfcId>* members = shard.cluster_chains(cluster);
       if (members == nullptr) continue;
       for (NfcId id : *members) {
         ++shard.counters_.chains_visited;
         ScanItem item{.id = id};
-        if (classify(id, item)) local.push_back(item);
+        if (classify(id, item)) merged.push_back(item);
       }
     }
-    shard.counters_.findings += local.size();
-    if (local.empty()) return;
-    ALVC_LOCK_RANK(alvc::util::lock_rank::kOrchestratorAgentMerge,
-                   "orchestrator.agent_merge");
-    const std::lock_guard<std::mutex> lock(merge_mu_);
-    merged.insert(merged.end(), std::make_move_iterator(local.begin()),
-                  std::make_move_iterator(local.end()));
-  });
+    shard.counters_.findings += merged.size() - before;
+  }
   // A chain is registered through exactly one cluster, so shards never
   // report the same id twice.
   std::sort(merged.begin(), merged.end(),

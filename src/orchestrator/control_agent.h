@@ -1,35 +1,27 @@
 // Cluster-agent layer of the sharded control plane (DESIGN.md §13).
 //
 // A ControlAgent partitions the orchestrator's chains across N ControlShards
-// by backing cluster (`cluster.value() % shard_count`) and runs the control
-// plane's read-only passes shard-parallel on a util::Executor. The design
-// follows the heyp cluster-agent shape: independent per-shard passes produce
-// partial result sets, one merge lock folds them together, and every mutation
-// happens afterwards on the single orchestrator thread.
+// by backing cluster (`cluster.value() % shard_count`). A fault touches only
+// the few clusters whose AL it hit, so a scoped pass classifies a handful of
+// chains and runs inline on the orchestrator thread: a worker hand-off would
+// cost more than the work.
 //
 // Determinism contract: scan_scoped() classifies chains with a
-// caller-supplied pure function (no telemetry, no mutation — it runs
-// concurrently on worker threads) and returns the merged findings sorted by
-// ascending NfcId, so the result is independent of shard count, executor
-// width, and scheduling. The orchestrator then applies verdicts serially in
-// that order. One shard with no executor is the plain inline control plane.
+// caller-supplied pure function (no telemetry, no mutation) and returns the
+// merged findings sorted by ascending NfcId, so the result is independent
+// of shard count. The orchestrator then applies verdicts serially in that
+// order.
 //
-// Threading contract: all methods except the scan workers run on the single
-// orchestrator thread. merge_mu_ (lock rank 15, a leaf: nothing else is
-// locked and no telemetry runs under it) only guards the merge vector while
-// workers append their partial results.
+// Threading contract: every method runs on the single orchestrator thread.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "orchestrator/shard.h"
-#include "util/executor.h"
 #include "util/ids.h"
-#include "util/thread_annotations.h"
 
 namespace alvc::orchestrator {
 
@@ -38,13 +30,9 @@ using alvc::util::ClusterId;
 class ControlAgent {
  public:
   /// `shard_count` must be >= 1 (std::invalid_argument otherwise).
-  /// `executor` may be null: every pass then runs inline in ascending shard
-  /// order (same results, no threads).
-  ControlAgent(const alvc::topology::DataCenterTopology& topo, std::size_t shard_count,
-               alvc::util::Executor* executor);
+  ControlAgent(const alvc::topology::DataCenterTopology& topo, std::size_t shard_count);
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
-  [[nodiscard]] alvc::util::Executor* executor() const noexcept { return executor_; }
 
   /// Owning shard for a cluster: cluster.value() % shard_count.
   [[nodiscard]] std::size_t shard_of(ClusterId cluster) const noexcept {
@@ -64,21 +52,19 @@ class ControlAgent {
   void unregister_chain(NfcId id, ClusterId cluster);
 
   /// Classifier for scan_scoped(): fill `item` (its `id` is pre-set) and
-  /// return whether to include it in the merged result. Runs concurrently
-  /// on worker threads — it must only read orchestrator state and must not
-  /// touch telemetry.
+  /// return whether to include it in the merged result. Runs inline — it
+  /// must only read orchestrator state and must not touch telemetry.
   using Classifier = std::function<bool(NfcId id, ScanItem& item)>;
 
   /// Phase 1 of the two-phase pass: classify the chains registered through
-  /// the clusters in `scope` (a fault's blast radius), shard-parallel, and
-  /// merge the partial results sorted by ascending id. Each shard walks only
-  /// its scoped clusters' membership indexes, so the pass costs
-  /// O(affected chains) instead of O(all chains). The caller must guarantee
-  /// that every chain NOT in scope would classify to "no work". Duplicate
-  /// clusters in `scope` are fine.
+  /// the clusters in `scope` (a fault's blast radius), shard by shard in
+  /// ascending shard order, and return the findings sorted by ascending id.
+  /// Each shard walks only its scoped clusters' membership indexes, so the
+  /// pass costs O(affected chains) instead of O(all chains). The caller
+  /// must guarantee that every chain NOT in scope would classify to "no
+  /// work". Duplicate clusters in `scope` are fine.
   [[nodiscard]] std::vector<ScanItem> scan_scoped(std::span<const ClusterId> scope,
-                                                  const Classifier& classify)
-      ALVC_EXCLUDES(merge_mu_);
+                                                  const Classifier& classify);
 
   /// Queues a retry on the shard owning `cluster`, unless that shard
   /// already holds an entry for the chain. A chain's cluster never changes,
@@ -97,9 +83,7 @@ class ControlAgent {
   [[nodiscard]] std::size_t membership_count() const noexcept;
 
  private:
-  alvc::util::Executor* executor_;
   std::vector<ControlShard> shards_;
-  std::mutex merge_mu_;
 };
 
 }  // namespace alvc::orchestrator

@@ -26,7 +26,7 @@ NetworkOrchestrator::NetworkOrchestrator(alvc::cluster::ClusterManager& clusters
       bandwidth_(clusters.topology()),
       alloc_index_(clusters.topology(), bandwidth_),
       router_(clusters.topology()),
-      agent_(std::make_unique<ControlAgent>(clusters.topology(), 1, nullptr)) {
+      agent_(std::make_unique<ControlAgent>(clusters.topology(), 1)) {
   alloc_index_.reset(allocator_.tor_budget_factor());
 }
 
@@ -45,50 +45,6 @@ Expected<ChainRoute> NetworkOrchestrator::route_linear(const VirtualCluster& vc,
 
 const VirtualCluster* NetworkOrchestrator::cluster_for_service(ServiceId service) const {
   return clusters_->find_by_service(service);
-}
-
-std::vector<Status> NetworkOrchestrator::preadmit_chains(
-    std::span<const alvc::nfv::NfcSpec> specs, alvc::util::Executor* executor) {
-  ALVC_SPAN(span, "orchestrator.preadmit_chains");
-  // The control plane lends its shard executor (if any) to the screen by
-  // default.
-  if (executor == nullptr) executor = agent_->executor();
-  struct Screened {
-    const VirtualCluster* vc = nullptr;
-    AdmissionDecision decision;
-  };
-  std::vector<Screened> screened(specs.size());
-  // Resolve clusters up front (reads clusters_, not thread-safe to mix with
-  // mutation anyway; the checks themselves are pure reads).
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    screened[i].vc = cluster_for_service(specs[i].service);
-  }
-  const auto check_one = [&](std::size_t i) {
-    if (screened[i].vc == nullptr) {
-      screened[i].decision.status =
-          Error{ErrorCode::kNotFound,
-                "no cluster serves service " + std::to_string(specs[i].service.value())};
-      return;
-    }
-    screened[i].decision = admission_.check(specs[i], *screened[i].vc, cloud_.pool());
-  };
-  if (executor != nullptr) {
-    auto tasks = executor->new_task_group();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      tasks->submit([&, i] { check_one(i); });
-    }
-    tasks->wait_all();
-  } else {
-    for (std::size_t i = 0; i < specs.size(); ++i) check_one(i);
-  }
-  // Record counters serially, in input order, so stats match a serial run.
-  std::vector<Status> results;
-  results.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (screened[i].vc != nullptr) admission_.record(screened[i].decision);
-    results.push_back(screened[i].decision.status);
-  }
-  return results;
 }
 
 template <typename Edit>
@@ -117,7 +73,7 @@ Expected<NfcId> NetworkOrchestrator::provision(const alvc::nfv::NfcSpec& spec,
     return fail(Error{ErrorCode::kInfeasible, "cluster has an empty abstraction layer"});
   }
   const AdmissionDecision admitted =
-      admission_.admit_with_policy(spec, *vc, cloud_.pool(), allocator_.policy());
+      admission_.admit(spec, *vc, cloud_.pool(), allocator_.policy());
   if (!admitted.status.is_ok()) return fail(admitted.status.error());
   // Under a QoS policy admission may grant a lower ladder rung than the
   // spec demands (admit-with-downgrade); everything downstream provisions
@@ -349,24 +305,29 @@ Status NetworkOrchestrator::migrate_function(NfcId id, std::size_t function_inde
   hosts[function_index] = target;
   auto route = route_linear(*vc, hosts, chain.record.spec.priority);
   if (!route) return route.error();
-  // Move the bandwidth reservation (conservative: new walk reserved while
-  // the old one is still held, so shared links must fit both briefly).
+  // Reserve the new walk while the old one is still held (conservative:
+  // shared links must fit both briefly), then deploy on the target. Either
+  // failure hands back what it took and leaves the chain untouched.
   const double gbps = chain.reserved_gbps;
   if (auto status = bandwidth_.reserve_walk(route->vertices, gbps); !status.is_ok()) {
     return status.error();
   }
-  bandwidth_.release_walk(chain.route.vertices, gbps);
-
-  // Commit: move the instance, swap route and rules.
-  ALVC_IGNORE_STATUS(cloud_.terminate(chain.instances[function_index]),
-                     "migration commit point: the old instance must go; a deploy "
-                     "failure on the target is surfaced just below");
   auto fresh = cloud_.deploy(chain.record.spec.functions[function_index], target);
-  if (!fresh) return fresh.error();  // capacity raced away; old instance already gone
+  if (!fresh) {
+    bandwidth_.release_walk(route->vertices, gbps);
+    return fresh.error();
+  }
+
+  // Commit: release the old walk and instance, swap route and rules.
+  bandwidth_.release_walk(chain.route.vertices, gbps);
+  ALVC_IGNORE_STATUS(cloud_.terminate(chain.instances[function_index]),
+                     "migration commit point: the target instance is live; an old "
+                     "instance that is already gone has nothing left to release");
   chain.instances[function_index] = *fresh;
   edit_hosts(chain, [&](std::vector<HostRef>& current) { current[function_index] = target; });
   controller_.remove_chain(id);
   for (const auto& leg : route->legs) {
+    // Fails only on a malformed path, which route_linear never produces.
     if (auto status = controller_.install_path(id, leg); !status.is_ok()) return status;
   }
   set_allocation(chain, std::move(*route), gbps);
@@ -640,11 +601,11 @@ void NetworkOrchestrator::apply_sweep_verdict(NfcId id, SweepVerdict verdict,
 
 std::size_t NetworkOrchestrator::sweep_chains(std::span<const ClusterId> scope) {
   ALVC_SPAN(span, "orchestrator.sweep_chains");
-  // Two-phase pass: classify the blast radius's chains shard-parallel (pure
-  // reads — see SweepVerdict's comment), then apply verdicts serially in
-  // ascending id order. Applying chain A never changes what classify would
-  // decide for chain B, so this equals a classify-as-you-go loop; chains
-  // outside the scope would classify kNone, which apply ignores anyway.
+  // Two-phase pass: classify the blast radius's chains (pure reads — see
+  // SweepVerdict's comment), then apply verdicts serially in ascending id
+  // order. Applying chain A never changes what classify would decide for
+  // chain B, so this equals a classify-as-you-go loop; chains outside the
+  // scope would classify kNone, which apply ignores anyway.
   const auto findings = agent_->scan_scoped(scope, [this](NfcId id, ScanItem& item) {
     const SweepVerdict verdict = classify_chain(id);
     if (verdict == SweepVerdict::kNone) return false;
@@ -866,11 +827,11 @@ std::vector<NfcId> NetworkOrchestrator::sorted_chain_ids() const {
   return ids;
 }
 
-void NetworkOrchestrator::set_sharding(std::size_t shard_count, alvc::util::Executor* executor) {
+void NetworkOrchestrator::set_sharding(std::size_t shard_count) {
   if (shard_count == 0) throw std::invalid_argument("set_sharding: shard_count must be >= 1");
   // Fold the old shards' retries out first so the new shards inherit them.
   const std::vector<RetryEntry> retries = agent_->drain_retries();
-  agent_ = std::make_unique<ControlAgent>(clusters_->topology(), shard_count, executor);
+  agent_ = std::make_unique<ControlAgent>(clusters_->topology(), shard_count);
   for (NfcId id : sorted_chain_ids()) {
     agent_->register_chain(id, chains_.at(id).cluster);
   }

@@ -86,13 +86,10 @@ struct OrchestratorStats {
   std::size_t alloc_restores = 0;              // chains grown back by a rebalance
 };
 
-/// Threading contract: externally synchronized, single-writer. The retry
-/// segments (in the agent's shards) and recovery epoch are mutated only
-/// inside handle_*_failure / handle_*_recovery / drain_retry_queue on the
-/// calling thread; Executor workers only run the agent's read-only sweep
-/// classification. Callers that drive the orchestrator from several
-/// threads (the chaos suites) must wrap every call in one lock, as
-/// ChaosRunner does.
+/// Threading contract: externally synchronized, single-writer. Every call,
+/// the agent's sweep classification included, runs on the calling thread.
+/// Callers that drive the orchestrator from several threads must wrap
+/// every call in one lock.
 class NetworkOrchestrator {
  public:
   /// The orchestrator borrows the cluster manager (clusters are built by
@@ -116,16 +113,13 @@ class NetworkOrchestrator {
 
   /// Splits the control plane into `shard_count` cluster-agent shards
   /// (DESIGN.md §13): chains partition by backing cluster, and each shard
-  /// owns its slice of the route cache and retry queue. Read-only passes
-  /// (sweep classification) fan out across shards on `executor` (inline
-  /// when null); all mutations stay on the calling thread, applied in
-  /// ascending chain-id order, so every observable result is byte-identical
-  /// at any shard count. A new orchestrator runs one shard inline. Live
-  /// chains and queued retries migrate on every call; route caches restart
-  /// cold (so `set_sharding(shard_count())` is a cold cache restart). Throws
-  /// std::invalid_argument when `shard_count` is 0. The executor must
-  /// outlive the orchestrator (or the next set_sharding call).
-  void set_sharding(std::size_t shard_count, alvc::util::Executor* executor = nullptr);
+  /// owns its slice of the route cache and retry queue. Every pass runs
+  /// inline and applies in ascending chain-id order, so every observable
+  /// result is byte-identical at any shard count. A new orchestrator runs
+  /// one shard. Live chains and queued retries migrate on every call; route
+  /// caches restart cold (so `set_sharding(shard_count())` is a cold cache
+  /// restart). Throws std::invalid_argument when `shard_count` is 0.
+  void set_sharding(std::size_t shard_count);
   [[nodiscard]] std::size_t shard_count() const noexcept { return agent_->shard_count(); }
   /// The cluster-agent layer; never null.
   [[nodiscard]] const ControlAgent* agent() const noexcept { return agent_.get(); }
@@ -164,17 +158,6 @@ class NetworkOrchestrator {
   /// tests and operators can force a pass. Returns the number of chains
   /// whose reservation changed.
   std::size_t rebalance_bandwidth();
-
-  /// Batch admission pre-screen: evaluates every spec's admission decision
-  /// (against the cluster serving its service) without provisioning
-  /// anything. Checks fan out to `executor` (serial when null) — safe
-  /// because check() only reads — and results come back in input order,
-  /// identical to calling admission serially; counters are then recorded
-  /// once per spec in input order. Specs whose service has no cluster get
-  /// kNotFound and touch no counter. Typical use: screen a provisioning
-  /// wave cheaply, then provision_chain() the admitted ones.
-  [[nodiscard]] std::vector<alvc::util::Status> preadmit_chains(
-      std::span<const alvc::nfv::NfcSpec> specs, alvc::util::Executor* executor = nullptr);
 
   /// Provisions a chain with a complex processing order (paper §IV-A's
   /// "network forwarding graph"): nodes are placed like a linear chain in
@@ -346,7 +329,7 @@ class NetworkOrchestrator {
   /// topology failure state, AL membership, and the chain's own record —
   /// never the cloud pool, bandwidth ledger, or controller state that
   /// applying another chain's verdict mutates — so pre-classifying every
-  /// chain (shard-parallel) and applying in ascending id order is
+  /// chain of the blast radius and applying in ascending id order is
   /// byte-identical to the legacy classify-as-you-go loop.
   enum class SweepVerdict : int {
     kNone = 0,

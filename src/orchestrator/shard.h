@@ -13,11 +13,9 @@
 //     global cache), and
 //   * plain per-shard counters.
 //
-// Threading contract: a shard is only ever touched by (a) the orchestrator
-// thread between scans and (b) exactly one worker during a ControlAgent
-// scan. Workers never touch another shard's state, which is why the
-// counters are plain integers and why nothing here takes a lock — the one
-// merge lock lives in ControlAgent.
+// Threading contract: a shard is only ever touched by the orchestrator
+// thread, which is why the counters are plain integers and nothing here
+// takes a lock.
 #pragma once
 
 #include <cstddef>
@@ -40,10 +38,8 @@ struct RetryEntry {
   std::uint64_t not_before = 0;  // earliest recovery epoch for the next try
 };
 
-/// Plain per-shard activity counters. Workers touch only their own shard's
-/// struct, so no atomics are needed; the orchestrator folds these into
-/// aggregate telemetry after a merge (metric macro names must be literals,
-/// and no telemetry call may run inside a scan worker).
+/// Plain per-shard activity counters; only the orchestrator thread touches
+/// them, so no atomics are needed.
 struct ShardCounters {
   std::uint64_t scans = 0;            // scan passes this shard ran
   std::uint64_t chains_visited = 0;   // classifier invocations

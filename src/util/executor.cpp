@@ -121,17 +121,4 @@ void Executor::worker_loop() {
   }
 }
 
-void fan_out_shards(Executor* executor, std::size_t shard_count,
-                    const std::function<void(std::size_t)>& fn) {
-  if (executor == nullptr) {
-    for (std::size_t shard = 0; shard < shard_count; ++shard) fn(shard);
-    return;
-  }
-  auto tasks = executor->new_task_group();
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    tasks->submit([&fn, shard] { fn(shard); });
-  }
-  tasks->wait_all();
-}
-
 }  // namespace alvc::util

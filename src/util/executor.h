@@ -92,12 +92,4 @@ class Executor {
   std::vector<std::thread> threads_;  // last: workers see members constructed
 };
 
-/// Runs `fn(shard)` once for every shard in [0, shard_count), fanned out to
-/// `executor` when non-null, serially in ascending shard order otherwise.
-/// The sharded control plane's one fan-out shape: each invocation must touch
-/// only shard-local state (or synchronize its own merges), and the call
-/// blocks until every shard finished. Rethrows the first task exception.
-void fan_out_shards(Executor* executor, std::size_t shard_count,
-                    const std::function<void(std::size_t)>& fn);
-
 }  // namespace alvc::util

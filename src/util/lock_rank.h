@@ -13,7 +13,6 @@
 //   rank | lock                          | mutex
 //   -----+-------------------------------+----------------------------------
 //    10  | orchestrator.control_plane    | reserved (externally synchronized)
-//    15  | orchestrator.agent_merge      | ControlAgent::merge_mu_
 //    20  | cluster.manager               | reserved (single-threaded today)
 //    30  | topology.switch_graph_cache   | DataCenterTopology::switch_graph_mutex_
 //    40  | graph.csr                     | Graph::csr_mutex_
@@ -24,11 +23,10 @@
 //
 // The only real nestings in the tree are 30 -> 40 (warming the switch-graph
 // cache builds the graph's CSR under both locks) and telemetry taken under
-// either; rank 15 is a leaf in practice (the agent's merge section holds no
-// other lock and makes no telemetry calls). The LockRank class is always compiled (so tests can drive
-// it directly); the ALVC_LOCK_RANK macro instrumenting production lock
-// sites expands to nothing unless the ALVC_LOCK_ORDER_CHECK CMake option
-// defines the macro of the same name.
+// either. The LockRank class is always compiled (so tests can drive it
+// directly); the ALVC_LOCK_RANK macro instrumenting production lock sites
+// expands to nothing unless the ALVC_LOCK_ORDER_CHECK CMake option defines
+// the macro of the same name.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +35,6 @@ namespace alvc::util {
 
 namespace lock_rank {
 inline constexpr int kOrchestratorControlPlane = 10;
-inline constexpr int kOrchestratorAgentMerge = 15;
 inline constexpr int kClusterManager = 20;
 inline constexpr int kTopologySwitchGraphCache = 30;
 inline constexpr int kGraphCsr = 40;

@@ -1,12 +1,11 @@
 // Differential harness for the parallel AL construction path.
 //
-// The parallel ClusterManager::build_all_clusters / reoptimize_clusters
-// promise BIT-IDENTICAL output to the serial path — same clusters, same
-// ids, same ALs, same ownership, same errors. This suite checks that
-// promise across every AlBuilder variant and a sweep of seeded random
-// topologies whose OPS pools are tight enough that service groups really
-// do contend for switches (the interesting case for the
-// one-AL-per-OPS invariant).
+// The parallel ClusterManager::build_all_clusters promises BIT-IDENTICAL
+// output to the serial path — same clusters, same ids, same ALs, same
+// ownership, same errors. This suite checks that promise across every
+// AlBuilder variant and a sweep of seeded random topologies whose OPS
+// pools are tight enough that service groups really do contend for
+// switches (the interesting case for the one-AL-per-OPS invariant).
 //
 // Labelled `sanitize`: run it under -DALVC_SANITIZE=thread to also prove
 // the fan-out itself is race-free.
@@ -144,52 +143,6 @@ TEST_P(ParallelBuildDifferentialTest, ParallelBuildMatchesSerialForEveryBuilder)
     }
     EXPECT_EQ(*serial_ids, *parallel_ids) << context;
     EXPECT_EQ(stats.parallel_commits + stats.serial_rebuilds, stats.groups) << context;
-    expect_identical_state(serial, parallel, context);
-    expect_exclusive_ownership(parallel, context);
-  }
-}
-
-TEST_P(ParallelBuildDifferentialTest, BatchReoptimizeMatchesSerial) {
-  Executor exec(4);
-  for (const auto& builder : all_builders()) {
-    DataCenterTopology serial_topo = alvc::topology::build_topology(make_params(GetParam()));
-    DataCenterTopology parallel_topo = alvc::topology::build_topology(make_params(GetParam()));
-    ClusterManager serial(serial_topo);
-    ClusterManager parallel(parallel_topo);
-
-    const std::string context = "reopt builder=" + std::string(builder->name()) +
-                                " seed=" + std::to_string(GetParam());
-    // Seed both managers with the paper's algorithm, then reoptimize with
-    // the builder under test (mirrors the churn-then-reoptimize workflow).
-    const VertexCoverAlBuilder seed_builder;
-    auto serial_ids = serial.create_clusters_by_service(seed_builder);
-    auto parallel_ids = parallel.build_all_clusters(seed_builder, &exec);
-    ASSERT_EQ(serial_ids.has_value(), parallel_ids.has_value()) << context;
-    if (!serial_ids) continue;  // covered by the build differential above
-
-    std::vector<UpdateCost> serial_costs;
-    alvc::util::Status serial_failure = alvc::util::Status::ok();
-    for (ClusterId id : *serial_ids) {
-      auto cost = serial.reoptimize_cluster(id, *builder);
-      if (!cost) {
-        serial_failure = cost.error();
-        break;
-      }
-      serial_costs.push_back(*cost);
-    }
-    auto parallel_costs = parallel.reoptimize_clusters(*parallel_ids, *builder, &exec);
-
-    ASSERT_EQ(serial_failure.is_ok(), parallel_costs.has_value()) << context;
-    if (!serial_failure.is_ok()) {
-      EXPECT_EQ(serial_failure.error().to_string(), parallel_costs.error().to_string()) << context;
-    } else {
-      ASSERT_EQ(serial_costs.size(), parallel_costs->size()) << context;
-      for (std::size_t i = 0; i < serial_costs.size(); ++i) {
-        EXPECT_EQ(serial_costs[i].flow_rules, (*parallel_costs)[i].flow_rules) << context;
-        EXPECT_EQ(serial_costs[i].tor_changes, (*parallel_costs)[i].tor_changes) << context;
-        EXPECT_EQ(serial_costs[i].ops_changes, (*parallel_costs)[i].ops_changes) << context;
-      }
-    }
     expect_identical_state(serial, parallel, context);
     expect_exclusive_ownership(parallel, context);
   }

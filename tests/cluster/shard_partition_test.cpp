@@ -1,10 +1,9 @@
 // Shard-aware ClusterManager helpers: the O(1) service and VM-owner
-// indexes the million-VM control plane depends on, and the modulo cluster
-// partition the ControlAgent shards by.
+// indexes the million-VM control plane depends on, the degraded-cluster
+// index, and the blast radii the fault handlers report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "cluster/al_builder.h"
@@ -48,56 +47,6 @@ TEST(ShardPartitionTest, VmOwnerIndexTracksMembershipChanges) {
   EXPECT_FALSE(fx.manager.vm_owner(late).valid());
   ASSERT_TRUE(fx.manager.add_vm(fx.cluster_id, late).has_value());
   EXPECT_EQ(fx.manager.vm_owner(late), fx.cluster_id);
-}
-
-TEST(ShardPartitionTest, ShardClusterIdsPartitionTheLiveSet) {
-  ClusterFixture fx;  // one cluster, id 0
-  // shard_count > cluster count: only the owning shard sees it.
-  for (std::size_t shard = 0; shard < 4; ++shard) {
-    const auto ids = fx.manager.shard_cluster_ids(shard, 4);
-    if (shard == fx.cluster_id.value() % 4) {
-      EXPECT_EQ(ids, (std::vector<ClusterId>{fx.cluster_id}));
-    } else {
-      EXPECT_TRUE(ids.empty()) << "shard " << shard;
-    }
-  }
-  // Degenerate shard_count is empty, not a crash.
-  EXPECT_TRUE(fx.manager.shard_cluster_ids(0, 0).empty());
-
-  // One shard owns everything.
-  EXPECT_EQ(fx.manager.shard_cluster_ids(0, 1),
-            (std::vector<ClusterId>{fx.cluster_id}));
-}
-
-TEST(ShardPartitionTest, ShardsAreDisjointAndCoverEveryCluster) {
-  // A bigger seeded build: several services, several clusters.
-  alvc::topology::TopologyParams params;
-  params.rack_count = 6;
-  params.servers_per_rack = 2;
-  params.vms_per_server = 2;
-  params.ops_count = 16;
-  params.tor_ops_degree = 6;
-  params.service_count = 5;
-  params.seed = 7;
-  auto topo = alvc::topology::build_topology(params);
-  ClusterManager manager(topo);
-  const VertexCoverAlBuilder builder;
-  const auto built = manager.build_all_clusters(builder);
-  ASSERT_TRUE(built.has_value());
-  ASSERT_GT(built->size(), 2u);
-
-  for (const std::size_t shard_count : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-    std::set<ClusterId> seen;
-    for (std::size_t shard = 0; shard < shard_count; ++shard) {
-      const auto ids = manager.shard_cluster_ids(shard, shard_count);
-      EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-      for (ClusterId id : ids) {
-        EXPECT_EQ(id.value() % shard_count, shard);
-        EXPECT_TRUE(seen.insert(id).second) << "cluster in two shards";
-      }
-    }
-    EXPECT_EQ(seen.size(), manager.cluster_count());
-  }
 }
 
 alvc::topology::DataCenterTopology make_multi_cluster_topo(std::uint64_t seed) {
@@ -183,47 +132,6 @@ TEST(ShardPartitionTest, HandlersReportTheClustersWhoseAlTheyExamined) {
   std::vector<ClusterId> recovery_touched;
   ASSERT_TRUE(manager.handle_tor_recovery(tor, builder, &recovery_touched).has_value());
   EXPECT_EQ(recovery_touched, degraded_before);
-}
-
-TEST(ShardPartitionTest, ReoptimizeShardMatchesWholeSetReoptimize) {
-  // Twin managers over twin topologies; reoptimizing shard by shard must
-  // land on the same ALs as one whole-set pass (both delegate to the same
-  // ordered batch path).
-  alvc::topology::TopologyParams params;
-  params.rack_count = 6;
-  params.servers_per_rack = 2;
-  params.vms_per_server = 2;
-  params.ops_count = 16;
-  params.tor_ops_degree = 6;
-  params.service_count = 4;
-  params.seed = 13;
-  auto topo_a = alvc::topology::build_topology(params);
-  auto topo_b = alvc::topology::build_topology(params);
-  ClusterManager a(topo_a);
-  ClusterManager b(topo_b);
-  const VertexCoverAlBuilder builder;
-  ASSERT_TRUE(a.build_all_clusters(builder).has_value());
-  ASSERT_TRUE(b.build_all_clusters(builder).has_value());
-
-  std::vector<ClusterId> all;
-  for (const auto* vc : a.clusters()) all.push_back(vc->id);
-  std::sort(all.begin(), all.end());
-  ASSERT_TRUE(a.reoptimize_clusters(all, builder).has_value());
-  for (std::size_t shard = 0; shard < 3; ++shard) {
-    ASSERT_TRUE(b.reoptimize_shard(shard, 3, builder).has_value());
-  }
-
-  ASSERT_EQ(a.cluster_count(), b.cluster_count());
-  for (ClusterId id : all) {
-    const auto* va = a.find(id);
-    const auto* vb = b.find(id);
-    ASSERT_NE(va, nullptr);
-    ASSERT_NE(vb, nullptr);
-    EXPECT_EQ(va->layer.opss, vb->layer.opss) << "cluster " << id.value();
-    EXPECT_EQ(va->layer.tors, vb->layer.tors) << "cluster " << id.value();
-  }
-  EXPECT_TRUE(a.check_invariants().empty());
-  EXPECT_TRUE(b.check_invariants().empty());
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 //
 // Two tiers:
 //   * MidScaleShardedSoakStaysClean — always on: a ~1.6k-VM, 400-cluster
-//     data center runs the chaos soak with an 8-shard control plane and a
-//     threaded executor; the full robustness contract (clean audits, no
-//     handler errors, no silent chain loss) must hold.
+//     data center runs the chaos soak with an 8-shard control plane; the
+//     full robustness contract (clean audits, no handler errors, no silent
+//     chain loss) must hold.
 //   * MillionVmSmoke — gated by ALVC_SCALE_SOAK=1 (the CI scale-soak leg
 //     sets it): one million VMs across 12,500 racks, 100,000 server-local
 //     clusters with 100,000 provisioned chains (slices bind 1:1 to
@@ -111,7 +111,6 @@ TEST(ScaleSoakTest, MidScaleShardedSoakStaysClean) {
   EXPECT_EQ(provisioned, 400u) << "every rack-local chain should admit";
   ASSERT_GT(dc->orchestrator().chain_count(), 0u);
 
-  alvc::util::Executor exec(4);
   ChaosParams params;
   params.schedule.ops = {.mtbf_s = 1000, .mttr_s = 8};
   params.schedule.tor = {.mtbf_s = 2000, .mttr_s = 8};
@@ -122,7 +121,6 @@ TEST(ScaleSoakTest, MidScaleShardedSoakStaysClean) {
   params.flow_rate_per_s = 5;
   params.traffic_seed = 11;
   params.shards = *shards;
-  params.shard_executor = &exec;
   // One guaranteed whole-rack outage so recovery work is never left to
   // stochastic luck.
   params.scripted = FaultInjector::whole_rack(dc->topology(), util::TorId{0}, 10.0, 15.0);
@@ -174,7 +172,6 @@ TEST(ScaleSoakTest, MillionVmSmoke) {
   EXPECT_EQ(provisioned, 100000u) << "every rack-local chain should admit";
   ASSERT_GE(dc->orchestrator().chain_count(), 100000u);
 
-  alvc::util::Executor exec(8);
   ChaosParams params;
   // ~40 stochastic events across the 160k-element fleet, plus a scripted
   // whole-rack outage that guarantees recovery work lands on real chains.
@@ -185,7 +182,6 @@ TEST(ScaleSoakTest, MillionVmSmoke) {
   params.schedule.horizon_s = 30;
   params.schedule.seed = 3;
   params.shards = *shards;
-  params.shard_executor = &exec;
   // Per-event audits over 100k chains would dominate the run; the closing
   // audit still checks every invariant once.
   params.audit_every_event = false;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "support/fixtures.h"
 
 namespace alvc::orchestrator {
@@ -13,6 +15,9 @@ using alvc::nfv::VnfType;
 using alvc::test::ClusterFixture;
 using alvc::util::ErrorCode;
 using alvc::util::ServiceId;
+
+constexpr AllocationPolicy kStrict = AllocationPolicy::kStrictLadder;
+constexpr AllocationPolicy kDowngrade = AllocationPolicy::kPriorityDowngrade;
 
 struct AdmissionFixture : ClusterFixture {
   HostingPool pool{topo};
@@ -31,14 +36,14 @@ struct AdmissionFixture : ClusterFixture {
 TEST(AdmissionTest, AdmitsReasonableChain) {
   AdmissionFixture f;
   const auto spec = f.chain({VnfType::kFirewall, VnfType::kNat});
-  EXPECT_TRUE(f.admission.admit(spec, f.cluster(), f.pool).is_ok());
+  EXPECT_TRUE(f.admission.admit(spec, f.cluster(), f.pool, kStrict).status.is_ok());
   EXPECT_EQ(f.admission.stats().admitted, 1u);
 }
 
 TEST(AdmissionTest, RejectsEmptyChain) {
   AdmissionFixture f;
   const auto spec = f.chain({});
-  const auto status = f.admission.admit(spec, f.cluster(), f.pool);
+  const auto status = f.admission.admit(spec, f.cluster(), f.pool, kStrict).status;
   ASSERT_FALSE(status.is_ok());
   EXPECT_EQ(status.error().code, ErrorCode::kRejected);
   EXPECT_EQ(f.admission.stats().rejected_malformed, 1u);
@@ -47,14 +52,14 @@ TEST(AdmissionTest, RejectsEmptyChain) {
 TEST(AdmissionTest, RejectsNonPositiveBandwidth) {
   AdmissionFixture f;
   const auto spec = f.chain({VnfType::kFirewall}, 0.0);
-  EXPECT_FALSE(f.admission.admit(spec, f.cluster(), f.pool).is_ok());
+  EXPECT_FALSE(f.admission.admit(spec, f.cluster(), f.pool, kStrict).status.is_ok());
 }
 
 TEST(AdmissionTest, RejectsBandwidthBeyondSlicePorts) {
   AdmissionFixture f;
   // ToR ports default to 10 Gbps; ask for 50.
   const auto spec = f.chain({VnfType::kFirewall}, 50.0);
-  const auto status = f.admission.admit(spec, f.cluster(), f.pool);
+  const auto status = f.admission.admit(spec, f.cluster(), f.pool, kStrict).status;
   ASSERT_FALSE(status.is_ok());
   EXPECT_EQ(f.admission.stats().rejected_bandwidth, 1u);
 }
@@ -66,7 +71,7 @@ TEST(AdmissionTest, RejectsAggregateOverload) {
   for (int i = 0; i < 200; ++i) {
     spec.functions.push_back(*f.catalog.find_by_type(VnfType::kCache));
   }
-  const auto status = f.admission.admit(spec, f.cluster(), f.pool);
+  const auto status = f.admission.admit(spec, f.cluster(), f.pool, kStrict).status;
   ASSERT_FALSE(status.is_ok());
   EXPECT_EQ(f.admission.stats().rejected_resources, 1u);
 }
@@ -87,7 +92,7 @@ TEST(AdmissionTest, AccountsForExistingReservations) {
   for (int i = 0; i < 4; ++i) {
     spec.functions.push_back(*f.catalog.find_by_type(VnfType::kDeepPacketInspection));
   }
-  EXPECT_FALSE(f.admission.admit(spec, f.cluster(), f.pool).is_ok());
+  EXPECT_FALSE(f.admission.admit(spec, f.cluster(), f.pool, kStrict).status.is_ok());
 }
 
 TEST(AdmissionTest, SliceCapacityIsMaxFlowNotMinPort) {
@@ -168,9 +173,108 @@ TEST(AdmissionTest, DisconnectedSliceHasZeroCapacity) {
   spec.bandwidth_gbps = 1.0;
   spec.functions = {*catalog.find_by_type(alvc::nfv::VnfType::kNat)};
   alvc::nfv::HostingPool pool(topo);
-  const auto status = admission.admit(spec, vc, pool);
+  const auto status = admission.admit(spec, vc, pool, kStrict).status;
   ASSERT_FALSE(status.is_ok());
   EXPECT_EQ(admission.stats().rejected_capacity_flow, 1u);
+}
+
+/// The fixture slice joins two 10 Gbps ToRs through 100 Gbps OPSs: its
+/// min port and its min-cut are both 10 Gbps.
+TEST(AdmissionTest, DowngradesDemandAboveSlicePortToLargestRungThatFits) {
+  AdmissionFixture f;
+  // 15 Gbps: the 1/2 rung (7.5) is the largest that fits under 10.
+  const auto half = f.admission.admit(f.chain({VnfType::kFirewall}, 15.0), f.cluster(), f.pool,
+                                      kDowngrade);
+  ASSERT_TRUE(half.status.is_ok()) << half.status.error().to_string();
+  EXPECT_EQ(half.outcome, AdmissionOutcome::kAdmittedDowngraded);
+  EXPECT_DOUBLE_EQ(half.granted_gbps, 7.5);
+  // 50 Gbps: 25 and 12.5 do not fit; the 1/8 rung (6.25) does.
+  const auto eighth = f.admission.admit(f.chain({VnfType::kFirewall}, 50.0), f.cluster(), f.pool,
+                                        kDowngrade);
+  ASSERT_TRUE(eighth.status.is_ok()) << eighth.status.error().to_string();
+  EXPECT_EQ(eighth.outcome, AdmissionOutcome::kAdmittedDowngraded);
+  EXPECT_DOUBLE_EQ(eighth.granted_gbps, 6.25);
+  EXPECT_EQ(f.admission.stats().admitted_downgraded, 2u);
+  EXPECT_EQ(f.admission.stats().rejected_bandwidth, 0u);
+  // A demand that fits in full is admitted in full under the same policy.
+  const auto full = f.admission.admit(f.chain({VnfType::kFirewall}, 10.0), f.cluster(), f.pool,
+                                      kDowngrade);
+  EXPECT_EQ(full.outcome, AdmissionOutcome::kAdmitted);
+  EXPECT_DOUBLE_EQ(full.granted_gbps, 10.0);
+}
+
+TEST(AdmissionTest, DowngradeReturnsTheBandwidthRejectionWhenNoRungFits) {
+  AdmissionFixture f;
+  // 100 Gbps: even the 1/8 rung (12.5) exceeds the 10 Gbps port.
+  const auto spec = f.chain({VnfType::kFirewall}, 100.0);
+  const auto strict = f.admission.check(spec, f.cluster(), f.pool, kStrict);
+  const auto decision = f.admission.admit(spec, f.cluster(), f.pool, kDowngrade);
+  ASSERT_FALSE(decision.status.is_ok());
+  EXPECT_EQ(decision.outcome, AdmissionOutcome::kRejectedBandwidth);
+  EXPECT_EQ(decision.status.error().to_string(), strict.status.error().to_string());
+  EXPECT_DOUBLE_EQ(decision.granted_gbps, 0.0);
+  EXPECT_EQ(f.admission.stats().rejected_bandwidth, 1u);
+  EXPECT_EQ(f.admission.stats().admitted_downgraded, 0u);
+}
+
+TEST(AdmissionTest, DowngradeReturnsTheMinCutRejectionWhenNoRungFits) {
+  // Every slice link carries at least the slice's min port, so a min-cut
+  // below the port is a cut of zero: T1 unreachable inside the slice. A
+  // 1 Gbps demand is below the 10 Gbps port but above the cut, and no rung
+  // of it fits a zero cut.
+  alvc::topology::DataCenterTopology topo;
+  const auto o0 = topo.add_ops();
+  const auto o1 = topo.add_ops();
+  const auto t0 = topo.add_tor();
+  const auto t1 = topo.add_tor();
+  topo.connect_tor_ops(t0, o0);
+  topo.connect_tor_ops(t1, o1);
+  alvc::cluster::VirtualCluster vc;
+  vc.layer.tors = {t0, t1};
+  vc.layer.opss = {o0};
+  const auto catalog = alvc::nfv::VnfCatalog::make_default();
+  AdmissionController admission(topo, catalog);
+  HostingPool pool(topo);
+  NfcSpec spec;
+  spec.name = "x";
+  spec.bandwidth_gbps = 1.0;
+  spec.functions = {*catalog.find_by_type(VnfType::kNat)};
+  const auto strict = admission.check(spec, vc, pool, kStrict);
+  const auto decision = admission.admit(spec, vc, pool, kDowngrade);
+  ASSERT_FALSE(decision.status.is_ok());
+  EXPECT_EQ(decision.outcome, AdmissionOutcome::kRejectedCapacityFlow);
+  EXPECT_EQ(decision.status.error().to_string(), strict.status.error().to_string());
+  EXPECT_EQ(admission.stats().rejected_capacity_flow, 1u);
+}
+
+TEST(AdmissionTest, MalformedAndResourceRejectionsIgnoreThePolicy) {
+  AdmissionFixture f;
+  NfcSpec overload = f.chain({});
+  for (int i = 0; i < 200; ++i) {
+    overload.functions.push_back(*f.catalog.find_by_type(VnfType::kCache));
+  }
+  const std::vector<std::pair<NfcSpec, AdmissionOutcome>> cases = {
+      {f.chain({}), AdmissionOutcome::kRejectedMalformed},
+      {f.chain({VnfType::kFirewall}, 0.0), AdmissionOutcome::kRejectedMalformed},
+      {f.chain({VnfType::kFirewall}, -1.0), AdmissionOutcome::kRejectedMalformed},
+      {overload, AdmissionOutcome::kRejectedResources},
+  };
+  for (const auto& [spec, outcome] : cases) {
+    const auto strict = f.admission.check(spec, f.cluster(), f.pool, kStrict);
+    const auto downgrade = f.admission.check(spec, f.cluster(), f.pool, kDowngrade);
+    ASSERT_FALSE(strict.status.is_ok());
+    ASSERT_FALSE(downgrade.status.is_ok());
+    EXPECT_EQ(downgrade.outcome, outcome);
+    EXPECT_EQ(strict.outcome, downgrade.outcome);
+    EXPECT_EQ(strict.status.error().to_string(), downgrade.status.error().to_string());
+    EXPECT_DOUBLE_EQ(downgrade.granted_gbps, 0.0);
+  }
+  // A downgraded grant does not mask a resource shortfall: the overload
+  // asking for more than the port is still rejected for resources.
+  overload.bandwidth_gbps = 50.0;
+  const auto downgraded = f.admission.check(overload, f.cluster(), f.pool, kDowngrade);
+  EXPECT_EQ(downgraded.outcome, AdmissionOutcome::kRejectedResources);
+  EXPECT_DOUBLE_EQ(downgraded.granted_gbps, 0.0);
 }
 
 }  // namespace

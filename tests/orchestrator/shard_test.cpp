@@ -1,10 +1,9 @@
 // Sharded control-plane unit tests: partitioning edge cases (empty shards,
 // everything on one shard, more shards than clusters), scoped-scan merge
-// determinism, per-shard retry dedupe, the fan-out helper, and
-// orchestrator sharding transitions mid-life.
+// determinism, per-shard retry dedupe, and orchestrator sharding
+// transitions mid-life.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 #include <vector>
 
@@ -12,59 +11,19 @@
 #include "orchestrator/control_agent.h"
 #include "support/fixtures.h"
 #include "util/error.h"
-#include "util/executor.h"
 
 namespace alvc::orchestrator {
 namespace {
 
 using alvc::nfv::VnfType;
 using alvc::util::ClusterId;
-using alvc::util::Executor;
 using alvc::util::NfcId;
 
 NfcId nfc(std::uint32_t v) { return NfcId{v}; }
 ClusterId vc(std::uint32_t v) { return ClusterId{v}; }
 
-TEST(FanOutShardsTest, SerialPathVisitsShardsInAscendingOrder) {
-  std::vector<std::size_t> order;
-  alvc::util::fan_out_shards(nullptr, 5, [&](std::size_t shard) { order.push_back(shard); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(FanOutShardsTest, ExecutorPathVisitsEveryShardExactlyOnce) {
-  Executor exec(4);
-  std::vector<std::atomic<int>> visits(16);
-  alvc::util::fan_out_shards(&exec, visits.size(),
-                             [&](std::size_t shard) { visits[shard].fetch_add(1); });
-  for (std::size_t i = 0; i < visits.size(); ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << "shard " << i;
-  }
-}
-
-TEST(FanOutShardsTest, RethrowsTaskExceptions) {
-  EXPECT_THROW(alvc::util::fan_out_shards(nullptr, 3,
-                                          [](std::size_t shard) {
-                                            if (shard == 1) throw std::runtime_error("boom");
-                                          }),
-               std::runtime_error);
-  Executor exec(2);
-  EXPECT_THROW(alvc::util::fan_out_shards(&exec, 3,
-                                          [](std::size_t shard) {
-                                            if (shard == 2) throw std::runtime_error("boom");
-                                          }),
-               std::runtime_error);
-}
-
-TEST(FanOutShardsTest, ZeroShardsIsANoOp) {
-  bool called = false;
-  alvc::util::fan_out_shards(nullptr, 0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 struct AgentFixture : alvc::test::SliceFixture {
-  ControlAgent make(std::size_t shards, Executor* exec = nullptr) {
-    return ControlAgent(topo, shards, exec);
-  }
+  ControlAgent make(std::size_t shards) { return ControlAgent(topo, shards); }
 };
 
 TEST(ControlAgentTest, PartitionsChainsByClusterModulo) {
@@ -152,9 +111,8 @@ TEST(ControlAgentTest, ScopedScanOfUnknownClusterFindsNothing) {
   EXPECT_TRUE(agent.scan_scoped({}, [](NfcId, ScanItem&) { return true; }).empty());
 }
 
-TEST(ControlAgentTest, ScanMergeIsIndependentOfShardCountAndExecutor) {
+TEST(ControlAgentTest, ScanMergeIsIndependentOfShardCount) {
   AgentFixture fx;
-  Executor exec(4);
   // Ids deliberately registered out of order and spread over clusters.
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> chains = {
       {9, 3}, {2, 0}, {7, 1}, {4, 6}, {0, 2}, {5, 5}, {1, 4}};
@@ -162,17 +120,15 @@ TEST(ControlAgentTest, ScanMergeIsIndependentOfShardCountAndExecutor) {
   std::vector<std::vector<NfcId>> results;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                    std::size_t{8}}) {
-    for (Executor* e : {static_cast<Executor*>(nullptr), &exec}) {
-      auto agent = fx.make(shards, e);
-      for (const auto& [id, cluster] : chains) agent.register_chain(nfc(id), vc(cluster));
-      const auto merged = agent.scan_scoped(scope, [](NfcId id, ScanItem& item) {
-        item.verdict = static_cast<int>(id.value()) % 2;
-        return item.verdict != 0;  // odd ids only
-      });
-      std::vector<NfcId> ids;
-      for (const auto& item : merged) ids.push_back(item.id);
-      results.push_back(std::move(ids));
-    }
+    auto agent = fx.make(shards);
+    for (const auto& [id, cluster] : chains) agent.register_chain(nfc(id), vc(cluster));
+    const auto merged = agent.scan_scoped(scope, [](NfcId id, ScanItem& item) {
+      item.verdict = static_cast<int>(id.value()) % 2;
+      return item.verdict != 0;  // odd ids only
+    });
+    std::vector<NfcId> ids;
+    for (const auto& item : merged) ids.push_back(item.id);
+    results.push_back(std::move(ids));
   }
   const std::vector<NfcId> expected = {nfc(1), nfc(5), nfc(7), nfc(9)};
   for (const auto& ids : results) EXPECT_EQ(ids, expected);
@@ -231,10 +187,9 @@ TEST(OrchestratorShardingTest, TransitionsRegisterLiveChainsAndFoldBack) {
   auto& orch = dc.orchestrator();
   const std::size_t chains = orch.chain_count();
   ASSERT_GT(chains, 0u);
-  // A fresh orchestrator runs one inline shard.
+  // A fresh orchestrator runs one shard.
   EXPECT_EQ(orch.shard_count(), 1u);
   ASSERT_NE(orch.agent(), nullptr);
-  EXPECT_EQ(orch.agent()->executor(), nullptr);
   EXPECT_EQ(orch.agent()->membership_count(), chains);
   EXPECT_EQ(orch.route_caches().size(), 1u);
 
@@ -262,8 +217,7 @@ TEST(OrchestratorShardingTest, TransitionsRegisterLiveChainsAndFoldBack) {
 TEST(OrchestratorShardingTest, ShardedProvisionTeardownAndRecoveryStayCoherent) {
   auto dc = make_dc();
   auto& orch = dc.orchestrator();
-  alvc::util::Executor exec(4);
-  orch.set_sharding(4, &exec);
+  orch.set_sharding(4);
   const std::size_t before = orch.chain_count();
 
   nfv::NfcSpec spec;

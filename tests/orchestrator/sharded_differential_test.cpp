@@ -1,12 +1,11 @@
 // Shard-count differential: the cluster-agent control plane must be
 // byte-identical at every shard count, after every single fault event.
 // Twin data centers replay the same 20-seed fault schedules the chaos soak
-// uses — a one-shard control (the inline control plane), one variant per
-// shard count in {2, 4, 8} (threaded executor on the wider ones) — and the
-// full per-chain state must match event for event, with every plane
-// passing StateAuditor after every event. Odd seeds run under kWaterFill so
-// the rebalance is exercised too (under the default strict ladder it is a
-// no-op).
+// uses — a one-shard control and one variant per shard count in
+// {2, 4, 8} — and the full per-chain state must match event for event,
+// with every plane passing StateAuditor after every event. Odd seeds run
+// under kWaterFill so the rebalance is exercised too (under the default
+// strict ladder it is a no-op).
 //
 // ALVC_SHARD_DIFF_SEEDS=<n> caps the seed count (the CI scale-soak leg
 // runs a reduced sweep; locally the full 20 is the default). A value that
@@ -25,7 +24,6 @@
 #include "faults/state_auditor.h"
 #include "support/fixtures.h"
 #include "util/error.h"
-#include "util/executor.h"
 
 namespace alvc::orchestrator {
 namespace {
@@ -143,7 +141,6 @@ TEST(ShardedDifferentialTest, FaultReplayIsByteIdenticalAtEveryShardCount) {
       << "ALVC_SHARD_DIFF_SEEDS must be a positive integer, got '"
       << std::getenv("ALVC_SHARD_DIFF_SEEDS") << "'";
   const std::uint64_t seeds = *seed_override;
-  alvc::util::Executor exec(4);
   std::size_t total_degraded = 0;
   std::size_t water_fill_rebalances = 0;
 
@@ -159,9 +156,7 @@ TEST(ShardedDifferentialTest, FaultReplayIsByteIdenticalAtEveryShardCount) {
     variants.reserve(std::size(kShardCounts));
     for (const std::size_t shards : kShardCounts) {
       variants.push_back(make_dc(seed, water_fill));
-      // Threaded fan-out on the wider counts, serial fan-out on the narrow
-      // ones — results must not depend on the executor either way.
-      variants.back()->orchestrator().set_sharding(shards, shards >= 4 ? &exec : nullptr);
+      variants.back()->orchestrator().set_sharding(shards);
       ASSERT_EQ(variants.back()->orchestrator().shard_count(), shards);
       expect_identical(control->orchestrator(), variants.back()->orchestrator());
     }

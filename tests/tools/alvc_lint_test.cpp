@@ -132,6 +132,24 @@ TEST(AlvcLintTest, ElasticIsAboveEveryOtherSrcLayer) {
   EXPECT_TRUE(lint_source("bench/bench_elastic_scaling.cpp", content).empty());
 }
 
+TEST(AlvcLintTest, FlagsExecutorIncludeOutsideUtilAndCluster) {
+  const auto content = read_fixture("executor_include.cc");
+  // The control plane runs on one thread: no orchestrator, faults, core or
+  // elastic file may bring the thread pool back.
+  for (const char* path : {"src/orchestrator/bad.cc", "src/faults/bad.cc", "src/core/bad.cc",
+                           "src/elastic/bad.cc"}) {
+    EXPECT_EQ(rules_and_lines(lint_source(path, content)),
+              (std::multiset<std::pair<std::string, std::size_t>>{{"executor-include", 4}}))
+        << path;
+  }
+  // The pool itself, the parallel AL build, and out-of-src benches and
+  // tests include it freely.
+  EXPECT_TRUE(lint_source("src/util/executor.cpp", content).empty());
+  EXPECT_TRUE(lint_source("src/cluster/cluster_manager.h", content).empty());
+  EXPECT_TRUE(lint_source("bench/bench_parallel_al_build.cpp", content).empty());
+  EXPECT_TRUE(lint_source("tests/util/executor_test.cpp", content).empty());
+}
+
 TEST(AlvcLintTest, PassesCleanFixture) {
   const auto findings = lint_source("src/util/clean.cc", read_fixture("clean.cc"));
   EXPECT_TRUE(findings.empty()) << alvc::lint::to_string(findings.front());

@@ -92,6 +92,16 @@ const std::vector<Rule>& rules() {
           return !layer.empty() && layer != "elastic";
         }});
     r.push_back(Rule{
+        "executor-include",
+        "src/ layer outside util/ and cluster/ includes util/executor.h; the parallel "
+        "AL build is the one control-plane fan-out — a scoped sweep classifies a "
+        "handful of chains, so a worker hand-off costs more than the work",
+        std::regex(R"(#\s*include\s*"util/executor\.h")", flags),
+        [](std::string_view path) {
+          const std::string_view layer = src_layer(path);
+          return !layer.empty() && layer != "util" && layer != "cluster";
+        }});
+    r.push_back(Rule{
         "raw-chrono-clock",
         "raw std::chrono clock read outside the telemetry layer; route timing through "
         "telemetry::Tracer (logical or steady mode) or core::Experiment so seeded runs "

@@ -1,6 +1,6 @@
 // alvc_lint: project-specific source rules clang-tidy cannot know.
 //
-// Eight rules, each encoding a contract earlier PRs established:
+// Nine rules, each encoding a contract earlier PRs established:
 //
 //   nondeterministic-rng  no rand()/srand()/std::random_device/wall-clock
 //                         seeds in src/ or tests/ — every stochastic path
@@ -25,6 +25,10 @@
 //                         at the very top of the stack and is composed from
 //                         outside (tests, benches, the ChaosParams tick
 //                         hook), never depended on from below.
+//   executor-include      no src/ layer other than util/ and cluster/
+//                         includes util/executor.h — the parallel AL build
+//                         (ClusterManager::build_all_clusters) is the one
+//                         fan-out; the control plane runs on one thread.
 //   raw-chrono-clock      no raw std::chrono::steady_clock reads outside
 //                         src/telemetry/ and core/experiment.h — timing goes
 //                         through telemetry::Tracer (whose logical mode keeps
