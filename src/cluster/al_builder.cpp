@@ -1,6 +1,7 @@
 #include "cluster/al_builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 
 #include "graph/articulation.h"
@@ -250,7 +251,22 @@ Expected<AlBuildResult> finish(const DataCenterTopology& topo, const OpsOwnershi
   return result;
 }
 
+/// finish() for the two cover builders, whose stages 1-2 read only the
+/// footprint: the result is local unless stage 3 searched beyond the AL.
+Expected<AlBuildResult> finish_cover(const DataCenterTopology& topo,
+                                     const OpsOwnership& ownership, AbstractionLayer layer,
+                                     const AlBuilderOptions& options) {
+  auto result = finish(topo, ownership, std::move(layer), options);
+  if (result) result->reads_local = result->connected && result->augmented_ops == 0;
+  return result;
+}
+
 }  // namespace
+
+AlBuilder::AlBuilder() noexcept {
+  static std::atomic<std::uint64_t> next_serial{0};
+  serial_ = next_serial.fetch_add(1, std::memory_order_relaxed);
+}
 
 Expected<AlBuildResult> VertexCoverAlBuilder::build(const DataCenterTopology& topo,
                                                     std::span<const VmId> group,
@@ -261,7 +277,7 @@ Expected<AlBuildResult> VertexCoverAlBuilder::build(const DataCenterTopology& to
   auto opss = select_ops(topo, layer.tors, ownership, /*exact=*/false, 0);
   if (!opss) return opss.error();
   layer.opss = std::move(*opss);
-  return finish(topo, ownership, std::move(layer), options_);
+  return finish_cover(topo, ownership, std::move(layer), options_);
 }
 
 Expected<AlBuildResult> RandomAlBuilder::build(const DataCenterTopology& topo,
@@ -357,6 +373,7 @@ Expected<AlBuildResult> ResilientAlBuilder::build(const DataCenterTopology& topo
   base_options.ensure_connectivity = true;
   auto result = VertexCoverAlBuilder{base_options}.build(topo, group, ownership);
   if (!result) return result;
+  result->reads_local = false;  // the hardening below reads the AL's whole neighbourhood
   if (!result->connected) return result;  // can't harden a split layer
 
   // Candidate pool: free, usable OPSs adjacent to the cluster subgraph.
@@ -408,7 +425,7 @@ Expected<AlBuildResult> ExactAlBuilder::build(const DataCenterTopology& topo,
   auto opss = select_ops(topo, layer.tors, ownership, /*exact=*/true, node_budget_);
   if (!opss) return opss.error();
   layer.opss = std::move(*opss);
-  return finish(topo, ownership, std::move(layer), options_);
+  return finish_cover(topo, ownership, std::move(layer), options_);
 }
 
 bool cluster_subgraph_connected(const DataCenterTopology& topo, const AbstractionLayer& layer) {

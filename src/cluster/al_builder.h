@@ -16,6 +16,7 @@
 // and exact (optimal) covers via branch and bound.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -39,6 +40,15 @@ struct AlBuildResult {
   bool connected = false;
   /// OPSs added by the augmentation stage (subset of layer.opss).
   std::size_t augmented_ops = 0;
+  /// True when the build read nothing beyond the group's footprint: its
+  /// VMs' home ToRs and, for each home ToR's uplinks, the link, the OPS and
+  /// whether the OPS is free. ClusterManager skips a degraded cluster's
+  /// rebuild while that footprint is unchanged, so a builder sets this only
+  /// when its result is a function of the footprint alone. The cover
+  /// builders qualify when the AL came out connected with no OPS
+  /// augmented: augment_layer_connectivity's BFS can recruit free OPSs
+  /// anywhere in the fabric.
+  bool reads_local = false;
 };
 
 struct AlBuilderOptions {
@@ -48,7 +58,9 @@ struct AlBuilderOptions {
 
 /// Strategy interface. Implementations must not mutate the topology and
 /// must only return OPSs that are free in `ownership` (the caller acquires
-/// them afterwards).
+/// them afterwards). A build that fails must fail from the group's
+/// footprint alone (see AlBuildResult::reads_local): every builder here
+/// fails only when some group ToR has no free usable uplink.
 ///
 /// Thread-safety contract: build() is const and must be callable from
 /// several threads at once on the same builder instance (the parallel
@@ -58,11 +70,20 @@ struct AlBuilderOptions {
 /// result is a pure function of (topo, group, ownership).
 class AlBuilder {
  public:
+  AlBuilder() noexcept;
   virtual ~AlBuilder() = default;
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+  /// Process-unique number of this builder's configuration, carried along
+  /// by copies: two builders with the same serial return the same result
+  /// for the same inputs. ClusterManager's rebuild memo keys on it, so a
+  /// restore pass under a different builder always rebuilds.
+  [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
   [[nodiscard]] virtual Expected<AlBuildResult> build(
       const alvc::topology::DataCenterTopology& topo, std::span<const VmId> group,
       const OpsOwnership& ownership) const = 0;
+
+ private:
+  std::uint64_t serial_;
 };
 
 /// The paper's algorithm: greedy one-sided covers in both stages.

@@ -81,6 +81,7 @@ ClusterId ClusterManager::vm_owner(VmId vm) const noexcept {
 }
 
 void ClusterManager::set_degraded(VirtualCluster& vc, bool degraded) {
+  if (vc.degraded && !degraded) rebuild_memos_.erase(vc.id);
   vc.degraded = degraded;
   if (degraded) {
     degraded_ids_.insert(vc.id);
@@ -251,6 +252,7 @@ Status ClusterManager::destroy_cluster(ClusterId id) {
     if (peers->second.empty()) by_service_.erase(peers);
   }
   degraded_ids_.erase(id);
+  rebuild_memos_.erase(id);
   clusters_.erase(it);
   topo_->bump_mutation_epoch();
   return Status::ok();
@@ -489,6 +491,7 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
     vc.connected = true;  // vacuously
     set_degraded(vc, !vc.vms.empty());
     topo_->bump_mutation_epoch();
+    remember_rebuild(vc, builder, /*local=*/true);
     return cost;
   }
 
@@ -498,19 +501,94 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
     // the cluster degraded so a later recovery retries the rebuild.
     set_degraded(vc, true);
     vc.connected = cluster_subgraph_connected(*topo_, vc.layer);
+    // The failure itself came from the footprint (AlBuilder's contract);
+    // the probe above read the incumbent AL's links.
+    remember_rebuild(vc, builder, layer_in_footprint(vc));
     return cost;
   }
 
   // Symmetric-difference cost, then an unconditional swap: unlike
   // reoptimize, the incumbent AL references dead hardware, so "smaller" is
   // not the criterion — live coverage is.
+  const bool local = rebuilt->reads_local;
   cost += layer_swap_cost(vc.layer, rebuilt->layer);
   if (!swap_layer(vc, std::move(*rebuilt)).is_ok()) {
     set_degraded(vc, true);
+    remember_rebuild(vc, builder, /*local=*/false);
     return UpdateCost{};
   }
   set_degraded(vc, reachable.size() != vc.vms.size());
+  remember_rebuild(vc, builder, local);
   return cost;
+}
+
+std::span<const TorId> ClusterManager::collect_home_tors(const VirtualCluster& vc) {
+  home_tors_.clear();
+  for (VmId vm : vc.vms) topo_->for_each_tor_of_vm(vm, [&](TorId t) { home_tors_.push_back(t); });
+  std::sort(home_tors_.begin(), home_tors_.end());
+  home_tors_.erase(std::unique(home_tors_.begin(), home_tors_.end()), home_tors_.end());
+  return home_tors_;
+}
+
+void ClusterManager::snapshot_footprint(const VirtualCluster& vc,
+                                        std::vector<std::uint32_t>& out) {
+  constexpr std::uint32_t kVmEnd = 0xFFFFFFFFu;
+  out.clear();
+  for (VmId vm : vc.vms) {
+    topo_->for_each_tor_of_vm(vm, [&](TorId t) { out.push_back(t.value()); });
+    out.push_back(kVmEnd);
+  }
+  for (TorId t : collect_home_tors(vc)) {
+    const auto& tor = topo_->tor(t);
+    out.push_back(t.value());
+    out.push_back(static_cast<std::uint32_t>(tor.uplinks.size()));
+    out.push_back(tor.failed ? 1u : 0u);
+    for (alvc::util::OpsId o : tor.uplinks) {
+      const ClusterId owner = ownership_.owner(o);
+      out.push_back(o.value());
+      out.push_back((topo_->link_failed(t, o) ? 1u : 0u) | (topo_->ops_usable(o) ? 2u : 0u) |
+                    (!owner.valid() || owner == vc.id ? 4u : 0u));
+    }
+  }
+}
+
+bool ClusterManager::layer_in_footprint(const VirtualCluster& vc) {
+  const std::span<const TorId> home = collect_home_tors(vc);
+  const auto is_home = [&](TorId t) { return std::binary_search(home.begin(), home.end(), t); };
+  if (!std::all_of(vc.layer.tors.begin(), vc.layer.tors.end(), is_home)) return false;
+  return std::all_of(vc.layer.opss.begin(), vc.layer.opss.end(), [&](alvc::util::OpsId o) {
+    const auto& links = topo_->ops(o).tor_links;
+    return std::any_of(links.begin(), links.end(), is_home);
+  });
+}
+
+void ClusterManager::remember_rebuild(const VirtualCluster& vc, const AlBuilder& builder,
+                                      bool local) {
+  if (!vc.degraded || !local) {
+    rebuild_memos_.erase(vc.id);
+    return;
+  }
+  RebuildMemo& memo = rebuild_memos_[vc.id];
+  memo.builder = builder.serial();
+  memo.vms = vc.vms;
+  memo.layer = vc.layer;
+  memo.connected = vc.connected;
+  snapshot_footprint(vc, memo.footprint);
+}
+
+bool ClusterManager::rebuild_is_futile(const VirtualCluster& vc, const AlBuilder& builder) {
+  const auto it = rebuild_memos_.find(vc.id);
+  if (it == rebuild_memos_.end()) return false;
+  const RebuildMemo& memo = it->second;
+  // The memo exists only while the cluster is degraded, so the degraded
+  // flag is equal by construction.
+  if (memo.builder != builder.serial() || memo.connected != vc.connected ||
+      memo.vms != vc.vms || memo.layer.tors != vc.layer.tors ||
+      memo.layer.opss != vc.layer.opss) {
+    return false;
+  }
+  snapshot_footprint(vc, footprint_scratch_);
+  return footprint_scratch_ == memo.footprint;
 }
 
 Expected<UpdateCost> ClusterManager::handle_tor_failure(TorId tor, const AlBuilder& builder,
@@ -630,6 +708,17 @@ Expected<UpdateCost> ClusterManager::restore_degraded_clusters(const AlBuilder& 
     VirtualCluster* vc = find_mutable(id);
     if (vc == nullptr || !vc->degraded) continue;
     if (touched != nullptr) touched->push_back(id);
+    // A rebuild is a function of the builder, the VMs, the footprint and
+    // (when it fails) the incumbent AL; with all of them as the last local
+    // rebuild left them it would reproduce the cluster exactly, at zero
+    // cost. Skipping it also skips that rebuild's release/re-acquire and
+    // epoch bump, which change no route: the route cache matches uncached
+    // routing at any epoch.
+    if (rebuild_is_futile(*vc, builder)) {
+      ALVC_COUNT("cluster.restore.skipped");
+      continue;
+    }
+    ALVC_COUNT("cluster.restore.rebuilds");
     cost += rebuild_cluster(*vc, builder);
   }
   return cost;

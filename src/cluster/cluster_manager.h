@@ -11,6 +11,7 @@
 // mutation returns an UpdateCost breakdown that the ABL1 bench aggregates.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <span>
@@ -22,6 +23,10 @@
 #include "topology/topology.h"
 #include "util/error.h"
 #include "util/executor.h"
+
+namespace alvc::test {
+struct RebuildMemoProbe;
+}  // namespace alvc::test
 
 namespace alvc::cluster {
 
@@ -190,6 +195,13 @@ class ClusterManager {
   /// costs O(sum over degraded clusters of their group + AL), not
   /// O(clusters) or O(degraded x OPS pool) — the difference between a
   /// recovery event and a full control-plane scan at 10^5 clusters.
+  ///
+  /// A cluster whose rebuild provably changes nothing is skipped: when the
+  /// last rebuild read only its footprint (AlBuildResult::reads_local) and
+  /// the builder, the VMs, the AL, the connected flag and a by-value
+  /// snapshot of that footprint all still equal what the rebuild recorded,
+  /// a rebuild now would reproduce the cluster exactly. A skipped cluster
+  /// is still appended to `touched` and bumps no mutation epoch.
   [[nodiscard]] Expected<UpdateCost> restore_degraded_clusters(
       const AlBuilder& builder, std::vector<ClusterId>* touched = nullptr);
 
@@ -276,8 +288,35 @@ class ClusterManager {
   /// growing it when the topology gained VMs since construction.
   void set_vm_owner(VmId vm, ClusterId owner);
   /// The one writer of VirtualCluster::degraded: keeps the flag and the
-  /// degraded-cluster index in lockstep (check_invariants cross-checks).
+  /// degraded-cluster index in lockstep (check_invariants cross-checks),
+  /// and drops the rebuild memo of a cluster that stops being degraded.
   void set_degraded(VirtualCluster& vc, bool degraded);
+  /// Writes what a rebuild of `vc` reads, besides its VMs and incumbent AL,
+  /// into `out` (cleared first): per VM its home ToRs, both homings; per
+  /// distinct home ToR, ascending, its usable flag and for each uplink the
+  /// OPS id, the link flag, the OPS usable flag and whether the OPS is free
+  /// or owned by `vc`. A rebuild leaves it unchanged: the cluster only
+  /// trades OPSs between "free" and "owned by vc".
+  void snapshot_footprint(const VirtualCluster& vc, std::vector<std::uint32_t>& out);
+  /// True when every member of `vc`'s AL lies in its footprint: ToRs are
+  /// home ToRs of its VMs, OPSs are uplinks of those ToRs.
+  [[nodiscard]] bool layer_in_footprint(const VirtualCluster& vc);
+  /// The distinct home ToRs of `vc`'s VMs, ascending, in home_tors_.
+  std::span<const TorId> collect_home_tors(const VirtualCluster& vc);
+  /// True when restore_degraded_clusters may skip `vc` (see there).
+  [[nodiscard]] bool rebuild_is_futile(const VirtualCluster& vc, const AlBuilder& builder);
+  /// Records (`local`) or drops the memo of `vc`'s rebuild just done.
+  void remember_rebuild(const VirtualCluster& vc, const AlBuilder& builder, bool local);
+
+  /// What the last rebuild of a degraded cluster read and left behind.
+  /// Only kept while the cluster is degraded and that rebuild was local.
+  struct RebuildMemo {
+    std::uint64_t builder = 0;  // AlBuilder::serial()
+    std::vector<VmId> vms;
+    AbstractionLayer layer;
+    bool connected = false;
+    std::vector<std::uint32_t> footprint;  // snapshot_footprint's encoding
+  };
 
   alvc::topology::DataCenterTopology* topo_;
   OpsOwnership ownership_;
@@ -297,7 +336,17 @@ class ClusterManager {
   /// ascending: the blast radius of a ToR, link or server event without an
   /// O(clusters) scan. Maintained solely by set_layer.
   std::vector<std::vector<ClusterId>> tor_clusters_;
+  /// Rebuild memos of degraded clusters, looked up by id only (never
+  /// iterated). Written by remember_rebuild, dropped by set_degraded and
+  /// destroy_cluster.
+  std::unordered_map<ClusterId, RebuildMemo> rebuild_memos_;
+  /// Scratch reused across restore passes: rebuild_is_futile's footprint
+  /// snapshot and collect_home_tors's output.
+  std::vector<std::uint32_t> footprint_scratch_;
+  std::vector<TorId> home_tors_;
   ClusterId::value_type next_id_ = 0;
+
+  friend struct alvc::test::RebuildMemoProbe;
 };
 
 }  // namespace alvc::cluster

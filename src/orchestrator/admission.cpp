@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "graph/max_flow.h"
+#include "graph/scratch.h"
 #include "telemetry/telemetry.h"
 
 namespace alvc::orchestrator {
@@ -14,6 +12,39 @@ using alvc::nfv::HostRef;
 using alvc::topology::Resources;
 using alvc::util::Error;
 using alvc::util::ErrorCode;
+
+namespace {
+
+/// True when `egress` is reachable from `ingress` over live switch links
+/// whose both ends are members of `layer` (or the anchors themselves).
+bool anchors_connected(const alvc::topology::DataCenterTopology& topo,
+                       const alvc::cluster::AbstractionLayer& layer, alvc::util::TorId ingress,
+                       alvc::util::TorId egress) {
+  if (ingress == egress) return true;
+  const auto& g = topo.switch_graph();
+  const alvc::graph::CsrView csr = g.csr();
+  thread_local alvc::graph::VertexSet members;
+  members.reset(g.vertex_count());
+  for (alvc::util::TorId t : layer.tors) members.insert(topo.tor_vertex(t));
+  for (alvc::util::OpsId o : layer.opss) members.insert(topo.ops_vertex(o));
+  const std::size_t target = topo.tor_vertex(egress);
+  members.insert(target);
+  alvc::graph::TraversalScratch& scratch = alvc::graph::thread_scratch();
+  scratch.begin(g.vertex_count());
+  scratch.mark(topo.tor_vertex(ingress));
+  scratch.frontier.push_back(topo.tor_vertex(ingress));
+  for (std::size_t head = 0; head < scratch.frontier.size(); ++head) {
+    for (const auto& nb : csr.neighbors(scratch.frontier[head])) {
+      if (!members.contains(nb.vertex) || scratch.seen(nb.vertex)) continue;
+      if (nb.vertex == target) return true;
+      scratch.mark(nb.vertex);
+      scratch.frontier.push_back(nb.vertex);
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 AdmissionDecision AdmissionController::check(const alvc::nfv::NfcSpec& spec,
                                              const alvc::cluster::VirtualCluster& cluster,
@@ -50,12 +81,18 @@ AdmissionDecision AdmissionController::check(const alvc::nfv::NfcSpec& spec,
     if (!qos) return rejection;
     needs_downgrade = true;
   }
-  // Max-flow feasibility between the chain's default anchors: a single
-  // fat port does not help if some slice-internal cut is thinner.
+  // Min-cut feasibility between the chain's default anchors. Every slice
+  // link carries min(its two ports) >= min_port, so every cut between the
+  // anchors is either empty or at least min_port wide: the min-cut is 0
+  // when the anchors are disconnected inside the slice and never binds
+  // otherwise.
   double cap = min_port;
   if (!cluster.layer.tors.empty()) {
-    const double capacity = slice_capacity_gbps(cluster, cluster.layer.tors.front(),
-                                                cluster.layer.tors.back());
+    const double capacity =
+        anchors_connected(*topo_, cluster.layer, cluster.layer.tors.front(),
+                          cluster.layer.tors.back())
+            ? std::numeric_limits<double>::infinity()
+            : 0.0;
     cap = std::min(cap, capacity);
     if (!needs_downgrade && spec.bandwidth_gbps > capacity + 1e-9) {
       rejection = {
@@ -141,41 +178,6 @@ AdmissionDecision AdmissionController::admit(const alvc::nfv::NfcSpec& spec,
   AdmissionDecision decision = check(spec, cluster, pool, policy);
   record(decision);
   return decision;
-}
-
-double AdmissionController::slice_capacity_gbps(const alvc::cluster::VirtualCluster& cluster,
-                                                alvc::util::TorId ingress,
-                                                alvc::util::TorId egress) const {
-  if (ingress == egress) return std::numeric_limits<double>::infinity();
-  // Dense re-index of the slice's switch vertices.
-  std::unordered_map<std::size_t, std::size_t> index;
-  std::unordered_set<std::size_t> members;
-  const auto add_member = [&](std::size_t v) {
-    if (members.insert(v).second) index.emplace(v, index.size());
-  };
-  for (alvc::util::TorId t : cluster.layer.tors) add_member(topo_->tor_vertex(t));
-  for (alvc::util::OpsId o : cluster.layer.opss) add_member(topo_->ops_vertex(o));
-  const std::size_t src_v = topo_->tor_vertex(ingress);
-  const std::size_t dst_v = topo_->tor_vertex(egress);
-  add_member(src_v);
-  add_member(dst_v);
-
-  const auto port_of = [&](std::size_t v) {
-    if (topo_->is_ops_vertex(v)) return topo_->ops(topo_->vertex_to_ops(v)).port_bandwidth_gbps;
-    return topo_->tor(topo_->vertex_to_tor(v)).port_bandwidth_gbps;
-  };
-
-  alvc::graph::FlowNetwork net(index.size());
-  const auto& g = topo_->switch_graph();
-  const auto edges = g.edges();
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    const auto& edge = edges[e];
-    if (!members.contains(edge.from) || !members.contains(edge.to) || !g.edge_live(e)) continue;
-    const double capacity = std::min(port_of(edge.from), port_of(edge.to));
-    net.add_edge(index.at(edge.from), index.at(edge.to), capacity);
-    net.add_edge(index.at(edge.to), index.at(edge.from), capacity);
-  }
-  return net.max_flow(index.at(src_v), index.at(dst_v));
 }
 
 }  // namespace alvc::orchestrator

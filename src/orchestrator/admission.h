@@ -23,7 +23,7 @@ struct AdmissionStats {
   std::size_t admitted = 0;
   std::size_t admitted_downgraded = 0;  // admitted at a reduced ladder rung
   std::size_t rejected_bandwidth = 0;
-  std::size_t rejected_capacity_flow = 0;  // max-flow check failed
+  std::size_t rejected_capacity_flow = 0;  // anchors disconnected inside the slice
   std::size_t rejected_resources = 0;
   std::size_t rejected_malformed = 0;
 };
@@ -74,15 +74,6 @@ class AdmissionController {
                                         AllocationPolicy policy);
 
   [[nodiscard]] const AdmissionStats& stats() const noexcept { return stats_; }
-
-  /// Maximum bandwidth the slice can carry between two of its ToRs,
-  /// computed as a max flow over the slice's switch subgraph with per-link
-  /// capacity = min(port bandwidth of the endpoints). Used by check() to
-  /// reject chains whose demand exceeds any slice-internal cut, not just
-  /// the single weakest port.
-  [[nodiscard]] double slice_capacity_gbps(const alvc::cluster::VirtualCluster& cluster,
-                                           alvc::util::TorId ingress,
-                                           alvc::util::TorId egress) const;
 
  private:
   /// Applies a decision to the stats counters.

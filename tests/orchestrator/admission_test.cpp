@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "support/fixtures.h"
 
 namespace alvc::orchestrator {
@@ -95,62 +93,89 @@ TEST(AdmissionTest, AccountsForExistingReservations) {
   EXPECT_FALSE(f.admission.admit(spec, f.cluster(), f.pool, kStrict).status.is_ok());
 }
 
+/// A check() verdict on a hand-built slice: one roomy server behind the
+/// ingress ToR, so only the bandwidth and min-cut tests can reject.
+AdmissionDecision slice_verdict(alvc::topology::DataCenterTopology& topo,
+                                const alvc::cluster::VirtualCluster& vc, double bandwidth,
+                                AllocationPolicy policy) {
+  topo.add_server(vc.layer.tors.front(),
+                  {.cpu_cores = 64, .memory_gb = 256, .storage_gb = 2048});
+  const auto catalog = alvc::nfv::VnfCatalog::make_default();
+  const AdmissionController admission(topo, catalog);
+  const HostingPool pool(topo);
+  NfcSpec spec;
+  spec.name = "x";
+  spec.bandwidth_gbps = bandwidth;
+  spec.functions = {*catalog.find_by_type(VnfType::kNat)};
+  return admission.check(spec, vc, pool, policy);
+}
+
 TEST(AdmissionTest, SliceCapacityIsMaxFlowNotMinPort) {
   // Slice shaped like T0 - O0 - T1 with 10 Gbps ToR ports and a 100 Gbps
-  // OPS: capacity between T0 and T1 is 10 (ToR-limited), even though every
-  // individual port pair check would pass 10.
-  alvc::topology::DataCenterTopology topo;
-  const auto o0 = topo.add_ops();
-  const auto t0 = topo.add_tor(10.0);
-  const auto t1 = topo.add_tor(10.0);
-  topo.connect_tor_ops(t0, o0);
-  topo.connect_tor_ops(t1, o0);
-  alvc::cluster::VirtualCluster vc;
-  vc.layer.tors = {t0, t1};
-  vc.layer.opss = {o0};
-  const auto catalog = alvc::nfv::VnfCatalog::make_default();
-  AdmissionController admission(topo, catalog);
-  EXPECT_DOUBLE_EQ(admission.slice_capacity_gbps(vc, t0, t1), 10.0);
+  // OPS: the anchors are joined through a 10 Gbps cut, so 10 Gbps is
+  // admitted in full and anything above it is not.
+  const auto decide = [](double bandwidth, AllocationPolicy policy) {
+    alvc::topology::DataCenterTopology topo;
+    const auto o0 = topo.add_ops();
+    const auto t0 = topo.add_tor(10.0);
+    const auto t1 = topo.add_tor(10.0);
+    topo.connect_tor_ops(t0, o0);
+    topo.connect_tor_ops(t1, o0);
+    alvc::cluster::VirtualCluster vc;
+    vc.layer.tors = {t0, t1};
+    vc.layer.opss = {o0};
+    return slice_verdict(topo, vc, bandwidth, policy);
+  };
+  const auto full = decide(10.0, kStrict);
+  EXPECT_EQ(full.outcome, AdmissionOutcome::kAdmitted);
+  EXPECT_DOUBLE_EQ(full.granted_gbps, 10.0);
+  EXPECT_EQ(decide(12.0, kStrict).outcome, AdmissionOutcome::kRejectedBandwidth);
+  const auto half = decide(12.0, kDowngrade);
+  EXPECT_EQ(half.outcome, AdmissionOutcome::kAdmittedDowngraded);
+  EXPECT_DOUBLE_EQ(half.granted_gbps, 6.0);
 }
 
 TEST(AdmissionTest, ParallelOpsPathsAddCapacity) {
-  // T0 and T1 joined through TWO OPSs: max flow 20 even though each single
-  // path carries only 10.
-  alvc::topology::DataCenterTopology topo;
-  const auto o0 = topo.add_ops();
-  const auto o1 = topo.add_ops();
-  const auto t0 = topo.add_tor(20.0);
-  const auto t1 = topo.add_tor(20.0);
-  for (auto o : {o0, o1}) {
-    topo.connect_tor_ops(t0, o);
-    topo.connect_tor_ops(t1, o);
-  }
-  alvc::cluster::VirtualCluster vc;
-  vc.layer.tors = {t0, t1};
-  vc.layer.opss = {o0, o1};
-  // Give the OPSs 10 Gbps ports so each path is OPS-limited.
-  // (add_ops defaults to 100; rebuild with explicit ports.)
-  alvc::topology::DataCenterTopology topo2;
-  const auto p0 = topo2.add_ops(false, {}, 10.0);
-  const auto p1 = topo2.add_ops(false, {}, 10.0);
-  const auto q0 = topo2.add_tor(20.0);
-  const auto q1 = topo2.add_tor(20.0);
-  for (auto o : {p0, p1}) {
-    topo2.connect_tor_ops(q0, o);
-    topo2.connect_tor_ops(q1, o);
-  }
-  alvc::cluster::VirtualCluster vc2;
-  vc2.layer.tors = {q0, q1};
-  vc2.layer.opss = {p0, p1};
-  const auto catalog = alvc::nfv::VnfCatalog::make_default();
-  AdmissionController admission(topo2, catalog);
-  EXPECT_DOUBLE_EQ(admission.slice_capacity_gbps(vc2, q0, q1), 20.0);
+  // T0 and T1 (20 Gbps ports) joined through TWO 10 Gbps OPSs: the cut is
+  // 20 Gbps wide, but the chain rides one path, so the 10 Gbps OPS port
+  // still bounds it — the second path adds cut capacity, not admissible
+  // demand.
+  const auto decide = [](double bandwidth, AllocationPolicy policy) {
+    alvc::topology::DataCenterTopology topo;
+    const auto p0 = topo.add_ops(false, {}, 10.0);
+    const auto p1 = topo.add_ops(false, {}, 10.0);
+    const auto q0 = topo.add_tor(20.0);
+    const auto q1 = topo.add_tor(20.0);
+    for (auto o : {p0, p1}) {
+      topo.connect_tor_ops(q0, o);
+      topo.connect_tor_ops(q1, o);
+    }
+    alvc::cluster::VirtualCluster vc;
+    vc.layer.tors = {q0, q1};
+    vc.layer.opss = {p0, p1};
+    return slice_verdict(topo, vc, bandwidth, policy);
+  };
+  EXPECT_EQ(decide(10.0, kStrict).outcome, AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(decide(15.0, kStrict).outcome, AdmissionOutcome::kRejectedBandwidth);
+  const auto downgraded = decide(15.0, kDowngrade);
+  EXPECT_EQ(downgraded.outcome, AdmissionOutcome::kAdmittedDowngraded);
+  EXPECT_DOUBLE_EQ(downgraded.granted_gbps, 7.5);
 }
 
 TEST(AdmissionTest, SameTorCapacityIsUnbounded) {
-  AdmissionFixture f;
-  const auto t = f.cluster().layer.tors.front();
-  EXPECT_TRUE(std::isinf(f.admission.slice_capacity_gbps(f.cluster(), t, t)));
+  // A one-ToR slice has ingress == egress: no cut between the anchors, so
+  // even an AL with no OPS at all admits any demand the ports carry.
+  const auto decide = [](double bandwidth) {
+    alvc::topology::DataCenterTopology topo;
+    const auto t0 = topo.add_tor(10.0);
+    alvc::cluster::VirtualCluster vc;
+    vc.layer.tors = {t0};
+    return slice_verdict(topo, vc, bandwidth, kStrict);
+  };
+  const auto full = decide(10.0);
+  EXPECT_EQ(full.outcome, AdmissionOutcome::kAdmitted);
+  EXPECT_DOUBLE_EQ(full.granted_gbps, 10.0);
+  EXPECT_EQ(decide(10.5).outcome, AdmissionOutcome::kRejectedBandwidth);
 }
 
 TEST(AdmissionTest, DisconnectedSliceHasZeroCapacity) {
@@ -164,18 +189,22 @@ TEST(AdmissionTest, DisconnectedSliceHasZeroCapacity) {
   alvc::cluster::VirtualCluster vc;
   vc.layer.tors = {t0, t1};
   vc.layer.opss = {o0};  // o1 excluded: t1 unreachable inside the slice
-  const auto catalog = alvc::nfv::VnfCatalog::make_default();
-  AdmissionController admission(topo, catalog);
-  EXPECT_DOUBLE_EQ(admission.slice_capacity_gbps(vc, t0, t1), 0.0);
-  // And admit() rejects any positive bandwidth via the flow check.
-  alvc::nfv::NfcSpec spec;
-  spec.name = "x";
-  spec.bandwidth_gbps = 1.0;
-  spec.functions = {*catalog.find_by_type(alvc::nfv::VnfType::kNat)};
-  alvc::nfv::HostingPool pool(topo);
-  const auto status = admission.admit(spec, vc, pool, kStrict).status;
-  ASSERT_FALSE(status.is_ok());
-  EXPECT_EQ(admission.stats().rejected_capacity_flow, 1u);
+  // Any positive bandwidth fails the min-cut test, and no rung of it fits
+  // a zero cut either.
+  const auto strict = slice_verdict(topo, vc, 1.0, kStrict);
+  ASSERT_FALSE(strict.status.is_ok());
+  EXPECT_EQ(strict.outcome, AdmissionOutcome::kRejectedCapacityFlow);
+  EXPECT_DOUBLE_EQ(strict.granted_gbps, 0.0);
+  EXPECT_EQ(slice_verdict(topo, vc, 1.0, kDowngrade).outcome,
+            AdmissionOutcome::kRejectedCapacityFlow);
+  // A failed link disconnects a slice the same way.
+  vc.layer.opss = {o0, o1};
+  topo.connect_tor_ops(t1, o0);
+  ASSERT_TRUE(topo.set_link_failed(t1, o0, true).is_ok());
+  EXPECT_EQ(slice_verdict(topo, vc, 1.0, kStrict).outcome,
+            AdmissionOutcome::kRejectedCapacityFlow);
+  ASSERT_TRUE(topo.set_link_failed(t1, o0, false).is_ok());
+  EXPECT_EQ(slice_verdict(topo, vc, 1.0, kStrict).outcome, AdmissionOutcome::kAdmitted);
 }
 
 /// The fixture slice joins two 10 Gbps ToRs through 100 Gbps OPSs: its
