@@ -11,9 +11,14 @@
 // plus the in-slice fail/recover oscillation that exercises the variant
 // ring. The experiment table reports the deterministic hit/revalidate/miss
 // split so the speedup can be attributed without trusting wall clocks.
+// BM_TeardownProvisionCycle/{256,2048} pins the teardown cost: one chain
+// torn down and re-provisioned among N live chains, which reads the same
+// at both N when invalidating a slice costs O(legs of that slice).
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -204,6 +209,89 @@ void BM_OscillatingSliceRouting(benchmark::State& state) {
   state.SetLabel(cached ? "cached" : "uncached");
 }
 BENCHMARK(BM_OscillatingSliceRouting)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+/// `live` one-function chains in one orchestrator, one per cluster, on a
+/// fabric of a fixed 2048 clusters: block service assignment gives each
+/// server's VMs their own service, so every AL is one ToR plus one
+/// exclusive OPS (the sharded bench's layout). The fabric does not grow
+/// with `live`, so the row isolates the cost of the other live chains and
+/// their cached legs from per-route costs that scale with the switch graph.
+/// Heap-allocated — DataCenter must never be moved.
+struct ChainChurn {
+  std::unique_ptr<core::DataCenter> dc;
+  nfv::NfcSpec spec;  // the churned chain's spec (service 0)
+  util::NfcId live;   // its current id; each re-provision issues a new one
+};
+
+ChainChurn make_chain_churn(std::size_t live) {
+  constexpr std::size_t kServersPerRack = 4;
+  constexpr std::size_t kClusters = 2048;
+  if (live > kClusters) throw std::runtime_error("more live chains than clusters");
+  core::DataCenterConfig config;
+  config.topology.rack_count = kClusters / kServersPerRack;
+  config.topology.servers_per_rack = kServersPerRack;
+  config.topology.vms_per_server = 2;
+  config.topology.ops_count = kClusters;
+  config.topology.tor_ops_degree = kServersPerRack;
+  config.topology.uplink_locality = 1.0;
+  config.topology.core = topology::CoreKind::kNone;
+  config.topology.optoelectronic_fraction = 1.0;
+  config.topology.service_count = kClusters;
+  config.topology.server_local_services = true;
+  config.topology.seed = 42;
+  config.seed = 42;
+  ChainChurn churn{.dc = std::make_unique<core::DataCenter>(config), .spec = {}, .live = {}};
+  if (auto built = churn.dc->build_clusters(); !built) {
+    throw std::runtime_error(built.error().to_string());
+  }
+  for (std::uint32_t s = 0; s < live; ++s) {
+    nfv::NfcSpec spec;
+    spec.service = util::ServiceId{s};
+    spec.name = "chain-" + std::to_string(s);
+    spec.bandwidth_gbps = 1.0;
+    spec.functions = {*churn.dc->catalog().find_by_type(VnfType::kFirewall)};
+    auto id = churn.dc->provision_chain(spec, core::PlacementAlgorithm::kGreedyOptical);
+    if (!id) throw std::runtime_error("provisioning " + spec.name + ": " + id.error().to_string());
+    if (s == 0) {
+      churn.spec = spec;
+      churn.live = *id;
+    }
+  }
+  return churn;
+}
+
+// Teardown + re-provision of one chain among range(0) live chains. Every
+// teardown drops its slice's cached legs and the provision re-routes them
+// cold, so each cycle also pays one miss per leg.
+void BM_TeardownProvisionCycle(benchmark::State& state) {
+  static std::map<std::int64_t, ChainChurn> by_size;  // built once per arg
+  auto it = by_size.find(state.range(0));
+  if (it == by_size.end()) {
+    it = by_size.emplace(state.range(0),
+                         make_chain_churn(static_cast<std::size_t>(state.range(0))))
+             .first;
+  }
+  ChainChurn& churn = it->second;
+  for (auto _ : state) {
+    if (!churn.dc->teardown_chain(churn.live).is_ok()) {
+      state.SkipWithError("teardown failed");
+      return;
+    }
+    auto id = churn.dc->provision_chain(churn.spec, core::PlacementAlgorithm::kGreedyOptical);
+    if (!id) {
+      state.SkipWithError(id.error().to_string().c_str());
+      return;
+    }
+    churn.live = *id;
+  }
+  std::size_t legs = 0;
+  for (const RouteCache* cache : churn.dc->orchestrator().route_caches()) {
+    legs += cache->entry_count();
+  }
+  state.counters["cached_legs"] = static_cast<double>(legs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TeardownProvisionCycle)->Arg(256)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 void print_experiment() {
   std::cout << "=== Route cache under churn: deterministic lookup split ===\n\n";

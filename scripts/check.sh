@@ -287,8 +287,10 @@ leg_scale_soak() {
 # tick rows at two history lengths, the bench_fig2_topology switch-graph
 # link-flip rows and the bench_failure_recovery fault_storm link cycle)
 # and writes an
-# alvc-bench-trajectory-v1 JSON: per benchmark name, the current cpu time
-# in microseconds next to a "before" baseline and the resulting speedup.
+# alvc-bench-trajectory-v1 JSON: per benchmark name, the median cpu time
+# in microseconds over five repetitions (after_cpu_time_us) and its
+# coefficient of variation (after_cpu_time_cv), next to a "before"
+# baseline and the resulting speedup.
 # With ALVC_BENCH_SCALE=full, the million-VM sharded benchmark also runs
 # (from the Release build-scale tree — Debug at that size is minutes of
 # topology build alone) and its rows are merged in; CI runs without the
@@ -296,7 +298,8 @@ leg_scale_soak() {
 # Baseline resolution, in order:
 #   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded,overload,elastic,fig2,
 #      failure_recovery}.json — raw
-#      google-benchmark JSON captured on the pre-change tree;
+#      google-benchmark JSON captured on the pre-change tree (medians when
+#      it holds aggregates, else its single samples);
 #   2. the newest committed BENCH_PR<N>.json at the repo root, by PR
 #      number (bench_gate.newest_committed_baseline; its `before` values
 #      carry forward, so CI tracks drift against the trajectory);
@@ -311,36 +314,39 @@ emit_bench_json() {
     bench_failure_recovery
   local tmpdir
   tmpdir="$(mktemp -d)"
+  # Five repetitions per row; the JSON keeps only their aggregates, and
+  # each row records the median, so one noisy sample cannot move a row.
+  local reps=(--benchmark_repetitions=5 --benchmark_report_aggregates_only=true)
   ./build/bench/bench_route_cache \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 "${reps[@]}" \
     --benchmark_out="$tmpdir/route_cache.json" \
     --benchmark_out_format=json
   ./build/bench/bench_fig4_al_construction \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 "${reps[@]}" \
     --benchmark_filter='/512$' \
     --benchmark_out="$tmpdir/fig4.json" \
     --benchmark_out_format=json
   ALVC_BENCH_SCALE= ./build/bench/bench_sharded_control_plane \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 "${reps[@]}" \
     --benchmark_out="$tmpdir/sharded.json" \
     --benchmark_out_format=json
   ./build/bench/bench_overload_downgrade \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 "${reps[@]}" \
     --benchmark_filter='^BM_Rebalance' \
     --benchmark_out="$tmpdir/overload.json" \
     --benchmark_out_format=json
   ./build/bench/bench_elastic_scaling \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 "${reps[@]}" \
     --benchmark_filter='^BM_ElasticTick' \
     --benchmark_out="$tmpdir/elastic.json" \
     --benchmark_out_format=json
   ./build/bench/bench_fig2_topology \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 "${reps[@]}" \
     --benchmark_filter='^BM_SwitchGraphLinkFlip' \
     --benchmark_out="$tmpdir/fig2.json" \
     --benchmark_out_format=json
   ./build/bench/bench_failure_recovery \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 "${reps[@]}" \
     --benchmark_filter='^BM_FaultStormLinkCycle' \
     --benchmark_out="$tmpdir/failure_recovery.json" \
     --benchmark_out_format=json
@@ -349,7 +355,7 @@ emit_bench_json() {
     cmake -B build-scale -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build build-scale -j "$jobs" --target bench_sharded_control_plane
     ALVC_BENCH_SCALE=full ./build-scale/bench/bench_sharded_control_plane \
-      --benchmark_filter='MillionVm' \
+      --benchmark_filter='MillionVm' "${reps[@]}" \
       --benchmark_out="$tmpdir/sharded_full.json" \
       --benchmark_out_format=json
   fi
@@ -360,14 +366,25 @@ tmpdir, out = sys.argv[1], sys.argv[2]
 baseline_dir = os.environ.get("ALVC_BENCH_BASELINE_DIR", "")
 
 def load_cpu_us(path):
+    """Row name -> (cpu time in us, cv or None).
+
+    A run with repetitions reports aggregates: the row takes the median's
+    cpu time under its plain run_name, with the cv aggregate beside it. A
+    file without aggregates (one sample per row) loads each sample as is.
+    """
     with open(path) as f:
         data = json.load(f)
-    result = {}
+    result, cvs = {}, {}
     for b in data.get("benchmarks", []):
         unit = b.get("time_unit", "ns")
         scale = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}[unit]
-        result[b["name"]] = b["cpu_time"] * scale
-    return result
+        if b.get("run_type") != "aggregate":
+            result[b["name"]] = b["cpu_time"] * scale
+        elif b.get("aggregate_name") == "median":
+            result[b["run_name"]] = b["cpu_time"] * scale
+        elif b.get("aggregate_name") == "cv":
+            cvs[b["run_name"]] = b["cpu_time"]  # a ratio, not a time
+    return {name: (cpu, cvs.get(name)) for name, cpu in result.items()}
 
 after = {"bench_route_cache": load_cpu_us(f"{tmpdir}/route_cache.json"),
          "bench_fig4_al_construction": load_cpu_us(f"{tmpdir}/fig4.json"),
@@ -391,7 +408,7 @@ if baseline_dir:
                        ("bench_failure_recovery", "failure_recovery.json")):
         path = os.path.join(baseline_dir, raw)
         if os.path.exists(path):
-            before[bench] = load_cpu_us(path)
+            before[bench] = {name: cpu for name, (cpu, _) in load_cpu_us(path).items()}
 else:
     sys.path.insert(0, "scripts")
     from bench_gate import newest_committed_baseline
@@ -405,12 +422,13 @@ else:
 
 rows = []
 for bench in sorted(after):
-    for name in after[bench]:
+    for name, (cpu, cv) in after[bench].items():
         b = before.get(bench, {}).get(name)
         row = {"bench": bench, "name": name,
                "before_cpu_time_us": round(b, 3) if b is not None else None,
-               "after_cpu_time_us": round(after[bench][name], 3),
-               "speedup": round(b / after[bench][name], 2) if b else None}
+               "after_cpu_time_us": round(cpu, 3),
+               "after_cpu_time_cv": round(cv, 4) if cv is not None else None,
+               "speedup": round(b / cpu, 2) if b else None}
         rows.append(row)
 
 with open(out, "w") as f:

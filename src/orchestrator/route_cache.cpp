@@ -1,7 +1,7 @@
 #include "orchestrator/route_cache.h"
 
 #include <algorithm>
-#include <tuple>
+#include <iterator>
 #include <utility>
 
 #include "graph/graph.h"
@@ -19,16 +19,6 @@ BandwidthTier bandwidth_tier(double fraction) noexcept {
   if (fraction >= 0.5) return BandwidthTier::kHalf;
   if (fraction >= 0.25) return BandwidthTier::kQuarter;
   return BandwidthTier::kEighth;
-}
-
-std::size_t RouteCache::LegKeyHash::operator()(const LegKey& k) const noexcept {
-  std::uint64_t fp = alvc::graph::kFingerprintSeed;
-  fp = fingerprint_mix(fp, k.cluster);
-  fp = fingerprint_mix(fp, k.tier);
-  fp = fingerprint_mix(fp, k.cls);
-  fp = fingerprint_mix(fp, k.from);
-  fp = fingerprint_mix(fp, k.to);
-  return static_cast<std::size_t>(fp);
 }
 
 std::uint64_t RouteCache::slice_fingerprint(const VirtualCluster& cluster) const {
@@ -62,14 +52,14 @@ std::uint64_t RouteCache::slice_fingerprint(const VirtualCluster& cluster) const
   return fp;
 }
 
-std::uint64_t RouteCache::slice_state(const VirtualCluster& cluster, std::uint64_t epoch) {
-  SliceState& st = slice_states_[cluster.id];
-  if (!st.valid || st.epoch != epoch) {
-    st.fingerprint = slice_fingerprint(cluster);
-    st.epoch = epoch;
-    st.valid = true;
+std::uint64_t RouteCache::slice_state(Slice& slice, const VirtualCluster& cluster,
+                                      std::uint64_t epoch) const {
+  if (!slice.valid || slice.epoch != epoch) {
+    slice.fingerprint = slice_fingerprint(cluster);
+    slice.epoch = epoch;
+    slice.valid = true;
   }
-  return st.fingerprint;
+  return slice.fingerprint;
 }
 
 bool RouteCache::walk_live(const VirtualCluster& cluster, std::span<const std::size_t> path) const {
@@ -113,33 +103,43 @@ Expected<std::vector<std::size_t>> RouteCache::cached_leg(
   // Trivial legs are cheaper to produce than to look up.
   if (from == to) return std::vector<std::size_t>{from};
   const std::uint64_t epoch = topo_->mutation_epoch();
-  const std::uint64_t fp = slice_state(cluster, epoch);
-  const LegKey key{cluster.id.value(), static_cast<std::uint8_t>(tier),
-                   static_cast<std::uint8_t>(cls), from, to};
-  Entry& entry = legs_[key];
-  for (std::size_t i = 0; i < entry.variants.size(); ++i) {
-    Variant& v = entry.variants[i];
-    if (v.slice_fp != fp) continue;  // another slice state; keep for when it returns
-    if (v.validated_epoch == epoch) {
-      ++stats_.hits;
-      ALVC_COUNT("orchestrator.route_cache.hit");
-    } else if (walk_live(cluster, v.path) &&
-               alvc::graph::path_fingerprint(v.path) == v.path_fp) {
-      v.validated_epoch = epoch;
-      ++stats_.revalidations;
-      ALVC_COUNT("orchestrator.route_cache.revalidate");
-    } else {
-      // The fingerprint says the subgraph is back, yet the stored path no
-      // longer walks clean: a fingerprint collision (or corruption). Drop
-      // the variant and recompute — correctness never rides the hash.
-      ++stats_.stale_evictions;
-      ALVC_COUNT("orchestrator.route_cache.stale");
-      entry.variants.erase(entry.variants.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
+  Slice& slice = slices_[cluster.id];
+  const std::uint64_t fp = slice_state(slice, cluster, epoch);
+  const LegKey key{static_cast<std::uint8_t>(tier), static_cast<std::uint8_t>(cls), from, to};
+  auto leg = std::find_if(slice.legs.begin(), slice.legs.end(),
+                          [&](const Leg& l) { return l.key == key; });
+  if (leg != slice.legs.end()) {
+    std::vector<Variant>& variants = leg->variants;
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      Variant& v = variants[i];
+      if (v.slice_fp != fp) continue;  // another slice state; keep for when it returns
+      if (v.validated_epoch == epoch) {
+        ++stats_.hits;
+        ALVC_COUNT("orchestrator.route_cache.hit");
+      } else if (walk_live(cluster, v.path) &&
+                 alvc::graph::path_fingerprint(v.path) == v.path_fp) {
+        v.validated_epoch = epoch;
+        ++stats_.revalidations;
+        ALVC_COUNT("orchestrator.route_cache.revalidate");
+      } else {
+        // The fingerprint says the subgraph is back, yet the stored path no
+        // longer walks clean: a fingerprint collision (or corruption). Drop
+        // the variant and recompute — correctness never rides the hash.
+        ++stats_.stale_evictions;
+        ALVC_COUNT("orchestrator.route_cache.stale");
+        variants.erase(variants.begin() + static_cast<std::ptrdiff_t>(i));
+        if (variants.empty()) {
+          // No leg outlives its last variant; the BFS below re-creates it.
+          slice.legs.erase(leg);
+          leg = slice.legs.end();
+          --leg_count_;
+        }
+        break;
+      }
+      if (i != 0) std::rotate(variants.begin(), variants.begin() + i,
+                              variants.begin() + i + 1);  // promote to MRU
+      return variants.front().path;
     }
-    if (i != 0) std::rotate(entry.variants.begin(), entry.variants.begin() + i,
-                            entry.variants.begin() + i + 1);  // promote to MRU
-    return entry.variants.front().path;
   }
   ++stats_.misses;
   ALVC_COUNT("orchestrator.route_cache.miss");
@@ -148,22 +148,27 @@ Expected<std::vector<std::size_t>> RouteCache::cached_leg(
     // a fully cached route never pays the O(slice) set construction.
     routing_detail::slice_vertices(*topo_, cluster, {}, allowed);
   }
-  auto leg = routing_detail::route_leg(*topo_, allowed, from, to, leg_index);
+  auto path = routing_detail::route_leg(*topo_, allowed, from, to, leg_index);
   // Infeasible legs are not cached: negative results would have to be
   // invalidated on every recovery, and callers treat them as terminal.
-  if (!leg) return leg;
-  entry.variants.insert(entry.variants.begin(),
-                        Variant{.slice_fp = fp,
-                                .validated_epoch = epoch,
-                                .path_fp = alvc::graph::path_fingerprint(*leg),
-                                .path = *leg});
-  if (entry.variants.size() > kMaxVariants) {
-    entry.variants.pop_back();
+  if (!path) return path;
+  if (leg == slice.legs.end()) {
+    slice.legs.push_back(Leg{.key = key, .variants = {}});
+    leg = std::prev(slice.legs.end());
+    ++leg_count_;
+  }
+  std::vector<Variant>& variants = leg->variants;
+  variants.insert(variants.begin(), Variant{.slice_fp = fp,
+                                            .validated_epoch = epoch,
+                                            .path_fp = alvc::graph::path_fingerprint(*path),
+                                            .path = *path});
+  if (variants.size() > kMaxVariants) {
+    variants.pop_back();
     ++stats_.stale_evictions;
     ALVC_COUNT("orchestrator.route_cache.stale");
   }
-  ALVC_GAUGE_SET("orchestrator.route_cache.entries", static_cast<double>(legs_.size()));
-  return leg;
+  ALVC_GAUGE_SET("orchestrator.route_cache.entries", static_cast<double>(leg_count_));
+  return path;
 }
 
 Expected<ChainRoute> RouteCache::route(const ChainRouter& router, const VirtualCluster& cluster,
@@ -212,58 +217,54 @@ Expected<ChainRoute> RouteCache::route_graph(const ChainRouter& router,
 }
 
 void RouteCache::invalidate_slice(ClusterId cluster) {
+  const auto it = slices_.find(cluster);
+  if (it == slices_.end()) return;
   std::uint64_t dropped = 0;
-  for (auto it = legs_.begin(); it != legs_.end();) {
-    if (it->first.cluster == cluster.value()) {
-      dropped += it->second.variants.size();
-      it = legs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  slice_states_.erase(cluster);
+  for (const Leg& leg : it->second.legs) dropped += leg.variants.size();
+  leg_count_ -= it->second.legs.size();
+  slices_.erase(it);
   stats_.invalidations += dropped;
   if (dropped > 0) ALVC_COUNT_N("orchestrator.route_cache.invalidate", dropped);
-  ALVC_GAUGE_SET("orchestrator.route_cache.entries", static_cast<double>(legs_.size()));
+  ALVC_GAUGE_SET("orchestrator.route_cache.entries", static_cast<double>(leg_count_));
 }
 
 void RouteCache::clear() {
   stats_.invalidations += variant_count();
-  legs_.clear();
-  slice_states_.clear();
+  slices_.clear();
+  leg_count_ = 0;
   ALVC_GAUGE_SET("orchestrator.route_cache.entries", 0.0);
 }
 
 std::size_t RouteCache::variant_count() const noexcept {
   std::size_t n = 0;
-  for (const auto& [key, entry] : legs_) n += entry.variants.size();
+  for (const auto& [id, slice] : slices_) {
+    for (const Leg& leg : slice.legs) n += leg.variants.size();
+  }
   return n;
 }
 
 std::vector<std::string> RouteCache::check_coherence(
     std::span<const VirtualCluster* const> clusters) const {
   std::vector<std::string> violations;
-  // Audit in key order, not hash order: coherence reports are compared
-  // across runs by the differential suites.
-  std::vector<std::pair<const LegKey*, const Entry*>> legs;
-  legs.reserve(legs_.size());
-  for (const auto& [key, entry] : legs_) legs.emplace_back(&key, &entry);
-  std::sort(legs.begin(), legs.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.first->cluster, a.first->tier, a.first->cls, a.first->from, a.first->to) <
-           std::tie(b.first->cluster, b.first->tier, b.first->cls, b.first->from, b.first->to);
-  });
+  std::vector<const Leg*> legs;
   for (const VirtualCluster* vc : clusters) {
     if (vc == nullptr) continue;
+    const auto it = slices_.find(vc->id);
+    if (it == slices_.end()) continue;
+    // Audit in key order, not insertion order: coherence reports are
+    // compared across runs by the differential suites.
+    legs.clear();
+    for (const Leg& leg : it->second.legs) legs.push_back(&leg);
+    std::sort(legs.begin(), legs.end(),
+              [](const Leg* a, const Leg* b) { return a->key < b->key; });
     const std::uint64_t fp = slice_fingerprint(*vc);
-    for (const auto& [key_ptr, entry_ptr] : legs) {
-      const LegKey& key = *key_ptr;
-      const Entry& entry = *entry_ptr;
-      if (key.cluster != vc->id.value()) continue;
-      for (const Variant& v : entry.variants) {
+    for (const Leg* leg : legs) {
+      const LegKey& key = leg->key;
+      for (const Variant& v : leg->variants) {
         if (v.slice_fp != fp) continue;  // not servable right now; exempt
         const std::string tag = "route-cache leg " + std::to_string(key.from) + "->" +
                                 std::to_string(key.to) + " of cluster " +
-                                std::to_string(key.cluster);
+                                std::to_string(vc->id.value());
         if (alvc::graph::path_fingerprint(v.path) != v.path_fp) {
           violations.push_back(tag + ": stored path fails its own fingerprint");
           continue;

@@ -32,10 +32,20 @@
 // so the common fail -> recover -> fail oscillation of a churn workload
 // hits from the second cycle onward instead of recomputing every flip.
 //
+// Storage is per slice: one hash entry per cluster holds that slice's
+// fingerprint memo and a short vector of its legs, found by linear search
+// (a slice hosts one NFC, so it owns a handful of legs). A lookup is one
+// hash probe plus a scan of the slice's legs, and a teardown's
+// invalidate_slice drops one entry — O(legs of that slice), independent
+// of how many other slices are cached. A leg exists only while it holds
+// at least one variant: an infeasible leg is never stored, and a leg whose
+// last variant is evicted is dropped.
+//
 // Threading contract: externally synchronized, same as the orchestrator
 // that owns it — single writer, no concurrent use during mutation.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -108,8 +118,8 @@ class RouteCache {
   void clear();
 
   [[nodiscard]] const RouteCacheStats& stats() const noexcept { return stats_; }
-  /// Distinct (slice, src, dst, tier) keys held.
-  [[nodiscard]] std::size_t entry_count() const noexcept { return legs_.size(); }
+  /// Distinct (slice, tier, class, src, dst) keys held.
+  [[nodiscard]] std::size_t entry_count() const noexcept { return leg_count_; }
   /// Total fingerprint variants across all keys.
   [[nodiscard]] std::size_t variant_count() const noexcept;
 
@@ -121,16 +131,13 @@ class RouteCache {
       std::span<const alvc::cluster::VirtualCluster* const> clusters) const;
 
  private:
+  /// A leg's key within its slice.
   struct LegKey {
-    std::uint64_t cluster = 0;  // ClusterId value
     std::uint8_t tier = 0;
     std::uint8_t cls = 0;  // PriorityClass value
     std::uint64_t from = 0;
     std::uint64_t to = 0;
-    bool operator==(const LegKey&) const = default;
-  };
-  struct LegKeyHash {
-    [[nodiscard]] std::size_t operator()(const LegKey& k) const noexcept;
+    auto operator<=>(const LegKey&) const = default;  // (tier, cls, from, to)
   };
   /// One cached path, valid under one slice fingerprint.
   struct Variant {
@@ -139,14 +146,17 @@ class RouteCache {
     std::uint64_t path_fp = 0;         // graph::path_fingerprint of `path`
     std::vector<std::size_t> path;
   };
-  struct Entry {
-    std::vector<Variant> variants;  // MRU-first, capped at kMaxVariants
+  struct Leg {
+    LegKey key;
+    std::vector<Variant> variants;  // MRU-first, capped at kMaxVariants; never empty
   };
-  /// Per-cluster fingerprint memo: valid for exactly one epoch.
-  struct SliceState {
+  /// One cluster's cached state: the fingerprint memo (valid for exactly
+  /// one epoch) and every leg cached under that slice, in no set order.
+  struct Slice {
     std::uint64_t epoch = 0;
     std::uint64_t fingerprint = 0;
     bool valid = false;
+    std::vector<Leg> legs;
   };
 
   static constexpr std::size_t kMaxVariants = 4;
@@ -156,9 +166,10 @@ class RouteCache {
   /// filtered BFS sees an identical subgraph.
   [[nodiscard]] std::uint64_t slice_fingerprint(
       const alvc::cluster::VirtualCluster& cluster) const;
-  /// Memoized slice_fingerprint for the given epoch.
-  [[nodiscard]] std::uint64_t slice_state(const alvc::cluster::VirtualCluster& cluster,
-                                          std::uint64_t epoch);
+  /// `slice`'s fingerprint memo for the given epoch, recomputed on a move.
+  [[nodiscard]] std::uint64_t slice_state(Slice& slice,
+                                          const alvc::cluster::VirtualCluster& cluster,
+                                          std::uint64_t epoch) const;
   /// Cheap live-table check: every hop's endpoints usable, in the slice,
   /// and every ToR-OPS hop's cable intact.
   [[nodiscard]] bool walk_live(const alvc::cluster::VirtualCluster& cluster,
@@ -174,8 +185,8 @@ class RouteCache {
       std::size_t to, std::size_t leg_index);
 
   const alvc::topology::DataCenterTopology* topo_;
-  std::unordered_map<LegKey, Entry, LegKeyHash> legs_;
-  std::unordered_map<ClusterId, SliceState> slice_states_;
+  std::unordered_map<ClusterId, Slice> slices_;
+  std::size_t leg_count_ = 0;  // legs across all slices
   RouteCacheStats stats_;
 };
 

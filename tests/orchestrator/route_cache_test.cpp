@@ -48,13 +48,30 @@ struct CacheFixture : ClusterFixture {
     if (hosts.empty()) throw std::runtime_error("fixture AL has no optoelectronic OPS");
   }
 
-  [[nodiscard]] Expected<ChainRoute> cached() {
-    return cache.route(router, cluster(), ingress, egress, hosts, BandwidthTier::kFull);
+  [[nodiscard]] Expected<ChainRoute> cached() { return cached_in(cluster()); }
+  [[nodiscard]] Expected<ChainRoute> cached_in(const alvc::cluster::VirtualCluster& vc) {
+    return cache.route(router, vc, ingress, egress, hosts, BandwidthTier::kFull);
+  }
+  /// A second slice over the same AL under another cluster id: the cache
+  /// keys by id, so its legs live apart from the fixture cluster's.
+  [[nodiscard]] alvc::cluster::VirtualCluster twin_cluster() const {
+    alvc::cluster::VirtualCluster twin = cluster();
+    twin.id = alvc::util::ClusterId{cluster_id.value() + 1};
+    return twin;
   }
   [[nodiscard]] Expected<ChainRoute> uncached() const {
     return router.route(cluster(), ingress, egress, hosts);
   }
 };
+
+void expect_same_stats(const RouteCacheStats& a, const RouteCacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.revalidations, b.revalidations);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.stale_evictions, b.stale_evictions);
+  EXPECT_EQ(a.bypasses, b.bypasses);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+}
 
 void expect_same_route(const Expected<ChainRoute>& a, const Expected<ChainRoute>& b) {
   ASSERT_EQ(a.has_value(), b.has_value());
@@ -265,21 +282,59 @@ TEST(RouteCacheTest, StopOutsideTheSliceBypassesTheCache) {
 
 TEST(RouteCacheTest, InvalidateSliceDropsOnlyThatSlice) {
   CacheFixture f;
+  const alvc::cluster::VirtualCluster other = f.twin_cluster();
   ASSERT_TRUE(f.cached().has_value());
-  ASSERT_GT(f.cache.entry_count(), 0u);
+  const auto own_entries = f.cache.entry_count();
+  const auto own_variants = f.cache.variant_count();
+  ASSERT_GT(own_variants, 0u);
+  ASSERT_TRUE(f.cached_in(other).has_value());
+  const auto all_entries = f.cache.entry_count();
+  const auto other_variants = f.cache.variant_count() - own_variants;
+  ASSERT_GT(other_variants, 0u);
 
-  f.cache.invalidate_slice(alvc::util::ClusterId{999});  // someone else's
-  EXPECT_GT(f.cache.entry_count(), 0u);
-  EXPECT_EQ(f.cache.stats().invalidations, 0u);
+  const RouteCacheStats before = f.cache.stats();
+  f.cache.invalidate_slice(alvc::util::ClusterId{999});  // never cached
+  expect_same_stats(f.cache.stats(), before);
+  EXPECT_EQ(f.cache.entry_count(), all_entries);
 
   f.cache.invalidate_slice(f.cluster_id);
-  EXPECT_EQ(f.cache.entry_count(), 0u);
-  EXPECT_GT(f.cache.stats().invalidations, 0u);
+  EXPECT_EQ(f.cache.entry_count(), all_entries - own_entries);
+  EXPECT_EQ(f.cache.variant_count(), other_variants) << "the other slice's share is untouched";
+  EXPECT_EQ(f.cache.stats().invalidations, own_variants);
+
+  // The other slice still serves from the memo: pure hits, no recompute.
+  const auto misses = f.cache.stats().misses;
+  const auto hits = f.cache.stats().hits;
+  expect_same_route(f.cached_in(other), f.router.route(other, f.ingress, f.egress, f.hosts));
+  EXPECT_EQ(f.cache.stats().misses, misses);
+  EXPECT_GT(f.cache.stats().hits, hits);
 
   // Dropped entries rebuild from scratch.
-  const auto misses = f.cache.stats().misses;
   ASSERT_TRUE(f.cached().has_value());
   EXPECT_GT(f.cache.stats().misses, misses);
+  EXPECT_EQ(f.cache.entry_count(), all_entries);
+}
+
+TEST(RouteCacheTest, InfeasibleRouteLeavesNoEntry) {
+  CacheFixture f;
+  // Cut every slice uplink of the ingress ToR: its first leg has no path,
+  // and an infeasible leg is never cached — not even as an empty key.
+  std::vector<OpsId> cut;
+  for (OpsId o : f.topo.tor(f.ingress).uplinks) {
+    if (f.cluster().layer.contains_ops(o)) cut.push_back(o);
+  }
+  for (OpsId o : cut) ASSERT_TRUE(f.topo.set_link_failed(f.ingress, o, true).is_ok());
+  const auto entries = f.cache.entry_count();
+  EXPECT_FALSE(f.cached().has_value());
+  EXPECT_FALSE(f.uncached().has_value());
+  EXPECT_GT(f.cache.stats().misses, 0u);
+  EXPECT_EQ(f.cache.entry_count(), entries);
+  EXPECT_EQ(f.cache.variant_count(), 0u);
+
+  // Healed, the same route caches normally.
+  for (OpsId o : cut) ASSERT_TRUE(f.topo.set_link_failed(f.ingress, o, false).is_ok());
+  ASSERT_TRUE(f.cached().has_value());
+  EXPECT_GT(f.cache.entry_count(), entries);
 }
 
 TEST(RouteCacheTest, ClearDropsEverythingAndCountsIt) {
@@ -309,6 +364,19 @@ TEST(RouteCacheTest, CoherenceHoldsThroughChurn) {
     ALVC_IGNORE_STATUS(f.cached(), "churn step; feasibility is not the subject here");
     EXPECT_TRUE(f.cache.check_coherence(clusters).empty());
   }
+}
+
+TEST(RouteCacheTest, CoherenceOverClustersInAnyOrder) {
+  CacheFixture f;
+  const alvc::cluster::VirtualCluster other = f.twin_cluster();
+  ASSERT_TRUE(f.cached().has_value());
+  ASSERT_TRUE(f.cached_in(other).has_value());
+  // Non-ascending cluster order: each input finds its own slice's legs.
+  const std::vector<const alvc::cluster::VirtualCluster*> clusters{&other, &f.cluster()};
+  EXPECT_TRUE(f.cache.check_coherence(clusters).empty());
+
+  ALVC_IGNORE_STATUS(f.topo.add_ops(), "only the epoch side effect matters here");
+  EXPECT_TRUE(f.cache.check_coherence(clusters).empty());
 }
 
 // ---- orchestrator wiring ----
