@@ -21,7 +21,6 @@
 #include <string>
 
 #include "core/alvc.h"
-#include "util/executor.h"
 
 namespace {
 
@@ -55,10 +54,9 @@ std::unique_ptr<core::DataCenter> make_scale_dc(const ScaleShape& shape) {
   config.seed = 42;
   auto dc = std::make_unique<core::DataCenter>(config);
 
-  alvc::util::Executor build_exec(4);
   const auto builder = core::DataCenter::make_al_builder(config.al_algorithm, config.seed,
                                                          config.ensure_al_connectivity);
-  const auto built = dc->clusters().build_all_clusters(*builder, &build_exec);
+  const auto built = dc->clusters().build_all_clusters(*builder);
   if (!built.has_value()) throw std::runtime_error(built.error().to_string());
 
   for (std::uint32_t s = 0; s < shape.services(); ++s) {

@@ -5,8 +5,8 @@
 //  * Micro: raw cost of one counter add / histogram record / scoped span,
 //    single-threaded and with contending writer threads (the sharded
 //    design should keep contention near-zero).
-//  * Macro: a full AL batch build — the same workload as
-//    bench_parallel_al_build's partitioned case — with the global tracer
+//  * Macro: a full AL batch build over rack-partitioned service groups
+//    (each group owns its own racks and OPS block) with the global tracer
 //    disabled vs logical. The acceptance bar for the subsystem is <2%
 //    added wall time with hooks compiled in; compare an -DALVC_TELEMETRY=OFF
 //    build of this bench against ON to see the compiled-out floor (the two
@@ -24,7 +24,6 @@
 #include "telemetry/span.h"
 #include "telemetry/telemetry.h"
 #include "topology/topology.h"
-#include "util/executor.h"
 
 namespace {
 
@@ -37,7 +36,6 @@ using alvc::telemetry::ScopedSpan;
 using alvc::telemetry::Tracer;
 using alvc::topology::DataCenterTopology;
 using alvc::topology::Resources;
-using alvc::util::Executor;
 using alvc::util::OpsId;
 using alvc::util::ServiceId;
 using alvc::util::TorId;
@@ -104,7 +102,7 @@ void BM_ScopedSpanLogical(benchmark::State& state) {
 }
 BENCHMARK(BM_ScopedSpanLogical);
 
-/// Partitioned multi-group DC (same shape as bench_parallel_al_build).
+/// Partitioned multi-group DC: each group owns 4 racks and an OPS ring.
 DataCenterTopology make_partitioned(std::size_t groups) {
   DataCenterTopology topo;
   const Resources server_capacity{.cpu_cores = 32, .memory_gb = 128, .storage_gb = 1024};
@@ -136,11 +134,10 @@ void BM_AlBatchBuild(benchmark::State& state, ClockMode mode) {
   const std::size_t groups = static_cast<std::size_t>(state.range(0));
   DataCenterTopology topo = make_partitioned(groups);
   const VertexCoverAlBuilder builder;
-  Executor executor;
   Tracer::global().set_mode(mode);
   for (auto _ : state) {
     ClusterManager manager(topo);
-    auto ids = manager.build_all_clusters(builder, &executor);
+    auto ids = manager.build_all_clusters(builder);
     benchmark::DoNotOptimize(ids.has_value());
     state.PauseTiming();
     Tracer::global().clear();          // don't let the trace buffer grow run-over-run

@@ -128,8 +128,7 @@ leg_tsan() {
   echo "== configure + build (ThreadSanitizer) =="
   cmake -B build-tsan -S . -DALVC_SANITIZE=thread -DALVC_LOCK_ORDER_CHECK=ON >/dev/null
   cmake --build build-tsan -j "$jobs" --target \
-    util_executor_test cluster_parallel_build_differential_test \
-    cluster_degraded_cluster_test telemetry_metric_registry_test
+    util_executor_test cluster_degraded_cluster_test telemetry_metric_registry_test
 
   echo "== ctest -L sanitize (under TSan) =="
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L sanitize
@@ -225,19 +224,14 @@ leg_elastic_soak() {
 }
 
 leg_bench_smoke() {
-  echo "== bench smoke: route cache + parallel AL build + elastic + sharded (tiny sizes, JSON out) =="
+  echo "== bench smoke: route cache + elastic + sharded (tiny sizes, JSON out) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" --target \
-    bench_route_cache bench_parallel_al_build bench_elastic_scaling \
-    bench_sharded_control_plane
+    bench_route_cache bench_elastic_scaling bench_sharded_control_plane
   mkdir -p build/bench-smoke
   ./build/bench/bench_route_cache \
     --benchmark_min_time=0.01 \
     --benchmark_out=build/bench-smoke/route_cache.json \
-    --benchmark_out_format=json
-  ./build/bench/bench_parallel_al_build \
-    --benchmark_min_time=0.01 \
-    --benchmark_out=build/bench-smoke/parallel_al_build.json \
     --benchmark_out_format=json
   ./build/bench/bench_elastic_scaling \
     --benchmark_min_time=0.01 \

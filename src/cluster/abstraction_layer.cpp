@@ -17,7 +17,6 @@ bool AbstractionLayer::contains_tor(TorId id) const noexcept {
 }
 
 std::size_t OpsOwnership::free_count() const noexcept {
-  if (read_log_ != nullptr) read_log_->set_all();
   std::size_t n = 0;
   for (const auto& o : owner_) {
     if (!o.valid()) ++n;
@@ -45,7 +44,6 @@ void OpsOwnership::release(std::span<const OpsId> opss, ClusterId cluster) {
 }
 
 std::vector<OpsId> OpsOwnership::free_ops() const {
-  if (read_log_ != nullptr) read_log_->set_all();
   std::vector<OpsId> out;
   for (std::size_t i = 0; i < owner_.size(); ++i) {
     if (!owner_[i].valid()) out.push_back(OpsId{static_cast<OpsId::value_type>(i)});

@@ -62,12 +62,10 @@ struct AlBuilderOptions {
 /// footprint alone (see AlBuildResult::reads_local): every builder here
 /// fails only when some group ToR has no free usable uplink.
 ///
-/// Thread-safety contract: build() is const and must be callable from
-/// several threads at once on the same builder instance (the parallel
-/// batch path in ClusterManager does exactly that). Implementations keep
-/// no mutable per-call state — RandomAlBuilder, the only stochastic one,
-/// derives a fresh local Rng from its fixed seed and the group, so the
-/// result is a pure function of (topo, group, ownership).
+/// Purity contract: build() is const and keeps no mutable per-call state —
+/// RandomAlBuilder, the only stochastic one, derives a fresh local Rng from
+/// its fixed seed and the group — so the result is a pure function of
+/// (topo, group, ownership). ClusterManager's rebuild memo relies on it.
 class AlBuilder {
  public:
   AlBuilder() noexcept;

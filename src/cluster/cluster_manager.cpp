@@ -1,10 +1,7 @@
 #include "cluster/cluster_manager.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "cluster/service.h"
 #include "telemetry/telemetry.h"
@@ -107,17 +104,21 @@ Status ClusterManager::check_group_free(std::span<const VmId> group) const {
   return Status::ok();
 }
 
-Expected<ClusterId> ClusterManager::commit_built(ServiceId service, std::span<const VmId> group,
-                                                 AlBuildResult built) {
+Expected<ClusterId> ClusterManager::create_cluster(ServiceId service, std::span<const VmId> group,
+                                                   const AlBuilder& builder) {
+  ALVC_SPAN(span, "cluster.create_cluster");
+  if (auto status = check_group_free(group); !status.is_ok()) return status.error();
+  auto built = builder.build(*topo_, group, ownership_);
+  if (!built) return built.error();
   const ClusterId id{next_id_++};
-  if (auto status = ownership_.acquire(built.layer.opss, id); !status.is_ok()) {
+  if (auto status = ownership_.acquire(built->layer.opss, id); !status.is_ok()) {
     return status.error();  // defensive: builder returned a non-free OPS
   }
   VirtualCluster vc{.id = id,
                     .service = service,
                     .vms = {group.begin(), group.end()},
-                    .connected = built.connected};
-  set_layer(clusters_.emplace(id, std::move(vc)).first->second, std::move(built.layer));
+                    .connected = built->connected};
+  set_layer(clusters_.emplace(id, std::move(vc)).first->second, std::move(built->layer));
   for (VmId vm : group) set_vm_owner(vm, id);
   auto& peers = by_service_[service.value()];
   peers.insert(std::upper_bound(peers.begin(), peers.end(), id), id);
@@ -126,15 +127,6 @@ Expected<ClusterId> ClusterManager::commit_built(ServiceId service, std::span<co
   // topology's mutation epoch even though no element changed.
   topo_->bump_mutation_epoch();
   return id;
-}
-
-Expected<ClusterId> ClusterManager::create_cluster(ServiceId service, std::span<const VmId> group,
-                                                   const AlBuilder& builder) {
-  ALVC_SPAN(span, "cluster.create_cluster");
-  if (auto status = check_group_free(group); !status.is_ok()) return status.error();
-  auto built = builder.build(*topo_, group, ownership_);
-  if (!built) return built.error();
-  return commit_built(service, group, std::move(*built));
 }
 
 Expected<std::vector<ClusterId>> ClusterManager::create_clusters_by_service(
@@ -150,92 +142,15 @@ Expected<std::vector<ClusterId>> ClusterManager::create_clusters_by_service(
   return ids;
 }
 
-Expected<std::vector<ClusterId>> ClusterManager::build_all_clusters(const AlBuilder& builder,
-                                                                    alvc::util::Executor* executor,
-                                                                    BatchBuildStats* stats) {
+Expected<std::vector<ClusterId>> ClusterManager::build_all_clusters(
+    const AlBuilder& builder, alvc::util::Executor* /*executor*/) {
   ALVC_SPAN(span, "cluster.build_all_clusters");
-  const auto groups = group_vms_by_service(*topo_);
-  BatchBuildStats local;
-  for (const auto& group : groups) {
-    if (!group.empty()) ++local.groups;
+  std::size_t groups = 0;
+  for (const auto& group : group_vms_by_service(*topo_)) {
+    if (!group.empty()) ++groups;
   }
-  ALVC_COUNT_N("cluster.build.groups", local.groups);
-
-  if (executor == nullptr) {
-    local.serial_rebuilds = local.groups;
-    ALVC_COUNT_N("cluster.build.serial_rebuilds", local.serial_rebuilds);
-    if (stats != nullptr) *stats += local;
-    return create_clusters_by_service(builder);
-  }
-
-  // Speculative phase: every group builds against the same ownership
-  // snapshot, recording which cells it read.
-  struct Speculation {
-    std::optional<Expected<AlBuildResult>> result;
-    alvc::util::DynamicBitset reads;
-  };
-  const OpsOwnership snapshot = ownership_;
-  std::vector<Speculation> spec(groups.size());
-  // Each worker thread refreshes one thread-local copy of the snapshot per
-  // batch instead of copying it per task: the builder only reads ownership
-  // (the copy exists so each task can attach its own read log), and a
-  // per-task copy is O(groups x pool) — tens of gigabytes of memcpy for a
-  // 100k-group build over a 100k-OPS pool.
-  static std::atomic<std::uint64_t> batch_counter{0};
-  const std::uint64_t batch = ++batch_counter;
-  auto tasks = executor->new_task_group();
-  for (std::size_t s = 0; s < groups.size(); ++s) {
-    if (groups[s].empty()) continue;
-    tasks->submit([&, s, batch] {
-      thread_local std::uint64_t view_batch = 0;
-      thread_local std::unique_ptr<OpsOwnership> view;
-      if (view_batch != batch) {
-        view = std::make_unique<OpsOwnership>(snapshot);
-        view_batch = batch;
-      }
-      spec[s].reads = alvc::util::DynamicBitset(view->ops_count());
-      view->set_read_log(&spec[s].reads);
-      spec[s].result.emplace(builder.build(*topo_, groups[s], *view));
-      view->set_read_log(nullptr);
-    });
-  }
-  tasks->wait_all();
-
-  // Commit phase, ascending group id (the serial order). `dirty` holds
-  // every ownership cell changed since the snapshot; a speculative result
-  // whose read set avoids it is provably what the serial pass would have
-  // produced.
-  alvc::util::DynamicBitset dirty(ownership_.ops_count());
-  std::vector<ClusterId> ids;
-  for (std::size_t s = 0; s < groups.size(); ++s) {
-    if (groups[s].empty()) continue;
-    const ServiceId service{static_cast<ServiceId::value_type>(s)};
-    if (auto status = check_group_free(groups[s]); !status.is_ok()) {
-      if (stats != nullptr) *stats += local;
-      return status.error();
-    }
-    Expected<ClusterId> id = [&]() -> Expected<ClusterId> {
-      if (!spec[s].reads.empty() && !spec[s].reads.intersects(dirty)) {
-        ++local.parallel_commits;
-        if (!*spec[s].result) return spec[s].result->error();
-        return commit_built(service, groups[s], std::move(**spec[s].result));
-      }
-      ++local.serial_rebuilds;
-      auto built = builder.build(*topo_, groups[s], ownership_);
-      if (!built) return built.error();
-      return commit_built(service, groups[s], std::move(*built));
-    }();
-    if (!id) {
-      if (stats != nullptr) *stats += local;
-      return id.error();
-    }
-    for (OpsId o : find(*id)->layer.opss) dirty.set(o.index());
-    ids.push_back(*id);
-  }
-  ALVC_COUNT_N("cluster.build.parallel_commits", local.parallel_commits);
-  ALVC_COUNT_N("cluster.build.serial_rebuilds", local.serial_rebuilds);
-  if (stats != nullptr) *stats += local;
-  return ids;
+  ALVC_COUNT_N("cluster.build.groups", groups);
+  return create_clusters_by_service(builder);
 }
 
 Status ClusterManager::destroy_cluster(ClusterId id) {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -22,11 +21,14 @@
 #include "cluster/virtual_cluster.h"
 #include "topology/topology.h"
 #include "util/error.h"
-#include "util/executor.h"
 
 namespace alvc::test {
 struct RebuildMemoProbe;
 }  // namespace alvc::test
+
+namespace alvc::util {
+class Executor;
+}  // namespace alvc::util
 
 namespace alvc::cluster {
 
@@ -51,30 +53,10 @@ struct UpdateCost {
   }
 };
 
-/// How a batch build resolved each unit of work (diagnostics; the output
-/// itself is identical either way).
-struct BatchBuildStats {
-  std::size_t groups = 0;             // units of work in the batch
-  std::size_t parallel_commits = 0;   // speculative results committed as-is
-  std::size_t serial_rebuilds = 0;    // interference detected -> rebuilt serially
-
-  BatchBuildStats& operator+=(const BatchBuildStats& other) noexcept {
-    groups += other.groups;
-    parallel_commits += other.parallel_commits;
-    serial_rebuilds += other.serial_rebuilds;
-    return *this;
-  }
-};
-
 /// Threading contract: the manager holds no mutex and is externally
 /// synchronized — one writer at a time, no concurrent readers during a
-/// write. build_all_clusters is the one parallel entry point, and even
-/// there the concurrency lives inside the call: worker threads build
-/// speculative ALs against an immutable ownership snapshot (validated at
-/// commit under the calling thread), so the manager itself is only ever
-/// mutated by the caller's thread. The thread-safety annotations
-/// (ALVC_GUARDED_BY) therefore live in util::Executor, which supplies the
-/// synchronization this class relies on.
+/// write. Every entry point, build_all_clusters included, runs on the
+/// caller's thread.
 class ClusterManager {
  public:
   /// The manager keeps a reference to the topology; the topology must
@@ -96,18 +78,14 @@ class ClusterManager {
   [[nodiscard]] Expected<std::vector<ClusterId>> create_clusters_by_service(
       const AlBuilder& builder);
 
-  /// Parallel variant of create_clusters_by_service: fans each service
-  /// group's AlBuilder::build out to `executor` against a snapshot of the
-  /// ownership registry, then commits in ascending group id. A speculative
-  /// result is committed only when no ownership cell it read was changed by
-  /// an earlier commit (optimistic-concurrency validation); otherwise the
-  /// group is rebuilt serially against live ownership. Either way the
-  /// clusters, ids, ownership, and any error are BIT-IDENTICAL to the
-  /// serial path, including the paper's one-AL-per-OPS invariant. With a
-  /// null executor this IS the serial path.
+  /// create_clusters_by_service under the `cluster.build_all_clusters`
+  /// span, counting the non-empty groups in `cluster.build.groups`.
+  /// `executor` is ignored: groups compete for OPSs, so each group's AL
+  /// depends on the groups committed before it, and the serial build is
+  /// the fastest at every measured scale. The parameter goes with the
+  /// benchmark driver's executor (ROADMAP item 1).
   [[nodiscard]] Expected<std::vector<ClusterId>> build_all_clusters(
-      const AlBuilder& builder, alvc::util::Executor* executor = nullptr,
-      BatchBuildStats* stats = nullptr);
+      const AlBuilder& builder, alvc::util::Executor* executor = nullptr);
 
   /// Releases the cluster's OPSs and forgets it.
   [[nodiscard]] Status destroy_cluster(ClusterId id);
@@ -247,10 +225,6 @@ class ClusterManager {
   VirtualCluster* find_mutable(ClusterId id);
   /// kConflict when any VM of `group` is already in a cluster.
   [[nodiscard]] Status check_group_free(std::span<const VmId> group) const;
-  /// Registers a freshly built AL for `group`: acquires its OPSs and
-  /// creates the cluster. Shared tail of the serial and speculative paths.
-  [[nodiscard]] Expected<ClusterId> commit_built(ServiceId service, std::span<const VmId> group,
-                                                 AlBuildResult built);
   /// Builds an AL for `group` as if `vc` owned nothing, so the result may
   /// keep any of its OPSs. The OPSs a cluster owns are exactly
   /// vc.layer.opss (check_invariants proves it), so this releases that list
@@ -322,7 +296,7 @@ class ClusterManager {
   OpsOwnership ownership_;
   std::unordered_map<ClusterId, VirtualCluster> clusters_;
   /// vm.index() -> owning cluster (invalid when unowned). Kept in step at
-  /// the two membership-changing sites (commit_built/destroy_cluster and
+  /// the two membership-changing sites (create_cluster/destroy_cluster and
   /// add_vm/remove_vm; migration never changes membership).
   std::vector<ClusterId> vm_owner_;
   /// service value -> live cluster ids serving it, ascending. front() is

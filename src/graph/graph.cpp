@@ -1,12 +1,10 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "graph/scratch.h"
-#include "util/lock_rank.h"
 
 namespace alvc::graph {
 
@@ -56,18 +54,16 @@ Graph::Graph(Graph&& other) noexcept
       vertex_count_(other.vertex_count_),
       edges_(std::move(other.edges_)),
       edge_live_(std::move(other.edge_live_)),
-      live_edge_count_(other.live_edge_count_) {
-  // Move transfers a warm cache (no readers may race a move by contract).
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
-  const std::lock_guard<std::mutex> lock(other.csr_mutex_);
-  csr_offsets_ = std::move(other.csr_offsets_);
-  csr_adjacency_ = std::move(other.csr_adjacency_);
-  csr_live_end_ = std::move(other.csr_live_end_);
-  if (other.csr_built_epoch_.load(std::memory_order_relaxed) == other.epoch_) {
+      live_edge_count_(other.live_edge_count_),
+      csr_offsets_(std::move(other.csr_offsets_)),
+      csr_adjacency_(std::move(other.csr_adjacency_)),
+      csr_live_end_(std::move(other.csr_live_end_)) {
+  // Move transfers a warm cache.
+  if (other.csr_built_epoch_ == other.epoch_) {
     epoch_ = other.epoch_;
-    csr_built_epoch_.store(epoch_, std::memory_order_release);
+    csr_built_epoch_ = epoch_;
   }
-  other.csr_built_epoch_.store(0, std::memory_order_relaxed);
+  other.csr_built_epoch_ = 0;
   other.vertex_count_ = 0;
   other.live_edge_count_ = 0;
   ++other.epoch_;
@@ -80,22 +76,17 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   edges_ = std::move(other.edges_);
   edge_live_ = std::move(other.edge_live_);
   live_edge_count_ = other.live_edge_count_;
-  {
-    // One rank scope for the pair: scoped_lock acquires both atomically.
-    ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
-    std::scoped_lock lock(csr_mutex_, other.csr_mutex_);
-    csr_offsets_ = std::move(other.csr_offsets_);
-    csr_adjacency_ = std::move(other.csr_adjacency_);
-    csr_live_end_ = std::move(other.csr_live_end_);
-  }
-  if (other.csr_built_epoch_.load(std::memory_order_relaxed) == other.epoch_) {
+  csr_offsets_ = std::move(other.csr_offsets_);
+  csr_adjacency_ = std::move(other.csr_adjacency_);
+  csr_live_end_ = std::move(other.csr_live_end_);
+  if (other.csr_built_epoch_ == other.epoch_) {
     epoch_ = other.epoch_;
-    csr_built_epoch_.store(epoch_, std::memory_order_release);
+    csr_built_epoch_ = epoch_;
   } else {
     ++epoch_;
-    csr_built_epoch_.store(0, std::memory_order_relaxed);
+    csr_built_epoch_ = 0;
   }
-  other.csr_built_epoch_.store(0, std::memory_order_relaxed);
+  other.csr_built_epoch_ = 0;
   other.vertex_count_ = 0;
   other.live_edge_count_ = 0;
   ++other.epoch_;
@@ -127,15 +118,13 @@ void Graph::set_edge_live(std::size_t e, bool live) {
   } else {
     --live_edge_count_;
   }
-  const bool warm = csr_built_epoch_.load(std::memory_order_relaxed) == epoch_;
+  const bool warm = csr_built_epoch_ == epoch_;
   ++epoch_;
   if (!warm) return;  // the next build lays the new liveness out
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
-  const std::lock_guard<std::mutex> lock(csr_mutex_);
   const Edge& edge = edges_[e];
   flip_half_edge(edge.from, e, live);
   if (kind_ == Kind::kUndirected && edge.from != edge.to) flip_half_edge(edge.to, e, live);
-  csr_built_epoch_.store(epoch_, std::memory_order_release);
+  csr_built_epoch_ = epoch_;
 }
 
 void Graph::flip_half_edge(std::size_t v, std::size_t e, bool live) {
@@ -161,9 +150,6 @@ void Graph::flip_half_edge(std::size_t v, std::size_t e, bool live) {
 }
 
 void Graph::build_csr() const {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
-  const std::lock_guard<std::mutex> lock(csr_mutex_);
-  if (csr_built_epoch_.load(std::memory_order_relaxed) == epoch_) return;
   // Counting sort over the edge list. Walking edges in insertion order
   // fills each vertex's slice in that same order, reproducing the old
   // per-vertex push_back sequence exactly. Live edges go first, so each
@@ -189,25 +175,21 @@ void Graph::build_csr() const {
   place(1);
   csr_live_end_ = cursor;
   if (live_edge_count_ != edges_.size()) place(0);
-  csr_built_epoch_.store(epoch_, std::memory_order_release);
+  csr_built_epoch_ = epoch_;
 }
 
 void Graph::ensure_csr() const {
-  if (csr_built_epoch_.load(std::memory_order_acquire) != epoch_) build_csr();
+  if (csr_built_epoch_ != epoch_) build_csr();
 }
 
-// Unchecked reads of the guarded arrays: the acquire load in ensure_csr
-// pairs with build_csr's release store, and the documented protocol (no
-// concurrent mutation while const readers are active) keeps them stable.
-// The analysis cannot model publication-then-quiescence.
-std::span<const Neighbor> Graph::neighbors(std::size_t v) const ALVC_NO_THREAD_SAFETY_ANALYSIS {
+std::span<const Neighbor> Graph::neighbors(std::size_t v) const {
   check_vertex(v);
   ensure_csr();
   return std::span<const Neighbor>(csr_adjacency_.data() + csr_offsets_[v],
                                    csr_live_end_[v] - csr_offsets_[v]);
 }
 
-CsrView Graph::csr() const ALVC_NO_THREAD_SAFETY_ANALYSIS {
+CsrView Graph::csr() const {
   ensure_csr();
   return CsrView{
       .offsets = csr_offsets_, .live_end = csr_live_end_, .adjacency = csr_adjacency_};

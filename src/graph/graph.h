@@ -19,20 +19,15 @@
 // flip on a built CSR is an O(degree) shift inside the endpoints' slices.
 // `neighbors(v)` returns the live prefix, which is exactly the slice a
 // from-scratch build over only the live edges would produce (edge ids
-// aside). The lazy build is double-checked under a mutex, so
-// concurrent const readers (parallel AL construction) are safe as long as
-// no thread mutates the graph meanwhile — the same protocol as the
-// topology's switch-graph cache.
+// aside). The CSR is a plain lazy cache: the first const read after a
+// mutation builds it. A Graph is not safe to share across threads, since
+// even a const read may build the CSR.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
-
-#include "util/thread_annotations.h"
 
 namespace alvc::graph {
 
@@ -85,9 +80,9 @@ class Graph {
   explicit Graph(std::size_t vertex_count = 0, Kind kind = Kind::kUndirected)
       : kind_(kind), vertex_count_(vertex_count) {}
 
-  // The CSR cache (and the mutex guarding its lazy build) is per-object
-  // state: copies transfer the edge list and its liveness and start with a
-  // cold cache; moves carry a warm cache with them.
+  // The CSR cache is per-object state: copies transfer the edge list and
+  // its liveness and start with a cold cache; moves carry a warm cache
+  // with them.
   Graph(const Graph& other);
   Graph& operator=(const Graph& other);
   Graph(Graph&& other) noexcept;
@@ -130,9 +125,7 @@ class Graph {
   [[nodiscard]] CsrView csr() const;
 
   /// Builds the CSR arrays if the mutation epoch moved since the last
-  /// build. Idempotent and thread-safe; `neighbors`/`csr` call it lazily,
-  /// owners that publish a graph to concurrent readers (the topology's
-  /// switch-graph cache) call it eagerly so readers never contend.
+  /// build. Idempotent; `neighbors`/`csr` call it lazily.
   void ensure_csr() const;
 
   /// Monotone counter bumped by every mutation; the CSR cache is valid
@@ -141,9 +134,9 @@ class Graph {
 
  private:
   void check_vertex(std::size_t v) const;
-  void build_csr() const ALVC_EXCLUDES(csr_mutex_);
+  void build_csr() const;
   /// Moves edge e's half-edge in v's slice across the live boundary.
-  void flip_half_edge(std::size_t v, std::size_t e, bool live) ALVC_REQUIRES(csr_mutex_);
+  void flip_half_edge(std::size_t v, std::size_t e, bool live);
 
   Kind kind_;
   std::size_t vertex_count_ = 0;
@@ -151,17 +144,13 @@ class Graph {
   std::vector<std::uint8_t> edge_live_;  // per edge id: 1 = live
   std::size_t live_edge_count_ = 0;
 
-  // Mutation epoch: plain on the writer side (mutation is externally
-  // synchronized), compared against the atomically published build epoch.
   std::uint64_t epoch_ = 1;
 
-  mutable std::mutex csr_mutex_;
-  mutable std::vector<std::size_t> csr_offsets_ ALVC_GUARDED_BY(csr_mutex_);
-  mutable std::vector<Neighbor> csr_adjacency_ ALVC_GUARDED_BY(csr_mutex_);
-  mutable std::vector<std::size_t> csr_live_end_ ALVC_GUARDED_BY(csr_mutex_);
-  /// Epoch the CSR arrays were built at; 0 = never. The release store in
-  /// build_csr pairs with acquire loads in the accessors.
-  mutable std::atomic<std::uint64_t> csr_built_epoch_{0};
+  mutable std::vector<std::size_t> csr_offsets_;
+  mutable std::vector<Neighbor> csr_adjacency_;
+  mutable std::vector<std::size_t> csr_live_end_;
+  /// Epoch the CSR arrays were built at; 0 = never.
+  mutable std::uint64_t csr_built_epoch_ = 0;
 };
 
 }  // namespace alvc::graph

@@ -85,24 +85,16 @@ AdmissionDecision AdmissionController::check(const alvc::nfv::NfcSpec& spec,
   // link carries min(its two ports) >= min_port, so every cut between the
   // anchors is either empty or at least min_port wide: the min-cut is 0
   // when the anchors are disconnected inside the slice and never binds
-  // otherwise.
-  double cap = min_port;
-  if (!cluster.layer.tors.empty()) {
-    const double capacity =
-        anchors_connected(*topo_, cluster.layer, cluster.layer.tors.front(),
-                          cluster.layer.tors.back())
-            ? std::numeric_limits<double>::infinity()
-            : 0.0;
-    cap = std::min(cap, capacity);
-    if (!needs_downgrade && spec.bandwidth_gbps > capacity + 1e-9) {
-      rejection = {
-          Error{ErrorCode::kRejected, "requested " + std::to_string(spec.bandwidth_gbps) +
-                                          " Gbps exceeds the slice's min-cut capacity of " +
-                                          std::to_string(capacity) + " Gbps"},
-          AdmissionOutcome::kRejectedCapacityFlow};
-      if (!qos) return rejection;
-      needs_downgrade = true;
-    }
+  // otherwise. A zero cut fits no ladder rung of a demand above the
+  // tolerance, so a disconnected slice rejects under every policy.
+  if (!cluster.layer.tors.empty() && spec.bandwidth_gbps > 1e-9 &&
+      !anchors_connected(*topo_, cluster.layer, cluster.layer.tors.front(),
+                         cluster.layer.tors.back())) {
+    if (needs_downgrade) return rejection;
+    return {Error{ErrorCode::kRejected, "requested " + std::to_string(spec.bandwidth_gbps) +
+                                            " Gbps exceeds the slice's min-cut capacity of " +
+                                            std::to_string(0.0) + " Gbps"},
+            AdmissionOutcome::kRejectedCapacityFlow};
   }
   double granted = spec.bandwidth_gbps;
   AdmissionOutcome admitted_as = AdmissionOutcome::kAdmitted;
@@ -110,7 +102,7 @@ AdmissionDecision AdmissionController::check(const alvc::nfv::NfcSpec& spec,
     granted = 0;
     for (double fraction : BandwidthAllocator::kLadder) {
       if (fraction >= 1.0) continue;  // full demand already failed
-      if (spec.bandwidth_gbps * fraction <= cap + 1e-9) {
+      if (spec.bandwidth_gbps * fraction <= min_port + 1e-9) {
         granted = spec.bandwidth_gbps * fraction;
         break;
       }

@@ -516,8 +516,7 @@ double NetworkOrchestrator::fit_chain(ProvisionedChain& chain) {
   }
   // Largest feasible fraction of the spec's demand: full service first,
   // then the degraded-mode ladder.
-  constexpr double kFractions[] = {1.0, 0.5, 0.25, 0.125};
-  for (double fraction : kFractions) {
+  for (double fraction : BandwidthAllocator::kLadder) {
     const double gbps = chain.record.spec.bandwidth_gbps * fraction;
     if (bandwidth_.reserve_walk(route->vertices, gbps).is_ok()) {
       set_allocation(chain, std::move(*route), gbps);

@@ -1,11 +1,9 @@
 #include "topology/topology.h"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include "telemetry/telemetry.h"
-#include "util/lock_rank.h"
 
 namespace alvc::topology {
 
@@ -189,10 +187,7 @@ alvc::util::Status DataCenterTopology::set_link_failed(TorId tor, OpsId ops, boo
   return alvc::util::Status::ok();
 }
 
-bool DataCenterTopology::warm_switch_graph() const {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTopologySwitchGraphCache, "topology.switch_graph_cache");
-  const std::lock_guard<std::mutex> lock(switch_graph_mutex_);
-  if (switch_graph_valid_.load(std::memory_order_relaxed)) return false;
+void DataCenterTopology::build_switch_graph() const {
   alvc::graph::Graph g(tors_.size() + opss_.size());
   const auto add_link = [&](std::size_t a, std::size_t b) {
     const std::size_t e = g.add_edge(a, b);
@@ -207,18 +202,12 @@ bool DataCenterTopology::warm_switch_graph() const {
       if (o.id < peer) add_link(ops_vertex(o.id), ops_vertex(peer));  // each core link once
     }
   }
-  // Warm the CSR adjacency before publication so concurrent readers never
-  // contend on the graph's own lazy build.
-  g.ensure_csr();
   switch_graph_ = std::move(g);
-  switch_graph_valid_.store(true, std::memory_order_release);
-  return true;
+  switch_graph_valid_ = true;
 }
 
 void DataCenterTopology::refresh_switch_links(std::size_t v) {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTopologySwitchGraphCache, "topology.switch_graph_cache");
-  const std::lock_guard<std::mutex> lock(switch_graph_mutex_);
-  if (!switch_graph_valid_.load(std::memory_order_relaxed)) return;
+  if (!switch_graph_valid_) return;
   // v's whole CSR slice, live prefix and dead tail, lists every link it
   // has. Copy the ids out first: each flip reorders the slice.
   const alvc::graph::CsrView csr = switch_graph_.csr();
@@ -239,18 +228,10 @@ bool DataCenterTopology::switch_link_live(const alvc::graph::Edge& link) const {
   return ops_usable(vertex_to_ops(link.from)) && ops_usable(vertex_to_ops(link.to));
 }
 
-// Unchecked read of the guarded cache: the acquire load of the valid flag
-// pairs with warm_switch_graph's release store, so a reader that observes
-// valid==true sees the fully built graph, and the documented protocol (no
-// concurrent mutation while const readers are active) keeps it stable. The
-// analysis cannot model publication-then-quiescence, hence the suppression.
-const alvc::graph::Graph& DataCenterTopology::switch_graph() const
-    ALVC_NO_THREAD_SAFETY_ANALYSIS {
-  // Double-checked lazy build: concurrent const readers (parallel AL
-  // construction) may race to warm the cache; they serialise inside
-  // warm_switch_graph.
-  if (!switch_graph_valid_.load(std::memory_order_acquire) && warm_switch_graph()) {
-    ALVC_COUNT("topology.switch_graph.full_builds");  // outside the cache lock
+const alvc::graph::Graph& DataCenterTopology::switch_graph() const {
+  if (!switch_graph_valid_) {
+    build_switch_graph();
+    ALVC_COUNT("topology.switch_graph.full_builds");
   }
   return switch_graph_;
 }

@@ -10,10 +10,8 @@
 // Invariant: ids are dense (id.value() indexes the owning vector).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -22,16 +20,14 @@
 #include "graph/graph.h"
 #include "topology/elements.h"
 #include "util/error.h"
-#include "util/thread_annotations.h"
 
 namespace alvc::topology {
 
 class DataCenterTopology {
  public:
   DataCenterTopology() = default;
-  // The switch-graph cache (and the mutex guarding its lazy build) is
-  // per-object state, not topology data: copies and moves transfer the
-  // elements and start with a cold cache.
+  // The switch-graph cache is per-object state, not topology data: copies
+  // and moves transfer the elements and start with a cold cache.
   DataCenterTopology(const DataCenterTopology& other);
   DataCenterTopology& operator=(const DataCenterTopology& other);
   DataCenterTopology(DataCenterTopology&& other) noexcept;
@@ -170,9 +166,9 @@ class DataCenterTopology {
   /// are dead edges, so neighbors() and edge_count() see only live links
   /// while edges() lists all of them. Built in full lazily after structural
   /// changes (element adds, connects, copy/assign); failure flips patch
-  /// link liveness in place. The lazy build is synchronised, so concurrent
-  /// const readers (parallel AL builds) are safe as long as no thread
-  /// mutates the topology meanwhile.
+  /// link liveness in place. A plain lazy cache: the first call after a
+  /// structural change builds it, so a topology is not safe to share
+  /// across threads.
   [[nodiscard]] const alvc::graph::Graph& switch_graph() const;
   [[nodiscard]] std::size_t tor_vertex(TorId id) const { return id.index(); }
   [[nodiscard]] std::size_t ops_vertex(OpsId id) const { return tors_.size() + id.index(); }
@@ -200,30 +196,23 @@ class DataCenterTopology {
   // the abstraction layers built over it — has not moved since the cached
   // value was validated.
 
-  /// Current mutation epoch (relaxed; the orchestrator is externally
-  /// synchronized, the atomic only keeps concurrent const readers defined).
-  [[nodiscard]] std::uint64_t mutation_epoch() const noexcept {
-    return mutation_epoch_.load(std::memory_order_relaxed);
-  }
+  /// Current mutation epoch.
+  [[nodiscard]] std::uint64_t mutation_epoch() const noexcept { return mutation_epoch_; }
   /// Advances the epoch. Public so owners of routing-relevant DERIVED
   /// state (ClusterManager, whose AL membership changes alter slice
   /// subgraphs without touching any topology element) can invalidate
   /// epoch-versioned caches the same way a topology mutation does.
-  void bump_mutation_epoch() noexcept {
-    mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void bump_mutation_epoch() noexcept { ++mutation_epoch_; }
 
  private:
-  /// Builds the switch graph over every physical link under the cache
-  /// mutex and publishes it via the valid flag (release). Idempotent;
-  /// racing callers serialise here, and only the one that built returns
-  /// true.
-  bool warm_switch_graph() const ALVC_EXCLUDES(switch_graph_mutex_);
+  /// Builds the switch graph over every physical link and marks the cache
+  /// valid.
+  void build_switch_graph() const;
 
   /// Re-derives the liveness of switch vertex `v`'s links from the element
   /// and link flags, patching a built graph in place. A cold cache needs
   /// nothing: the next full build reads the flags.
-  void refresh_switch_links(std::size_t v) ALVC_EXCLUDES(switch_graph_mutex_);
+  void refresh_switch_links(std::size_t v);
 
   /// True when a switch-graph link can carry traffic right now.
   [[nodiscard]] bool switch_link_live(const alvc::graph::Edge& link) const;
@@ -233,7 +222,7 @@ class DataCenterTopology {
   /// cache. Mutators that do not change the graph's shape (failure flags,
   /// server state, VM moves) bump the epoch directly instead.
   void invalidate_cache() noexcept {
-    switch_graph_valid_.store(false, std::memory_order_release);
+    switch_graph_valid_ = false;
     bump_mutation_epoch();
   }
   [[nodiscard]] static std::uint64_t link_key(TorId tor, OpsId ops) noexcept {
@@ -246,10 +235,9 @@ class DataCenterTopology {
   std::vector<OpticalSwitch> opss_;
   std::unordered_set<std::uint64_t> failed_links_;  // keyed by link_key
 
-  mutable std::mutex switch_graph_mutex_;
-  mutable alvc::graph::Graph switch_graph_ ALVC_GUARDED_BY(switch_graph_mutex_);
-  mutable std::atomic<bool> switch_graph_valid_{false};
-  std::atomic<std::uint64_t> mutation_epoch_{0};
+  mutable alvc::graph::Graph switch_graph_;
+  mutable bool switch_graph_valid_ = false;
+  std::uint64_t mutation_epoch_ = 0;
 };
 
 }  // namespace alvc::topology

@@ -1,10 +1,11 @@
 // Fixed-size thread pool with task groups.
 //
-// The AL construction algorithm (paper §III-C) is independent per VM
-// service group, so ClusterManager fans per-group builds out to a shared
-// Executor. The shape follows the heyp cluster-agent allocator (fixed pool
-// + TaskGroup with submit/wait-all) but is dependency-free: plain
-// std::thread, no absl.
+// No library path submits work to it: ClusterManager::build_all_clusters
+// builds serially and ignores the executor it is handed. It stays only
+// because the end-to-end benchmark driver still constructs one, and goes
+// with that driver's next revision. The shape follows the heyp
+// cluster-agent allocator (fixed pool + TaskGroup with submit/wait-all)
+// but is dependency-free: plain std::thread, no absl.
 //
 // Threading model: tasks must not submit work to the TaskGroup they run in
 // (wait_all would deadlock on a single-threaded pool); distinct TaskGroups

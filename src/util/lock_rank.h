@@ -12,18 +12,14 @@
 //
 //   rank | lock                          | mutex
 //   -----+-------------------------------+----------------------------------
-//    10  | orchestrator.control_plane    | reserved (externally synchronized)
-//    20  | cluster.manager               | reserved (single-threaded today)
-//    30  | topology.switch_graph_cache   | DataCenterTopology::switch_graph_mutex_
-//    40  | graph.csr                     | Graph::csr_mutex_
 //    50  | telemetry.tracer              | Tracer::mu_
 //    60  | telemetry.metric_registry     | MetricRegistry::mu_
 //    70  | util.executor.task_group      | TaskGroup::mu_
 //    80  | util.executor.queue           | Executor::mu_
 //
-// The only real nestings in the tree are 30 -> 40 (warming the switch-graph
-// cache builds the graph's CSR under both locks) and telemetry taken under
-// either. The LockRank class is always compiled (so tests can drive it
+// The control plane below telemetry (graph, topology, cluster,
+// orchestrator) runs on one thread and holds no mutex. No production
+// path nests two ranked locks today. The LockRank class is always compiled (so tests can drive it
 // directly); the ALVC_LOCK_RANK macro instrumenting production lock sites
 // expands to nothing unless the ALVC_LOCK_ORDER_CHECK CMake option defines
 // the macro of the same name.
@@ -34,10 +30,6 @@
 namespace alvc::util {
 
 namespace lock_rank {
-inline constexpr int kOrchestratorControlPlane = 10;
-inline constexpr int kClusterManager = 20;
-inline constexpr int kTopologySwitchGraphCache = 30;
-inline constexpr int kGraphCsr = 40;
 inline constexpr int kTelemetryTracer = 50;
 inline constexpr int kTelemetryMetricRegistry = 60;
 inline constexpr int kExecutorTaskGroup = 70;

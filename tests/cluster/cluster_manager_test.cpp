@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "cluster/service.h"
 #include "topology/builder.h"
 #include "util/error.h"
+#include "util/executor.h"
 
 namespace alvc::cluster {
 namespace {
@@ -355,6 +357,72 @@ TEST(ClusterManagerTest, OpsExclusivityAcrossManyClusters) {
   }
   for (int count : owned) EXPECT_LE(count, 1);
   EXPECT_TRUE(manager.check_invariants().empty());
+}
+
+/// build_all_clusters ignores its executor: the call the end-to-end driver
+/// makes (with a pool) builds exactly what create_clusters_by_service
+/// builds — ids, ALs, flags, ownership, and the same error when the OPS
+/// pool runs out — for every builder, on fabrics tight enough that groups
+/// contend for OPSs.
+TEST(ClusterManagerTest, BuildAllClustersWithExecutorMatchesSerial) {
+  std::vector<std::unique_ptr<AlBuilder>> builders;
+  builders.push_back(std::make_unique<VertexCoverAlBuilder>());
+  builders.push_back(std::make_unique<RandomAlBuilder>(/*seed=*/42));
+  builders.push_back(std::make_unique<GreedySetCoverAlBuilder>());
+  builders.push_back(std::make_unique<ResilientAlBuilder>());
+  builders.push_back(std::make_unique<ExactAlBuilder>(AlBuilderOptions{}, /*node_budget=*/200'000));
+  alvc::util::Executor executor(2);
+  std::size_t failures = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TopologyParams params;
+    params.seed = seed;
+    params.rack_count = 12;
+    params.servers_per_rack = 3;
+    params.vms_per_server = 3;
+    params.ops_count = 24;
+    params.tor_ops_degree = 6;
+    params.service_count = 4;
+    params.service_skew = 0.6;
+    params.dual_homing_probability = 0.1;
+    params.optoelectronic_fraction = 0.5;
+    params.core = alvc::topology::CoreKind::kTorus2D;
+    for (const auto& builder : builders) {
+      const std::string context =
+          "builder=" + std::string(builder->name()) + " seed=" + std::to_string(seed);
+      auto serial_topo = build_topology(params);
+      auto batch_topo = build_topology(params);
+      ClusterManager serial(serial_topo);
+      ClusterManager batch(batch_topo);
+      const auto serial_ids = serial.create_clusters_by_service(*builder);
+      const auto batch_ids = batch.build_all_clusters(*builder, &executor);
+      ASSERT_EQ(serial_ids.has_value(), batch_ids.has_value()) << context;
+      if (serial_ids) {
+        EXPECT_EQ(*serial_ids, *batch_ids) << context;
+      } else {
+        ++failures;
+        EXPECT_EQ(serial_ids.error().to_string(), batch_ids.error().to_string()) << context;
+      }
+      const auto lhs = serial.clusters();
+      const auto rhs = batch.clusters();
+      ASSERT_EQ(lhs.size(), rhs.size()) << context;
+      for (std::size_t i = 0; i < lhs.size(); ++i) {
+        EXPECT_EQ(lhs[i]->id, rhs[i]->id) << context;
+        EXPECT_EQ(lhs[i]->service, rhs[i]->service) << context;
+        EXPECT_EQ(lhs[i]->vms, rhs[i]->vms) << context;
+        EXPECT_EQ(lhs[i]->layer.tors, rhs[i]->layer.tors) << context;
+        EXPECT_EQ(lhs[i]->layer.opss, rhs[i]->layer.opss) << context;
+        EXPECT_EQ(lhs[i]->connected, rhs[i]->connected) << context;
+      }
+      for (std::size_t o = 0; o < serial.ownership().ops_count(); ++o) {
+        const alvc::util::OpsId ops{static_cast<alvc::util::OpsId::value_type>(o)};
+        EXPECT_EQ(serial.ownership().owner(ops), batch.ownership().owner(ops)) << context;
+      }
+      EXPECT_TRUE(batch.check_invariants().empty()) << context;
+    }
+  }
+  // The sweep covers the error side as well as the feasible builds.
+  EXPECT_GT(failures, 0u);
+  EXPECT_LT(failures, 6u * builders.size());
 }
 
 class ChurnPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

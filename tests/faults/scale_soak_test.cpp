@@ -26,7 +26,6 @@
 #include "faults/chaos.h"
 #include "support/fixtures.h"
 #include "util/error.h"
-#include "util/executor.h"
 
 namespace alvc::faults {
 namespace {
@@ -77,11 +76,10 @@ std::unique_ptr<core::DataCenter> make_scale_dc(const ScaleShape& shape,
   config.seed = 42;
   auto dc = std::make_unique<core::DataCenter>(config);
 
-  alvc::util::Executor build_exec(4);
   const auto builder =
       core::DataCenter::make_al_builder(config.al_algorithm, config.seed,
                                         config.ensure_al_connectivity);
-  const auto built = dc->clusters().build_all_clusters(*builder, &build_exec);
+  const auto built = dc->clusters().build_all_clusters(*builder);
   if (!built.has_value()) throw std::runtime_error(built.error().to_string());
   if (built->size() != shape.services()) {
     throw std::runtime_error("expected one cluster per server, got " +

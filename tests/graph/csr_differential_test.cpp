@@ -22,7 +22,7 @@
 #include "graph/bipartite.h"
 #include "graph/k_shortest.h"
 #include "graph/matching.h"
-#include "graph/max_flow.h"
+#include "support/max_flow.h"
 #include "graph/scratch.h"
 #include "graph/shortest_path.h"
 #include "graph/vertex_cover.h"

@@ -13,7 +13,7 @@
 #include "graph/bipartite.h"
 #include "graph/k_shortest.h"
 #include "graph/matching.h"
-#include "graph/max_flow.h"
+#include "support/max_flow.h"
 #include "graph/scratch.h"
 #include "graph/shortest_path.h"
 #include "graph/vertex_cover.h"

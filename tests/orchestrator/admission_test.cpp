@@ -276,6 +276,36 @@ TEST(AdmissionTest, DowngradeReturnsTheMinCutRejectionWhenNoRungFits) {
   EXPECT_EQ(admission.stats().rejected_capacity_flow, 1u);
 }
 
+/// A disconnected slice's zero min-cut fits no ladder rung, so
+/// kPriorityDowngrade rejects exactly as the strict ladder does, even a
+/// demand whose 1/4 rung is within the 1e-9 Gbps tolerance. A demand above
+/// the slice port keeps the bandwidth rejection.
+TEST(AdmissionTest, DisconnectedAnchorsRejectUnderDowngrade) {
+  alvc::topology::DataCenterTopology topo;
+  const auto o0 = topo.add_ops();
+  const auto o1 = topo.add_ops();
+  const auto t0 = topo.add_tor();
+  const auto t1 = topo.add_tor();
+  topo.connect_tor_ops(t0, o0);
+  topo.connect_tor_ops(t1, o1);
+  alvc::cluster::VirtualCluster vc;
+  vc.layer.tors = {t0, t1};
+  vc.layer.opss = {o0};  // t1 unreachable inside the slice
+  for (const double bandwidth : {1.0, 4e-9}) {
+    const auto strict = slice_verdict(topo, vc, bandwidth, kStrict);
+    const auto downgrade = slice_verdict(topo, vc, bandwidth, kDowngrade);
+    ASSERT_FALSE(downgrade.status.is_ok()) << bandwidth;
+    EXPECT_EQ(downgrade.outcome, AdmissionOutcome::kRejectedCapacityFlow) << bandwidth;
+    EXPECT_DOUBLE_EQ(downgrade.granted_gbps, 0.0) << bandwidth;
+    EXPECT_EQ(downgrade.status.error().to_string(), strict.status.error().to_string());
+  }
+  const auto over_port = slice_verdict(topo, vc, 50.0, kDowngrade);
+  ASSERT_FALSE(over_port.status.is_ok());
+  EXPECT_EQ(over_port.outcome, AdmissionOutcome::kRejectedBandwidth);
+  EXPECT_EQ(over_port.status.error().to_string(),
+            slice_verdict(topo, vc, 50.0, kStrict).status.error().to_string());
+}
+
 TEST(AdmissionTest, MalformedAndResourceRejectionsIgnoreThePolicy) {
   AdmissionFixture f;
   NfcSpec overload = f.chain({});

@@ -1,4 +1,4 @@
-#include "graph/max_flow.h"
+#include "support/max_flow.h"
 
 #include <algorithm>
 #include <limits>

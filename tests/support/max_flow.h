@@ -1,9 +1,10 @@
-// Maximum flow (Dinic's algorithm).
+// Maximum flow (Dinic's algorithm), kept as a test reference.
 //
-// Used by bandwidth-aware admission: a chain asking for B Gbps is feasible
-// inside its slice only if the slice's switch subgraph carries a flow of at
-// least B between the chain's ingress and egress, given per-link capacities
-// and what earlier chains already reserved.
+// Admission once decided a chain's min-cut feasibility with a max flow
+// over its slice; anchor reachability replaced it, since every slice link
+// carries at least the slice's min port. The max-flow admission reference
+// (support/max_flow_admission) still computes the old decision with it,
+// and the CSR differential compares it against the pre-CSR FlowNetwork.
 #pragma once
 
 #include <cstddef>

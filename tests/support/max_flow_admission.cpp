@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "graph/max_flow.h"
+#include "support/max_flow.h"
 #include "orchestrator/bandwidth_allocator.h"
 
 namespace alvc::test {

@@ -98,7 +98,9 @@ TEST(AlvcLintTest, FlagsMapAdjacencyInGraphAndTopology) {
 
 TEST(AlvcLintTest, FlagsRecursiveMutexAndNakedLockCalls) {
   const auto content = read_fixture("raw_lock.cc");
-  const auto in_src = lint_source("src/orchestrator/bad.cc", content);
+  // Linted as a telemetry file, where mutexes may live (the thread-include
+  // rule keeps them out of the other src/ layers).
+  const auto in_src = lint_source("src/telemetry/bad.cc", content);
   // Line 8: std::recursive_mutex member; line 12: naked mu.lock(). The
   // try_lock/unlock pair and the RAII guard stay legal, and line 39's
   // adopt_lock handoff is suppressed by its allow() comment.
@@ -132,22 +134,39 @@ TEST(AlvcLintTest, ElasticIsAboveEveryOtherSrcLayer) {
   EXPECT_TRUE(lint_source("bench/bench_elastic_scaling.cpp", content).empty());
 }
 
-TEST(AlvcLintTest, FlagsExecutorIncludeOutsideUtilAndCluster) {
+TEST(AlvcLintTest, FlagsExecutorIncludeOutsideUtil) {
   const auto content = read_fixture("executor_include.cc");
-  // The control plane runs on one thread: no orchestrator, faults, core or
-  // elastic file may bring the thread pool back.
-  for (const char* path : {"src/orchestrator/bad.cc", "src/faults/bad.cc", "src/core/bad.cc",
-                           "src/elastic/bad.cc"}) {
+  // The control plane runs on one thread: no cluster, orchestrator, faults,
+  // core or elastic file may bring the thread pool back.
+  for (const char* path : {"src/cluster/bad.cc", "src/orchestrator/bad.cc", "src/faults/bad.cc",
+                           "src/core/bad.cc", "src/elastic/bad.cc"}) {
     EXPECT_EQ(rules_and_lines(lint_source(path, content)),
               (std::multiset<std::pair<std::string, std::size_t>>{{"executor-include", 4}}))
         << path;
   }
-  // The pool itself, the parallel AL build, and out-of-src benches and
-  // tests include it freely.
+  // The pool itself and out-of-src drivers and tests include it freely.
   EXPECT_TRUE(lint_source("src/util/executor.cpp", content).empty());
-  EXPECT_TRUE(lint_source("src/cluster/cluster_manager.h", content).empty());
-  EXPECT_TRUE(lint_source("bench/bench_parallel_al_build.cpp", content).empty());
+  EXPECT_TRUE(lint_source("e2e_bench/driver/replay.cpp", content).empty());
   EXPECT_TRUE(lint_source("tests/util/executor_test.cpp", content).empty());
+}
+
+TEST(AlvcLintTest, FlagsThreadIncludeOutsideTelemetryAndUtil) {
+  const auto content = read_fixture("thread_include.cc");
+  // The lazy caches below the orchestrator are plain members: no graph,
+  // topology, cluster or orchestrator file may take a lock or a thread.
+  for (const char* path : {"src/graph/bad.cc", "src/topology/bad.cc", "src/cluster/bad.cc",
+                           "src/orchestrator/bad.cc", "src/core/bad.cc"}) {
+    EXPECT_EQ(rules_and_lines(lint_source(path, content)),
+              (std::multiset<std::pair<std::string, std::size_t>>{{"thread-include", 5},
+                                                                  {"thread-include", 7}}))
+        << path;
+  }
+  // The telemetry sinks and the pool synchronize; tests and benches spawn
+  // threads freely.
+  EXPECT_TRUE(lint_source("src/telemetry/span.cpp", content).empty());
+  EXPECT_TRUE(lint_source("src/util/executor.cpp", content).empty());
+  EXPECT_TRUE(lint_source("tests/util/lock_rank_test.cpp", content).empty());
+  EXPECT_TRUE(lint_source("bench/bench_telemetry_overhead.cpp", content).empty());
 }
 
 TEST(AlvcLintTest, PassesCleanFixture) {

@@ -12,12 +12,12 @@ namespace lr = alvc::util::lock_rank;
 TEST(LockRankTest, IncreasingAcquisitionsPass) {
   EXPECT_EQ(LockRank::held_depth(), 0u);
   {
-    const LockRank::Scope outer(lr::kTopologySwitchGraphCache, "topology.switch_graph_cache");
+    const LockRank::Scope outer(lr::kTelemetryTracer, "telemetry.tracer");
     EXPECT_EQ(LockRank::held_depth(), 1u);
     {
-      const LockRank::Scope inner(lr::kGraphCsr, "graph.csr");
+      const LockRank::Scope inner(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
       EXPECT_EQ(LockRank::held_depth(), 2u);
-      const LockRank::Scope metrics(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
+      const LockRank::Scope group(lr::kExecutorTaskGroup, "util.executor.task_group");
       EXPECT_EQ(LockRank::held_depth(), 3u);
     }
     EXPECT_EQ(LockRank::held_depth(), 1u);
@@ -27,7 +27,7 @@ TEST(LockRankTest, IncreasingAcquisitionsPass) {
 
 TEST(LockRankTest, ReacquireAfterReleaseIsLegal) {
   for (int i = 0; i < 3; ++i) {
-    const LockRank::Scope s(lr::kGraphCsr, "graph.csr");
+    const LockRank::Scope s(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
     EXPECT_EQ(LockRank::held_depth(), 1u);
   }
 }
@@ -38,7 +38,7 @@ TEST(LockRankTest, HeldRanksArePerThread) {
   // there even while this thread holds the highest one.
   std::thread t([] {
     EXPECT_EQ(LockRank::held_depth(), 0u);
-    const LockRank::Scope s(lr::kGraphCsr, "graph.csr");
+    const LockRank::Scope s(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
     EXPECT_EQ(LockRank::held_depth(), 1u);
   });
   t.join();
@@ -48,9 +48,8 @@ TEST(LockRankTest, HeldRanksArePerThread) {
 TEST(LockRankDeathTest, InvertedOrderAborts) {
   EXPECT_DEATH(
       {
-        const LockRank::Scope outer(lr::kGraphCsr, "graph.csr");
-        const LockRank::Scope inner(lr::kTopologySwitchGraphCache,
-                                    "topology.switch_graph_cache");
+        const LockRank::Scope outer(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
+        const LockRank::Scope inner(lr::kTelemetryTracer, "telemetry.tracer");
       },
       "lock-order violation");
 }
@@ -60,8 +59,8 @@ TEST(LockRankDeathTest, SameRankReacquireWhileHeldAborts) {
   // Scope); sequential acquisition is exactly the ABBA shape the ranks ban.
   EXPECT_DEATH(
       {
-        const LockRank::Scope first(lr::kGraphCsr, "graph.csr");
-        const LockRank::Scope second(lr::kGraphCsr, "graph.csr");
+        const LockRank::Scope first(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
+        const LockRank::Scope second(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
       },
       "lock-order violation");
 }

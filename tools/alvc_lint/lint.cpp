@@ -93,13 +93,22 @@ const std::vector<Rule>& rules() {
         }});
     r.push_back(Rule{
         "executor-include",
-        "src/ layer outside util/ and cluster/ includes util/executor.h; the parallel "
-        "AL build is the one control-plane fan-out — a scoped sweep classifies a "
-        "handful of chains, so a worker hand-off costs more than the work",
+        "src/ layer outside util/ includes util/executor.h; the control plane runs on "
+        "one thread — a group build or a scoped sweep costs less than a worker hand-off",
         std::regex(R"(#\s*include\s*"util/executor\.h")", flags),
         [](std::string_view path) {
           const std::string_view layer = src_layer(path);
-          return !layer.empty() && layer != "util" && layer != "cluster";
+          return !layer.empty() && layer != "util";
+        }});
+    r.push_back(Rule{
+        "thread-include",
+        "src/ layer outside telemetry/ and util/ includes <thread> or <mutex>; the "
+        "control plane is single-threaded and its lazy caches are plain members — "
+        "only the telemetry sinks and the thread pool synchronize",
+        std::regex(R"(#\s*include\s*<\s*(thread|mutex)\s*>)", flags),
+        [](std::string_view path) {
+          const std::string_view layer = src_layer(path);
+          return !layer.empty() && layer != "telemetry" && layer != "util";
         }});
     r.push_back(Rule{
         "raw-chrono-clock",

@@ -1,6 +1,6 @@
 // alvc_lint: project-specific source rules clang-tidy cannot know.
 //
-// Nine rules, each encoding a contract earlier PRs established:
+// Ten rules, each encoding a contract earlier PRs established:
 //
 //   nondeterministic-rng  no rand()/srand()/std::random_device/wall-clock
 //                         seeds in src/ or tests/ — every stochastic path
@@ -25,10 +25,14 @@
 //                         at the very top of the stack and is composed from
 //                         outside (tests, benches, the ChaosParams tick
 //                         hook), never depended on from below.
-//   executor-include      no src/ layer other than util/ and cluster/
-//                         includes util/executor.h — the parallel AL build
-//                         (ClusterManager::build_all_clusters) is the one
-//                         fan-out; the control plane runs on one thread.
+//   executor-include      no src/ layer other than util/ includes
+//                         util/executor.h — the control plane runs on one
+//                         thread, AL builds included.
+//   thread-include        no src/ layer other than telemetry/ and util/
+//                         includes <thread> or <mutex> — the graph CSR and
+//                         the topology's switch graph are plain lazy
+//                         caches; only the telemetry sinks and the thread
+//                         pool synchronize.
 //   raw-chrono-clock      no raw std::chrono::steady_clock reads outside
 //                         src/telemetry/ and core/experiment.h — timing goes
 //                         through telemetry::Tracer (whose logical mode keeps
