@@ -151,24 +151,26 @@ std::unique_ptr<core::DataCenter> make_fault_storm_dc() {
   return dc;
 }
 
-/// The fault_storm fabric with 4 clusters held degraded behind dead ToRs,
-/// plus the healthy-cluster link the cycle flips. Built once per process:
-/// re-running the set-up would kill each victim's second rack.
+/// The fault_storm fabric with `degraded` clusters (every `stride`-th,
+/// from cluster 0) held degraded behind dead ToRs, plus the healthy-cluster
+/// link the cycle flips. Built once per process: re-running the set-up
+/// would kill each victim's second rack.
 struct FaultStormLinkFixture {
   std::unique_ptr<core::DataCenter> dc = make_fault_storm_dc();
   util::TorId tor = util::TorId::invalid();
   util::OpsId ops = util::OpsId::invalid();
 
-  FaultStormLinkFixture() {
+  FaultStormLinkFixture(std::size_t degraded, std::size_t stride) {
     const auto clusters = dc->clusters().clusters();
-    for (std::size_t i = 0; i < 4; ++i) {
-      const util::TorId dead = clusters[i * 64]->layer.tors.front();
+    for (std::size_t i = 0; i < degraded; ++i) {
+      const util::TorId dead = clusters[i * stride]->layer.tors.front();
       if (!dc->orchestrator().handle_tor_failure(dead).has_value()) {
         throw std::runtime_error("ToR failure failed");
       }
     }
-    if (dc->clusters().degraded_cluster_ids().size() != 4) {
-      throw std::runtime_error("expected exactly 4 degraded clusters");
+    if (dc->clusters().degraded_cluster_ids().size() != degraded) {
+      throw std::runtime_error("expected exactly " + std::to_string(degraded) +
+                               " degraded clusters");
     }
     const cluster::VirtualCluster& healthy = *clusters[300];
     tor = healthy.layer.tors.front();
@@ -179,12 +181,8 @@ struct FaultStormLinkFixture {
   }
 };
 
-/// One link failure + recovery on a healthy cluster of the fault_storm
-/// fabric while 4 other clusters sit degraded: the failure walks the link's
-/// ToR's clusters, and the recovery retries every degraded cluster's
-/// rebuild — the cluster-layer work fault_storm's recovery events pay.
-void BM_FaultStormLinkCycle(benchmark::State& state) {
-  static FaultStormLinkFixture f;
+/// One link failure + recovery of `f`'s healthy link.
+void run_link_cycle(benchmark::State& state, FaultStormLinkFixture& f) {
   auto& orch = f.dc->orchestrator();
   for (auto _ : state) {
     benchmark::DoNotOptimize(orch.handle_link_failure(f.tor, f.ops));
@@ -192,7 +190,25 @@ void BM_FaultStormLinkCycle(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }
+
+/// One link failure + recovery on a healthy cluster of the fault_storm
+/// fabric while 4 other clusters sit degraded: the failure walks the link's
+/// ToR's clusters, and the recovery retries every degraded cluster's
+/// rebuild — the cluster-layer work fault_storm's recovery events pay.
+void BM_FaultStormLinkCycle(benchmark::State& state) {
+  static FaultStormLinkFixture f(4, 64);
+  run_link_cycle(state, f);
+}
 BENCHMARK(BM_FaultStormLinkCycle)->Unit(benchmark::kMicrosecond);
+
+/// The same cycle with 64 clusters (every 8th) held degraded: the recovery
+/// checks 64 rebuild memos, none of which the healthy link is in, so the
+/// row prices the per-skipped-cluster cost of a restore pass.
+void BM_FaultStormLinkCycleManyDegraded(benchmark::State& state) {
+  static FaultStormLinkFixture f(64, 8);
+  run_link_cycle(state, f);
+}
+BENCHMARK(BM_FaultStormLinkCycleManyDegraded)->Unit(benchmark::kMicrosecond);
 
 void BM_StateAudit(benchmark::State& state) {
   auto dc = make_loaded_dc(7);

@@ -279,7 +279,10 @@ leg_scale_soak() {
 # bench_sharded_control_plane 1/2/4/8-shard cycles, the
 # bench_overload_downgrade rebalance rows, the bench_elastic_scaling
 # tick rows at two history lengths, the bench_fig2_topology switch-graph
-# link-flip rows and the bench_failure_recovery fault_storm link cycle)
+# link-flip rows and the bench_failure_recovery fault_storm link cycles,
+# BM_FaultStormLinkCycle with 4 clusters held degraded and
+# BM_FaultStormLinkCycleManyDegraded with 64; the filter's prefix matches
+# both)
 # and writes an
 # alvc-bench-trajectory-v1 JSON: per benchmark name, the median cpu time
 # in microseconds over five repetitions (after_cpu_time_us) and its

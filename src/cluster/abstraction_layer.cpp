@@ -33,13 +33,19 @@ Status OpsOwnership::acquire(std::span<const OpsId> opss, ClusterId cluster) {
                        std::to_string(current.value())};
     }
   }
-  for (OpsId id : opss) owner_[id.index()] = cluster;
+  for (OpsId id : opss) {
+    if (owner_[id.index()] == cluster) continue;
+    owner_[id.index()] = cluster;
+    stamps_[id.index()] = ++clock_;
+  }
   return Status::ok();
 }
 
 void OpsOwnership::release(std::span<const OpsId> opss, ClusterId cluster) {
   for (OpsId id : opss) {
-    if (owner_.at(id.index()) == cluster) owner_[id.index()] = ClusterId::invalid();
+    if (owner_.at(id.index()) != cluster) continue;
+    owner_[id.index()] = ClusterId::invalid();
+    stamps_[id.index()] = ++clock_;
   }
 }
 

@@ -6,6 +6,7 @@
 // which maps every OPS to its owning cluster (if any).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,7 +34,8 @@ struct AbstractionLayer {
 /// release so the exclusivity invariant cannot be violated.
 class OpsOwnership {
  public:
-  explicit OpsOwnership(std::size_t ops_count) : owner_(ops_count, ClusterId::invalid()) {}
+  explicit OpsOwnership(std::size_t ops_count)
+      : owner_(ops_count, ClusterId::invalid()), stamps_(ops_count, 0) {}
 
   [[nodiscard]] std::size_t ops_count() const noexcept { return owner_.size(); }
   [[nodiscard]] bool is_free(OpsId id) const { return !owner_.at(id.index()).valid(); }
@@ -50,8 +52,17 @@ class OpsOwnership {
   /// Ids of currently unowned OPSs.
   [[nodiscard]] std::vector<OpsId> free_ops() const;
 
+  /// Owner stamps: acquire and release, the only writers of the owner
+  /// cells, stamp each cell they change from one clock (alvc_lint
+  /// `footprint-writer` keeps other writers out). stamp(id) <= c proves
+  /// `id`'s owner unchanged since clock() read c.
+  [[nodiscard]] std::uint64_t stamp(OpsId id) const { return stamps_.at(id.index()); }
+  [[nodiscard]] std::uint64_t clock() const noexcept { return clock_; }
+
  private:
   std::vector<ClusterId> owner_;
+  std::vector<std::uint64_t> stamps_;  // id.index() -> stamp (0 = never changed)
+  std::uint64_t clock_ = 0;
 };
 
 }  // namespace alvc::cluster

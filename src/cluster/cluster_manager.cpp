@@ -131,7 +131,11 @@ Expected<ClusterId> ClusterManager::create_cluster(ServiceId service, std::span<
 
 Expected<std::vector<ClusterId>> ClusterManager::create_clusters_by_service(
     const AlBuilder& builder) {
-  const auto groups = group_vms_by_service(*topo_);
+  return create_clusters(group_vms_by_service(*topo_), builder);
+}
+
+Expected<std::vector<ClusterId>> ClusterManager::create_clusters(
+    const std::vector<std::vector<VmId>>& groups, const AlBuilder& builder) {
   std::vector<ClusterId> ids;
   for (std::size_t s = 0; s < groups.size(); ++s) {
     if (groups[s].empty()) continue;
@@ -145,12 +149,11 @@ Expected<std::vector<ClusterId>> ClusterManager::create_clusters_by_service(
 Expected<std::vector<ClusterId>> ClusterManager::build_all_clusters(
     const AlBuilder& builder, alvc::util::Executor* /*executor*/) {
   ALVC_SPAN(span, "cluster.build_all_clusters");
-  std::size_t groups = 0;
-  for (const auto& group : group_vms_by_service(*topo_)) {
-    if (!group.empty()) ++groups;
-  }
-  ALVC_COUNT_N("cluster.build.groups", groups);
-  return create_clusters_by_service(builder);
+  const auto groups = group_vms_by_service(*topo_);
+  ALVC_COUNT_N("cluster.build.groups",
+               std::count_if(groups.begin(), groups.end(),
+                             [](const std::vector<VmId>& group) { return !group.empty(); }));
+  return create_clusters(groups, builder);
 }
 
 Status ClusterManager::destroy_cluster(ClusterId id) {
@@ -445,28 +448,6 @@ std::span<const TorId> ClusterManager::collect_home_tors(const VirtualCluster& v
   return home_tors_;
 }
 
-void ClusterManager::snapshot_footprint(const VirtualCluster& vc,
-                                        std::vector<std::uint32_t>& out) {
-  constexpr std::uint32_t kVmEnd = 0xFFFFFFFFu;
-  out.clear();
-  for (VmId vm : vc.vms) {
-    topo_->for_each_tor_of_vm(vm, [&](TorId t) { out.push_back(t.value()); });
-    out.push_back(kVmEnd);
-  }
-  for (TorId t : collect_home_tors(vc)) {
-    const auto& tor = topo_->tor(t);
-    out.push_back(t.value());
-    out.push_back(static_cast<std::uint32_t>(tor.uplinks.size()));
-    out.push_back(tor.failed ? 1u : 0u);
-    for (alvc::util::OpsId o : tor.uplinks) {
-      const ClusterId owner = ownership_.owner(o);
-      out.push_back(o.value());
-      out.push_back((topo_->link_failed(t, o) ? 1u : 0u) | (topo_->ops_usable(o) ? 2u : 0u) |
-                    (!owner.valid() || owner == vc.id ? 4u : 0u));
-    }
-  }
-}
-
 bool ClusterManager::layer_in_footprint(const VirtualCluster& vc) {
   const std::span<const TorId> home = collect_home_tors(vc);
   const auto is_home = [&](TorId t) { return std::binary_search(home.begin(), home.end(), t); };
@@ -488,7 +469,10 @@ void ClusterManager::remember_rebuild(const VirtualCluster& vc, const AlBuilder&
   memo.vms = vc.vms;
   memo.layer = vc.layer;
   memo.connected = vc.connected;
-  snapshot_footprint(vc, memo.footprint);
+  const std::span<const TorId> home = collect_home_tors(vc);
+  memo.home_tors.assign(home.begin(), home.end());
+  memo.footprint_clock = topo_->footprint_clock();
+  memo.owner_clock = ownership_.clock();
 }
 
 bool ClusterManager::rebuild_is_futile(const VirtualCluster& vc, const AlBuilder& builder) {
@@ -502,8 +486,17 @@ bool ClusterManager::rebuild_is_futile(const VirtualCluster& vc, const AlBuilder
       memo.layer.opss != vc.layer.opss) {
     return false;
   }
-  snapshot_footprint(vc, footprint_scratch_);
-  return footprint_scratch_ == memo.footprint;
+  // The VMs are equal, so their home ToRs are the memo's unless a homing
+  // changed, which stamps the server's primary ToR, one of the memo's. The
+  // footprint is then equal when no home ToR was stamped and no uplink OPS
+  // changed owner since the memo was recorded.
+  for (TorId t : memo.home_tors) {
+    if (topo_->footprint_stamp(t) > memo.footprint_clock) return false;
+    for (alvc::util::OpsId o : topo_->tor(t).uplinks) {
+      if (ownership_.stamp(o) > memo.owner_clock) return false;
+    }
+  }
+  return true;
 }
 
 Expected<UpdateCost> ClusterManager::handle_tor_failure(TorId tor, const AlBuilder& builder,
@@ -622,17 +615,19 @@ Expected<UpdateCost> ClusterManager::restore_degraded_clusters(const AlBuilder& 
   for (ClusterId id : ids) {
     VirtualCluster* vc = find_mutable(id);
     if (vc == nullptr || !vc->degraded) continue;
-    if (touched != nullptr) touched->push_back(id);
     // A rebuild is a function of the builder, the VMs, the footprint and
     // (when it fails) the incumbent AL; with all of them as the last local
     // rebuild left them it would reproduce the cluster exactly, at zero
     // cost. Skipping it also skips that rebuild's release/re-acquire and
     // epoch bump, which change no route: the route cache matches uncached
-    // routing at any epoch.
+    // routing at any epoch. The skipped cluster stays out of `touched`:
+    // its AL is unchanged and a recovery only revives hardware, so no
+    // chain of it can need a sweep.
     if (rebuild_is_futile(*vc, builder)) {
       ALVC_COUNT("cluster.restore.skipped");
       continue;
     }
+    if (touched != nullptr) touched->push_back(id);
     ALVC_COUNT("cluster.restore.rebuilds");
     cost += rebuild_cluster(*vc, builder);
   }

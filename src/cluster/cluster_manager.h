@@ -118,10 +118,12 @@ class ClusterManager {
   // fault feeds cannot double-count repair work.
   //
   // Every AL-touching handler takes an optional `touched` list and appends
-  // the id of each cluster whose AL it examined as affected (even when the
+  // the id of each cluster whose AL it repaired or rebuilt (even when the
   // repair then failed or changed nothing) — the event's exact blast
   // radius, which the sharded control plane uses to scope its post-event
-  // sweep to the affected chains instead of the whole population.
+  // sweep to the affected chains instead of the whole population. A
+  // restore pass leaves out the clusters its memo skips (see
+  // restore_degraded_clusters).
 
   /// Reacts to an OPS failure: marks it failed in the topology, evicts it
   /// from the owning AL (if any), re-covers the ToRs that lost their only
@@ -175,11 +177,15 @@ class ClusterManager {
   /// recovery event and a full control-plane scan at 10^5 clusters.
   ///
   /// A cluster whose rebuild provably changes nothing is skipped: when the
-  /// last rebuild read only its footprint (AlBuildResult::reads_local) and
-  /// the builder, the VMs, the AL, the connected flag and a by-value
-  /// snapshot of that footprint all still equal what the rebuild recorded,
-  /// a rebuild now would reproduce the cluster exactly. A skipped cluster
-  /// is still appended to `touched` and bumps no mutation epoch.
+  /// last rebuild read only its footprint (AlBuildResult::reads_local), the
+  /// builder, the VMs, the AL and the connected flag still equal what it
+  /// recorded, no home ToR carries a footprint stamp newer than the
+  /// topology clock it recorded and no uplink OPS of those ToRs an owner
+  /// stamp newer than the ownership clock it recorded, a rebuild now would
+  /// reproduce the cluster exactly. The check is O(home ToRs x uplinks)
+  /// array reads. Only rebuilt clusters are appended to `touched`: a
+  /// skipped cluster keeps its AL, and a recovery only revives hardware,
+  /// so no chain of it can need a sweep. A skip bumps no mutation epoch.
   [[nodiscard]] Expected<UpdateCost> restore_degraded_clusters(
       const AlBuilder& builder, std::vector<ClusterId>* touched = nullptr);
 
@@ -223,6 +229,9 @@ class ClusterManager {
 
  private:
   VirtualCluster* find_mutable(ClusterId id);
+  /// create_clusters_by_service over already-grouped VMs (index = service).
+  [[nodiscard]] Expected<std::vector<ClusterId>> create_clusters(
+      const std::vector<std::vector<VmId>>& groups, const AlBuilder& builder);
   /// kConflict when any VM of `group` is already in a cluster.
   [[nodiscard]] Status check_group_free(std::span<const VmId> group) const;
   /// Builds an AL for `group` as if `vc` owned nothing, so the result may
@@ -265,13 +274,6 @@ class ClusterManager {
   /// degraded-cluster index in lockstep (check_invariants cross-checks),
   /// and drops the rebuild memo of a cluster that stops being degraded.
   void set_degraded(VirtualCluster& vc, bool degraded);
-  /// Writes what a rebuild of `vc` reads, besides its VMs and incumbent AL,
-  /// into `out` (cleared first): per VM its home ToRs, both homings; per
-  /// distinct home ToR, ascending, its usable flag and for each uplink the
-  /// OPS id, the link flag, the OPS usable flag and whether the OPS is free
-  /// or owned by `vc`. A rebuild leaves it unchanged: the cluster only
-  /// trades OPSs between "free" and "owned by vc".
-  void snapshot_footprint(const VirtualCluster& vc, std::vector<std::uint32_t>& out);
   /// True when every member of `vc`'s AL lies in its footprint: ToRs are
   /// home ToRs of its VMs, OPSs are uplinks of those ToRs.
   [[nodiscard]] bool layer_in_footprint(const VirtualCluster& vc);
@@ -289,7 +291,9 @@ class ClusterManager {
     std::vector<VmId> vms;
     AbstractionLayer layer;
     bool connected = false;
-    std::vector<std::uint32_t> footprint;  // snapshot_footprint's encoding
+    std::vector<TorId> home_tors;       // collect_home_tors at record time
+    std::uint64_t footprint_clock = 0;  // topology footprint_clock() then
+    std::uint64_t owner_clock = 0;      // ownership_.clock() then
   };
 
   alvc::topology::DataCenterTopology* topo_;
@@ -314,9 +318,7 @@ class ClusterManager {
   /// iterated). Written by remember_rebuild, dropped by set_degraded and
   /// destroy_cluster.
   std::unordered_map<ClusterId, RebuildMemo> rebuild_memos_;
-  /// Scratch reused across restore passes: rebuild_is_futile's footprint
-  /// snapshot and collect_home_tors's output.
-  std::vector<std::uint32_t> footprint_scratch_;
+  /// collect_home_tors's output, reused across calls.
   std::vector<TorId> home_tors_;
   ClusterId::value_type next_id_ = 0;
 

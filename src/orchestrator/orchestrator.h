@@ -39,6 +39,10 @@
 #include "sdn/controller.h"
 #include "sdn/events.h"
 
+namespace alvc::test {
+struct SweepProbe;
+}  // namespace alvc::test
+
 namespace alvc::orchestrator {
 
 using alvc::util::NfcId;
@@ -389,6 +393,8 @@ class NetworkOrchestrator {
   NfcId::value_type next_id_ = 0;
   bool load_balanced_routing_ = false;
   std::size_t routing_k_ = 4;
+
+  friend struct alvc::test::SweepProbe;
 };
 
 }  // namespace alvc::orchestrator

@@ -12,7 +12,9 @@ DataCenterTopology::DataCenterTopology(const DataCenterTopology& other)
       vms_(other.vms_),
       tors_(other.tors_),
       opss_(other.opss_),
-      failed_links_(other.failed_links_) {}
+      failed_links_(other.failed_links_),
+      footprint_stamps_(other.footprint_stamps_),
+      footprint_clock_(other.footprint_clock_) {}
 
 DataCenterTopology& DataCenterTopology::operator=(const DataCenterTopology& other) {
   if (this == &other) return *this;
@@ -21,6 +23,8 @@ DataCenterTopology& DataCenterTopology::operator=(const DataCenterTopology& othe
   tors_ = other.tors_;
   opss_ = other.opss_;
   failed_links_ = other.failed_links_;
+  footprint_stamps_ = other.footprint_stamps_;
+  footprint_clock_ = other.footprint_clock_;
   invalidate_cache();
   return *this;
 }
@@ -30,7 +34,9 @@ DataCenterTopology::DataCenterTopology(DataCenterTopology&& other) noexcept
       vms_(std::move(other.vms_)),
       tors_(std::move(other.tors_)),
       opss_(std::move(other.opss_)),
-      failed_links_(std::move(other.failed_links_)) {
+      failed_links_(std::move(other.failed_links_)),
+      footprint_stamps_(std::move(other.footprint_stamps_)),
+      footprint_clock_(other.footprint_clock_) {
   other.invalidate_cache();
 }
 
@@ -41,6 +47,8 @@ DataCenterTopology& DataCenterTopology::operator=(DataCenterTopology&& other) no
   tors_ = std::move(other.tors_);
   opss_ = std::move(other.opss_);
   failed_links_ = std::move(other.failed_links_);
+  footprint_stamps_ = std::move(other.footprint_stamps_);
+  footprint_clock_ = other.footprint_clock_;
   invalidate_cache();
   other.invalidate_cache();
   return *this;
@@ -49,6 +57,7 @@ DataCenterTopology& DataCenterTopology::operator=(DataCenterTopology&& other) no
 TorId DataCenterTopology::add_tor(double port_bandwidth_gbps) {
   const TorId id{static_cast<TorId::value_type>(tors_.size())};
   tors_.push_back(TorSwitch{.id = id, .port_bandwidth_gbps = port_bandwidth_gbps});
+  footprint_stamps_.push_back(0);
   invalidate_cache();
   return id;
 }
@@ -87,6 +96,7 @@ void DataCenterTopology::connect_tor_ops(TorId tor, OpsId ops) {
   auto& o = opss_.at(ops.index());
   t.uplinks.push_back(ops);
   o.tor_links.push_back(tor);
+  stamp_footprint(tor);
   invalidate_cache();
 }
 
@@ -96,6 +106,9 @@ void DataCenterTopology::connect_ops_ops(OpsId a, OpsId b) {
   auto& ob = opss_.at(b.index());
   oa.peer_links.push_back(b);
   ob.peer_links.push_back(a);
+  // A core link changes a footprint only by joining two OPSs of one AL,
+  // each wired to a home ToR of it, so stamping one end's ToRs suffices.
+  for (TorId t : oa.tor_links) stamp_footprint(t);
   invalidate_cache();
 }
 
@@ -110,6 +123,7 @@ void DataCenterTopology::add_server_homing(ServerId server, TorId tor) {
     return;
   }
   s.secondary_tors.push_back(tor);
+  stamp_footprint(s.tor);
   bump_mutation_epoch();
 }
 
@@ -129,6 +143,9 @@ void DataCenterTopology::move_vm(VmId vm, ServerId new_server) {
   std::erase(src.vms, vm);
   dst.vms.push_back(vm);
   v.server = new_server;
+  // The moved VM's homings changed; every footprint holding it holds its
+  // old primary ToR. Which VMs a server hosts is in no footprint.
+  stamp_footprint(src.tor);
   bump_mutation_epoch();
 }
 
@@ -138,6 +155,7 @@ alvc::util::Status DataCenterTopology::set_ops_failed(OpsId ops, bool failed) {
                              "set_ops_failed: bad OPS id " + std::to_string(ops.value())};
   }
   opss_[ops.index()].failed = failed;
+  for (TorId t : opss_[ops.index()].tor_links) stamp_footprint(t);
   refresh_switch_links(ops_vertex(ops));
   bump_mutation_epoch();
   return alvc::util::Status::ok();
@@ -149,6 +167,7 @@ alvc::util::Status DataCenterTopology::set_tor_failed(TorId tor, bool failed) {
                              "set_tor_failed: bad ToR id " + std::to_string(tor.value())};
   }
   tors_[tor.index()].failed = failed;
+  stamp_footprint(tor);
   refresh_switch_links(tor_vertex(tor));
   bump_mutation_epoch();
   return alvc::util::Status::ok();
@@ -182,6 +201,7 @@ alvc::util::Status DataCenterTopology::set_link_failed(TorId tor, OpsId ops, boo
   } else {
     failed_links_.erase(link_key(tor, ops));
   }
+  stamp_footprint(tor);
   refresh_switch_links(tor_vertex(tor));
   bump_mutation_epoch();
   return alvc::util::Status::ok();

@@ -27,7 +27,8 @@ class DataCenterTopology {
  public:
   DataCenterTopology() = default;
   // The switch-graph cache is per-object state, not topology data: copies
-  // and moves transfer the elements and start with a cold cache.
+  // and moves transfer the elements and the footprint stamps and start
+  // with a cold cache.
   DataCenterTopology(const DataCenterTopology& other);
   DataCenterTopology& operator=(const DataCenterTopology& other);
   DataCenterTopology(DataCenterTopology&& other) noexcept;
@@ -204,6 +205,29 @@ class DataCenterTopology {
   /// epoch-versioned caches the same way a topology mutation does.
   void bump_mutation_epoch() noexcept { ++mutation_epoch_; }
 
+  // ---- footprint stamps ----
+  //
+  // A ToR's footprint is what an AL build over VMs homed at it reads: the
+  // ToR's flag, its uplinks with their link flags and far-end OPS flags,
+  // the core links between those OPSs and the homings of the servers
+  // under it. Every writer of that state stamps the ToRs it touches from
+  // one topology-wide clock: set_tor_failed and set_link_failed the ToR,
+  // connect_tor_ops the link's ToR, set_ops_failed every ToR wired to the
+  // OPS, connect_ops_ops every ToR wired to its first OPS (a core link
+  // matters only between two OPSs of one AL, both wired to its home
+  // ToRs), move_vm the source server's ToR and add_server_homing the
+  // server's primary ToR (a VM's home ToRs always include its server's
+  // primary ToR). So footprint_stamp(t) <= c proves t's footprint
+  // unchanged since footprint_clock() read c. Stamps may move without a
+  // change (flip and flip back); they never miss one.
+
+  /// Clock value of the last write to `tor`'s footprint (0 = none yet).
+  [[nodiscard]] std::uint64_t footprint_stamp(TorId tor) const {
+    return footprint_stamps_.at(tor.index());
+  }
+  /// The clock: the highest stamp handed out so far.
+  [[nodiscard]] std::uint64_t footprint_clock() const noexcept { return footprint_clock_; }
+
  private:
   /// Builds the switch graph over every physical link and marks the cache
   /// valid.
@@ -225,6 +249,7 @@ class DataCenterTopology {
     switch_graph_valid_ = false;
     bump_mutation_epoch();
   }
+  void stamp_footprint(TorId tor) noexcept { footprint_stamps_[tor.index()] = ++footprint_clock_; }
   [[nodiscard]] static std::uint64_t link_key(TorId tor, OpsId ops) noexcept {
     return (static_cast<std::uint64_t>(tor.value()) << 32) | ops.value();
   }
@@ -234,6 +259,8 @@ class DataCenterTopology {
   std::vector<TorSwitch> tors_;
   std::vector<OpticalSwitch> opss_;
   std::unordered_set<std::uint64_t> failed_links_;  // keyed by link_key
+  std::vector<std::uint64_t> footprint_stamps_;     // tor.index() -> stamp
+  std::uint64_t footprint_clock_ = 0;
 
   mutable alvc::graph::Graph switch_graph_;
   mutable bool switch_graph_valid_ = false;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace alvc::cluster {
 namespace {
 
@@ -83,6 +86,29 @@ TEST(OpsOwnershipTest, FreeOpsListsExactlyUnowned) {
   ASSERT_EQ(free.size(), 2u);
   EXPECT_EQ(free[0], OpsId{0});
   EXPECT_EQ(free[1], OpsId{2});
+}
+
+TEST(OpsOwnershipTest, StampsMoveOnlyWithTheOwnerCell) {
+  OpsOwnership own(4);
+  const ClusterId a{1};
+  const ClusterId b{2};
+  EXPECT_EQ(own.clock(), 0u);
+  ASSERT_TRUE(own.acquire(std::vector<OpsId>{OpsId{0}, OpsId{1}}, a).is_ok());
+  const std::uint64_t acquired = own.clock();
+  EXPECT_GT(own.stamp(OpsId{0}), 0u);
+  EXPECT_GT(own.stamp(OpsId{1}), 0u);
+  EXPECT_EQ(own.stamp(OpsId{2}), 0u);
+  // No cell changes: a re-acquire by the owner, a failed acquire, and a
+  // release by a non-owner.
+  ASSERT_TRUE(own.acquire(std::vector<OpsId>{OpsId{0}}, a).is_ok());
+  EXPECT_FALSE(own.acquire(std::vector<OpsId>{OpsId{1}, OpsId{2}}, b).is_ok());
+  own.release(std::vector<OpsId>{OpsId{0}}, b);
+  EXPECT_EQ(own.clock(), acquired);
+  // A release stamps the freed cell past every earlier stamp.
+  own.release(std::vector<OpsId>{OpsId{1}}, a);
+  EXPECT_GT(own.stamp(OpsId{1}), acquired);
+  EXPECT_LE(own.stamp(OpsId{0}), acquired);
+  EXPECT_EQ(own.clock(), own.stamp(OpsId{1}));
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 // Rebuild memo edge cases: restore_degraded_clusters skips a degraded
 // cluster only while nothing its rebuild reads has changed, and always
-// rebuilds a cluster whose last rebuild read beyond its footprint.
+// rebuilds a cluster whose last rebuild read beyond its footprint. The
+// WriterStamp tests drive every writer of a footprint (topology flags,
+// wiring, homings, and a neighbour's OPS acquire or release) and check
+// that the next restore pass rebuilds the degraded cluster — through its
+// `touched` list, which holds exactly the rebuilt clusters, so the checks
+// hold with telemetry compiled out too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,6 +61,48 @@ struct Fabric {
     ASSERT_TRUE(manager->handle_link_failure(tor(t), ops(o)).has_value());
     ASSERT_TRUE(manager->handle_link_recovery(tor(t), ops(o), builder).has_value());
   }
+  /// unrelated_recovery, returning the clusters its restore pass rebuilt.
+  std::vector<ClusterId> rebuilt_by_unrelated_recovery(std::uint32_t t, std::uint32_t o) {
+    std::vector<ClusterId> touched;
+    EXPECT_TRUE(manager->handle_link_failure(tor(t), ops(o)).has_value());
+    EXPECT_TRUE(manager->handle_link_recovery(tor(t), ops(o), builder, &touched).has_value());
+    return touched;
+  }
+};
+
+/// The common WriterStamp set-up: A over T0 (uplink O0) and T1 (uplink
+/// O1), joined through the core link O0-O1; T2-O2 carries no cluster.
+/// T1 dies, so A rebuilds over T0's VMs by a local build and stays
+/// degraded with a memo, and an unrelated recovery then skips it.
+struct DegradedPair {
+  Fabric f;
+  std::vector<VmId> stranded;  // A's VMs behind T1
+  ClusterId a;
+  ClusterId b;  // the optional neighbour start() creates first
+
+  explicit DegradedPair(std::size_t extra_tors = 0, std::size_t extra_opss = 0)
+      : f(3 + extra_tors, 3 + extra_opss) {
+    f.link(0, 0);
+    f.link(1, 1);
+    f.link(2, 2);
+    f.topo.connect_ops_ops(Fabric::ops(0), Fabric::ops(1));
+  }
+  /// Creates A, after a neighbour B over `group_b` when one is given;
+  /// call after any extra wiring.
+  void start(const std::vector<VmId>& group_b = {}) {
+    auto group = f.rack(0, 0);
+    stranded = f.rack(1, 0);
+    for (VmId vm : stranded) group.push_back(vm);
+    f.start();
+    if (!group_b.empty()) b = f.create(group_b, 1);
+    a = f.create(group, 0);
+    ASSERT_TRUE(f.manager->handle_tor_failure(Fabric::tor(1), f.builder).has_value());
+    ASSERT_TRUE(f.cluster(a).degraded);
+    ASSERT_TRUE(RebuildMemoProbe::has_memo(*f.manager, a));
+    ASSERT_EQ(f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{})
+        << "nothing moved yet: the memo holds";
+  }
+  [[nodiscard]] ServerId stranded_server() const { return f.topo.vm(stranded.front()).server; }
 };
 
 /// The restore counters, where telemetry is compiled in.
@@ -113,7 +160,7 @@ TEST(RebuildMemoTest, UnrelatedLinkRecoveryIsSkipped) {
   ASSERT_TRUE(cost.has_value());
   expect_restores(counts, 0, 1);
   EXPECT_EQ(cost->total(), 0u);
-  EXPECT_EQ(touched, std::vector<ClusterId>{a}) << "a skipped cluster still joins the sweep";
+  EXPECT_EQ(touched, std::vector<ClusterId>{}) << "a skipped cluster stays out of the sweep";
   // Only the two link flips moved the epoch: the skip bumped nothing.
   EXPECT_EQ(f.topo.mutation_epoch(), epoch + 2);
   EXPECT_EQ(f.cluster(a).layer.tors, before.layer.tors);
@@ -276,10 +323,132 @@ TEST(RebuildMemoTest, MigrateVmChangesTheFootprint) {
   ASSERT_EQ(f.cluster(a).layer.opss, before.layer.opss);
 
   const RestoreCounts counts = restore_counts();
-  f.unrelated_recovery(2, 2);
+  EXPECT_EQ(f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{a});
   expect_restores(counts, 1, 0);
   EXPECT_FALSE(f.cluster(a).degraded) << "every VM is reachable again behind T0";
   EXPECT_TRUE(f.manager->check_invariants().empty());
+}
+
+TEST(RebuildMemoTest, WriterStampTorFlipForcesTheRebuild) {
+  DegradedPair p;
+  p.start();
+  std::vector<ClusterId> touched;
+  ASSERT_TRUE(p.f.manager->handle_tor_recovery(Fabric::tor(1), p.f.builder, &touched).has_value());
+  EXPECT_EQ(touched, std::vector<ClusterId>{p.a});
+  EXPECT_FALSE(p.f.cluster(p.a).degraded);
+  EXPECT_TRUE(p.f.manager->check_invariants().empty());
+}
+
+TEST(RebuildMemoTest, WriterStampLinkFlipForcesTheRebuild) {
+  // T1's uplink is in A's footprint although T1 left A's AL: the flip
+  // repairs no AL, yet the next restore must look again.
+  DegradedPair p;
+  p.start();
+  ASSERT_TRUE(p.f.manager->handle_link_failure(Fabric::tor(1), Fabric::ops(1)).has_value());
+  std::vector<ClusterId> touched;
+  ASSERT_TRUE(p.f.manager
+                  ->handle_link_recovery(Fabric::tor(1), Fabric::ops(1), p.f.builder, &touched)
+                  .has_value());
+  EXPECT_EQ(touched, std::vector<ClusterId>{p.a});
+  EXPECT_TRUE(p.f.cluster(p.a).degraded) << "T1 is still down";
+  EXPECT_EQ(p.f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{});
+}
+
+TEST(RebuildMemoTest, WriterStampOpsFlipForcesTheRebuild) {
+  // O1, T1's uplink, is free since A left T1: its failure touches no AL.
+  DegradedPair p;
+  p.start();
+  ASSERT_TRUE(p.f.manager->ownership().is_free(Fabric::ops(1)));
+  ASSERT_TRUE(p.f.manager->handle_ops_failure(Fabric::ops(1)).has_value());
+  std::vector<ClusterId> touched;
+  ASSERT_TRUE(
+      p.f.manager->handle_ops_recovery(Fabric::ops(1), p.f.builder, &touched).has_value());
+  EXPECT_EQ(touched, std::vector<ClusterId>{p.a});
+  EXPECT_EQ(p.f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{});
+}
+
+TEST(RebuildMemoTest, WriterStampConnectTorOpsForcesTheRebuild) {
+  // O3 is wired to nothing until T0, a home ToR of A, gains it.
+  DegradedPair p(0, 1);
+  p.start();
+  p.f.link(0, 3);
+  EXPECT_EQ(p.f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{p.a});
+  EXPECT_TRUE(p.f.manager->check_invariants().empty());
+}
+
+TEST(RebuildMemoTest, WriterStampAddServerHomingForcesTheRebuild) {
+  // T3-O3 is a spare rack. Homing the stranded server there as well makes
+  // its VMs reachable again.
+  DegradedPair p(1, 1);
+  p.f.link(3, 3);
+  p.start();
+  p.f.topo.add_server_homing(p.stranded_server(), Fabric::tor(3));
+  EXPECT_EQ(p.f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{p.a});
+  EXPECT_FALSE(p.f.cluster(p.a).degraded) << "the stranded VMs reach T3";
+  EXPECT_TRUE(p.f.manager->check_invariants().empty());
+}
+
+TEST(RebuildMemoTest, WriterStampConnectOpsOpsForcesTheRebuild) {
+  // A over T0 (O0) and T1 (O1) with no core link, so its AL is
+  // disconnected from the start. B holds O2, the only uplink of T2. A's
+  // server behind T1 gains T2 as a second homing, then T1 dies: the
+  // rebuild must cover those VMs through T2, which has no free uplink, so
+  // it fails and A keeps {T0} + {O0, O1}, disconnected, with a memo. A
+  // core link O0-O1 then joins that incumbent; only a rebuild sees it.
+  Fabric f(4, 4);
+  f.link(0, 0);
+  f.link(1, 1);
+  f.link(2, 2);
+  f.link(3, 3);
+  const auto group_b = f.rack(2, 1);
+  auto group_a = f.rack(0, 0);
+  const auto behind_t1 = f.rack(1, 0);
+  for (VmId vm : behind_t1) group_a.push_back(vm);
+  f.start();
+  const ClusterId b = f.create(group_b, 1);
+  const ClusterId a = f.create(group_a, 0);
+  ASSERT_EQ(f.cluster(b).layer.opss, std::vector<OpsId>{Fabric::ops(2)});
+  ASSERT_FALSE(f.cluster(a).connected);
+  f.topo.add_server_homing(f.topo.vm(behind_t1.front()).server, Fabric::tor(2));
+  ASSERT_TRUE(f.manager->handle_tor_failure(Fabric::tor(1), f.builder).has_value());
+  ASSERT_TRUE(f.cluster(a).degraded);
+  ASSERT_EQ(f.cluster(a).layer.opss, (std::vector<OpsId>{Fabric::ops(0), Fabric::ops(1)}));
+  ASSERT_FALSE(f.cluster(a).connected);
+  ASSERT_TRUE(RebuildMemoProbe::has_memo(*f.manager, a));
+  ASSERT_EQ(f.rebuilt_by_unrelated_recovery(3, 3), std::vector<ClusterId>{});
+
+  f.topo.connect_ops_ops(Fabric::ops(0), Fabric::ops(1));
+  EXPECT_EQ(f.rebuilt_by_unrelated_recovery(3, 3), std::vector<ClusterId>{a});
+  EXPECT_TRUE(f.cluster(a).connected);
+  EXPECT_TRUE(f.cluster(a).degraded);
+  EXPECT_TRUE(f.manager->check_invariants().empty());
+}
+
+TEST(RebuildMemoTest, WriterStampNeighbourAcquireForcesTheRebuild) {
+  // T0 has a second, free uplink O3, also the only uplink of the spare
+  // rack T3. A cluster created there acquires O3 out of A's footprint.
+  DegradedPair p(1, 1);
+  p.f.link(0, 3);
+  p.f.link(3, 3);
+  p.start();
+  ASSERT_TRUE(p.f.manager->ownership().is_free(Fabric::ops(3)));
+  const ClusterId b = p.f.create(p.f.rack(3, 1), 1);
+  ASSERT_EQ(p.f.cluster(b).layer.opss, std::vector<OpsId>{Fabric::ops(3)});
+  EXPECT_EQ(p.f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{p.a});
+  EXPECT_TRUE(p.f.manager->check_invariants().empty());
+}
+
+TEST(RebuildMemoTest, WriterStampNeighbourReleaseForcesTheRebuild) {
+  // As above, but B exists before A's memo and is destroyed after it:
+  // the release alone frees O3.
+  DegradedPair p(1, 1);
+  p.f.link(0, 3);
+  p.f.link(3, 3);
+  p.start(p.f.rack(3, 1));
+  ASSERT_EQ(p.f.cluster(p.b).layer.opss, std::vector<OpsId>{Fabric::ops(3)});
+  ASSERT_TRUE(p.f.manager->destroy_cluster(p.b).is_ok());
+  EXPECT_EQ(p.f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{p.a});
+  EXPECT_TRUE(p.f.manager->check_invariants().empty());
 }
 
 TEST(RebuildMemoTest, SwitchingBuildersRebuilds) {

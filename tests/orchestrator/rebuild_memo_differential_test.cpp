@@ -8,7 +8,10 @@
 // ownership registry and the full chain state, and both must pass
 // check_invariants. 20 seeds over small fault_storm-shaped fabrics (see
 // make_dc), with faults of every element class plus whole-AL and
-// whole-rack outages and flapping links.
+// whole-rack outages and flapping links. A restore pass sweeps only the
+// clusters it rebuilt, so after every event the production twin must also
+// have no live chain left that a sweep would act on
+// (tests/support/sweep_probe.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 #include "faults/state_auditor.h"
 #include "support/fixtures.h"
 #include "support/rebuild_memo_probe.h"
+#include "support/sweep_probe.h"
 #include "telemetry/telemetry.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -35,6 +39,7 @@ using alvc::faults::FaultInjector;
 using alvc::faults::FaultKind;
 using alvc::faults::FaultScheduleParams;
 using alvc::test::RebuildMemoProbe;
+using alvc::test::SweepProbe;
 
 constexpr std::uint64_t kSeeds = 20;
 constexpr std::size_t kRacks = 24;
@@ -193,6 +198,8 @@ TEST(RebuildMemoDifferentialTest, MemoizedRestoreMatchesAlwaysRebuildOver20Seeds
       }
       expect_identical_clusters(memo->clusters(), reference->clusters());
       expect_identical_chains(memo->orchestrator(), reference->orchestrator());
+      EXPECT_EQ(SweepProbe::unsettled_chains(memo->orchestrator()), std::vector<util::NfcId>{})
+          << "a chain outside the event's sweep scope still needs a sweep";
       if (HasFatalFailure() || HasNonfatalFailure()) {
         FAIL() << "first divergence at t=" << event.time_s << " "
                << alvc::faults::to_string(event.kind) << " id=" << event.id

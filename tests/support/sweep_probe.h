@@ -1,0 +1,34 @@
+// Test access to NetworkOrchestrator's sweep classifier.
+//
+// Every fault handler ends with a sweep over its blast radius, and a
+// sweep settles whatever it visits. So after any handler returns, a chain
+// that still classifies as needing a refit proves the blast radius missed
+// it. A differential that asks after every event checks the scoping of
+// every sweep, the restore pass's skipped clusters included, against the
+// whole chain population.
+#pragma once
+
+#include <vector>
+
+#include "orchestrator/orchestrator.h"
+
+namespace alvc::test {
+
+struct SweepProbe {
+  /// Ids of the live chains whose sweep verdict is not kNone, ascending by
+  /// chain id: the chains a full-population sweep would still act on.
+  [[nodiscard]] static std::vector<alvc::util::NfcId> unsettled_chains(
+      const alvc::orchestrator::NetworkOrchestrator& orchestrator) {
+    std::vector<alvc::util::NfcId> out;
+    for (const auto* chain : orchestrator.chains()) {
+      const auto id = chain->record.id;
+      if (orchestrator.classify_chain(id) !=
+          alvc::orchestrator::NetworkOrchestrator::SweepVerdict::kNone) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  }
+};
+
+}  // namespace alvc::test

@@ -169,6 +169,26 @@ TEST(AlvcLintTest, FlagsThreadIncludeOutsideTelemetryAndUtil) {
   EXPECT_TRUE(lint_source("bench/bench_telemetry_overhead.cpp", content).empty());
 }
 
+TEST(AlvcLintTest, FlagsFootprintWritesOutsideTheirStampingWriters) {
+  const auto content = read_fixture("footprint_writer.cc");
+  using Lines = std::multiset<std::pair<std::string, std::size_t>>;
+  const Lines flags{{"footprint-writer", 13}, {"footprint-writer", 14},
+                    {"footprint-writer", 16}, {"footprint-writer", 17}};
+  const Lines owners{{"footprint-writer", 23}, {"footprint-writer", 24}};
+  Lines both = flags;
+  both.insert(owners.begin(), owners.end());
+  for (const char* path : {"src/cluster/cluster_manager.cpp", "src/orchestrator/bad.cc",
+                           "src/topology/topology.h", "src/faults/bad.cc"}) {
+    EXPECT_EQ(rules_and_lines(lint_source(path, content)), both) << path;
+  }
+  // Each stamping writer's own file may write its own state, and only it.
+  EXPECT_EQ(rules_and_lines(lint_source("src/topology/topology.cpp", content)), owners);
+  EXPECT_EQ(rules_and_lines(lint_source("src/cluster/abstraction_layer.cpp", content)), flags);
+  // Tests, benches and the e2e driver keep their own `failed` fields.
+  EXPECT_TRUE(lint_source("tests/topology/failure_api_test.cpp", content).empty());
+  EXPECT_TRUE(lint_source("e2e_bench/driver/replay.cpp", content).empty());
+}
+
 TEST(AlvcLintTest, PassesCleanFixture) {
   const auto findings = lint_source("src/util/clean.cc", read_fixture("clean.cc"));
   EXPECT_TRUE(findings.empty()) << alvc::lint::to_string(findings.front());

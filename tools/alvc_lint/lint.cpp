@@ -110,6 +110,31 @@ const std::vector<Rule>& rules() {
           const std::string_view layer = src_layer(path);
           return !layer.empty() && layer != "telemetry" && layer != "util";
         }});
+    // Footprint stamps (DataCenterTopology::footprint_stamp, OpsOwnership::
+    // stamp) let the rebuild memo skip a restore only while every write to
+    // a footprint goes through a stamping writer; a raw write elsewhere
+    // would leave a stale memo looking current.
+    r.push_back(Rule{
+        "footprint-writer",
+        "element failure flag or failed-link set written outside "
+        "src/topology/topology.cpp; go through the DataCenterTopology setters, which "
+        "stamp the footprints the write changes",
+        std::regex(R"((\.|->)\s*failed\s*=([^=]|$)|failed_links_\s*(=([^=]|$)|\.\s*)"
+                   R"((insert|erase|emplace|clear|swap|extract|merge)\b))",
+                   flags),
+        [](std::string_view path) {
+          return !src_layer(path).empty() &&
+                 !path.ends_with("src/topology/topology.cpp");
+        }});
+    r.push_back(Rule{
+        "footprint-writer",
+        "OPS owner cell written outside src/cluster/abstraction_layer.cpp; go through "
+        "OpsOwnership::acquire/release, which stamp every cell they change",
+        std::regex(R"((^|\W)owner_\s*(\[[^\]]*\]|\.\s*at\s*\(.*\))\s*=([^=]|$))", flags),
+        [](std::string_view path) {
+          return !src_layer(path).empty() &&
+                 !path.ends_with("src/cluster/abstraction_layer.cpp");
+        }});
     r.push_back(Rule{
         "raw-chrono-clock",
         "raw std::chrono clock read outside the telemetry layer; route timing through "

@@ -1,6 +1,6 @@
 // alvc_lint: project-specific source rules clang-tidy cannot know.
 //
-// Ten rules, each encoding a contract earlier PRs established:
+// Eleven rules, each encoding a contract earlier PRs established:
 //
 //   nondeterministic-rng  no rand()/srand()/std::random_device/wall-clock
 //                         seeds in src/ or tests/ — every stochastic path
@@ -33,6 +33,13 @@
 //                         the topology's switch graph are plain lazy
 //                         caches; only the telemetry sinks and the thread
 //                         pool synchronize.
+//   footprint-writer      element `.failed =` writes and failed_links_
+//                         edits only in src/topology/topology.cpp, and
+//                         OpsOwnership `owner_[...] =` writes only in
+//                         src/cluster/abstraction_layer.cpp — the setters
+//                         and acquire/release there stamp every footprint
+//                         they change, and the rebuild memo trusts those
+//                         stamps to skip a restore.
 //   raw-chrono-clock      no raw std::chrono::steady_clock reads outside
 //                         src/telemetry/ and core/experiment.h — timing goes
 //                         through telemetry::Tracer (whose logical mode keeps
