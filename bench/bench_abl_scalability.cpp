@@ -117,7 +117,7 @@ void BM_ClusterBuildOnly(benchmark::State& state) {
     cluster::OpsOwnership ownership(topo.ops_count());
     for (const auto& group : groups) {
       if (group.empty()) continue;
-      benchmark::DoNotOptimize(builder.build(topo, group, ownership));
+      benchmark::DoNotOptimize(builder.build(topo, group, ownership, util::ClusterId::invalid()));
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -65,7 +65,7 @@ void print_paper_instance() {
     const auto builder = core::DataCenter::make_al_builder(algorithm, 3,
                                                            /*ensure_connectivity=*/false);
     cluster::OpsOwnership ownership(fig.topo.ops_count());
-    const auto result = builder->build(fig.topo, fig.group, ownership);
+    const auto result = builder->build(fig.topo, fig.group, ownership, util::ClusterId::invalid());
     if (!result) {
       table.add_row_values(builder->name(), "-", result.error().to_string(), "-", "-");
       continue;
@@ -116,7 +116,8 @@ void print_sweep() {
           const auto builder = core::DataCenter::make_al_builder(
               algorithm, 100 + static_cast<std::uint64_t>(r), /*ensure_connectivity=*/false);
           cluster::OpsOwnership ownership(topo.ops_count());
-          const auto result = builder->build(topo, groups[0], ownership);
+          const auto result =
+              builder->build(topo, groups[0], ownership, util::ClusterId::invalid());
           total += result ? static_cast<double>(result->layer.opss.size()) : 0.0;
         }
         sizes.push_back(total / repeats);
@@ -153,10 +154,10 @@ void print_augmentation_cost() {
       cluster::OpsOwnership bare_own(topo.ops_count());
       const cluster::VertexCoverAlBuilder bare{
           cluster::AlBuilderOptions{.ensure_connectivity = false}};
-      const auto without = bare.build(topo, groups[0], bare_own);
+      const auto without = bare.build(topo, groups[0], bare_own, util::ClusterId::invalid());
       cluster::OpsOwnership aug_own(topo.ops_count());
       const cluster::VertexCoverAlBuilder augmented;
-      const auto with = augmented.build(topo, groups[0], aug_own);
+      const auto with = augmented.build(topo, groups[0], aug_own, util::ClusterId::invalid());
       if (!without || !with) {
         table.add_row_values(racks, topology::to_string(core), "failed", "-", "-", "-");
         continue;
@@ -190,7 +191,7 @@ void run_builder_bench(benchmark::State& state, const Builder& builder) {
   const auto groups = cluster::group_vms_by_service(topo);
   for (auto _ : state) {
     cluster::OpsOwnership ownership(topo.ops_count());
-    benchmark::DoNotOptimize(builder.build(topo, groups[0], ownership));
+    benchmark::DoNotOptimize(builder.build(topo, groups[0], ownership, util::ClusterId::invalid()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(groups[0].size()));

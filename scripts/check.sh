@@ -241,11 +241,11 @@ leg_bench_smoke() {
     --benchmark_min_time=0.01 \
     --benchmark_out=build/bench-smoke/sharded_control_plane.json \
     --benchmark_out_format=json
-  emit_bench_json build/bench-smoke/BENCH_PR10.json
+  emit_bench_json build/bench-smoke/BENCH_fresh.json
   echo "== bench regression gate: fresh trajectory vs newest committed BENCH_PR*.json =="
   # >25% slower on any tracked row fails the job; a noisy host can widen
   # the band with ALVC_BENCH_TOLERANCE (a fraction, e.g. 0.60).
-  python3 scripts/bench_gate.py build/bench-smoke/BENCH_PR10.json
+  python3 scripts/bench_gate.py build/bench-smoke/BENCH_fresh.json
   echo "== bench smoke artifacts in build/bench-smoke/ =="
 }
 

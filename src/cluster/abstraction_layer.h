@@ -31,7 +31,8 @@ struct AbstractionLayer {
 };
 
 /// Tracks which cluster owns each OPS. All mutations go through acquire/
-/// release so the exclusivity invariant cannot be violated.
+/// release so the exclusivity invariant cannot be violated; inside
+/// ClusterManager only its layer writer (set_layer) calls them.
 class OpsOwnership {
  public:
   explicit OpsOwnership(std::size_t ops_count)
@@ -39,6 +40,12 @@ class OpsOwnership {
 
   [[nodiscard]] std::size_t ops_count() const noexcept { return owner_.size(); }
   [[nodiscard]] bool is_free(OpsId id) const { return !owner_.at(id.index()).valid(); }
+  /// True when `id` is free or owned by `self`: the OPSs an AL build for
+  /// cluster `self` may choose. `self = ClusterId::invalid()` is is_free.
+  [[nodiscard]] bool is_free_for(OpsId id, ClusterId self) const {
+    const ClusterId owner = owner_.at(id.index());
+    return !owner.valid() || owner == self;
+  }
   [[nodiscard]] ClusterId owner(OpsId id) const { return owner_.at(id.index()); }
   [[nodiscard]] std::size_t free_count() const noexcept;
 

@@ -73,19 +73,19 @@ std::vector<TorId> select_tors(const DataCenterTopology& topo, std::span<const V
   return tors;
 }
 
-/// Stage 2 (paper): minimum set of FREE OPSs covering every selected ToR.
-/// Returns kInfeasible if some ToR has no free uplink.
+/// Stage 2 (paper): minimum set of OPSs free for `self` covering every
+/// selected ToR. Returns kInfeasible if some ToR has no such uplink.
 Expected<std::vector<OpsId>> select_ops(const DataCenterTopology& topo,
                                         std::span<const TorId> tors,
-                                        const OpsOwnership& ownership, bool exact,
-                                        std::size_t node_budget) {
+                                        const OpsOwnership& ownership, ClusterId self,
+                                        bool exact, std::size_t node_budget) {
   ALVC_SPAN(span, "al_builder.select_ops");
   // Left = selected ToRs (dense re-index), right = the OPSs on those ToRs'
   // uplink windows (dense re-index in ascending id order, so the greedy
-  // cover's lowest-index tie-break is untouched); edges only to free OPSs
-  // so ownership exclusivity is respected by construction. Sizing the
-  // right side to the whole pool made every build O(pool), which turned a
-  // 100k-cluster batch build quadratic.
+  // cover's lowest-index tie-break is untouched); edges only to OPSs free
+  // for `self`, so ownership exclusivity is respected by construction.
+  // Sizing the right side to the whole pool made every build O(pool), which
+  // turned a 100k-cluster batch build quadratic.
   std::vector<OpsId::value_type> candidates;
   for (const TorId tor : tors) {
     for (OpsId ops : topo.tor(tor).uplinks) candidates.push_back(ops.value());
@@ -101,7 +101,7 @@ Expected<std::vector<OpsId>> select_ops(const DataCenterTopology& topo,
   for (std::size_t i = 0; i < tors.size(); ++i) {
     bool any = false;
     for (OpsId ops : topo.tor(tors[i]).uplinks) {
-      if (ownership.is_free(ops) && topo.link_usable(tors[i], ops)) {
+      if (ownership.is_free_for(ops, self) && topo.link_usable(tors[i], ops)) {
         g.add_edge(i, dense_index(ops));
         any = true;
       }
@@ -130,8 +130,8 @@ Expected<std::vector<OpsId>> select_ops(const DataCenterTopology& topo,
 }  // namespace
 
 std::size_t augment_layer_connectivity(const DataCenterTopology& topo,
-                                       const OpsOwnership& ownership, AbstractionLayer& layer,
-                                       bool& connected) {
+                                       const OpsOwnership& ownership, ClusterId self,
+                                       AbstractionLayer& layer, bool& connected) {
   ALVC_SPAN(span, "al_builder.augment_connectivity");
   const auto& g = topo.switch_graph();
   const alvc::graph::CsrView csr = g.csr();
@@ -146,12 +146,12 @@ std::size_t augment_layer_connectivity(const DataCenterTopology& topo,
   alvc::graph::VertexSet layer_set;
   const auto traversable = [&](std::size_t v) {
     if (layer_set.contains(v)) return true;
-    // May recruit free, working optical switches only; foreign ToRs are
-    // off-limits. (Failed OPSs have no switch-graph edges anyway; the
-    // explicit check keeps the invariant local.)
+    // May recruit working optical switches free for `self` only; foreign
+    // ToRs are off-limits. (Failed OPSs have no switch-graph edges anyway;
+    // the explicit check keeps the invariant local.)
     if (!topo.is_ops_vertex(v)) return false;
     const OpsId ops = topo.vertex_to_ops(v);
-    return ownership.is_free(ops) && topo.ops_usable(ops);
+    return ownership.is_free_for(ops, self) && topo.ops_usable(ops);
   };
 
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -234,13 +234,14 @@ std::size_t augment_layer_connectivity(const DataCenterTopology& topo,
 namespace {
 
 Expected<AlBuildResult> finish(const DataCenterTopology& topo, const OpsOwnership& ownership,
-                               AbstractionLayer layer, const AlBuilderOptions& options) {
+                               ClusterId self, AbstractionLayer layer,
+                               const AlBuilderOptions& options) {
   std::sort(layer.tors.begin(), layer.tors.end());
   std::sort(layer.opss.begin(), layer.opss.end());
   AlBuildResult result{.layer = std::move(layer)};
   if (options.ensure_connectivity) {
     result.augmented_ops =
-        augment_layer_connectivity(topo, ownership, result.layer, result.connected);
+        augment_layer_connectivity(topo, ownership, self, result.layer, result.connected);
   } else {
     result.connected = cluster_subgraph_connected(topo, result.layer);
   }
@@ -254,9 +255,9 @@ Expected<AlBuildResult> finish(const DataCenterTopology& topo, const OpsOwnershi
 /// finish() for the two cover builders, whose stages 1-2 read only the
 /// footprint: the result is local unless stage 3 searched beyond the AL.
 Expected<AlBuildResult> finish_cover(const DataCenterTopology& topo,
-                                     const OpsOwnership& ownership, AbstractionLayer layer,
-                                     const AlBuilderOptions& options) {
-  auto result = finish(topo, ownership, std::move(layer), options);
+                                     const OpsOwnership& ownership, ClusterId self,
+                                     AbstractionLayer layer, const AlBuilderOptions& options) {
+  auto result = finish(topo, ownership, self, std::move(layer), options);
   if (result) result->reads_local = result->connected && result->augmented_ops == 0;
   return result;
 }
@@ -270,19 +271,21 @@ AlBuilder::AlBuilder() noexcept {
 
 Expected<AlBuildResult> VertexCoverAlBuilder::build(const DataCenterTopology& topo,
                                                     std::span<const VmId> group,
-                                                    const OpsOwnership& ownership) const {
+                                                    const OpsOwnership& ownership,
+                                                    ClusterId self) const {
   if (group.empty()) return Error{ErrorCode::kInvalidArgument, "empty VM group"};
   AbstractionLayer layer;
   layer.tors = select_tors(topo, group, /*exact=*/false, 0);
-  auto opss = select_ops(topo, layer.tors, ownership, /*exact=*/false, 0);
+  auto opss = select_ops(topo, layer.tors, ownership, self, /*exact=*/false, 0);
   if (!opss) return opss.error();
   layer.opss = std::move(*opss);
-  return finish_cover(topo, ownership, std::move(layer), options_);
+  return finish_cover(topo, ownership, self, std::move(layer), options_);
 }
 
 Expected<AlBuildResult> RandomAlBuilder::build(const DataCenterTopology& topo,
                                                std::span<const VmId> group,
-                                               const OpsOwnership& ownership) const {
+                                               const OpsOwnership& ownership,
+                                               ClusterId self) const {
   if (group.empty()) return Error{ErrorCode::kInvalidArgument, "empty VM group"};
   // Seed varies with the group's first VM so different clusters draw
   // different streams while staying reproducible.
@@ -293,13 +296,13 @@ Expected<AlBuildResult> RandomAlBuilder::build(const DataCenterTopology& topo,
   std::vector<char> covered(layer.tors.size(), 0);
   std::size_t remaining = layer.tors.size();
   std::set<OpsId> picked;
-  // Candidate pool: free OPSs adjacent to any group ToR.
+  // Candidate pool: OPSs free for `self` adjacent to any group ToR.
   std::vector<OpsId> pool;
   {
     std::set<OpsId> pool_set;
     for (TorId t : layer.tors) {
       for (OpsId o : topo.tor(t).uplinks) {
-        if (ownership.is_free(o) && topo.link_usable(t, o)) pool_set.insert(o);
+        if (ownership.is_free_for(o, self) && topo.link_usable(t, o)) pool_set.insert(o);
       }
     }
     pool.assign(pool_set.begin(), pool_set.end());
@@ -326,12 +329,13 @@ Expected<AlBuildResult> RandomAlBuilder::build(const DataCenterTopology& topo,
     return Error{ErrorCode::kInfeasible, "random AL: some group ToR has no free OPS uplink"};
   }
   layer.opss.assign(picked.begin(), picked.end());
-  return finish(topo, ownership, std::move(layer), options_);
+  return finish(topo, ownership, self, std::move(layer), options_);
 }
 
 Expected<AlBuildResult> GreedySetCoverAlBuilder::build(const DataCenterTopology& topo,
                                                        std::span<const VmId> group,
-                                                       const OpsOwnership& ownership) const {
+                                                       const OpsOwnership& ownership,
+                                                       ClusterId self) const {
   if (group.empty()) return Error{ErrorCode::kInvalidArgument, "empty VM group"};
   AbstractionLayer layer;
   layer.tors = tors_of_group(topo, group);  // cover ALL group ToRs
@@ -341,7 +345,7 @@ Expected<AlBuildResult> GreedySetCoverAlBuilder::build(const DataCenterTopology&
   std::vector<OpsId> set_ops;
   for (std::size_t o = 0; o < topo.ops_count(); ++o) {
     const OpsId ops{static_cast<OpsId::value_type>(o)};
-    if (!ownership.is_free(ops) || !topo.ops_usable(ops)) continue;
+    if (!ownership.is_free_for(ops, self) || !topo.ops_usable(ops)) continue;
     DynamicBitset covers(layer.tors.size());
     const auto& links = topo.ops(ops).tor_links;
     for (std::size_t i = 0; i < layer.tors.size(); ++i) {
@@ -360,23 +364,25 @@ Expected<AlBuildResult> GreedySetCoverAlBuilder::build(const DataCenterTopology&
     return Error{ErrorCode::kInfeasible, "set-cover AL: some group ToR has no free OPS uplink"};
   }
   for (std::size_t i : *chosen) layer.opss.push_back(set_ops[i]);
-  return finish(topo, ownership, std::move(layer), options_);
+  return finish(topo, ownership, self, std::move(layer), options_);
 }
 
 Expected<AlBuildResult> ResilientAlBuilder::build(const DataCenterTopology& topo,
                                                   std::span<const VmId> group,
-                                                  const OpsOwnership& ownership) const {
+                                                  const OpsOwnership& ownership,
+                                                  ClusterId self) const {
   // Start from the paper's construction (connectivity forced on — a
   // disconnected AL cannot become 2-connected by adding vertices it is not
   // even attached to in our greedy scheme).
   AlBuilderOptions base_options = options_;
   base_options.ensure_connectivity = true;
-  auto result = VertexCoverAlBuilder{base_options}.build(topo, group, ownership);
+  auto result = VertexCoverAlBuilder{base_options}.build(topo, group, ownership, self);
   if (!result) return result;
   result->reads_local = false;  // the hardening below reads the AL's whole neighbourhood
   if (!result->connected) return result;  // can't harden a split layer
 
-  // Candidate pool: free, usable OPSs adjacent to the cluster subgraph.
+  // Candidate pool: usable OPSs free for `self` adjacent to the cluster
+  // subgraph.
   const auto& g = topo.switch_graph();
   const auto adjacent_free_ops = [&](const AbstractionLayer& layer) {
     std::set<OpsId> pool;
@@ -384,7 +390,9 @@ Expected<AlBuildResult> ResilientAlBuilder::build(const DataCenterTopology& topo
       for (const auto& nb : g.neighbors(v)) {
         if (!topo.is_ops_vertex(nb.vertex)) continue;
         const OpsId o = topo.vertex_to_ops(nb.vertex);
-        if (ownership.is_free(o) && topo.ops_usable(o) && !layer.contains_ops(o)) pool.insert(o);
+        if (ownership.is_free_for(o, self) && topo.ops_usable(o) && !layer.contains_ops(o)) {
+          pool.insert(o);
+        }
       }
     };
     for (TorId t : layer.tors) consider_vertex(topo.tor_vertex(t));
@@ -418,14 +426,14 @@ Expected<AlBuildResult> ResilientAlBuilder::build(const DataCenterTopology& topo
 
 Expected<AlBuildResult> ExactAlBuilder::build(const DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership) const {
+                                              const OpsOwnership& ownership, ClusterId self) const {
   if (group.empty()) return Error{ErrorCode::kInvalidArgument, "empty VM group"};
   AbstractionLayer layer;
   layer.tors = select_tors(topo, group, /*exact=*/true, node_budget_);
-  auto opss = select_ops(topo, layer.tors, ownership, /*exact=*/true, node_budget_);
+  auto opss = select_ops(topo, layer.tors, ownership, self, /*exact=*/true, node_budget_);
   if (!opss) return opss.error();
   layer.opss = std::move(*opss);
-  return finish_cover(topo, ownership, std::move(layer), options_);
+  return finish_cover(topo, ownership, self, std::move(layer), options_);
 }
 
 bool cluster_subgraph_connected(const DataCenterTopology& topo, const AbstractionLayer& layer) {

@@ -42,10 +42,10 @@ struct AlBuildResult {
   std::size_t augmented_ops = 0;
   /// True when the build read nothing beyond the group's footprint: its
   /// VMs' home ToRs and, for each home ToR's uplinks, the link, the OPS and
-  /// whether the OPS is free. ClusterManager skips a degraded cluster's
-  /// rebuild while that footprint is unchanged, so a builder sets this only
-  /// when its result is a function of the footprint alone. The cover
-  /// builders qualify when the AL came out connected with no OPS
+  /// whether the OPS is free for `self`. ClusterManager skips a degraded
+  /// cluster's rebuild while that footprint is unchanged, so a builder sets
+  /// this only when its result is a function of the footprint alone. The
+  /// cover builders qualify when the AL came out connected with no OPS
   /// augmented: augment_layer_connectivity's BFS can recruit free OPSs
   /// anywhere in the fabric.
   bool reads_local = false;
@@ -56,16 +56,21 @@ struct AlBuilderOptions {
   bool ensure_connectivity = true;
 };
 
-/// Strategy interface. Implementations must not mutate the topology and
-/// must only return OPSs that are free in `ownership` (the caller acquires
-/// them afterwards). A build that fails must fail from the group's
-/// footprint alone (see AlBuildResult::reads_local): every builder here
-/// fails only when some group ToR has no free usable uplink.
+/// Strategy interface. build() constructs an AL for cluster `self` (an
+/// invalid id for a cluster not yet created). Implementations must not
+/// mutate the topology and must only return OPSs that are free or owned by
+/// `self` in `ownership` (OpsOwnership::is_free_for; the caller commits
+/// them afterwards), so a rebuild may keep any OPS its cluster holds and
+/// never takes another cluster's. A build that fails must fail from the
+/// group's footprint alone (see AlBuildResult::reads_local): every builder
+/// here fails only when some group ToR has no usable uplink free for
+/// `self`.
 ///
 /// Purity contract: build() is const and keeps no mutable per-call state —
 /// RandomAlBuilder, the only stochastic one, derives a fresh local Rng from
 /// its fixed seed and the group — so the result is a pure function of
-/// (topo, group, ownership). ClusterManager's rebuild memo relies on it.
+/// (topo, group, ownership, self). ClusterManager's rebuild memo relies on
+/// it.
 class AlBuilder {
  public:
   AlBuilder() noexcept;
@@ -78,7 +83,7 @@ class AlBuilder {
   [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
   [[nodiscard]] virtual Expected<AlBuildResult> build(
       const alvc::topology::DataCenterTopology& topo, std::span<const VmId> group,
-      const OpsOwnership& ownership) const = 0;
+      const OpsOwnership& ownership, ClusterId self) const = 0;
 
  private:
   std::uint64_t serial_;
@@ -91,7 +96,8 @@ class VertexCoverAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "vertex-cover"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership) const override;
+                                              const OpsOwnership& ownership,
+                                              ClusterId self) const override;
 
  private:
   AlBuilderOptions options_;
@@ -106,7 +112,8 @@ class RandomAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "random"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership) const override;
+                                              const OpsOwnership& ownership,
+                                              ClusterId self) const override;
 
  private:
   std::uint64_t seed_;
@@ -121,7 +128,8 @@ class GreedySetCoverAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "greedy-set-cover"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership) const override;
+                                              const OpsOwnership& ownership,
+                                              ClusterId self) const override;
 
  private:
   AlBuilderOptions options_;
@@ -138,7 +146,8 @@ class ResilientAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "resilient"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership) const override;
+                                              const OpsOwnership& ownership,
+                                              ClusterId self) const override;
 
  private:
   AlBuilderOptions options_;
@@ -154,7 +163,8 @@ class ExactAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "exact"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership) const override;
+                                              const OpsOwnership& ownership,
+                                              ClusterId self) const override;
 
  private:
   AlBuilderOptions options_;
@@ -162,14 +172,14 @@ class ExactAlBuilder final : public AlBuilder {
 };
 
 /// Stage-3 primitive, also used by ClusterManager during churn: grows
-/// `layer.opss` with OPSs that are free in `ownership` until the induced
-/// subgraph over layer.tors ∪ layer.opss is connected (or no further
-/// progress is possible). Returns the number of OPSs added and sets
-/// `connected` to the final state. The caller is responsible for acquiring
-/// the added OPSs.
+/// `layer.opss` with OPSs that are free or owned by `self` in `ownership`
+/// until the induced subgraph over layer.tors ∪ layer.opss is connected
+/// (or no further progress is possible). Returns the number of OPSs added
+/// and sets `connected` to the final state. The caller is responsible for
+/// committing the added OPSs.
 std::size_t augment_layer_connectivity(const alvc::topology::DataCenterTopology& topo,
-                                       const OpsOwnership& ownership, AbstractionLayer& layer,
-                                       bool& connected);
+                                       const OpsOwnership& ownership, ClusterId self,
+                                       AbstractionLayer& layer, bool& connected);
 
 /// True when the subgraph of the switch graph induced by layer.tors and
 /// layer.opss is connected (single component containing all of them).

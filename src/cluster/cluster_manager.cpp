@@ -43,7 +43,14 @@ ClusterManager::ClusterManager(DataCenterTopology& topo)
       vm_owner_(topo.vm_count(), ClusterId::invalid()),
       tor_clusters_(topo.tor_count()) {}
 
-void ClusterManager::set_layer(VirtualCluster& vc, AbstractionLayer layer) {
+Status ClusterManager::set_layer(VirtualCluster& vc, AbstractionLayer layer, bool connected) {
+  // acquire checks every OPS before it writes one, so a conflict leaves the
+  // registry, the index and the cluster as they were.
+  if (auto status = ownership_.acquire(layer.opss, vc.id); !status.is_ok()) return status;
+  for (const alvc::util::OpsId o : vc.layer.opss) {
+    if (!layer.contains_ops(o)) ownership_.release({&o, 1}, vc.id);
+  }
+  const bool changed = layer.opss != vc.layer.opss || layer.tors != vc.layer.tors;
   if (layer.tors != vc.layer.tors) {
     for (TorId t : vc.layer.tors) std::erase(tor_clusters_[t.index()], vc.id);
     for (TorId t : layer.tors) {
@@ -56,6 +63,13 @@ void ClusterManager::set_layer(VirtualCluster& vc, AbstractionLayer layer) {
     }
   }
   vc.layer = std::move(layer);
+  vc.connected = connected;
+  // AL membership defines slice subgraphs, so epoch-versioned route caches
+  // must see every change to it even though no topology element changed.
+  // An unchanged AL needs no bump: the route cache matches uncached
+  // routing at any epoch.
+  if (changed) topo_->bump_mutation_epoch();
+  return Status::ok();
 }
 
 std::span<const ClusterId> ClusterManager::tor_cluster_ids(TorId tor) const noexcept {
@@ -108,24 +122,17 @@ Expected<ClusterId> ClusterManager::create_cluster(ServiceId service, std::span<
                                                    const AlBuilder& builder) {
   ALVC_SPAN(span, "cluster.create_cluster");
   if (auto status = check_group_free(group); !status.is_ok()) return status.error();
-  auto built = builder.build(*topo_, group, ownership_);
+  auto built = builder.build(*topo_, group, ownership_, ClusterId::invalid());
   if (!built) return built.error();
   const ClusterId id{next_id_++};
-  if (auto status = ownership_.acquire(built->layer.opss, id); !status.is_ok()) {
+  VirtualCluster vc{.id = id, .service = service, .vms = {group.begin(), group.end()}};
+  if (auto status = set_layer(vc, std::move(built->layer), built->connected); !status.is_ok()) {
     return status.error();  // defensive: builder returned a non-free OPS
   }
-  VirtualCluster vc{.id = id,
-                    .service = service,
-                    .vms = {group.begin(), group.end()},
-                    .connected = built->connected};
-  set_layer(clusters_.emplace(id, std::move(vc)).first->second, std::move(built->layer));
+  clusters_.emplace(id, std::move(vc));
   for (VmId vm : group) set_vm_owner(vm, id);
   auto& peers = by_service_[service.value()];
   peers.insert(std::upper_bound(peers.begin(), peers.end(), id), id);
-  // AL membership defines slice subgraphs; epoch-versioned route caches
-  // must see every change to it, so each layer mutation below bumps the
-  // topology's mutation epoch even though no element changed.
-  topo_->bump_mutation_epoch();
   return id;
 }
 
@@ -161,8 +168,8 @@ Status ClusterManager::destroy_cluster(ClusterId id) {
   if (it == clusters_.end()) {
     return Error{ErrorCode::kNotFound, "no cluster " + std::to_string(id.value())};
   }
-  ownership_.release(it->second.layer.opss, id);
-  set_layer(it->second, {});
+  ALVC_IGNORE_STATUS(set_layer(it->second, {}, /*connected=*/true),
+                     "an empty AL acquires nothing, so it cannot conflict");
   for (VmId vm : it->second.vms) set_vm_owner(vm, ClusterId::invalid());
   const auto peers = by_service_.find(it->second.service.value());
   if (peers != by_service_.end()) {
@@ -172,7 +179,6 @@ Status ClusterManager::destroy_cluster(ClusterId id) {
   degraded_ids_.erase(id);
   rebuild_memos_.erase(id);
   clusters_.erase(it);
-  topo_->bump_mutation_epoch();
   return Status::ok();
 }
 
@@ -257,53 +263,23 @@ Expected<UpdateCost> ClusterManager::migrate_vm(ClusterId id, VmId vm, ServerId 
   return cost;
 }
 
-Expected<AlBuildResult> ClusterManager::build_as_if_free(const VirtualCluster& vc,
-                                                         std::span<const VmId> group,
-                                                         const AlBuilder& builder) {
-  // Re-acquires on every exit, a throwing build included, so the live
-  // registry never shows the cluster's OPSs free while its AL lists them.
-  struct Reacquire {
-    OpsOwnership& ownership;
-    const VirtualCluster& vc;
-    ~Reacquire() {
-      ALVC_IGNORE_STATUS(ownership.acquire(vc.layer.opss, vc.id),
-                         "re-acquiring the OPSs just released; the build only read the registry");
-    }
-  };
-  ownership_.release(vc.layer.opss, vc.id);
-  const Reacquire reacquire{ownership_, vc};
-  return builder.build(*topo_, group, ownership_);
-}
-
-Status ClusterManager::swap_layer(VirtualCluster& vc, AlBuildResult built) {
-  ownership_.release(vc.layer.opss, vc.id);
-  if (auto status = ownership_.acquire(built.layer.opss, vc.id); !status.is_ok()) {
-    // Should not happen (the build proved feasibility); restore the old AL.
-    ALVC_IGNORE_STATUS(ownership_.acquire(vc.layer.opss, vc.id),
-                       "restoring the AL we just released; those OPSs are still free");
-    return status;
-  }
-  set_layer(vc, std::move(built.layer));
-  vc.connected = built.connected;
-  topo_->bump_mutation_epoch();
-  return Status::ok();
-}
-
 Expected<UpdateCost> ClusterManager::reoptimize_cluster(ClusterId id, const AlBuilder& builder) {
   VirtualCluster* vc = find_mutable(id);
   if (vc == nullptr) return Error{ErrorCode::kNotFound, "no cluster " + std::to_string(id.value())};
   if (vc->vms.empty()) return UpdateCost{};
 
-  // Build as if this cluster's OPSs were free, so the rebuild may keep any
-  // of them.
-  auto rebuilt = build_as_if_free(*vc, vc->vms, builder);
+  // The build may keep any OPS this cluster holds.
+  auto rebuilt = builder.build(*topo_, vc->vms, ownership_, id);
   if (!rebuilt) return rebuilt.error();
   if (rebuilt->layer.opss.size() >= vc->layer.opss.size()) {
     return UpdateCost{};  // no improvement: keep the incumbent AL
   }
   // Rules: remove what leaves, add what arrives (symmetric difference).
   const UpdateCost cost = layer_swap_cost(vc->layer, rebuilt->layer);
-  if (auto status = swap_layer(*vc, std::move(*rebuilt)); !status.is_ok()) return status.error();
+  if (auto status = set_layer(*vc, std::move(rebuilt->layer), rebuilt->connected);
+      !status.is_ok()) {
+    return status.error();
+  }
   return cost;
 }
 
@@ -326,9 +302,8 @@ Expected<UpdateCost> ClusterManager::handle_ops_failure(alvc::util::OpsId ops,
   // The hardware is gone regardless of how the repair goes: evict it.
   AbstractionLayer evicted = vc->layer;
   std::erase(evicted.opss, ops);
-  set_layer(*vc, std::move(evicted));
-  topo_->bump_mutation_epoch();
-  ownership_.release(std::span<const alvc::util::OpsId>(&ops, 1), owner);
+  ALVC_IGNORE_STATUS(set_layer(*vc, std::move(evicted), vc->connected),
+                     "a subset of the AL the cluster holds cannot conflict");
   cost.ops_changes += 1;
   cost.flow_rules += 1;
 
@@ -351,7 +326,7 @@ Expected<UpdateCost> ClusterManager::repair_coverage(VirtualCluster& vc) {
     if (covered) continue;
     alvc::util::OpsId pick = alvc::util::OpsId::invalid();
     topo_->any_usable_uplink(tor, [&](alvc::util::OpsId o) {
-      if (!ownership_.is_free(o) || candidate.contains_ops(o)) return false;
+      if (!ownership_.is_free_for(o, vc.id) || candidate.contains_ops(o)) return false;
       pick = o;
       return true;
     });
@@ -368,16 +343,14 @@ Expected<UpdateCost> ClusterManager::repair_coverage(VirtualCluster& vc) {
   std::sort(candidate.opss.begin(), candidate.opss.end());
 
   bool connected = false;
-  const std::size_t added = augment_layer_connectivity(*topo_, ownership_, candidate, connected);
+  const std::size_t added =
+      augment_layer_connectivity(*topo_, ownership_, vc.id, candidate, connected);
   cost.ops_changes += added;
   cost.flow_rules += added;
-  if (auto status = ownership_.acquire(candidate.opss, vc.id); !status.is_ok()) {
+  if (auto status = set_layer(vc, std::move(candidate), connected); !status.is_ok()) {
     set_degraded(vc, true);
     return status.error();
   }
-  set_layer(vc, std::move(candidate));
-  vc.connected = connected;
-  topo_->bump_mutation_epoch();
   // Uplink repair fixes ToR-to-OPS coverage only; the cluster may still be
   // degraded for an unrelated reason (e.g. a member rack's ToR is down and
   // its VMs are unreachable), so re-derive the flag from actual coverage.
@@ -404,16 +377,16 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
     cost.ops_changes += vc.layer.opss.size();
     cost.tor_changes += vc.layer.tors.size();
     cost.flow_rules += vc.layer.opss.size() + vc.layer.tors.size();
-    ownership_.release(vc.layer.opss, vc.id);
-    set_layer(vc, {});
-    vc.connected = true;  // vacuously
+    // An empty AL is vacuously connected.
+    ALVC_IGNORE_STATUS(set_layer(vc, {}, /*connected=*/true),
+                       "an empty AL acquires nothing, so it cannot conflict");
     set_degraded(vc, !vc.vms.empty());
-    topo_->bump_mutation_epoch();
     remember_rebuild(vc, builder, /*local=*/true);
     return cost;
   }
 
-  auto rebuilt = build_as_if_free(vc, reachable, builder);
+  // The build may keep any OPS this cluster holds.
+  auto rebuilt = builder.build(*topo_, reachable, ownership_, vc.id);
   if (!rebuilt) {
     // Keep the incumbent AL (it may still serve part of the group) and mark
     // the cluster degraded so a later recovery retries the rebuild.
@@ -430,7 +403,7 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
   // not the criterion — live coverage is.
   const bool local = rebuilt->reads_local;
   cost += layer_swap_cost(vc.layer, rebuilt->layer);
-  if (!swap_layer(vc, std::move(*rebuilt)).is_ok()) {
+  if (!set_layer(vc, std::move(rebuilt->layer), rebuilt->connected).is_ok()) {
     set_degraded(vc, true);
     remember_rebuild(vc, builder, /*local=*/false);
     return UpdateCost{};
@@ -516,8 +489,8 @@ Expected<UpdateCost> ClusterManager::handle_tor_failure(TorId tor, const AlBuild
     if (touched != nullptr) touched->push_back(id);
     AbstractionLayer dropped = vc->layer;
     std::erase(dropped.tors, tor);
-    set_layer(*vc, std::move(dropped));
-    topo_->bump_mutation_epoch();
+    ALVC_IGNORE_STATUS(set_layer(*vc, std::move(dropped), vc->connected),
+                       "a subset of the AL the cluster holds cannot conflict");
     cost.tor_changes += 1;
     cost.flow_rules += 1;
     cost += rebuild_cluster(*vc, builder);
@@ -618,11 +591,9 @@ Expected<UpdateCost> ClusterManager::restore_degraded_clusters(const AlBuilder& 
     // A rebuild is a function of the builder, the VMs, the footprint and
     // (when it fails) the incumbent AL; with all of them as the last local
     // rebuild left them it would reproduce the cluster exactly, at zero
-    // cost. Skipping it also skips that rebuild's release/re-acquire and
-    // epoch bump, which change no route: the route cache matches uncached
-    // routing at any epoch. The skipped cluster stays out of `touched`:
-    // its AL is unchanged and a recovery only revives hardware, so no
-    // chain of it can need a sweep.
+    // cost. The skipped cluster stays out of `touched`: its AL is unchanged
+    // and a recovery only revives hardware, so no chain of it can need a
+    // sweep.
     if (rebuild_is_futile(*vc, builder)) {
       ALVC_COUNT("cluster.restore.skipped");
       continue;
@@ -689,7 +660,7 @@ Expected<UpdateCost> ClusterManager::cover_tor(VirtualCluster& vc, TorId tor) {
     const auto& g = topo_->switch_graph();
     alvc::util::OpsId pick = alvc::util::OpsId::invalid();
     topo_->any_usable_uplink(tor, [&](alvc::util::OpsId o) {
-      if (!ownership_.is_free(o)) return false;
+      if (!ownership_.is_free_for(o, vc.id)) return false;
       if (!pick.valid()) pick = o;
       for (const auto& nb : g.neighbors(topo_->ops_vertex(o))) {
         const bool touches_al =
@@ -716,57 +687,49 @@ Expected<UpdateCost> ClusterManager::cover_tor(VirtualCluster& vc, TorId tor) {
   // Re-establish connectivity if the growth split the layer.
   bool connected = false;
   const std::size_t added =
-      augment_layer_connectivity(*topo_, ownership_, candidate, connected);
+      augment_layer_connectivity(*topo_, ownership_, vc.id, candidate, connected);
   cost.ops_changes += added;
   cost.flow_rules += added;
-
-  if (auto status = ownership_.acquire(candidate.opss, vc.id); !status.is_ok()) {
+  if (auto status = set_layer(vc, std::move(candidate), connected); !status.is_ok()) {
     return status.error();
   }
-  set_layer(vc, std::move(candidate));
-  vc.connected = connected;
-  topo_->bump_mutation_epoch();
   return cost;
 }
 
 UpdateCost ClusterManager::uncover_tor(VirtualCluster& vc, TorId tor) {
   UpdateCost cost;
-  AbstractionLayer shrunk = vc.layer;
-  std::erase(shrunk.tors, tor);
-  set_layer(vc, std::move(shrunk));
+  AbstractionLayer candidate = vc.layer;
+  std::erase(candidate.tors, tor);
   cost.tor_changes += 1;
   cost.flow_rules += 1;
 
-  if (vc.layer.tors.empty()) {
+  bool connected = true;
+  if (candidate.tors.empty()) {
     // Last rack gone: the AL dissolves entirely.
-    cost.ops_changes += vc.layer.opss.size();
-    cost.flow_rules += vc.layer.opss.size();
-    ownership_.release(vc.layer.opss, vc.id);
-    set_layer(vc, {});
-    vc.connected = true;
-    topo_->bump_mutation_epoch();
-    return cost;
-  }
-  // Release OPSs that no longer uplink any remaining ToR, as long as the
-  // layer stays connected without them.
-  for (std::size_t i = vc.layer.opss.size(); i-- > 0;) {
-    const alvc::util::OpsId ops = vc.layer.opss[i];
-    const auto& links = topo_->ops(ops).tor_links;
-    const bool still_needed = std::any_of(links.begin(), links.end(), [&](TorId t) {
-      return vc.layer.contains_tor(t);
-    });
-    if (still_needed) continue;
-    AbstractionLayer trimmed = vc.layer;
-    trimmed.opss.erase(trimmed.opss.begin() + static_cast<std::ptrdiff_t>(i));
-    if (cluster_subgraph_connected(*topo_, trimmed)) {
-      ownership_.release(std::span<const alvc::util::OpsId>(&ops, 1), vc.id);
-      set_layer(vc, std::move(trimmed));
-      cost.ops_changes += 1;
-      cost.flow_rules += 1;
+    cost.ops_changes += candidate.opss.size();
+    cost.flow_rules += candidate.opss.size();
+    candidate.opss.clear();
+  } else {
+    // Drop OPSs that no longer uplink any remaining ToR, as long as the
+    // layer stays connected without them.
+    for (std::size_t i = candidate.opss.size(); i-- > 0;) {
+      const auto& links = topo_->ops(candidate.opss[i]).tor_links;
+      const bool still_needed = std::any_of(links.begin(), links.end(), [&](TorId t) {
+        return candidate.contains_tor(t);
+      });
+      if (still_needed) continue;
+      AbstractionLayer trimmed = candidate;
+      trimmed.opss.erase(trimmed.opss.begin() + static_cast<std::ptrdiff_t>(i));
+      if (cluster_subgraph_connected(*topo_, trimmed)) {
+        candidate = std::move(trimmed);
+        cost.ops_changes += 1;
+        cost.flow_rules += 1;
+      }
     }
+    connected = cluster_subgraph_connected(*topo_, candidate);
   }
-  vc.connected = cluster_subgraph_connected(*topo_, vc.layer);
-  topo_->bump_mutation_epoch();
+  ALVC_IGNORE_STATUS(set_layer(vc, std::move(candidate), connected),
+                     "a subset of the AL the cluster holds cannot conflict");
   return cost;
 }
 

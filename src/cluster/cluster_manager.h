@@ -3,6 +3,8 @@
 // ClusterManager owns the set of Virtual Clusters over one topology and is
 // the only writer of OpsOwnership, so the paper's exclusivity constraint
 // ("one OPS cannot be part of two ALs") holds globally by construction.
+// Every AL change lands through one private writer, set_layer, which moves
+// OPS ownership, the ToR index and the topology's mutation epoch with it.
 //
 // Churn events (VM join / leave / migrate) are first-class because the
 // authors' companion work (ref [14]) argues AL-VC's selling point is LOW
@@ -234,22 +236,10 @@ class ClusterManager {
       const std::vector<std::vector<VmId>>& groups, const AlBuilder& builder);
   /// kConflict when any VM of `group` is already in a cluster.
   [[nodiscard]] Status check_group_free(std::span<const VmId> group) const;
-  /// Builds an AL for `group` as if `vc` owned nothing, so the result may
-  /// keep any of its OPSs. The OPSs a cluster owns are exactly
-  /// vc.layer.opss (check_invariants proves it), so this releases that list
-  /// in the live registry, builds against it and re-acquires the list on
-  /// every exit, a throwing build included: O(|AL|), against O(OPS pool)
-  /// for a registry copy per fault event.
-  [[nodiscard]] Expected<AlBuildResult> build_as_if_free(const VirtualCluster& vc,
-                                                         std::span<const VmId> group,
-                                                         const AlBuilder& builder);
-  /// Moves `vc` from its current AL to `built` (ownership and layer).
-  /// kConflict, which the callers' feasibility proofs rule out, leaves the
-  /// cluster as it was.
-  [[nodiscard]] Status swap_layer(VirtualCluster& vc, AlBuildResult built);
   /// Extends `vc`'s AL to cover `tor`; returns the incremental cost.
   [[nodiscard]] Expected<UpdateCost> cover_tor(VirtualCluster& vc, alvc::util::TorId tor);
-  /// Shrinks `vc` after `tor` lost its last VM; returns the cost.
+  /// Shrinks `vc` after `tor` lost its last VM, trimming a candidate copy
+  /// and committing it once; returns the cost.
   UpdateCost uncover_tor(VirtualCluster& vc, alvc::util::TorId tor);
   /// Incremental repair: re-covers every AL ToR that lost its AL uplink and
   /// re-establishes connectivity, on a candidate copy. kInfeasible leaves
@@ -260,11 +250,19 @@ class ClusterManager {
   /// member) leaves/marks the cluster degraded instead.
   UpdateCost rebuild_cluster(VirtualCluster& vc, const AlBuilder& builder);
   [[nodiscard]] std::vector<ClusterId> sorted_cluster_ids() const;
-  /// The one writer of VirtualCluster::layer: installs `layer` and keeps
-  /// the ToR -> cluster index in step with its ToR set (check_invariants
-  /// cross-checks). O(|old ToRs| + |new ToRs|) index edits, none when the
-  /// ToR set is unchanged.
-  void set_layer(VirtualCluster& vc, AbstractionLayer layer);
+  /// The one writer of an AL: commits `layer` and `connected` as `vc`'s AL
+  /// in one step. It acquires `layer`'s OPSs, releases the ones the old AL
+  /// held and `layer` drops, keeps the ToR -> cluster index in step with
+  /// the ToR set (check_invariants cross-checks) and bumps the topology's
+  /// mutation epoch when the AL changed. kConflict, when some OPS of
+  /// `layer` belongs to another cluster, changes nothing. Owner stamps
+  /// move only on OPSs whose owner changes, so a commit of the AL the
+  /// cluster already holds stamps nothing and bumps no epoch. Costs
+  /// O(|old AL| x |new AL|) compares and O(|old ToRs| + |new ToRs|) index
+  /// edits, none when the ToR set is unchanged. The failure paths that
+  /// keep the incumbent AL refresh only VirtualCluster::connected, in
+  /// place.
+  [[nodiscard]] Status set_layer(VirtualCluster& vc, AbstractionLayer layer, bool connected);
   /// The ToR index's list for `tor` (empty for a ToR no AL ever held).
   [[nodiscard]] std::span<const ClusterId> tor_cluster_ids(TorId tor) const noexcept;
   /// Records `owner` (possibly invalid = none) for `vm` in the owner index,

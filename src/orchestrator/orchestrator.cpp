@@ -173,12 +173,7 @@ Expected<NfcId> NetworkOrchestrator::provision_chain(const alvc::nfv::NfcSpec& s
   // anchors: the cluster's first and last ToRs.
   return provision(spec, placement,
                    [&](const VirtualCluster& vc, PlacementResult& placed) {
-                     if (!load_balanced_routing_) {
-                       return route_linear(vc, placed.hosts, spec.priority);
-                     }
-                     return router_.route_balanced(vc, vc.layer.tors.front(),
-                                                   vc.layer.tors.back(), placed.hosts,
-                                                   bandwidth_, routing_k_);
+                     return route_linear(vc, placed.hosts, spec.priority);
                    });
 }
 

@@ -107,14 +107,6 @@ class NetworkOrchestrator {
   [[nodiscard]] alvc::util::Expected<NfcId> provision_chain(const alvc::nfv::NfcSpec& spec,
                                                             const PlacementStrategy& placement);
 
-  /// Switches linear-chain routing between plain shortest paths (default)
-  /// and the load-balanced k-shortest variant that avoids links other
-  /// chains already reserved.
-  void set_load_balanced_routing(bool enabled, std::size_t k = 4) noexcept {
-    load_balanced_routing_ = enabled;
-    routing_k_ = k;
-  }
-
   /// Splits the control plane into `shard_count` cluster-agent shards
   /// (DESIGN.md §13): chains partition by backing cluster, and each shard
   /// owns its slice of the route cache and retry queue. Every pass runs
@@ -391,8 +383,6 @@ class NetworkOrchestrator {
   std::unique_ptr<ControlAgent> agent_;
   std::uint64_t recovery_epoch_ = 0;  // counts recovery events (backoff clock)
   NfcId::value_type next_id_ = 0;
-  bool load_balanced_routing_ = false;
-  std::size_t routing_k_ = 4;
 
   friend struct alvc::test::SweepProbe;
 };

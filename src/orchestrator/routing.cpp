@@ -1,9 +1,5 @@
 #include "orchestrator/routing.h"
 
-#include <algorithm>
-#include <limits>
-
-#include "graph/k_shortest.h"
 #include "graph/shortest_path.h"
 
 namespace alvc::orchestrator {
@@ -107,52 +103,6 @@ Expected<ChainRoute> ChainRouter::route(const alvc::cluster::VirtualCluster& clu
                    [&](std::size_t from, std::size_t to, std::size_t leg_index) {
                      return route_leg(*topo_, allowed, from, to, leg_index);
                    });
-}
-
-Expected<ChainRoute> ChainRouter::route_balanced(const alvc::cluster::VirtualCluster& cluster,
-                                                 TorId ingress, TorId egress,
-                                                 std::span<const HostRef> hosts,
-                                                 const BandwidthLedger& ledger,
-                                                 std::size_t k) const {
-  std::vector<std::size_t> stops;
-  stops.push_back(topo_->tor_vertex(ingress));
-  for (const HostRef& host : hosts) stops.push_back(attach_vertex(host));
-  stops.push_back(topo_->tor_vertex(egress));
-  alvc::graph::VertexSet allowed;
-  slice_vertices(*topo_, cluster, stops, allowed);
-  const auto filter = [&](std::size_t v) { return allowed.contains(v); };
-
-  ChainRoute route;
-  route.conversions = count_conversions(hosts);
-  for (std::size_t i = 0; i + 1 < stops.size(); ++i) {
-    if (stops[i] == stops[i + 1]) {
-      route.legs.push_back({stops[i]});
-      continue;
-    }
-    const auto candidates =
-        alvc::graph::k_shortest_paths(topo_->switch_graph(), stops[i], stops[i + 1], k, filter);
-    if (candidates.empty()) {
-      return Error{ErrorCode::kInfeasible,
-                   "no slice-internal path for leg " + std::to_string(i)};
-    }
-    // Bottleneck headroom of each candidate; first max wins (candidates are
-    // length-ordered, so ties prefer the shorter path).
-    std::size_t best = 0;
-    double best_headroom = -1;
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      double headroom = std::numeric_limits<double>::infinity();
-      for (std::size_t j = 0; j + 1 < candidates[c].size(); ++j) {
-        headroom = std::min(headroom, ledger.free_gbps(candidates[c][j], candidates[c][j + 1]));
-      }
-      if (headroom > best_headroom + 1e-12) {
-        best_headroom = headroom;
-        best = c;
-      }
-    }
-    route.legs.push_back(candidates[best]);
-  }
-  finish_route(*topo_, route);
-  return route;
 }
 
 Expected<ChainRoute> ChainRouter::route_graph(const alvc::cluster::VirtualCluster& cluster,

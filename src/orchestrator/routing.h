@@ -16,7 +16,6 @@
 #include "graph/scratch.h"
 #include "nfv/forwarding_graph.h"
 #include "nfv/lifecycle.h"
-#include "orchestrator/bandwidth.h"
 #include "orchestrator/oeo.h"
 #include "topology/topology.h"
 #include "util/error.h"
@@ -84,15 +83,6 @@ class ChainRouter {
                                                TorId ingress, TorId egress,
                                                std::span<const alvc::nfv::HostRef> hosts,
                                                const RouteLegSource& legs) const;
-
-  /// Load-balanced variant of route(): each leg considers the k shortest
-  /// slice-internal paths and takes the one with the largest bottleneck
-  /// headroom in `ledger` (ties: shorter, then first). Spreads chains off
-  /// already-reserved links at the cost of slightly longer paths.
-  [[nodiscard]] Expected<ChainRoute> route_balanced(
-      const alvc::cluster::VirtualCluster& cluster, TorId ingress, TorId egress,
-      std::span<const alvc::nfv::HostRef> hosts, const BandwidthLedger& ledger,
-      std::size_t k = 4) const;
 
   /// Routes a complex forwarding graph (paper §IV-A): one leg from the
   /// ingress to the entry node's host, one leg per DAG edge, and one leg

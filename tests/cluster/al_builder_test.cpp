@@ -62,7 +62,7 @@ TEST(VertexCoverAlBuilderTest, PaperFig4SelectsMinimalTorsAndOps) {
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const VertexCoverAlBuilder builder{AlBuilderOptions{.ensure_connectivity = false}};
-  const auto result = builder.build(fig.topo, fig.group, ownership);
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
   ASSERT_TRUE(result.has_value()) << result.error().to_string();
   using alvc::util::OpsId;
   using alvc::util::TorId;
@@ -76,7 +76,7 @@ TEST(VertexCoverAlBuilderTest, PaperFig4ConnectivityAugmentation) {
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const VertexCoverAlBuilder builder;  // ensure_connectivity = true
-  const auto result = builder.build(fig.topo, fig.group, ownership);
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
   ASSERT_TRUE(result.has_value());
   using alvc::util::OpsId;
   EXPECT_TRUE(result->connected);
@@ -89,7 +89,7 @@ TEST(VertexCoverAlBuilderTest, EmptyGroupRejected) {
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const VertexCoverAlBuilder builder;
-  const auto result = builder.build(fig.topo, {}, ownership);
+  const auto result = builder.build(fig.topo, {}, ownership, ClusterId::invalid());
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kInvalidArgument);
 }
@@ -102,7 +102,7 @@ TEST(VertexCoverAlBuilderTest, RespectsOwnership) {
   const std::vector<OpsId> taken{OpsId{0}, OpsId{2}};
   ASSERT_TRUE(ownership.acquire(taken, ClusterId{99}).is_ok());
   const VertexCoverAlBuilder builder{AlBuilderOptions{.ensure_connectivity = false}};
-  const auto result = builder.build(fig.topo, fig.group, ownership);
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
   ASSERT_TRUE(result.has_value());
   for (OpsId o : result->layer.opss) {
     EXPECT_TRUE(ownership.is_free(o));
@@ -118,7 +118,7 @@ TEST(VertexCoverAlBuilderTest, InfeasibleWhenAllUplinksTaken) {
   const std::vector<OpsId> taken{OpsId{0}, OpsId{1}};
   ASSERT_TRUE(ownership.acquire(taken, ClusterId{99}).is_ok());
   const VertexCoverAlBuilder builder;
-  const auto result = builder.build(fig.topo, fig.group, ownership);
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kInfeasible);
 }
@@ -127,7 +127,7 @@ TEST(RandomAlBuilderTest, CoversGroupWithoutTorMinimisation) {
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const RandomAlBuilder builder{/*seed=*/7, AlBuilderOptions{.ensure_connectivity = false}};
-  const auto result = builder.build(fig.topo, fig.group, ownership);
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
   ASSERT_TRUE(result.has_value());
   // Random baseline keeps every (primary) group ToR: T0 and T2.
   EXPECT_EQ(result->layer.tors.size(), 2u);
@@ -140,8 +140,8 @@ TEST(RandomAlBuilderTest, DeterministicPerSeed) {
   OpsOwnership ownership(fig.topo.ops_count());
   const RandomAlBuilder a{3};
   const RandomAlBuilder b{3};
-  const auto ra = a.build(fig.topo, fig.group, ownership);
-  const auto rb = b.build(fig.topo, fig.group, ownership);
+  const auto ra = a.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto rb = b.build(fig.topo, fig.group, ownership, ClusterId::invalid());
   ASSERT_TRUE(ra.has_value());
   ASSERT_TRUE(rb.has_value());
   EXPECT_EQ(ra->layer.opss, rb->layer.opss);
@@ -151,7 +151,7 @@ TEST(GreedySetCoverAlBuilderTest, CoversAllGroupTors) {
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const GreedySetCoverAlBuilder builder{AlBuilderOptions{.ensure_connectivity = false}};
-  const auto result = builder.build(fig.topo, fig.group, ownership);
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(al_covers_group(fig.topo, fig.group, result->layer));
   // All primary group ToRs retained.
@@ -164,8 +164,8 @@ TEST(ExactAlBuilderTest, NeverWorseThanGreedyOnFig4) {
   const AlBuilderOptions opts{.ensure_connectivity = false};
   const VertexCoverAlBuilder greedy{opts};
   const ExactAlBuilder exact{opts};
-  const auto rg = greedy.build(fig.topo, fig.group, ownership);
-  const auto re = exact.build(fig.topo, fig.group, ownership);
+  const auto rg = greedy.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto re = exact.build(fig.topo, fig.group, ownership, ClusterId::invalid());
   ASSERT_TRUE(rg.has_value());
   ASSERT_TRUE(re.has_value());
   EXPECT_LE(re->layer.opss.size(), rg->layer.opss.size());
@@ -195,12 +195,12 @@ TEST(ResilientAlBuilderTest, EliminatesCriticalOpsWhenRedundancyExists) {
   const auto groups = group_vms_by_service(topo);
 
   OpsOwnership base_own(topo.ops_count());
-  const auto base = VertexCoverAlBuilder{}.build(topo, groups[0], base_own);
+  const auto base = VertexCoverAlBuilder{}.build(topo, groups[0], base_own, ClusterId::invalid());
   ASSERT_TRUE(base.has_value());
   const auto base_critical = critical_ops(topo, base->layer).size();
 
   OpsOwnership hard_own(topo.ops_count());
-  const auto hardened = ResilientAlBuilder{}.build(topo, groups[0], hard_own);
+  const auto hardened = ResilientAlBuilder{}.build(topo, groups[0], hard_own, ClusterId::invalid());
   ASSERT_TRUE(hardened.has_value());
   const auto hardened_critical = critical_ops(topo, hardened->layer).size();
   EXPECT_LE(hardened_critical, base_critical);
@@ -222,7 +222,7 @@ TEST(ResilientAlBuilderTest, GracefulWhenNoRedundancyAvailable) {
   const auto vm = topo.add_vm(s, alvc::util::ServiceId{0});
   OpsOwnership ownership(topo.ops_count());
   const std::vector<VmId> group{vm};
-  const auto result = ResilientAlBuilder{}.build(topo, group, ownership);
+  const auto result = ResilientAlBuilder{}.build(topo, group, ownership, ClusterId::invalid());
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->layer.opss.size(), 1u);
 }
@@ -250,7 +250,7 @@ TEST_P(AlBuilderPropertyTest, AllBuildersCoverRandomGroupsAndRespectOwnership) {
     OpsOwnership ownership(topo.ops_count());
     for (const auto& group : groups) {
       if (group.empty()) continue;
-      const auto result = builder->build(topo, group, ownership);
+      const auto result = builder->build(topo, group, ownership, ClusterId::invalid());
       if (!result.has_value()) continue;  // pool exhaustion is legal
       EXPECT_TRUE(al_covers_group(topo, group, result->layer))
           << builder->name() << " failed to cover";
@@ -261,6 +261,72 @@ TEST_P(AlBuilderPropertyTest, AllBuildersCoverRandomGroupsAndRespectOwnership) {
       ASSERT_TRUE(ownership.acquire(result->layer.opss, ClusterId{0}).is_ok());
     }
   }
+}
+
+TEST_P(AlBuilderPropertyTest, AllBuildersMayKeepSelfOwnedOpsAndNeverTakeAnothers) {
+  TopologyParams params;
+  params.seed = GetParam();
+  params.rack_count = 10;
+  params.ops_count = 12;
+  params.tor_ops_degree = 3;
+  params.service_count = 3;
+  params.dual_homing_probability = 0.3;
+  const auto topo = alvc::topology::build_topology(params);
+  const auto groups = group_vms_by_service(topo);
+
+  std::vector<std::unique_ptr<AlBuilder>> builders;
+  builders.push_back(std::make_unique<VertexCoverAlBuilder>());
+  builders.push_back(std::make_unique<RandomAlBuilder>(GetParam()));
+  builders.push_back(std::make_unique<GreedySetCoverAlBuilder>());
+  builders.push_back(std::make_unique<ResilientAlBuilder>());
+  builders.push_back(std::make_unique<ExactAlBuilder>());
+
+  const ClusterId self{1};
+  const ClusterId other{2};
+  const ClusterId stranger{3};  // owns nothing
+  std::size_t kept_builds = 0;
+  for (const auto& builder : builders) {
+    for (const auto& group : groups) {
+      if (group.empty()) continue;
+      SCOPED_TRACE(::testing::Message() << builder->name() << ", group of " << group.size());
+      const OpsOwnership empty(topo.ops_count());
+      const auto fresh = builder->build(topo, group, empty, ClusterId::invalid());
+      if (!fresh.has_value()) continue;  // pool exhaustion is legal
+
+      // An OPS owned by `self` is as available as a free one: with the
+      // whole fresh AL owned by `self`, the build reproduces it.
+      OpsOwnership held(topo.ops_count());
+      ASSERT_TRUE(held.acquire(fresh->layer.opss, self).is_ok());
+      const auto kept = builder->build(topo, group, held, self);
+      ASSERT_TRUE(kept.has_value());
+      EXPECT_EQ(kept->layer.tors, fresh->layer.tors);
+      EXPECT_EQ(kept->layer.opss, fresh->layer.opss);
+      ++kept_builds;
+
+      // Split the fresh AL between `self` and `other`.
+      OpsOwnership split(topo.ops_count());
+      for (std::size_t i = 0; i < fresh->layer.opss.size(); ++i) {
+        const ClusterId owner = i % 2 == 0 ? other : self;
+        ASSERT_TRUE(split.acquire({&fresh->layer.opss[i], 1}, owner).is_ok());
+      }
+      if (const auto mine = builder->build(topo, group, split, self)) {
+        for (OpsId o : mine->layer.opss) {
+          EXPECT_TRUE(split.is_free_for(o, self)) << "took OPS " << o.value() << " of another";
+        }
+      }
+      // self = invalid sees exactly the free OPSs, like a cluster that
+      // owns nothing.
+      const auto unowned = builder->build(topo, group, split, ClusterId::invalid());
+      const auto as_stranger = builder->build(topo, group, split, stranger);
+      ASSERT_EQ(unowned.has_value(), as_stranger.has_value());
+      if (!unowned.has_value()) continue;
+      EXPECT_EQ(unowned->layer.opss, as_stranger->layer.opss);
+      for (OpsId o : unowned->layer.opss) {
+        EXPECT_TRUE(split.is_free(o)) << "took owned OPS " << o.value();
+      }
+    }
+  }
+  EXPECT_GT(kept_builds, 0u) << "vacuous: no builder produced an AL";
 }
 
 TEST_P(AlBuilderPropertyTest, VertexCoverNeverLargerThanRandomBaseline) {
@@ -276,8 +342,9 @@ TEST_P(AlBuilderPropertyTest, VertexCoverNeverLargerThanRandomBaseline) {
 
   const AlBuilderOptions opts{.ensure_connectivity = false};
   OpsOwnership fresh(topo.ops_count());
-  const auto vc = VertexCoverAlBuilder{opts}.build(topo, groups[0], fresh);
-  const auto rnd = RandomAlBuilder{GetParam(), opts}.build(topo, groups[0], fresh);
+  const auto vc = VertexCoverAlBuilder{opts}.build(topo, groups[0], fresh, ClusterId::invalid());
+  const auto rnd =
+      RandomAlBuilder{GetParam(), opts}.build(topo, groups[0], fresh, ClusterId::invalid());
   ASSERT_TRUE(vc.has_value());
   ASSERT_TRUE(rnd.has_value());
   EXPECT_LE(vc->layer.opss.size(), rnd->layer.opss.size());
@@ -347,7 +414,8 @@ TEST(AugmentConnectivityTest, ReportsFailureWhenUnbridgeable) {
   OpsOwnership ownership(topo.ops_count());
   AbstractionLayer layer{.tors = {t0, t1}, .opss = {o0, o1}};
   bool connected = true;
-  const auto added = augment_layer_connectivity(topo, ownership, layer, connected);
+  const auto added =
+      augment_layer_connectivity(topo, ownership, ClusterId::invalid(), layer, connected);
   EXPECT_EQ(added, 0u);
   EXPECT_FALSE(connected);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -241,10 +242,14 @@ TEST(ClusterManagerTest, RemoveLastVmOfTorShrinksAl) {
   ASSERT_TRUE(id.has_value());
   ASSERT_EQ(manager.find(*id)->layer.opss.size(), 2u);
 
+  const std::uint64_t epoch = topo.mutation_epoch();
   const auto cost = manager.remove_vm(*id, v1);
   ASSERT_TRUE(cost.has_value());
   EXPECT_EQ(cost->tor_changes, 1u);
   EXPECT_EQ(cost->ops_changes, 1u);  // O1 released
+  // No topology element changed, but the slice did: epoch-versioned route
+  // caches must see it.
+  EXPECT_GT(topo.mutation_epoch(), epoch);
   const auto* vc = manager.find(*id);
   EXPECT_FALSE(vc->layer.contains_tor(t1));
   EXPECT_TRUE(manager.ownership().is_free(o1));

@@ -30,7 +30,7 @@ TEST(OpsFailureTest, BuildersSkipFailedOps) {
   ASSERT_TRUE(fresh.topo.set_ops_failed(OpsId{0}, true).is_ok());
   OpsOwnership ownership(fresh.topo.ops_count());
   const VertexCoverAlBuilder builder;
-  const auto result = builder.build(fresh.topo, fresh.group, ownership);
+  const auto result = builder.build(fresh.topo, fresh.group, ownership, ClusterId::invalid());
   ASSERT_TRUE(result.has_value()) << result.error().to_string();
   EXPECT_FALSE(result->layer.contains_ops(OpsId{0}));
 }

@@ -5,7 +5,8 @@
 // wiring, homings, and a neighbour's OPS acquire or release) and check
 // that the next restore pass rebuilds the degraded cluster — through its
 // `touched` list, which holds exactly the rebuilt clusters, so the checks
-// hold with telemetry compiled out too.
+// hold with telemetry compiled out too. A neighbour's rebuild that keeps
+// its OPSs moves no owner stamp and must leave the memo standing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -448,6 +449,51 @@ TEST(RebuildMemoTest, WriterStampNeighbourReleaseForcesTheRebuild) {
   ASSERT_EQ(p.f.cluster(p.b).layer.opss, std::vector<OpsId>{Fabric::ops(3)});
   ASSERT_TRUE(p.f.manager->destroy_cluster(p.b).is_ok());
   EXPECT_EQ(p.f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{p.a});
+  EXPECT_TRUE(p.f.manager->check_invariants().empty());
+}
+
+TEST(RebuildMemoTest, NeighbourRebuildKeepingItsOpsKeepsTheMemo) {
+  // B over T3 (uplink O3), T4 (O4) and T5 (O6), with core links O3-O5,
+  // O5-O4 and O6-O3, so B's AL needs the core OPS O5 too. O3 is also an
+  // uplink of A's home ToR T0, taken by B before A is built.
+  DegradedPair p(3, 4);
+  p.f.link(3, 3);
+  p.f.link(4, 4);
+  p.f.link(5, 6);
+  p.f.link(0, 3);
+  p.f.topo.connect_ops_ops(Fabric::ops(3), Fabric::ops(5));
+  p.f.topo.connect_ops_ops(Fabric::ops(5), Fabric::ops(4));
+  p.f.topo.connect_ops_ops(Fabric::ops(6), Fabric::ops(3));
+  std::vector<VmId> group_b;
+  for (std::uint32_t t = 3; t < 6; ++t) {
+    for (VmId vm : p.f.rack(t, 1)) group_b.push_back(vm);
+  }
+  p.start(group_b);
+  ASSERT_TRUE(p.f.cluster(p.b).layer.contains_ops(Fabric::ops(3)));
+
+  // T5 dies: B rebuilds over T3 + T4, keeping O3 and recruiting O5 by the
+  // augmentation BFS, so it stays degraded with no memo.
+  ASSERT_TRUE(p.f.manager->handle_tor_failure(Fabric::tor(5), p.f.builder).has_value());
+  ASSERT_TRUE(p.f.cluster(p.b).degraded);
+  ASSERT_FALSE(RebuildMemoProbe::has_memo(*p.f.manager, p.b));
+  ASSERT_TRUE(p.f.cluster(p.b).layer.contains_ops(Fabric::ops(3)));
+  ASSERT_TRUE(RebuildMemoProbe::has_memo(*p.f.manager, p.a));
+
+  // Every restore rebuilds B, which reproduces its AL. O3 keeps its owner,
+  // so A's footprint is unchanged and A is skipped.
+  for (int round = 0; round < 2; ++round) {
+    const VirtualCluster before = p.f.cluster(p.b);
+    const std::uint64_t epoch = p.f.topo.mutation_epoch();
+    const RestoreCounts counts = restore_counts();
+    EXPECT_EQ(p.f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{p.b});
+    expect_restores(counts, 1, 1);
+    EXPECT_EQ(p.f.cluster(p.b).layer.tors, before.layer.tors);
+    EXPECT_EQ(p.f.cluster(p.b).layer.opss, before.layer.opss);
+    EXPECT_TRUE(RebuildMemoProbe::has_memo(*p.f.manager, p.a));
+    // Only the two link flips moved the epoch: committing the AL B already
+    // held bumped nothing.
+    EXPECT_EQ(p.f.topo.mutation_epoch(), epoch + 2);
+  }
   EXPECT_TRUE(p.f.manager->check_invariants().empty());
 }
 

@@ -194,7 +194,8 @@ class ThrowingAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "throwing"; }
   [[nodiscard]] Expected<AlBuildResult> build(const topology::DataCenterTopology& /*topo*/,
                                               std::span<const VmId> /*group*/,
-                                              const OpsOwnership& /*ownership*/) const override {
+                                              const OpsOwnership& /*ownership*/,
+                                              ClusterId /*self*/) const override {
     throw std::runtime_error("build failed");
   }
 };

@@ -4,12 +4,12 @@
 // The CSR refactor promises BIT-IDENTICAL behavior, not just equivalent
 // answers: the fill order reproduces the old per-vertex push_back order, so
 // every traversal tie-break — BFS predecessor choice, Dijkstra relaxation
-// order, Yen's spur enumeration, Dinic arc order, Tarjan neighbor order,
-// greedy-cover argmax — must match the legacy build exactly. Each seed
-// builds one switch-shaped topology and one weighted G(n,p) graph and runs
-// all six algorithm families (bfs, dijkstra, k-shortest, max-flow,
-// articulation, bipartite matching + cover) against the preserved legacy
-// implementations in tests/support/legacy_graph.h.
+// order, Dinic arc order, Tarjan neighbor order, greedy-cover argmax — must
+// match the legacy build exactly. Each seed builds one switch-shaped
+// topology and one weighted G(n,p) graph and runs all five algorithm
+// families (bfs, dijkstra, max-flow, articulation, bipartite matching +
+// cover) against the preserved legacy implementations in
+// tests/support/legacy_graph.h.
 //
 // Every algorithm runs TWICE per graph: a second identical call must
 // reproduce the first, which catches scratch-buffer reuse bugs (a stale
@@ -20,7 +20,6 @@
 
 #include "graph/articulation.h"
 #include "graph/bipartite.h"
-#include "graph/k_shortest.h"
 #include "graph/matching.h"
 #include "support/max_flow.h"
 #include "graph/scratch.h"
@@ -102,17 +101,6 @@ void check_bfs_path_to(const Graph& g, std::size_t& reachable_pairs) {
       if (fast) ++reachable_pairs;
     }
   }
-}
-
-void check_k_shortest(const Graph& g) {
-  if (g.vertex_count() < 2) return;
-  const std::size_t source = 0;
-  const std::size_t target = g.vertex_count() - 1;
-  EXPECT_EQ(k_shortest_paths(g, source, target, 6),
-            alvc::test::legacy::k_shortest_paths(g, source, target, 6));
-  const auto filter = [](std::size_t v) { return v % 4 != 1; };
-  EXPECT_EQ(k_shortest_paths(g, source, target, 4, filter),
-            alvc::test::legacy::k_shortest_paths(g, source, target, 4, filter));
 }
 
 /// Same arc sequence into both networks (one directed arc per undirected
@@ -205,7 +193,6 @@ TEST_P(CsrDifferentialTest, SwitchTopologyAllAlgorithmsMatchLegacy) {
   check_bfs_and_dijkstra(g);
   std::size_t reachable_pairs = 0;
   check_bfs_path_to(g, reachable_pairs);
-  check_k_shortest(g);
   std::size_t positive_flows = 0;
   check_max_flow(g, positive_flows);
   std::size_t cut_count = 0;
@@ -223,7 +210,6 @@ TEST_P(CsrDifferentialTest, WeightedGnpAllAlgorithmsMatchLegacy) {
   check_bfs_and_dijkstra(g);
   std::size_t reachable_pairs = 0;
   check_bfs_path_to(g, reachable_pairs);
-  check_k_shortest(g);
   std::size_t positive_flows = 0;
   check_max_flow(g, positive_flows);
   std::size_t cut_count = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -78,98 +77,6 @@ PathResult dijkstra(const Graph& g, std::size_t source, const VertexFilter& filt
         heap.emplace(cand, nb.vertex);
       }
     }
-  }
-  return result;
-}
-
-namespace {
-
-std::optional<std::vector<std::size_t>> constrained_bfs(
-    const std::vector<std::vector<Neighbor>>& adj, std::size_t source, std::size_t target,
-    const VertexFilter& filter, const std::set<std::size_t>& banned_vertices,
-    const std::set<std::pair<std::size_t, std::size_t>>& banned_edges) {
-  if (banned_vertices.contains(source)) return std::nullopt;
-  const auto combined = [&](std::size_t v) {
-    if (banned_vertices.contains(v)) return false;
-    return !filter || v == source || filter(v);
-  };
-  std::vector<std::size_t> pred(adj.size(), kNoVertex);
-  std::vector<char> seen(adj.size(), 0);
-  std::vector<std::size_t> queue;
-  queue.push_back(source);
-  seen[source] = 1;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::size_t v = queue[head];
-    if (v == target) break;
-    for (const auto& nb : adj[v]) {
-      if (seen[nb.vertex] || !combined(nb.vertex)) continue;
-      if (banned_edges.contains({v, nb.vertex})) continue;
-      seen[nb.vertex] = 1;
-      pred[nb.vertex] = v;
-      queue.push_back(nb.vertex);
-    }
-  }
-  if (!seen[target]) return std::nullopt;
-  std::vector<std::size_t> path;
-  for (std::size_t v = target; v != kNoVertex; v = pred[v]) path.push_back(v);
-  std::reverse(path.begin(), path.end());
-  if (path.front() != source) return std::nullopt;
-  return path;
-}
-
-}  // namespace
-
-std::vector<std::vector<std::size_t>> k_shortest_paths(const Graph& g, std::size_t source,
-                                                       std::size_t target, std::size_t k,
-                                                       const VertexFilter& filter) {
-  if (source >= g.vertex_count() || target >= g.vertex_count()) {
-    throw std::out_of_range("legacy k_shortest_paths: endpoint out of range");
-  }
-  const auto adj = build_adjacency(g);
-  std::vector<std::vector<std::size_t>> result;
-  if (k == 0) return result;
-  if (source == target) {
-    result.push_back({source});
-    return result;
-  }
-  auto first = constrained_bfs(adj, source, target, filter, {}, {});
-  if (!first) return result;
-  result.push_back(std::move(*first));
-
-  const auto candidate_less = [](const std::vector<std::size_t>& a,
-                                 const std::vector<std::size_t>& b) {
-    if (a.size() != b.size()) return a.size() < b.size();
-    return a < b;
-  };
-  std::set<std::vector<std::size_t>, decltype(candidate_less)> candidates(candidate_less);
-
-  while (result.size() < k) {
-    const auto& previous = result.back();
-    for (std::size_t i = 0; i + 1 < previous.size(); ++i) {
-      const std::vector<std::size_t> root(previous.begin(),
-                                          previous.begin() + static_cast<std::ptrdiff_t>(i + 1));
-      std::set<std::pair<std::size_t, std::size_t>> banned_edges;
-      for (const auto& path : result) {
-        if (path.size() > i && std::equal(root.begin(), root.end(), path.begin())) {
-          if (path.size() > i + 1) {
-            banned_edges.insert({path[i], path[i + 1]});
-            banned_edges.insert({path[i + 1], path[i]});
-          }
-        }
-      }
-      std::set<std::size_t> banned_vertices(root.begin(), root.end() - 1);
-      const auto spur =
-          constrained_bfs(adj, previous[i], target, filter, banned_vertices, banned_edges);
-      if (!spur) continue;
-      std::vector<std::size_t> total = root;
-      total.insert(total.end(), spur->begin() + 1, spur->end());
-      if (std::find(result.begin(), result.end(), total) == result.end()) {
-        candidates.insert(std::move(total));
-      }
-    }
-    if (candidates.empty()) break;
-    result.push_back(*candidates.begin());
-    candidates.erase(candidates.begin());
   }
   return result;
 }

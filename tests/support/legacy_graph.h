@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -35,11 +34,6 @@ namespace alvc::test::legacy {
 /// Old Dijkstra over the rebuilt adjacency lists.
 [[nodiscard]] alvc::graph::PathResult dijkstra(const alvc::graph::Graph& g, std::size_t source,
                                                const alvc::graph::VertexFilter& filter = nullptr);
-
-/// Old Yen's algorithm (old constrained BFS inside).
-[[nodiscard]] std::vector<std::vector<std::size_t>> k_shortest_paths(
-    const alvc::graph::Graph& g, std::size_t source, std::size_t target, std::size_t k,
-    const alvc::graph::VertexFilter& filter = nullptr);
 
 /// Old Dinic max-flow: per-vertex arc-index vectors.
 class FlowNetwork {
