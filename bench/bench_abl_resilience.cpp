@@ -88,8 +88,9 @@ void print_exposure() {
             << "(critical OPSs = articulation points of the cluster subgraph)\n\n";
   core::TextTable table({"cluster", "AL size", "critical OPSs", "exposed fraction"});
   auto dc = make_loaded_dc(101);
+  cluster::AlBuildScratch scratch;
   for (const auto* vc : dc.clusters().clusters()) {
-    const auto critical = cluster::critical_ops(dc.topology(), vc->layer);
+    const auto critical = cluster::critical_ops(dc.topology(), vc->layer, scratch);
     const double fraction = vc->layer.opss.empty()
                                 ? 0.0
                                 : static_cast<double>(critical.size()) /
@@ -128,8 +129,9 @@ void print_exposure() {
     double size_sum = 0;
     double critical_sum = 0;
     double exposed_sum = 0;
+    cluster::AlBuildScratch scratch;
     for (const auto* vc : manager.clusters()) {
-      const auto critical = cluster::critical_ops(topo, vc->layer);
+      const auto critical = cluster::critical_ops(topo, vc->layer, scratch);
       size_sum += static_cast<double>(vc->layer.opss.size());
       critical_sum += static_cast<double>(critical.size());
       if (!vc->layer.opss.empty()) {

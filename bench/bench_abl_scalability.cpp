@@ -59,8 +59,9 @@ void print_experiment() {
       continue;
     }
     std::size_t connected_als = 0;
+    cluster::AlBuildScratch scratch;
     for (const auto* vc : dc.clusters().clusters()) {
-      if (cluster::cluster_subgraph_connected(dc.topology(), vc->layer)) ++connected_als;
+      if (cluster::cluster_subgraph_connected(dc.topology(), vc->layer, scratch)) ++connected_als;
     }
 
     core::Stopwatch sw_chains;
@@ -113,11 +114,13 @@ void BM_ClusterBuildOnly(benchmark::State& state) {
   const auto topo = topology::build_topology(config.topology);
   const auto groups = cluster::group_vms_by_service(topo);
   const cluster::VertexCoverAlBuilder builder;
+  cluster::AlBuildScratch scratch;
   for (auto _ : state) {
     cluster::OpsOwnership ownership(topo.ops_count());
     for (const auto& group : groups) {
       if (group.empty()) continue;
-      benchmark::DoNotOptimize(builder.build(topo, group, ownership, util::ClusterId::invalid()));
+      benchmark::DoNotOptimize(
+          builder.build(topo, group, ownership, util::ClusterId::invalid(), scratch));
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -58,6 +58,7 @@ void print_paper_instance() {
             << "4 OPSs. Paper's walk-through: select ToR 1 (covers 4 VMs), skip ToR 2 (already\n"
             << "covered), select ToR 3; then pick the OPSs for the selected ToRs.\n\n";
   Fig4Instance fig;
+  cluster::AlBuildScratch scratch;
   core::TextTable table({"builder", "selected ToRs", "AL (OPS ids)", "AL size", "connected"});
   for (const auto algorithm :
        {core::AlAlgorithm::kVertexCover, core::AlAlgorithm::kRandom,
@@ -65,7 +66,8 @@ void print_paper_instance() {
     const auto builder = core::DataCenter::make_al_builder(algorithm, 3,
                                                            /*ensure_connectivity=*/false);
     cluster::OpsOwnership ownership(fig.topo.ops_count());
-    const auto result = builder->build(fig.topo, fig.group, ownership, util::ClusterId::invalid());
+    const auto result =
+        builder->build(fig.topo, fig.group, ownership, util::ClusterId::invalid(), scratch);
     if (!result) {
       table.add_row_values(builder->name(), "-", result.error().to_string(), "-", "-");
       continue;
@@ -92,6 +94,7 @@ void print_sweep() {
   std::cout << "=== FIG4(b): AL size sweep — builder quality across DC scale ===\n\n";
   core::TextTable table({"racks", "OPSs", "dual-homing", "vertex-cover", "random",
                          "greedy-set-cover", "exact", "vc/exact ratio"});
+  cluster::AlBuildScratch scratch;
   for (const std::size_t racks : {6u, 12u, 24u}) {
     for (const double homing : {0.0, 0.4}) {
       topology::TopologyParams params;
@@ -117,7 +120,7 @@ void print_sweep() {
               algorithm, 100 + static_cast<std::uint64_t>(r), /*ensure_connectivity=*/false);
           cluster::OpsOwnership ownership(topo.ops_count());
           const auto result =
-              builder->build(topo, groups[0], ownership, util::ClusterId::invalid());
+              builder->build(topo, groups[0], ownership, util::ClusterId::invalid(), scratch);
           total += result ? static_cast<double>(result->layer.opss.size()) : 0.0;
         }
         sizes.push_back(total / repeats);
@@ -139,6 +142,7 @@ void print_augmentation_cost() {
             << "(extra OPSs recruited so the AL + its ToRs form a connected subgraph)\n\n";
   core::TextTable table({"racks", "core", "2-stage AL size", "augmented AL size",
                          "extra OPSs", "connected"});
+  cluster::AlBuildScratch scratch;
   for (const std::size_t racks : {6u, 12u, 24u}) {
     for (const auto core : {topology::CoreKind::kRing, topology::CoreKind::kTorus2D,
                             topology::CoreKind::kFullMesh}) {
@@ -154,10 +158,12 @@ void print_augmentation_cost() {
       cluster::OpsOwnership bare_own(topo.ops_count());
       const cluster::VertexCoverAlBuilder bare{
           cluster::AlBuilderOptions{.ensure_connectivity = false}};
-      const auto without = bare.build(topo, groups[0], bare_own, util::ClusterId::invalid());
+      const auto without =
+          bare.build(topo, groups[0], bare_own, util::ClusterId::invalid(), scratch);
       cluster::OpsOwnership aug_own(topo.ops_count());
       const cluster::VertexCoverAlBuilder augmented;
-      const auto with = augmented.build(topo, groups[0], aug_own, util::ClusterId::invalid());
+      const auto with =
+          augmented.build(topo, groups[0], aug_own, util::ClusterId::invalid(), scratch);
       if (!without || !with) {
         table.add_row_values(racks, topology::to_string(core), "failed", "-", "-", "-");
         continue;
@@ -189,9 +195,11 @@ template <typename Builder>
 void run_builder_bench(benchmark::State& state, const Builder& builder) {
   const auto topo = bench_topo(static_cast<std::size_t>(state.range(0)));
   const auto groups = cluster::group_vms_by_service(topo);
+  cluster::AlBuildScratch scratch;
   for (auto _ : state) {
     cluster::OpsOwnership ownership(topo.ops_count());
-    benchmark::DoNotOptimize(builder.build(topo, groups[0], ownership, util::ClusterId::invalid()));
+    benchmark::DoNotOptimize(
+        builder.build(topo, groups[0], ownership, util::ClusterId::invalid(), scratch));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(groups[0].size()));

@@ -11,7 +11,10 @@
 // (1 = the inline control plane). Mid scale (400 clusters / 400 chains) always runs;
 // the million-VM shape (12,500 racks, 100k clusters, 100k chains) is
 // registered only under ALVC_BENCH_SCALE=full because its one-off build
-// dominates a default bench run.
+// dominates a default bench run. BM_OpsCycleVsFabric runs the same OPS
+// cycle on fabrics of 400 to 100k groups (one VM per server, so the
+// largest stays small in memory): a cycle touches one cluster, so its
+// cost must not grow with the fabric, and the 100k/400 ratio is gated.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -91,14 +94,32 @@ util::OpsId owned_ops(const core::DataCenter& dc) {
   return dc.clusters().clusters().front()->layer.opss.front();
 }
 
-void ops_cycle_bench(benchmark::State& state, core::DataCenter& dc) {
-  configure_sharding(dc, state.range(0));
+/// The fabric-size sweep's shape at `groups` groups. Only the size being
+/// measured is kept alive.
+core::DataCenter& sized_dc(std::size_t groups) {
+  static std::unique_ptr<core::DataCenter> dc;
+  static std::size_t built_groups = 0;
+  if (built_groups != groups) {
+    dc.reset();
+    dc = make_scale_dc(
+        ScaleShape{.racks = groups / 4, .servers_per_rack = 4, .vms_per_server = 1});
+    built_groups = groups;
+  }
+  return *dc;
+}
+
+void ops_cycle(benchmark::State& state, core::DataCenter& dc) {
   const util::OpsId victim = owned_ops(dc);
   for (auto _ : state) {
     benchmark::DoNotOptimize(dc.orchestrator().handle_ops_failure(victim));
     benchmark::DoNotOptimize(dc.orchestrator().handle_ops_recovery(victim));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
+}
+
+void ops_cycle_bench(benchmark::State& state, core::DataCenter& dc) {
+  configure_sharding(dc, state.range(0));
+  ops_cycle(state, dc);
 }
 
 void BM_MidScaleOpsCycle(benchmark::State& state) { ops_cycle_bench(state, mid_dc()); }
@@ -116,6 +137,12 @@ void BM_MidScaleTorCycle(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }
 BENCHMARK(BM_MidScaleTorCycle)->Arg(8)->Unit(benchmark::kMicrosecond);
+
+void BM_OpsCycleVsFabric(benchmark::State& state) {
+  ops_cycle(state, sized_dc(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_OpsCycleVsFabric)->Arg(400)->Arg(4000)->Arg(40000)->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MillionVmOpsCycle(benchmark::State& state) {
   ops_cycle_bench(state, million_vm_dc());

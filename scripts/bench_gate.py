@@ -7,8 +7,9 @@ Compares the fresh run's after_cpu_time_us per (bench, name) row against
 the baseline's. Without an explicit baseline the newest committed
 BENCH_PR<N>.json in the current directory (the repo root in CI) is used,
 newest meaning the largest N as a number (BENCH_PR10 is newer than
-BENCH_PR9); with no committed trajectory at all the gate passes
-vacuously so the first PR that introduces benchmarks can land.
+BENCH_PR9); with no committed trajectory at all the row comparison is
+skipped and the gate passes vacuously (ratio gates aside) so the first PR
+that introduces benchmarks can land.
 
 A row is a regression when fresh > baseline * (1 + tolerance). The
 tolerance defaults to 0.25 and can be widened for a noisy host via
@@ -16,6 +17,13 @@ ALVC_BENCH_TOLERANCE (a fraction, e.g. ALVC_BENCH_TOLERANCE=0.60).
 Rows present on only one side are reported but never fatal: new
 benchmarks must not need a baseline edit to land, and retired ones must
 not wedge the gate.
+
+Ratio gates bound one row against another within the fresh run alone, so
+host speed cancels out: BM_OpsCycleVsFabric/100000 (an OPS fail/recover
+cycle on a 100k-group fabric) may cost at most FABRIC_RATIO_BOUND times
+BM_OpsCycleVsFabric/400. A cycle touches one cluster, so its cost must not
+grow with the fabric. A ratio gate whose rows are missing is reported and
+skipped.
 
 Exit codes: 0 clean, 1 regression, 2 usage or malformed input.
 """
@@ -27,6 +35,13 @@ import re
 import sys
 
 _TRAJECTORY_NAME = re.compile(r"BENCH_PR(\d+)\.json")
+
+# The 100k/400 cpu-time ratio read 0.7-1.4 with owner-held traversal
+# scratch and 44-60 before it, when per-call whole-fabric scratch made the
+# cycle O(fabric) (4 runs against 3, interleaved, on a 4-vCPU host).
+FABRIC_RATIO_BOUND = 3.0
+RATIO_GATES = [("bench_sharded_control_plane", "BM_OpsCycleVsFabric/100000",
+                "BM_OpsCycleVsFabric/400", FABRIC_RATIO_BOUND)]
 
 
 def newest_committed_baseline(directory="."):
@@ -62,18 +77,28 @@ def load(path):
             if row.get("after_cpu_time_us") is not None}
 
 
+def ratio_violations(fresh):
+    """Checks RATIO_GATES on one run's rows; returns the violated gates."""
+    violations = []
+    for bench, top, bottom, bound in RATIO_GATES:
+        num, den = fresh.get((bench, top)), fresh.get((bench, bottom))
+        if num is None or den is None or den <= 0:
+            print(f"  [skip] {bench}/{top} over {bottom}: rows missing")
+            continue
+        ratio = num / den
+        verdict = "ok" if ratio <= bound else "REGRESSED"
+        print(f"  [{verdict}] {bench}/{top} over {bottom}: "
+              f"{ratio:.2f}x (bound {bound:.2f}x)")
+        if verdict == "REGRESSED":
+            violations.append((bench, top, ratio))
+    return violations
+
+
 def main(argv):
     if len(argv) < 2 or len(argv) > 3:
         fail_usage("usage: bench_gate.py <fresh.json> [<baseline.json>]")
     fresh_path = argv[1]
-    if len(argv) == 3:
-        baseline_path = argv[2]
-    else:
-        baseline_path = newest_committed_baseline()
-        if baseline_path is None:
-            print("bench_gate: no committed BENCH_PR*.json baseline; "
-                  "gate passes vacuously")
-            return 0
+    baseline_path = argv[2] if len(argv) == 3 else newest_committed_baseline()
 
     try:
         tolerance = float(os.environ.get("ALVC_BENCH_TOLERANCE", "0.25"))
@@ -83,35 +108,46 @@ def main(argv):
         fail_usage("ALVC_BENCH_TOLERANCE must be >= 0")
 
     fresh = load(fresh_path)
-    baseline = load(baseline_path)
-    print(f"bench_gate: {fresh_path} vs {baseline_path} "
-          f"(tolerance {tolerance:.0%})")
-
     regressions = []
-    for key in sorted(baseline):
-        bench, name = key
-        if key not in fresh:
-            print(f"  [gone] {bench}/{name}: not in the fresh run")
-            continue
-        before, after = baseline[key], fresh[key]
-        if before <= 0:
-            print(f"  [skip] {bench}/{name}: non-positive baseline {before}")
-            continue
-        ratio = after / before
-        verdict = "ok" if ratio <= 1 + tolerance else "REGRESSED"
-        print(f"  [{verdict}] {bench}/{name}: "
-              f"{before:.1f}us -> {after:.1f}us ({ratio:.2f}x)")
-        if verdict == "REGRESSED":
-            regressions.append((bench, name, ratio))
-    for bench, name in sorted(set(fresh) - set(baseline)):
-        print(f"  [new] {bench}/{name}: {fresh[(bench, name)]:.1f}us, no baseline")
+    if baseline_path is None:
+        print("bench_gate: no committed BENCH_PR*.json baseline; "
+              "row comparison skipped")
+    else:
+        baseline = load(baseline_path)
+        print(f"bench_gate: {fresh_path} vs {baseline_path} "
+              f"(tolerance {tolerance:.0%})")
+        for key in sorted(baseline):
+            bench, name = key
+            if key not in fresh:
+                print(f"  [gone] {bench}/{name}: not in the fresh run")
+                continue
+            before, after = baseline[key], fresh[key]
+            if before <= 0:
+                print(f"  [skip] {bench}/{name}: non-positive baseline {before}")
+                continue
+            ratio = after / before
+            verdict = "ok" if ratio <= 1 + tolerance else "REGRESSED"
+            print(f"  [{verdict}] {bench}/{name}: "
+                  f"{before:.1f}us -> {after:.1f}us ({ratio:.2f}x)")
+            if verdict == "REGRESSED":
+                regressions.append((bench, name, ratio))
+        for bench, name in sorted(set(fresh) - set(baseline)):
+            print(f"  [new] {bench}/{name}: {fresh[(bench, name)]:.1f}us, no baseline")
 
+    ratio_failures = ratio_violations(fresh)
     if regressions:
         print(f"bench_gate: {len(regressions)} benchmark(s) regressed beyond "
               f"{tolerance:.0%}; widen with ALVC_BENCH_TOLERANCE if the host "
               f"is noisy", file=sys.stderr)
+    if ratio_failures:
+        print(f"bench_gate: {len(ratio_failures)} ratio gate(s) exceeded; a row "
+              f"meant to be independent of fabric size grew with it", file=sys.stderr)
+    if regressions or ratio_failures:
         return 1
-    print("bench_gate: no regressions")
+    if baseline_path is None:
+        print("bench_gate: no ratio gate exceeded; gate passes vacuously")
+    else:
+        print("bench_gate: no regressions")
     return 0
 
 

@@ -276,7 +276,9 @@ leg_scale_soak() {
 
 # emit_bench_json <out.json> — runs the tracked benchmarks
 # (bench_route_cache, bench_fig4_al_construction, the mid-scale
-# bench_sharded_control_plane 1/2/4/8-shard cycles, the
+# bench_sharded_control_plane 1/2/4/8-shard cycles and its
+# BM_OpsCycleVsFabric sweep over 400/4k/40k/100k groups, whose 100k/400
+# ratio bench_gate.py bounds, the
 # bench_overload_downgrade rebalance rows, the bench_elastic_scaling
 # tick rows at two history lengths, the bench_fig2_topology switch-graph
 # link-flip rows and the bench_failure_recovery fault_storm link cycles,

@@ -29,32 +29,51 @@ std::vector<TorId> tors_of_group(const DataCenterTopology& topo, std::span<const
   return {tors.begin(), tors.end()};
 }
 
+/// Vertices of the switch graph (ToRs, then OPSs): the key space of the
+/// scratch's stamped maps. Read from the element counts, so a build never
+/// forces the lazy switch graph just to size a map.
+std::size_t switch_vertex_space(const DataCenterTopology& topo) {
+  return topo.tor_count() + topo.ops_count();
+}
+
+/// Numbers the distinct vertices in `scratch.vertices` 0, 1, ... in
+/// ascending vertex order (= ascending id within one element kind) and
+/// maps each to its number in `scratch.index`: the bipartite right side of
+/// a cover stage, so the greedy cover's lowest-index tie-break follows ids.
+void number_candidates(AlBuildScratch& scratch) {
+  std::sort(scratch.vertices.begin(), scratch.vertices.end());
+  for (std::size_t i = 0; i < scratch.vertices.size(); ++i) {
+    scratch.index.put(scratch.vertices[i], i);
+  }
+}
+
 /// Stage 1 (paper): minimum ToR set covering all VMs of the group.
 std::vector<TorId> select_tors(const DataCenterTopology& topo, std::span<const VmId> group,
-                               bool exact, std::size_t node_budget) {
+                               bool exact, std::size_t node_budget,
+                               AlBuildScratch& scratch) {
   ALVC_SPAN(span, "al_builder.select_tors");
   // Left = the group's VMs, right = only the live ToRs those VMs connect
-  // to, dense re-indexed in ascending id order so the greedy cover's
-  // lowest-index tie-break is untouched (a failed ToR covered nobody
+  // to, dense re-indexed in ascending id order (a failed ToR covered nobody
   // before, so dropping it entirely is equivalent). vm_tor_graph sizes the
   // right side to every ToR in the DC, which made each build O(#ToRs) and
-  // a 100k-cluster batch build quadratic.
-  std::vector<TorId::value_type> candidates;
+  // a 100k-cluster batch build quadratic. The stamped map dedups the
+  // candidates and answers each edge's dense index with one array load.
+  std::vector<std::size_t>& candidates = scratch.vertices;
+  candidates.clear();
+  scratch.index.reset(switch_vertex_space(topo));
   for (const VmId vm : group) {
     topo.for_each_tor_of_vm(vm, [&](TorId t) {
-      if (topo.tor_usable(t)) candidates.push_back(t.value());
+      const std::size_t v = topo.tor_vertex(t);
+      if (scratch.index.contains(v) || !topo.tor_usable(t)) return;
+      scratch.index.put(v, 0);
+      candidates.push_back(v);
     });
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-  const auto dense_index = [&](TorId t) {
-    return static_cast<std::size_t>(
-        std::lower_bound(candidates.begin(), candidates.end(), t.value()) - candidates.begin());
-  };
+  number_candidates(scratch);
   BipartiteGraph g(group.size(), candidates.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
     topo.for_each_tor_of_vm(group[i], [&](TorId t) {
-      if (topo.tor_usable(t)) g.add_edge(i, dense_index(t));
+      if (topo.tor_usable(t)) g.add_edge(i, scratch.index.get(topo.tor_vertex(t)));
     });
   }
   std::vector<std::size_t> chosen;
@@ -69,7 +88,7 @@ std::vector<TorId> select_tors(const DataCenterTopology& topo, std::span<const V
   }
   std::vector<TorId> tors;
   tors.reserve(chosen.size());
-  for (std::size_t t : chosen) tors.push_back(TorId{candidates[t]});
+  for (std::size_t t : chosen) tors.push_back(topo.vertex_to_tor(candidates[t]));
   return tors;
 }
 
@@ -78,7 +97,8 @@ std::vector<TorId> select_tors(const DataCenterTopology& topo, std::span<const V
 Expected<std::vector<OpsId>> select_ops(const DataCenterTopology& topo,
                                         std::span<const TorId> tors,
                                         const OpsOwnership& ownership, ClusterId self,
-                                        bool exact, std::size_t node_budget) {
+                                        bool exact, std::size_t node_budget,
+                                        AlBuildScratch& scratch) {
   ALVC_SPAN(span, "al_builder.select_ops");
   // Left = selected ToRs (dense re-index), right = the OPSs on those ToRs'
   // uplink windows (dense re-index in ascending id order, so the greedy
@@ -86,23 +106,24 @@ Expected<std::vector<OpsId>> select_ops(const DataCenterTopology& topo,
   // for `self`, so ownership exclusivity is respected by construction.
   // Sizing the right side to the whole pool made every build O(pool), which
   // turned a 100k-cluster batch build quadratic.
-  std::vector<OpsId::value_type> candidates;
+  std::vector<std::size_t>& candidates = scratch.vertices;
+  candidates.clear();
+  scratch.index.reset(switch_vertex_space(topo));
   for (const TorId tor : tors) {
-    for (OpsId ops : topo.tor(tor).uplinks) candidates.push_back(ops.value());
+    for (OpsId ops : topo.tor(tor).uplinks) {
+      const std::size_t v = topo.ops_vertex(ops);
+      if (scratch.index.contains(v)) continue;
+      scratch.index.put(v, 0);
+      candidates.push_back(v);
+    }
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-  const auto dense_index = [&](OpsId ops) {
-    return static_cast<std::size_t>(
-        std::lower_bound(candidates.begin(), candidates.end(), ops.value()) -
-        candidates.begin());
-  };
+  number_candidates(scratch);
   BipartiteGraph g(tors.size(), candidates.size());
   for (std::size_t i = 0; i < tors.size(); ++i) {
     bool any = false;
     for (OpsId ops : topo.tor(tors[i]).uplinks) {
       if (ownership.is_free_for(ops, self) && topo.link_usable(tors[i], ops)) {
-        g.add_edge(i, dense_index(ops));
+        g.add_edge(i, scratch.index.get(topo.ops_vertex(ops)));
         any = true;
       }
     }
@@ -123,7 +144,7 @@ Expected<std::vector<OpsId>> select_ops(const DataCenterTopology& topo,
   }
   std::vector<OpsId> opss;
   opss.reserve(chosen.size());
-  for (std::size_t o : chosen) opss.push_back(OpsId{candidates[o]});
+  for (std::size_t o : chosen) opss.push_back(topo.vertex_to_ops(candidates[o]));
   return opss;
 }
 
@@ -131,7 +152,8 @@ Expected<std::vector<OpsId>> select_ops(const DataCenterTopology& topo,
 
 std::size_t augment_layer_connectivity(const DataCenterTopology& topo,
                                        const OpsOwnership& ownership, ClusterId self,
-                                       AbstractionLayer& layer, bool& connected) {
+                                       AbstractionLayer& layer, bool& connected,
+                                       AlBuildScratch& scratch) {
   ALVC_SPAN(span, "al_builder.augment_connectivity");
   const auto& g = topo.switch_graph();
   const alvc::graph::CsrView csr = g.csr();
@@ -143,7 +165,7 @@ std::size_t augment_layer_connectivity(const DataCenterTopology& topo,
   // ever adds vertices the snapshot did NOT contain (pred-chain vertices
   // are distinct), so the snapshot is observationally identical to the old
   // live contains_ops/contains_tor queries.
-  alvc::graph::VertexSet layer_set;
+  alvc::graph::VertexSet& layer_set = scratch.members;
   const auto traversable = [&](std::size_t v) {
     if (layer_set.contains(v)) return true;
     // May recruit working optical switches free for `self` only; foreign
@@ -155,9 +177,9 @@ std::size_t augment_layer_connectivity(const DataCenterTopology& topo,
   };
 
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  alvc::graph::VertexIndexMap component;
-  std::vector<std::size_t> members;
-  std::vector<std::size_t> frontier;
+  alvc::graph::VertexIndexMap& component = scratch.index;
+  std::vector<std::size_t>& members = scratch.vertices;
+  std::vector<std::size_t>& frontier = scratch.frontier;
   for (;;) {
     // Label the layer's vertices by connected component (within the layer).
     members.clear();
@@ -194,36 +216,36 @@ std::size_t augment_layer_connectivity(const DataCenterTopology& topo,
     // Multi-source BFS from component 0 through traversable vertices to the
     // nearest vertex of any other component; recruit the free OPSs on the
     // path.
-    alvc::graph::TraversalScratch& scratch = alvc::graph::thread_scratch();
-    scratch.begin(g.vertex_count());
+    alvc::graph::TraversalScratch& bfs = alvc::graph::thread_scratch();
+    bfs.begin(g.vertex_count());
     for (std::size_t v : members) {
       if (component.get(v) == 0) {
-        scratch.mark(v);
-        scratch.predecessor[v] = kNone;
-        scratch.frontier.push_back(v);
+        bfs.mark(v);
+        bfs.predecessor[v] = kNone;
+        bfs.frontier.push_back(v);
       }
     }
     std::size_t meet = kNone;
-    for (std::size_t head = 0; head < scratch.frontier.size() && meet == kNone; ++head) {
-      const std::size_t v = scratch.frontier[head];
+    for (std::size_t head = 0; head < bfs.frontier.size() && meet == kNone; ++head) {
+      const std::size_t v = bfs.frontier[head];
       for (const auto& nb : csr.neighbors(v)) {
-        if (scratch.seen(nb.vertex) || !traversable(nb.vertex)) continue;
-        scratch.mark(nb.vertex);
-        scratch.predecessor[nb.vertex] = v;
+        if (bfs.seen(nb.vertex) || !traversable(nb.vertex)) continue;
+        bfs.mark(nb.vertex);
+        bfs.predecessor[nb.vertex] = v;
         const std::size_t label = component.get(nb.vertex);
         if (label != alvc::graph::kScratchNoVertex && label != 0) {
           meet = nb.vertex;
           break;
         }
-        scratch.frontier.push_back(nb.vertex);
+        bfs.frontier.push_back(nb.vertex);
       }
     }
     if (meet == kNone) {
       connected = false;  // other components unreachable through free OPSs
       return added;
     }
-    for (std::size_t v = scratch.predecessor[meet]; v != kNone && !layer_set.contains(v);
-         v = scratch.predecessor[v]) {
+    for (std::size_t v = bfs.predecessor[meet]; v != kNone && !layer_set.contains(v);
+         v = bfs.predecessor[v]) {
       layer.opss.push_back(topo.vertex_to_ops(v));
       ++added;
     }
@@ -235,15 +257,15 @@ namespace {
 
 Expected<AlBuildResult> finish(const DataCenterTopology& topo, const OpsOwnership& ownership,
                                ClusterId self, AbstractionLayer layer,
-                               const AlBuilderOptions& options) {
+                               const AlBuilderOptions& options, AlBuildScratch& scratch) {
   std::sort(layer.tors.begin(), layer.tors.end());
   std::sort(layer.opss.begin(), layer.opss.end());
   AlBuildResult result{.layer = std::move(layer)};
   if (options.ensure_connectivity) {
     result.augmented_ops =
-        augment_layer_connectivity(topo, ownership, self, result.layer, result.connected);
+        augment_layer_connectivity(topo, ownership, self, result.layer, result.connected, scratch);
   } else {
-    result.connected = cluster_subgraph_connected(topo, result.layer);
+    result.connected = cluster_subgraph_connected(topo, result.layer, scratch);
   }
   ALVC_COUNT("al_builder.builds");
   ALVC_OBSERVE("al_builder.layer_tors", 0, 64, 32, result.layer.tors.size());
@@ -256,8 +278,9 @@ Expected<AlBuildResult> finish(const DataCenterTopology& topo, const OpsOwnershi
 /// footprint: the result is local unless stage 3 searched beyond the AL.
 Expected<AlBuildResult> finish_cover(const DataCenterTopology& topo,
                                      const OpsOwnership& ownership, ClusterId self,
-                                     AbstractionLayer layer, const AlBuilderOptions& options) {
-  auto result = finish(topo, ownership, self, std::move(layer), options);
+                                     AbstractionLayer layer, const AlBuilderOptions& options,
+                                     AlBuildScratch& scratch) {
+  auto result = finish(topo, ownership, self, std::move(layer), options, scratch);
   if (result) result->reads_local = result->connected && result->augmented_ops == 0;
   return result;
 }
@@ -271,21 +294,21 @@ AlBuilder::AlBuilder() noexcept {
 
 Expected<AlBuildResult> VertexCoverAlBuilder::build(const DataCenterTopology& topo,
                                                     std::span<const VmId> group,
-                                                    const OpsOwnership& ownership,
-                                                    ClusterId self) const {
+                                                    const OpsOwnership& ownership, ClusterId self,
+                                                    AlBuildScratch& scratch) const {
   if (group.empty()) return Error{ErrorCode::kInvalidArgument, "empty VM group"};
   AbstractionLayer layer;
-  layer.tors = select_tors(topo, group, /*exact=*/false, 0);
-  auto opss = select_ops(topo, layer.tors, ownership, self, /*exact=*/false, 0);
+  layer.tors = select_tors(topo, group, /*exact=*/false, 0, scratch);
+  auto opss = select_ops(topo, layer.tors, ownership, self, /*exact=*/false, 0, scratch);
   if (!opss) return opss.error();
   layer.opss = std::move(*opss);
-  return finish_cover(topo, ownership, self, std::move(layer), options_);
+  return finish_cover(topo, ownership, self, std::move(layer), options_, scratch);
 }
 
 Expected<AlBuildResult> RandomAlBuilder::build(const DataCenterTopology& topo,
                                                std::span<const VmId> group,
-                                               const OpsOwnership& ownership,
-                                               ClusterId self) const {
+                                               const OpsOwnership& ownership, ClusterId self,
+                                               AlBuildScratch& scratch) const {
   if (group.empty()) return Error{ErrorCode::kInvalidArgument, "empty VM group"};
   // Seed varies with the group's first VM so different clusters draw
   // different streams while staying reproducible.
@@ -329,13 +352,14 @@ Expected<AlBuildResult> RandomAlBuilder::build(const DataCenterTopology& topo,
     return Error{ErrorCode::kInfeasible, "random AL: some group ToR has no free OPS uplink"};
   }
   layer.opss.assign(picked.begin(), picked.end());
-  return finish(topo, ownership, self, std::move(layer), options_);
+  return finish(topo, ownership, self, std::move(layer), options_, scratch);
 }
 
 Expected<AlBuildResult> GreedySetCoverAlBuilder::build(const DataCenterTopology& topo,
                                                        std::span<const VmId> group,
                                                        const OpsOwnership& ownership,
-                                                       ClusterId self) const {
+                                                       ClusterId self,
+                                                       AlBuildScratch& scratch) const {
   if (group.empty()) return Error{ErrorCode::kInvalidArgument, "empty VM group"};
   AbstractionLayer layer;
   layer.tors = tors_of_group(topo, group);  // cover ALL group ToRs
@@ -364,19 +388,19 @@ Expected<AlBuildResult> GreedySetCoverAlBuilder::build(const DataCenterTopology&
     return Error{ErrorCode::kInfeasible, "set-cover AL: some group ToR has no free OPS uplink"};
   }
   for (std::size_t i : *chosen) layer.opss.push_back(set_ops[i]);
-  return finish(topo, ownership, self, std::move(layer), options_);
+  return finish(topo, ownership, self, std::move(layer), options_, scratch);
 }
 
 Expected<AlBuildResult> ResilientAlBuilder::build(const DataCenterTopology& topo,
                                                   std::span<const VmId> group,
-                                                  const OpsOwnership& ownership,
-                                                  ClusterId self) const {
+                                                  const OpsOwnership& ownership, ClusterId self,
+                                                  AlBuildScratch& scratch) const {
   // Start from the paper's construction (connectivity forced on — a
   // disconnected AL cannot become 2-connected by adding vertices it is not
   // even attached to in our greedy scheme).
   AlBuilderOptions base_options = options_;
   base_options.ensure_connectivity = true;
-  auto result = VertexCoverAlBuilder{base_options}.build(topo, group, ownership, self);
+  auto result = VertexCoverAlBuilder{base_options}.build(topo, group, ownership, self, scratch);
   if (!result) return result;
   result->reads_local = false;  // the hardening below reads the AL's whole neighbourhood
   if (!result->connected) return result;  // can't harden a split layer
@@ -403,14 +427,14 @@ Expected<AlBuildResult> ResilientAlBuilder::build(const DataCenterTopology& topo
   // Greedy: add the candidate that removes the most critical OPSs; stop at
   // zero exposure or when nothing helps.
   for (;;) {
-    const auto critical = critical_ops(topo, result->layer);
+    const auto critical = critical_ops(topo, result->layer, scratch);
     if (critical.empty()) break;
     OpsId best = OpsId::invalid();
     std::size_t best_remaining = critical.size();
     for (OpsId candidate : adjacent_free_ops(result->layer)) {
       AbstractionLayer trial = result->layer;
       trial.opss.push_back(candidate);
-      const std::size_t remaining = critical_ops(topo, trial).size();
+      const std::size_t remaining = critical_ops(topo, trial, scratch).size();
       if (remaining < best_remaining) {
         best_remaining = remaining;
         best = candidate;
@@ -426,48 +450,55 @@ Expected<AlBuildResult> ResilientAlBuilder::build(const DataCenterTopology& topo
 
 Expected<AlBuildResult> ExactAlBuilder::build(const DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership, ClusterId self) const {
+                                              const OpsOwnership& ownership, ClusterId self,
+                                              AlBuildScratch& scratch) const {
   if (group.empty()) return Error{ErrorCode::kInvalidArgument, "empty VM group"};
   AbstractionLayer layer;
-  layer.tors = select_tors(topo, group, /*exact=*/true, node_budget_);
-  auto opss = select_ops(topo, layer.tors, ownership, self, /*exact=*/true, node_budget_);
+  layer.tors = select_tors(topo, group, /*exact=*/true, node_budget_, scratch);
+  auto opss =
+      select_ops(topo, layer.tors, ownership, self, /*exact=*/true, node_budget_, scratch);
   if (!opss) return opss.error();
   layer.opss = std::move(*opss);
-  return finish_cover(topo, ownership, self, std::move(layer), options_);
+  return finish_cover(topo, ownership, self, std::move(layer), options_, scratch);
 }
 
-bool cluster_subgraph_connected(const DataCenterTopology& topo, const AbstractionLayer& layer) {
-  std::vector<std::size_t> members;
+bool cluster_subgraph_connected(const DataCenterTopology& topo, const AbstractionLayer& layer,
+                                AlBuildScratch& scratch) {
+  std::vector<std::size_t>& members = scratch.vertices;
+  members.clear();
   for (TorId t : layer.tors) members.push_back(topo.tor_vertex(t));
   for (OpsId o : layer.opss) members.push_back(topo.ops_vertex(o));
   if (members.size() <= 1) return true;
   const auto& g = topo.switch_graph();
   const alvc::graph::CsrView csr = g.csr();
-  alvc::graph::VertexSet member_set;
+  alvc::graph::VertexSet& member_set = scratch.members;
   member_set.reset(g.vertex_count());
   for (std::size_t v : members) member_set.insert(v);
-  alvc::graph::TraversalScratch& scratch = alvc::graph::thread_scratch();
-  scratch.begin(g.vertex_count());
-  scratch.mark(members.front());
-  scratch.frontier.push_back(members.front());
+  alvc::graph::TraversalScratch& bfs = alvc::graph::thread_scratch();
+  bfs.begin(g.vertex_count());
+  bfs.mark(members.front());
+  bfs.frontier.push_back(members.front());
   std::size_t reached = 1;
-  for (std::size_t head = 0; head < scratch.frontier.size(); ++head) {
-    const std::size_t v = scratch.frontier[head];
+  for (std::size_t head = 0; head < bfs.frontier.size(); ++head) {
+    const std::size_t v = bfs.frontier[head];
     for (const auto& nb : csr.neighbors(v)) {
-      if (!member_set.contains(nb.vertex) || scratch.seen(nb.vertex)) continue;
-      scratch.mark(nb.vertex);
+      if (!member_set.contains(nb.vertex) || bfs.seen(nb.vertex)) continue;
+      bfs.mark(nb.vertex);
       ++reached;
-      scratch.frontier.push_back(nb.vertex);
+      bfs.frontier.push_back(nb.vertex);
     }
   }
   return reached == member_set.size();
 }
 
-std::vector<OpsId> critical_ops(const DataCenterTopology& topo, const AbstractionLayer& layer) {
-  std::vector<std::size_t> members;
+std::vector<OpsId> critical_ops(const DataCenterTopology& topo, const AbstractionLayer& layer,
+                                AlBuildScratch& scratch) {
+  std::vector<std::size_t>& members = scratch.vertices;
+  members.clear();
   for (TorId t : layer.tors) members.push_back(topo.tor_vertex(t));
   for (OpsId o : layer.opss) members.push_back(topo.ops_vertex(o));
-  const auto cuts = alvc::graph::articulation_points_in_subgraph(topo.switch_graph(), members);
+  const auto cuts =
+      alvc::graph::articulation_points_in_subgraph(topo.switch_graph(), members, scratch.index);
   std::vector<OpsId> out;
   for (std::size_t v : cuts) {
     if (topo.is_ops_vertex(v)) out.push_back(topo.vertex_to_ops(v));

@@ -20,8 +20,10 @@
 #include <memory>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "cluster/abstraction_layer.h"
+#include "graph/scratch.h"
 #include "topology/topology.h"
 #include "util/error.h"
 #include "util/ids.h"
@@ -51,6 +53,20 @@ struct AlBuildResult {
   bool reads_local = false;
 };
 
+/// Owner-held traversal state for AL builds and the cluster free functions
+/// below (graph/scratch.h reuse contract). Every call resets what it uses
+/// in O(1), so an owner that keeps one instance pays for what a call
+/// touches — the group, its footprint, the AL — and never for the whole
+/// switch graph. ClusterManager holds one; tests and benches hold their
+/// own. One call at a time per instance. Holds no result: any instance
+/// gives the same output.
+struct AlBuildScratch {
+  alvc::graph::VertexSet members;       // layer / subgraph membership
+  alvc::graph::VertexIndexMap index;    // component labels, dense re-indexing
+  std::vector<std::size_t> vertices;    // member or candidate vertex list
+  std::vector<std::size_t> frontier;
+};
+
 struct AlBuilderOptions {
   /// Grow the AL until the cluster subgraph is connected (stage 3).
   bool ensure_connectivity = true;
@@ -69,8 +85,8 @@ struct AlBuilderOptions {
 /// Purity contract: build() is const and keeps no mutable per-call state —
 /// RandomAlBuilder, the only stochastic one, derives a fresh local Rng from
 /// its fixed seed and the group — so the result is a pure function of
-/// (topo, group, ownership, self). ClusterManager's rebuild memo relies on
-/// it.
+/// (topo, group, ownership, self). `scratch` is working memory only and
+/// never changes the result. ClusterManager's rebuild memo relies on it.
 class AlBuilder {
  public:
   AlBuilder() noexcept;
@@ -83,7 +99,7 @@ class AlBuilder {
   [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
   [[nodiscard]] virtual Expected<AlBuildResult> build(
       const alvc::topology::DataCenterTopology& topo, std::span<const VmId> group,
-      const OpsOwnership& ownership, ClusterId self) const = 0;
+      const OpsOwnership& ownership, ClusterId self, AlBuildScratch& scratch) const = 0;
 
  private:
   std::uint64_t serial_;
@@ -96,8 +112,8 @@ class VertexCoverAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "vertex-cover"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership,
-                                              ClusterId self) const override;
+                                              const OpsOwnership& ownership, ClusterId self,
+                                              AlBuildScratch& scratch) const override;
 
  private:
   AlBuilderOptions options_;
@@ -112,8 +128,8 @@ class RandomAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "random"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership,
-                                              ClusterId self) const override;
+                                              const OpsOwnership& ownership, ClusterId self,
+                                              AlBuildScratch& scratch) const override;
 
  private:
   std::uint64_t seed_;
@@ -128,8 +144,8 @@ class GreedySetCoverAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "greedy-set-cover"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership,
-                                              ClusterId self) const override;
+                                              const OpsOwnership& ownership, ClusterId self,
+                                              AlBuildScratch& scratch) const override;
 
  private:
   AlBuilderOptions options_;
@@ -146,8 +162,8 @@ class ResilientAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "resilient"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership,
-                                              ClusterId self) const override;
+                                              const OpsOwnership& ownership, ClusterId self,
+                                              AlBuildScratch& scratch) const override;
 
  private:
   AlBuilderOptions options_;
@@ -163,8 +179,8 @@ class ExactAlBuilder final : public AlBuilder {
   [[nodiscard]] std::string_view name() const noexcept override { return "exact"; }
   [[nodiscard]] Expected<AlBuildResult> build(const alvc::topology::DataCenterTopology& topo,
                                               std::span<const VmId> group,
-                                              const OpsOwnership& ownership,
-                                              ClusterId self) const override;
+                                              const OpsOwnership& ownership, ClusterId self,
+                                              AlBuildScratch& scratch) const override;
 
  private:
   AlBuilderOptions options_;
@@ -179,12 +195,14 @@ class ExactAlBuilder final : public AlBuilder {
 /// committing the added OPSs.
 std::size_t augment_layer_connectivity(const alvc::topology::DataCenterTopology& topo,
                                        const OpsOwnership& ownership, ClusterId self,
-                                       AbstractionLayer& layer, bool& connected);
+                                       AbstractionLayer& layer, bool& connected,
+                                       AlBuildScratch& scratch);
 
 /// True when the subgraph of the switch graph induced by layer.tors and
 /// layer.opss is connected (single component containing all of them).
 [[nodiscard]] bool cluster_subgraph_connected(const alvc::topology::DataCenterTopology& topo,
-                                              const AbstractionLayer& layer);
+                                              const AbstractionLayer& layer,
+                                              AlBuildScratch& scratch);
 
 /// Resilience diagnostic: the AL's single points of failure — OPSs whose
 /// loss disconnects the cluster subgraph (articulation points of the
@@ -192,7 +210,8 @@ std::size_t augment_layer_connectivity(const alvc::topology::DataCenterTopology&
 /// for 2-connected ALs; each entry is a switch whose failure forces an AL
 /// repair before traffic can flow again.
 [[nodiscard]] std::vector<alvc::util::OpsId> critical_ops(
-    const alvc::topology::DataCenterTopology& topo, const AbstractionLayer& layer);
+    const alvc::topology::DataCenterTopology& topo, const AbstractionLayer& layer,
+    AlBuildScratch& scratch);
 
 /// True when every VM of `group` sits behind one of `layer.tors` and every
 /// one of those ToRs uplinks to at least one AL OPS — i.e. the AL actually

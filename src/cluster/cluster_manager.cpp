@@ -122,7 +122,7 @@ Expected<ClusterId> ClusterManager::create_cluster(ServiceId service, std::span<
                                                    const AlBuilder& builder) {
   ALVC_SPAN(span, "cluster.create_cluster");
   if (auto status = check_group_free(group); !status.is_ok()) return status.error();
-  auto built = builder.build(*topo_, group, ownership_, ClusterId::invalid());
+  auto built = builder.build(*topo_, group, ownership_, ClusterId::invalid(), scratch_);
   if (!built) return built.error();
   const ClusterId id{next_id_++};
   VirtualCluster vc{.id = id, .service = service, .vms = {group.begin(), group.end()}};
@@ -269,7 +269,7 @@ Expected<UpdateCost> ClusterManager::reoptimize_cluster(ClusterId id, const AlBu
   if (vc->vms.empty()) return UpdateCost{};
 
   // The build may keep any OPS this cluster holds.
-  auto rebuilt = builder.build(*topo_, vc->vms, ownership_, id);
+  auto rebuilt = builder.build(*topo_, vc->vms, ownership_, id, scratch_);
   if (!rebuilt) return rebuilt.error();
   if (rebuilt->layer.opss.size() >= vc->layer.opss.size()) {
     return UpdateCost{};  // no improvement: keep the incumbent AL
@@ -331,7 +331,7 @@ Expected<UpdateCost> ClusterManager::repair_coverage(VirtualCluster& vc) {
       return true;
     });
     if (!pick.valid()) {
-      vc.connected = cluster_subgraph_connected(*topo_, vc.layer);
+      vc.connected = cluster_subgraph_connected(*topo_, vc.layer, scratch_);
       set_degraded(vc, true);
       return Error{ErrorCode::kInfeasible,
                    "AL repair: ToR " + std::to_string(tor.value()) + " has no usable uplink"};
@@ -344,7 +344,7 @@ Expected<UpdateCost> ClusterManager::repair_coverage(VirtualCluster& vc) {
 
   bool connected = false;
   const std::size_t added =
-      augment_layer_connectivity(*topo_, ownership_, vc.id, candidate, connected);
+      augment_layer_connectivity(*topo_, ownership_, vc.id, candidate, connected, scratch_);
   cost.ops_changes += added;
   cost.flow_rules += added;
   if (auto status = set_layer(vc, std::move(candidate), connected); !status.is_ok()) {
@@ -386,12 +386,12 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
   }
 
   // The build may keep any OPS this cluster holds.
-  auto rebuilt = builder.build(*topo_, reachable, ownership_, vc.id);
+  auto rebuilt = builder.build(*topo_, reachable, ownership_, vc.id, scratch_);
   if (!rebuilt) {
     // Keep the incumbent AL (it may still serve part of the group) and mark
     // the cluster degraded so a later recovery retries the rebuild.
     set_degraded(vc, true);
-    vc.connected = cluster_subgraph_connected(*topo_, vc.layer);
+    vc.connected = cluster_subgraph_connected(*topo_, vc.layer, scratch_);
     // The failure itself came from the footprint (AlBuilder's contract);
     // the probe above read the incumbent AL's links.
     remember_rebuild(vc, builder, layer_in_footprint(vc));
@@ -687,7 +687,7 @@ Expected<UpdateCost> ClusterManager::cover_tor(VirtualCluster& vc, TorId tor) {
   // Re-establish connectivity if the growth split the layer.
   bool connected = false;
   const std::size_t added =
-      augment_layer_connectivity(*topo_, ownership_, vc.id, candidate, connected);
+      augment_layer_connectivity(*topo_, ownership_, vc.id, candidate, connected, scratch_);
   cost.ops_changes += added;
   cost.flow_rules += added;
   if (auto status = set_layer(vc, std::move(candidate), connected); !status.is_ok()) {
@@ -720,13 +720,13 @@ UpdateCost ClusterManager::uncover_tor(VirtualCluster& vc, TorId tor) {
       if (still_needed) continue;
       AbstractionLayer trimmed = candidate;
       trimmed.opss.erase(trimmed.opss.begin() + static_cast<std::ptrdiff_t>(i));
-      if (cluster_subgraph_connected(*topo_, trimmed)) {
+      if (cluster_subgraph_connected(*topo_, trimmed, scratch_)) {
         candidate = std::move(trimmed);
         cost.ops_changes += 1;
         cost.flow_rules += 1;
       }
     }
-    connected = cluster_subgraph_connected(*topo_, candidate);
+    connected = cluster_subgraph_connected(*topo_, candidate, scratch_);
   }
   ALVC_IGNORE_STATUS(set_layer(vc, std::move(candidate), connected),
                      "a subset of the AL the cluster holds cannot conflict");

@@ -318,6 +318,10 @@ class ClusterManager {
   std::unordered_map<ClusterId, RebuildMemo> rebuild_memos_;
   /// collect_home_tors's output, reused across calls.
   std::vector<TorId> home_tors_;
+  /// Traversal state every AL build, repair and connectivity check of this
+  /// manager runs on (graph/scratch.h reuse contract), so a repair costs
+  /// O(the cluster's footprint), not O(switch graph).
+  AlBuildScratch scratch_;
   ClusterId::value_type next_id_ = 0;
 
   friend struct alvc::test::RebuildMemoProbe;

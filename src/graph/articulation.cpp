@@ -87,10 +87,10 @@ std::vector<std::size_t> articulation_points(const Graph& g) {
 }
 
 std::vector<std::size_t> articulation_points_in_subgraph(const Graph& g,
-                                                         std::span<const std::size_t> members) {
+                                                         std::span<const std::size_t> members,
+                                                         VertexIndexMap& index) {
   // Dense re-indexing via a stamped map: first occurrence of each member
-  // gets the next dense id, matching the old unordered_map build order.
-  VertexIndexMap index;
+  // gets the next dense id.
   index.reset(g.vertex_count());
   std::vector<std::size_t> reverse;
   for (std::size_t v : members) {
@@ -100,12 +100,18 @@ std::vector<std::size_t> articulation_points_in_subgraph(const Graph& g,
       reverse.push_back(v);
     }
   }
+  // The induced subgraph from the members' live adjacency, each edge once:
+  // an undirected edge from its lower endpoint, a directed one from its
+  // tail. Cut vertices do not depend on edge order, so this equals the
+  // induced subgraph built from g's whole edge list.
   Graph sub(reverse.size());
-  const auto edges = g.edges();
-  for (std::size_t id = 0; id < edges.size(); ++id) {
-    const Edge& e = edges[id];
-    if (index.contains(e.from) && index.contains(e.to) && g.edge_live(id)) {
-      sub.add_edge(index.get(e.from), index.get(e.to));
+  const CsrView csr = g.csr();
+  const bool directed = g.kind() == Graph::Kind::kDirected;
+  for (std::size_t i = 0; i < reverse.size(); ++i) {
+    for (const auto& nb : csr.neighbors(reverse[i])) {
+      if ((directed || reverse[i] <= nb.vertex) && index.contains(nb.vertex)) {
+        sub.add_edge(i, index.get(nb.vertex));
+      }
     }
   }
   const auto cuts = articulation_points(sub);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/scratch.h"
 
 namespace alvc::graph {
 
@@ -20,7 +21,9 @@ namespace alvc::graph {
 
 /// Articulation points of the subgraph `members` (indices into g's vertex
 /// set) induce over g's live edges, reported as vertex ids of g, ascending.
+/// `index` is the caller's re-indexing scratch (graph/scratch.h reuse
+/// contract); the call costs O(members + their degrees), not O(g).
 [[nodiscard]] std::vector<std::size_t> articulation_points_in_subgraph(
-    const Graph& g, std::span<const std::size_t> members);
+    const Graph& g, std::span<const std::size_t> members, VertexIndexMap& index);
 
 }  // namespace alvc::graph

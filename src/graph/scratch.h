@@ -4,23 +4,30 @@
 // predecessor, frontier). Allocating it per call dominates short searches
 // — exactly the slice-restricted legs the orchestrator runs thousands of
 // times per sweep. The types here keep that state in flat arrays that are
-// RESET IN O(1) by bumping a generation stamp instead of clearing, and are
-// reused across calls through a thread_local instance.
+// RESET IN O(1) by bumping a generation stamp instead of clearing.
 //
-// Reuse contract:
-//   * `thread_scratch()` hands out one TraversalScratch per thread; a
-//     caller owns it only between its `begin()` and the end of the
-//     traversal — no nested traversals on the same thread may both hold it.
-//     Algorithms that recurse into other traversals must use a local
-//     scratch instead.
-//   * VertexSet/VertexIndexMap instances embedded in caller-owned scratch
-//     (e.g. the routing layer's slice set) follow the same stamp protocol:
-//     `reset(n)` invalidates all prior contents in O(1) and re-sizes the
+// Reuse contract: the O(1) reset holds only for a REUSED object. A fresh
+// one allocates and zero-fills arrays sized to the whole vertex space on
+// its first reset (112 500 vertices at a million VMs), so scratch is
+// owner-held:
+//   * A long-lived owner keeps one instance and passes it down to the
+//     calls that need it: ClusterManager's cluster::AlBuildScratch,
+//     ChainRouter's and each RouteCache's slice set, AdmissionController's
+//     member set. Tests and benches hold their own. Never declare one as a
+//     function local in src/ — alvc_lint's `scratch-local` rule rejects it.
+//   * One call at a time per instance: a callee may reuse what its caller
+//     handed it only after the caller is done with that part.
+//   * `reset(n)` invalidates all prior contents in O(1) and re-sizes the
 //     backing array only when the vertex space grew.
+//   * `thread_scratch()` (graph.cpp) still hands out one TraversalScratch
+//     per thread for the BFS state itself; a caller holds it only between
+//     its `begin()` and the end of that traversal, so no nested traversals
+//     on one thread may both hold it.
 //   * Stamps are 32-bit; on wrap-around the backing array is cleared once,
 //     so correctness never depends on stamp uniqueness across 2^32 resets.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -43,6 +50,9 @@ class VertexSet {
     }
     size_ = 0;
   }
+
+  /// Empties the set in O(1), keeping its capacity.
+  void clear() { reset(0); }
 
   void insert(std::size_t v) {
     if (stamp_[v] != current_) {
@@ -140,8 +150,9 @@ struct TraversalScratch {
   [[nodiscard]] bool seen(std::size_t v) const noexcept { return seen_stamp[v] == stamp; }
 };
 
-/// The per-thread scratch most traversals share. Owned by the calling
-/// algorithm for the duration of one traversal (see reuse contract above).
+/// The per-thread BFS state traversals share. Held by the calling
+/// algorithm for the duration of one traversal (see the reuse contract
+/// above).
 [[nodiscard]] TraversalScratch& thread_scratch();
 
 }  // namespace alvc::graph

@@ -17,13 +17,13 @@ namespace {
 
 /// True when `egress` is reachable from `ingress` over live switch links
 /// whose both ends are members of `layer` (or the anchors themselves).
+/// `members` is the caller's scratch.
 bool anchors_connected(const alvc::topology::DataCenterTopology& topo,
                        const alvc::cluster::AbstractionLayer& layer, alvc::util::TorId ingress,
-                       alvc::util::TorId egress) {
+                       alvc::util::TorId egress, alvc::graph::VertexSet& members) {
   if (ingress == egress) return true;
   const auto& g = topo.switch_graph();
   const alvc::graph::CsrView csr = g.csr();
-  thread_local alvc::graph::VertexSet members;
   members.reset(g.vertex_count());
   for (alvc::util::TorId t : layer.tors) members.insert(topo.tor_vertex(t));
   for (alvc::util::OpsId o : layer.opss) members.insert(topo.ops_vertex(o));
@@ -49,7 +49,7 @@ bool anchors_connected(const alvc::topology::DataCenterTopology& topo,
 AdmissionDecision AdmissionController::check(const alvc::nfv::NfcSpec& spec,
                                              const alvc::cluster::VirtualCluster& cluster,
                                              const alvc::nfv::HostingPool& pool,
-                                             AllocationPolicy policy) const {
+                                             AllocationPolicy policy) {
   const bool qos = policy != AllocationPolicy::kStrictLadder;
   if (spec.functions.empty()) {
     return {Error{ErrorCode::kRejected, "chain has no functions"},
@@ -89,7 +89,7 @@ AdmissionDecision AdmissionController::check(const alvc::nfv::NfcSpec& spec,
   // tolerance, so a disconnected slice rejects under every policy.
   if (!cluster.layer.tors.empty() && spec.bandwidth_gbps > 1e-9 &&
       !anchors_connected(*topo_, cluster.layer, cluster.layer.tors.front(),
-                         cluster.layer.tors.back())) {
+                         cluster.layer.tors.back(), anchor_members_)) {
     if (needs_downgrade) return rejection;
     return {Error{ErrorCode::kRejected, "requested " + std::to_string(spec.bandwidth_gbps) +
                                             " Gbps exceeds the slice's min-cut capacity of " +

@@ -8,6 +8,7 @@
 #pragma once
 
 #include "cluster/virtual_cluster.h"
+#include "graph/scratch.h"
 #include "nfv/catalog.h"
 #include "nfv/hosting.h"
 #include "nfv/nfc.h"
@@ -54,8 +55,9 @@ class AdmissionController {
       : topo_(&topo), catalog_(&catalog) {}
 
   /// Pure feasibility decision — no counter updates (reads topology/pool
-  /// only). kRejected with a reason when the chain cannot possibly be
-  /// served by the cluster's slice. Under kStrictLadder a full demand that
+  /// only; not const because the slice check runs on the controller's
+  /// reused member set). kRejected with a reason when the chain cannot
+  /// possibly be served by the cluster's slice. Under kStrictLadder a full demand that
   /// fails the bandwidth or min-cut check is rejected; under kWaterFill /
   /// kPriorityDowngrade it is admitted at the largest ladder rung the slice
   /// can carry (kAdmittedDowngraded) — admission under pressure downgrades
@@ -64,7 +66,7 @@ class AdmissionController {
   [[nodiscard]] AdmissionDecision check(const alvc::nfv::NfcSpec& spec,
                                         const alvc::cluster::VirtualCluster& cluster,
                                         const alvc::nfv::HostingPool& pool,
-                                        AllocationPolicy policy) const;
+                                        AllocationPolicy policy);
 
   /// check() + recording the decision in the stats counters; the decision
   /// carries the granted bandwidth the caller must provision at.
@@ -82,6 +84,8 @@ class AdmissionController {
   const alvc::topology::DataCenterTopology* topo_;
   const alvc::nfv::VnfCatalog* catalog_;
   AdmissionStats stats_;
+  /// check()'s slice-membership scratch (graph/scratch.h reuse contract).
+  alvc::graph::VertexSet anchor_members_;
 };
 
 }  // namespace alvc::orchestrator

@@ -99,7 +99,7 @@ bool RouteCache::stops_in_slice(const VirtualCluster& cluster,
 
 Expected<std::vector<std::size_t>> RouteCache::cached_leg(
     const VirtualCluster& cluster, BandwidthTier tier, alvc::nfv::PriorityClass cls,
-    alvc::graph::VertexSet& allowed, std::size_t from, std::size_t to, std::size_t leg_index) {
+    std::size_t from, std::size_t to, std::size_t leg_index) {
   // Trivial legs are cheaper to produce than to look up.
   if (from == to) return std::vector<std::size_t>{from};
   const std::uint64_t epoch = topo_->mutation_epoch();
@@ -143,12 +143,12 @@ Expected<std::vector<std::size_t>> RouteCache::cached_leg(
   }
   ++stats_.misses;
   ALVC_COUNT("orchestrator.route_cache.miss");
-  if (allowed.size() == 0) {
+  if (allowed_.size() == 0) {
     // Built once per route() call, and only when some leg actually misses:
     // a fully cached route never pays the O(slice) set construction.
-    routing_detail::slice_vertices(*topo_, cluster, {}, allowed);
+    routing_detail::slice_vertices(*topo_, cluster, {}, allowed_);
   }
-  auto path = routing_detail::route_leg(*topo_, allowed, from, to, leg_index);
+  auto path = routing_detail::route_leg(*topo_, allowed_, from, to, leg_index);
   // Infeasible legs are not cached: negative results would have to be
   // invalidated on every recovery, and callers treat them as terminal.
   if (!path) return path;
@@ -171,7 +171,7 @@ Expected<std::vector<std::size_t>> RouteCache::cached_leg(
   return path;
 }
 
-Expected<ChainRoute> RouteCache::route(const ChainRouter& router, const VirtualCluster& cluster,
+Expected<ChainRoute> RouteCache::route(ChainRouter& router, const VirtualCluster& cluster,
                                        TorId ingress, TorId egress,
                                        std::span<const HostRef> hosts, BandwidthTier tier,
                                        alvc::nfv::PriorityClass cls) {
@@ -184,14 +184,14 @@ Expected<ChainRoute> RouteCache::route(const ChainRouter& router, const VirtualC
     ALVC_COUNT("orchestrator.route_cache.bypass");
     return router.route(cluster, ingress, egress, hosts);
   }
-  alvc::graph::VertexSet allowed;  // lazily filled by the first miss
+  allowed_.clear();  // filled by the first miss
   return router.route_via(cluster, ingress, egress, hosts,
                           [&](std::size_t from, std::size_t to, std::size_t leg_index) {
-                            return cached_leg(cluster, tier, cls, allowed, from, to, leg_index);
+                            return cached_leg(cluster, tier, cls, from, to, leg_index);
                           });
 }
 
-Expected<ChainRoute> RouteCache::route_graph(const ChainRouter& router,
+Expected<ChainRoute> RouteCache::route_graph(ChainRouter& router,
                                              const VirtualCluster& cluster, TorId ingress,
                                              TorId egress,
                                              const alvc::nfv::ForwardingGraph& graph,
@@ -208,11 +208,10 @@ Expected<ChainRoute> RouteCache::route_graph(const ChainRouter& router,
     ALVC_COUNT("orchestrator.route_cache.bypass");
     return router.route_graph(cluster, ingress, egress, graph, node_hosts);
   }
-  alvc::graph::VertexSet allowed;
+  allowed_.clear();  // filled by the first miss
   return router.route_graph_via(ingress, egress, graph, node_hosts,
                                 [&](std::size_t from, std::size_t to, std::size_t leg_index) {
-                                  return cached_leg(cluster, tier, cls, allowed, from, to,
-                                                    leg_index);
+                                  return cached_leg(cluster, tier, cls, from, to, leg_index);
                                 });
 }
 

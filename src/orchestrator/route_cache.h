@@ -98,13 +98,13 @@ class RouteCache {
   /// leg between the same endpoints never share a cached variant, so a
   /// class-aware leg source can diverge per class without aliasing.
   [[nodiscard]] Expected<ChainRoute> route(
-      const ChainRouter& router, const alvc::cluster::VirtualCluster& cluster, TorId ingress,
+      ChainRouter& router, const alvc::cluster::VirtualCluster& cluster, TorId ingress,
       TorId egress, std::span<const alvc::nfv::HostRef> hosts, BandwidthTier tier,
       alvc::nfv::PriorityClass cls = alvc::nfv::PriorityClass::kHipri);
 
   /// Cached counterpart of `router.route_graph(...)` (same contract).
   [[nodiscard]] Expected<ChainRoute> route_graph(
-      const ChainRouter& router, const alvc::cluster::VirtualCluster& cluster, TorId ingress,
+      ChainRouter& router, const alvc::cluster::VirtualCluster& cluster, TorId ingress,
       TorId egress, const alvc::nfv::ForwardingGraph& graph,
       std::span<const alvc::nfv::HostRef> node_hosts, BandwidthTier tier,
       alvc::nfv::PriorityClass cls = alvc::nfv::PriorityClass::kHipri);
@@ -178,16 +178,20 @@ class RouteCache {
   [[nodiscard]] bool stops_in_slice(const alvc::cluster::VirtualCluster& cluster,
                                     std::span<const std::size_t> stops) const;
   /// The leg source shared by route()/route_graph(): memo first, the
-  /// router's own BFS on miss. `allowed` is built lazily on first miss.
+  /// router's own BFS on miss. allowed_ is filled lazily on the first miss
+  /// of a route.
   [[nodiscard]] Expected<std::vector<std::size_t>> cached_leg(
       const alvc::cluster::VirtualCluster& cluster, BandwidthTier tier,
-      alvc::nfv::PriorityClass cls, alvc::graph::VertexSet& allowed, std::size_t from,
-      std::size_t to, std::size_t leg_index);
+      alvc::nfv::PriorityClass cls, std::size_t from, std::size_t to, std::size_t leg_index);
 
   const alvc::topology::DataCenterTopology* topo_;
   std::unordered_map<ClusterId, Slice> slices_;
   std::size_t leg_count_ = 0;  // legs across all slices
   RouteCacheStats stats_;
+  /// The routed slice's vertex set (graph/scratch.h reuse contract).
+  /// route()/route_graph() empty it on entry, so a route never sees the
+  /// last route's slice, and cached_leg fills it on the route's first miss.
+  alvc::graph::VertexSet allowed_;
 };
 
 }  // namespace alvc::orchestrator

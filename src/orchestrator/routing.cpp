@@ -95,20 +95,19 @@ Expected<ChainRoute> ChainRouter::route_via(
 
 Expected<ChainRoute> ChainRouter::route(const alvc::cluster::VirtualCluster& cluster,
                                         TorId ingress, TorId egress,
-                                        std::span<const HostRef> hosts) const {
+                                        std::span<const HostRef> hosts) {
   const auto stops = chain_stops(ingress, egress, hosts);
-  alvc::graph::VertexSet allowed;
-  slice_vertices(*topo_, cluster, stops, allowed);
+  slice_vertices(*topo_, cluster, stops, allowed_);
   return route_via(cluster, ingress, egress, hosts,
                    [&](std::size_t from, std::size_t to, std::size_t leg_index) {
-                     return route_leg(*topo_, allowed, from, to, leg_index);
+                     return route_leg(*topo_, allowed_, from, to, leg_index);
                    });
 }
 
 Expected<ChainRoute> ChainRouter::route_graph(const alvc::cluster::VirtualCluster& cluster,
                                               TorId ingress, TorId egress,
                                               const alvc::nfv::ForwardingGraph& graph,
-                                              std::span<const HostRef> node_hosts) const {
+                                              std::span<const HostRef> node_hosts) {
   if (node_hosts.size() != graph.node_count()) {
     return Error{ErrorCode::kInvalidArgument, "node_hosts size != graph node count"};
   }
@@ -118,11 +117,10 @@ Expected<ChainRoute> ChainRouter::route_graph(const alvc::cluster::VirtualCluste
   for (const HostRef& host : node_hosts) extras.push_back(attach_vertex(host));
   extras.push_back(topo_->tor_vertex(ingress));
   extras.push_back(topo_->tor_vertex(egress));
-  alvc::graph::VertexSet allowed;
-  slice_vertices(*topo_, cluster, extras, allowed);
+  slice_vertices(*topo_, cluster, extras, allowed_);
   return route_graph_via(ingress, egress, graph, node_hosts,
                          [&](std::size_t from, std::size_t to, std::size_t leg_index) {
-                           return route_leg(*topo_, allowed, from, to, leg_index);
+                           return route_leg(*topo_, allowed_, from, to, leg_index);
                          });
 }
 

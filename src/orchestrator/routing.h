@@ -71,10 +71,11 @@ class ChainRouter {
   explicit ChainRouter(const alvc::topology::DataCenterTopology& topo) : topo_(&topo) {}
 
   /// Routes ingress -> hosts... -> egress inside `cluster`'s slice.
-  /// kInfeasible when a leg cannot be completed inside the slice.
+  /// kInfeasible when a leg cannot be completed inside the slice. Not
+  /// const: the slice set is the router's reused scratch.
   [[nodiscard]] Expected<ChainRoute> route(const alvc::cluster::VirtualCluster& cluster,
                                            TorId ingress, TorId egress,
-                                           std::span<const alvc::nfv::HostRef> hosts) const;
+                                           std::span<const alvc::nfv::HostRef> hosts);
 
   /// route() with the per-leg path computation delegated to `legs`: same
   /// stops, same assembly, same conversion counting. route() itself is this
@@ -92,8 +93,7 @@ class ChainRouter {
   /// edge forces the flow out of the optical domain).
   [[nodiscard]] Expected<ChainRoute> route_graph(
       const alvc::cluster::VirtualCluster& cluster, TorId ingress, TorId egress,
-      const alvc::nfv::ForwardingGraph& graph,
-      std::span<const alvc::nfv::HostRef> node_hosts) const;
+      const alvc::nfv::ForwardingGraph& graph, std::span<const alvc::nfv::HostRef> node_hosts);
 
   /// route_graph() with the per-leg computation delegated to `legs`.
   [[nodiscard]] Expected<ChainRoute> route_graph_via(
@@ -111,6 +111,9 @@ class ChainRouter {
 
  private:
   const alvc::topology::DataCenterTopology* topo_;
+  /// The slice set route()/route_graph() fill per call (graph/scratch.h
+  /// reuse contract): reused, so a route costs O(slice), not O(fabric).
+  alvc::graph::VertexSet allowed_;
 };
 
 }  // namespace alvc::orchestrator

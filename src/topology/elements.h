@@ -82,6 +82,10 @@ struct TorSwitch {
   /// Failure injection: a failed ToR strands its whole rack — it leaves the
   /// switch graph and every AL that contained it must be rebuilt.
   bool failed = false;
+  /// How many of `uplinks` are cut (DataCenterTopology::set_link_failed
+  /// keeps it), so a link probe at an intact ToR skips the failed-link
+  /// hash. Sits in the padding after `failed`: no size change.
+  std::uint32_t failed_uplinks = 0;
 };
 
 /// Optical packet switch in the core. `optoelectronic` marks the special

@@ -196,10 +196,11 @@ alvc::util::Status DataCenterTopology::set_link_failed(TorId tor, OpsId ops, boo
                              "set_link_failed: ToR " + std::to_string(tor.value()) +
                                  " has no link to OPS " + std::to_string(ops.value())};
   }
+  std::uint32_t& cut = tors_[tor.index()].failed_uplinks;
   if (failed) {
-    failed_links_.insert(link_key(tor, ops));
-  } else {
-    failed_links_.erase(link_key(tor, ops));
+    if (failed_links_.insert(link_key(tor, ops)).second) ++cut;
+  } else if (failed_links_.erase(link_key(tor, ops)) != 0) {
+    --cut;
   }
   stamp_footprint(tor);
   refresh_switch_links(tor_vertex(tor));
@@ -283,7 +284,7 @@ alvc::graph::BipartiteGraph DataCenterTopology::tor_ops_graph() const {
   for (const auto& t : tors_) {
     if (t.failed) continue;
     for (OpsId ops : t.uplinks) {
-      if (opss_[ops.index()].failed || link_failed(t.id, ops)) continue;
+      if (opss_[ops.index()].failed || uplink_cut(t, ops)) continue;
       g.add_edge(t.id.index(), ops.index());
     }
   }

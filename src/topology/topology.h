@@ -83,9 +83,10 @@ class DataCenterTopology {
   [[nodiscard]] bool ops_usable(OpsId ops) const { return !this->ops(ops).failed; }
   [[nodiscard]] bool tor_usable(TorId tor) const { return !this->tor(tor).failed; }
   [[nodiscard]] bool server_usable(ServerId server) const { return !this->server(server).failed; }
-  /// Raw link flag (ignores endpoint state).
+  /// Raw link flag (ignores endpoint state). A ToR with no cut uplink
+  /// answers without a hash probe.
   [[nodiscard]] bool link_failed(TorId tor, OpsId ops) const {
-    return failed_links_.contains(link_key(tor, ops));
+    return uplink_cut(this->tor(tor), ops);
   }
   /// True when the ToR-OPS link can carry traffic: both endpoints usable and
   /// the link itself up. Does not check that the link exists.
@@ -101,7 +102,7 @@ class DataCenterTopology {
     const TorSwitch& t = this->tor(tor);
     if (t.failed) return false;
     for (OpsId ops : t.uplinks) {
-      if (opss_[ops.index()].failed || link_failed(tor, ops)) continue;
+      if (opss_[ops.index()].failed || uplink_cut(t, ops)) continue;
       if (pred(ops)) return true;
     }
     return false;
@@ -252,6 +253,10 @@ class DataCenterTopology {
   void stamp_footprint(TorId tor) noexcept { footprint_stamps_[tor.index()] = ++footprint_clock_; }
   [[nodiscard]] static std::uint64_t link_key(TorId tor, OpsId ops) noexcept {
     return (static_cast<std::uint64_t>(tor.value()) << 32) | ops.value();
+  }
+  /// link_failed for a ToR already looked up.
+  [[nodiscard]] bool uplink_cut(const TorSwitch& tor, OpsId ops) const {
+    return tor.failed_uplinks != 0 && failed_links_.contains(link_key(tor.id, ops));
   }
 
   std::vector<Server> servers_;

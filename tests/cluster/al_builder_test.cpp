@@ -59,10 +59,11 @@ struct Fig4 {
 };
 
 TEST(VertexCoverAlBuilderTest, PaperFig4SelectsMinimalTorsAndOps) {
+  AlBuildScratch scratch;
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const VertexCoverAlBuilder builder{AlBuilderOptions{.ensure_connectivity = false}};
-  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
   ASSERT_TRUE(result.has_value()) << result.error().to_string();
   using alvc::util::OpsId;
   using alvc::util::TorId;
@@ -73,28 +74,31 @@ TEST(VertexCoverAlBuilderTest, PaperFig4SelectsMinimalTorsAndOps) {
 }
 
 TEST(VertexCoverAlBuilderTest, PaperFig4ConnectivityAugmentation) {
+  AlBuildScratch scratch;
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const VertexCoverAlBuilder builder;  // ensure_connectivity = true
-  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
   ASSERT_TRUE(result.has_value());
   using alvc::util::OpsId;
   EXPECT_TRUE(result->connected);
   EXPECT_EQ(result->augmented_ops, 1u);
   EXPECT_EQ(result->layer.opss, (std::vector<OpsId>{OpsId{0}, OpsId{1}, OpsId{2}}));
-  EXPECT_TRUE(cluster_subgraph_connected(fig.topo, result->layer));
+  EXPECT_TRUE(cluster_subgraph_connected(fig.topo, result->layer, scratch));
 }
 
 TEST(VertexCoverAlBuilderTest, EmptyGroupRejected) {
+  AlBuildScratch scratch;
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const VertexCoverAlBuilder builder;
-  const auto result = builder.build(fig.topo, {}, ownership, ClusterId::invalid());
+  const auto result = builder.build(fig.topo, {}, ownership, ClusterId::invalid(), scratch);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kInvalidArgument);
 }
 
 TEST(VertexCoverAlBuilderTest, RespectsOwnership) {
+  AlBuildScratch scratch;
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   // Another cluster owns O0 and O2; the builder must avoid them.
@@ -102,7 +106,7 @@ TEST(VertexCoverAlBuilderTest, RespectsOwnership) {
   const std::vector<OpsId> taken{OpsId{0}, OpsId{2}};
   ASSERT_TRUE(ownership.acquire(taken, ClusterId{99}).is_ok());
   const VertexCoverAlBuilder builder{AlBuilderOptions{.ensure_connectivity = false}};
-  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
   ASSERT_TRUE(result.has_value());
   for (OpsId o : result->layer.opss) {
     EXPECT_TRUE(ownership.is_free(o));
@@ -111,6 +115,7 @@ TEST(VertexCoverAlBuilderTest, RespectsOwnership) {
 }
 
 TEST(VertexCoverAlBuilderTest, InfeasibleWhenAllUplinksTaken) {
+  AlBuildScratch scratch;
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   using alvc::util::OpsId;
@@ -118,16 +123,17 @@ TEST(VertexCoverAlBuilderTest, InfeasibleWhenAllUplinksTaken) {
   const std::vector<OpsId> taken{OpsId{0}, OpsId{1}};
   ASSERT_TRUE(ownership.acquire(taken, ClusterId{99}).is_ok());
   const VertexCoverAlBuilder builder;
-  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kInfeasible);
 }
 
 TEST(RandomAlBuilderTest, CoversGroupWithoutTorMinimisation) {
+  AlBuildScratch scratch;
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const RandomAlBuilder builder{/*seed=*/7, AlBuilderOptions{.ensure_connectivity = false}};
-  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
   ASSERT_TRUE(result.has_value());
   // Random baseline keeps every (primary) group ToR: T0 and T2.
   EXPECT_EQ(result->layer.tors.size(), 2u);
@@ -136,22 +142,24 @@ TEST(RandomAlBuilderTest, CoversGroupWithoutTorMinimisation) {
 }
 
 TEST(RandomAlBuilderTest, DeterministicPerSeed) {
+  AlBuildScratch scratch;
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const RandomAlBuilder a{3};
   const RandomAlBuilder b{3};
-  const auto ra = a.build(fig.topo, fig.group, ownership, ClusterId::invalid());
-  const auto rb = b.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto ra = a.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
+  const auto rb = b.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
   ASSERT_TRUE(ra.has_value());
   ASSERT_TRUE(rb.has_value());
   EXPECT_EQ(ra->layer.opss, rb->layer.opss);
 }
 
 TEST(GreedySetCoverAlBuilderTest, CoversAllGroupTors) {
+  AlBuildScratch scratch;
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const GreedySetCoverAlBuilder builder{AlBuilderOptions{.ensure_connectivity = false}};
-  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto result = builder.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(al_covers_group(fig.topo, fig.group, result->layer));
   // All primary group ToRs retained.
@@ -159,13 +167,14 @@ TEST(GreedySetCoverAlBuilderTest, CoversAllGroupTors) {
 }
 
 TEST(ExactAlBuilderTest, NeverWorseThanGreedyOnFig4) {
+  AlBuildScratch scratch;
   Fig4 fig;
   OpsOwnership ownership(fig.topo.ops_count());
   const AlBuilderOptions opts{.ensure_connectivity = false};
   const VertexCoverAlBuilder greedy{opts};
   const ExactAlBuilder exact{opts};
-  const auto rg = greedy.build(fig.topo, fig.group, ownership, ClusterId::invalid());
-  const auto re = exact.build(fig.topo, fig.group, ownership, ClusterId::invalid());
+  const auto rg = greedy.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
+  const auto re = exact.build(fig.topo, fig.group, ownership, ClusterId::invalid(), scratch);
   ASSERT_TRUE(rg.has_value());
   ASSERT_TRUE(re.has_value());
   EXPECT_LE(re->layer.opss.size(), rg->layer.opss.size());
@@ -184,6 +193,7 @@ TEST(AlBuilderNamesTest, Names) {
 TEST(ResilientAlBuilderTest, EliminatesCriticalOpsWhenRedundancyExists) {
   // Two rails between two ToRs (plus ring core): the minimal AL takes one
   // rail (both OPSs critical); the resilient builder adds the second rail.
+  AlBuildScratch scratch;
   alvc::topology::TopologyParams params;
   params.seed = 3;
   params.rack_count = 4;
@@ -195,14 +205,16 @@ TEST(ResilientAlBuilderTest, EliminatesCriticalOpsWhenRedundancyExists) {
   const auto groups = group_vms_by_service(topo);
 
   OpsOwnership base_own(topo.ops_count());
-  const auto base = VertexCoverAlBuilder{}.build(topo, groups[0], base_own, ClusterId::invalid());
+  const auto base =
+      VertexCoverAlBuilder{}.build(topo, groups[0], base_own, ClusterId::invalid(), scratch);
   ASSERT_TRUE(base.has_value());
-  const auto base_critical = critical_ops(topo, base->layer).size();
+  const auto base_critical = critical_ops(topo, base->layer, scratch).size();
 
   OpsOwnership hard_own(topo.ops_count());
-  const auto hardened = ResilientAlBuilder{}.build(topo, groups[0], hard_own, ClusterId::invalid());
+  const auto hardened =
+      ResilientAlBuilder{}.build(topo, groups[0], hard_own, ClusterId::invalid(), scratch);
   ASSERT_TRUE(hardened.has_value());
-  const auto hardened_critical = critical_ops(topo, hardened->layer).size();
+  const auto hardened_critical = critical_ops(topo, hardened->layer, scratch).size();
   EXPECT_LE(hardened_critical, base_critical);
   EXPECT_GE(hardened->layer.opss.size(), base->layer.opss.size());
   EXPECT_TRUE(al_covers_group(topo, groups[0], hardened->layer));
@@ -214,6 +226,7 @@ TEST(ResilientAlBuilderTest, EliminatesCriticalOpsWhenRedundancyExists) {
 TEST(ResilientAlBuilderTest, GracefulWhenNoRedundancyAvailable) {
   // One ToR, one OPS: nothing to add; the single-OPS AL stays (trivially no
   // articulation points in a 2-vertex subgraph).
+  AlBuildScratch scratch;
   alvc::topology::DataCenterTopology topo;
   const auto o = topo.add_ops();
   const auto t = topo.add_tor();
@@ -222,7 +235,8 @@ TEST(ResilientAlBuilderTest, GracefulWhenNoRedundancyAvailable) {
   const auto vm = topo.add_vm(s, alvc::util::ServiceId{0});
   OpsOwnership ownership(topo.ops_count());
   const std::vector<VmId> group{vm};
-  const auto result = ResilientAlBuilder{}.build(topo, group, ownership, ClusterId::invalid());
+  const auto result =
+      ResilientAlBuilder{}.build(topo, group, ownership, ClusterId::invalid(), scratch);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->layer.opss.size(), 1u);
 }
@@ -240,6 +254,7 @@ TEST_P(AlBuilderPropertyTest, AllBuildersCoverRandomGroupsAndRespectOwnership) {
   const auto topo = alvc::topology::build_topology(params);
   const auto groups = group_vms_by_service(topo);
 
+  AlBuildScratch scratch;
   std::vector<std::unique_ptr<AlBuilder>> builders;
   builders.push_back(std::make_unique<VertexCoverAlBuilder>());
   builders.push_back(std::make_unique<RandomAlBuilder>(GetParam()));
@@ -250,7 +265,7 @@ TEST_P(AlBuilderPropertyTest, AllBuildersCoverRandomGroupsAndRespectOwnership) {
     OpsOwnership ownership(topo.ops_count());
     for (const auto& group : groups) {
       if (group.empty()) continue;
-      const auto result = builder->build(topo, group, ownership, ClusterId::invalid());
+      const auto result = builder->build(topo, group, ownership, ClusterId::invalid(), scratch);
       if (!result.has_value()) continue;  // pool exhaustion is legal
       EXPECT_TRUE(al_covers_group(topo, group, result->layer))
           << builder->name() << " failed to cover";
@@ -274,6 +289,7 @@ TEST_P(AlBuilderPropertyTest, AllBuildersMayKeepSelfOwnedOpsAndNeverTakeAnothers
   const auto topo = alvc::topology::build_topology(params);
   const auto groups = group_vms_by_service(topo);
 
+  AlBuildScratch scratch;
   std::vector<std::unique_ptr<AlBuilder>> builders;
   builders.push_back(std::make_unique<VertexCoverAlBuilder>());
   builders.push_back(std::make_unique<RandomAlBuilder>(GetParam()));
@@ -290,14 +306,14 @@ TEST_P(AlBuilderPropertyTest, AllBuildersMayKeepSelfOwnedOpsAndNeverTakeAnothers
       if (group.empty()) continue;
       SCOPED_TRACE(::testing::Message() << builder->name() << ", group of " << group.size());
       const OpsOwnership empty(topo.ops_count());
-      const auto fresh = builder->build(topo, group, empty, ClusterId::invalid());
+      const auto fresh = builder->build(topo, group, empty, ClusterId::invalid(), scratch);
       if (!fresh.has_value()) continue;  // pool exhaustion is legal
 
       // An OPS owned by `self` is as available as a free one: with the
       // whole fresh AL owned by `self`, the build reproduces it.
       OpsOwnership held(topo.ops_count());
       ASSERT_TRUE(held.acquire(fresh->layer.opss, self).is_ok());
-      const auto kept = builder->build(topo, group, held, self);
+      const auto kept = builder->build(topo, group, held, self, scratch);
       ASSERT_TRUE(kept.has_value());
       EXPECT_EQ(kept->layer.tors, fresh->layer.tors);
       EXPECT_EQ(kept->layer.opss, fresh->layer.opss);
@@ -309,15 +325,15 @@ TEST_P(AlBuilderPropertyTest, AllBuildersMayKeepSelfOwnedOpsAndNeverTakeAnothers
         const ClusterId owner = i % 2 == 0 ? other : self;
         ASSERT_TRUE(split.acquire({&fresh->layer.opss[i], 1}, owner).is_ok());
       }
-      if (const auto mine = builder->build(topo, group, split, self)) {
+      if (const auto mine = builder->build(topo, group, split, self, scratch)) {
         for (OpsId o : mine->layer.opss) {
           EXPECT_TRUE(split.is_free_for(o, self)) << "took OPS " << o.value() << " of another";
         }
       }
       // self = invalid sees exactly the free OPSs, like a cluster that
       // owns nothing.
-      const auto unowned = builder->build(topo, group, split, ClusterId::invalid());
-      const auto as_stranger = builder->build(topo, group, split, stranger);
+      const auto unowned = builder->build(topo, group, split, ClusterId::invalid(), scratch);
+      const auto as_stranger = builder->build(topo, group, split, stranger, scratch);
       ASSERT_EQ(unowned.has_value(), as_stranger.has_value());
       if (!unowned.has_value()) continue;
       EXPECT_EQ(unowned->layer.opss, as_stranger->layer.opss);
@@ -330,6 +346,7 @@ TEST_P(AlBuilderPropertyTest, AllBuildersMayKeepSelfOwnedOpsAndNeverTakeAnothers
 }
 
 TEST_P(AlBuilderPropertyTest, VertexCoverNeverLargerThanRandomBaseline) {
+  AlBuildScratch scratch;
   TopologyParams params;
   params.seed = GetParam() + 1000;
   params.rack_count = 12;
@@ -342,9 +359,10 @@ TEST_P(AlBuilderPropertyTest, VertexCoverNeverLargerThanRandomBaseline) {
 
   const AlBuilderOptions opts{.ensure_connectivity = false};
   OpsOwnership fresh(topo.ops_count());
-  const auto vc = VertexCoverAlBuilder{opts}.build(topo, groups[0], fresh, ClusterId::invalid());
-  const auto rnd =
-      RandomAlBuilder{GetParam(), opts}.build(topo, groups[0], fresh, ClusterId::invalid());
+  const auto vc =
+      VertexCoverAlBuilder{opts}.build(topo, groups[0], fresh, ClusterId::invalid(), scratch);
+  const auto rnd = RandomAlBuilder{GetParam(), opts}.build(topo, groups[0], fresh,
+                                                          ClusterId::invalid(), scratch);
   ASSERT_TRUE(vc.has_value());
   ASSERT_TRUE(rnd.has_value());
   EXPECT_LE(vc->layer.opss.size(), rnd->layer.opss.size());
@@ -354,15 +372,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AlBuilderPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 TEST(ClusterSubgraphConnectedTest, TrivialCases) {
+  AlBuildScratch scratch;
   Fig4 fig;
   AbstractionLayer empty;
-  EXPECT_TRUE(cluster_subgraph_connected(fig.topo, empty));
+  EXPECT_TRUE(cluster_subgraph_connected(fig.topo, empty, scratch));
   AbstractionLayer lone{.tors = {alvc::util::TorId{0}}, .opss = {}};
-  EXPECT_TRUE(cluster_subgraph_connected(fig.topo, lone));
+  EXPECT_TRUE(cluster_subgraph_connected(fig.topo, lone, scratch));
 }
 
 TEST(CriticalOpsTest, LinearAlHasCriticalMiddle) {
   // T0 - O0 - O1 - T1: O0 and O1 both sit on the only path.
+  AlBuildScratch scratch;
   DataCenterTopology topo;
   using alvc::util::OpsId;
   using alvc::util::TorId;
@@ -374,11 +394,12 @@ TEST(CriticalOpsTest, LinearAlHasCriticalMiddle) {
   topo.connect_tor_ops(t0, o0);
   topo.connect_tor_ops(t1, o1);
   AbstractionLayer layer{.tors = {t0, t1}, .opss = {o0, o1}};
-  EXPECT_EQ(critical_ops(topo, layer), (std::vector<OpsId>{o0, o1}));
+  EXPECT_EQ(critical_ops(topo, layer, scratch), (std::vector<OpsId>{o0, o1}));
 }
 
 TEST(CriticalOpsTest, RedundantAlHasNone) {
   // Two parallel rails between the ToRs: no single OPS is critical.
+  AlBuildScratch scratch;
   DataCenterTopology topo;
   using alvc::util::OpsId;
   using alvc::util::TorId;
@@ -391,17 +412,19 @@ TEST(CriticalOpsTest, RedundantAlHasNone) {
     topo.connect_tor_ops(t1, o);
   }
   AbstractionLayer layer{.tors = {t0, t1}, .opss = {o0, o1}};
-  EXPECT_TRUE(critical_ops(topo, layer).empty());
+  EXPECT_TRUE(critical_ops(topo, layer, scratch).empty());
 }
 
 TEST(CriticalOpsTest, EmptyLayer) {
+  AlBuildScratch scratch;
   DataCenterTopology topo;
   topo.add_ops();
-  EXPECT_TRUE(critical_ops(topo, AbstractionLayer{}).empty());
+  EXPECT_TRUE(critical_ops(topo, AbstractionLayer{}, scratch).empty());
 }
 
 TEST(AugmentConnectivityTest, ReportsFailureWhenUnbridgeable) {
   // Two ToR-OPS islands with no core links and no free bridging OPS.
+  AlBuildScratch scratch;
   DataCenterTopology topo;
   using alvc::util::OpsId;
   using alvc::util::TorId;
@@ -415,7 +438,7 @@ TEST(AugmentConnectivityTest, ReportsFailureWhenUnbridgeable) {
   AbstractionLayer layer{.tors = {t0, t1}, .opss = {o0, o1}};
   bool connected = true;
   const auto added =
-      augment_layer_connectivity(topo, ownership, ClusterId::invalid(), layer, connected);
+      augment_layer_connectivity(topo, ownership, ClusterId::invalid(), layer, connected, scratch);
   EXPECT_EQ(added, 0u);
   EXPECT_FALSE(connected);
 }

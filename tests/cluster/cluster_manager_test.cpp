@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -480,6 +481,125 @@ TEST_P(ChurnPropertyTest, InvariantsSurviveRandomChurn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnPropertyTest, ::testing::Values(1, 2, 3, 4, 5));
+
+/// One service per island of `racks[s]` racks: ToR i of an island links to
+/// its OPSs i and i + 1 (two spare), one server and VM per rack. No link
+/// joins two islands, so a repair in one island cannot read another.
+struct Islands {
+  DataCenterTopology topo;
+  std::vector<std::vector<TorId>> tors;
+  std::vector<std::vector<alvc::util::OpsId>> opss;
+
+  explicit Islands(const std::vector<std::size_t>& racks) {
+    for (std::size_t s = 0; s < racks.size(); ++s) {
+      tors.emplace_back();
+      opss.emplace_back();
+      for (std::size_t o = 0; o < racks[s] + 2; ++o) opss[s].push_back(topo.add_ops());
+      for (std::size_t r = 0; r < racks[s]; ++r) {
+        const TorId tor = topo.add_tor();
+        tors[s].push_back(tor);
+        topo.connect_tor_ops(tor, opss[s][r]);
+        topo.connect_tor_ops(tor, opss[s][r + 1]);
+        topo.add_vm(topo.add_server(tor, {}), ServiceId{static_cast<std::uint32_t>(s)});
+      }
+    }
+  }
+};
+
+/// What one repair left behind, for comparing two managers.
+struct RepairOutcome {
+  bool ok = false;
+  std::size_t flow_rules = 0;
+  std::size_t tor_changes = 0;
+  std::size_t ops_changes = 0;
+  std::vector<TorId> tors;
+  std::vector<alvc::util::OpsId> opss;
+  bool connected = false;
+  bool degraded = false;
+  bool operator==(const RepairOutcome&) const = default;
+};
+
+RepairOutcome outcome(const ClusterManager& manager, ClusterId id,
+                      const Expected<UpdateCost>& cost) {
+  const VirtualCluster* vc = manager.find(id);
+  RepairOutcome out{.tors = vc->layer.tors,
+                    .opss = vc->layer.opss,
+                    .connected = vc->connected,
+                    .degraded = vc->degraded};
+  if (cost) {
+    out.ok = true;
+    out.flow_rules = cost->flow_rules;
+    out.tor_changes = cost->tor_changes;
+    out.ops_changes = cost->ops_changes;
+  }
+  return out;
+}
+
+/// Step `step` of a cluster's repair sequence: fail the first OPS of its
+/// AL (an in-place repair), fail its last ToR (a rebuild), then remove the
+/// VM under its first ToR (an AL trim, which checks connectivity).
+RepairOutcome repair_step(ClusterManager& manager, ClusterId id, int step,
+                          const AlBuilder& builder) {
+  const VirtualCluster& vc = *manager.find(id);
+  if (step == 0) return outcome(manager, id, manager.handle_ops_failure(vc.layer.opss.front()));
+  if (step == 1) {
+    return outcome(manager, id, manager.handle_tor_failure(vc.layer.tors.back(), builder));
+  }
+  for (VmId vm : vc.vms) {
+    if (vc.layer.tors.empty() || manager.topology().tor_of_vm(vm) != vc.layer.tors.front()) {
+      continue;
+    }
+    return outcome(manager, id, manager.remove_vm(id, vm));
+  }
+  return outcome(manager, id, alvc::util::Error{ErrorCode::kNotFound, "no VM to remove"});
+}
+
+constexpr int kRepairSteps = 3;
+
+// The manager keeps one AL-build scratch for its lifetime. Repair steps
+// that alternate between clusters of 5, 1, 4 and 2 racks must each give
+// exactly what a manager that repairs only that cluster gives: nothing of
+// an earlier, larger footprint may leak into a later repair.
+TEST(ClusterManagerTest, RepairsOfDifferentSizesInARowMatchFreshManagers) {
+  const std::vector<std::size_t> racks{5, 1, 4, 2};
+  const VertexCoverAlBuilder builder;
+  Islands shared(racks);
+  ClusterManager manager(shared.topo);
+  const auto ids = manager.create_clusters_by_service(builder);
+  ASSERT_TRUE(ids.has_value()) << ids.error().to_string();
+  ASSERT_EQ(ids->size(), racks.size());
+  std::vector<std::vector<RepairOutcome>> reused(racks.size());
+  for (int step = 0; step < kRepairSteps; ++step) {
+    for (std::size_t s = 0; s < racks.size(); ++s) {
+      reused[s].push_back(repair_step(manager, (*ids)[s], step, builder));
+    }
+  }
+  EXPECT_TRUE(manager.check_invariants().empty());
+
+  std::size_t recovered = 0;
+  for (std::size_t s = 0; s < racks.size(); ++s) {
+    SCOPED_TRACE("island " + std::to_string(s) + " of " + std::to_string(racks[s]) + " racks");
+    Islands alone(racks);
+    ClusterManager fresh(alone.topo);
+    ASSERT_TRUE(fresh.create_clusters_by_service(builder).has_value());
+    for (int step = 0; step < kRepairSteps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const RepairOutcome expected = repair_step(fresh, (*ids)[s], step, builder);
+      EXPECT_EQ(reused[s][static_cast<std::size_t>(step)], expected);
+      for (TorId t : expected.tors) {
+        EXPECT_NE(std::find(alone.tors[s].begin(), alone.tors[s].end(), t), alone.tors[s].end())
+            << "ToR " << t.value() << " from another island";
+      }
+      for (alvc::util::OpsId op : expected.opss) {
+        EXPECT_NE(std::find(alone.opss[s].begin(), alone.opss[s].end(), op),
+                  alone.opss[s].end())
+            << "OPS " << op.value() << " from another island";
+      }
+      if (expected.ok && expected.connected && !expected.opss.empty()) ++recovered;
+    }
+  }
+  EXPECT_GE(recovered, racks.size()) << "vacuous: too few repairs left a connected AL";
+}
 
 }  // namespace
 }  // namespace alvc::cluster

@@ -25,12 +25,14 @@ TEST(OpsFailureTest, FailedOpsLeavesSwitchGraph) {
 }
 
 TEST(OpsFailureTest, BuildersSkipFailedOps) {
+  AlBuildScratch scratch;
   ClusterFixture f;  // fixture already built one cluster; use a fresh manager
   alvc::test::SliceFixture fresh;
   ASSERT_TRUE(fresh.topo.set_ops_failed(OpsId{0}, true).is_ok());
   OpsOwnership ownership(fresh.topo.ops_count());
   const VertexCoverAlBuilder builder;
-  const auto result = builder.build(fresh.topo, fresh.group, ownership, ClusterId::invalid());
+  const auto result =
+      builder.build(fresh.topo, fresh.group, ownership, ClusterId::invalid(), scratch);
   ASSERT_TRUE(result.has_value()) << result.error().to_string();
   EXPECT_FALSE(result->layer.contains_ops(OpsId{0}));
 }

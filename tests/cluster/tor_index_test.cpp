@@ -195,7 +195,8 @@ class ThrowingAlBuilder final : public AlBuilder {
   [[nodiscard]] Expected<AlBuildResult> build(const topology::DataCenterTopology& /*topo*/,
                                               std::span<const VmId> /*group*/,
                                               const OpsOwnership& /*ownership*/,
-                                              ClusterId /*self*/) const override {
+                                              ClusterId /*self*/,
+                                              AlBuildScratch& /*scratch*/) const override {
     throw std::runtime_error("build failed");
   }
 };

@@ -79,8 +79,9 @@ TEST(ArticulationSubgraphTest, InducedSubgraphCuts) {
   Graph g(5);
   for (std::size_t i = 0; i < 5; ++i) g.add_edge(i, (i + 1) % 5);
   const std::vector<std::size_t> members{0, 1, 2};
-  EXPECT_EQ(articulation_points_in_subgraph(g, members), (std::vector<std::size_t>{1}));
-  EXPECT_TRUE(articulation_points_in_subgraph(g, std::vector<std::size_t>{}).empty());
+  VertexIndexMap index;
+  EXPECT_EQ(articulation_points_in_subgraph(g, members, index), (std::vector<std::size_t>{1}));
+  EXPECT_TRUE(articulation_points_in_subgraph(g, std::vector<std::size_t>{}, index).empty());
 }
 
 class ArticulationPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -145,8 +145,15 @@ void check_articulation(const Graph& g, std::size_t& cut_count) {
   std::vector<std::size_t> members;
   for (std::size_t v = 0; v < g.vertex_count(); v += 2) members.push_back(v);
   members.push_back(g.vertex_count() + 17);
-  EXPECT_EQ(articulation_points_in_subgraph(g, members),
+  alvc::graph::VertexIndexMap index;
+  EXPECT_EQ(articulation_points_in_subgraph(g, members, index),
             alvc::test::legacy::articulation_points_in_subgraph(g, members));
+  // The same map reused for the other half must not leak the first call's
+  // members.
+  std::vector<std::size_t> odd;
+  for (std::size_t v = 1; v < g.vertex_count(); v += 2) odd.push_back(v);
+  EXPECT_EQ(articulation_points_in_subgraph(g, odd, index),
+            alvc::test::legacy::articulation_points_in_subgraph(g, odd));
 }
 
 void check_bipartite(std::uint64_t seed) {

@@ -35,7 +35,8 @@ TEST(GraphEdgeCases, EmptyGraphIsInertEverywhere) {
   EXPECT_EQ(g.edge_count(), 0u);
   EXPECT_TRUE(g.csr().offsets.size() <= 1);
   EXPECT_TRUE(articulation_points(g).empty());
-  EXPECT_TRUE(articulation_points_in_subgraph(g, std::vector<std::size_t>{}).empty());
+  VertexIndexMap index;
+  EXPECT_TRUE(articulation_points_in_subgraph(g, std::vector<std::size_t>{}, index).empty());
 
   const BipartiteGraph b(0, 0);
   const Matching m = maximum_bipartite_matching(b);
@@ -170,7 +171,8 @@ TEST(GraphEdgeCases, MaxIndexVerticesExerciseCsrBoundaries) {
   // lo+2 separates lo+3 from the rest; the chord protects lo+1.
   EXPECT_EQ(articulation_points(g), std::vector<std::size_t>{lo + 2});
   const std::vector<std::size_t> members{lo, lo + 1, lo + 2, lo + 3};
-  EXPECT_EQ(articulation_points_in_subgraph(g, members), std::vector<std::size_t>{lo + 2});
+  VertexIndexMap index;
+  EXPECT_EQ(articulation_points_in_subgraph(g, members, index), std::vector<std::size_t>{lo + 2});
 
   FlowNetwork net(n);
   net.add_edge(lo, lo + 1, 1.0);

@@ -110,7 +110,7 @@ TEST(AdmissionPropertyTest, AnchorReachabilityDecidesLikeTheSliceMaxFlow) {
     RandomSlice slice = make_slice(rng);
     if (slice.vc.layer.tors.size() == 1) ++one_tor;
     const nfv::HostingPool pool(slice.topo);
-    const AdmissionController admission(slice.topo, catalog);
+    AdmissionController admission(slice.topo, catalog);
     for (double demand : kDemands) {
       nfv::NfcSpec spec;
       spec.name = "p";

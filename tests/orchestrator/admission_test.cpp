@@ -101,7 +101,7 @@ AdmissionDecision slice_verdict(alvc::topology::DataCenterTopology& topo,
   topo.add_server(vc.layer.tors.front(),
                   {.cpu_cores = 64, .memory_gb = 256, .storage_gb = 2048});
   const auto catalog = alvc::nfv::VnfCatalog::make_default();
-  const AdmissionController admission(topo, catalog);
+  AdmissionController admission(topo, catalog);
   const HostingPool pool(topo);
   NfcSpec spec;
   spec.name = "x";

@@ -77,7 +77,7 @@ struct DifferentialTally {
 /// cluster layers, and requires exact agreement.
 void expect_csr_matches_legacy_routing(const core::DataCenter& dc, DifferentialTally& tally) {
   const auto& topo = dc.topology();
-  const ChainRouter router(topo);
+  ChainRouter router(topo);
   for (const ProvisionedChain* chain : dc.orchestrator().chains()) {
     if (chain->degraded) continue;  // parked chains may hold invalid host slots
     if (chain->graph.has_value()) continue;

@@ -59,7 +59,7 @@ struct CacheFixture : ClusterFixture {
     twin.id = alvc::util::ClusterId{cluster_id.value() + 1};
     return twin;
   }
-  [[nodiscard]] Expected<ChainRoute> uncached() const {
+  [[nodiscard]] Expected<ChainRoute> uncached() {
     return router.route(cluster(), ingress, egress, hosts);
   }
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "orchestrator/route_cache.h"
 #include "support/fixtures.h"
 
 namespace alvc::orchestrator {
@@ -106,6 +107,72 @@ TEST(ChainRouterTest, InfeasibleWhenSliceDisconnected) {
   const auto route = router.route(vc, t0, t1, hosts);
   ASSERT_FALSE(route.has_value());
   EXPECT_EQ(route.error().code, ErrorCode::kInfeasible);
+}
+
+/// Two slices over one fabric, T0 and T1 in both: `wide`'s AL holds O2,
+/// which bridges the ToRs; `split`'s AL holds O0 and O1, which do not
+/// touch each other, so no path joins its ToRs inside its slice. A slice
+/// set that kept `wide`'s vertices would route `split` through O2.
+struct TwoSlices {
+  alvc::topology::DataCenterTopology topo;
+  alvc::cluster::VirtualCluster wide;
+  alvc::cluster::VirtualCluster split;
+  TorId t0;
+  TorId t1;
+
+  TwoSlices() {
+    const OpsId o0 = topo.add_ops();
+    const OpsId o1 = topo.add_ops();
+    const OpsId o2 = topo.add_ops();
+    t0 = topo.add_tor();
+    t1 = topo.add_tor();
+    topo.connect_tor_ops(t0, o0);
+    topo.connect_tor_ops(t1, o1);
+    topo.connect_tor_ops(t0, o2);
+    topo.connect_tor_ops(t1, o2);
+    wide.id = alvc::util::ClusterId{1};
+    wide.layer.tors = {t0, t1};
+    wide.layer.opss = {o2};
+    split.id = alvc::util::ClusterId{2};
+    split.layer.tors = {t0, t1};
+    split.layer.opss = {o0, o1};
+  }
+};
+
+void expect_same_route(const Expected<ChainRoute>& got, const Expected<ChainRoute>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!want.has_value()) {
+    EXPECT_EQ(got.error().code, want.error().code);
+    return;
+  }
+  EXPECT_EQ(got->legs, want->legs);
+  EXPECT_EQ(got->vertices, want->vertices);
+}
+
+TEST(ChainRouterTest, ReusedRouterMatchesFreshAcrossClusters) {
+  TwoSlices f;
+  const std::vector<HostRef> hosts;
+  ChainRouter reused(f.topo);
+  for (const auto* vc : {&f.wide, &f.split, &f.wide}) {
+    SCOPED_TRACE("cluster " + std::to_string(vc->id.value()));
+    ChainRouter fresh(f.topo);
+    expect_same_route(reused.route(*vc, f.t0, f.t1, hosts), fresh.route(*vc, f.t0, f.t1, hosts));
+  }
+  EXPECT_FALSE(ChainRouter(f.topo).route(f.split, f.t0, f.t1, hosts).has_value());
+}
+
+TEST(RouteCacheTest, ReusedCacheMatchesFreshAcrossClusters) {
+  TwoSlices f;
+  const std::vector<HostRef> hosts;
+  ChainRouter router(f.topo);
+  RouteCache reused(f.topo);
+  for (const auto* vc : {&f.wide, &f.split, &f.wide}) {
+    SCOPED_TRACE("cluster " + std::to_string(vc->id.value()));
+    RouteCache fresh(f.topo);
+    expect_same_route(reused.route(router, *vc, f.t0, f.t1, hosts, BandwidthTier::kFull),
+                      fresh.route(router, *vc, f.t0, f.t1, hosts, BandwidthTier::kFull));
+  }
+  EXPECT_EQ(reused.stats().bypasses, 0u) << "vacuous: the routes never reached the cache";
 }
 
 TEST(ChainRouterTest, HopDomainSplit) {

@@ -189,6 +189,37 @@ TEST(AlvcLintTest, FlagsFootprintWritesOutsideTheirStampingWriters) {
   EXPECT_TRUE(lint_source("e2e_bench/driver/replay.cpp", content).empty());
 }
 
+TEST(AlvcLintTest, FlagsFunctionLocalScratchInSrc) {
+  const auto content = read_fixture("scratch_local.cc");
+  using Lines = std::multiset<std::pair<std::string, std::size_t>>;
+  const Lines locals{{"scratch-local", 15}, {"scratch-local", 22}, {"scratch-local", 23},
+                     {"scratch-local", 28}, {"scratch-local", 31}, {"scratch-local", 34}};
+  for (const char* path : {"src/cluster/al_builder.cpp", "src/orchestrator/routing.h",
+                           "src/graph/articulation.cpp"}) {
+    EXPECT_EQ(rules_and_lines(lint_source(path, content)), locals) << path;
+  }
+  // Tests and benches hold their own scratch as locals.
+  EXPECT_TRUE(lint_source("tests/cluster/al_builder_test.cpp", content).empty());
+  EXPECT_TRUE(lint_source("bench/bench_fig4_al_construction.cpp", content).empty());
+}
+
+TEST(AlvcLintTest, ScratchLocalTellsMembersFromLocals) {
+  // A class body opened on its own line, a template parameter's `class`
+  // and a constructor's brace initializer keep their scopes apart.
+  const std::string content =
+      "template <class T>\n"
+      "class Holder\n"
+      "    : public Base<T> {\n"
+      "  VertexSet member_;\n"
+      "  Holder() : other_{1} {\n"
+      "    VertexSet local;\n"
+      "  }\n"
+      "  VertexIndexMap second_;\n"
+      "};\n";
+  EXPECT_EQ(rules_and_lines(lint_source("src/graph/x.h", content)),
+            (std::multiset<std::pair<std::string, std::size_t>>{{"scratch-local", 6}}));
+}
+
 TEST(AlvcLintTest, PassesCleanFixture) {
   const auto findings = lint_source("src/util/clean.cc", read_fixture("clean.cc"));
   EXPECT_TRUE(findings.empty()) << alvc::lint::to_string(findings.front());

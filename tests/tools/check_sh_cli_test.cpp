@@ -65,6 +65,23 @@ struct CliFixture : ::testing::Test {
         << ", \"speedup\": null}\n  ]\n}\n";
     return path;
   }
+
+  /// Writes a trajectory holding only the fabric sweep's end rows.
+  fs::path write_fabric_sweep(const std::string& name, double small_us, double large_us) const {
+    const fs::path path = dir / name;
+    std::ofstream out(path);
+    out << "{\n  \"schema\": \"alvc-bench-trajectory-v1\",\n  \"benchmarks\": [\n";
+    const auto row = [&](const char* arg, double us, const char* sep) {
+      out << "    {\"bench\": \"bench_sharded_control_plane\", "
+          << "\"name\": \"BM_OpsCycleVsFabric/" << arg << "\",\n"
+          << "     \"before_cpu_time_us\": null, \"after_cpu_time_us\": " << us
+          << ", \"speedup\": null}" << sep << "\n";
+    };
+    row("400", small_us, ",");
+    row("100000", large_us, "");
+    out << "  ]\n}\n";
+    return path;
+  }
 };
 
 TEST_F(CliFixture, EmptyCiLegFailsFastInsteadOfRunningTheFullGate) {
@@ -150,6 +167,30 @@ TEST_F(CliFixture, BenchGateBaselineIsTheHighestPrNumberNotTheLastString) {
       dir / "helper.txt");
   EXPECT_EQ(helper.exit_code, 0) << helper.output;
   EXPECT_EQ(helper.output, "BENCH_PR10.json\n");
+}
+
+// The fabric sweep is gated on its own 100k/400 ratio, within one run and
+// with or without a baseline: per-call whole-fabric scratch made the
+// 100k-group cycle tens of times the 400-group one.
+TEST_F(CliFixture, BenchGateFailsWhenTheFabricSweepGrowsWithTheFabric) {
+  const auto fresh = write_fabric_sweep("fresh.json", 2.0, 60.0);
+  const auto result = run_gate(fresh.string() + " " + fresh.string());
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("30.00x (bound"), std::string::npos) << result.output;
+  const auto alone = run_command("cd " + dir.string() + " && python3 " + ALVC_BENCH_GATE_PY +
+                                     " " + fresh.string(),
+                                 dir / "out.txt");
+  EXPECT_EQ(alone.exit_code, 1) << alone.output;
+  EXPECT_EQ(alone.output.find("vacuously"), std::string::npos) << alone.output;
+}
+
+TEST_F(CliFixture, BenchGatePassesAFlatFabricSweep) {
+  const auto fresh = write_fabric_sweep("fresh.json", 2.0, 3.0);
+  const auto result = run_gate(fresh.string() + " " + fresh.string());
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("[ok] bench_sharded_control_plane/BM_OpsCycleVsFabric/100000"),
+            std::string::npos)
+      << result.output;
 }
 
 TEST_F(CliFixture, BenchGateRejectsMalformedInput) {

@@ -36,6 +36,59 @@ struct Rule {
   /// A line containing any of these substrings (in code, after stripping) is
   /// exempt. Used for idioms that force a match, e.g. EXPECT_THROW((void)f()).
   std::vector<std::string> exempt_markers;
+  /// Only a match inside a code block (a function or lambda body, at any
+  /// depth) counts; one at namespace or class scope does not.
+  bool code_blocks_only = false;
+};
+
+/// Rough brace-scope model, enough to tell a function-local declaration
+/// from a member or a namespace-scope one: each `{` opens a type scope
+/// when the text since the previous `;`, `{` or `}` names class, struct,
+/// union, enum or namespace with no `(` after that keyword (a template
+/// parameter's `class` is followed by the function's parameter list), and
+/// a code block otherwise. Feed it stripped code, preprocessor lines left
+/// out.
+class ScopeTracker {
+ public:
+  void feed(std::string_view code) {
+    for (const char c : code) {
+      if (c == '{') {
+        const bool code_block = !opens_type_scope(head_);
+        open_.push_back(code_block);
+        if (code_block) ++code_depth_;
+        head_.clear();
+      } else if (c == '}') {
+        if (!open_.empty()) {
+          if (open_.back()) --code_depth_;
+          open_.pop_back();
+        }
+        head_.clear();
+      } else if (c == ';') {
+        head_.clear();
+      } else {
+        head_.push_back(c);
+      }
+    }
+    head_.push_back(' ');  // a line break separates tokens
+  }
+  [[nodiscard]] bool in_code_block() const noexcept { return code_depth_ > 0; }
+
+ private:
+  static bool opens_type_scope(const std::string& head) {
+    static const std::regex kTypeKeyword(R"(\b(class|struct|union|enum|namespace)\b)",
+                                         std::regex::ECMAScript | std::regex::optimize);
+    std::size_t after_keyword = std::string::npos;
+    for (auto it = std::sregex_iterator(head.begin(), head.end(), kTypeKeyword);
+         it != std::sregex_iterator(); ++it) {
+      after_keyword = static_cast<std::size_t>(it->position() + it->length());
+    }
+    return after_keyword != std::string::npos &&
+           head.find('(', after_keyword) == std::string::npos;
+  }
+
+  std::vector<bool> open_;  // one per open brace: true = a code block
+  std::size_t code_depth_ = 0;
+  std::string head_;        // code since the last ; { or }
 };
 
 const std::vector<Rule>& rules() {
@@ -169,6 +222,22 @@ const std::vector<Rule>& rules() {
         // `(mu_)`, never by an empty call).
         std::regex(R"(std\s*::\s*recursive_mutex|(\.|->)\s*lock\s*\(\s*\))", flags),
         [](std::string_view path) { return !src_layer(path).empty(); }});
+    // graph/scratch.h resets in O(1) only when an object is reused; a fresh
+    // one allocates and zero-fills arrays sized to the whole switch graph,
+    // so a local in a hot path made every call O(fabric).
+    r.push_back(Rule{
+        "scratch-local",
+        "stamped traversal scratch (VertexSet, VertexIndexMap, TraversalScratch, "
+        "AlBuildScratch) declared as a function local in src/; a fresh object zero-fills "
+        "arrays sized to the whole switch graph on every call — take the owner's "
+        "long-lived instance as a parameter (graph/scratch.h reuse contract)",
+        std::regex(R"(\b(VertexSet|VertexIndexMap|TraversalScratch|AlBuildScratch)\s+)"
+                   R"([A-Za-z_]\w*\s*[;{=(])",
+                   flags),
+        [](std::string_view path) { return !src_layer(path).empty(); },
+        // Static storage is created once, not per call.
+        {"static ", "thread_local "},
+        /*code_blocks_only=*/true});
     return r;
   }();
   return kRules;
@@ -184,6 +253,7 @@ bool line_allows(const std::string& raw_line, std::string_view rule) {
 std::vector<Finding> lint_source(std::string_view path, std::string_view content) {
   std::vector<Finding> findings;
   ScanState state;
+  ScopeTracker scopes;
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos <= content.size()) {
@@ -192,16 +262,26 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view content
                                                                             : eol - pos));
     ++line_no;
     const std::string code = strip_noncode(raw, state);
+    const std::size_t first = code.find_first_not_of(" \t");
+    const bool preprocessor = first != std::string::npos && code[first] == '#';
     for (const Rule& rule : rules()) {
       if (rule.applies != nullptr && !rule.applies(path)) continue;
-      if (!std::regex_search(code, rule.pattern)) continue;
+      std::smatch match;
+      if (!std::regex_search(code, match, rule.pattern)) continue;
       if (line_allows(raw, rule.name)) continue;
+      if (rule.code_blocks_only) {
+        ScopeTracker at_match = scopes;
+        const auto before = static_cast<std::size_t>(match.position());
+        at_match.feed(std::string_view(code).substr(0, before));
+        if (!at_match.in_code_block()) continue;
+      }
       const bool exempt =
           std::any_of(rule.exempt_markers.begin(), rule.exempt_markers.end(),
                       [&](const std::string& m) { return code.find(m) != std::string::npos; });
       if (exempt) continue;
       findings.push_back(Finding{std::string(path), line_no, rule.name, rule.message});
     }
+    if (!preprocessor) scopes.feed(code);
     if (eol == std::string_view::npos) break;
     pos = eol + 1;
   }

@@ -1,6 +1,6 @@
 // alvc_lint: project-specific source rules clang-tidy cannot know.
 //
-// Eleven rules, each encoding a contract earlier PRs established:
+// Twelve rules, each encoding a contract earlier PRs established:
 //
 //   nondeterministic-rng  no rand()/srand()/std::random_device/wall-clock
 //                         seeds in src/ or tests/ — every stochastic path
@@ -53,6 +53,15 @@
 //                         acquisition goes through an RAII guard so the
 //                         alvc_analyze lock-order model and the runtime
 //                         util::LockRank scopes see it.
+//   scratch-local         no function-local VertexSet, VertexIndexMap,
+//                         TraversalScratch or AlBuildScratch in src/ —
+//                         their O(1) reset holds only for a reused object;
+//                         a fresh one zero-fills arrays sized to the whole
+//                         switch graph, so the long-lived owner holds one
+//                         and passes it down. `static`/`thread_local`
+//                         objects are exempt, and so are members and
+//                         namespace-scope objects (a rough brace-scope
+//                         model tells a code block from a class body).
 //
 // A line suppresses a rule with `alvc-lint: allow(<rule>)` in a comment.
 // The scanner strips comments and string/char literals before matching, so
