@@ -8,10 +8,11 @@
 //
 // Experiment: replay a full VNF lifecycle fleet through the Cloud/NFV
 // manager and a path-churn workload through the SDN controller; report
-// operation counts, event-log integrity, and throughput.
+// operation counts, lifecycle transition balance, and throughput.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <string>
 
 #include "core/alvc.h"
 #include "graph/shortest_path.h"
@@ -74,23 +75,31 @@ void print_lifecycle_experiment() {
   table.add_row_values("updated", stats.updated);
   table.add_row_values("terminated", stats.terminated);
   table.add_row_values("still active", cloud.lifecycle().active_count());
-  table.add_row_values("lifecycle events logged", cloud.lifecycle().events().size());
+  const auto& lifecycle = cloud.lifecycle();
+  for (auto state : {nfv::VnfState::kInstantiating, nfv::VnfState::kActive,
+                     nfv::VnfState::kScaling, nfv::VnfState::kUpdating,
+                     nfv::VnfState::kTerminating, nfv::VnfState::kTerminated}) {
+    table.add_row_values("transitions to " + std::string(nfv::to_string(state)),
+                         lifecycle.transitions_to(state));
+  }
   table.add_row_values("pool consistent", cloud.pool().is_consistent() ? "yes" : "no");
   table.add_row_values("wall time (ms)", core::fmt(ms, 1));
   table.print();
 
-  // Event-log integrity: sequence strictly increasing, transitions legal.
-  bool log_ok = true;
-  for (std::size_t i = 1; i < cloud.lifecycle().events().size(); ++i) {
-    if (cloud.lifecycle().events()[i].sequence <= cloud.lifecycle().events()[i - 1].sequence) {
-      log_ok = false;
-    }
-  }
-  for (const auto& event : cloud.lifecycle().events()) {
-    if (!nfv::transition_allowed(event.from, event.to)) log_ok = false;
-  }
-  std::cout << "\nEvent log integrity (ordering + legality): " << (log_ok ? "OK" : "BROKEN")
-            << "\n\n";
+  // The manager drives every transient state through a paired helper
+  // (activate, scale, update, terminate), so each one is left again:
+  // every entry into instantiating, scaling or updating returns to active,
+  // and every terminating instance ends terminated.
+  using nfv::VnfState;
+  const bool balanced =
+      lifecycle.transitions_to(VnfState::kActive) ==
+          lifecycle.transitions_to(VnfState::kInstantiating) +
+              lifecycle.transitions_to(VnfState::kScaling) +
+              lifecycle.transitions_to(VnfState::kUpdating) &&
+      lifecycle.transitions_to(VnfState::kTerminated) ==
+          lifecycle.transitions_to(VnfState::kTerminating);
+  std::cout << "\nTransition balance (every transient state left again): "
+            << (balanced ? "OK" : "BROKEN") << "\n\n";
 }
 
 void print_controller_experiment() {

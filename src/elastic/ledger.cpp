@@ -48,7 +48,6 @@ ActionCost UpdateCostLedger::charge(ActionKind kind,
   totals.flow_rule_churn += cost.flow_rule_churn;
   totals.oeo_changes += cost.oeo_changes;
   totals.latency_s += cost.latency_s;
-  actions_.push_back(cost);
 
   ALVC_OBSERVE("elastic.update_cost.al_updates", 0, 64, 32, cost.al_updates);
   ALVC_OBSERVE("elastic.update_cost.flow_rules", 0, 256, 32, cost.flow_rule_churn);

@@ -20,7 +20,6 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace alvc::orchestrator {
 class NetworkOrchestrator;
@@ -84,8 +83,8 @@ class UpdateCostLedger {
   /// so an action's cost does not grow with the chain count or run length.
   [[nodiscard]] static CostSnapshot snapshot(const alvc::orchestrator::NetworkOrchestrator& orch);
 
-  /// Charges the delta since `before` to `kind`, records it, and returns
-  /// the cost. Call immediately after the action succeeds.
+  /// Charges the delta since `before` to `kind`'s totals and returns the
+  /// cost. Call immediately after the action succeeds.
   ActionCost charge(ActionKind kind, const alvc::orchestrator::NetworkOrchestrator& orch,
                     const CostSnapshot& before);
 
@@ -94,13 +93,11 @@ class UpdateCostLedger {
   }
   /// Mean AL updates per recorded action of `kind`; 0 when none recorded.
   [[nodiscard]] double al_updates_per_action(ActionKind kind) const noexcept;
-  [[nodiscard]] const std::vector<ActionCost>& actions() const noexcept { return actions_; }
   [[nodiscard]] const CostModel& model() const noexcept { return model_; }
 
  private:
   CostModel model_;
   std::array<ActionTotals, kActionKindCount> totals_{};
-  std::vector<ActionCost> actions_;
 };
 
 }  // namespace alvc::elastic

@@ -1,6 +1,5 @@
 #include "elastic/migration.h"
 
-#include <algorithm>
 #include <tuple>
 
 #include "telemetry/telemetry.h"
@@ -8,18 +7,12 @@
 namespace alvc::elastic {
 
 using alvc::nfv::HostRef;
-using alvc::orchestrator::NetworkOrchestrator;
 using alvc::orchestrator::ProvisionedChain;
-using alvc::topology::Resources;
 using alvc::util::NfcId;
 using alvc::util::OpsId;
 using alvc::util::ServerId;
 
 namespace {
-
-double dimension_ratio(double used, double nominal) noexcept {
-  return nominal > 0 ? used / nominal : 0.0;
-}
 
 /// Deterministic candidate ordering: coldest first, optical before
 /// electronic on ties (the paper's preference), then by id.
@@ -31,21 +24,6 @@ CandidateKey candidate_key(double util, const HostRef& host) {
 }
 
 }  // namespace
-
-double MigrationPlanner::utilization(const NetworkOrchestrator& orch, const HostRef& host) {
-  const auto& topo = orch.cloud().pool().topology();
-  Resources nominal;
-  if (const auto* ops = std::get_if<OpsId>(&host)) {
-    nominal = topo.ops(*ops).compute;
-  } else {
-    nominal = topo.server(std::get<ServerId>(host)).capacity;
-  }
-  const Resources used = orch.cloud().pool().reserved_on(host);
-  double util = dimension_ratio(used.cpu_cores, nominal.cpu_cores);
-  util = std::max(util, dimension_ratio(used.memory_gb, nominal.memory_gb));
-  util = std::max(util, dimension_ratio(used.storage_gb, nominal.storage_gb));
-  return util;
-}
 
 std::optional<HostRef> MigrationPlanner::pick_target(const ProvisionedChain& chain,
                                                      std::size_t fi) const {
@@ -61,7 +39,7 @@ std::optional<HostRef> MigrationPlanner::pick_target(const ProvisionedChain& cha
   const auto consider = [&](const HostRef& host) {
     if (host == current) return;
     if (!pool.fits(host, desc.demand)) return;
-    const double util = utilization(*orch_, host);
+    const double util = pool.utilization(host);
     if (util >= policy_.hot_utilization) return;  // moving heat, not shedding it
     const CandidateKey key = candidate_key(util, host);
     if (!best || key < best_key) {
@@ -92,9 +70,13 @@ std::size_t MigrationPlanner::tick(double now_s) {
 
 std::size_t MigrationPlanner::tick(double now_s, std::span<const ProvisionedChain* const> chains,
                                    std::vector<std::size_t>& attempted) {
+  const auto& pool = orch_->cloud().pool();
+  // No host at or above the threshold means no hot instance anywhere: the
+  // scan below would skip every chain, so skip the scan.
+  if (pool.peak_utilization() < policy_.hot_utilization) return 0;
   const auto hot = [&](const ProvisionedChain& chain, std::size_t fi) {
     return fi < chain.instances.size() && chain.instances[fi].valid() &&
-           utilization(*orch_, chain.placement.hosts[fi]) >= policy_.hot_utilization;
+           pool.utilization(chain.placement.hosts[fi]) >= policy_.hot_utilization;
   };
   std::size_t moves = 0;
   for (std::size_t ci = 0; ci < chains.size(); ++ci) {  // ascending ids

@@ -37,8 +37,8 @@ enum class ExecutionMode : std::uint8_t { kIncremental, kReprovision };
 }
 
 struct MigrationPolicy {
-  /// A host is hot when any resource dimension is used above this fraction
-  /// of nominal capacity.
+  /// A host is hot when any resource dimension is used at or above this
+  /// fraction of nominal capacity (HostingPool::utilization).
   double hot_utilization = 0.85;
   /// Upper bound on moves per tick (drain gradually).
   std::size_t max_moves_per_tick = 2;
@@ -90,12 +90,6 @@ class MigrationPlanner {
   std::size_t tick(double now_s,
                    std::span<const alvc::orchestrator::ProvisionedChain* const> chains,
                    std::vector<std::size_t>& attempted);
-
-  /// Utilization of `host` in the orchestrator's hosting pool: the max
-  /// over resource dimensions of used / nominal. 0 for hosts with no
-  /// capacity at all. Public for tests and hot-spot introspection.
-  [[nodiscard]] static double utilization(const alvc::orchestrator::NetworkOrchestrator& orch,
-                                          const alvc::nfv::HostRef& host);
 
   [[nodiscard]] const MigrationStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const MigrationPolicy& policy() const noexcept { return policy_; }

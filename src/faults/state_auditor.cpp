@@ -368,7 +368,8 @@ std::vector<std::string> StateAuditor::audit(
   // exactly one chain slot — no orphans after a migration, no sharing —
   // and carries a positive scale factor; (c) per host, the hosting pool's
   // reserved books equal the sum of live instances' scaled demand
-  // (demand-accounting conservation).
+  // (demand-accounting conservation), and its cached utilization equals
+  // the one its books give.
   {
     using alvc::nfv::VnfState;
     using alvc::util::VnfInstanceId;
@@ -412,26 +413,36 @@ std::vector<std::string> StateAuditor::audit(
       hosted[key] += orch.cloud().reserved_demand(inst.id);
     }
     constexpr double kResEps = 1e-6;
-    const auto check_host = [&](const alvc::nfv::HostRef& host, bool is_ops, std::uint32_t id) {
+    const auto& pool = orch.cloud().pool();
+    const auto check_host = [&](const alvc::nfv::HostRef& host, bool is_ops, std::uint32_t id,
+                                const alvc::topology::Resources& nominal) {
       const auto it = hosted.find({is_ops, id});
       const alvc::topology::Resources expected =
           it == hosted.end() ? alvc::topology::Resources{} : it->second;
-      const alvc::topology::Resources booked = orch.cloud().pool().reserved_on(host);
+      const alvc::topology::Resources booked = pool.reserved_on(host);
+      const std::string tag = std::string(is_ops ? "ops " : "server ") + std::to_string(id);
       if (std::abs(booked.cpu_cores - expected.cpu_cores) > kResEps ||
           std::abs(booked.memory_gb - expected.memory_gb) > kResEps ||
           std::abs(booked.storage_gb - expected.storage_gb) > kResEps) {
-        out.push_back(std::string(is_ops ? "ops " : "server ") + std::to_string(id) +
-                      ": pool books " + std::to_string(booked.cpu_cores) + " cores but live " +
-                      "instances sum to " + std::to_string(expected.cpu_cores) +
+        out.push_back(tag + ": pool books " + std::to_string(booked.cpu_cores) +
+                      " cores but live instances sum to " + std::to_string(expected.cpu_cores) +
                       " (reservation conservation)");
+      }
+      // The migration planner reads the cached utilization, never the
+      // books: a write that skipped its refresh would hide a hot host.
+      const double cached = pool.utilization(host);
+      const double recomputed = alvc::nfv::utilization_of(booked, nominal);
+      if (cached != recomputed) {
+        out.push_back(tag + ": cached utilization " + std::to_string(cached) +
+                      " but the books give " + std::to_string(recomputed));
       }
     };
     for (const auto& server : topo.servers()) {
-      check_host(alvc::nfv::HostRef{server.id}, false, server.id.value());
+      check_host(alvc::nfv::HostRef{server.id}, false, server.id.value(), server.capacity);
     }
     for (const auto& ops : topo.opss()) {
       if (!ops.optoelectronic) continue;
-      check_host(alvc::nfv::HostRef{ops.id}, true, ops.id.value());
+      check_host(alvc::nfv::HostRef{ops.id}, true, ops.id.value(), ops.compute);
     }
   }
 

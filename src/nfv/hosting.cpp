@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 namespace alvc::nfv {
 
@@ -14,9 +15,11 @@ namespace {
 
 /// The table entry for host `index` of `count`, growing the table to the
 /// topology's current host count when the host was added after the pool.
-/// Throws std::out_of_range for a host the topology does not have, as the
-/// topology accessors do.
-Resources& slot(std::vector<Resources>& table, std::size_t index, std::size_t count) {
+/// A grown entry has nothing reserved, and 0 is its utilization; the write
+/// that grew it refreshes it like any other. Throws std::out_of_range for
+/// a host the topology does not have, as the topology accessors do.
+template <typename Entry>
+Entry& slot(std::vector<Entry>& table, std::size_t index, std::size_t count) {
   if (index >= table.size()) {
     if (index >= count) throw std::out_of_range("HostingPool: no such host");
     table.resize(count);
@@ -24,14 +27,21 @@ Resources& slot(std::vector<Resources>& table, std::size_t index, std::size_t co
   return table[index];
 }
 
-Resources slot_or_zero(const std::vector<Resources>& table, std::size_t index) {
-  return index < table.size() ? table[index] : Resources{};
+double dimension_ratio(double used, double nominal) noexcept {
+  return nominal > 0 ? used / nominal : 0.0;
 }
 
 }  // namespace
 
+double utilization_of(const Resources& used, const Resources& nominal) noexcept {
+  double util = dimension_ratio(used.cpu_cores, nominal.cpu_cores);
+  util = std::max(util, dimension_ratio(used.memory_gb, nominal.memory_gb));
+  util = std::max(util, dimension_ratio(used.storage_gb, nominal.storage_gb));
+  return util;
+}
+
 HostingPool::HostingPool(const alvc::topology::DataCenterTopology& topo)
-    : topo_(&topo), server_used_(topo.server_count()), ops_used_(topo.ops_count()) {}
+    : topo_(&topo), server_books_(topo.server_count()), ops_books_(topo.ops_count()) {}
 
 Resources HostingPool::nominal_capacity(const HostRef& host) const {
   if (const auto* server = std::get_if<ServerId>(&host)) {
@@ -41,18 +51,29 @@ Resources HostingPool::nominal_capacity(const HostRef& host) const {
   return ops.optoelectronic ? ops.compute : Resources{};
 }
 
-Resources& HostingPool::used(const HostRef& host) {
+HostingPool::HostBooks& HostingPool::books(const HostRef& host) {
   if (const auto* server = std::get_if<ServerId>(&host)) {
-    return slot(server_used_, server->index(), topo_->server_count());
+    return slot(server_books_, server->index(), topo_->server_count());
   }
-  return slot(ops_used_, std::get<OpsId>(host).index(), topo_->ops_count());
+  return slot(ops_books_, std::get<OpsId>(host).index(), topo_->ops_count());
+}
+
+const HostingPool::HostBooks* HostingPool::books_or_null(const HostRef& host) const {
+  if (const auto* server = std::get_if<ServerId>(&host)) {
+    return server->index() < server_books_.size() ? &server_books_[server->index()] : nullptr;
+  }
+  const std::size_t index = std::get<OpsId>(host).index();
+  return index < ops_books_.size() ? &ops_books_[index] : nullptr;
 }
 
 Resources HostingPool::used_or_zero(const HostRef& host) const {
-  if (const auto* server = std::get_if<ServerId>(&host)) {
-    return slot_or_zero(server_used_, server->index());
-  }
-  return slot_or_zero(ops_used_, std::get<OpsId>(host).index());
+  const HostBooks* entry = books_or_null(host);
+  return entry != nullptr ? entry->used : Resources{};
+}
+
+double HostingPool::utilization(const HostRef& host) const {
+  const HostBooks* entry = books_or_null(host);
+  return entry != nullptr ? entry->utilization : 0.0;
 }
 
 Resources HostingPool::free_capacity(const HostRef& host) const {
@@ -63,21 +84,62 @@ bool HostingPool::fits(const HostRef& host, const Resources& demand) const {
   return demand.fits_within(free_capacity(host));
 }
 
+void HostingPool::refresh(HostBooks& entry, const HostRef& host, const Resources& nominal) {
+  entry.utilization = utilization_of(entry.used, nominal);
+  if (peak_stale_) return;
+  if (entry.utilization >= peak_) {
+    peak_ = entry.utilization;
+    peak_host_ = host;
+  } else if (host == peak_host_) {
+    peak_stale_ = true;  // the peak host cooled: only a rescan knows the new peak
+  }
+}
+
 Status HostingPool::reserve(const HostRef& host, const Resources& demand) {
-  if (!fits(host, demand)) {
+  const Resources nominal = nominal_capacity(host);
+  if (!demand.fits_within(nominal - used_or_zero(host))) {
     return Error{ErrorCode::kCapacityExceeded, "host cannot take VNF demand"};
   }
-  used(host) += demand;
+  HostBooks& entry = books(host);
+  entry.used += demand;
+  refresh(entry, host, nominal);
   return Status::ok();
 }
 
 void HostingPool::release(const HostRef& host, const Resources& demand) {
-  Resources& u = used(host);
+  HostBooks& entry = books(host);
+  Resources& u = entry.used;
   u -= demand;
   // Clamp against over-release.
   u.cpu_cores = std::max(u.cpu_cores, 0.0);
   u.memory_gb = std::max(u.memory_gb, 0.0);
   u.storage_gb = std::max(u.storage_gb, 0.0);
+  refresh(entry, host, nominal_capacity(host));
+}
+
+std::pair<double, HostRef> HostingPool::scan_peak() const {
+  // Books never go below zero for non-negative demand, so neither does a
+  // utilization: 0 is the floor, and what a host never booked reads.
+  std::pair<double, HostRef> peak{0.0, HostRef{}};
+  for (std::size_t i = 0; i < server_books_.size(); ++i) {
+    if (server_books_[i].utilization > peak.first) {
+      peak = {server_books_[i].utilization, ServerId{static_cast<ServerId::value_type>(i)}};
+    }
+  }
+  for (std::size_t i = 0; i < ops_books_.size(); ++i) {
+    if (ops_books_[i].utilization > peak.first) {
+      peak = {ops_books_[i].utilization, OpsId{static_cast<OpsId::value_type>(i)}};
+    }
+  }
+  return peak;
+}
+
+double HostingPool::peak_utilization() const {
+  if (peak_stale_) {
+    std::tie(peak_, peak_host_) = scan_peak();
+    peak_stale_ = false;
+  }
+  return peak_;
 }
 
 std::vector<OpsId> HostingPool::optical_hosts_with_capacity(
@@ -104,15 +166,21 @@ std::vector<ServerId> HostingPool::electronic_hosts_with_capacity(const Resource
 }
 
 bool HostingPool::is_consistent() const {
-  for (std::size_t i = 0; i < server_used_.size(); ++i) {
+  const auto entry_ok = [&](const HostBooks& entry, const HostRef& host) {
+    const Resources nominal = nominal_capacity(host);
+    // Bit-for-bit: the cache must hold exactly what a recomputation gives.
+    return (nominal - entry.used).non_negative() &&
+           entry.utilization == utilization_of(entry.used, nominal);
+  };
+  for (std::size_t i = 0; i < server_books_.size(); ++i) {
     const HostRef host{ServerId{static_cast<ServerId::value_type>(i)}};
-    if (!(nominal_capacity(host) - server_used_[i]).non_negative()) return false;
+    if (!entry_ok(server_books_[i], host)) return false;
   }
-  for (std::size_t i = 0; i < ops_used_.size(); ++i) {
+  for (std::size_t i = 0; i < ops_books_.size(); ++i) {
     const HostRef host{OpsId{static_cast<OpsId::value_type>(i)}};
-    if (!(nominal_capacity(host) - ops_used_[i]).non_negative()) return false;
+    if (!entry_ok(ops_books_[i], host)) return false;
   }
-  return true;
+  return peak_stale_ || (peak_ == scan_peak().first && utilization(peak_host_) == peak_);
 }
 
 }  // namespace alvc::nfv

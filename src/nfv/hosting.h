@@ -5,8 +5,14 @@
 // optoelectronic routers; electronic hosts are the servers. Reservations
 // are tracked here so placement strategies can be pure functions over a
 // pool snapshot.
+//
+// The pool is the only writer of the reservation books, so it also keeps
+// each host's utilization beside them and the fabric-wide peak: readers
+// such as the migration planner's hot-host test pay O(1), not a
+// recomputation per chain instance.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "nfv/lifecycle.h"
@@ -17,6 +23,12 @@
 namespace alvc::nfv {
 
 using alvc::util::Status;
+
+/// Utilization of a host with `used` booked out of `nominal`: the max over
+/// resource dimensions of used / nominal, 0 for a dimension with no
+/// capacity. The one definition: the pool caches it per host, and audits
+/// recompute it to check that cache.
+[[nodiscard]] double utilization_of(const Resources& used, const Resources& nominal) noexcept;
 
 class HostingPool {
  public:
@@ -52,7 +64,19 @@ class HostingPool {
   /// the pool's books must equal the sum of live instances' scaled demand.
   [[nodiscard]] Resources reserved_on(const HostRef& host) const { return used_or_zero(host); }
 
-  /// True if no host is over-committed.
+  /// utilization_of() the host's books and nominal capacity, cached beside
+  /// the books and refreshed by every write, so this is an O(1) read.
+  /// 0 for a host added after the pool and not yet booked.
+  [[nodiscard]] double utilization(const HostRef& host) const;
+
+  /// The highest utilization of any host; 0 when nothing is booked.
+  /// A write can only raise the cached peak or mark it stale (when the
+  /// peak host cools), and only a read after that rescans the tables.
+  /// Refreshes a cache: not safe to call concurrently with itself.
+  [[nodiscard]] double peak_utilization() const;
+
+  /// True if no host is over-committed and every cached utilization (and
+  /// the peak, when fresh) matches a recomputation from the books.
   [[nodiscard]] bool is_consistent() const;
 
   [[nodiscard]] const alvc::topology::DataCenterTopology& topology() const noexcept {
@@ -60,16 +84,34 @@ class HostingPool {
   }
 
  private:
+  /// One host's books: what is reserved and the utilization derived from
+  /// it, kept together so a refresh touches one entry.
+  struct HostBooks {
+    Resources used;
+    double utilization = 0;
+  };
+
   [[nodiscard]] Resources nominal_capacity(const HostRef& host) const;
-  [[nodiscard]] Resources& used(const HostRef& host);
+  [[nodiscard]] HostBooks& books(const HostRef& host);
+  [[nodiscard]] const HostBooks* books_or_null(const HostRef& host) const;
   [[nodiscard]] Resources used_or_zero(const HostRef& host) const;
+  /// Recomputes `entry`'s utilization after a write to `host` and keeps
+  /// the cached peak exact or marks it stale.
+  void refresh(HostBooks& entry, const HostRef& host, const Resources& nominal);
+  /// The highest utilization over every host and a host that has it.
+  [[nodiscard]] std::pair<double, HostRef> scan_peak() const;
 
   const alvc::topology::DataCenterTopology* topo_;
-  /// Reserved capacity per host, indexed by ServerId/OpsId::index() and
-  /// sized to the topology at construction. A host the topology gains
-  /// later reads zero until its first write grows the table.
-  std::vector<Resources> server_used_;
-  std::vector<Resources> ops_used_;
+  /// Books per host, indexed by ServerId/OpsId::index() and sized to the
+  /// topology at construction. A host the topology gains later reads zero
+  /// until its first write grows the table.
+  std::vector<HostBooks> server_books_;
+  std::vector<HostBooks> ops_books_;
+  /// Cached peak_utilization() and a host at it; valid unless stale.
+  /// A new pool has nothing booked, so its peak is 0.
+  mutable double peak_ = 0;
+  mutable HostRef peak_host_;
+  mutable bool peak_stale_ = false;
 };
 
 }  // namespace alvc::nfv

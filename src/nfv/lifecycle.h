@@ -3,9 +3,11 @@
 // The Cloud/NFV manager "is responsible for managing the VNFs during its
 // lifetime, such as VNF creation, scaling, termination, and update events".
 // We model that as an explicit state machine with legal-transition
-// enforcement and an event log the control-plane bench (FIG6) replays.
+// enforcement and a count of committed transitions per target state, which
+// the control-plane bench (FIG6) reports.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <variant>
@@ -40,6 +42,7 @@ enum class VnfState : std::uint8_t {
   kTerminating,
   kTerminated,
 };
+inline constexpr std::size_t kVnfStateCount = static_cast<std::size_t>(VnfState::kTerminated) + 1;
 
 [[nodiscard]] constexpr std::string_view to_string(VnfState state) noexcept {
   switch (state) {
@@ -71,14 +74,6 @@ struct VnfInstance {
   double scale = 1.0;
 };
 
-/// Lifecycle event record for audit/bench purposes.
-struct LifecycleEvent {
-  VnfInstanceId instance;
-  VnfState from;
-  VnfState to;
-  std::uint64_t sequence = 0;
-};
-
 /// Owns all VNF instances and enforces the state machine. Placement
 /// (choosing `host`) happens in the orchestrator; this class tracks state.
 class VnfLifecycleManager {
@@ -89,7 +84,11 @@ class VnfLifecycleManager {
   [[nodiscard]] const VnfInstance& instance(VnfInstanceId id) const;
   [[nodiscard]] std::size_t instance_count() const noexcept { return instances_.size(); }
   [[nodiscard]] std::size_t active_count() const noexcept;
-  [[nodiscard]] const std::vector<LifecycleEvent>& events() const noexcept { return events_; }
+  /// Committed transitions into `to` since construction. A refused
+  /// transition counts nothing; transition_allowed() fixes the order.
+  [[nodiscard]] std::size_t transitions_to(VnfState to) const noexcept {
+    return transitions_[static_cast<std::size_t>(to)];
+  }
 
   /// Drives one transition; kInvalidArgument when illegal.
   [[nodiscard]] Status transition(VnfInstanceId id, VnfState to);
@@ -107,8 +106,7 @@ class VnfLifecycleManager {
   VnfInstance* find(VnfInstanceId id);
 
   std::vector<VnfInstance> instances_;
-  std::vector<LifecycleEvent> events_;
-  std::uint64_t sequence_ = 0;
+  std::array<std::size_t, kVnfStateCount> transitions_{};
 };
 
 }  // namespace alvc::nfv

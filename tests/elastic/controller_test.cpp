@@ -47,7 +47,7 @@ TEST_F(ElasticControllerTest, ObserveSeesTheScaleAMigrationLeftBehind) {
   const NfcId id = provision_firewall();
   const HostRef home = orch.chain(id)->placement.hosts[0];
   ASSERT_TRUE(std::holds_alternative<OpsId>(home));
-  const double idle = MigrationPlanner::utilization(orch, home);
+  const double idle = orch.cloud().pool().utilization(home);
   ASSERT_GT(idle, 0.0);
 
   // Demand is the diurnal wave alone, and the tick runs at a time where it

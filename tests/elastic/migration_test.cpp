@@ -50,7 +50,7 @@ struct MigrationFixture : ::testing::Test, ClusterFixture {
   std::vector<alvc::util::VnfInstanceId> heat(const HostRef& host, double hot) {
     const auto firewall = *catalog.find_by_type(VnfType::kFirewall);
     std::vector<alvc::util::VnfInstanceId> fillers;
-    while (MigrationPlanner::utilization(orch, host) < hot) {
+    while (orch.cloud().pool().utilization(host) < hot) {
       auto id = orch.cloud().deploy(firewall, host);
       if (!id.has_value()) throw std::runtime_error("filler deploy failed: host cannot get hot");
       fillers.push_back(*id);
@@ -71,7 +71,7 @@ TEST_F(MigrationFixture, IncrementalMoveRelievesHotHostAtTwoAlUpdates) {
 
   MigrationPlanner planner(orch, ledger, placement);
   const auto fillers = heat(before_host, planner.policy().hot_utilization);
-  ASSERT_GE(MigrationPlanner::utilization(orch, before_host), planner.policy().hot_utilization);
+  ASSERT_GE(orch.cloud().pool().utilization(before_host), planner.policy().hot_utilization);
 
   EXPECT_EQ(planner.tick(0.0), 1u);
   EXPECT_EQ(planner.stats().migrations, 1u);
@@ -91,6 +91,48 @@ TEST_F(MigrationFixture, IncrementalMoveRelievesHotHostAtTwoAlUpdates) {
 
   release(fillers);
   EXPECT_TRUE(StateAuditor::audit(orch).empty());
+}
+
+TEST_F(MigrationFixture, HostExactlyAtTheThresholdIsHot) {
+  const NfcId id = provision({VnfType::kFirewall});
+  const HostRef home = orch.chain(id)->placement.hosts[0];
+  const double util = orch.cloud().pool().utilization(home);
+  ASSERT_GT(util, 0.0);
+  // The threshold is the host's own utilization: `>=` makes it hot, and
+  // the peak equals the threshold, so the early return must not fire.
+  MigrationPolicy policy;
+  policy.hot_utilization = util;
+  MigrationPlanner planner(orch, ledger, placement, policy);
+  ASSERT_EQ(orch.cloud().pool().peak_utilization(), util);
+
+  EXPECT_EQ(planner.tick(0.0), 1u);
+  EXPECT_EQ(planner.stats().migrations, 1u);
+  EXPECT_FALSE(orch.chain(id)->placement.hosts[0] == home);
+  EXPECT_TRUE(StateAuditor::audit(orch).empty());
+}
+
+TEST_F(MigrationFixture, PassWithEveryHostBelowTheThresholdDoesNothing) {
+  const NfcId id = provision({VnfType::kFirewall, VnfType::kNat});
+  MigrationPlanner planner(orch, ledger, placement);
+  // One real move first, so the stats the quiet pass must leave alone are
+  // not all zero.
+  const auto fillers = heat(orch.chain(id)->placement.hosts[0], planner.policy().hot_utilization);
+  ASSERT_EQ(planner.tick(0.0), 1u);
+  release(fillers);
+  ASSERT_LT(orch.cloud().pool().peak_utilization(), planner.policy().hot_utilization);
+
+  const MigrationStats before = planner.stats();
+  const auto chains = orch.chains();
+  std::vector<std::size_t> attempted;
+  EXPECT_EQ(planner.tick(100.0, chains, attempted), 0u);
+  EXPECT_TRUE(attempted.empty());
+  const MigrationStats& after = planner.stats();
+  EXPECT_EQ(after.migrations, before.migrations);
+  EXPECT_EQ(after.reprovisions, before.reprovisions);
+  EXPECT_EQ(after.failed, before.failed);
+  EXPECT_EQ(after.lost, before.lost);
+  EXPECT_EQ(after.no_target, before.no_target);
+  EXPECT_EQ(ledger.totals(ActionKind::kMigration).actions, 1u);
 }
 
 TEST_F(MigrationFixture, CooldownSpacesRepeatMovesOfTheSameChain) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "topology/builder.h"
+#include "util/rng.h"
 
 namespace alvc::nfv {
 namespace {
@@ -140,6 +145,108 @@ TEST(HostingPoolTest, HostsAddedAfterThePoolAreTracked) {
   EXPECT_THROW(pool.release(HostRef{ServerId{99}}, Resources{.cpu_cores = 1}),
                std::out_of_range);
   EXPECT_THROW(pool.release(HostRef{OpsId{99}}, Resources{.cpu_cores = 1}), std::out_of_range);
+}
+
+/// The utilization formula recomputed from the topology and the books:
+/// max over dimensions of used / nominal, 0 for a dimension with no
+/// capacity; a plain OPS has no capacity at all.
+double recomputed_utilization(const DataCenterTopology& topo, const HostingPool& pool,
+                              const HostRef& host) {
+  Resources nominal;
+  if (const auto* server = std::get_if<ServerId>(&host)) {
+    nominal = topo.server(*server).capacity;
+  } else if (const auto& ops = topo.ops(std::get<OpsId>(host)); ops.optoelectronic) {
+    nominal = ops.compute;
+  }
+  const Resources used = pool.reserved_on(host);
+  const auto ratio = [](double u, double n) { return n > 0 ? u / n : 0.0; };
+  double util = ratio(used.cpu_cores, nominal.cpu_cores);
+  util = std::max(util, ratio(used.memory_gb, nominal.memory_gb));
+  util = std::max(util, ratio(used.storage_gb, nominal.storage_gb));
+  return util;
+}
+
+std::vector<HostRef> all_hosts(const DataCenterTopology& topo) {
+  std::vector<HostRef> hosts;
+  for (const auto& server : topo.servers()) hosts.emplace_back(server.id);
+  for (const auto& ops : topo.opss()) hosts.emplace_back(ops.id);
+  return hosts;
+}
+
+TEST(HostingPoolTest, PeakFollowsTheHottestHost) {
+  const auto topo = hosting_dc();
+  HostingPool pool(topo);
+  const HostRef oe{OpsId{0}};
+  const HostRef server{ServerId{0}};
+  EXPECT_EQ(pool.peak_utilization(), 0.0);
+  ASSERT_TRUE(pool.reserve(oe, Resources{.cpu_cores = 2}).is_ok());       // 2/4
+  ASSERT_TRUE(pool.reserve(server, Resources{.memory_gb = 16}).is_ok());  // 16/64
+  EXPECT_EQ(pool.utilization(oe), 0.5);
+  EXPECT_EQ(pool.utilization(server), 0.25);
+  EXPECT_EQ(pool.peak_utilization(), 0.5);
+  // The peak host cools below the runner-up: the peak moves to it.
+  pool.release(oe, Resources{.cpu_cores = 2});
+  EXPECT_EQ(pool.utilization(oe), 0.0);
+  EXPECT_EQ(pool.peak_utilization(), 0.25);
+  // A write above the peak raises it without a rescan.
+  ASSERT_TRUE(pool.reserve(oe, Resources{.storage_gb = 24}).is_ok());  // 24/32
+  EXPECT_EQ(pool.peak_utilization(), 0.75);
+  EXPECT_TRUE(pool.is_consistent());
+}
+
+TEST(HostingPoolTest, CachedUtilizationMatchesTheFormulaUnderRandomBooking) {
+  // Seeded reserve / release / over-release sequences, with a server and an
+  // optoelectronic router added after the pool midway. Each step makes one
+  // to three writes, so some writes land while the peak is stale; after
+  // every step each host's cached utilization must equal the formula
+  // bit-for-bit and the peak must equal the max over every host.
+  for (std::uint64_t seed : {1, 2, 3, 4, 5}) {
+    auto topo = hosting_dc();
+    topo.add_ops(true, Resources{.cpu_cores = 2, .memory_gb = 6, .storage_gb = 20});
+    topo.add_server(alvc::util::TorId{0}, Resources{.cpu_cores = 8, .memory_gb = 32});
+    HostingPool pool(topo);
+    alvc::util::Rng rng(seed);
+    const auto random_demand = [&] {
+      return Resources{.cpu_cores = rng.uniform(0, 3),
+                       .memory_gb = rng.uniform(0, 8),
+                       .storage_gb = rng.uniform(0, 40)};
+    };
+    for (int step = 0; step < 300; ++step) {
+      if (step == 150) {
+        topo.add_server(alvc::util::TorId{0},
+                        Resources{.cpu_cores = 4, .memory_gb = 16, .storage_gb = 64});
+        topo.add_ops(true, Resources{.cpu_cores = 3, .memory_gb = 3});
+      }
+      const auto hosts = all_hosts(topo);
+      const std::size_t writes = 1 + rng.uniform_index(3);
+      for (std::size_t w = 0; w < writes; ++w) {
+        const HostRef host = hosts[rng.uniform_index(hosts.size())];
+        const double action = rng.uniform01();
+        if (action < 0.55) {
+          ALVC_IGNORE_STATUS(pool.reserve(host, random_demand()), "refusals are part of the run");
+        } else if (action < 0.85) {
+          // Release part of what is booked.
+          const Resources used = pool.reserved_on(host);
+          const double share = rng.uniform01();
+          pool.release(host, Resources{.cpu_cores = used.cpu_cores * share,
+                                       .memory_gb = used.memory_gb * share,
+                                       .storage_gb = used.storage_gb * share});
+        } else {
+          pool.release(host, random_demand());  // over-release: clamps at zero
+        }
+      }
+      double expected_peak = 0;
+      for (const HostRef& host : hosts) {
+        const double expected = recomputed_utilization(topo, pool, host);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(pool.utilization(host)),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "seed " << seed << " step " << step;
+        expected_peak = std::max(expected_peak, expected);
+      }
+      ASSERT_EQ(pool.peak_utilization(), expected_peak) << "seed " << seed << " step " << step;
+      ASSERT_TRUE(pool.is_consistent()) << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 TEST(HostingPoolTest, OpticalHostEnumeration) {

@@ -46,11 +46,11 @@ TEST(LifecycleManagerTest, ActivateFullPath) {
   EXPECT_EQ(mgr.instance(id).state, VnfState::kActive);
   EXPECT_EQ(mgr.active_count(), 1u);
   EXPECT_TRUE(is_optical_host(mgr.instance(id).host));
-  // Event log captured both hops.
-  ASSERT_EQ(mgr.events().size(), 2u);
-  EXPECT_EQ(mgr.events()[0].to, VnfState::kInstantiating);
-  EXPECT_EQ(mgr.events()[1].to, VnfState::kActive);
-  EXPECT_LT(mgr.events()[0].sequence, mgr.events()[1].sequence);
+  // Both hops were counted, once each, and nothing else.
+  EXPECT_EQ(mgr.transitions_to(VnfState::kInstantiating), 1u);
+  EXPECT_EQ(mgr.transitions_to(VnfState::kActive), 1u);
+  EXPECT_EQ(mgr.transitions_to(VnfState::kScaling), 0u);
+  EXPECT_EQ(mgr.transitions_to(VnfState::kTerminated), 0u);
 }
 
 TEST(LifecycleManagerTest, IllegalTransitionRejected) {
@@ -60,7 +60,7 @@ TEST(LifecycleManagerTest, IllegalTransitionRejected) {
   ASSERT_FALSE(status.is_ok());
   EXPECT_EQ(status.error().code, ErrorCode::kInvalidArgument);
   EXPECT_EQ(mgr.instance(id).state, VnfState::kRequested);
-  EXPECT_TRUE(mgr.events().empty()) << "failed transitions must not be logged";
+  EXPECT_EQ(mgr.transitions_to(VnfState::kActive), 0u) << "refused transitions must not count";
 }
 
 TEST(LifecycleManagerTest, UnknownInstance) {
