@@ -10,12 +10,14 @@
 // costs 2k + 2 AL updates for a k-function chain, so the per-action ratio
 // must come out >= 3x for the firewall+nat chains used here. Benchmarks:
 // a single controller tick on a plane of a few hundred chains at two
-// history lengths, and the full elastic soak per mode (events per second
-// the control plane absorbs).
+// history lengths, the same tick once the first scale-outs have settled,
+// and the full elastic soak per mode (events per second the control plane
+// absorbs).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "core/alvc.h"
@@ -188,48 +190,87 @@ core::DataCenter make_tick_dc() {
   return dc;
 }
 
+/// A plane of a few hundred live chains with a history behind it, built
+/// for BM_ElasticTick*: `history_s` seconds of prior churn (4
+/// provision/teardown pairs per second on the one slot kept free) and a
+/// demand horizon of the same length.
+struct TickPlane {
+  core::DataCenter dc = make_tick_dc();
+  orchestrator::GreedyOpticalPlacement placement;
+  std::optional<elastic::ElasticController> controller;
+
+  /// False when the history churn failed.
+  bool build(std::size_t history_s) {
+    const std::size_t slots = dc.topology().service_count();
+    // History first, on the one slot kept free, so it stays cheap to build.
+    const auto churn_spec =
+        make_spec(dc, static_cast<std::uint32_t>(slots - 1), 2.0, PriorityClass::kLopri);
+    for (std::size_t i = 0; i < 4 * history_s; ++i) {
+      const auto id = dc.orchestrator().provision_chain(churn_spec, placement);
+      if (!id || !dc.orchestrator().teardown_chain(*id).is_ok()) return false;
+    }
+    for (std::size_t slot = 0; slot + 1 < slots; ++slot) {
+      (void)dc.provision_chain(
+          make_spec(dc, static_cast<std::uint32_t>(slot), slot % 2 == 0 ? 2.0 : 4.0,
+                    slot % 3 == 0 ? PriorityClass::kHipri : PriorityClass::kLopri),
+          core::PlacementAlgorithm::kGreedyOptical);
+    }
+    auto params = make_elastic_params(7, ExecutionMode::kIncremental);
+    params.demand.horizon_s = static_cast<double>(history_s);
+    controller.emplace(dc.orchestrator(), placement, params);
+    return true;
+  }
+
+  void report(benchmark::State& state) const {
+    benchmark::DoNotOptimize(controller->stats());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.counters["chains"] = static_cast<double>(dc.orchestrator().chain_count());
+    state.counters["log_events"] = static_cast<double>(dc.orchestrator().control_log().size());
+  }
+};
+
 /// One controller tick on a plane of a few hundred live chains with a
 /// history behind it. The argument is the history length in seconds: the
 /// demand horizon (flash onsets are drawn over all of it) and the prior
 /// control log (4 provision/teardown pairs per second, 16 log entries).
 /// A tick whose cost grows with either shows up as a gap between the rows.
 void BM_ElasticTick(benchmark::State& state) {
-  const auto history_s = static_cast<std::size_t>(state.range(0));
-  auto dc = make_tick_dc();
-  const std::size_t slots = dc.topology().service_count();
-  const orchestrator::GreedyOpticalPlacement placement;
-  // History first, on the one slot kept free, so it stays cheap to build.
-  const auto churn_spec =
-      make_spec(dc, static_cast<std::uint32_t>(slots - 1), 2.0, PriorityClass::kLopri);
-  for (std::size_t i = 0; i < 4 * history_s; ++i) {
-    const auto id = dc.orchestrator().provision_chain(churn_spec, placement);
-    if (!id || !dc.orchestrator().teardown_chain(*id).is_ok()) {
-      state.SkipWithError("history churn failed");
-      return;
-    }
+  TickPlane plane;
+  if (!plane.build(static_cast<std::size_t>(state.range(0)))) {
+    state.SkipWithError("history churn failed");
+    return;
   }
-  for (std::size_t slot = 0; slot + 1 < slots; ++slot) {
-    (void)dc.provision_chain(
-        make_spec(dc, static_cast<std::uint32_t>(slot), slot % 2 == 0 ? 2.0 : 4.0,
-                  slot % 3 == 0 ? PriorityClass::kHipri : PriorityClass::kLopri),
-        core::PlacementAlgorithm::kGreedyOptical);
-  }
-  auto params = make_elastic_params(7, ExecutionMode::kIncremental);
-  params.demand.horizon_s = static_cast<double>(history_s);
-  elastic::ElasticController controller(dc.orchestrator(), placement, params);
   double now_s = 0;
   for (auto _ : state) {
-    controller.tick(now_s);
+    plane.controller->tick(now_s);
     now_s += 0.5;
   }
-  benchmark::DoNotOptimize(controller.stats());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["chains"] = static_cast<double>(dc.orchestrator().chain_count());
-  state.counters["log_events"] = static_cast<double>(dc.orchestrator().control_log().size());
+  plane.report(state);
 }
 // A fixed tick count: every run times the same 20 simulated seconds (the
 // early ticks act the most), so rows compare across runs and trees.
 BENCHMARK(BM_ElasticTick)->Arg(60)->Arg(1500)->Iterations(40)->Unit(benchmark::kMicrosecond);
+
+/// The same plane once the first rush of scale-outs has settled: 30
+/// simulated seconds of ticks run untimed, then the row times the next
+/// 60 seconds, inside the demand horizon. A tick there acts on about 9
+/// chains, against about 17 in the first 40 ticks, so deciding weighs
+/// more, as in a long-running loop.
+void BM_ElasticTickSteady(benchmark::State& state) {
+  TickPlane plane;
+  if (!plane.build(static_cast<std::size_t>(state.range(0)))) {
+    state.SkipWithError("history churn failed");
+    return;
+  }
+  double now_s = 0;
+  for (; now_s < 30.0; now_s += 0.5) plane.controller->tick(now_s);
+  for (auto _ : state) {
+    plane.controller->tick(now_s);
+    now_s += 0.5;
+  }
+  plane.report(state);
+}
+BENCHMARK(BM_ElasticTickSteady)->Arg(120)->Iterations(120)->Unit(benchmark::kMicrosecond);
 
 void BM_ElasticSoak(benchmark::State& state) {
   const auto mode = static_cast<ExecutionMode>(state.range(0));

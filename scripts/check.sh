@@ -280,7 +280,8 @@ leg_scale_soak() {
 # BM_OpsCycleVsFabric sweep over 400/4k/40k/100k groups, whose 100k/400
 # ratio bench_gate.py bounds, the
 # bench_overload_downgrade rebalance rows, the bench_elastic_scaling
-# tick rows at two history lengths, the bench_fig2_topology switch-graph
+# tick rows at two history lengths and after a warm-up (BM_ElasticTick*),
+# the bench_fig2_topology switch-graph
 # link-flip rows and the bench_failure_recovery fault_storm link cycles,
 # BM_FaultStormLinkCycle with 4 clusters held degraded and
 # BM_FaultStormLinkCycleManyDegraded with 64; the filter's prefix matches

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "orchestrator/orchestrator.h"
 #include "sim/waveform.h"
@@ -59,11 +60,28 @@ void DemandModel::forget(NfcId id) {
 
 std::vector<double> DemandModel::sync(std::span<const ProvisionedChain* const> chains,
                                       double now_s) {
+  const Instant at = instant(now_s);
   std::vector<double> demand;
   demand.reserve(chains.size());
+  const auto observe = [&](NfcId id, ChainSeries& series) {
+    advance_cursor(series, at.from_s);
+    demand.push_back(evaluate(id, series, at, series.flash_cursor));
+  };
+  // Most ticks see the set of the last one: walk the table in place while
+  // its ids match the snapshot's.
+  std::size_t i = 0;
+  for (; i < chains.size() && i < series_.size() && series_[i].first == chains[i]->record.id;
+       ++i) {
+    observe(series_[i].first, series_[i].second);
+  }
+  if (i == chains.size() && i == series_.size()) return demand;
+
+  // From the first mismatch on, merge the rest into the reused buffer.
   merged_.reserve(chains.size());
-  auto it = series_.begin();
-  for (const ProvisionedChain* chain : chains) {
+  merged_.insert(merged_.end(), std::make_move_iterator(series_.begin()),
+                 std::make_move_iterator(series_.begin() + static_cast<std::ptrdiff_t>(i)));
+  auto it = series_.begin() + static_cast<std::ptrdiff_t>(i);
+  for (const ProvisionedChain* chain : chains.subspan(i)) {
     const NfcId id = chain->record.id;
     while (it != series_.end() && it->first < id) ++it;  // torn down: dropped
     if (it != series_.end() && it->first == id) {
@@ -71,9 +89,7 @@ std::vector<double> DemandModel::sync(std::span<const ProvisionedChain* const> c
     } else {
       merged_.emplace_back(id, make_series(id, chain->record.spec.bandwidth_gbps));
     }
-    ChainSeries& series = merged_.back().second;
-    advance_cursor(series, now_s);
-    demand.push_back(evaluate(id, series, now_s, series.flash_cursor));
+    observe(id, merged_.back().second);
   }
   series_.swap(merged_);
   merged_.clear();
@@ -90,34 +106,45 @@ double DemandModel::window_from(double now_s) const noexcept {
   return now_s - window - 1e-9 * (window + std::abs(now_s));
 }
 
-std::size_t DemandModel::window_begin(const ChainSeries& s, double now_s) const {
-  const auto& onsets = s.flash_times_s;
-  return static_cast<std::size_t>(
-      std::lower_bound(onsets.begin(), onsets.end(), window_from(now_s)) - onsets.begin());
+DemandModel::Instant DemandModel::instant(double now_s) const noexcept {
+  Instant at;
+  at.now_s = now_s;
+  at.from_s = window_from(now_s);
+  at.churn = params_.churn_amplitude > 0 && params_.churn_bucket_s > 0 && now_s >= 0;
+  if (at.churn) at.bucket = static_cast<std::uint64_t>(now_s / params_.churn_bucket_s);
+  return at;
 }
 
-void DemandModel::advance_cursor(ChainSeries& s, double now_s) const {
+std::size_t DemandModel::window_begin(const ChainSeries& s, double from_s) {
+  const auto& onsets = s.flash_times_s;
+  return static_cast<std::size_t>(std::lower_bound(onsets.begin(), onsets.end(), from_s) -
+                                  onsets.begin());
+}
+
+void DemandModel::advance_cursor(ChainSeries& s, double from_s) {
   // The cursor is lower_bound(onsets, from) for the last synced time, so
   // every onset before it lies below that time's `from`. If the one just
   // before it still lies below this `from`, so do all earlier ones and a
   // forward walk lands on the new lower bound; otherwise time went back.
   const auto& onsets = s.flash_times_s;
-  const double from = window_from(now_s);
   std::size_t& at = s.flash_cursor;
-  if (at > 0 && !(onsets[at - 1] < from)) {
-    at = window_begin(s, now_s);
+  if (at > 0 && !(onsets[at - 1] < from_s)) {
+    at = window_begin(s, from_s);
     return;
   }
-  while (at < onsets.size() && onsets[at] < from) ++at;
+  while (at < onsets.size() && onsets[at] < from_s) ++at;
 }
 
 double DemandModel::demand_gbps(NfcId id, double now_s) const {
   const auto it = find(id);
-  return it == series_.end() ? 0 : evaluate(id, it->second, now_s, window_begin(it->second, now_s));
+  if (it == series_.end()) return 0;
+  const Instant at = instant(now_s);
+  return evaluate(id, it->second, at, window_begin(it->second, at.from_s));
 }
 
-double DemandModel::evaluate(NfcId id, const ChainSeries& s, double now_s,
+double DemandModel::evaluate(NfcId id, const ChainSeries& s, const Instant& at,
                              std::size_t first) const {
+  const double now_s = at.now_s;
   double factor = 1.0;
   factor += params_.diurnal_amplitude *
             alvc::sim::diurnal_wave(now_s + s.phase_s, params_.diurnal_period_s);
@@ -129,9 +156,8 @@ double DemandModel::evaluate(NfcId id, const ChainSeries& s, double now_s,
     factor += params_.flash_magnitude *
               alvc::sim::flash_pulse(now_s, onsets[i], params_.flash_ramp_s, params_.flash_hold_s);
   }
-  if (params_.churn_amplitude > 0 && params_.churn_bucket_s > 0 && now_s >= 0) {
-    const auto bucket = static_cast<std::uint64_t>(now_s / params_.churn_bucket_s);
-    const double noise = 2.0 * alvc::sim::hash_noise(chain_seed(id), bucket) - 1.0;
+  if (at.churn) {
+    const double noise = 2.0 * alvc::sim::hash_noise(chain_seed(id), at.bucket) - 1.0;
     factor += params_.churn_amplitude * noise;
   }
   return std::max(0.0, s.base_gbps * factor);

@@ -82,12 +82,14 @@ class DemandModel {
   void forget(NfcId id);
 
   /// Makes the tracked set exactly `chains` (ascending ids, as
-  /// NetworkOrchestrator::chains() returns them) in one lockstep merge
-  /// against series() into a reused buffer: chains not yet tracked start
-  /// at their nominal bandwidth, tracked ids missing from `chains` are
-  /// forgotten. Returns each chain's demand at `now_s`, index-aligned with
-  /// `chains`: the values demand_gbps(id, now_s) gives, without a lookup
-  /// per chain, and with each series' flash cursor moved to `now_s`.
+  /// NetworkOrchestrator::chains() returns them): chains not yet tracked
+  /// start at their nominal bandwidth, tracked ids missing from `chains`
+  /// are forgotten. While the ids match series() position by position the
+  /// table is updated in place; from the first mismatch on, one lockstep
+  /// merge into a reused buffer rebuilds the rest. Returns each chain's
+  /// demand at `now_s`, index-aligned with `chains`: the values
+  /// demand_gbps(id, now_s) gives, without a lookup per chain, and with
+  /// each series' flash cursor moved to `now_s`.
   std::vector<double> sync(std::span<const alvc::orchestrator::ProvisionedChain* const> chains,
                            double now_s);
 
@@ -111,16 +113,27 @@ class DemandModel {
   [[nodiscard]] SeriesTable::const_iterator find(NfcId id) const;
   [[nodiscard]] std::uint64_t chain_seed(NfcId id) const noexcept;
   [[nodiscard]] ChainSeries make_series(NfcId id, double base_gbps) const;
-  /// Demand of `s` at `now_s`, summing the flash onsets from index `first`
-  /// (window_begin(s, now_s)) up to `now_s`. The one evaluation body:
-  /// sync() passes the cursor, demand_gbps() a fresh binary search.
-  [[nodiscard]] double evaluate(NfcId id, const ChainSeries& s, double now_s,
+  /// What evaluate() needs of a time that is the same for every chain:
+  /// sync() computes it once per call, demand_gbps() once per lookup.
+  struct Instant {
+    double now_s = 0;
+    double from_s = 0;         // window_from(now_s)
+    bool churn = false;        // churn noise applies at now_s
+    std::uint64_t bucket = 0;  // churn bucket of now_s, when `churn`
+  };
+  [[nodiscard]] Instant instant(double now_s) const noexcept;
+  /// Demand of `s` at `at.now_s`, summing the flash onsets from index
+  /// `first` (window_begin(s, at.from_s)) up to `at.now_s`. The one
+  /// evaluation body: sync() passes the cursor, demand_gbps() a fresh
+  /// binary search.
+  [[nodiscard]] double evaluate(NfcId id, const ChainSeries& s, const Instant& at,
                                 std::size_t first) const;
-  /// Index of the first onset whose pulse can be non-zero at `now_s`.
-  [[nodiscard]] std::size_t window_begin(const ChainSeries& s, double now_s) const;
-  /// Moves `s.flash_cursor` to window_begin(s, now_s): forward by linear
-  /// steps, or by a binary search when `now_s` went back past it.
-  void advance_cursor(ChainSeries& s, double now_s) const;
+  /// Index of the first onset at or after `from_s` (window_from of a time):
+  /// the first whose pulse can be non-zero at that time.
+  [[nodiscard]] static std::size_t window_begin(const ChainSeries& s, double from_s);
+  /// Moves `s.flash_cursor` to window_begin(s, from_s): forward by linear
+  /// steps, or by a binary search when time went back past it.
+  static void advance_cursor(ChainSeries& s, double from_s);
   /// Earliest onset time whose pulse can be non-zero at `now_s`.
   [[nodiscard]] double window_from(double now_s) const noexcept;
 

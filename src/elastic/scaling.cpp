@@ -51,12 +51,19 @@ std::size_t ScalingController::tick(double now_s, std::span<const ProvisionedCha
                                     std::span<const double> demand, std::span<double> scales) {
   // scale_function never erases a chain, so every snapshot pointer stays
   // valid for the whole pass; the snapshot is id-ascending, which keeps the
-  // pass order deterministic.
+  // pass order deterministic. The cooldown table is id-ascending too, so
+  // one walk beside the snapshot finds each chain's stamp and carries it
+  // into the next table; stamps of chains no longer live are left behind.
   const bool impaired = policy_.protect_hipri && hipri_impaired(chains);
+  next_action_s_.clear();
+  auto stamp = last_action_s_.cbegin();
   std::size_t applied = 0;
   for (std::size_t i = 0; i < chains.size(); ++i) {
     const ProvisionedChain* chain = chains[i];
     const NfcId id = chain->record.id;
+    while (stamp != last_action_s_.cend() && stamp->first < id) ++stamp;  // gone
+    const bool stamped = stamp != last_action_s_.cend() && stamp->first == id;
+    if (stamped) next_action_s_.push_back(*stamp);
     const double scale = chain_scale(*orch_, *chain);
     scales[i] = scale;
     if (chain->degraded) {
@@ -80,8 +87,7 @@ std::size_t ScalingController::tick(double now_s, std::span<const ProvisionedCha
       ALVC_COUNT("elastic.scale_out.deferred_hipri");
       continue;
     }
-    if (const auto it = last_action_s_.find(id);
-        it != last_action_s_.end() && now_s - it->second < policy_.cooldown_s) {
+    if (stamped && now_s - stamp->second < policy_.cooldown_s) {
       ++stats_.skipped_cooldown;
       continue;
     }
@@ -101,7 +107,11 @@ std::size_t ScalingController::tick(double now_s, std::span<const ProvisionedCha
     scales[i] = chain_scale(*orch_, *chain);
     if (moved == 0) continue;
     ledger_->charge(want_out ? ActionKind::kScaleOut : ActionKind::kScaleIn, *orch_, before);
-    last_action_s_[id] = now_s;
+    if (stamped) {
+      next_action_s_.back().second = now_s;  // this chain's carried stamp
+    } else {
+      next_action_s_.emplace_back(id, now_s);
+    }
     ++applied;
     if (want_out) {
       ++stats_.scale_outs;
@@ -111,6 +121,7 @@ std::size_t ScalingController::tick(double now_s, std::span<const ProvisionedCha
       ALVC_COUNT("elastic.scale_in.actions");
     }
   }
+  last_action_s_.swap(next_action_s_);
   return applied;
 }
 

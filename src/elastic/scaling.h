@@ -16,8 +16,9 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "elastic/demand.h"
 #include "elastic/ledger.h"
@@ -38,6 +39,9 @@ struct ScalingPolicy {
   /// Defer LOPRI scale-out while HIPRI service is impaired.
   bool protect_hipri = true;
 };
+
+/// (chain id, simulated time of its last applied action), id-ascending.
+using CooldownTable = std::vector<std::pair<alvc::util::NfcId, double>>;
 
 struct ScalingStats {
   std::size_t scale_outs = 0;
@@ -78,6 +82,11 @@ class ScalingController {
 
   [[nodiscard]] const ScalingStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ScalingPolicy& policy() const noexcept { return policy_; }
+  /// Simulated time of each live chain's last applied action, id-ascending.
+  /// Each pass drops the stamps of chains missing from its snapshot (torn
+  /// down or reprovisioned: ids are never reused), so the table holds only
+  /// chains that were live at the last pass.
+  [[nodiscard]] const CooldownTable& cooldown_stamps() const noexcept { return last_action_s_; }
 
  private:
   /// True while any HIPRI chain is degraded or below its requested
@@ -90,7 +99,8 @@ class ScalingController {
   UpdateCostLedger* ledger_;
   ScalingPolicy policy_;
   ScalingStats stats_;
-  std::map<alvc::util::NfcId, double> last_action_s_;
+  CooldownTable last_action_s_;
+  CooldownTable next_action_s_;  // tick()'s rebuild target, swapped in
 };
 
 }  // namespace alvc::elastic

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/rng.h"
@@ -80,12 +81,33 @@ void poisson_arrivals(alvc::util::Rng& rng, double rate_per_s, double horizon_s,
 
 // ---- continuous shapes (demand evaluation) -------------------------------
 
+/// std::fmod(t, p), bit for bit, without the libm remainder loop when
+/// 0 <= t < 2^52 * p and p is finite and positive (every other input goes
+/// to std::fmod). Why the fast path is exact: n = floor(t / p) < 2^52 is a
+/// double, and rounding is monotone, so fl(t / p) lies in [n, n + 1] and
+/// its truncation q is n or n + 1. With q = n, t - q * p is the true
+/// remainder r in [0, p), which is always a double. fl(t / p) reaches
+/// n + 1 only when t / p - n >= 3/4 (the double below n + 1 is at least
+/// n + 1/2), so with q = n + 1, r >= 3p/4 and t - q * p = r - p is a
+/// double too (Sterbenz). The fma returns an exact result unrounded, and
+/// r - p + p is then exactly r. glibc's fma picks the hardware
+/// instruction at load time; no -mfma is needed.
+[[nodiscard]] inline double fmod_exact(double t, double p) {
+  constexpr double kTwo52 = 0x1p52;
+  if (!(p < std::numeric_limits<double>::infinity() && p > 0 && t >= 0 && t < kTwo52 * p)) {
+    return std::fmod(t, p);
+  }
+  const double q = static_cast<double>(static_cast<std::int64_t>(t / p));
+  const double r = std::fma(-q, p, t);
+  return r < 0 ? r + p : r;
+}
+
 /// Diurnal triangle wave in [0, 1]: climbs through the first half of each
 /// period and falls through the second — the continuous twin of the
 /// member-by-member ramp above. 0 at cycle boundaries, 1 at mid-period.
 [[nodiscard]] inline double diurnal_wave(double t_s, double period_s) {
   if (period_s <= 0) return 0;
-  double phase = std::fmod(t_s, period_s) / period_s;
+  double phase = fmod_exact(t_s, period_s) / period_s;
   if (phase < 0) phase += 1.0;
   return phase < 0.5 ? phase * 2.0 : 2.0 - phase * 2.0;
 }

@@ -120,6 +120,15 @@ TEST(DemandModelTest, ChurnNoiseIsBoundedAndZeroMeanish) {
 
 // ---- windowed flash lookup == full scan ----------------------------------
 
+/// The diurnal triangle wave with its own std::fmod, independent of the
+/// remainder sim::diurnal_wave computes.
+double reference_diurnal_wave(double t_s, double period_s) {
+  if (period_s <= 0) return 0;
+  double phase = std::fmod(t_s, period_s) / period_s;
+  if (phase < 0) phase += 1.0;
+  return phase < 0.5 ? phase * 2.0 : 2.0 - phase * 2.0;
+}
+
 /// Reference for demand_gbps: the same terms in the same order, but summing
 /// the pulse of every flash onset of the series, as the model did before
 /// it looked up only the onsets near `now_s`. The churn substream seed is
@@ -128,7 +137,7 @@ TEST(DemandModelTest, ChurnNoiseIsBoundedAndZeroMeanish) {
 double full_scan_demand_gbps(const DemandParams& p, NfcId id, const ChainSeries& s, double now_s,
                              bool& pulsing) {
   double factor = 1.0;
-  factor += p.diurnal_amplitude * alvc::sim::diurnal_wave(now_s + s.phase_s, p.diurnal_period_s);
+  factor += p.diurnal_amplitude * reference_diurnal_wave(now_s + s.phase_s, p.diurnal_period_s);
   pulsing = false;
   for (double at : s.flash_times_s) {
     const double pulse = alvc::sim::flash_pulse(now_s, at, p.flash_ramp_s, p.flash_hold_s);
@@ -387,6 +396,92 @@ TEST(DemandModelTest, SyncMergesTheTrackedSetWithTheChainSnapshot) {
   // An empty snapshot forgets everything.
   EXPECT_TRUE(synced.sync({}, 1.0).empty());
   EXPECT_EQ(synced.tracked_count(), 0u);
+}
+
+/// Bitwise equality of two series tables: ids, shape fields, onsets and
+/// the flash cursor.
+void expect_same_series(const SeriesTable& got, const SeriesTable& want, double now_s) {
+  ASSERT_EQ(got.size(), want.size()) << "at " << now_s;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& [got_id, g] = got[i];
+    const auto& [want_id, w] = want[i];
+    ASSERT_EQ(got_id, want_id) << "entry " << i << " at " << now_s;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.base_gbps), std::bit_cast<std::uint64_t>(w.base_gbps));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.phase_s), std::bit_cast<std::uint64_t>(w.phase_s));
+    EXPECT_EQ(g.flash_times_s, w.flash_times_s);
+    EXPECT_EQ(g.flash_cursor, w.flash_cursor) << "chain " << got_id.value() << " at " << now_s;
+  }
+}
+
+TEST(DemandModelTest, InPlaceSyncEqualsTheMerge) {
+  using alvc::orchestrator::ProvisionedChain;
+  DemandParams params;
+  params.seed = 3;
+  params.flash_rate_per_s = 0.5;  // cursors that move every few ticks
+  params.horizon_s = 40.0;
+  // `merging` tracks chain 0, which never appears in a snapshot, before
+  // every sync: its table never matches the snapshot from the first entry,
+  // so each of its syncs takes the merge for the whole set.
+  DemandModel in_place{params};
+  DemandModel merging{params};
+  std::vector<ProvisionedChain> live(8);
+  for (std::uint32_t i = 0; i < live.size(); ++i) {
+    live[i].record.id = NfcId{i + 1};
+    live[i].record.spec.bandwidth_gbps = 1.0 + i;
+  }
+  std::uint32_t next_id = static_cast<std::uint32_t>(live.size()) + 1;
+  std::size_t steps = 0;
+  const auto sync_both = [&](double now_s) {
+    std::vector<const ProvisionedChain*> snapshot;
+    for (const auto& chain : live) snapshot.push_back(&chain);
+    merging.track(NfcId{0}, 1.0);
+    const std::vector<double> got = in_place.sync(snapshot, now_s);
+    const std::vector<double> want = merging.sync(snapshot, now_s);
+    ASSERT_EQ(got.size(), live.size());
+    ASSERT_EQ(want.size(), live.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+          << "chain " << live[i].record.id.value() << " at " << now_s;
+    }
+    ASSERT_FALSE(merging.tracked(NfcId{0}));
+    expect_same_series(in_place.series(), merging.series(), now_s);
+    ++steps;
+  };
+
+  double t = 0;
+  // Unchanged set, tick after tick.
+  for (int i = 0; i < 40; ++i, t += 0.5) sync_both(t);
+  // A chain removed from the middle.
+  live.erase(live.begin() + 3);
+  for (int i = 0; i < 5; ++i, t += 0.5) sync_both(t);
+  // A chain appended (the newest id goes last).
+  live.emplace_back();
+  live.back().record.id = NfcId{next_id++};
+  live.back().record.spec.bandwidth_gbps = 2.5;
+  for (int i = 0; i < 5; ++i, t += 0.5) sync_both(t);
+  // Removed from the middle and appended between the same two syncs.
+  live.erase(live.begin() + 1);
+  live.emplace_back();
+  live.back().record.id = NfcId{next_id++};
+  live.back().record.spec.bandwidth_gbps = 4.0;
+  sync_both(t);
+  // The first and the last chain torn down.
+  live.erase(live.begin());
+  live.pop_back();
+  sync_both(t += 0.5);
+  // Time going back, over an unchanged set: cursors move back in place.
+  for (const double back : {t - 7.0, 3.0, 3.0, 0.25, 21.0, -1.0, 12.0}) sync_both(back);
+  // A chain tracked between syncs ahead of its snapshot entry.
+  live.emplace_back();
+  live.back().record.id = NfcId{next_id};
+  live.back().record.spec.bandwidth_gbps = 1.5;
+  in_place.track(NfcId{next_id}, 1.5);
+  sync_both(30.0);
+  // An empty snapshot forgets everything on both sides.
+  live.clear();
+  sync_both(31.0);
+  EXPECT_EQ(in_place.tracked_count(), 0u);
+  EXPECT_EQ(steps, 61u);
 }
 
 TEST(SharedWaveformTest, FlashCrowdArrivalsAreBurstArrivalTimes) {

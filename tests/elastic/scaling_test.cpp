@@ -124,23 +124,31 @@ TEST_F(ScalingFixture, CooldownDefersThenScaleInLands) {
 
 // One VC backs one slice, so two concurrent chains need two services —
 // a generated data center (as in the soak) provides the clusters.
-TEST(ScalingQosTest, LopriScaleOutDefersWhileHipriIsImpaired) {
-  core::DataCenterConfig config;
-  config.topology.rack_count = 6;
-  config.topology.servers_per_rack = 2;
-  config.topology.vms_per_server = 2;
-  config.topology.ops_count = 16;
-  config.topology.tor_ops_degree = 6;
-  config.topology.optoelectronic_fraction = 0.75;
-  config.topology.service_count = 3;
-  config.topology.seed = 8;
-  config.seed = 1;
-  core::DataCenter dc(config);
-  ASSERT_TRUE(dc.build_clusters().has_value());
-  auto& orch = dc.orchestrator();
-  orch.set_allocation_policy(AllocationPolicy::kPriorityDowngrade);
+struct ThreeServiceDc {
+  core::DataCenter dc{config()};
 
-  const auto provision = [&](std::uint32_t service, double gbps, PriorityClass cls) {
+  ThreeServiceDc() {
+    if (auto built = dc.build_clusters(); !built) {
+      throw std::runtime_error(built.error().to_string());
+    }
+    dc.orchestrator().set_allocation_policy(AllocationPolicy::kPriorityDowngrade);
+  }
+
+  static core::DataCenterConfig config() {
+    core::DataCenterConfig config;
+    config.topology.rack_count = 6;
+    config.topology.servers_per_rack = 2;
+    config.topology.vms_per_server = 2;
+    config.topology.ops_count = 16;
+    config.topology.tor_ops_degree = 6;
+    config.topology.optoelectronic_fraction = 0.75;
+    config.topology.service_count = 3;
+    config.topology.seed = 8;
+    config.seed = 1;
+    return config;
+  }
+
+  NfcId provision(std::uint32_t service, double gbps, PriorityClass cls) {
     NfcSpec spec;
     spec.name = "qos";
     spec.service = ServiceId{service};
@@ -151,6 +159,14 @@ TEST(ScalingQosTest, LopriScaleOutDefersWhileHipriIsImpaired) {
     auto id = dc.provision_chain(spec, core::PlacementAlgorithm::kGreedyOptical);
     if (!id.has_value()) throw std::runtime_error(id.error().to_string());
     return *id;
+  }
+};
+
+TEST(ScalingQosTest, LopriScaleOutDefersWhileHipriIsImpaired) {
+  ThreeServiceDc plane;
+  auto& orch = plane.dc.orchestrator();
+  const auto provision = [&](std::uint32_t service, double gbps, PriorityClass cls) {
+    return plane.provision(service, gbps, cls);
   };
 
   // HIPRI asking for more than the 10 Gbps ports carry: admitted at a
@@ -177,6 +193,55 @@ TEST(ScalingQosTest, LopriScaleOutDefersWhileHipriIsImpaired) {
   EXPECT_EQ(unguarded.tick(0.0), 1u);
   EXPECT_DOUBLE_EQ(ScalingController::chain_scale(orch, *orch.chain(lopri)), 2.0);
   EXPECT_TRUE(StateAuditor::audit(orch).empty());
+}
+
+TEST(ScalingCooldownTest, TableHoldsOnlyLiveChains) {
+  ThreeServiceDc plane;
+  auto& orch = plane.dc.orchestrator();
+  const NfcId a = plane.provision(0, 1.0, PriorityClass::kHipri);
+  const NfcId b = plane.provision(1, 1.0, PriorityClass::kHipri);
+  const NfcId c = plane.provision(2, 1.0, PriorityClass::kHipri);
+  DemandModel demand{ScalingFixture::quiet_params()};
+  for (const NfcId id : {a, b, c}) demand.track(id, 2.0);
+  UpdateCostLedger ledger;
+  ScalingController controller(orch, demand, ledger);  // cooldown_s = 2.0
+
+  const auto stamped_ids = [&] {
+    std::vector<NfcId> ids;
+    for (const auto& [id, at_s] : controller.cooldown_stamps()) ids.push_back(id);
+    return ids;
+  };
+  ASSERT_EQ(controller.tick(0.0), 3u);
+  EXPECT_EQ(stamped_ids(), (std::vector<NfcId>{a, b, c}));
+
+  // The middle chain goes: the next pass drops its stamp and keeps the
+  // others' times.
+  ASSERT_TRUE(orch.teardown_chain(b).is_ok());
+  demand.forget(b);
+  EXPECT_EQ(controller.tick(0.5), 0u);
+  EXPECT_EQ(stamped_ids(), (std::vector<NfcId>{a, c}));
+  for (const auto& [id, at_s] : controller.cooldown_stamps()) EXPECT_EQ(at_s, 0.0);
+
+  // The survivors' stamps still hold the cooldown.
+  for (const NfcId id : {a, c}) {
+    demand.forget(id);
+    demand.track(id, 0.4);
+  }
+  EXPECT_EQ(controller.tick(1.0), 0u);
+  EXPECT_EQ(controller.stats().skipped_cooldown, 2u);
+
+  // The last chain goes too; past the window the scale-in restamps `a`.
+  ASSERT_TRUE(orch.teardown_chain(c).is_ok());
+  demand.forget(c);
+  EXPECT_EQ(controller.tick(3.0), 1u);
+  ASSERT_EQ(controller.cooldown_stamps().size(), 1u);
+  EXPECT_EQ(controller.cooldown_stamps().front().first, a);
+  EXPECT_EQ(controller.cooldown_stamps().front().second, 3.0);
+
+  // No live chains, no stamps.
+  ASSERT_TRUE(orch.teardown_chain(a).is_ok());
+  EXPECT_EQ(controller.tick(4.0), 0u);
+  EXPECT_TRUE(controller.cooldown_stamps().empty());
 }
 
 TEST_F(ScalingFixture, DegradedChainsAreLeftToTheRecoveryPath) {
