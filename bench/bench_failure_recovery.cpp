@@ -8,6 +8,7 @@
 // control plane can sustain.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -152,15 +153,16 @@ std::unique_ptr<core::DataCenter> make_fault_storm_dc() {
 }
 
 /// The fault_storm fabric with `degraded` clusters (every `stride`-th,
-/// from cluster 0) held degraded behind dead ToRs, plus the healthy-cluster
-/// link the cycle flips. Built once per process: re-running the set-up
-/// would kill each victim's second rack.
+/// from cluster 0) held degraded behind dead ToRs, plus the link the cycle
+/// flips at a ToR of healthy cluster 300: one of its AL links, or with
+/// `off_layer` an uplink that no AL holding that ToR uses. Built once per
+/// process: re-running the set-up would kill each victim's second rack.
 struct FaultStormLinkFixture {
   std::unique_ptr<core::DataCenter> dc = make_fault_storm_dc();
   util::TorId tor = util::TorId::invalid();
   util::OpsId ops = util::OpsId::invalid();
 
-  FaultStormLinkFixture(std::size_t degraded, std::size_t stride) {
+  FaultStormLinkFixture(std::size_t degraded, std::size_t stride, bool off_layer = false) {
     const auto clusters = dc->clusters().clusters();
     for (std::size_t i = 0; i < degraded; ++i) {
       const util::TorId dead = clusters[i * stride]->layer.tors.front();
@@ -173,6 +175,21 @@ struct FaultStormLinkFixture {
                                " degraded clusters");
     }
     const cluster::VirtualCluster& healthy = *clusters[300];
+    if (off_layer) {
+      for (util::TorId t : healthy.layer.tors) {
+        const auto holders = dc->clusters().clusters_containing_tor(t);
+        for (util::OpsId o : dc->topology().tor(t).uplinks) {
+          const bool used = std::any_of(holders.begin(), holders.end(), [&](util::ClusterId id) {
+            return dc->clusters().find(id)->layer.contains_ops(o);
+          });
+          if (used) continue;
+          tor = t;
+          ops = o;
+          return;
+        }
+      }
+      throw std::runtime_error("every uplink of cluster 300's ToRs is in an AL");
+    }
     tor = healthy.layer.tors.front();
     for (util::OpsId o : dc->topology().tor(tor).uplinks) {
       if (healthy.layer.contains_ops(o)) ops = o;
@@ -209,6 +226,16 @@ void BM_FaultStormLinkCycleManyDegraded(benchmark::State& state) {
   run_link_cycle(state, f);
 }
 BENCHMARK(BM_FaultStormLinkCycleManyDegraded)->Unit(benchmark::kMicrosecond);
+
+/// The BM_FaultStormLinkCycle set-up, but the flipped link is an uplink of
+/// cluster 300's ToR that no AL on that ToR uses, as most of fault_storm's
+/// link cuts are: the failure repairs no cluster and sweeps no chain, and
+/// the recovery still retries the 4 degraded clusters.
+void BM_FaultStormLinkCycleOffLayer(benchmark::State& state) {
+  static FaultStormLinkFixture f(4, 64, /*off_layer=*/true);
+  run_link_cycle(state, f);
+}
+BENCHMARK(BM_FaultStormLinkCycleOffLayer)->Unit(benchmark::kMicrosecond);
 
 void BM_StateAudit(benchmark::State& state) {
   auto dc = make_loaded_dc(7);

@@ -143,6 +143,7 @@ leg_asan() {
     faults_fault_injector_test faults_state_auditor_test \
     faults_chaos_soak_test orchestrator_route_cache_test \
     orchestrator_route_cache_differential_test orchestrator_rebuild_memo_differential_test \
+    cluster_link_failure_scope_test orchestrator_link_scope_differential_test \
     orchestrator_csr_chaos_differential_test \
     faults_overload_soak_test orchestrator_strict_ladder_differential_test \
     elastic_scaling_test elastic_migration_test elastic_elastic_soak_test elastic_controller_test \
@@ -283,9 +284,10 @@ leg_scale_soak() {
 # tick rows at two history lengths and after a warm-up (BM_ElasticTick*),
 # the bench_fig2_topology switch-graph
 # link-flip rows and the bench_failure_recovery fault_storm link cycles,
-# BM_FaultStormLinkCycle with 4 clusters held degraded and
-# BM_FaultStormLinkCycleManyDegraded with 64; the filter's prefix matches
-# both)
+# BM_FaultStormLinkCycle with 4 clusters held degraded,
+# BM_FaultStormLinkCycleManyDegraded with 64 and
+# BM_FaultStormLinkCycleOffLayer, which flips an uplink no AL at its ToR
+# uses; the filter's prefix matches all three)
 # and writes an
 # alvc-bench-trajectory-v1 JSON: per benchmark name, the median cpu time
 # in microseconds over five repetitions (after_cpu_time_us) and its

@@ -530,6 +530,14 @@ Expected<UpdateCost> ClusterManager::handle_link_failure(TorId tor, alvc::util::
   for (ClusterId id : clusters_containing_tor(tor)) {
     VirtualCluster* vc = find_mutable(id);
     if (vc == nullptr) continue;
+    // A healthy cluster whose AL lacks `ops` cannot feel the cut: it already
+    // covers its group (so the coverage loop picks nothing), it is connected
+    // (so augmentation adds nothing), and its chains route and run inside
+    // its AL, so every one of them would sweep kNone. OPS ownership is
+    // exclusive, so among the healthy clusters only the owner of `ops` gets
+    // past this. Degraded or disconnected clusters still get their
+    // opportunistic repair: an OPS may have come free since their last try.
+    if (!vc->layer.contains_ops(ops) && !vc->degraded && vc->connected) continue;
     if (touched != nullptr) touched->push_back(id);
     // An infeasible repair leaves this cluster degraded; keep sweeping —
     // one stranded cluster must not block the others.

@@ -25,6 +25,7 @@
 #include "util/error.h"
 
 namespace alvc::test {
+struct LinkScopeProbe;
 struct RebuildMemoProbe;
 }  // namespace alvc::test
 
@@ -148,7 +149,10 @@ class ClusterManager {
   [[nodiscard]] Status handle_server_failure(ServerId server);
 
   /// Reacts to a single ToR-OPS link cut: re-covers the affected ToR in the
-  /// cluster that uses it (the AL may need a different uplink OPS).
+  /// cluster that uses it (the AL may need a different uplink OPS). Of the
+  /// clusters whose AL contains `tor`, only the owner of `ops` and those
+  /// degraded or disconnected are repaired and appended to `touched`; a
+  /// healthy, connected AL without `ops` cannot be disturbed by the cut.
   /// kNotFound when the link does not exist.
   [[nodiscard]] Expected<UpdateCost> handle_link_failure(alvc::util::TorId tor,
                                                          alvc::util::OpsId ops,
@@ -309,8 +313,9 @@ class ClusterManager {
   /// scan. Maintained solely by set_degraded and destroy_cluster.
   std::set<ClusterId> degraded_ids_;
   /// tor.index() -> ids of the clusters whose AL contains that ToR,
-  /// ascending: the blast radius of a ToR, link or server event without an
-  /// O(clusters) scan. Maintained solely by set_layer.
+  /// ascending: the blast radius of a ToR or server event, and the clusters
+  /// a link event filters, without an O(clusters) scan. Maintained solely
+  /// by set_layer.
   std::vector<std::vector<ClusterId>> tor_clusters_;
   /// Rebuild memos of degraded clusters, looked up by id only (never
   /// iterated). Written by remember_rebuild, dropped by set_degraded and
@@ -324,6 +329,7 @@ class ClusterManager {
   AlBuildScratch scratch_;
   ClusterId::value_type next_id_ = 0;
 
+  friend struct alvc::test::LinkScopeProbe;
   friend struct alvc::test::RebuildMemoProbe;
 };
 

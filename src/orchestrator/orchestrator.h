@@ -40,6 +40,7 @@
 #include "sdn/events.h"
 
 namespace alvc::test {
+struct LinkScopeProbe;
 struct SweepProbe;
 }  // namespace alvc::test
 
@@ -336,8 +337,10 @@ class NetworkOrchestrator {
   void apply_sweep_verdict(NfcId id, SweepVerdict verdict, std::size_t& repaired);
 
   /// Refit-or-degrade pass over the chains of the clusters in `scope` (the
-  /// fault's blast radius: every cluster whose AL the event examined);
-  /// returns full-bandwidth repairs. Sound because a chain outside the
+  /// fault's blast radius: every cluster whose AL the event examined; for a
+  /// link cut, the link's AL owner and the degraded or disconnected clusters
+  /// on its ToR, since a chain routes and runs inside its AL); returns
+  /// full-bandwidth repairs. Sound because a chain outside the
   /// blast radius classifies kNone: each sweep settles all disturbances
   /// (fit_chain leaves no live instance outside the slice, even when it
   /// gives up), so only the current event can create new work, and kNone
@@ -384,6 +387,7 @@ class NetworkOrchestrator {
   std::uint64_t recovery_epoch_ = 0;  // counts recovery events (backoff clock)
   NfcId::value_type next_id_ = 0;
 
+  friend struct alvc::test::LinkScopeProbe;
   friend struct alvc::test::SweepProbe;
 };
 

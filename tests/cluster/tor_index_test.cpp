@@ -149,12 +149,34 @@ TEST(TorIndexTest, TracksEveryLayerChange) {
   ASSERT_TRUE(f.manager->handle_tor_recovery(shared, f.builder).has_value());
   expect_index_matches_scan(*f.manager, "tor recovery");
 
-  // Link failure repairs coverage without changing any ToR set.
-  const TorId link_tor = f.cluster(first).layer.tors.front();
-  const OpsId link_ops = f.topo.tor(link_tor).uplinks.front();
+  // Link failure repairs coverage without changing any ToR set. Cut an
+  // uplink of a shared rack that no AL uses: of the rack's clusters, only
+  // the degraded or disconnected ones are repaired, so only they are
+  // touched.
+  TorId link_tor = TorId::invalid();
+  OpsId link_ops = OpsId::invalid();
+  for (std::size_t i = 0; i < f.topo.tor_count() && !link_ops.valid(); ++i) {
+    const TorId t{static_cast<TorId::value_type>(i)};
+    const auto ids = f.manager->clusters_containing_tor(t);
+    if (ids.size() < 2) continue;
+    for (OpsId o : f.topo.tor(t).uplinks) {
+      const bool used = std::any_of(ids.begin(), ids.end(), [&](ClusterId id) {
+        return f.cluster(id).layer.contains_ops(o);
+      });
+      if (used) continue;
+      link_tor = t;
+      link_ops = o;
+      break;
+    }
+  }
+  ASSERT_TRUE(link_ops.valid()) << "the fixture must have an off-layer uplink at a shared rack";
+  std::vector<ClusterId> narrowed;
+  for (ClusterId id : f.manager->clusters_containing_tor(link_tor)) {
+    if (f.cluster(id).degraded || !f.cluster(id).connected) narrowed.push_back(id);
+  }
   touched.clear();
   ASSERT_TRUE(f.manager->handle_link_failure(link_tor, link_ops, &touched).has_value());
-  EXPECT_EQ(touched, f.manager->clusters_containing_tor(link_tor));
+  EXPECT_EQ(touched, narrowed);
   expect_index_matches_scan(*f.manager, "link failure");
   ASSERT_TRUE(f.manager->handle_link_recovery(link_tor, link_ops, f.builder).has_value());
   expect_index_matches_scan(*f.manager, "link recovery");
