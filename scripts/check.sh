@@ -144,7 +144,7 @@ leg_asan() {
     faults_chaos_soak_test orchestrator_route_cache_test \
     orchestrator_route_cache_differential_test orchestrator_rebuild_memo_differential_test \
     cluster_link_failure_scope_test orchestrator_link_scope_differential_test \
-    orchestrator_csr_chaos_differential_test \
+    orchestrator_restore_wake_differential_test orchestrator_csr_chaos_differential_test \
     faults_overload_soak_test orchestrator_strict_ladder_differential_test \
     elastic_scaling_test elastic_migration_test elastic_elastic_soak_test elastic_controller_test \
     topology_switch_graph_incremental_differential_test
@@ -285,7 +285,8 @@ leg_scale_soak() {
 # the bench_fig2_topology switch-graph
 # link-flip rows and the bench_failure_recovery fault_storm link cycles,
 # BM_FaultStormLinkCycle with 4 clusters held degraded,
-# BM_FaultStormLinkCycleManyDegraded with 64 and
+# BM_FaultStormLinkCycleManyDegraded with 64, whose ratio to the 4-degraded
+# row bench_gate.py bounds, and
 # BM_FaultStormLinkCycleOffLayer, which flips an uplink no AL at its ToR
 # uses; the filter's prefix matches all three)
 # and writes an

@@ -34,19 +34,21 @@ Status OpsOwnership::acquire(std::span<const OpsId> opss, ClusterId cluster) {
     }
   }
   for (OpsId id : opss) {
-    if (owner_[id.index()] == cluster) continue;
-    owner_[id.index()] = cluster;
-    stamps_[id.index()] = ++clock_;
+    if (owner_[id.index()] != cluster) set_owner(id, cluster);
   }
   return Status::ok();
 }
 
 void OpsOwnership::release(std::span<const OpsId> opss, ClusterId cluster) {
   for (OpsId id : opss) {
-    if (owner_.at(id.index()) != cluster) continue;
-    owner_[id.index()] = ClusterId::invalid();
-    stamps_[id.index()] = ++clock_;
+    if (owner_.at(id.index()) == cluster) set_owner(id, ClusterId::invalid());
   }
+}
+
+void OpsOwnership::set_owner(OpsId id, ClusterId owner) noexcept {
+  owner_[id.index()] = owner;
+  stamps_[id.index()] = ++clock_;
+  owner_journal_[clock_ % kJournalCapacity] = id;
 }
 
 std::vector<OpsId> OpsOwnership::free_ops() const {

@@ -6,6 +6,7 @@
 // which maps every OPS to its owning cluster (if any).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -66,10 +67,30 @@ class OpsOwnership {
   [[nodiscard]] std::uint64_t stamp(OpsId id) const { return stamps_.at(id.index()); }
   [[nodiscard]] std::uint64_t clock() const noexcept { return clock_; }
 
+  /// Owner changes the journal holds: the last this many clock values.
+  /// Each stamp also lands in a ring journal indexed by its clock value,
+  /// so a reader that remembers a clock value can list the OPSs whose
+  /// owner changed since in O(changes).
+  static constexpr std::size_t kJournalCapacity = 4096;
+  /// True when the journal still holds every owner change after clock
+  /// value `since` (no more than kJournalCapacity of them).
+  [[nodiscard]] bool journal_holds(std::uint64_t since) const noexcept {
+    return since <= clock_ && clock_ - since <= kJournalCapacity;
+  }
+  /// The OPS whose owner changed at clock value `clock`; meaningful only
+  /// while journal_holds(clock - 1).
+  [[nodiscard]] OpsId journal_entry(std::uint64_t clock) const noexcept {
+    return owner_journal_[clock % kJournalCapacity];
+  }
+
  private:
+  /// Gives `id` to `owner` (possibly none) and stamps the change.
+  void set_owner(OpsId id, ClusterId owner) noexcept;
+
   std::vector<ClusterId> owner_;
   std::vector<std::uint64_t> stamps_;  // id.index() -> stamp (0 = never changed)
   std::uint64_t clock_ = 0;
+  std::array<OpsId, kJournalCapacity> owner_journal_{};  // clock % capacity -> OPS
 };
 
 }  // namespace alvc::cluster

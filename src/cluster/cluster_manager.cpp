@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 
 #include "cluster/service.h"
 #include "telemetry/telemetry.h"
@@ -62,6 +63,7 @@ Status ClusterManager::set_layer(VirtualCluster& vc, AbstractionLayer layer, boo
       ids.insert(std::upper_bound(ids.begin(), ids.end(), vc.id), vc.id);
     }
   }
+  if (changed || vc.connected != connected) note_write(vc);
   vc.layer = std::move(layer);
   vc.connected = connected;
   // AL membership defines slice subgraphs, so epoch-versioned route caches
@@ -92,13 +94,31 @@ ClusterId ClusterManager::vm_owner(VmId vm) const noexcept {
 }
 
 void ClusterManager::set_degraded(VirtualCluster& vc, bool degraded) {
-  if (vc.degraded && !degraded) rebuild_memos_.erase(vc.id);
+  if (vc.degraded && !degraded) forget_rebuild(vc.id);
+  const bool newly = !vc.degraded && degraded;
   vc.degraded = degraded;
+  // A newly degraded cluster has no memo: the next pass must rebuild it.
+  if (newly) note_write(vc);
   if (degraded) {
     degraded_ids_.insert(vc.id);
   } else {
     degraded_ids_.erase(vc.id);
   }
+}
+
+void ClusterManager::set_connected(VirtualCluster& vc, bool connected) {
+  if (vc.connected != connected) note_write(vc);
+  vc.connected = connected;
+}
+
+void ClusterManager::note_write(const VirtualCluster& vc) {
+  // Only degraded clusters have memos; a healthy one that turns degraded
+  // is listed then.
+  if (!vc.degraded) return;
+  if (vc.id.index() >= written_flags_.size()) written_flags_.resize(next_id_, 0);
+  if (written_flags_[vc.id.index()] != 0) return;
+  written_flags_[vc.id.index()] = 1;
+  written_.push_back(vc.id);
 }
 
 std::vector<ClusterId> ClusterManager::degraded_cluster_ids() const {
@@ -177,7 +197,7 @@ Status ClusterManager::destroy_cluster(ClusterId id) {
     if (peers->second.empty()) by_service_.erase(peers);
   }
   degraded_ids_.erase(id);
-  rebuild_memos_.erase(id);
+  forget_rebuild(id);
   clusters_.erase(it);
   return Status::ok();
 }
@@ -200,6 +220,7 @@ Expected<UpdateCost> ClusterManager::add_vm(ClusterId id, VmId vm) {
     cost += *extend;
   }
   vc->vms.push_back(vm);
+  note_write(*vc);
   set_vm_owner(vm, id);
   cost.flow_rules += 1;  // install the VM's rule at its ToR
   ALVC_COUNT("cluster.churn.vm_adds");
@@ -214,6 +235,7 @@ Expected<UpdateCost> ClusterManager::remove_vm(ClusterId id, VmId vm) {
   if (it == vc->vms.end()) return Error{ErrorCode::kNotFound, "VM not in cluster"};
   const TorId tor = topo_->tor_of_vm(vm);
   vc->vms.erase(it);
+  note_write(*vc);
   set_vm_owner(vm, ClusterId::invalid());
   UpdateCost cost;
   cost.flow_rules += 1;  // remove the VM's rule
@@ -331,7 +353,7 @@ Expected<UpdateCost> ClusterManager::repair_coverage(VirtualCluster& vc) {
       return true;
     });
     if (!pick.valid()) {
-      vc.connected = cluster_subgraph_connected(*topo_, vc.layer, scratch_);
+      set_connected(vc, cluster_subgraph_connected(*topo_, vc.layer, scratch_));
       set_degraded(vc, true);
       return Error{ErrorCode::kInfeasible,
                    "AL repair: ToR " + std::to_string(tor.value()) + " has no usable uplink"};
@@ -391,7 +413,7 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
     // Keep the incumbent AL (it may still serve part of the group) and mark
     // the cluster degraded so a later recovery retries the rebuild.
     set_degraded(vc, true);
-    vc.connected = cluster_subgraph_connected(*topo_, vc.layer, scratch_);
+    set_connected(vc, cluster_subgraph_connected(*topo_, vc.layer, scratch_));
     // The failure itself came from the footprint (AlBuilder's contract);
     // the probe above read the incumbent AL's links.
     remember_rebuild(vc, builder, layer_in_footprint(vc));
@@ -434,18 +456,68 @@ bool ClusterManager::layer_in_footprint(const VirtualCluster& vc) {
 void ClusterManager::remember_rebuild(const VirtualCluster& vc, const AlBuilder& builder,
                                       bool local) {
   if (!vc.degraded || !local) {
-    rebuild_memos_.erase(vc.id);
+    forget_rebuild(vc.id);
+    // Degraded without a memo: every pass must rebuild it.
+    note_write(vc);
     return;
   }
-  RebuildMemo& memo = rebuild_memos_[vc.id];
+  const auto [it, inserted] = rebuild_memos_.try_emplace(vc.id);
+  RebuildMemo& memo = it->second;
   memo.builder = builder.serial();
   memo.vms = vc.vms;
   memo.layer = vc.layer;
   memo.connected = vc.connected;
   const std::span<const TorId> home = collect_home_tors(vc);
-  memo.home_tors.assign(home.begin(), home.end());
+  if (inserted || !std::equal(home.begin(), home.end(), memo.home_tors.begin(),
+                              memo.home_tors.end())) {
+    for (TorId t : memo.home_tors) std::erase(tor_watchers_[t.index()], vc.id);
+    memo.home_tors.assign(home.begin(), home.end());
+    if (tor_watchers_.size() < topo_->tor_count()) tor_watchers_.resize(topo_->tor_count());
+    for (TorId t : memo.home_tors) tor_watchers_[t.index()].push_back(vc.id);
+  }
   memo.footprint_clock = topo_->footprint_clock();
   memo.owner_clock = ownership_.clock();
+  // The scoped pass wakes memo'd clusters by the writes that reach them;
+  // a memo of another builder than the passes use is stale from the
+  // start.
+  if (memo.builder != last_pass_.builder) note_write(vc);
+}
+
+void ClusterManager::forget_rebuild(ClusterId id) {
+  const auto it = rebuild_memos_.find(id);
+  if (it == rebuild_memos_.end()) return;
+  for (TorId t : it->second.home_tors) std::erase(tor_watchers_[t.index()], id);
+  rebuild_memos_.erase(it);
+}
+
+void ClusterManager::wake(ClusterId id) {
+  if (id.index() >= woken_in_.size()) woken_in_.resize(next_id_, 0);
+  if (woken_in_[id.index()] == pass_count_) return;
+  woken_in_[id.index()] = pass_count_;
+  wake_heap_.push_back(id);
+  std::push_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>{});
+}
+
+bool ClusterManager::wake_readers_since(std::uint64_t footprint_since, std::uint64_t owner_since,
+                                        ClusterId floor) {
+  if (!topo_->footprint_journal_holds(footprint_since) || !ownership_.journal_holds(owner_since)) {
+    return false;
+  }
+  const auto wake_watchers = [&](TorId t) {
+    if (t.index() >= tor_watchers_.size()) return;
+    for (ClusterId id : tor_watchers_[t.index()]) {
+      if (!floor.valid() || id > floor) wake(id);
+    }
+  };
+  for (std::uint64_t c = footprint_since + 1; c <= topo_->footprint_clock(); ++c) {
+    wake_watchers(topo_->footprint_journal_entry(c));
+  }
+  // rebuild_is_futile reads the owner of every uplink of a home ToR; the
+  // ToRs an OPS uplinks are exactly its tor_links.
+  for (std::uint64_t c = owner_since + 1; c <= ownership_.clock(); ++c) {
+    for (TorId t : topo_->ops(ownership_.journal_entry(c)).tor_links) wake_watchers(t);
+  }
+  return true;
 }
 
 bool ClusterManager::rebuild_is_futile(const VirtualCluster& vc, const AlBuilder& builder) {
@@ -527,7 +599,9 @@ Expected<UpdateCost> ClusterManager::handle_link_failure(TorId tor, alvc::util::
   UpdateCost cost;
   // A copy of the ToR's index list, so the walk does not depend on
   // repair_coverage leaving every AL's ToR set alone.
-  for (ClusterId id : clusters_containing_tor(tor)) {
+  const std::span<const ClusterId> holders = tor_cluster_ids(tor);
+  tor_ids_scratch_.assign(holders.begin(), holders.end());
+  for (ClusterId id : tor_ids_scratch_) {
     VirtualCluster* vc = find_mutable(id);
     if (vc == nullptr) continue;
     // A healthy cluster whose AL lacks `ops` cannot feel the cut: it already
@@ -589,11 +663,44 @@ Expected<UpdateCost> ClusterManager::handle_link_recovery(TorId tor, alvc::util:
 Expected<UpdateCost> ClusterManager::restore_degraded_clusters(const AlBuilder& builder,
                                                                std::vector<ClusterId>* touched) {
   ALVC_SPAN(span, "cluster.restore_degraded_clusters");
+  // The wake set. A memo'd cluster that no write since the last pass
+  // began has reached was checked by that pass, or rebuilt or memo'd
+  // after it began, and nothing it reads has moved since: its check would
+  // skip it again. Writes during the last pass count too, since they may
+  // land after the check of a cluster earlier in its walk.
+  ++pass_count_;
+  wake_heap_.clear();
+  const PassStart last = last_pass_;
+  last_pass_ = {.valid = true,
+                .builder = builder.serial(),
+                .footprint_clock = topo_->footprint_clock(),
+                .owner_clock = ownership_.clock()};
+  const std::uint64_t window = (last_pass_.footprint_clock - last.footprint_clock) +
+                               (last_pass_.owner_clock - last.owner_clock);
+  bool scoped = last.valid && last.builder == builder.serial() &&
+                window <= kWakeReadsPerCheck * degraded_ids_.size() &&
+                wake_readers_since(last.footprint_clock, last.owner_clock, ClusterId::invalid());
+  for (ClusterId id : written_) {
+    written_flags_[id.index()] = 0;
+    if (scoped) wake(id);
+  }
+  written_.clear();
+  if (scoped) {
+    ALVC_COUNT("cluster.restore.scoped_passes");
+  } else {
+    for (ClusterId id : degraded_ids_) wake(id);
+  }
+
+  // Only a rebuild changes a degraded flag, and only its own cluster's, so
+  // every cluster degraded now is still degraded when the ascending walk
+  // reaches it, and the clusters not rebuilt are the skipped ones.
+  const std::size_t degraded = degraded_ids_.size();
+  std::size_t rebuilds = 0;
   UpdateCost cost;
-  // Snapshot: rebuild_cluster() flips degraded flags, which edits the index
-  // mid-iteration. Ascending order matches the old sorted_cluster_ids() walk.
-  const std::vector<ClusterId> ids(degraded_ids_.begin(), degraded_ids_.end());
-  for (ClusterId id : ids) {
+  while (!wake_heap_.empty()) {
+    std::pop_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>{});
+    const ClusterId id = wake_heap_.back();
+    wake_heap_.pop_back();
     VirtualCluster* vc = find_mutable(id);
     if (vc == nullptr || !vc->degraded) continue;
     // A rebuild is a function of the builder, the VMs, the footprint and
@@ -602,14 +709,20 @@ Expected<UpdateCost> ClusterManager::restore_degraded_clusters(const AlBuilder& 
     // cost. The skipped cluster stays out of `touched`: its AL is unchanged
     // and a recovery only revives hardware, so no chain of it can need a
     // sweep.
-    if (rebuild_is_futile(*vc, builder)) {
-      ALVC_COUNT("cluster.restore.skipped");
-      continue;
-    }
+    if (rebuild_is_futile(*vc, builder)) continue;
     if (touched != nullptr) touched->push_back(id);
     ALVC_COUNT("cluster.restore.rebuilds");
+    ++rebuilds;
+    const std::uint64_t footprint_before = topo_->footprint_clock();
+    const std::uint64_t owner_before = ownership_.clock();
     cost += rebuild_cluster(*vc, builder);
+    // The rebuild's owner changes can reach clusters later in the walk.
+    if (scoped && !wake_readers_since(footprint_before, owner_before, id)) {
+      for (auto it = degraded_ids_.upper_bound(id); it != degraded_ids_.end(); ++it) wake(*it);
+      scoped = false;
+    }
   }
+  if (degraded > rebuilds) ALVC_COUNT_N("cluster.restore.skipped", degraded - rebuilds);
   return cost;
 }
 

@@ -27,6 +27,7 @@
 namespace alvc::test {
 struct LinkScopeProbe;
 struct RebuildMemoProbe;
+struct RestoreWakeProbe;
 }  // namespace alvc::test
 
 namespace alvc::util {
@@ -192,8 +193,26 @@ class ClusterManager {
   /// array reads. Only rebuilt clusters are appended to `touched`: a
   /// skipped cluster keeps its AL, and a recovery only revives hardware,
   /// so no chain of it can need a sweep. A skip bumps no mutation epoch.
+  ///
+  /// The pass checks only the clusters a write since the previous pass
+  /// began can have reached (the wake set): degraded clusters without a
+  /// memo, clusters this manager's own writers changed, and the memo'd
+  /// clusters watching a home ToR that the footprint journal or (through
+  /// an OPS's ToR links) the owner journal lists since then; a rebuild
+  /// in the pass wakes the watchers later in the walk that its owner
+  /// changes reach. Every cluster outside the wake set would be skipped,
+  /// so the pass costs O(writes since the last pass + clusters woken),
+  /// not O(degraded clusters). The first pass, a pass with another
+  /// builder than the last one, a pass whose journals no longer reach
+  /// back to the last one's start, and a pass with more journal entries
+  /// to read than kWakeReadsPerCheck per degraded cluster walk every
+  /// degraded cluster.
   [[nodiscard]] Expected<UpdateCost> restore_degraded_clusters(
       const AlBuilder& builder, std::vector<ClusterId>* touched = nullptr);
+  /// Journal entries a scoped restore pass may read per degraded cluster
+  /// before the full walk is the cheaper pass: an entry costs a few array
+  /// reads, a memo check a compare of VMs and AL.
+  static constexpr std::uint64_t kWakeReadsPerCheck = 8;
 
   // ---- inspection ----
 
@@ -276,6 +295,12 @@ class ClusterManager {
   /// degraded-cluster index in lockstep (check_invariants cross-checks),
   /// and drops the rebuild memo of a cluster that stops being degraded.
   void set_degraded(VirtualCluster& vc, bool degraded);
+  /// Writes VirtualCluster::connected outside set_layer, noting a change.
+  void set_connected(VirtualCluster& vc, bool connected);
+  /// Puts a degraded `vc` in the next restore pass's wake set: its VMs,
+  /// AL or connected flag changed, or it has no memo. A healthy cluster
+  /// has no memo to outdate and is listed when it turns degraded.
+  void note_write(const VirtualCluster& vc);
   /// True when every member of `vc`'s AL lies in its footprint: ToRs are
   /// home ToRs of its VMs, OPSs are uplinks of those ToRs.
   [[nodiscard]] bool layer_in_footprint(const VirtualCluster& vc);
@@ -285,6 +310,17 @@ class ClusterManager {
   [[nodiscard]] bool rebuild_is_futile(const VirtualCluster& vc, const AlBuilder& builder);
   /// Records (`local`) or drops the memo of `vc`'s rebuild just done.
   void remember_rebuild(const VirtualCluster& vc, const AlBuilder& builder, bool local);
+  /// Drops `id`'s memo, if any, and its entries in the watch index.
+  void forget_rebuild(ClusterId id);
+  /// Queues `id` on the restore pass's worklist unless this pass did.
+  void wake(ClusterId id);
+  /// Queues the watchers with ids above `floor` (all when it is invalid)
+  /// of every ToR stamped after footprint clock `footprint_since` and of
+  /// every ToR wired to an OPS whose owner changed after owner clock
+  /// `owner_since`. False, queueing nothing, when a journal no longer
+  /// reaches back that far.
+  bool wake_readers_since(std::uint64_t footprint_since, std::uint64_t owner_since,
+                          ClusterId floor);
 
   /// What the last rebuild of a degraded cluster read and left behind.
   /// Only kept while the cluster is degraded and that rebuild was local.
@@ -318,9 +354,35 @@ class ClusterManager {
   /// by set_layer.
   std::vector<std::vector<ClusterId>> tor_clusters_;
   /// Rebuild memos of degraded clusters, looked up by id only (never
-  /// iterated). Written by remember_rebuild, dropped by set_degraded and
-  /// destroy_cluster.
+  /// iterated). Written by remember_rebuild, dropped by forget_rebuild
+  /// (from set_degraded, remember_rebuild and destroy_cluster).
   std::unordered_map<ClusterId, RebuildMemo> rebuild_memos_;
+  /// tor.index() -> ids of the clusters whose memo lists that ToR among
+  /// its home ToRs, unordered: the clusters a write at the ToR can wake.
+  /// Kept in step with rebuild_memos_ by remember_rebuild and
+  /// forget_rebuild.
+  std::vector<std::vector<ClusterId>> tor_watchers_;
+  /// Degraded clusters note_write listed since the last restore pass
+  /// began, each once: written_flags_[id.index()] is 1 while `id` is
+  /// listed. Every degraded cluster without a memo is listed.
+  std::vector<ClusterId> written_;
+  std::vector<std::uint8_t> written_flags_;
+  /// Where the last restore pass began. `valid` is false until a pass
+  /// has run; the next pass then walks every degraded cluster.
+  struct PassStart {
+    bool valid = false;
+    std::uint64_t builder = 0;          // AlBuilder::serial()
+    std::uint64_t footprint_clock = 0;  // topology footprint_clock() then
+    std::uint64_t owner_clock = 0;      // ownership_.clock() then
+  };
+  PassStart last_pass_;
+  /// The restore pass's worklist, a min-heap of ids, and the number of
+  /// the pass that last queued each id (woken_in_[id.index()]).
+  std::vector<ClusterId> wake_heap_;
+  std::vector<std::uint64_t> woken_in_;
+  std::uint64_t pass_count_ = 0;
+  /// handle_link_failure's copy of the ToR's index list, reused.
+  std::vector<ClusterId> tor_ids_scratch_;
   /// collect_home_tors's output, reused across calls.
   std::vector<TorId> home_tors_;
   /// Traversal state every AL build, repair and connectivity check of this
@@ -331,6 +393,7 @@ class ClusterManager {
 
   friend struct alvc::test::LinkScopeProbe;
   friend struct alvc::test::RebuildMemoProbe;
+  friend struct alvc::test::RestoreWakeProbe;
 };
 
 }  // namespace alvc::cluster

@@ -22,53 +22,46 @@ void ControlAgent::unregister_chain(NfcId id, ClusterId cluster) {
   shards_[shard_of(cluster)].remove_chain(id, cluster);
 }
 
-std::vector<ScanItem> ControlAgent::scan_scoped(std::span<const ClusterId> scope,
-                                                const Classifier& classify) {
-  // Bucket the scoped clusters by owning shard. Bucket order does not
-  // matter: the merged result is sorted by id at the end.
-  std::vector<std::vector<ClusterId>> buckets(shards_.size());
-  for (ClusterId cluster : scope) {
-    std::vector<ClusterId>& bucket = buckets[shard_of(cluster)];
-    if (std::find(bucket.begin(), bucket.end(), cluster) == bucket.end()) {
-      bucket.push_back(cluster);
+std::span<const ScanItem> ControlAgent::scan_scoped(std::span<const ClusterId> scope,
+                                                    const Classifier& classify) {
+  for (ControlShard& shard : shards_) ++shard.counters_.scans;
+  findings_.clear();
+  // Visit order does not matter: the classifier is pure and the result is
+  // sorted by id at the end. A scope is a handful of clusters, so the
+  // duplicate check scans the ones before it.
+  for (auto cluster = scope.begin(); cluster != scope.end(); ++cluster) {
+    if (std::find(scope.begin(), cluster, *cluster) != cluster) continue;
+    ControlShard& shard = shards_[shard_of(*cluster)];
+    const std::vector<NfcId>* members = shard.cluster_chains(*cluster);
+    if (members == nullptr) continue;
+    for (NfcId id : *members) {
+      ++shard.counters_.chains_visited;
+      ScanItem item{.id = id};
+      if (!classify(id, item)) continue;
+      findings_.push_back(item);
+      ++shard.counters_.findings;
     }
   }
-  std::vector<ScanItem> merged;
-  for (std::size_t index = 0; index < shards_.size(); ++index) {
-    ControlShard& shard = shards_[index];
-    ++shard.counters_.scans;
-    const std::size_t before = merged.size();
-    for (ClusterId cluster : buckets[index]) {
-      const std::vector<NfcId>* members = shard.cluster_chains(cluster);
-      if (members == nullptr) continue;
-      for (NfcId id : *members) {
-        ++shard.counters_.chains_visited;
-        ScanItem item{.id = id};
-        if (classify(id, item)) merged.push_back(item);
-      }
-    }
-    shard.counters_.findings += merged.size() - before;
-  }
-  // A chain is registered through exactly one cluster, so shards never
-  // report the same id twice.
-  std::sort(merged.begin(), merged.end(),
+  // A chain is registered through exactly one cluster, so no id is
+  // reported twice.
+  std::sort(findings_.begin(), findings_.end(),
             [](const ScanItem& a, const ScanItem& b) { return a.id < b.id; });
-  return merged;
+  return findings_;
 }
 
 bool ControlAgent::enqueue_retry(RetryEntry entry, ClusterId cluster) {
   return shards_[shard_of(cluster)].enqueue_retry(entry);
 }
 
-std::vector<RetryEntry> ControlAgent::drain_retries() {
-  std::vector<RetryEntry> drained;
+std::span<const RetryEntry> ControlAgent::drain_retries() {
+  drained_.clear();
   for (ControlShard& shard : shards_) {
-    drained.insert(drained.end(), shard.retries_.begin(), shard.retries_.end());
+    drained_.insert(drained_.end(), shard.retries_.begin(), shard.retries_.end());
     shard.retries_.clear();
   }
-  std::sort(drained.begin(), drained.end(),
+  std::sort(drained_.begin(), drained_.end(),
             [](const RetryEntry& a, const RetryEntry& b) { return a.id < b.id; });
-  return drained;
+  return drained_;
 }
 
 std::size_t ControlAgent::retry_count() const noexcept {

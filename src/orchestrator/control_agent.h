@@ -57,14 +57,15 @@ class ControlAgent {
   using Classifier = std::function<bool(NfcId id, ScanItem& item)>;
 
   /// Phase 1 of the two-phase pass: classify the chains registered through
-  /// the clusters in `scope` (a fault's blast radius), shard by shard in
-  /// ascending shard order, and return the findings sorted by ascending id.
-  /// Each shard walks only its scoped clusters' membership indexes, so the
-  /// pass costs O(affected chains) instead of O(all chains). The caller
-  /// must guarantee that every chain NOT in scope would classify to "no
-  /// work". Duplicate clusters in `scope` are fine.
-  [[nodiscard]] std::vector<ScanItem> scan_scoped(std::span<const ClusterId> scope,
-                                                  const Classifier& classify);
+  /// the clusters in `scope` (a fault's blast radius) and return the
+  /// findings sorted by ascending id. Each scoped cluster's membership
+  /// index is walked once, on its owning shard, so the pass costs
+  /// O(affected chains) instead of O(all chains). The caller must
+  /// guarantee that every chain NOT in scope would classify to "no work".
+  /// Duplicate clusters in `scope` are fine. The result lives in a buffer
+  /// the agent reuses: it stays valid until the next scan_scoped call.
+  [[nodiscard]] std::span<const ScanItem> scan_scoped(std::span<const ClusterId> scope,
+                                                      const Classifier& classify);
 
   /// Queues a retry on the shard owning `cluster`, unless that shard
   /// already holds an entry for the chain. A chain's cluster never changes,
@@ -73,8 +74,10 @@ class ControlAgent {
   bool enqueue_retry(RetryEntry entry, ClusterId cluster);
 
   /// Drains every shard's retry segment and returns the union sorted by
-  /// ascending id (ids are unique across shards).
-  [[nodiscard]] std::vector<RetryEntry> drain_retries();
+  /// ascending id (ids are unique across shards). The result lives in a
+  /// buffer the agent reuses: it stays valid until the next drain_retries
+  /// call.
+  [[nodiscard]] std::span<const RetryEntry> drain_retries();
 
   /// Retry entries queued across all shards.
   [[nodiscard]] std::size_t retry_count() const noexcept;
@@ -84,6 +87,9 @@ class ControlAgent {
 
  private:
   std::vector<ControlShard> shards_;
+  /// scan_scoped's and drain_retries' results, reused across calls.
+  std::vector<ScanItem> findings_;
+  std::vector<RetryEntry> drained_;
 };
 
 }  // namespace alvc::orchestrator

@@ -628,10 +628,11 @@ std::size_t NetworkOrchestrator::drain_retry_queue() {
   // Every shard's segment drains into one id-sorted batch (ids are unique
   // across shards, so the order is shard-count invariant); entries the pass
   // keeps go back to their owning shards.
-  const std::vector<RetryEntry> entries = agent_->drain_retries();
+  const std::span<const RetryEntry> entries = agent_->drain_retries();
   constexpr std::size_t kMaxAttempts = 16;
   std::size_t restored = 0;
-  std::vector<RetryEntry> keep;
+  std::vector<RetryEntry>& keep = retry_keep_;
+  keep.clear();
   for (RetryEntry entry : entries) {
     const auto it = chains_.find(entry.id);
     if (it == chains_.end()) continue;  // torn down meanwhile
@@ -824,7 +825,8 @@ std::vector<NfcId> NetworkOrchestrator::sorted_chain_ids() const {
 void NetworkOrchestrator::set_sharding(std::size_t shard_count) {
   if (shard_count == 0) throw std::invalid_argument("set_sharding: shard_count must be >= 1");
   // Fold the old shards' retries out first so the new shards inherit them.
-  const std::vector<RetryEntry> retries = agent_->drain_retries();
+  const std::span<const RetryEntry> drained = agent_->drain_retries();
+  const std::vector<RetryEntry> retries(drained.begin(), drained.end());
   agent_ = std::make_unique<ControlAgent>(clusters_->topology(), shard_count);
   for (NfcId id : sorted_chain_ids()) {
     agent_->register_chain(id, chains_.at(id).cluster);
@@ -881,10 +883,10 @@ Expected<std::size_t> NetworkOrchestrator::handle_ops_failure(alvc::util::OpsId 
   // Repair the AL first (marks the OPS failed in the topology as a side
   // effect, so every later decision sees the failure).
   log_.append(sdn::ControlEventType::kOpsFailed, ops.value());
-  std::vector<alvc::util::ClusterId> touched;
-  const auto repair = clusters_->handle_ops_failure(ops, &touched);
+  touched_.clear();
+  const auto repair = clusters_->handle_ops_failure(ops, &touched_);
   if (repair.has_value()) log_.append(sdn::ControlEventType::kAlRepaired, ops.value());
-  const std::size_t repaired = sweep_chains(touched);
+  const std::size_t repaired = sweep_chains(touched_);
   rebalance_bandwidth();
   return repaired;
 }
@@ -897,12 +899,12 @@ Expected<std::size_t> NetworkOrchestrator::handle_tor_failure(alvc::util::TorId 
   }
   if (!topo.tor_usable(tor)) return std::size_t{0};
   log_.append(sdn::ControlEventType::kTorFailed, tor.value());
-  std::vector<alvc::util::ClusterId> touched;
-  const auto repair = clusters_->handle_tor_failure(tor, repair_builder_, &touched);
+  touched_.clear();
+  const auto repair = clusters_->handle_tor_failure(tor, repair_builder_, &touched_);
   if (repair.has_value()) {
     log_.append(sdn::ControlEventType::kAlRepaired, tor.value(), "after ToR failure");
   }
-  const std::size_t repaired = sweep_chains(touched);
+  const std::size_t repaired = sweep_chains(touched_);
   rebalance_bandwidth();
   return repaired;
 }
@@ -937,13 +939,12 @@ Expected<std::size_t> NetworkOrchestrator::handle_link_failure(alvc::util::TorId
     return Error{ErrorCode::kNotFound, "no such ToR-OPS link"};
   }
   if (topo.link_failed(tor, ops)) return std::size_t{0};
-  log_.append(sdn::ControlEventType::kLinkFailed, tor.value(),
-              "to OPS " + std::to_string(ops.value()));
-  std::vector<alvc::util::ClusterId> touched;
-  ALVC_IGNORE_STATUS(clusters_->handle_link_failure(tor, ops, &touched),
+  log_.append(sdn::ControlEventType::kLinkFailed, tor.value(), {}, ops.value());
+  touched_.clear();
+  ALVC_IGNORE_STATUS(clusters_->handle_link_failure(tor, ops, &touched_),
                      "an infeasible AL repair leaves the cluster degraded; sweep_chains "
                      "degrades the affected chains rather than aborting the handler");
-  const std::size_t repaired = sweep_chains(touched);
+  const std::size_t repaired = sweep_chains(touched_);
   rebalance_bandwidth();
   return repaired;
 }
@@ -956,15 +957,15 @@ Expected<std::size_t> NetworkOrchestrator::handle_ops_recovery(alvc::util::OpsId
   }
   if (topo.ops_usable(ops)) return std::size_t{0};  // was not failed
   log_.append(sdn::ControlEventType::kOpsRecovered, ops.value());
-  std::vector<alvc::util::ClusterId> touched;
-  ALVC_IGNORE_STATUS(clusters_->handle_ops_recovery(ops, repair_builder_, &touched),
+  touched_.clear();
+  ALVC_IGNORE_STATUS(clusters_->handle_ops_recovery(ops, repair_builder_, &touched_),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
   // Cluster rebuilds may have shifted slices under healthy chains; fix
   // those first so capacity is settled before degraded chains compete.
   // Outside the rebuilt (degraded) clusters a recovery only flips hardware
   // dead -> alive, which moves sweep verdicts toward kNone, so the rebuilt
   // clusters are the whole blast radius.
-  ALVC_IGNORE_STATUS(sweep_chains(touched),
+  ALVC_IGNORE_STATUS(sweep_chains(touched_),
                      "repairs of healthy chains are logged per chain; this call returns "
                      "only the count and the caller reports restorations instead");
   const std::size_t restored = drain_retry_queue();
@@ -980,10 +981,10 @@ Expected<std::size_t> NetworkOrchestrator::handle_tor_recovery(alvc::util::TorId
   }
   if (topo.tor_usable(tor)) return std::size_t{0};
   log_.append(sdn::ControlEventType::kTorRecovered, tor.value());
-  std::vector<alvc::util::ClusterId> touched;
-  ALVC_IGNORE_STATUS(clusters_->handle_tor_recovery(tor, repair_builder_, &touched),
+  touched_.clear();
+  ALVC_IGNORE_STATUS(clusters_->handle_tor_recovery(tor, repair_builder_, &touched_),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
-  ALVC_IGNORE_STATUS(sweep_chains(touched),
+  ALVC_IGNORE_STATUS(sweep_chains(touched_),
                      "settle healthy chains first; restorations are returned");
   const std::size_t restored = drain_retry_queue();
   rebalance_bandwidth();
@@ -1016,12 +1017,11 @@ Expected<std::size_t> NetworkOrchestrator::handle_link_recovery(alvc::util::TorI
     return Error{ErrorCode::kInvalidArgument, "bad link endpoint id"};
   }
   if (!topo.link_failed(tor, ops)) return std::size_t{0};
-  log_.append(sdn::ControlEventType::kLinkRecovered, tor.value(),
-              "to OPS " + std::to_string(ops.value()));
-  std::vector<alvc::util::ClusterId> touched;
-  ALVC_IGNORE_STATUS(clusters_->handle_link_recovery(tor, ops, repair_builder_, &touched),
+  log_.append(sdn::ControlEventType::kLinkRecovered, tor.value(), {}, ops.value());
+  touched_.clear();
+  ALVC_IGNORE_STATUS(clusters_->handle_link_recovery(tor, ops, repair_builder_, &touched_),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
-  ALVC_IGNORE_STATUS(sweep_chains(touched),
+  ALVC_IGNORE_STATUS(sweep_chains(touched_),
                      "settle healthy chains first; restorations are returned");
   const std::size_t restored = drain_retry_queue();
   rebalance_bandwidth();

@@ -41,6 +41,7 @@
 
 namespace alvc::test {
 struct LinkScopeProbe;
+struct RestoreWakeProbe;
 struct SweepProbe;
 }  // namespace alvc::test
 
@@ -386,8 +387,15 @@ class NetworkOrchestrator {
   std::unique_ptr<ControlAgent> agent_;
   std::uint64_t recovery_epoch_ = 0;  // counts recovery events (backoff clock)
   NfcId::value_type next_id_ = 0;
+  /// Owner-held buffers of the fault and recovery handlers, reused so a
+  /// handler allocates nothing once they have grown: the clusters the
+  /// ClusterManager handler reports touched, and the retry entries a drain
+  /// keeps.
+  std::vector<alvc::util::ClusterId> touched_;
+  std::vector<RetryEntry> retry_keep_;
 
   friend struct alvc::test::LinkScopeProbe;
+  friend struct alvc::test::RestoreWakeProbe;
   friend struct alvc::test::SweepProbe;
 };
 

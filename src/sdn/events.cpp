@@ -2,9 +2,13 @@
 
 namespace alvc::sdn {
 
-void ControlPlaneLog::append(ControlEventType type, std::uint32_t subject, std::string detail) {
-  events_.push_back(
-      ControlEvent{next_sequence_++, type, subject, std::move(detail)});
+void ControlPlaneLog::append(ControlEventType type, std::uint32_t subject, std::string detail,
+                             std::uint32_t peer) {
+  events_.push_back(ControlEvent{.sequence = next_sequence_++,
+                                 .type = type,
+                                 .subject = subject,
+                                 .peer = peer,
+                                 .detail = std::move(detail)});
   ++counts_[static_cast<std::size_t>(type)];
 }
 

@@ -66,17 +66,31 @@ inline constexpr std::size_t kControlEventTypeCount =
 }
 
 struct ControlEvent {
-  std::uint64_t sequence = 0;
-  ControlEventType type = ControlEventType::kChainProvisioned;
+  /// `peer` of an event that has none.
+  static constexpr std::uint32_t kNoPeer = 0xFFFFFFFFu;
+
+  // The sequence and the type share one word, so `peer` costs the log no
+  // memory: 2^56 sequence numbers outlast any run.
+  std::uint64_t sequence : 56 = 0;
+  ControlEventType type : 8 = ControlEventType::kChainProvisioned;
   /// Primary subject (chain id, slice id, OPS id... by type); kInvalid when
   /// not applicable.
   std::uint32_t subject = 0;
+  /// Second endpoint of a two-element subject: the OPS of a link event,
+  /// whose subject is the ToR. kNoPeer for every other event.
+  std::uint32_t peer = kNoPeer;
   std::string detail;
 };
+static_assert(sizeof(ControlEvent) == 16 + sizeof(std::string),
+              "ControlEvent: sequence, type, subject and peer fill 16 bytes");
 
 class ControlPlaneLog {
  public:
-  void append(ControlEventType type, std::uint32_t subject, std::string detail = {});
+  void append(ControlEventType type, std::uint32_t subject, std::string detail = {},
+              std::uint32_t peer = ControlEvent::kNoPeer);
+  /// Makes room for `events` more entries, so appending that many
+  /// allocates nothing.
+  void reserve(std::size_t events) { events_.reserve(events_.size() + events); }
 
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }

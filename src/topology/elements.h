@@ -83,9 +83,13 @@ struct TorSwitch {
   /// switch graph and every AL that contained it must be rebuilt.
   bool failed = false;
   /// How many of `uplinks` are cut (DataCenterTopology::set_link_failed
-  /// keeps it), so a link probe at an intact ToR skips the failed-link
-  /// hash. Sits in the padding after `failed`: no size change.
+  /// keeps it), so a probe at an intact ToR reads neither the uplink list
+  /// nor `uplink_cut`. Sits in the padding after `failed`.
   std::uint32_t failed_uplinks = 0;
+  /// uplink_cut[i] != 0 when the cable to uplinks[i] is cut, for any
+  /// uplink degree. Written only by DataCenterTopology (connect_tor_ops
+  /// and set_link_failed), which stamps the ToR's footprint with it.
+  std::vector<std::uint8_t> uplink_cut;
 };
 
 /// Optical packet switch in the core. `optoelectronic` marks the special

@@ -12,9 +12,9 @@ DataCenterTopology::DataCenterTopology(const DataCenterTopology& other)
       vms_(other.vms_),
       tors_(other.tors_),
       opss_(other.opss_),
-      failed_links_(other.failed_links_),
       footprint_stamps_(other.footprint_stamps_),
-      footprint_clock_(other.footprint_clock_) {}
+      footprint_clock_(other.footprint_clock_),
+      footprint_journal_(other.footprint_journal_) {}
 
 DataCenterTopology& DataCenterTopology::operator=(const DataCenterTopology& other) {
   if (this == &other) return *this;
@@ -22,9 +22,9 @@ DataCenterTopology& DataCenterTopology::operator=(const DataCenterTopology& othe
   vms_ = other.vms_;
   tors_ = other.tors_;
   opss_ = other.opss_;
-  failed_links_ = other.failed_links_;
   footprint_stamps_ = other.footprint_stamps_;
   footprint_clock_ = other.footprint_clock_;
+  footprint_journal_ = other.footprint_journal_;
   invalidate_cache();
   return *this;
 }
@@ -34,9 +34,9 @@ DataCenterTopology::DataCenterTopology(DataCenterTopology&& other) noexcept
       vms_(std::move(other.vms_)),
       tors_(std::move(other.tors_)),
       opss_(std::move(other.opss_)),
-      failed_links_(std::move(other.failed_links_)),
       footprint_stamps_(std::move(other.footprint_stamps_)),
-      footprint_clock_(other.footprint_clock_) {
+      footprint_clock_(other.footprint_clock_),
+      footprint_journal_(other.footprint_journal_) {
   other.invalidate_cache();
 }
 
@@ -46,12 +46,17 @@ DataCenterTopology& DataCenterTopology::operator=(DataCenterTopology&& other) no
   vms_ = std::move(other.vms_);
   tors_ = std::move(other.tors_);
   opss_ = std::move(other.opss_);
-  failed_links_ = std::move(other.failed_links_);
   footprint_stamps_ = std::move(other.footprint_stamps_);
   footprint_clock_ = other.footprint_clock_;
+  footprint_journal_ = other.footprint_journal_;
   invalidate_cache();
   other.invalidate_cache();
   return *this;
+}
+
+void DataCenterTopology::stamp_footprint(TorId tor) noexcept {
+  footprint_stamps_[tor.index()] = ++footprint_clock_;
+  footprint_journal_[footprint_clock_ % kFootprintJournalCapacity] = tor;
 }
 
 TorId DataCenterTopology::add_tor(double port_bandwidth_gbps) {
@@ -95,6 +100,7 @@ void DataCenterTopology::connect_tor_ops(TorId tor, OpsId ops) {
   auto& t = tors_.at(tor.index());
   auto& o = opss_.at(ops.index());
   t.uplinks.push_back(ops);
+  t.uplink_cut.push_back(0);
   o.tor_links.push_back(tor);
   stamp_footprint(tor);
   invalidate_cache();
@@ -190,17 +196,27 @@ alvc::util::Status DataCenterTopology::set_link_failed(TorId tor, OpsId ops, boo
     return alvc::util::Error{alvc::util::ErrorCode::kInvalidArgument,
                              "set_link_failed: bad endpoint id"};
   }
-  const auto& uplinks = tors_[tor.index()].uplinks;
-  if (std::find(uplinks.begin(), uplinks.end(), ops) == uplinks.end()) {
+  TorSwitch& t = tors_[tor.index()];
+  if (std::find(t.uplinks.begin(), t.uplinks.end(), ops) == t.uplinks.end()) {
     return alvc::util::Error{alvc::util::ErrorCode::kNotFound,
                              "set_link_failed: ToR " + std::to_string(tor.value()) +
                                  " has no link to OPS " + std::to_string(ops.value())};
   }
-  std::uint32_t& cut = tors_[tor.index()].failed_uplinks;
-  if (failed) {
-    if (failed_links_.insert(link_key(tor, ops)).second) ++cut;
-  } else if (failed_links_.erase(link_key(tor, ops)) != 0) {
-    --cut;
+  // A ToR wired to the same OPS twice has one cable state for the pair:
+  // every entry of it flips, and the pair counts once in failed_uplinks.
+  const std::uint8_t flag = failed ? 1 : 0;
+  bool flipped = false;
+  for (std::size_t i = 0; i < t.uplinks.size(); ++i) {
+    if (t.uplinks[i] != ops || t.uplink_cut[i] == flag) continue;
+    t.uplink_cut[i] = flag;
+    flipped = true;
+  }
+  if (flipped) {
+    if (failed) {
+      ++t.failed_uplinks;
+    } else {
+      --t.failed_uplinks;
+    }
   }
   stamp_footprint(tor);
   refresh_switch_links(tor_vertex(tor));
@@ -233,10 +249,9 @@ void DataCenterTopology::refresh_switch_links(std::size_t v) {
   // has. Copy the ids out first: each flip reorders the slice.
   const alvc::graph::CsrView csr = switch_graph_.csr();
   const auto slice = csr.adjacency.subspan(csr.offsets[v], csr.offsets[v + 1] - csr.offsets[v]);
-  std::vector<std::size_t> links;
-  links.reserve(slice.size());
-  for (const auto& nb : slice) links.push_back(nb.edge);
-  for (std::size_t e : links) {
+  link_scratch_.clear();
+  for (const auto& nb : slice) link_scratch_.push_back(nb.edge);
+  for (std::size_t e : link_scratch_) {
     switch_graph_.set_edge_live(e, switch_link_live(switch_graph_.edge(e)));
   }
 }
@@ -283,8 +298,9 @@ alvc::graph::BipartiteGraph DataCenterTopology::tor_ops_graph() const {
   alvc::graph::BipartiteGraph g(tors_.size(), opss_.size());
   for (const auto& t : tors_) {
     if (t.failed) continue;
-    for (OpsId ops : t.uplinks) {
-      if (opss_[ops.index()].failed || uplink_cut(t, ops)) continue;
+    for (std::size_t i = 0; i < t.uplinks.size(); ++i) {
+      const OpsId ops = t.uplinks[i];
+      if (opss_[ops.index()].failed || (t.failed_uplinks != 0 && t.uplink_cut[i] != 0)) continue;
       g.add_edge(t.id.index(), ops.index());
     }
   }

@@ -10,10 +10,11 @@
 // Invariant: ids are dense (id.value() indexes the owning vector).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/bipartite.h"
@@ -84,9 +85,13 @@ class DataCenterTopology {
   [[nodiscard]] bool tor_usable(TorId tor) const { return !this->tor(tor).failed; }
   [[nodiscard]] bool server_usable(ServerId server) const { return !this->server(server).failed; }
   /// Raw link flag (ignores endpoint state). A ToR with no cut uplink
-  /// answers without a hash probe.
+  /// answers without searching its uplinks.
   [[nodiscard]] bool link_failed(TorId tor, OpsId ops) const {
-    return uplink_cut(this->tor(tor), ops);
+    const TorSwitch& t = this->tor(tor);
+    if (t.failed_uplinks == 0) return false;
+    const auto it = std::find(t.uplinks.begin(), t.uplinks.end(), ops);
+    return it != t.uplinks.end() &&
+           t.uplink_cut[static_cast<std::size_t>(it - t.uplinks.begin())] != 0;
   }
   /// True when the ToR-OPS link can carry traffic: both endpoints usable and
   /// the link itself up. Does not check that the link exists.
@@ -101,8 +106,9 @@ class DataCenterTopology {
   bool any_usable_uplink(TorId tor, Pred&& pred) const {
     const TorSwitch& t = this->tor(tor);
     if (t.failed) return false;
-    for (OpsId ops : t.uplinks) {
-      if (opss_[ops.index()].failed || uplink_cut(t, ops)) continue;
+    for (std::size_t i = 0; i < t.uplinks.size(); ++i) {
+      const OpsId ops = t.uplinks[i];
+      if (opss_[ops.index()].failed || (t.failed_uplinks != 0 && t.uplink_cut[i] != 0)) continue;
       if (pred(ops)) return true;
     }
     return false;
@@ -221,6 +227,14 @@ class DataCenterTopology {
   // primary ToR). So footprint_stamp(t) <= c proves t's footprint
   // unchanged since footprint_clock() read c. Stamps may move without a
   // change (flip and flip back); they never miss one.
+  //
+  // Every stamp is also written to a ring journal indexed by its clock
+  // value, so a reader that remembers a clock value can list the ToRs
+  // stamped since in O(stamps), as long as fewer than
+  // kFootprintJournalCapacity stamps were handed out in between.
+
+  /// Stamps the footprint journal holds: the last this many clock values.
+  static constexpr std::size_t kFootprintJournalCapacity = 4096;
 
   /// Clock value of the last write to `tor`'s footprint (0 = none yet).
   [[nodiscard]] std::uint64_t footprint_stamp(TorId tor) const {
@@ -228,6 +242,16 @@ class DataCenterTopology {
   }
   /// The clock: the highest stamp handed out so far.
   [[nodiscard]] std::uint64_t footprint_clock() const noexcept { return footprint_clock_; }
+  /// True when the journal still holds every stamp handed out after clock
+  /// value `since` (no more than kFootprintJournalCapacity of them).
+  [[nodiscard]] bool footprint_journal_holds(std::uint64_t since) const noexcept {
+    return since <= footprint_clock_ && footprint_clock_ - since <= kFootprintJournalCapacity;
+  }
+  /// The ToR stamped at clock value `clock`; meaningful only while
+  /// footprint_journal_holds(clock - 1).
+  [[nodiscard]] TorId footprint_journal_entry(std::uint64_t clock) const noexcept {
+    return footprint_journal_[clock % kFootprintJournalCapacity];
+  }
 
  private:
   /// Builds the switch graph over every physical link and marks the cache
@@ -250,22 +274,20 @@ class DataCenterTopology {
     switch_graph_valid_ = false;
     bump_mutation_epoch();
   }
-  void stamp_footprint(TorId tor) noexcept { footprint_stamps_[tor.index()] = ++footprint_clock_; }
-  [[nodiscard]] static std::uint64_t link_key(TorId tor, OpsId ops) noexcept {
-    return (static_cast<std::uint64_t>(tor.value()) << 32) | ops.value();
-  }
-  /// link_failed for a ToR already looked up.
-  [[nodiscard]] bool uplink_cut(const TorSwitch& tor, OpsId ops) const {
-    return tor.failed_uplinks != 0 && failed_links_.contains(link_key(tor.id, ops));
-  }
+  /// Stamps `tor`'s footprint from the clock and journals the stamp.
+  void stamp_footprint(TorId tor) noexcept;
 
   std::vector<Server> servers_;
   std::vector<Vm> vms_;
   std::vector<TorSwitch> tors_;
   std::vector<OpticalSwitch> opss_;
-  std::unordered_set<std::uint64_t> failed_links_;  // keyed by link_key
-  std::vector<std::uint64_t> footprint_stamps_;     // tor.index() -> stamp
+  std::vector<std::uint64_t> footprint_stamps_;  // tor.index() -> stamp
   std::uint64_t footprint_clock_ = 0;
+  /// clock % capacity -> the ToR stamped at that clock value.
+  std::array<TorId, kFootprintJournalCapacity> footprint_journal_{};
+  /// refresh_switch_links' copy of a vertex's link ids, reused across
+  /// calls so a failure flip allocates nothing.
+  std::vector<std::size_t> link_scratch_;
 
   mutable alvc::graph::Graph switch_graph_;
   mutable bool switch_graph_valid_ = false;

@@ -103,6 +103,30 @@ TEST(ControlPlaneLogTest, FailureWorkflowIsAudited) {
   EXPECT_TRUE(orch.control_log().is_ordered());
 }
 
+// A link event's subject is its ToR and its peer the OPS; every other
+// event leaves peer at kNoPeer.
+TEST(ControlPlaneLogTest, LinkEventsRecordTheirOpsAsPeer) {
+  alvc::test::ClusterFixture f;
+  alvc::orchestrator::NetworkOrchestrator orch(f.manager, f.catalog);
+  const alvc::util::TorId tor{0};
+  const alvc::util::OpsId ops = f.topo.tor(tor).uplinks.back();
+  ASSERT_TRUE(orch.handle_link_failure(tor, ops).has_value());
+  ASSERT_TRUE(orch.handle_link_recovery(tor, ops).has_value());
+  for (const ControlEventType type : {ControlEventType::kLinkFailed,
+                                      ControlEventType::kLinkRecovered}) {
+    const auto events = orch.control_log().by_type(type);
+    ASSERT_EQ(events.size(), 1u) << to_string(type);
+    EXPECT_EQ(events[0].subject, tor.value());
+    EXPECT_EQ(events[0].peer, ops.value());
+    EXPECT_TRUE(events[0].detail.empty());
+  }
+  ASSERT_TRUE(orch.handle_ops_failure(ops).has_value());
+  const auto ops_events = orch.control_log().by_type(ControlEventType::kOpsFailed);
+  ASSERT_EQ(ops_events.size(), 1u);
+  EXPECT_EQ(ops_events[0].subject, ops.value());
+  EXPECT_EQ(ops_events[0].peer, ControlEvent::kNoPeer);
+}
+
 TEST(ControlPlaneLogTest, MigrationIsAudited) {
   alvc::test::ClusterFixture f;
   alvc::orchestrator::NetworkOrchestrator orch(f.manager, f.catalog);

@@ -17,9 +17,13 @@ namespace alvc::test {
 
 struct RebuildMemoProbe {
   /// Drops every memo: the next restore pass rebuilds every degraded
-  /// cluster.
+  /// cluster. The watch index goes with the memos, and the next pass
+  /// walks every degraded cluster, as after any memo dropped in
+  /// production.
   static void forget_all(alvc::cluster::ClusterManager& manager) {
     manager.rebuild_memos_.clear();
+    for (auto& watchers : manager.tor_watchers_) watchers.clear();
+    manager.last_pass_.valid = false;
   }
   [[nodiscard]] static bool has_memo(const alvc::cluster::ClusterManager& manager,
                                      alvc::util::ClusterId id) {

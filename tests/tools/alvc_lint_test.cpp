@@ -173,8 +173,10 @@ TEST(AlvcLintTest, FlagsFootprintWritesOutsideTheirStampingWriters) {
   const auto content = read_fixture("footprint_writer.cc");
   using Lines = std::multiset<std::pair<std::string, std::size_t>>;
   const Lines flags{{"footprint-writer", 13}, {"footprint-writer", 14},
-                    {"footprint-writer", 16}, {"footprint-writer", 17}};
-  const Lines owners{{"footprint-writer", 23}, {"footprint-writer", 24}};
+                    {"footprint-writer", 16}, {"footprint-writer", 17},
+                    {"footprint-writer", 31}, {"footprint-writer", 32}};
+  const Lines owners{{"footprint-writer", 23}, {"footprint-writer", 24},
+                     {"footprint-writer", 33}};
   Lines both = flags;
   both.insert(owners.begin(), owners.end());
   for (const char* path : {"src/cluster/cluster_manager.cpp", "src/orchestrator/bad.cc",

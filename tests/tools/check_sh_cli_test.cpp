@@ -82,6 +82,22 @@ struct CliFixture : ::testing::Test {
     out << "  ]\n}\n";
     return path;
   }
+
+  /// Writes a trajectory holding only the two degraded-set link-cycle rows.
+  fs::path write_degraded_cycles(const std::string& name, double few_us, double many_us) const {
+    const fs::path path = dir / name;
+    std::ofstream out(path);
+    out << "{\n  \"schema\": \"alvc-bench-trajectory-v1\",\n  \"benchmarks\": [\n";
+    const auto row = [&](const char* bench_name, double us, const char* sep) {
+      out << "    {\"bench\": \"bench_failure_recovery\", \"name\": \"" << bench_name
+          << "\",\n     \"before_cpu_time_us\": null, \"after_cpu_time_us\": " << us
+          << ", \"speedup\": null}" << sep << "\n";
+    };
+    row("BM_FaultStormLinkCycle", few_us, ",");
+    row("BM_FaultStormLinkCycleManyDegraded", many_us, "");
+    out << "  ]\n}\n";
+    return path;
+  }
 };
 
 TEST_F(CliFixture, EmptyCiLegFailsFastInsteadOfRunningTheFullGate) {
@@ -189,6 +205,29 @@ TEST_F(CliFixture, BenchGatePassesAFlatFabricSweep) {
   const auto result = run_gate(fresh.string() + " " + fresh.string());
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("[ok] bench_sharded_control_plane/BM_OpsCycleVsFabric/100000"),
+            std::string::npos)
+      << result.output;
+}
+
+// A link cycle with 64 clusters held degraded is gated on its ratio to
+// the same cycle with 4: while every recovery checked every degraded
+// cluster's memo, the ratio read 3.8.
+TEST_F(CliFixture, BenchGateFailsWhenTheLinkCycleGrowsWithTheDegradedSet) {
+  const auto fresh = write_degraded_cycles("fresh.json", 1.38, 5.26);
+  const auto result = run_gate(fresh.string() + " " + fresh.string());
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("[REGRESSED] bench_failure_recovery/"
+                               "BM_FaultStormLinkCycleManyDegraded over BM_FaultStormLinkCycle"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("3.81x (bound 1.50x)"), std::string::npos) << result.output;
+}
+
+TEST_F(CliFixture, BenchGatePassesALinkCycleFlatInTheDegradedSet) {
+  const auto fresh = write_degraded_cycles("fresh.json", 1.0, 1.2);
+  const auto result = run_gate(fresh.string() + " " + fresh.string());
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("[ok] bench_failure_recovery/BM_FaultStormLinkCycleManyDegraded"),
             std::string::npos)
       << result.output;
 }

@@ -1,21 +1,21 @@
 // Fixture: seeded `footprint-writer` violations. The test lints this file
-// under synthetic paths: failure flags and the failed-link set may only be
-// written in src/topology/topology.cpp, OPS owner cells only in
-// src/cluster/abstraction_layer.cpp.
-#include <unordered_set>
+// under synthetic paths: failure flags, uplink cut flags and the footprint
+// journal may only be written in src/topology/topology.cpp, OPS owner cells
+// and the owner journal only in src/cluster/abstraction_layer.cpp.
+#include <cstdint>
 #include <vector>
 
 struct Tor {
   bool failed = false;  // legal: a member declaration
 };
 
-void flip(Tor& tor, Tor* other, std::unordered_set<int>& failed_links_) {
+void flip(Tor& tor, Tor* other, std::vector<std::uint8_t>& uplink_cut) {
   tor.failed = true;  // violation
   other->failed = false;  // violation
   const bool dead = tor.failed == true;  // legal: a read
-  failed_links_.insert(7);  // violation
-  failed_links_.erase(7);  // violation
-  const bool cut = failed_links_.contains(7) || dead;  // legal: a read
+  uplink_cut[2] = 1;  // violation
+  uplink_cut.push_back(0);  // violation
+  const bool cut = uplink_cut[2] != 0 || dead;  // legal: a read
   tor.failed = cut;  // alvc-lint: allow(footprint-writer)
 }
 
@@ -25,4 +25,12 @@ void own(std::vector<int>& owner_, std::vector<int>& vm_owner_) {
   vm_owner_[0] = 1;  // legal: another table
   const bool same = owner_[0] == 1;  // legal: a read
   vm_owner_.at(1) = same ? 1 : 0;  // legal
+}
+
+void journal(std::vector<int>& footprint_journal_, std::vector<int>& owner_journal_) {
+  footprint_journal_[3] = 4;  // violation
+  footprint_journal_.clear();  // violation
+  owner_journal_[3] = 4;  // violation
+  const bool seen = footprint_journal_[3] == owner_journal_[3];  // legal: a read
+  footprint_journal_[0] = seen ? 1 : 0;  // alvc-lint: allow(footprint-writer)
 }

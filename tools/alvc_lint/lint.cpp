@@ -165,15 +165,17 @@ const std::vector<Rule>& rules() {
         }});
     // Footprint stamps (DataCenterTopology::footprint_stamp, OpsOwnership::
     // stamp) let the rebuild memo skip a restore only while every write to
-    // a footprint goes through a stamping writer; a raw write elsewhere
-    // would leave a stale memo looking current.
+    // a footprint goes through a stamping writer, and the scoped restore
+    // pass finds the clusters to check only in the journals those writers
+    // keep; a raw write elsewhere would leave a stale memo looking current.
     r.push_back(Rule{
         "footprint-writer",
-        "element failure flag or failed-link set written outside "
+        "element failure flag, uplink cut flag or footprint journal written outside "
         "src/topology/topology.cpp; go through the DataCenterTopology setters, which "
-        "stamp the footprints the write changes",
-        std::regex(R"((\.|->)\s*failed\s*=([^=]|$)|failed_links_\s*(=([^=]|$)|\.\s*)"
-                   R"((insert|erase|emplace|clear|swap|extract|merge)\b))",
+        "stamp and journal the footprints the write changes",
+        std::regex(R"((\.|->)\s*failed\s*=([^=]|$)|)"
+                   R"((uplink_cut|footprint_journal_)\s*(\[[^\]]*\]\s*=([^=]|$)|=([^=]|$)|)"
+                   R"(\.\s*(push_back|emplace_back|insert|erase|assign|resize|clear|swap|fill)\b))",
                    flags),
         [](std::string_view path) {
           return !src_layer(path).empty() &&
@@ -181,9 +183,12 @@ const std::vector<Rule>& rules() {
         }});
     r.push_back(Rule{
         "footprint-writer",
-        "OPS owner cell written outside src/cluster/abstraction_layer.cpp; go through "
-        "OpsOwnership::acquire/release, which stamp every cell they change",
-        std::regex(R"((^|\W)owner_\s*(\[[^\]]*\]|\.\s*at\s*\(.*\))\s*=([^=]|$))", flags),
+        "OPS owner cell or owner journal written outside src/cluster/abstraction_layer.cpp; "
+        "go through OpsOwnership::acquire/release, which stamp and journal every cell "
+        "they change",
+        std::regex(R"((^|\W)owner_\s*(\[[^\]]*\]|\.\s*at\s*\(.*\))\s*=([^=]|$)|)"
+                   R"((^|\W)owner_journal_\s*(\[[^\]]*\]\s*=([^=]|$)|=([^=]|$)|\.\s*fill\b))",
+                   flags),
         [](std::string_view path) {
           return !src_layer(path).empty() &&
                  !path.ends_with("src/cluster/abstraction_layer.cpp");

@@ -33,13 +33,16 @@
 //                         the topology's switch graph are plain lazy
 //                         caches; only the telemetry sinks and the thread
 //                         pool synchronize.
-//   footprint-writer      element `.failed =` writes and failed_links_
-//                         edits only in src/topology/topology.cpp, and
-//                         OpsOwnership `owner_[...] =` writes only in
-//                         src/cluster/abstraction_layer.cpp — the setters
-//                         and acquire/release there stamp every footprint
-//                         they change, and the rebuild memo trusts those
-//                         stamps to skip a restore.
+//   footprint-writer      element `.failed =` writes and edits of the
+//                         per-ToR `uplink_cut` flags and the
+//                         `footprint_journal_` only in
+//                         src/topology/topology.cpp, and OpsOwnership
+//                         `owner_[...] =` and `owner_journal_` writes only
+//                         in src/cluster/abstraction_layer.cpp — the
+//                         setters and acquire/release there stamp and
+//                         journal every footprint they change; the rebuild
+//                         memo trusts the stamps to skip a restore and the
+//                         restore pass the journals to find what to check.
 //   raw-chrono-clock      no raw std::chrono::steady_clock reads outside
 //                         src/telemetry/ and core/experiment.h — timing goes
 //                         through telemetry::Tracer (whose logical mode keeps
