@@ -67,6 +67,15 @@ def newest_committed_baseline(directory="."):
     return os.path.normpath(max(numbered)[1]) if numbered else None
 
 
+def round_sig(value, digits=4):
+    """`value` rounded to `digits` significant digits. The trajectory keeps
+    microseconds, so a fixed number of decimals would store a
+    nanosecond-scale row with one or two digits, and the gate would read
+    rounding steps (0.002 -> 0.003 us) as a 1.5x regression.
+    scripts/check.sh rounds its rows through here."""
+    return float(f"{value:.{digits}g}")
+
+
 def fail_usage(message):
     print(f"bench_gate: {message}", file=sys.stderr)
     sys.exit(2)
@@ -139,11 +148,11 @@ def main(argv):
             ratio = after / before
             verdict = "ok" if ratio <= 1 + tolerance else "REGRESSED"
             print(f"  [{verdict}] {bench}/{name}: "
-                  f"{before:.1f}us -> {after:.1f}us ({ratio:.2f}x)")
+                  f"{before:.4g}us -> {after:.4g}us ({ratio:.2f}x)")
             if verdict == "REGRESSED":
                 regressions.append((bench, name, ratio))
         for bench, name in sorted(set(fresh) - set(baseline)):
-            print(f"  [new] {bench}/{name}: {fresh[(bench, name)]:.1f}us, no baseline")
+            print(f"  [new] {bench}/{name}: {fresh[(bench, name)]:.4g}us, no baseline")
 
     ratio_failures = ratio_violations(fresh)
     if regressions:

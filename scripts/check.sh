@@ -291,9 +291,10 @@ leg_scale_soak() {
 # uses; the filter's prefix matches all three)
 # and writes an
 # alvc-bench-trajectory-v1 JSON: per benchmark name, the median cpu time
-# in microseconds over five repetitions (after_cpu_time_us) and its
-# coefficient of variation (after_cpu_time_cv), next to a "before"
-# baseline and the resulting speedup.
+# in microseconds over five repetitions (after_cpu_time_us, four
+# significant digits through bench_gate.round_sig) and its coefficient of
+# variation (after_cpu_time_cv), next to a "before" baseline and the
+# resulting speedup.
 # With ALVC_BENCH_SCALE=full, the million-VM sharded benchmark also runs
 # (from the Release build-scale tree — Debug at that size is minutes of
 # topology build alone) and its rows are merged in; CI runs without the
@@ -365,6 +366,9 @@ emit_bench_json() {
   python3 - "$tmpdir" "$out" <<'PY'
 import json, os, sys
 
+sys.path.insert(0, "scripts")
+from bench_gate import newest_committed_baseline, round_sig
+
 tmpdir, out = sys.argv[1], sys.argv[2]
 baseline_dir = os.environ.get("ALVC_BENCH_BASELINE_DIR", "")
 
@@ -413,8 +417,6 @@ if baseline_dir:
         if os.path.exists(path):
             before[bench] = {name: cpu for name, (cpu, _) in load_cpu_us(path).items()}
 else:
-    sys.path.insert(0, "scripts")
-    from bench_gate import newest_committed_baseline
     committed_path = newest_committed_baseline()
     if committed_path:
         with open(committed_path) as f:
@@ -428,8 +430,8 @@ for bench in sorted(after):
     for name, (cpu, cv) in after[bench].items():
         b = before.get(bench, {}).get(name)
         row = {"bench": bench, "name": name,
-               "before_cpu_time_us": round(b, 3) if b is not None else None,
-               "after_cpu_time_us": round(cpu, 3),
+               "before_cpu_time_us": round_sig(b) if b is not None else None,
+               "after_cpu_time_us": round_sig(cpu),
                "after_cpu_time_cv": round(cv, 4) if cv is not None else None,
                "speedup": round(b / cpu, 2) if b else None}
         rows.append(row)

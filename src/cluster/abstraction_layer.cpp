@@ -45,11 +45,12 @@ void OpsOwnership::release(std::span<const OpsId> opss, ClusterId cluster) {
   }
 }
 
-void OpsOwnership::set_owner(OpsId id, ClusterId owner) noexcept {
+void OpsOwnership::set_owner(OpsId id, ClusterId owner) {
   owner_[id.index()] = owner;
-  stamps_[id.index()] = ++clock_;
-  owner_journal_[clock_ % kJournalCapacity] = id;
+  owner_pending_.insert(id);
 }
+
+void OpsOwnership::clear_pending_owner_changes() noexcept { owner_pending_.clear(); }
 
 std::vector<OpsId> OpsOwnership::free_ops() const {
   std::vector<OpsId> out;

@@ -6,12 +6,11 @@
 // which maps every OPS to its owning cluster (if any).
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "util/error.h"
+#include "util/id_set.h"
 #include "util/ids.h"
 
 namespace alvc::cluster {
@@ -37,7 +36,7 @@ struct AbstractionLayer {
 class OpsOwnership {
  public:
   explicit OpsOwnership(std::size_t ops_count)
-      : owner_(ops_count, ClusterId::invalid()), stamps_(ops_count, 0) {}
+      : owner_(ops_count, ClusterId::invalid()) {}
 
   [[nodiscard]] std::size_t ops_count() const noexcept { return owner_.size(); }
   [[nodiscard]] bool is_free(OpsId id) const { return !owner_.at(id.index()).valid(); }
@@ -60,37 +59,22 @@ class OpsOwnership {
   /// Ids of currently unowned OPSs.
   [[nodiscard]] std::vector<OpsId> free_ops() const;
 
-  /// Owner stamps: acquire and release, the only writers of the owner
-  /// cells, stamp each cell they change from one clock (alvc_lint
-  /// `footprint-writer` keeps other writers out). stamp(id) <= c proves
-  /// `id`'s owner unchanged since clock() read c.
-  [[nodiscard]] std::uint64_t stamp(OpsId id) const { return stamps_.at(id.index()); }
-  [[nodiscard]] std::uint64_t clock() const noexcept { return clock_; }
-
-  /// Owner changes the journal holds: the last this many clock values.
-  /// Each stamp also lands in a ring journal indexed by its clock value,
-  /// so a reader that remembers a clock value can list the OPSs whose
-  /// owner changed since in O(changes).
-  static constexpr std::size_t kJournalCapacity = 4096;
-  /// True when the journal still holds every owner change after clock
-  /// value `since` (no more than kJournalCapacity of them).
-  [[nodiscard]] bool journal_holds(std::uint64_t since) const noexcept {
-    return since <= clock_ && clock_ - since <= kJournalCapacity;
+  /// OPSs whose owner changed since the last clear, each once: acquire and
+  /// release, the only writers of the owner cells, list every cell they
+  /// change (alvc_lint `footprint-writer` keeps other writers out). So an
+  /// OPS missing from the list has kept its owner since the list was last
+  /// cleared. The one reader, ClusterManager, clears it after each read.
+  [[nodiscard]] std::span<const OpsId> pending_owner_changes() const noexcept {
+    return owner_pending_.members();
   }
-  /// The OPS whose owner changed at clock value `clock`; meaningful only
-  /// while journal_holds(clock - 1).
-  [[nodiscard]] OpsId journal_entry(std::uint64_t clock) const noexcept {
-    return owner_journal_[clock % kJournalCapacity];
-  }
+  void clear_pending_owner_changes() noexcept;
 
  private:
-  /// Gives `id` to `owner` (possibly none) and stamps the change.
-  void set_owner(OpsId id, ClusterId owner) noexcept;
+  /// Gives `id` to `owner` (possibly none) and lists the change.
+  void set_owner(OpsId id, ClusterId owner);
 
   std::vector<ClusterId> owner_;
-  std::vector<std::uint64_t> stamps_;  // id.index() -> stamp (0 = never changed)
-  std::uint64_t clock_ = 0;
-  std::array<OpsId, kJournalCapacity> owner_journal_{};  // clock % capacity -> OPS
+  alvc::util::IdSet<OpsId> owner_pending_;
 };
 
 }  // namespace alvc::cluster

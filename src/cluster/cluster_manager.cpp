@@ -114,11 +114,36 @@ void ClusterManager::set_connected(VirtualCluster& vc, bool connected) {
 void ClusterManager::note_write(const VirtualCluster& vc) {
   // Only degraded clusters have memos; a healthy one that turns degraded
   // is listed then.
-  if (!vc.degraded) return;
-  if (vc.id.index() >= written_flags_.size()) written_flags_.resize(next_id_, 0);
-  if (written_flags_[vc.id.index()] != 0) return;
-  written_flags_[vc.id.index()] = 1;
-  written_.push_back(vc.id);
+  if (vc.degraded) list_stale(vc.id);
+}
+
+void ClusterManager::list_stale(ClusterId id) {
+  stale_.insert(id);
+  // The pass walks in ascending id: a cluster above the one it has reached
+  // is checked in this pass.
+  if (walk_at_.valid() && id > walk_at_) wake(id);
+}
+
+void ClusterManager::drain_writes() {
+  const auto list_watchers = [&](TorId t) {
+    if (t.index() >= tor_watchers_.size()) return;
+    for (ClusterId id : tor_watchers_[t.index()]) list_stale(id);
+  };
+  for (TorId t : topo_->pending_footprint_tors()) list_watchers(t);
+  topo_->clear_pending_footprint_tors();
+  // A memo's footprint holds the owner of every uplink of its home ToRs;
+  // the ToRs an OPS uplinks are exactly its tor_links.
+  for (alvc::util::OpsId o : ownership_.pending_owner_changes()) {
+    for (TorId t : topo_->ops(o).tor_links) list_watchers(t);
+  }
+  ownership_.clear_pending_owner_changes();
+}
+
+void ClusterManager::use_builder(std::uint64_t serial) {
+  if (serial == memo_builder_) return;
+  // Every memo was recorded with another builder than the one now in use.
+  for (ClusterId id : degraded_ids_) list_stale(id);
+  memo_builder_ = serial;
 }
 
 std::vector<ClusterId> ClusterManager::degraded_cluster_ids() const {
@@ -455,38 +480,33 @@ bool ClusterManager::layer_in_footprint(const VirtualCluster& vc) {
 
 void ClusterManager::remember_rebuild(const VirtualCluster& vc, const AlBuilder& builder,
                                       bool local) {
+  // The writes so far, this rebuild's own included, are what it read: they
+  // must not list the memo recorded below.
+  drain_writes();
   if (!vc.degraded || !local) {
     forget_rebuild(vc.id);
     // Degraded without a memo: every pass must rebuild it.
     note_write(vc);
     return;
   }
-  const auto [it, inserted] = rebuild_memos_.try_emplace(vc.id);
-  RebuildMemo& memo = it->second;
-  memo.builder = builder.serial();
-  memo.vms = vc.vms;
-  memo.layer = vc.layer;
-  memo.connected = vc.connected;
+  use_builder(builder.serial());
   const std::span<const TorId> home = collect_home_tors(vc);
-  if (inserted || !std::equal(home.begin(), home.end(), memo.home_tors.begin(),
-                              memo.home_tors.end())) {
-    for (TorId t : memo.home_tors) std::erase(tor_watchers_[t.index()], vc.id);
-    memo.home_tors.assign(home.begin(), home.end());
+  const auto [it, inserted] = rebuild_memos_.try_emplace(vc.id);
+  std::vector<TorId>& memo = it->second;
+  if (inserted || !std::equal(home.begin(), home.end(), memo.begin(), memo.end())) {
+    for (TorId t : memo) std::erase(tor_watchers_[t.index()], vc.id);
+    memo.assign(home.begin(), home.end());
     if (tor_watchers_.size() < topo_->tor_count()) tor_watchers_.resize(topo_->tor_count());
-    for (TorId t : memo.home_tors) tor_watchers_[t.index()].push_back(vc.id);
+    for (TorId t : memo) tor_watchers_[t.index()].push_back(vc.id);
   }
-  memo.footprint_clock = topo_->footprint_clock();
-  memo.owner_clock = ownership_.clock();
-  // The scoped pass wakes memo'd clusters by the writes that reach them;
-  // a memo of another builder than the passes use is stale from the
-  // start.
-  if (memo.builder != last_pass_.builder) note_write(vc);
+  stale_.erase(vc.id);
 }
 
 void ClusterManager::forget_rebuild(ClusterId id) {
+  stale_.erase(id);
   const auto it = rebuild_memos_.find(id);
   if (it == rebuild_memos_.end()) return;
-  for (TorId t : it->second.home_tors) std::erase(tor_watchers_[t.index()], id);
+  for (TorId t : it->second) std::erase(tor_watchers_[t.index()], id);
   rebuild_memos_.erase(it);
 }
 
@@ -496,52 +516,6 @@ void ClusterManager::wake(ClusterId id) {
   woken_in_[id.index()] = pass_count_;
   wake_heap_.push_back(id);
   std::push_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>{});
-}
-
-bool ClusterManager::wake_readers_since(std::uint64_t footprint_since, std::uint64_t owner_since,
-                                        ClusterId floor) {
-  if (!topo_->footprint_journal_holds(footprint_since) || !ownership_.journal_holds(owner_since)) {
-    return false;
-  }
-  const auto wake_watchers = [&](TorId t) {
-    if (t.index() >= tor_watchers_.size()) return;
-    for (ClusterId id : tor_watchers_[t.index()]) {
-      if (!floor.valid() || id > floor) wake(id);
-    }
-  };
-  for (std::uint64_t c = footprint_since + 1; c <= topo_->footprint_clock(); ++c) {
-    wake_watchers(topo_->footprint_journal_entry(c));
-  }
-  // rebuild_is_futile reads the owner of every uplink of a home ToR; the
-  // ToRs an OPS uplinks are exactly its tor_links.
-  for (std::uint64_t c = owner_since + 1; c <= ownership_.clock(); ++c) {
-    for (TorId t : topo_->ops(ownership_.journal_entry(c)).tor_links) wake_watchers(t);
-  }
-  return true;
-}
-
-bool ClusterManager::rebuild_is_futile(const VirtualCluster& vc, const AlBuilder& builder) {
-  const auto it = rebuild_memos_.find(vc.id);
-  if (it == rebuild_memos_.end()) return false;
-  const RebuildMemo& memo = it->second;
-  // The memo exists only while the cluster is degraded, so the degraded
-  // flag is equal by construction.
-  if (memo.builder != builder.serial() || memo.connected != vc.connected ||
-      memo.vms != vc.vms || memo.layer.tors != vc.layer.tors ||
-      memo.layer.opss != vc.layer.opss) {
-    return false;
-  }
-  // The VMs are equal, so their home ToRs are the memo's unless a homing
-  // changed, which stamps the server's primary ToR, one of the memo's. The
-  // footprint is then equal when no home ToR was stamped and no uplink OPS
-  // changed owner since the memo was recorded.
-  for (TorId t : memo.home_tors) {
-    if (topo_->footprint_stamp(t) > memo.footprint_clock) return false;
-    for (alvc::util::OpsId o : topo_->tor(t).uplinks) {
-      if (ownership_.stamp(o) > memo.owner_clock) return false;
-    }
-  }
-  return true;
 }
 
 Expected<UpdateCost> ClusterManager::handle_tor_failure(TorId tor, const AlBuilder& builder,
@@ -663,33 +637,18 @@ Expected<UpdateCost> ClusterManager::handle_link_recovery(TorId tor, alvc::util:
 Expected<UpdateCost> ClusterManager::restore_degraded_clusters(const AlBuilder& builder,
                                                                std::vector<ClusterId>* touched) {
   ALVC_SPAN(span, "cluster.restore_degraded_clusters");
-  // The wake set. A memo'd cluster that no write since the last pass
-  // began has reached was checked by that pass, or rebuilt or memo'd
-  // after it began, and nothing it reads has moved since: its check would
-  // skip it again. Writes during the last pass count too, since they may
-  // land after the check of a cluster earlier in its walk.
+  // A rebuild is a function of the builder, the VMs, the footprint and
+  // (when it fails) the incumbent AL. A degraded cluster outside the
+  // listing has a memo of a local rebuild with this builder, and no write
+  // to any of them has reached it since: a rebuild would reproduce it
+  // exactly, at zero cost. The skipped cluster stays out of `touched`: its
+  // AL is unchanged and a recovery only revives hardware, so no chain of
+  // it can need a sweep.
+  use_builder(builder.serial());
+  drain_writes();
   ++pass_count_;
   wake_heap_.clear();
-  const PassStart last = last_pass_;
-  last_pass_ = {.valid = true,
-                .builder = builder.serial(),
-                .footprint_clock = topo_->footprint_clock(),
-                .owner_clock = ownership_.clock()};
-  const std::uint64_t window = (last_pass_.footprint_clock - last.footprint_clock) +
-                               (last_pass_.owner_clock - last.owner_clock);
-  bool scoped = last.valid && last.builder == builder.serial() &&
-                window <= kWakeReadsPerCheck * degraded_ids_.size() &&
-                wake_readers_since(last.footprint_clock, last.owner_clock, ClusterId::invalid());
-  for (ClusterId id : written_) {
-    written_flags_[id.index()] = 0;
-    if (scoped) wake(id);
-  }
-  written_.clear();
-  if (scoped) {
-    ALVC_COUNT("cluster.restore.scoped_passes");
-  } else {
-    for (ClusterId id : degraded_ids_) wake(id);
-  }
+  for (ClusterId id : stale_.members()) wake(id);
 
   // Only a rebuild changes a degraded flag, and only its own cluster's, so
   // every cluster degraded now is still degraded when the ascending walk
@@ -703,25 +662,14 @@ Expected<UpdateCost> ClusterManager::restore_degraded_clusters(const AlBuilder& 
     wake_heap_.pop_back();
     VirtualCluster* vc = find_mutable(id);
     if (vc == nullptr || !vc->degraded) continue;
-    // A rebuild is a function of the builder, the VMs, the footprint and
-    // (when it fails) the incumbent AL; with all of them as the last local
-    // rebuild left them it would reproduce the cluster exactly, at zero
-    // cost. The skipped cluster stays out of `touched`: its AL is unchanged
-    // and a recovery only revives hardware, so no chain of it can need a
-    // sweep.
-    if (rebuild_is_futile(*vc, builder)) continue;
     if (touched != nullptr) touched->push_back(id);
     ALVC_COUNT("cluster.restore.rebuilds");
     ++rebuilds;
-    const std::uint64_t footprint_before = topo_->footprint_clock();
-    const std::uint64_t owner_before = ownership_.clock();
+    // The rebuild's writes can list clusters later in the walk (list_stale).
+    walk_at_ = id;
     cost += rebuild_cluster(*vc, builder);
-    // The rebuild's owner changes can reach clusters later in the walk.
-    if (scoped && !wake_readers_since(footprint_before, owner_before, id)) {
-      for (auto it = degraded_ids_.upper_bound(id); it != degraded_ids_.end(); ++it) wake(*it);
-      scoped = false;
-    }
   }
+  walk_at_ = ClusterId::invalid();
   if (degraded > rebuilds) ALVC_COUNT_N("cluster.restore.skipped", degraded - rebuilds);
   return cost;
 }

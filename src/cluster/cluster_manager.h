@@ -23,11 +23,11 @@
 #include "cluster/virtual_cluster.h"
 #include "topology/topology.h"
 #include "util/error.h"
+#include "util/id_set.h"
 
 namespace alvc::test {
 struct LinkScopeProbe;
-struct RebuildMemoProbe;
-struct RestoreWakeProbe;
+struct RestoreProbe;
 }  // namespace alvc::test
 
 namespace alvc::util {
@@ -183,36 +183,28 @@ class ClusterManager {
   /// O(clusters) or O(degraded x OPS pool) — the difference between a
   /// recovery event and a full control-plane scan at 10^5 clusters.
   ///
-  /// A cluster whose rebuild provably changes nothing is skipped: when the
-  /// last rebuild read only its footprint (AlBuildResult::reads_local), the
-  /// builder, the VMs, the AL and the connected flag still equal what it
-  /// recorded, no home ToR carries a footprint stamp newer than the
-  /// topology clock it recorded and no uplink OPS of those ToRs an owner
-  /// stamp newer than the ownership clock it recorded, a rebuild now would
-  /// reproduce the cluster exactly. The check is O(home ToRs x uplinks)
-  /// array reads. Only rebuilt clusters are appended to `touched`: a
-  /// skipped cluster keeps its AL, and a recovery only revives hardware,
-  /// so no chain of it can need a sweep. A skip bumps no mutation epoch.
+  /// A cluster whose rebuild provably changes nothing is skipped. When a
+  /// rebuild read only the cluster's footprint (AlBuildResult::reads_local)
+  /// and left it degraded, the manager keeps a memo of its home ToRs. A
+  /// later rebuild reproduces the cluster exactly while the builder is the
+  /// same and no write has reached the cluster's VMs, AL, connected flag,
+  /// the footprint of a home ToR or the owner of an uplink OPS of one.
+  /// Every such write lists the cluster as stale: the manager's own
+  /// writers directly (note_write), the topology's footprint writers and
+  /// OpsOwnership's owner changes through pending lists that the manager
+  /// drains into the memos watching the ToRs they name. A degraded cluster
+  /// without a memo is always listed, and a pass with another builder than
+  /// the memos' lists every degraded cluster.
   ///
-  /// The pass checks only the clusters a write since the previous pass
-  /// began can have reached (the wake set): degraded clusters without a
-  /// memo, clusters this manager's own writers changed, and the memo'd
-  /// clusters watching a home ToR that the footprint journal or (through
-  /// an OPS's ToR links) the owner journal lists since then; a rebuild
-  /// in the pass wakes the watchers later in the walk that its owner
-  /// changes reach. Every cluster outside the wake set would be skipped,
-  /// so the pass costs O(writes since the last pass + clusters woken),
-  /// not O(degraded clusters). The first pass, a pass with another
-  /// builder than the last one, a pass whose journals no longer reach
-  /// back to the last one's start, and a pass with more journal entries
-  /// to read than kWakeReadsPerCheck per degraded cluster walk every
-  /// degraded cluster.
+  /// So the pass drains the pending writes and rebuilds the listed
+  /// clusters; a rebuild's drain wakes the newly listed clusters later in
+  /// the walk. Every cluster left out is skipped, and the pass costs
+  /// O(writes since the last drain + clusters listed), not O(degraded
+  /// clusters). Only rebuilt clusters are appended to `touched`: a skipped
+  /// cluster keeps its AL, and a recovery only revives hardware, so no
+  /// chain of it can need a sweep. A skip bumps no mutation epoch.
   [[nodiscard]] Expected<UpdateCost> restore_degraded_clusters(
       const AlBuilder& builder, std::vector<ClusterId>* touched = nullptr);
-  /// Journal entries a scoped restore pass may read per degraded cluster
-  /// before the full walk is the cheaper pass: an entry costs a few array
-  /// reads, a memo check a compare of VMs and AL.
-  static constexpr std::uint64_t kWakeReadsPerCheck = 8;
 
   // ---- inspection ----
 
@@ -278,9 +270,9 @@ class ClusterManager {
   /// held and `layer` drops, keeps the ToR -> cluster index in step with
   /// the ToR set (check_invariants cross-checks) and bumps the topology's
   /// mutation epoch when the AL changed. kConflict, when some OPS of
-  /// `layer` belongs to another cluster, changes nothing. Owner stamps
-  /// move only on OPSs whose owner changes, so a commit of the AL the
-  /// cluster already holds stamps nothing and bumps no epoch. Costs
+  /// `layer` belongs to another cluster, changes nothing. Only OPSs whose
+  /// owner changes are listed as pending owner changes, so a commit of the
+  /// AL the cluster already holds lists nothing and bumps no epoch. Costs
   /// O(|old AL| x |new AL|) compares and O(|old ToRs| + |new ToRs|) index
   /// edits, none when the ToR set is unchanged. The failure paths that
   /// keep the incumbent AL refresh only VirtualCluster::connected, in
@@ -297,42 +289,33 @@ class ClusterManager {
   void set_degraded(VirtualCluster& vc, bool degraded);
   /// Writes VirtualCluster::connected outside set_layer, noting a change.
   void set_connected(VirtualCluster& vc, bool connected);
-  /// Puts a degraded `vc` in the next restore pass's wake set: its VMs,
-  /// AL or connected flag changed, or it has no memo. A healthy cluster
-  /// has no memo to outdate and is listed when it turns degraded.
+  /// Lists a degraded `vc` as stale: its VMs, AL or connected flag
+  /// changed, or it has no memo. A healthy cluster has no memo to outdate
+  /// and is listed when it turns degraded.
   void note_write(const VirtualCluster& vc);
+  /// Adds `id` to the listing. Inside a restore pass, a cluster the walk
+  /// has not reached yet is also queued.
+  void list_stale(ClusterId id);
+  /// Lists every memo'd cluster watching a ToR that a pending footprint
+  /// write names or that is wired to an OPS with a pending owner change,
+  /// then clears both pending lists.
+  void drain_writes();
+  /// Makes `serial` the builder the unlisted memos were recorded with,
+  /// listing every degraded cluster when it is another than before.
+  void use_builder(std::uint64_t serial);
   /// True when every member of `vc`'s AL lies in its footprint: ToRs are
   /// home ToRs of its VMs, OPSs are uplinks of those ToRs.
   [[nodiscard]] bool layer_in_footprint(const VirtualCluster& vc);
   /// The distinct home ToRs of `vc`'s VMs, ascending, in home_tors_.
   std::span<const TorId> collect_home_tors(const VirtualCluster& vc);
-  /// True when restore_degraded_clusters may skip `vc` (see there).
-  [[nodiscard]] bool rebuild_is_futile(const VirtualCluster& vc, const AlBuilder& builder);
-  /// Records (`local`) or drops the memo of `vc`'s rebuild just done.
+  /// Drains the pending writes, then records (`local`) the memo of `vc`'s
+  /// rebuild just done and unlists `vc`, or drops the memo and lists it.
   void remember_rebuild(const VirtualCluster& vc, const AlBuilder& builder, bool local);
-  /// Drops `id`'s memo, if any, and its entries in the watch index.
+  /// Drops `id`'s memo, if any, its entries in the watch index and its
+  /// listing.
   void forget_rebuild(ClusterId id);
   /// Queues `id` on the restore pass's worklist unless this pass did.
   void wake(ClusterId id);
-  /// Queues the watchers with ids above `floor` (all when it is invalid)
-  /// of every ToR stamped after footprint clock `footprint_since` and of
-  /// every ToR wired to an OPS whose owner changed after owner clock
-  /// `owner_since`. False, queueing nothing, when a journal no longer
-  /// reaches back that far.
-  bool wake_readers_since(std::uint64_t footprint_since, std::uint64_t owner_since,
-                          ClusterId floor);
-
-  /// What the last rebuild of a degraded cluster read and left behind.
-  /// Only kept while the cluster is degraded and that rebuild was local.
-  struct RebuildMemo {
-    std::uint64_t builder = 0;  // AlBuilder::serial()
-    std::vector<VmId> vms;
-    AbstractionLayer layer;
-    bool connected = false;
-    std::vector<TorId> home_tors;       // collect_home_tors at record time
-    std::uint64_t footprint_clock = 0;  // topology footprint_clock() then
-    std::uint64_t owner_clock = 0;      // ownership_.clock() then
-  };
 
   alvc::topology::DataCenterTopology* topo_;
   OpsOwnership ownership_;
@@ -353,34 +336,30 @@ class ClusterManager {
   /// a link event filters, without an O(clusters) scan. Maintained solely
   /// by set_layer.
   std::vector<std::vector<ClusterId>> tor_clusters_;
-  /// Rebuild memos of degraded clusters, looked up by id only (never
-  /// iterated). Written by remember_rebuild, dropped by forget_rebuild
-  /// (from set_degraded, remember_rebuild and destroy_cluster).
-  std::unordered_map<ClusterId, RebuildMemo> rebuild_memos_;
+  /// Rebuild memos of degraded clusters: the home ToRs (collect_home_tors)
+  /// their last local rebuild read. Looked up by id only (never iterated).
+  /// Written by remember_rebuild, dropped by forget_rebuild (from
+  /// set_degraded, remember_rebuild and destroy_cluster).
+  std::unordered_map<ClusterId, std::vector<TorId>> rebuild_memos_;
   /// tor.index() -> ids of the clusters whose memo lists that ToR among
-  /// its home ToRs, unordered: the clusters a write at the ToR can wake.
-  /// Kept in step with rebuild_memos_ by remember_rebuild and
+  /// its home ToRs, unordered: the clusters a write at the ToR makes
+  /// stale. Kept in step with rebuild_memos_ by remember_rebuild and
   /// forget_rebuild.
   std::vector<std::vector<ClusterId>> tor_watchers_;
-  /// Degraded clusters note_write listed since the last restore pass
-  /// began, each once: written_flags_[id.index()] is 1 while `id` is
-  /// listed. Every degraded cluster without a memo is listed.
-  std::vector<ClusterId> written_;
-  std::vector<std::uint8_t> written_flags_;
-  /// Where the last restore pass began. `valid` is false until a pass
-  /// has run; the next pass then walks every degraded cluster.
-  struct PassStart {
-    bool valid = false;
-    std::uint64_t builder = 0;          // AlBuilder::serial()
-    std::uint64_t footprint_clock = 0;  // topology footprint_clock() then
-    std::uint64_t owner_clock = 0;      // ownership_.clock() then
-  };
-  PassStart last_pass_;
-  /// The restore pass's worklist, a min-heap of ids, and the number of
-  /// the pass that last queued each id (woken_in_[id.index()]).
+  /// The listing: the degraded clusters whose memo a write may have
+  /// outdated, and every degraded cluster without a memo. The next restore
+  /// pass rebuilds exactly these; remember_rebuild and forget_rebuild
+  /// unlist.
+  alvc::util::IdSet<ClusterId> stale_;
+  /// AlBuilder::serial() every unlisted memo was recorded with.
+  std::uint64_t memo_builder_ = 0;
+  /// The restore pass's worklist, a min-heap of ids, the number of the
+  /// pass that last queued each id (woken_in_[id.index()]), and the id the
+  /// running pass's walk has reached (invalid outside a pass).
   std::vector<ClusterId> wake_heap_;
   std::vector<std::uint64_t> woken_in_;
   std::uint64_t pass_count_ = 0;
+  ClusterId walk_at_ = ClusterId::invalid();
   /// handle_link_failure's copy of the ToR's index list, reused.
   std::vector<ClusterId> tor_ids_scratch_;
   /// collect_home_tors's output, reused across calls.
@@ -392,8 +371,7 @@ class ClusterManager {
   ClusterId::value_type next_id_ = 0;
 
   friend struct alvc::test::LinkScopeProbe;
-  friend struct alvc::test::RebuildMemoProbe;
-  friend struct alvc::test::RestoreWakeProbe;
+  friend struct alvc::test::RestoreProbe;
 };
 
 }  // namespace alvc::cluster

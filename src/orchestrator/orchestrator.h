@@ -41,7 +41,6 @@
 
 namespace alvc::test {
 struct LinkScopeProbe;
-struct RestoreWakeProbe;
 struct SweepProbe;
 }  // namespace alvc::test
 
@@ -395,7 +394,6 @@ class NetworkOrchestrator {
   std::vector<RetryEntry> retry_keep_;
 
   friend struct alvc::test::LinkScopeProbe;
-  friend struct alvc::test::RestoreWakeProbe;
   friend struct alvc::test::SweepProbe;
 };
 

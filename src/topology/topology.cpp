@@ -12,9 +12,7 @@ DataCenterTopology::DataCenterTopology(const DataCenterTopology& other)
       vms_(other.vms_),
       tors_(other.tors_),
       opss_(other.opss_),
-      footprint_stamps_(other.footprint_stamps_),
-      footprint_clock_(other.footprint_clock_),
-      footprint_journal_(other.footprint_journal_) {}
+      footprint_pending_(other.footprint_pending_) {}
 
 DataCenterTopology& DataCenterTopology::operator=(const DataCenterTopology& other) {
   if (this == &other) return *this;
@@ -22,9 +20,7 @@ DataCenterTopology& DataCenterTopology::operator=(const DataCenterTopology& othe
   vms_ = other.vms_;
   tors_ = other.tors_;
   opss_ = other.opss_;
-  footprint_stamps_ = other.footprint_stamps_;
-  footprint_clock_ = other.footprint_clock_;
-  footprint_journal_ = other.footprint_journal_;
+  footprint_pending_ = other.footprint_pending_;
   invalidate_cache();
   return *this;
 }
@@ -34,9 +30,7 @@ DataCenterTopology::DataCenterTopology(DataCenterTopology&& other) noexcept
       vms_(std::move(other.vms_)),
       tors_(std::move(other.tors_)),
       opss_(std::move(other.opss_)),
-      footprint_stamps_(std::move(other.footprint_stamps_)),
-      footprint_clock_(other.footprint_clock_),
-      footprint_journal_(other.footprint_journal_) {
+      footprint_pending_(std::move(other.footprint_pending_)) {
   other.invalidate_cache();
 }
 
@@ -46,23 +40,17 @@ DataCenterTopology& DataCenterTopology::operator=(DataCenterTopology&& other) no
   vms_ = std::move(other.vms_);
   tors_ = std::move(other.tors_);
   opss_ = std::move(other.opss_);
-  footprint_stamps_ = std::move(other.footprint_stamps_);
-  footprint_clock_ = other.footprint_clock_;
-  footprint_journal_ = other.footprint_journal_;
+  footprint_pending_ = std::move(other.footprint_pending_);
   invalidate_cache();
   other.invalidate_cache();
   return *this;
 }
 
-void DataCenterTopology::stamp_footprint(TorId tor) noexcept {
-  footprint_stamps_[tor.index()] = ++footprint_clock_;
-  footprint_journal_[footprint_clock_ % kFootprintJournalCapacity] = tor;
-}
+void DataCenterTopology::clear_pending_footprint_tors() noexcept { footprint_pending_.clear(); }
 
 TorId DataCenterTopology::add_tor(double port_bandwidth_gbps) {
   const TorId id{static_cast<TorId::value_type>(tors_.size())};
   tors_.push_back(TorSwitch{.id = id, .port_bandwidth_gbps = port_bandwidth_gbps});
-  footprint_stamps_.push_back(0);
   invalidate_cache();
   return id;
 }
@@ -102,7 +90,7 @@ void DataCenterTopology::connect_tor_ops(TorId tor, OpsId ops) {
   t.uplinks.push_back(ops);
   t.uplink_cut.push_back(0);
   o.tor_links.push_back(tor);
-  stamp_footprint(tor);
+  footprint_pending_.insert(tor);
   invalidate_cache();
 }
 
@@ -113,8 +101,8 @@ void DataCenterTopology::connect_ops_ops(OpsId a, OpsId b) {
   oa.peer_links.push_back(b);
   ob.peer_links.push_back(a);
   // A core link changes a footprint only by joining two OPSs of one AL,
-  // each wired to a home ToR of it, so stamping one end's ToRs suffices.
-  for (TorId t : oa.tor_links) stamp_footprint(t);
+  // each wired to a home ToR of it, so listing one end's ToRs suffices.
+  for (TorId t : oa.tor_links) footprint_pending_.insert(t);
   invalidate_cache();
 }
 
@@ -129,7 +117,7 @@ void DataCenterTopology::add_server_homing(ServerId server, TorId tor) {
     return;
   }
   s.secondary_tors.push_back(tor);
-  stamp_footprint(s.tor);
+  footprint_pending_.insert(s.tor);
   bump_mutation_epoch();
 }
 
@@ -151,7 +139,7 @@ void DataCenterTopology::move_vm(VmId vm, ServerId new_server) {
   v.server = new_server;
   // The moved VM's homings changed; every footprint holding it holds its
   // old primary ToR. Which VMs a server hosts is in no footprint.
-  stamp_footprint(src.tor);
+  footprint_pending_.insert(src.tor);
   bump_mutation_epoch();
 }
 
@@ -161,7 +149,7 @@ alvc::util::Status DataCenterTopology::set_ops_failed(OpsId ops, bool failed) {
                              "set_ops_failed: bad OPS id " + std::to_string(ops.value())};
   }
   opss_[ops.index()].failed = failed;
-  for (TorId t : opss_[ops.index()].tor_links) stamp_footprint(t);
+  for (TorId t : opss_[ops.index()].tor_links) footprint_pending_.insert(t);
   refresh_switch_links(ops_vertex(ops));
   bump_mutation_epoch();
   return alvc::util::Status::ok();
@@ -173,7 +161,7 @@ alvc::util::Status DataCenterTopology::set_tor_failed(TorId tor, bool failed) {
                              "set_tor_failed: bad ToR id " + std::to_string(tor.value())};
   }
   tors_[tor.index()].failed = failed;
-  stamp_footprint(tor);
+  footprint_pending_.insert(tor);
   refresh_switch_links(tor_vertex(tor));
   bump_mutation_epoch();
   return alvc::util::Status::ok();
@@ -218,7 +206,7 @@ alvc::util::Status DataCenterTopology::set_link_failed(TorId tor, OpsId ops, boo
       --t.failed_uplinks;
     }
   }
-  stamp_footprint(tor);
+  footprint_pending_.insert(tor);
   refresh_switch_links(tor_vertex(tor));
   bump_mutation_epoch();
   return alvc::util::Status::ok();

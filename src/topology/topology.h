@@ -11,7 +11,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -21,6 +20,7 @@
 #include "graph/graph.h"
 #include "topology/elements.h"
 #include "util/error.h"
+#include "util/id_set.h"
 
 namespace alvc::topology {
 
@@ -28,8 +28,8 @@ class DataCenterTopology {
  public:
   DataCenterTopology() = default;
   // The switch-graph cache is per-object state, not topology data: copies
-  // and moves transfer the elements and the footprint stamps and start
-  // with a cold cache.
+  // and moves transfer the elements and the pending footprint writes and
+  // start with a cold cache.
   DataCenterTopology(const DataCenterTopology& other);
   DataCenterTopology& operator=(const DataCenterTopology& other);
   DataCenterTopology(DataCenterTopology&& other) noexcept;
@@ -212,46 +212,32 @@ class DataCenterTopology {
   /// epoch-versioned caches the same way a topology mutation does.
   void bump_mutation_epoch() noexcept { ++mutation_epoch_; }
 
-  // ---- footprint stamps ----
+  // ---- pending footprint writes ----
   //
   // A ToR's footprint is what an AL build over VMs homed at it reads: the
   // ToR's flag, its uplinks with their link flags and far-end OPS flags,
   // the core links between those OPSs and the homings of the servers
-  // under it. Every writer of that state stamps the ToRs it touches from
-  // one topology-wide clock: set_tor_failed and set_link_failed the ToR,
+  // under it. Every writer of that state lists the ToRs it touches in one
+  // pending list: set_tor_failed and set_link_failed the ToR,
   // connect_tor_ops the link's ToR, set_ops_failed every ToR wired to the
   // OPS, connect_ops_ops every ToR wired to its first OPS (a core link
   // matters only between two OPSs of one AL, both wired to its home
   // ToRs), move_vm the source server's ToR and add_server_homing the
   // server's primary ToR (a VM's home ToRs always include its server's
-  // primary ToR). So footprint_stamp(t) <= c proves t's footprint
-  // unchanged since footprint_clock() read c. Stamps may move without a
-  // change (flip and flip back); they never miss one.
+  // primary ToR). So a ToR missing from the list has an unchanged
+  // footprint since the list was last cleared. A listed ToR may be
+  // unchanged (flip and flip back); a changed one is never missed.
   //
-  // Every stamp is also written to a ring journal indexed by its clock
-  // value, so a reader that remembers a clock value can list the ToRs
-  // stamped since in O(stamps), as long as fewer than
-  // kFootprintJournalCapacity stamps were handed out in between.
+  // The list holds each ToR at most once, so it never outgrows
+  // tor_count() and, once grown, a write allocates nothing. It has one
+  // reader, the ClusterManager over this topology, which clears it after
+  // each read.
 
-  /// Stamps the footprint journal holds: the last this many clock values.
-  static constexpr std::size_t kFootprintJournalCapacity = 4096;
-
-  /// Clock value of the last write to `tor`'s footprint (0 = none yet).
-  [[nodiscard]] std::uint64_t footprint_stamp(TorId tor) const {
-    return footprint_stamps_.at(tor.index());
+  /// ToRs whose footprint a writer touched since the last clear.
+  [[nodiscard]] std::span<const TorId> pending_footprint_tors() const noexcept {
+    return footprint_pending_.members();
   }
-  /// The clock: the highest stamp handed out so far.
-  [[nodiscard]] std::uint64_t footprint_clock() const noexcept { return footprint_clock_; }
-  /// True when the journal still holds every stamp handed out after clock
-  /// value `since` (no more than kFootprintJournalCapacity of them).
-  [[nodiscard]] bool footprint_journal_holds(std::uint64_t since) const noexcept {
-    return since <= footprint_clock_ && footprint_clock_ - since <= kFootprintJournalCapacity;
-  }
-  /// The ToR stamped at clock value `clock`; meaningful only while
-  /// footprint_journal_holds(clock - 1).
-  [[nodiscard]] TorId footprint_journal_entry(std::uint64_t clock) const noexcept {
-    return footprint_journal_[clock % kFootprintJournalCapacity];
-  }
+  void clear_pending_footprint_tors() noexcept;
 
  private:
   /// Builds the switch graph over every physical link and marks the cache
@@ -274,17 +260,12 @@ class DataCenterTopology {
     switch_graph_valid_ = false;
     bump_mutation_epoch();
   }
-  /// Stamps `tor`'s footprint from the clock and journals the stamp.
-  void stamp_footprint(TorId tor) noexcept;
 
   std::vector<Server> servers_;
   std::vector<Vm> vms_;
   std::vector<TorSwitch> tors_;
   std::vector<OpticalSwitch> opss_;
-  std::vector<std::uint64_t> footprint_stamps_;  // tor.index() -> stamp
-  std::uint64_t footprint_clock_ = 0;
-  /// clock % capacity -> the ToR stamped at that clock value.
-  std::array<TorId, kFootprintJournalCapacity> footprint_journal_{};
+  alvc::util::IdSet<TorId> footprint_pending_;
   /// refresh_switch_links' copy of a vertex's link ids, reused across
   /// calls so a failure flip allocates nothing.
   std::vector<std::size_t> link_scratch_;

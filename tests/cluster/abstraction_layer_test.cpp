@@ -92,23 +92,29 @@ TEST(OpsOwnershipTest, StampsMoveOnlyWithTheOwnerCell) {
   OpsOwnership own(4);
   const ClusterId a{1};
   const ClusterId b{2};
-  EXPECT_EQ(own.clock(), 0u);
+  const auto pending = [&] {
+    const auto changes = own.pending_owner_changes();
+    return std::vector<OpsId>(changes.begin(), changes.end());
+  };
+  EXPECT_EQ(pending(), std::vector<OpsId>{});
   ASSERT_TRUE(own.acquire(std::vector<OpsId>{OpsId{0}, OpsId{1}}, a).is_ok());
-  const std::uint64_t acquired = own.clock();
-  EXPECT_GT(own.stamp(OpsId{0}), 0u);
-  EXPECT_GT(own.stamp(OpsId{1}), 0u);
-  EXPECT_EQ(own.stamp(OpsId{2}), 0u);
+  EXPECT_EQ(pending(), (std::vector<OpsId>{OpsId{0}, OpsId{1}}));
+  own.clear_pending_owner_changes();
   // No cell changes: a re-acquire by the owner, a failed acquire, and a
   // release by a non-owner.
   ASSERT_TRUE(own.acquire(std::vector<OpsId>{OpsId{0}}, a).is_ok());
   EXPECT_FALSE(own.acquire(std::vector<OpsId>{OpsId{1}, OpsId{2}}, b).is_ok());
   own.release(std::vector<OpsId>{OpsId{0}}, b);
-  EXPECT_EQ(own.clock(), acquired);
-  // A release stamps the freed cell past every earlier stamp.
+  EXPECT_EQ(pending(), std::vector<OpsId>{});
+  // A release lists the freed cell; a second change of it lists it once.
   own.release(std::vector<OpsId>{OpsId{1}}, a);
-  EXPECT_GT(own.stamp(OpsId{1}), acquired);
-  EXPECT_LE(own.stamp(OpsId{0}), acquired);
-  EXPECT_EQ(own.clock(), own.stamp(OpsId{1}));
+  ASSERT_TRUE(own.acquire(std::vector<OpsId>{OpsId{1}}, b).is_ok());
+  EXPECT_EQ(pending(), std::vector<OpsId>{OpsId{1}});
+  // Copies carry the list.
+  const OpsOwnership copy = own;
+  EXPECT_EQ(std::vector<OpsId>(copy.pending_owner_changes().begin(),
+                               copy.pending_owner_changes().end()),
+            std::vector<OpsId>{OpsId{1}});
 }
 
 }  // namespace

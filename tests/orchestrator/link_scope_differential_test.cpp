@@ -6,7 +6,7 @@
 // link_scope_probe.h); every other event goes through the production
 // handlers on both. After EVERY event the two must agree on every cluster
 // (VMs, AL, degraded and connected flags), the OPS ownership registry and
-// its clock, the ToR index, the topology's mutation epoch, every chain
+// its pending owner changes, the ToR index, the topology's mutation epoch, every chain
 // (hosts, route, reserved bandwidth, degraded flag), the orchestrator's
 // stats and the control-log size; the production twin must pass
 // StateAuditor and leave no chain that a sweep would still act on
@@ -163,7 +163,11 @@ void expect_identical_clusters(const cluster::ClusterManager& scoped,
     const OpsId ops{static_cast<std::uint32_t>(o)};
     EXPECT_EQ(scoped.ownership().owner(ops), reference.ownership().owner(ops)) << "OPS " << o;
   }
-  EXPECT_EQ(scoped.ownership().clock(), reference.ownership().clock());
+  const auto owner_changes = [](const cluster::ClusterManager& manager) {
+    const auto pending = manager.ownership().pending_owner_changes();
+    return std::vector<OpsId>(pending.begin(), pending.end());
+  };
+  EXPECT_EQ(owner_changes(scoped), owner_changes(reference));
   const auto& topo = scoped.topology();
   for (std::size_t t = 0; t < topo.tor_count(); ++t) {
     const TorId tor{static_cast<std::uint32_t>(t)};

@@ -3,7 +3,7 @@
 // fault schedule — one through the production restore pass, one whose
 // memos are forgotten before every event, so its pass rebuilds every
 // degraded cluster (the always-rebuild reference, see
-// tests/support/rebuild_memo_probe.h). After EVERY event the two must
+// tests/support/restore_probe.h). After EVERY event the two must
 // agree on every cluster (VMs, AL, degraded and connected flags), the OPS
 // ownership registry and the full chain state, and both must pass
 // check_invariants. 20 seeds over small fault_storm-shaped fabrics (see
@@ -24,7 +24,7 @@
 #include "faults/fault_injector.h"
 #include "faults/state_auditor.h"
 #include "support/fixtures.h"
-#include "support/rebuild_memo_probe.h"
+#include "support/restore_probe.h"
 #include "support/sweep_probe.h"
 #include "telemetry/telemetry.h"
 #include "util/error.h"
@@ -38,7 +38,7 @@ using alvc::faults::FaultEvent;
 using alvc::faults::FaultInjector;
 using alvc::faults::FaultKind;
 using alvc::faults::FaultScheduleParams;
-using alvc::test::RebuildMemoProbe;
+using alvc::test::RestoreProbe;
 using alvc::test::SweepProbe;
 
 constexpr std::uint64_t kSeeds = 20;
@@ -186,8 +186,8 @@ TEST(RebuildMemoDifferentialTest, MemoizedRestoreMatchesAlwaysRebuildOver20Seeds
 
     for (const FaultEvent& event : schedule) {
       ++events_total;
-      RebuildMemoProbe::forget_all(reference->clusters());
-      if (!event.failure && RebuildMemoProbe::memo_count(memo->clusters()) > 0) {
+      RestoreProbe::forget_all(reference->clusters());
+      if (!event.failure && RestoreProbe::memo_count(memo->clusters()) > 0) {
         ++recoveries_with_memos;
       }
       const auto ra = apply_fault(memo->orchestrator(), event);

@@ -1,20 +1,24 @@
-// Differential proof that scoping restore passes to their wake set changes
-// nothing but work: two identical data centers replay the same seeded
-// events. One runs the production passes, which check only the degraded
-// clusters a write since the previous pass began can have reached; the
-// other is forced onto the full walk before every event, so each of its
-// passes checks every degraded cluster in ascending id, as before the wake
-// set existed (tests/support/restore_wake_probe.h). After EVERY event the
-// two must agree on every cluster (VMs, AL, degraded and connected flags,
-// rebuild memo), every OPS ownership cell with its stamp and the ownership
-// clock, the footprint clock and mutation epoch, every chain and the
-// orchestrator's stats; the production twin's watch index must list
-// exactly its memos' home ToRs. 20 seeds over the fault_storm and
-// multi-rack fabrics of rebuild_memo_differential_test, once through the
-// orchestrator's fault handlers and once at the cluster layer with VM
-// churn between faults (the manager's own writes, which reach no journal).
-// The last tests overrun each journal between two passes and check that
-// the pass falls back to the full walk.
+// Differential proof that restricting restore passes to the listed
+// clusters changes nothing but work: two identical data centers replay the
+// same seeded events. One runs the production passes, which rebuild only
+// the degraded clusters that a write listed as stale since their memo;
+// the other forgets every memo before every event, so each of its passes
+// rebuilds every degraded cluster in ascending id (the always-rebuild
+// reference, tests/support/restore_probe.h). After EVERY event the two
+// must agree on every cluster (VMs, AL, degraded and connected flags),
+// every OPS ownership cell, the pending footprint writes and owner
+// changes, the mutation epoch, every chain and the orchestrator's stats.
+// Where both twins hold a memo, it names the same home ToRs; after a
+// restore pass both list the same clusters, and between passes the
+// production twin lists no cluster the reference does not. The production
+// twin's bookkeeping must stay sound: a watch index listing exactly its
+// memos' home ToRs, a listing of degraded clusters only, and no unlisted
+// memo that no longer describes its cluster. 20 seeds over the fault_storm
+// and multi-rack fabrics of rebuild_memo_differential_test, once through
+// the orchestrator's fault handlers and once at the cluster layer with VM
+// churn between faults (the manager's own writes). The last tests flood
+// the pending lists between two passes and check that membership writes
+// list their cluster.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,9 +34,7 @@
 #include "faults/fault_injector.h"
 #include "faults/state_auditor.h"
 #include "support/fixtures.h"
-#include "support/rebuild_memo_probe.h"
-#include "support/restore_wake_probe.h"
-#include "telemetry/telemetry.h"
+#include "support/restore_probe.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -44,8 +46,7 @@ using alvc::faults::FaultEvent;
 using alvc::faults::FaultInjector;
 using alvc::faults::FaultKind;
 using alvc::faults::FaultScheduleParams;
-using alvc::test::RebuildMemoProbe;
-using alvc::test::RestoreWakeProbe;
+using alvc::test::RestoreProbe;
 using alvc::util::ClusterId;
 using alvc::util::OpsId;
 using alvc::util::ServerId;
@@ -132,8 +133,10 @@ std::vector<FaultEvent> make_schedule(const core::DataCenter& dc, std::uint64_t 
   return events;
 }
 
-void expect_identical_clusters(const cluster::ClusterManager& scoped,
-                               const cluster::ClusterManager& reference) {
+/// Compares the twins after an event; `after_pass` when it ran a restore
+/// pass.
+void expect_identical_clusters(cluster::ClusterManager& scoped,
+                               cluster::ClusterManager& reference, bool after_pass) {
   const auto a = scoped.clusters();
   const auto b = reference.clusters();
   ASSERT_EQ(a.size(), b.size());
@@ -145,8 +148,10 @@ void expect_identical_clusters(const cluster::ClusterManager& scoped,
     EXPECT_EQ(a[i]->layer.opss, b[i]->layer.opss);
     EXPECT_EQ(a[i]->degraded, b[i]->degraded);
     EXPECT_EQ(a[i]->connected, b[i]->connected);
-    EXPECT_EQ(RebuildMemoProbe::has_memo(scoped, a[i]->id),
-              RebuildMemoProbe::has_memo(reference, b[i]->id));
+    if (RestoreProbe::has_memo(scoped, a[i]->id) && RestoreProbe::has_memo(reference, b[i]->id)) {
+      EXPECT_EQ(RestoreProbe::memo_home_tors(scoped, a[i]->id),
+                RestoreProbe::memo_home_tors(reference, b[i]->id));
+    }
   }
   const cluster::OpsOwnership& oa = scoped.ownership();
   const cluster::OpsOwnership& ob = reference.ownership();
@@ -154,13 +159,30 @@ void expect_identical_clusters(const cluster::ClusterManager& scoped,
   for (std::size_t o = 0; o < oa.ops_count(); ++o) {
     const OpsId ops{static_cast<std::uint32_t>(o)};
     EXPECT_EQ(oa.owner(ops), ob.owner(ops)) << "OPS " << o;
-    EXPECT_EQ(oa.stamp(ops), ob.stamp(ops)) << "OPS " << o;
   }
-  EXPECT_EQ(oa.clock(), ob.clock());
-  EXPECT_EQ(scoped.topology().footprint_clock(), reference.topology().footprint_clock());
+  const auto owner_changes = [](const cluster::OpsOwnership& own) {
+    return std::vector<OpsId>(own.pending_owner_changes().begin(),
+                              own.pending_owner_changes().end());
+  };
+  const auto footprint_writes = [](const topology::DataCenterTopology& topo) {
+    return std::vector<TorId>(topo.pending_footprint_tors().begin(),
+                              topo.pending_footprint_tors().end());
+  };
+  EXPECT_EQ(owner_changes(oa), owner_changes(ob));
+  EXPECT_EQ(footprint_writes(scoped.topology()), footprint_writes(reference.topology()));
   EXPECT_EQ(scoped.topology().mutation_epoch(), reference.topology().mutation_epoch());
   EXPECT_EQ(scoped.degraded_cluster_ids(), reference.degraded_cluster_ids());
-  EXPECT_EQ(RestoreWakeProbe::watch_index_violations(scoped), std::vector<ClusterId>{});
+  // The reference lists every degraded cluster until its pass rebuilds
+  // them; after the pass the two listings agree.
+  const auto listed = RestoreProbe::listing(scoped);
+  const auto reference_listed = RestoreProbe::listing(reference);
+  if (after_pass) {
+    EXPECT_EQ(listed, reference_listed);
+  } else {
+    EXPECT_TRUE(std::includes(reference_listed.begin(), reference_listed.end(), listed.begin(),
+                              listed.end()));
+  }
+  EXPECT_EQ(RestoreProbe::bookkeeping_violations(scoped), std::vector<ClusterId>{});
   EXPECT_TRUE(scoped.check_invariants().empty());
   EXPECT_TRUE(reference.check_invariants().empty());
 }
@@ -195,13 +217,8 @@ std::string describe(const FaultEvent& event) {
 }
 
 TEST(RestoreWakeDifferentialTest, ScopedRestoreMatchesTheFullWalkOver20Seeds) {
-#if ALVC_TELEMETRY_ENABLED
-  auto& scoped_passes =
-      telemetry::MetricRegistry::global().counter("cluster.restore.scoped_passes");
-  const std::uint64_t scoped_before = scoped_passes.value();
-#endif
   std::size_t events_total = 0;
-  std::size_t scoped_recoveries = 0;  // recoveries whose pass could scope, memos present
+  std::size_t skipping_recoveries = 0;  // recoveries whose pass left a memo'd cluster out
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     ALVC_TRACE_SEED(seed);
     auto scoped = make_dc(seed);
@@ -212,18 +229,19 @@ TEST(RestoreWakeDifferentialTest, ScopedRestoreMatchesTheFullWalkOver20Seeds) {
 
     for (const FaultEvent& event : schedule) {
       ++events_total;
-      RestoreWakeProbe::force_full_walk(reference->clusters());
-      if (!event.failure && RestoreWakeProbe::last_pass_recorded(scoped->clusters()) &&
-          RebuildMemoProbe::memo_count(scoped->clusters()) > 0) {
-        ++scoped_recoveries;
-      }
+      RestoreProbe::forget_all(reference->clusters());
+      const std::uint64_t passes = RestoreProbe::pass_count(scoped->clusters());
+      const bool memos_unlisted = RestoreProbe::listing(scoped->clusters()).size() <
+                                  scoped->clusters().degraded_cluster_ids().size();
       const auto ra = apply_fault(scoped->orchestrator(), event);
       const auto rb = apply_fault(reference->orchestrator(), event);
       ASSERT_EQ(ra.has_value(), rb.has_value());
       if (ra.has_value()) {
         ASSERT_EQ(*ra, *rb);
       }
-      expect_identical_clusters(scoped->clusters(), reference->clusters());
+      const bool after_pass = RestoreProbe::pass_count(scoped->clusters()) != passes;
+      if (after_pass && memos_unlisted) ++skipping_recoveries;
+      expect_identical_clusters(scoped->clusters(), reference->clusters(), after_pass);
       expect_identical_chains(scoped->orchestrator(), reference->orchestrator());
       if (HasFatalFailure() || HasNonfatalFailure()) {
         FAIL() << "first divergence at " << describe(event);
@@ -232,13 +250,9 @@ TEST(RestoreWakeDifferentialTest, ScopedRestoreMatchesTheFullWalkOver20Seeds) {
     EXPECT_TRUE(faults::StateAuditor::audit(scoped->orchestrator()).empty());
     EXPECT_TRUE(faults::StateAuditor::audit(reference->orchestrator()).empty());
   }
-  // Not vacuous: most recoveries found memos to skip, and the production
-  // twin's passes took the scoped walk (the reference's never do).
+  // Not vacuous: most recoveries found unlisted memos to skip.
   EXPECT_GT(events_total, 3000u);
-  EXPECT_GT(scoped_recoveries, 1000u);
-#if ALVC_TELEMETRY_ENABLED
-  EXPECT_GT(scoped_passes.value() - scoped_before, 1000u);
-#endif
+  EXPECT_GT(skipping_recoveries, 1000u);
 }
 
 /// One cluster-layer step: a fault event through the manager's own
@@ -322,14 +336,16 @@ TEST(RestoreWakeDifferentialTest, ScopedRestoreMatchesTheFullWalkUnderVmChurnOve
     Churn churn(seed);
     cluster::ClusterManager* const managers[] = {&scoped->clusters(), &reference->clusters()};
     for (const FaultEvent& event : schedule) {
-      RestoreWakeProbe::force_full_walk(reference->clusters());
+      RestoreProbe::forget_all(reference->clusters());
       if (churn.rng.bernoulli(0.5)) {
         churn.step(managers);
         ++churn_steps;
       }
+      const std::uint64_t passes = RestoreProbe::pass_count(scoped->clusters());
       apply_to_manager(scoped->clusters(), scoped_builder, event);
       apply_to_manager(reference->clusters(), reference_builder, event);
-      expect_identical_clusters(scoped->clusters(), reference->clusters());
+      expect_identical_clusters(scoped->clusters(), reference->clusters(),
+                                RestoreProbe::pass_count(scoped->clusters()) != passes);
       if (HasFatalFailure() || HasNonfatalFailure()) {
         FAIL() << "first divergence at " << describe(event);
       }
@@ -344,9 +360,7 @@ TEST(RestoreWakeDifferentialTest, ScopedRestoreMatchesTheFullWalkUnderVmChurnOve
 /// uplink) before A is built, so B's OPS lies in A's footprint. T1 dies,
 /// so A rebuilds over T0's VMs by a local build and stays degraded with a
 /// memo. `bystanders` more clusters are built the same way on racks of
-/// their own and held degraded likewise, so that a pass may read more
-/// journal entries before the full walk is the cheaper one. A first pass
-/// then skips them all and records where it began.
+/// their own and held degraded likewise. A first pass then skips them all.
 struct Fabric {
   topology::DataCenterTopology topo;
   cluster::VertexCoverAlBuilder builder;
@@ -381,7 +395,7 @@ struct Fabric {
       EXPECT_TRUE(manager->handle_tor_failure(TorId{5 + 2 * i}, builder).has_value());
     }
     EXPECT_EQ(manager->degraded_cluster_ids().size(), 1 + bystanders);
-    EXPECT_EQ(RebuildMemoProbe::memo_count(*manager), 1 + bystanders);
+    EXPECT_EQ(RestoreProbe::memo_count(*manager), 1 + bystanders);
     EXPECT_EQ(rebuilt_by_pass(), std::vector<ClusterId>{}) << "nothing moved yet";
   }
   void link(std::uint32_t t, std::uint32_t o) { topo.connect_tor_ops(TorId{t}, OpsId{o}); }
@@ -396,87 +410,41 @@ struct Fabric {
     EXPECT_TRUE(manager->restore_degraded_clusters(builder, &touched).has_value());
     return touched;
   }
-  /// True when a pass may read `entries` journal entries and still take
-  /// the scoped walk.
-  [[nodiscard]] bool scoped_walk_affordable(std::uint64_t entries) const {
-    return entries <= cluster::ClusterManager::kWakeReadsPerCheck *
-                          manager->degraded_cluster_ids().size();
-  }
 };
 
-// Enough degraded bystanders that a pass may read a whole journal and
-// more before the full walk is the cheaper one: the overrun, not the cost
-// bound, must be what sends the pass back to the full walk.
-constexpr std::uint32_t kBystanders = 600;
-
-// B's OPS O3 uplinks T0, a home ToR of A: B's release is a write to A's
-// footprint that only the owner journal reports.
-TEST(RestoreWakeJournalTest, OwnerJournalOverrunFallsBackToTheFullWalk) {
-  for (const bool overrun : {false, true}) {
-    SCOPED_TRACE(overrun ? "overrun" : "within the journal");
-    Fabric f(/*neighbour=*/true, kBystanders);
-    ASSERT_EQ(f.manager->find(f.b)->layer.opss, std::vector<OpsId>{OpsId{3}});
-    const std::uint64_t since = f.manager->ownership().clock();
-    ASSERT_TRUE(f.manager->destroy_cluster(f.b).is_ok());
-    // C over T2 churns its only VM in and out: two owner changes of O2 a
-    // round, no footprint stamp.
-    const auto c_vms = f.rack(2, 2);
-    const ClusterId c =
-        *f.manager->create_cluster(util::ServiceId{2}, {c_vms.data(), 1}, f.builder);
-    const std::size_t rounds = overrun ? cluster::OpsOwnership::kJournalCapacity / 2 + 1 : 8;
-    for (std::size_t i = 0; i < rounds; ++i) {
-      ASSERT_TRUE(f.manager->remove_vm(c, c_vms[0]).has_value());
-      ASSERT_TRUE(f.manager->add_vm(c, c_vms[0]).has_value());
-    }
-    EXPECT_EQ(f.manager->ownership().journal_holds(since), !overrun);
-    ASSERT_TRUE(f.scoped_walk_affordable(f.manager->ownership().clock() - since));
-    EXPECT_EQ(f.rebuilt_by_pass(), std::vector<ClusterId>{f.a})
-        << "O3's release moved an owner stamp in A's footprint";
-  }
-}
-
-TEST(RestoreWakeJournalTest, FootprintJournalOverrunFallsBackToTheFullWalk) {
-  for (const bool overrun : {false, true}) {
-    SCOPED_TRACE(overrun ? "overrun" : "within the journal");
-    Fabric f(/*neighbour=*/false, kBystanders);
-    const std::uint64_t since = f.topo.footprint_clock();
-    // A raw repair of T1, A's home ToR, that no pass follows...
-    ASSERT_TRUE(f.topo.set_tor_failed(TorId{1}, false).is_ok());
-    // ...then flips of a link in no footprint push it out of the journal.
-    const std::size_t flips =
-        overrun ? topology::DataCenterTopology::kFootprintJournalCapacity : 8;
-    for (std::size_t i = 0; i < flips; ++i) {
-      ASSERT_TRUE(f.topo.set_link_failed(TorId{2}, OpsId{2}, i % 2 == 0).is_ok());
-    }
-    EXPECT_EQ(f.topo.footprint_journal_holds(since), !overrun);
-    ASSERT_TRUE(f.scoped_walk_affordable(f.topo.footprint_clock() - since));
-    EXPECT_EQ(f.rebuilt_by_pass(), std::vector<ClusterId>{f.a});
-    EXPECT_FALSE(f.manager->find(f.a)->degraded) << "T1 is back: A covers its whole group";
-  }
-}
-
-// A pass with more journal entries to read than the degraded clusters
-// justify takes the full walk, and still rebuilds what the writes reached.
-TEST(RestoreWakeJournalTest, LongWindowTakesTheFullWalk) {
-  Fabric f;
+// Between two passes, more than 4096 owner changes (C churning its only
+// VM in and out over T2) and more than 4096 footprint writes (flips of the
+// T2-O2 link, in no memo's footprint) bury two writes that reach A: B's
+// release of O3, an uplink of A's home ToR T0, and a raw repair of T1, a
+// home ToR of A. The pending lists hold each element once, so nothing is
+// lost: the pass rebuilds A and skips every bystander the flood did not
+// reach.
+TEST(RestoreWakeJournalTest, WriteFloodRebuildsOnlyTheClustersItReached) {
+  constexpr std::uint32_t kBystanders = 64;
+  constexpr std::size_t kFlood = 4098;  // even: the flipped link ends up
+  Fabric f(/*neighbour=*/true, kBystanders);
+  ASSERT_EQ(f.manager->find(f.b)->layer.opss, std::vector<OpsId>{OpsId{3}});
+  const auto c_vms = f.rack(2, 2);
+  const ClusterId c = *f.manager->create_cluster(util::ServiceId{2}, {c_vms.data(), 1}, f.builder);
+  ASSERT_TRUE(f.manager->destroy_cluster(f.b).is_ok());
   ASSERT_TRUE(f.topo.set_tor_failed(TorId{1}, false).is_ok());
-  for (int i = 0; i < 64; ++i) {
+  for (std::size_t i = 0; i < kFlood / 2; ++i) {
+    ASSERT_TRUE(f.manager->remove_vm(c, c_vms[0]).has_value());
+    ASSERT_TRUE(f.manager->add_vm(c, c_vms[0]).has_value());
+  }
+  for (std::size_t i = 0; i < kFlood; ++i) {
     ASSERT_TRUE(f.topo.set_link_failed(TorId{2}, OpsId{2}, i % 2 == 0).is_ok());
   }
-  ASSERT_FALSE(f.scoped_walk_affordable(65));
-#if ALVC_TELEMETRY_ENABLED
-  auto& scoped_passes =
-      telemetry::MetricRegistry::global().counter("cluster.restore.scoped_passes");
-  const std::uint64_t scoped_before = scoped_passes.value();
-#endif
+  EXPECT_EQ(f.topo.pending_footprint_tors().size(), 2u) << "T1 and T2, once each";
+  EXPECT_EQ(f.manager->ownership().pending_owner_changes().size(), 2u) << "O3 and O2, once each";
   EXPECT_EQ(f.rebuilt_by_pass(), std::vector<ClusterId>{f.a});
-#if ALVC_TELEMETRY_ENABLED
-  EXPECT_EQ(scoped_passes.value(), scoped_before);
-#endif
+  EXPECT_FALSE(f.manager->find(f.a)->degraded) << "T1 is back: A covers its whole group";
+  EXPECT_EQ(f.manager->degraded_cluster_ids().size(), kBystanders) << "every bystander skipped";
+  EXPECT_EQ(f.manager->check_invariants(), std::vector<std::string>{});
 }
 
-// The manager's own writes reach no journal: a VM joining or leaving a
-// degraded cluster must still wake it.
+// The manager's own writes reach no pending list: a VM joining or leaving
+// a degraded cluster must still list it.
 TEST(RestoreWakeJournalTest, MembershipWritesWakeTheCluster) {
   Fabric f;
   const auto extra = f.rack(0, 0);

@@ -1,4 +1,4 @@
-// Test access to NetworkOrchestrator's sweep classifier.
+// Test access to NetworkOrchestrator's sweep classifier and control log.
 //
 // Every fault handler ends with a sweep over its blast radius, and a
 // sweep settles whatever it visits. So after any handler returns, a chain
@@ -8,6 +8,7 @@
 // whole chain population.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "orchestrator/orchestrator.h"
@@ -28,6 +29,13 @@ struct SweepProbe {
       }
     }
     return out;
+  }
+  /// Lets the orchestrator's control log take `events` more entries
+  /// without growing, so a test that counts heap allocations sees none
+  /// from the log.
+  static void reserve_control_log(alvc::orchestrator::NetworkOrchestrator& orchestrator,
+                                  std::size_t events) {
+    orchestrator.log_.reserve(events);
   }
 };
 

@@ -172,18 +172,18 @@ TEST(AlvcLintTest, FlagsThreadIncludeOutsideTelemetryAndUtil) {
 TEST(AlvcLintTest, FlagsFootprintWritesOutsideTheirStampingWriters) {
   const auto content = read_fixture("footprint_writer.cc");
   using Lines = std::multiset<std::pair<std::string, std::size_t>>;
-  const Lines flags{{"footprint-writer", 13}, {"footprint-writer", 14},
-                    {"footprint-writer", 16}, {"footprint-writer", 17},
-                    {"footprint-writer", 31}, {"footprint-writer", 32}};
-  const Lines owners{{"footprint-writer", 23}, {"footprint-writer", 24},
-                     {"footprint-writer", 33}};
+  const Lines flags{{"footprint-writer", 21}, {"footprint-writer", 22},
+                    {"footprint-writer", 24}, {"footprint-writer", 25},
+                    {"footprint-writer", 39}, {"footprint-writer", 40}};
+  const Lines owners{{"footprint-writer", 31}, {"footprint-writer", 32},
+                     {"footprint-writer", 41}};
   Lines both = flags;
   both.insert(owners.begin(), owners.end());
   for (const char* path : {"src/cluster/cluster_manager.cpp", "src/orchestrator/bad.cc",
                            "src/topology/topology.h", "src/faults/bad.cc"}) {
     EXPECT_EQ(rules_and_lines(lint_source(path, content)), both) << path;
   }
-  // Each stamping writer's own file may write its own state, and only it.
+  // Each listing writer's own file may write its own state, and only it.
   EXPECT_EQ(rules_and_lines(lint_source("src/topology/topology.cpp", content)), owners);
   EXPECT_EQ(rules_and_lines(lint_source("src/cluster/abstraction_layer.cpp", content)), flags);
   // Tests, benches and the e2e driver keep their own `failed` fields.

@@ -185,6 +185,29 @@ TEST_F(CliFixture, BenchGateBaselineIsTheHighestPrNumberNotTheLastString) {
   EXPECT_EQ(helper.output, "BENCH_PR10.json\n");
 }
 
+// check.sh stores every row through bench_gate.round_sig: four
+// significant digits. Three decimals of a microsecond stored a 2.4 ns row
+// as 0.002 and a 2.6 ns one as 0.003, which the gate read as a 1.5x
+// regression. The gate prints rows with four significant digits too.
+TEST_F(CliFixture, BenchGateRoundsRowsToFourSignificantDigits) {
+  const fs::path gate_dir = fs::path(ALVC_BENCH_GATE_PY).parent_path();
+  const auto helper = run_command(
+      "cd " + dir.string() + " && python3 -c \"import sys; sys.path.insert(0, '" +
+          gate_dir.string() +
+          "'); from bench_gate import round_sig as r; "
+          "print(r(0.0024567), r(0.0026), r(1234.5678), r(0))\"",
+      dir / "helper.txt");
+  EXPECT_EQ(helper.exit_code, 0) << helper.output;
+  EXPECT_EQ(helper.output, "0.002457 0.0026 1235.0 0.0\n");
+
+  const auto baseline = write_trajectory("baseline.json", 0.002457);
+  const auto fresh = write_trajectory("fresh.json", 0.0026);
+  const auto result = run_gate(fresh.string() + " " + baseline.string());
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("0.002457us -> 0.0026us (1.06x)"), std::string::npos)
+      << result.output;
+}
+
 // The fabric sweep is gated on its own 100k/400 ratio, within one run and
 // with or without a baseline: per-call whole-fabric scratch made the
 // 100k-group cycle tens of times the 400-group one.

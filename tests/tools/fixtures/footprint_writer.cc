@@ -1,9 +1,17 @@
 // Fixture: seeded `footprint-writer` violations. The test lints this file
-// under synthetic paths: failure flags, uplink cut flags and the footprint
-// journal may only be written in src/topology/topology.cpp, OPS owner cells
-// and the owner journal only in src/cluster/abstraction_layer.cpp.
+// under synthetic paths: failure flags, uplink cut flags and the pending
+// footprint list may only be written in src/topology/topology.cpp, OPS
+// owner cells and the pending owner list only in
+// src/cluster/abstraction_layer.cpp.
 #include <cstdint>
 #include <vector>
+
+struct IdSet {
+  bool contains(int id) const;
+  void insert(int id);
+  void erase(int id);
+  void clear();
+};
 
 struct Tor {
   bool failed = false;  // legal: a member declaration
@@ -27,10 +35,10 @@ void own(std::vector<int>& owner_, std::vector<int>& vm_owner_) {
   vm_owner_.at(1) = same ? 1 : 0;  // legal
 }
 
-void journal(std::vector<int>& footprint_journal_, std::vector<int>& owner_journal_) {
-  footprint_journal_[3] = 4;  // violation
-  footprint_journal_.clear();  // violation
-  owner_journal_[3] = 4;  // violation
-  const bool seen = footprint_journal_[3] == owner_journal_[3];  // legal: a read
-  footprint_journal_[0] = seen ? 1 : 0;  // alvc-lint: allow(footprint-writer)
+void pending(IdSet& footprint_pending_, IdSet& owner_pending_) {
+  footprint_pending_.insert(3);  // violation
+  footprint_pending_.clear();  // violation
+  owner_pending_.insert(3);  // violation
+  const bool seen = footprint_pending_.contains(3) == owner_pending_.contains(3);  // legal: a read
+  footprint_pending_.erase(seen ? 1 : 0);  // alvc-lint: allow(footprint-writer)
 }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "support/fixtures.h"
 #include "topology/topology.h"
@@ -112,8 +113,8 @@ TEST(TopologyFailureApiTest, SwitchGraphExcludesFailedElements) {
 }
 
 TEST(TopologyFootprintStampTest, EveryWriterStampsTheToRsWhoseFootprintItChanges) {
-  // T0 - O0, T1 - O1, T1 - O2: each ToR's stamp moves only on writes to
-  // its own footprint, and always past every stamp before it.
+  // T0 - O0, T1 - O1, T1 - O2: each write lists exactly the ToRs whose
+  // footprint it touches in the pending list, each ToR once.
   DataCenterTopology topo;
   const TorId t0 = topo.add_tor();
   const TorId t1 = topo.add_tor();
@@ -123,52 +124,54 @@ TEST(TopologyFootprintStampTest, EveryWriterStampsTheToRsWhoseFootprintItChanges
   const ServerId s0 = topo.add_server(t0, {.cpu_cores = 8});
   const ServerId s1 = topo.add_server(t1, {.cpu_cores = 8});
   const auto vm = topo.add_vm(s0, util::ServiceId{0});
-  const auto stamps = [&] { return std::pair{topo.footprint_stamp(t0), topo.footprint_stamp(t1)}; };
-  EXPECT_EQ(stamps(), (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
-
-  // Expects `write` to stamp exactly the ToRs flagged, each past the clock.
-  const auto expect_stamps = [&](bool tor0, bool tor1, const auto& write) {
-    const auto [before0, before1] = stamps();
-    const std::uint64_t clock = topo.footprint_clock();
-    write();
-    const auto [after0, after1] = stamps();
-    EXPECT_EQ(after0 > clock, tor0);
-    EXPECT_EQ(after1 > clock, tor1);
-    if (!tor0) EXPECT_EQ(after0, before0);
-    if (!tor1) EXPECT_EQ(after1, before1);
-    EXPECT_GE(topo.footprint_clock(), std::max(after0, after1));
+  const auto pending = [](const DataCenterTopology& t) {
+    const auto tors = t.pending_footprint_tors();
+    return std::vector<TorId>(tors.begin(), tors.end());
   };
-  expect_stamps(true, false, [&] { topo.connect_tor_ops(t0, o0); });
-  expect_stamps(false, true, [&] { topo.connect_tor_ops(t1, o1); });
-  expect_stamps(false, true, [&] { topo.connect_tor_ops(t1, o2); });
-  expect_stamps(true, false, [&] { topo.connect_ops_ops(o0, o1); });
-  expect_stamps(false, true, [&] { topo.connect_ops_ops(o1, o2); });
-  expect_stamps(true, false, [&] { ASSERT_TRUE(topo.set_tor_failed(t0, true).is_ok()); });
-  expect_stamps(false, true, [&] { ASSERT_TRUE(topo.set_link_failed(t1, o2, true).is_ok()); });
-  expect_stamps(false, true, [&] { ASSERT_TRUE(topo.set_ops_failed(o1, true).is_ok()); });
-  expect_stamps(true, false, [&] { topo.add_server_homing(s0, t1); });
-  expect_stamps(true, false, [&] { topo.move_vm(vm, s1); });
+  EXPECT_EQ(pending(topo), std::vector<TorId>{});
+
+  // Expects `write`, on an emptied list, to list exactly `listed`.
+  const auto expect_listed = [&](const std::vector<TorId>& listed, const auto& write) {
+    topo.clear_pending_footprint_tors();
+    write();
+    EXPECT_EQ(pending(topo), listed);
+  };
+  expect_listed({t0}, [&] { topo.connect_tor_ops(t0, o0); });
+  expect_listed({t1}, [&] { topo.connect_tor_ops(t1, o1); });
+  expect_listed({t1}, [&] { topo.connect_tor_ops(t1, o2); });
+  expect_listed({t0}, [&] { topo.connect_ops_ops(o0, o1); });
+  expect_listed({t1}, [&] { topo.connect_ops_ops(o1, o2); });
+  expect_listed({t0}, [&] { ASSERT_TRUE(topo.set_tor_failed(t0, true).is_ok()); });
+  expect_listed({t1}, [&] { ASSERT_TRUE(topo.set_link_failed(t1, o2, true).is_ok()); });
+  expect_listed({t1}, [&] { ASSERT_TRUE(topo.set_ops_failed(o1, true).is_ok()); });
+  expect_listed({t0}, [&] { topo.add_server_homing(s0, t1); });
+  expect_listed({t0}, [&] { topo.move_vm(vm, s1); });
   // Servers are in no footprint; a no-op move and a repeated homing write
   // nothing.
-  expect_stamps(false, false, [&] { ASSERT_TRUE(topo.set_server_failed(s0, true).is_ok()); });
-  expect_stamps(false, false, [&] { topo.move_vm(vm, s1); });
-  expect_stamps(false, false, [&] { topo.add_server_homing(s0, t1); });
+  expect_listed({}, [&] { ASSERT_TRUE(topo.set_server_failed(s0, true).is_ok()); });
+  expect_listed({}, [&] { topo.move_vm(vm, s1); });
+  expect_listed({}, [&] { topo.add_server_homing(s0, t1); });
+  // Repeated writes list a ToR once, in first-write order.
+  expect_listed({t1, t0}, [&] {
+    ASSERT_TRUE(topo.set_tor_failed(t1, true).is_ok());
+    ASSERT_TRUE(topo.set_tor_failed(t0, false).is_ok());
+    ASSERT_TRUE(topo.set_tor_failed(t1, false).is_ok());
+  });
 
-  // Copies and moves carry the stamps and the clock.
+  // Copies and moves carry the pending list.
   const DataCenterTopology copy(topo);
-  EXPECT_EQ(copy.footprint_clock(), topo.footprint_clock());
-  EXPECT_EQ(copy.footprint_stamp(t1), topo.footprint_stamp(t1));
+  EXPECT_EQ(pending(copy), pending(topo));
   DataCenterTopology assigned;
   assigned = topo;
-  EXPECT_EQ(assigned.footprint_clock(), topo.footprint_clock());
-  EXPECT_EQ(assigned.footprint_stamp(t0), topo.footprint_stamp(t0));
+  EXPECT_EQ(pending(assigned), pending(topo));
   DataCenterTopology moved(std::move(assigned));
-  EXPECT_EQ(moved.footprint_clock(), topo.footprint_clock());
-  EXPECT_EQ(moved.footprint_stamp(t1), topo.footprint_stamp(t1));
+  EXPECT_EQ(pending(moved), pending(topo));
   DataCenterTopology move_assigned;
   move_assigned = std::move(moved);
-  EXPECT_EQ(move_assigned.footprint_clock(), topo.footprint_clock());
-  EXPECT_EQ(move_assigned.footprint_stamp(t0), topo.footprint_stamp(t0));
+  EXPECT_EQ(pending(move_assigned), pending(topo));
+  // A copy's list is its own.
+  move_assigned.clear_pending_footprint_tors();
+  EXPECT_EQ(pending(topo), (std::vector<TorId>{t1, t0}));
 }
 
 }  // namespace

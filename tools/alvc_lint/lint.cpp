@@ -163,18 +163,18 @@ const std::vector<Rule>& rules() {
           const std::string_view layer = src_layer(path);
           return !layer.empty() && layer != "telemetry" && layer != "util";
         }});
-    // Footprint stamps (DataCenterTopology::footprint_stamp, OpsOwnership::
-    // stamp) let the rebuild memo skip a restore only while every write to
-    // a footprint goes through a stamping writer, and the scoped restore
-    // pass finds the clusters to check only in the journals those writers
-    // keep; a raw write elsewhere would leave a stale memo looking current.
+    // The restore pass skips a degraded cluster whose memo no write has
+    // listed as stale, and the writes reach the listing only through the
+    // pending lists that the DataCenterTopology setters and OpsOwnership's
+    // acquire/release keep; a raw write elsewhere would leave a stale memo
+    // looking current.
     r.push_back(Rule{
         "footprint-writer",
-        "element failure flag, uplink cut flag or footprint journal written outside "
+        "element failure flag, uplink cut flag or pending footprint list written outside "
         "src/topology/topology.cpp; go through the DataCenterTopology setters, which "
-        "stamp and journal the footprints the write changes",
+        "list the ToRs whose footprint the write changes",
         std::regex(R"((\.|->)\s*failed\s*=([^=]|$)|)"
-                   R"((uplink_cut|footprint_journal_)\s*(\[[^\]]*\]\s*=([^=]|$)|=([^=]|$)|)"
+                   R"((uplink_cut|footprint_pending_)\s*(\[[^\]]*\]\s*=([^=]|$)|=([^=]|$)|)"
                    R"(\.\s*(push_back|emplace_back|insert|erase|assign|resize|clear|swap|fill)\b))",
                    flags),
         [](std::string_view path) {
@@ -183,11 +183,11 @@ const std::vector<Rule>& rules() {
         }});
     r.push_back(Rule{
         "footprint-writer",
-        "OPS owner cell or owner journal written outside src/cluster/abstraction_layer.cpp; "
-        "go through OpsOwnership::acquire/release, which stamp and journal every cell "
-        "they change",
+        "OPS owner cell or pending owner list written outside "
+        "src/cluster/abstraction_layer.cpp; go through OpsOwnership::acquire/release, "
+        "which list every cell they change",
         std::regex(R"((^|\W)owner_\s*(\[[^\]]*\]|\.\s*at\s*\(.*\))\s*=([^=]|$)|)"
-                   R"((^|\W)owner_journal_\s*(\[[^\]]*\]\s*=([^=]|$)|=([^=]|$)|\.\s*fill\b))",
+                   R"((^|\W)owner_pending_\s*(=([^=]|$)|\.\s*(insert|erase|clear|swap)\b))",
                    flags),
         [](std::string_view path) {
           return !src_layer(path).empty() &&

@@ -35,14 +35,14 @@
 //                         pool synchronize.
 //   footprint-writer      element `.failed =` writes and edits of the
 //                         per-ToR `uplink_cut` flags and the
-//                         `footprint_journal_` only in
+//                         `footprint_pending_` list only in
 //                         src/topology/topology.cpp, and OpsOwnership
-//                         `owner_[...] =` and `owner_journal_` writes only
-//                         in src/cluster/abstraction_layer.cpp — the
-//                         setters and acquire/release there stamp and
-//                         journal every footprint they change; the rebuild
-//                         memo trusts the stamps to skip a restore and the
-//                         restore pass the journals to find what to check.
+//                         `owner_[...] =` writes and `owner_pending_` edits
+//                         only in src/cluster/abstraction_layer.cpp — the
+//                         setters and acquire/release there list every
+//                         footprint ToR and owner cell they change, and
+//                         the restore pass skips a degraded cluster only
+//                         while no listed write has reached its memo.
 //   raw-chrono-clock      no raw std::chrono::steady_clock reads outside
 //                         src/telemetry/ and core/experiment.h — timing goes
 //                         through telemetry::Tracer (whose logical mode keeps
