@@ -17,8 +17,8 @@
 // and multi-rack fabrics of rebuild_memo_differential_test, once through
 // the orchestrator's fault handlers and once at the cluster layer with VM
 // churn between faults (the manager's own writes). The last tests flood
-// the pending lists between two passes and check that membership writes
-// list their cluster.
+// the pending lists between two passes, check each flood against the full
+// walk, and check that membership writes list their cluster.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -441,6 +441,100 @@ TEST(RestoreWakeJournalTest, WriteFloodRebuildsOnlyTheClustersItReached) {
   EXPECT_FALSE(f.manager->find(f.a)->degraded) << "T1 is back: A covers its whole group";
   EXPECT_EQ(f.manager->degraded_cluster_ids().size(), kBystanders) << "every bystander skipped";
   EXPECT_EQ(f.manager->check_invariants(), std::vector<std::string>{});
+}
+
+// The three tests below keep the names they had when two 4096-entry ring
+// journals fed the wake set and a pass fell back to the full walk once a
+// journal overran or its window grew long. Each floods the pending lists
+// as its namesake did, on a production fabric and on a twin whose memos
+// are forgotten before the pass (the full walk: it rebuilds every degraded
+// cluster). The production pass must rebuild only what the writes reached
+// and leave every cluster as the full walk does.
+constexpr std::size_t kFormerJournalCapacity = 4096;
+
+/// Runs `writes` on both twins, then one pass on each; checks that the
+/// full walk rebuilt every degraded cluster and that both passes agree.
+/// Returns the clusters the production pass rebuilt.
+template <class Writes>
+std::vector<ClusterId> rebuilt_next_to_the_full_walk(Fabric& scoped, Fabric& full,
+                                                     Writes writes) {
+  writes(scoped);
+  writes(full);
+  const std::size_t degraded = full.manager->degraded_cluster_ids().size();
+  RestoreProbe::forget_all(*full.manager);
+  const auto rebuilt = scoped.rebuilt_by_pass();
+  EXPECT_EQ(full.rebuilt_by_pass().size(), degraded);
+  expect_identical_clusters(*scoped.manager, *full.manager, /*after_pass=*/true);
+  return rebuilt;
+}
+
+// B's OPS O3 uplinks T0, a home ToR of A: B's release is a write to A's
+// footprint that only the pending owner changes report, however many
+// owner changes (C churning its only VM in and out over T2) follow it.
+TEST(RestoreWakeJournalTest, OwnerJournalOverrunFallsBackToTheFullWalk) {
+  constexpr std::uint32_t kBystanders = 64;
+  for (const bool overrun : {false, true}) {
+    SCOPED_TRACE(overrun ? "past the former journal" : "within the former journal");
+    Fabric scoped(/*neighbour=*/true, kBystanders);
+    Fabric full(/*neighbour=*/true, kBystanders);
+    ASSERT_EQ(scoped.manager->find(scoped.b)->layer.opss, std::vector<OpsId>{OpsId{3}});
+    const std::size_t rounds = overrun ? kFormerJournalCapacity / 2 + 1 : 8;
+    const auto rebuilt = rebuilt_next_to_the_full_walk(scoped, full, [&](Fabric& f) {
+      ASSERT_TRUE(f.manager->destroy_cluster(f.b).is_ok());
+      const auto c_vms = f.rack(2, 2);
+      const ClusterId c =
+          *f.manager->create_cluster(util::ServiceId{2}, {c_vms.data(), 1}, f.builder);
+      for (std::size_t i = 0; i < rounds; ++i) {
+        ASSERT_TRUE(f.manager->remove_vm(c, c_vms[0]).has_value());
+        ASSERT_TRUE(f.manager->add_vm(c, c_vms[0]).has_value());
+      }
+      EXPECT_EQ(f.manager->ownership().pending_owner_changes().size(), 2u)
+          << "O3 and O2, once each";
+    });
+    EXPECT_EQ(rebuilt, std::vector<ClusterId>{scoped.a})
+        << "O3's release changed an owner in A's footprint";
+    EXPECT_EQ(scoped.manager->degraded_cluster_ids().size(), 1 + kBystanders);
+  }
+}
+
+// A raw repair of T1, a home ToR of A, that no pass follows, then flips of
+// the T2-O2 link, in no memo's footprint.
+TEST(RestoreWakeJournalTest, FootprintJournalOverrunFallsBackToTheFullWalk) {
+  constexpr std::uint32_t kBystanders = 64;
+  for (const bool overrun : {false, true}) {
+    SCOPED_TRACE(overrun ? "past the former journal" : "within the former journal");
+    Fabric scoped(/*neighbour=*/false, kBystanders);
+    Fabric full(/*neighbour=*/false, kBystanders);
+    const std::size_t flips = overrun ? kFormerJournalCapacity : 8;
+    const auto rebuilt = rebuilt_next_to_the_full_walk(scoped, full, [&](Fabric& f) {
+      ASSERT_TRUE(f.topo.set_tor_failed(TorId{1}, false).is_ok());
+      for (std::size_t i = 0; i < flips; ++i) {
+        ASSERT_TRUE(f.topo.set_link_failed(TorId{2}, OpsId{2}, i % 2 == 0).is_ok());
+      }
+      EXPECT_EQ(f.topo.pending_footprint_tors().size(), 2u) << "T1 and T2, once each";
+    });
+    EXPECT_EQ(rebuilt, std::vector<ClusterId>{scoped.a});
+    EXPECT_FALSE(scoped.manager->find(scoped.a)->degraded)
+        << "T1 is back: A covers its whole group";
+    EXPECT_EQ(scoped.manager->degraded_cluster_ids().size(), kBystanders)
+        << "every bystander skipped";
+  }
+}
+
+// Many more writes between two passes than degraded clusters: the pass
+// still rebuilds exactly what the full walk rebuilds (here A, the only
+// degraded cluster) and leaves the same state.
+TEST(RestoreWakeJournalTest, LongWindowTakesTheFullWalk) {
+  Fabric scoped;
+  Fabric full;
+  const auto rebuilt = rebuilt_next_to_the_full_walk(scoped, full, [](Fabric& f) {
+    ASSERT_TRUE(f.topo.set_tor_failed(TorId{1}, false).is_ok());
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_TRUE(f.topo.set_link_failed(TorId{2}, OpsId{2}, i % 2 == 0).is_ok());
+    }
+  });
+  EXPECT_EQ(rebuilt, std::vector<ClusterId>{scoped.a});
+  EXPECT_FALSE(scoped.manager->find(scoped.a)->degraded);
 }
 
 // The manager's own writes reach no pending list: a VM joining or leaving
