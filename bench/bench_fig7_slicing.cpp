@@ -47,7 +47,8 @@ void print_experiment() {
         nfv::NfcSpec spec;
         spec.tenant = util::TenantId{static_cast<util::TenantId::value_type>(t)};
         spec.service = util::ServiceId{static_cast<util::ServiceId::value_type>(t)};
-        spec.name = "t" + std::to_string(t);
+        spec.name = "t";
+        spec.name += std::to_string(t);
         spec.bandwidth_gbps = 1.0;
         spec.functions = {*dc.catalog().find_by_type(VnfType::kFirewall),
                           *dc.catalog().find_by_type(VnfType::kNat)};

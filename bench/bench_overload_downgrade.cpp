@@ -143,7 +143,7 @@ make_instance(std::size_t n, std::uint64_t seed) {
   for (auto& r : caps) r.capacity_gbps = rng.uniform(4.0, 24.0);
   std::vector<orchestrator::AllocChain> chains(n);
   for (std::size_t i = 0; i < n; ++i) {
-    chains[i].id = util::NfcId{i};
+    chains[i].id = util::NfcId{static_cast<util::NfcId::value_type>(i)};
     chains[i].cls = rng.bernoulli(0.5) ? PriorityClass::kHipri : PriorityClass::kLopri;
     chains[i].demand_gbps = rng.uniform(0.5, 10.0);
     for (std::uint32_t r = 0; r < resources; ++r) {

@@ -116,8 +116,12 @@ leg_clang_tidy() {
 }
 
 leg_tier1() {
-  echo "== configure + build (plain) =="
-  cmake -B build -S . >/dev/null
+  # The gcc build is warning-free, so warnings fail it. The clang build's
+  # warnings have not been shown clean yet, so it keeps them as warnings.
+  local werror=ON
+  case "${CXX:-}" in *clang*) werror=OFF ;; esac
+  echo "== configure + build (plain, ALVC_WERROR=$werror) =="
+  cmake -B build -S . -DALVC_WERROR="$werror" >/dev/null
   cmake --build build -j "$jobs"
 
   echo "== ctest (full suite) =="

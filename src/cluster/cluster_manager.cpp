@@ -96,7 +96,7 @@ ClusterId ClusterManager::vm_owner(VmId vm) const noexcept {
 void ClusterManager::set_degraded(VirtualCluster& vc, bool degraded) {
   if (vc.degraded && !degraded) forget_rebuild(vc.id);
   const bool newly = !vc.degraded && degraded;
-  vc.degraded = degraded;
+  vc.degraded = degraded;  // alvc-lint: allow(health-writer)
   // A newly degraded cluster has no memo: the next pass must rebuild it.
   if (newly) note_write(vc);
   if (degraded) {

@@ -89,9 +89,12 @@ void audit_chain(const DataCenterTopology& topo, const ProvisionedChain& chain,
                   std::to_string(derived.conversions.mid_chain) + ")");
   }
 
-  // Chain state: healthy means full bandwidth and a full set of live
-  // instances; degraded means a recorded reason.
+  // Chain state: a chain is degraded exactly when it records a cause;
+  // healthy means full bandwidth and a full set of live instances.
   const double demanded = chain.record.spec.bandwidth_gbps;
+  if (chain.degraded != (chain.degraded_reason != alvc::sdn::ControlCause::kNone)) {
+    out.push_back(chain_tag(chain) + ": degraded flag and cause disagree");
+  }
   if (!chain.degraded) {
     if (std::abs(chain.reserved_gbps - demanded) > kGbpsEps) {
       out.push_back(chain_tag(chain) + ": healthy but holds " +
@@ -104,13 +107,8 @@ void audit_chain(const DataCenterTopology& topo, const ProvisionedChain& chain,
                       " is terminated");
       }
     }
-  } else {
-    if (chain.degraded_reason.empty()) {
-      out.push_back(chain_tag(chain) + ": degraded without a reason");
-    }
-    if (chain.reserved_gbps > demanded + kGbpsEps) {
-      out.push_back(chain_tag(chain) + ": degraded yet over-reserved");
-    }
+  } else if (chain.reserved_gbps > demanded + kGbpsEps) {
+    out.push_back(chain_tag(chain) + ": degraded yet over-reserved");
   }
 
   // Route: every vertex usable, every hop a live switch-graph edge.

@@ -154,13 +154,13 @@ Expected<NfcId> NetworkOrchestrator::provision(const alvc::nfv::NfcSpec& spec,
   set_allocation(chain_it->second, std::move(*route), granted_gbps);
   agent_->register_chain(id, vc->id);
   log_.append(sdn::ControlEventType::kSliceAllocated, slice->value());
-  log_.append(sdn::ControlEventType::kChainProvisioned, id.value(), spec.name);
+  log_.append(sdn::ControlEventType::kChainProvisioned, id.value());
   ++stats_.chains_provisioned;
   ALVC_COUNT("orchestrator.chains.provisioned");
   if (granted_gbps + 1e-9 < spec.bandwidth_gbps) {
     ++stats_.chains_admitted_downgraded;
-    mark_degraded(chain_it->second, granted_gbps / spec.bandwidth_gbps,
-                  "admitted at reduced bandwidth under overload");
+    set_chain_health(chain_it->second, true, sdn::ControlCause::kAdmittedReduced,
+                     granted_gbps / spec.bandwidth_gbps);
   }
   rebalance_bandwidth();  // no-op under kStrictLadder
   return id;
@@ -328,7 +328,7 @@ Status NetworkOrchestrator::migrate_function(NfcId id, std::size_t function_inde
   set_allocation(chain, std::move(*route), gbps);
   chain.flow_rules = controller_.chain_rule_count(id);
   log_.append(sdn::ControlEventType::kVnfRelocated, id.value(),
-              "operator migration of function " + std::to_string(function_index));
+              sdn::ControlCause::kOperatorMigration, static_cast<std::uint32_t>(function_index));
   ++stats_.vnfs_relocated;
   return Status::ok();
 }
@@ -494,7 +494,7 @@ double NetworkOrchestrator::fit_chain(ProvisionedChain& chain) {
     chain.instances[i] = *fresh;
     edit_hosts(chain, [&](std::vector<HostRef>& hosts) { hosts[i] = *target; });
     log_.append(sdn::ControlEventType::kVnfRelocated, id.value(),
-                "failure relocation of function " + std::to_string(i));
+                sdn::ControlCause::kFailureRelocation, static_cast<std::uint32_t>(i));
     ++stats_.vnfs_relocated;
   }
   // The refit routes the chain linearly, so the linear conversion count
@@ -528,11 +528,21 @@ double NetworkOrchestrator::fit_chain(ProvisionedChain& chain) {
   return 0;
 }
 
-void NetworkOrchestrator::mark_degraded(ProvisionedChain& chain, double fraction,
-                                        const std::string& reason) {
-  const bool entered = !chain.degraded;
-  chain.degraded = true;
-  chain.degraded_reason = reason;
+void NetworkOrchestrator::set_chain_health(ProvisionedChain& chain, bool degraded,
+                                           sdn::ControlCause cause, double fraction) {
+  if (!degraded && !chain.degraded) return;  // restoring a healthy chain
+  const bool entered = degraded && !chain.degraded;
+  const sdn::ControlCause reason = degraded ? cause : sdn::ControlCause::kNone;
+  chain.degraded = degraded;       // alvc-lint: allow(health-writer)
+  chain.degraded_reason = reason;  // alvc-lint: allow(health-writer)
+  const auto type =
+      degraded ? sdn::ControlEventType::kChainDegraded : sdn::ControlEventType::kChainRestored;
+  log_.append(type, chain.record.id.value(), cause, static_cast<std::uint32_t>(fraction * 100));
+  if (!degraded) {
+    ++stats_.chains_restored;
+    ALVC_COUNT("orchestrator.chains.restored");
+    return;
+  }
   if (entered) {
     ++stats_.chains_degraded;
     ALVC_COUNT("orchestrator.chains.degraded_transitions");
@@ -547,10 +557,11 @@ void NetworkOrchestrator::mark_degraded(ProvisionedChain& chain, double fraction
     ALVC_OBSERVE("orchestrator.degraded.fraction.lopri", 0.0, 1.0, 8, fraction);
     if (entered) ALVC_COUNT("orchestrator.chains.degraded_transitions.lopri");
   }
-  log_.append(sdn::ControlEventType::kChainDegraded, chain.record.id.value(),
-              reason + " (serving " + std::to_string(static_cast<int>(fraction * 100)) +
-                  "% of demanded bandwidth)");
-  enqueue_retry(chain.record.id);
+  // Per-shard dedupe is global dedupe: a chain's cluster (hence shard)
+  // never changes while it lives.
+  if (agent_->enqueue_retry(RetryEntry{.id = chain.record.id}, chain.cluster)) {
+    ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_size()));
+  }
 }
 
 NetworkOrchestrator::SweepVerdict NetworkOrchestrator::classify_chain(NfcId id) const {
@@ -574,22 +585,18 @@ void NetworkOrchestrator::apply_sweep_verdict(NfcId id, SweepVerdict verdict,
   const auto it = chains_.find(id);
   if (it == chains_.end()) return;
   ProvisionedChain& chain = it->second;
-  if (verdict == SweepVerdict::kRefitDegraded) {
-    park_chain(chain);
-    ALVC_IGNORE_STATUS(fit_chain(chain),
-                       "best-effort re-fit of a disturbed degraded chain; the achieved "
-                       "fraction is recorded in the chain state, retries own restoration");
-    return;
-  }
   park_chain(chain);
   const double fraction = fit_chain(chain);
+  // A disturbed degraded chain gets a best-effort re-fit; retries own its
+  // restoration.
+  if (verdict == SweepVerdict::kRefitDegraded) return;
   if (fraction >= 1.0) {
     ++repaired;
     log_.append(sdn::ControlEventType::kChainRepaired, id.value());
     ++stats_.chains_repaired;
     ALVC_COUNT("orchestrator.chains.repaired");
   } else {
-    mark_degraded(chain, fraction, "full-bandwidth refit infeasible after failure");
+    set_chain_health(chain, true, sdn::ControlCause::kRefitInfeasible, fraction);
   }
 }
 
@@ -646,12 +653,8 @@ std::size_t NetworkOrchestrator::drain_retry_queue() {
     park_chain(chain);  // releases any reduced-bandwidth partial state
     const double fraction = fit_chain(chain);
     if (fraction >= 1.0) {
-      chain.degraded = false;
-      chain.degraded_reason.clear();
+      set_chain_health(chain, false, sdn::ControlCause::kRestoredByRetry, 1.0);
       ++restored;
-      ++stats_.chains_restored;
-      ALVC_COUNT("orchestrator.chains.restored");
-      log_.append(sdn::ControlEventType::kChainRestored, entry.id.value());
       continue;
     }
     if (allocator_.policy() != AllocationPolicy::kStrictLadder &&
@@ -679,11 +682,18 @@ std::size_t NetworkOrchestrator::drain_retry_queue() {
   return restored;
 }
 
-void NetworkOrchestrator::enqueue_retry(NfcId id) {
-  // Per-shard dedupe is global dedupe: a chain's cluster (hence shard)
-  // never changes while it lives.
-  if (!agent_->enqueue_retry(RetryEntry{.id = id}, chains_.at(id).cluster)) return;
-  ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_size()));
+std::size_t NetworkOrchestrator::settle_recovery(std::span<const ClusterId> scope) {
+  // Cluster rebuilds may have shifted slices under healthy chains; fix
+  // those first so capacity is settled before degraded chains compete.
+  // Outside the rebuilt (degraded) clusters a recovery only flips hardware
+  // dead -> alive, which moves sweep verdicts toward kNone, so the rebuilt
+  // clusters are the whole blast radius.
+  ALVC_IGNORE_STATUS(sweep_chains(scope),
+                     "repairs of healthy chains are logged per chain; a recovery "
+                     "reports restorations instead");
+  const std::size_t restored = drain_retry_queue();
+  rebalance_bandwidth();
+  return restored;
 }
 
 void NetworkOrchestrator::set_allocation_policy(AllocationPolicy policy) {
@@ -763,15 +773,15 @@ std::size_t NetworkOrchestrator::rebalance_bandwidth() {
     }
     if (target <= kEps) {
       park_chain(chain);  // rules out, reservation released, route cleared; dirty again
-      mark_degraded(chain, 0.0, "bandwidth shed by the allocator under overload");
-      continue;
+    } else {
+      bandwidth_.release_walk(chain.route.vertices, chain.reserved_gbps - target);
+      chain.reserved_gbps = target;
+      ALVC_IGNORE_STATUS(slices_.set_bandwidth(ids[i], target),
+                         "the reservation is the source of truth; the slice record follows");
     }
-    bandwidth_.release_walk(chain.route.vertices, chain.reserved_gbps - target);
-    chain.reserved_gbps = target;
-    ALVC_IGNORE_STATUS(slices_.set_bandwidth(ids[i], target),
-                       "the reservation is the source of truth; the slice record follows");
-    mark_degraded(chain, target / chain.record.spec.bandwidth_gbps,
-                  "bandwidth shed by the allocator under overload");
+    // A plan target is a ladder rung or exactly 0, so a parked chain serves 0%.
+    set_chain_health(chain, true, sdn::ControlCause::kShedByAllocator,
+                     target / chain.record.spec.bandwidth_gbps);
   }
   // Grow pass, ids ascending (the plan's own climb order).
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -795,17 +805,9 @@ std::size_t NetworkOrchestrator::rebalance_bandwidth() {
     } else {
       ALVC_COUNT("orchestrator.alloc.restores.lopri");
     }
-    const bool instances_ok =
-        std::all_of(chain.instances.begin(), chain.instances.end(),
-                    [](alvc::util::VnfInstanceId inst) { return inst.valid(); });
-    if (chain.degraded && instances_ok &&
-        target + kEps >= chain.record.spec.bandwidth_gbps) {
-      chain.degraded = false;
-      chain.degraded_reason.clear();
-      ++stats_.chains_restored;
-      ALVC_COUNT("orchestrator.chains.restored");
-      log_.append(sdn::ControlEventType::kChainRestored, ids[i].value(),
-                  "allocator rebalance restored full bandwidth");
+    if (target + kEps >= chain.record.spec.bandwidth_gbps &&
+        std::ranges::all_of(chain.instances, &alvc::util::VnfInstanceId::valid)) {
+      set_chain_health(chain, false, sdn::ControlCause::kRestoredByRebalance, 1.0);
     }
   }
   if (changed > 0) {
@@ -902,7 +904,8 @@ Expected<std::size_t> NetworkOrchestrator::handle_tor_failure(alvc::util::TorId 
   touched_.clear();
   const auto repair = clusters_->handle_tor_failure(tor, repair_builder_, &touched_);
   if (repair.has_value()) {
-    log_.append(sdn::ControlEventType::kAlRepaired, tor.value(), "after ToR failure");
+    log_.append(sdn::ControlEventType::kAlRepaired, tor.value(),
+                sdn::ControlCause::kAlRepairedAfterTorFailure);
   }
   const std::size_t repaired = sweep_chains(touched_);
   rebalance_bandwidth();
@@ -960,17 +963,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_ops_recovery(alvc::util::OpsId
   touched_.clear();
   ALVC_IGNORE_STATUS(clusters_->handle_ops_recovery(ops, repair_builder_, &touched_),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
-  // Cluster rebuilds may have shifted slices under healthy chains; fix
-  // those first so capacity is settled before degraded chains compete.
-  // Outside the rebuilt (degraded) clusters a recovery only flips hardware
-  // dead -> alive, which moves sweep verdicts toward kNone, so the rebuilt
-  // clusters are the whole blast radius.
-  ALVC_IGNORE_STATUS(sweep_chains(touched_),
-                     "repairs of healthy chains are logged per chain; this call returns "
-                     "only the count and the caller reports restorations instead");
-  const std::size_t restored = drain_retry_queue();
-  rebalance_bandwidth();
-  return restored;
+  return settle_recovery(touched_);
 }
 
 Expected<std::size_t> NetworkOrchestrator::handle_tor_recovery(alvc::util::TorId tor) {
@@ -984,11 +977,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_tor_recovery(alvc::util::TorId
   touched_.clear();
   ALVC_IGNORE_STATUS(clusters_->handle_tor_recovery(tor, repair_builder_, &touched_),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
-  ALVC_IGNORE_STATUS(sweep_chains(touched_),
-                     "settle healthy chains first; restorations are returned");
-  const std::size_t restored = drain_retry_queue();
-  rebalance_bandwidth();
-  return restored;
+  return settle_recovery(touched_);
 }
 
 Expected<std::size_t> NetworkOrchestrator::handle_server_recovery(alvc::util::ServerId server) {
@@ -1001,12 +990,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_server_recovery(alvc::util::Se
   log_.append(sdn::ControlEventType::kServerRecovered, server.value());
   ALVC_IGNORE_STATUS(clusters_->handle_server_recovery(server),
                      "ids were validated above; a server recovery cannot fail an AL");
-  const std::vector<alvc::util::ClusterId> touched = server_blast_radius(server);
-  ALVC_IGNORE_STATUS(sweep_chains(touched),
-                     "settle healthy chains first; restorations are returned");
-  const std::size_t restored = drain_retry_queue();
-  rebalance_bandwidth();
-  return restored;
+  return settle_recovery(server_blast_radius(server));
 }
 
 Expected<std::size_t> NetworkOrchestrator::handle_link_recovery(alvc::util::TorId tor,
@@ -1021,11 +1005,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_link_recovery(alvc::util::TorI
   touched_.clear();
   ALVC_IGNORE_STATUS(clusters_->handle_link_recovery(tor, ops, repair_builder_, &touched_),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
-  ALVC_IGNORE_STATUS(sweep_chains(touched_),
-                     "settle healthy chains first; restorations are returned");
-  const std::size_t restored = drain_retry_queue();
-  rebalance_bandwidth();
-  return restored;
+  return settle_recovery(touched_);
 }
 
 const ProvisionedChain* NetworkOrchestrator::chain(NfcId id) const {

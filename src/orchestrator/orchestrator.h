@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -70,7 +71,8 @@ struct ProvisionedChain {
   /// hardware terminated (those slots hold invalid ids) — instead of being
   /// torn down. The retry queue re-provisions it on recovery events.
   bool degraded = false;
-  std::string degraded_reason;
+  /// Why the chain is degraded; kNone exactly when it is healthy.
+  sdn::ControlCause degraded_reason = sdn::ControlCause::kNone;
 };
 
 struct OrchestratorStats {
@@ -319,8 +321,11 @@ class NetworkOrchestrator {
   /// terminates every live instance still outside the slice (all of them
   /// when the AL is absent or empty); the retry queue re-places them.
   double fit_chain(ProvisionedChain& chain);
-  /// Marks a parked chain degraded (fraction < 1 after a fit attempt).
-  void mark_degraded(ProvisionedChain& chain, double fraction, const std::string& reason);
+  /// The one writer of a chain's health: flag, cause, stats, counters, the
+  /// kChainDegraded/kChainRestored record (arg = served percent) and, on a
+  /// degrade, the retry enqueue. Restoring a healthy chain is a no-op.
+  void set_chain_health(ProvisionedChain& chain, bool degraded, sdn::ControlCause cause,
+                        double fraction);
 
   /// What the sweep decided for one chain. Classification reads only
   /// topology failure state, AL membership, and the chain's own record —
@@ -355,7 +360,9 @@ class NetworkOrchestrator {
       alvc::util::ServerId server) const;
   /// One restoration attempt per eligible retry entry; returns restores.
   std::size_t drain_retry_queue();
-  void enqueue_retry(NfcId id);
+  /// The tail of every recovery handler: sweeps `scope`, drains the retry
+  /// queue, rebalances. Returns the restores.
+  std::size_t settle_recovery(std::span<const alvc::util::ClusterId> scope);
   [[nodiscard]] std::vector<NfcId> sorted_chain_ids() const;
 
   alvc::cluster::ClusterManager* clusters_;

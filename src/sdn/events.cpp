@@ -2,13 +2,13 @@
 
 namespace alvc::sdn {
 
-void ControlPlaneLog::append(ControlEventType type, std::uint32_t subject, std::string detail,
-                             std::uint32_t peer) {
+void ControlPlaneLog::append(ControlEventType type, std::uint32_t subject, ControlCause cause,
+                             std::uint32_t arg) {
   events_.push_back(ControlEvent{.sequence = next_sequence_++,
                                  .type = type,
+                                 .cause = cause,
                                  .subject = subject,
-                                 .peer = peer,
-                                 .detail = std::move(detail)});
+                                 .arg = arg});
   ++counts_[static_cast<std::size_t>(type)];
 }
 

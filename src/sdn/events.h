@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -65,29 +64,41 @@ inline constexpr std::size_t kControlEventTypeCount =
   return "?";
 }
 
-struct ControlEvent {
-  /// `peer` of an event that has none.
-  static constexpr std::uint32_t kNoPeer = 0xFFFFFFFFu;
+/// Why a record was written, where its type alone does not say; kNone
+/// for every other record.
+enum class ControlCause : std::uint8_t {
+  kNone,
+  kAdmittedReduced,            // degraded: admitted at a reduced rung under overload
+  kRefitInfeasible,            // degraded: full-bandwidth refit infeasible after a failure
+  kShedByAllocator,            // degraded: bandwidth shed by the allocator under overload
+  kRestoredByRetry,            // restored: a retry refitted the chain at full bandwidth
+  kRestoredByRebalance,        // restored: a rebalance grew the chain back to full demand
+  kOperatorMigration,          // relocated: operator-driven migration
+  kFailureRelocation,          // relocated: moved off failed hardware
+  kAlRepairedAfterTorFailure,  // AL repaired: the failure was a ToR's
+};
 
-  // The sequence and the type share one word, so `peer` costs the log no
-  // memory: 2^56 sequence numbers outlast any run.
-  std::uint64_t sequence : 56 = 0;
+struct ControlEvent {
+  /// `arg` of an event that has no number.
+  static constexpr std::uint32_t kNoArg = 0xFFFFFFFFu;
+
+  // Sequence, type and cause share one word: 2^48 sequence numbers outlast any run.
+  std::uint64_t sequence : 48 = 0;
   ControlEventType type : 8 = ControlEventType::kChainProvisioned;
+  ControlCause cause : 8 = ControlCause::kNone;
   /// Primary subject (chain id, slice id, OPS id... by type); kInvalid when
   /// not applicable.
   std::uint32_t subject = 0;
-  /// Second endpoint of a two-element subject: the OPS of a link event,
-  /// whose subject is the ToR. kNoPeer for every other event.
-  std::uint32_t peer = kNoPeer;
-  std::string detail;
+  /// The record's number: a link event's OPS (its subject is the ToR), a
+  /// relocation's function index, a health record's served percent.
+  std::uint32_t arg = kNoArg;
 };
-static_assert(sizeof(ControlEvent) == 16 + sizeof(std::string),
-              "ControlEvent: sequence, type, subject and peer fill 16 bytes");
+static_assert(sizeof(ControlEvent) == 16, "ControlEvent: one word, then subject and arg");
 
 class ControlPlaneLog {
  public:
-  void append(ControlEventType type, std::uint32_t subject, std::string detail = {},
-              std::uint32_t peer = ControlEvent::kNoPeer);
+  void append(ControlEventType type, std::uint32_t subject,
+              ControlCause cause = ControlCause::kNone, std::uint32_t arg = ControlEvent::kNoArg);
   /// Makes room for `events` more entries, so appending that many
   /// allocates nothing.
   void reserve(std::size_t events) { events_.reserve(events_.size() + events); }

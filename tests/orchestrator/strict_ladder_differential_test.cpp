@@ -133,7 +133,9 @@ TEST(StrictLadderDifferentialTest, FaultScheduleReplayIsByteIdenticalAcrossSeeds
       const auto ra = alvc::faults::apply_fault(control.orchestrator(), event);
       const auto rb = alvc::faults::apply_fault(variant.orchestrator(), event);
       ASSERT_EQ(ra.has_value(), rb.has_value());
-      if (ra.has_value()) EXPECT_EQ(*ra, *rb);
+      if (ra.has_value()) {
+        EXPECT_EQ(*ra, *rb);
+      }
       expect_identical(control.orchestrator(), variant.orchestrator());
       if (::testing::Test::HasFailure()) {
         FAIL() << "state diverged at t=" << event.time_s << " " << to_string(event.kind)

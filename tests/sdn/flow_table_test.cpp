@@ -32,7 +32,7 @@ TEST(FlowTableTest, RulesExportInNfcOrder) {
   // alvc_analyze's unordered-escape pass flagged the raw iteration (the
   // state auditor diffs exported tables across runs).
   FlowTable table;
-  for (const std::uint64_t id : {7u, 2u, 9u, 1u, 5u, 3u}) {
+  for (const NfcId::value_type id : {7u, 2u, 9u, 1u, 5u, 3u}) {
     EXPECT_TRUE(table.install(NfcId{id}, id + 100));
   }
   const auto rules = table.rules();

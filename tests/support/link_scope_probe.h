@@ -59,8 +59,8 @@ struct LinkScopeProbe {
       return alvc::util::Error{alvc::util::ErrorCode::kNotFound, "no such ToR-OPS link"};
     }
     if (topo.link_failed(tor, ops)) return std::size_t{0};
-    orchestrator.log_.append(alvc::sdn::ControlEventType::kLinkFailed, tor.value(), {},
-                             ops.value());
+    orchestrator.log_.append(alvc::sdn::ControlEventType::kLinkFailed, tor.value(),
+                             alvc::sdn::ControlCause::kNone, ops.value());
     std::vector<alvc::util::ClusterId> touched;
     ALVC_IGNORE_STATUS(repair_every_cluster(*orchestrator.clusters_, tor, ops, &touched),
                        "an infeasible repair leaves the cluster degraded, as in production");

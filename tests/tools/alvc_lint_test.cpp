@@ -191,6 +191,21 @@ TEST(AlvcLintTest, FlagsFootprintWritesOutsideTheirStampingWriters) {
   EXPECT_TRUE(lint_source("e2e_bench/driver/replay.cpp", content).empty());
 }
 
+TEST(AlvcLintTest, FlagsHealthWritesOutsideTheirWriter) {
+  const auto content = read_fixture("health_writer.cc");
+  using Lines = std::multiset<std::pair<std::string, std::size_t>>;
+  const Lines writes{{"health-writer", 13}, {"health-writer", 14},
+                     {"health-writer", 15}, {"health-writer", 16}};
+  // No file is exempt: the writers mark each of their writes instead.
+  for (const char* path : {"src/orchestrator/orchestrator.cpp", "src/cluster/cluster_manager.cpp",
+                           "src/faults/state_auditor.cpp", "src/elastic/bad.cc"}) {
+    EXPECT_EQ(rules_and_lines(lint_source(path, content)), writes) << path;
+  }
+  // Tests and the e2e driver build chains and clusters with their own flags.
+  EXPECT_TRUE(lint_source("tests/faults/state_auditor_test.cpp", content).empty());
+  EXPECT_TRUE(lint_source("e2e_bench/driver/replay.cpp", content).empty());
+}
+
 TEST(AlvcLintTest, FlagsFunctionLocalScratchInSrc) {
   const auto content = read_fixture("scratch_local.cc");
   using Lines = std::multiset<std::pair<std::string, std::size_t>>;

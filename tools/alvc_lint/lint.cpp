@@ -193,6 +193,18 @@ const std::vector<Rule>& rules() {
           return !src_layer(path).empty() &&
                  !path.ends_with("src/cluster/abstraction_layer.cpp");
         }});
+    // A health flag has one writer each: ClusterManager::set_degraded for a
+    // cluster (it keeps the degraded index and the restore pass's wake set)
+    // and NetworkOrchestrator::set_chain_health for a chain (it keeps the
+    // cause, the stats, the log record and the retry queue). Both writers
+    // mark their writes with the rule's allow comment.
+    r.push_back(Rule{
+        "health-writer",
+        "degraded flag or degraded cause written outside its one writer; go through "
+        "ClusterManager::set_degraded (clusters) or NetworkOrchestrator::set_chain_health "
+        "(chains), which keep the cause, stats, log and retry queue in step",
+        std::regex(R"((\.|->)\s*(degraded|degraded_reason)\s*=([^=]|$))", flags),
+        [](std::string_view path) { return !src_layer(path).empty(); }});
     r.push_back(Rule{
         "raw-chrono-clock",
         "raw std::chrono clock read outside the telemetry layer; route timing through "

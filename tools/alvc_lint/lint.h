@@ -1,6 +1,6 @@
 // alvc_lint: project-specific source rules clang-tidy cannot know.
 //
-// Twelve rules, each encoding a contract earlier PRs established:
+// Thirteen rules, each encoding a contract earlier PRs established:
 //
 //   nondeterministic-rng  no rand()/srand()/std::random_device/wall-clock
 //                         seeds in src/ or tests/ — every stochastic path
@@ -43,6 +43,13 @@
 //                         footprint ToR and owner cell they change, and
 //                         the restore pass skips a degraded cluster only
 //                         while no listed write has reached its memo.
+//   health-writer         `degraded` and `degraded_reason` written through
+//                         `.` or `->` in src/ only by the two writers,
+//                         each write marked allowed:
+//                         ClusterManager::set_degraded for a cluster and
+//                         NetworkOrchestrator::set_chain_health for a
+//                         chain — a raw write would skip the cause, the
+//                         stats, the log record or the retry enqueue.
 //   raw-chrono-clock      no raw std::chrono::steady_clock reads outside
 //                         src/telemetry/ and core/experiment.h — timing goes
 //                         through telemetry::Tracer (whose logical mode keeps
