@@ -141,17 +141,9 @@ leg_tsan() {
 leg_asan() {
   echo "== configure + build (AddressSanitizer) =="
   cmake -B build-asan -S . -DALVC_SANITIZE=address -DALVC_LOCK_ORDER_CHECK=ON >/dev/null
-  cmake --build build-asan -j "$jobs" --target \
-    topology_failure_api_test cluster_failure_test cluster_degraded_cluster_test \
-    cluster_tor_index_test cluster_rebuild_memo_test orchestrator_failure_test \
-    faults_fault_injector_test faults_state_auditor_test \
-    faults_chaos_soak_test orchestrator_route_cache_test \
-    orchestrator_route_cache_differential_test orchestrator_rebuild_memo_differential_test \
-    cluster_link_failure_scope_test orchestrator_link_scope_differential_test \
-    orchestrator_restore_wake_differential_test orchestrator_csr_chaos_differential_test \
-    faults_overload_soak_test orchestrator_strict_ladder_differential_test \
-    elastic_scaling_test elastic_migration_test elastic_elastic_soak_test elastic_controller_test \
-    topology_switch_graph_incremental_differential_test
+  # alvc_tests_failures (tests/CMakeLists.txt) collects every test binary
+  # labelled `failures`, so the build and `ctest -L failures` cannot drift.
+  cmake --build build-asan -j "$jobs" --target alvc_tests_failures
 
   echo "== ctest -L failures (under ASan) =="
   ctest --test-dir build-asan --output-on-failure -j "$jobs" -L failures

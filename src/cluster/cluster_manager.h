@@ -26,8 +26,7 @@
 #include "util/id_set.h"
 
 namespace alvc::test {
-struct LinkScopeProbe;
-struct RestoreProbe;
+struct ReferencePlane;
 }  // namespace alvc::test
 
 namespace alvc::util {
@@ -370,8 +369,7 @@ class ClusterManager {
   AlBuildScratch scratch_;
   ClusterId::value_type next_id_ = 0;
 
-  friend struct alvc::test::LinkScopeProbe;
-  friend struct alvc::test::RestoreProbe;
+  friend struct alvc::test::ReferencePlane;
 };
 
 }  // namespace alvc::cluster

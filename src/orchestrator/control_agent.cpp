@@ -19,7 +19,9 @@ void ControlAgent::register_chain(NfcId id, ClusterId cluster) {
 }
 
 void ControlAgent::unregister_chain(NfcId id, ClusterId cluster) {
-  shards_[shard_of(cluster)].remove_chain(id, cluster);
+  ControlShard& shard = shards_[shard_of(cluster)];
+  shard.remove_chain(id, cluster);
+  std::erase_if(shard.retries_, [id](const RetryEntry& entry) { return entry.id == id; });
 }
 
 std::span<const ScanItem> ControlAgent::scan_scoped(std::span<const ClusterId> scope,

@@ -49,6 +49,10 @@ class ControlAgent {
 
   /// Registers a chain with the shard owning its backing cluster.
   void register_chain(NfcId id, ClusterId cluster);
+  /// Unregisters a torn-down chain and drops its retry entry. Chain ids
+  /// are never reused and a drain skips missing chains, so a drain could
+  /// only ever drop the entry; dropping it here keeps torn-down chains out
+  /// of retry_count().
   void unregister_chain(NfcId id, ClusterId cluster);
 
   /// Classifier for scan_scoped(): fill `item` (its `id` is pre-set) and

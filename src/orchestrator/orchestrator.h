@@ -41,8 +41,7 @@
 #include "sdn/events.h"
 
 namespace alvc::test {
-struct LinkScopeProbe;
-struct SweepProbe;
+struct ReferencePlane;
 }  // namespace alvc::test
 
 namespace alvc::orchestrator {
@@ -400,8 +399,7 @@ class NetworkOrchestrator {
   std::vector<alvc::util::ClusterId> touched_;
   std::vector<RetryEntry> retry_keep_;
 
-  friend struct alvc::test::LinkScopeProbe;
-  friend struct alvc::test::SweepProbe;
+  friend struct alvc::test::ReferencePlane;
 };
 
 }  // namespace alvc::orchestrator

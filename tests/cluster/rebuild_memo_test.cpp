@@ -16,14 +16,14 @@
 
 #include "cluster/al_builder.h"
 #include "cluster/cluster_manager.h"
-#include "support/restore_probe.h"
+#include "support/reference_plane.h"
 #include "telemetry/telemetry.h"
 #include "util/error.h"
 
 namespace alvc::cluster {
 namespace {
 
-using alvc::test::RestoreProbe;
+using alvc::test::ReferencePlane;
 using alvc::util::ClusterId;
 using alvc::util::OpsId;
 using alvc::util::ServerId;
@@ -100,7 +100,7 @@ struct DegradedPair {
     a = f.create(group, 0);
     ASSERT_TRUE(f.manager->handle_tor_failure(Fabric::tor(1), f.builder).has_value());
     ASSERT_TRUE(f.cluster(a).degraded);
-    ASSERT_TRUE(RestoreProbe::has_memo(*f.manager, a));
+    ASSERT_TRUE(ReferencePlane::has_memo(*f.manager, a));
     ASSERT_EQ(f.rebuilt_by_unrelated_recovery(2, 2), std::vector<ClusterId>{})
         << "nothing moved yet: the memo holds";
   }
@@ -150,7 +150,7 @@ TEST(RebuildMemoTest, UnrelatedLinkRecoveryIsSkipped) {
   // T1 dies: A rebuilds over T0's VMs and stays degraded, by a local build.
   ASSERT_TRUE(f.manager->handle_tor_failure(Fabric::tor(1), f.builder).has_value());
   ASSERT_TRUE(f.cluster(a).degraded);
-  ASSERT_TRUE(RestoreProbe::has_memo(*f.manager, a));
+  ASSERT_TRUE(ReferencePlane::has_memo(*f.manager, a));
   const VirtualCluster before = f.cluster(a);
   const std::uint64_t epoch = f.topo.mutation_epoch();
 
@@ -176,7 +176,7 @@ TEST(RebuildMemoTest, UnrelatedLinkRecoveryIsSkipped) {
   ASSERT_TRUE(f.manager->handle_tor_recovery(Fabric::tor(1), f.builder).has_value());
   expect_restores(healing, 1, 0);
   EXPECT_FALSE(f.cluster(a).degraded);
-  EXPECT_FALSE(RestoreProbe::has_memo(*f.manager, a)) << "a healed cluster keeps no memo";
+  EXPECT_FALSE(ReferencePlane::has_memo(*f.manager, a)) << "a healed cluster keeps no memo";
   EXPECT_TRUE(f.manager->check_invariants().empty());
 }
 
@@ -206,7 +206,7 @@ TEST(RebuildMemoTest, NeighbourFreeingAFootprintOpsForcesTheRebuild) {
   ASSERT_TRUE(f.cluster(a).degraded);
   f.unrelated_recovery(4, 4);
   ASSERT_TRUE(f.cluster(a).degraded);
-  ASSERT_TRUE(RestoreProbe::has_memo(*f.manager, a));
+  ASSERT_TRUE(ReferencePlane::has_memo(*f.manager, a));
 
   // T1 dies: B rebuilds over T3 alone and releases O1 — a change to A's
   // footprint that no failure or recovery of A's own elements announces.
@@ -254,14 +254,14 @@ TEST(RebuildMemoTest, AugmentRecruitedAlIsAlwaysRebuilt) {
   ASSERT_TRUE(f.manager->handle_tor_failure(Fabric::tor(2), f.builder).has_value());
   ASSERT_TRUE(f.cluster(a).degraded);
   ASSERT_TRUE(f.cluster(a).layer.contains_ops(Fabric::ops(3)));
-  EXPECT_FALSE(RestoreProbe::has_memo(*f.manager, a));
+  EXPECT_FALSE(ReferencePlane::has_memo(*f.manager, a));
 
   // Every later restore rebuilds it.
   for (int round = 0; round < 3; ++round) {
     const RestoreCounts counts = restore_counts();
     ASSERT_TRUE(f.manager->restore_degraded_clusters(f.builder).has_value());
     expect_restores(counts, 1, 0);
-    EXPECT_FALSE(RestoreProbe::has_memo(*f.manager, a));
+    EXPECT_FALSE(ReferencePlane::has_memo(*f.manager, a));
   }
   EXPECT_TRUE(f.cluster(a).layer.contains_ops(Fabric::ops(3)));
   EXPECT_TRUE(f.manager->check_invariants().empty());
@@ -278,20 +278,20 @@ TEST(RebuildMemoTest, DestroyedClusterLeavesNoMemoBehind) {
   f.start();
   const ClusterId a = f.create(group, 0);
   ASSERT_TRUE(f.manager->handle_tor_failure(Fabric::tor(1), f.builder).has_value());
-  ASSERT_TRUE(RestoreProbe::has_memo(*f.manager, a));
+  ASSERT_TRUE(ReferencePlane::has_memo(*f.manager, a));
 
   ASSERT_TRUE(f.manager->destroy_cluster(a).is_ok());
-  EXPECT_EQ(RestoreProbe::memo_count(*f.manager), 0u);
+  EXPECT_EQ(ReferencePlane::memo_count(*f.manager), 0u);
 
   // The same group again (T1 is back): a fresh cluster, no memo under any
   // id, and its first degradation rebuilds from scratch.
   ASSERT_TRUE(f.manager->handle_tor_recovery(Fabric::tor(1), f.builder).has_value());
   const ClusterId again = f.create(group, 0);
   EXPECT_NE(again, a);
-  EXPECT_EQ(RestoreProbe::memo_count(*f.manager), 0u);
+  EXPECT_EQ(ReferencePlane::memo_count(*f.manager), 0u);
   ASSERT_TRUE(f.manager->handle_tor_failure(Fabric::tor(1), f.builder).has_value());
-  EXPECT_TRUE(RestoreProbe::has_memo(*f.manager, again));
-  EXPECT_FALSE(RestoreProbe::has_memo(*f.manager, a));
+  EXPECT_TRUE(ReferencePlane::has_memo(*f.manager, again));
+  EXPECT_FALSE(ReferencePlane::has_memo(*f.manager, a));
   const RestoreCounts counts = restore_counts();
   f.unrelated_recovery(2, 2);
   expect_restores(counts, 0, 1);
@@ -312,7 +312,7 @@ TEST(RebuildMemoTest, MigrateVmChangesTheFootprint) {
   const ClusterId a = f.create(group, 0);
   ASSERT_TRUE(f.manager->handle_tor_failure(Fabric::tor(1), f.builder).has_value());
   ASSERT_TRUE(f.cluster(a).degraded);
-  ASSERT_TRUE(RestoreProbe::has_memo(*f.manager, a));
+  ASSERT_TRUE(ReferencePlane::has_memo(*f.manager, a));
 
   // Move T1's VMs into T0's rack. T0 is already in the AL and T1 no
   // longer is, so the migrations leave the VM list and the AL as they
@@ -416,7 +416,7 @@ TEST(RebuildMemoTest, WriterStampConnectOpsOpsForcesTheRebuild) {
   ASSERT_TRUE(f.cluster(a).degraded);
   ASSERT_EQ(f.cluster(a).layer.opss, (std::vector<OpsId>{Fabric::ops(0), Fabric::ops(1)}));
   ASSERT_FALSE(f.cluster(a).connected);
-  ASSERT_TRUE(RestoreProbe::has_memo(*f.manager, a));
+  ASSERT_TRUE(ReferencePlane::has_memo(*f.manager, a));
   ASSERT_EQ(f.rebuilt_by_unrelated_recovery(3, 3), std::vector<ClusterId>{});
 
   f.topo.connect_ops_ops(Fabric::ops(0), Fabric::ops(1));
@@ -476,9 +476,9 @@ TEST(RebuildMemoTest, NeighbourRebuildKeepingItsOpsKeepsTheMemo) {
   // augmentation BFS, so it stays degraded with no memo.
   ASSERT_TRUE(p.f.manager->handle_tor_failure(Fabric::tor(5), p.f.builder).has_value());
   ASSERT_TRUE(p.f.cluster(p.b).degraded);
-  ASSERT_FALSE(RestoreProbe::has_memo(*p.f.manager, p.b));
+  ASSERT_FALSE(ReferencePlane::has_memo(*p.f.manager, p.b));
   ASSERT_TRUE(p.f.cluster(p.b).layer.contains_ops(Fabric::ops(3)));
-  ASSERT_TRUE(RestoreProbe::has_memo(*p.f.manager, p.a));
+  ASSERT_TRUE(ReferencePlane::has_memo(*p.f.manager, p.a));
 
   // Every restore rebuilds B, which reproduces its AL. O3 keeps its owner,
   // so A's footprint is unchanged and A is skipped.
@@ -490,7 +490,7 @@ TEST(RebuildMemoTest, NeighbourRebuildKeepingItsOpsKeepsTheMemo) {
     expect_restores(counts, 1, 1);
     EXPECT_EQ(p.f.cluster(p.b).layer.tors, before.layer.tors);
     EXPECT_EQ(p.f.cluster(p.b).layer.opss, before.layer.opss);
-    EXPECT_TRUE(RestoreProbe::has_memo(*p.f.manager, p.a));
+    EXPECT_TRUE(ReferencePlane::has_memo(*p.f.manager, p.a));
     // Only the two link flips moved the epoch: committing the AL B already
     // held bumped nothing.
     EXPECT_EQ(p.f.topo.mutation_epoch(), epoch + 2);
@@ -509,7 +509,7 @@ TEST(RebuildMemoTest, SwitchingBuildersRebuilds) {
   f.start();
   const ClusterId a = f.create(group, 0);
   ASSERT_TRUE(f.manager->handle_tor_failure(Fabric::tor(1), f.builder).has_value());
-  ASSERT_TRUE(RestoreProbe::has_memo(*f.manager, a));
+  ASSERT_TRUE(ReferencePlane::has_memo(*f.manager, a));
 
   // Same inputs, another builder: the memo describes the first builder's
   // output only.

@@ -1,7 +1,7 @@
-// Orchestrator-level differential for the CSR graph core: a provisioned
-// data center runs the PR-5 seeded fault workload, and after EVERY event
-// each live chain's route is recomputed twice — once through the
-// production router (CSR adjacency + stamped-scratch BFS) and once through
+// Orchestrator-level differential for the CSR graph core: the small fabric
+// of tests/support/reference_plane.h runs its seeded fault schedule, and
+// after EVERY event each live chain's route is recomputed twice — once
+// through the production router (CSR adjacency + stamped-scratch BFS) and once through
 // route_via() with a leg source backed by the preserved legacy BFS
 // (std::queue frontier over per-vertex adjacency vectors, membership via
 // the same slice set). The two routes must be bit-identical: same leg
@@ -18,53 +18,22 @@
 #include <string>
 #include <vector>
 
-#include "core/alvc.h"
-#include "faults/fault_injector.h"
 #include "graph/scratch.h"
 #include "graph/shortest_path.h"
 #include "orchestrator/routing.h"
 #include "support/fixtures.h"
 #include "support/legacy_graph.h"
+#include "support/reference_plane.h"
 #include "util/error.h"
 
 namespace alvc::orchestrator {
 namespace {
 
 using alvc::faults::apply_fault;
-using alvc::faults::FaultInjector;
-using alvc::faults::FaultScheduleParams;
 using alvc::util::Error;
 using alvc::util::ErrorCode;
-using nfv::VnfType;
 
 constexpr std::uint64_t kSeeds = 20;
-
-core::DataCenter make_provisioned_dc(std::uint64_t seed) {
-  core::DataCenterConfig config;
-  config.topology.rack_count = 6;
-  config.topology.servers_per_rack = 2;
-  config.topology.vms_per_server = 2;
-  config.topology.ops_count = 16;
-  config.topology.tor_ops_degree = 6;
-  config.topology.optoelectronic_fraction = 0.75;
-  config.topology.service_count = 3;
-  config.topology.seed = seed * 7 + 1;
-  config.seed = seed;
-  core::DataCenter dc(config);
-  auto clusters = dc.build_clusters();
-  if (!clusters.has_value()) throw std::runtime_error(clusters.error().to_string());
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    nfv::NfcSpec spec;
-    spec.service = util::ServiceId{s};
-    spec.name = "chain-" + std::to_string(s);
-    spec.bandwidth_gbps = 1.0;
-    spec.functions = {*dc.catalog().find_by_type(VnfType::kFirewall),
-                      *dc.catalog().find_by_type(VnfType::kNat)};
-    ALVC_IGNORE_STATUS(dc.provision_chain(spec, core::PlacementAlgorithm::kGreedyOptical),
-                       "warm-up: capacity conflicts just mean fewer live chains");
-  }
-  return dc;
-}
 
 struct DifferentialTally {
   std::size_t routes_compared = 0;
@@ -133,30 +102,19 @@ TEST(CsrChaosDifferentialTest, CsrAndLegacyRoutingAgreeUnderChaosOver20Seeds) {
 
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     ALVC_TRACE_SEED(seed);
-    auto dc = make_provisioned_dc(seed);
-    ASSERT_FALSE(dc.orchestrator().chains().empty());
-    expect_csr_matches_legacy_routing(dc, tally);
+    auto dc = alvc::test::make_small_fabric(seed);
+    ASSERT_FALSE(dc->orchestrator().chains().empty());
+    expect_csr_matches_legacy_routing(*dc, tally);
 
-    FaultScheduleParams params;
-    params.ops = {.mtbf_s = 30, .mttr_s = 6};
-    params.tor = {.mtbf_s = 50, .mttr_s = 5};
-    params.server = {.mtbf_s = 40, .mttr_s = 5};
-    params.link = {.mtbf_s = 35, .mttr_s = 5};
-    params.horizon_s = 35;
-    params.seed = seed;
-    const auto schedule = FaultInjector::generate(dc.topology(), params);
+    const auto schedule = alvc::test::make_small_schedule(*dc, seed);
     ASSERT_FALSE(schedule.empty());
 
     for (const auto& event : schedule) {
       ++total_events;
-      ALVC_IGNORE_STATUS(apply_fault(dc.orchestrator(), event),
+      ALVC_IGNORE_STATUS(apply_fault(dc->orchestrator(), event),
                          "chaos event outcome is not under test here");
-      expect_csr_matches_legacy_routing(dc, tally);
-      if (HasFatalFailure() || HasNonfatalFailure()) {
-        FAIL() << "first divergence at t=" << event.time_s << " "
-               << alvc::faults::to_string(event.kind) << " id=" << event.id
-               << (event.failure ? " failure" : " repair");
-      }
+      expect_csr_matches_legacy_routing(*dc, tally);
+      if (HasFailure()) FAIL() << "first divergence at " << alvc::test::describe(event);
     }
   }
 

@@ -18,7 +18,7 @@
 #include <string>
 
 #include "core/alvc.h"
-#include "support/sweep_probe.h"
+#include "support/reference_plane.h"
 
 namespace {
 
@@ -120,7 +120,7 @@ TEST(LinkFlipAllocationTest, OffLayerLinkCycleAllocatesNothing) {
   for (int i = 0; i < 16; ++i) cycle();
 
   constexpr std::size_t kCycles = 500;
-  test::SweepProbe::reserve_control_log(orch, 2 * kCycles);
+  test::ReferencePlane::reserve_control_log(orch, 2 * kCycles);
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < kCycles; ++i) cycle();
   const std::size_t allocations = g_allocations.load(std::memory_order_relaxed) - before;

@@ -229,17 +229,17 @@ TEST(ControlPlaneLogTest, EveryChainHealthWriterIsRecorded) {
                             25, 1});
   }
   ASSERT_TRUE(orch.teardown_chain(*reduced).is_ok());
+  EXPECT_EQ(orch.retry_queue_size(), 0u) << "the teardown drops the chain's retry entry";
 
   // A 10 Gbps chain is admitted in full, then shed by the same budget in
-  // the provision's own rebalance. Its entry joins the torn-down chain's,
-  // which stays queued until the next drain drops it.
+  // the provision's own rebalance, and queued.
   const auto id = orch.provision_chain(spec(10.0), placement);
   ASSERT_TRUE(id.has_value());
   {
     SCOPED_TRACE("shed at provision");
     expect_state(*id, {true, ControlCause::kShedByAllocator, 2, 0,
                        ControlEventType::kChainDegraded, ControlCause::kShedByAllocator, 25,
-                       2});
+                       1});
   }
   // Rebalance restore: the budget lifts and the rebalance grows the chain
   // back to full demand. Its retry entry stays queued until a drain.
@@ -248,7 +248,7 @@ TEST(ControlPlaneLogTest, EveryChainHealthWriterIsRecorded) {
   {
     SCOPED_TRACE("rebalance restore");
     expect_state(*id, {false, ControlCause::kNone, 2, 1, ControlEventType::kChainRestored,
-                       ControlCause::kRestoredByRebalance, 100, 2});
+                       ControlCause::kRestoredByRebalance, 100, 1});
   }
   // Allocator shed to zero: a 0.5 Gbps budget fits no rung, so the chain
   // is parked.
@@ -257,12 +257,12 @@ TEST(ControlPlaneLogTest, EveryChainHealthWriterIsRecorded) {
   {
     SCOPED_TRACE("shed to zero");
     expect_state(*id, {true, ControlCause::kShedByAllocator, 3, 1,
-                       ControlEventType::kChainDegraded, ControlCause::kShedByAllocator, 0, 2});
+                       ControlEventType::kChainDegraded, ControlCause::kShedByAllocator, 0, 1});
     EXPECT_TRUE(orch.chain(*id)->route.vertices.empty());
   }
   // A parked chain has no route to grow, so lifting the budget restores
   // nothing; the next recovery's retry drain refits it at full bandwidth
-  // and drops both queue entries.
+  // and drops its queue entry.
   orch.set_tor_budget_factor(2.0);
   orch.rebalance_bandwidth();
   EXPECT_TRUE(orch.chain(*id)->degraded);
